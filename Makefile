@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos bench profile verify
+.PHONY: all build vet lint test race chaos bench bench-e2e profile verify
 
 all: verify
 
@@ -69,6 +69,19 @@ bench: build
 	$(GO) run ./cmd/tenantbench -out BENCH_tenants.json -minjain 0.9
 	$(GO) run ./cmd/simbench -out BENCH_simcore.json -minsims 200000
 	$(GO) run ./cmd/exchangebench -out BENCH_exchange.json -minspeedup 3 -minops 5
+
+# bench-e2e gates the end-to-end latency of the paper's Fig. 2 job (1,000 ×
+# 50 s calls from the WAN client, see BENCHMARK.json): one short run of the
+# repository benchmark's fig2_invoke workload must report job_sim_s — submit
+# to all results in the client's hands — of at most 70 simulated seconds
+# (the last function ends at ~60; a client that fetches statuses one round
+# trip at a time reports ~215). Simulated time, so the gate does not depend
+# on the runner's speed.
+bench-e2e:
+	@line=$$(bash bench/run.sh --workload fig2_invoke --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"job_sim_s":{"unit":"sim_s","value":\([0-9.eE+-]*\)}.*/\1/p'); \
+	echo "fig2_invoke job_sim_s = $${v:-missing} (gate: <= 70)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 70) }'
 
 # profile runs simbench under the Go profiler and prints the hottest CPU
 # frames; simcore.cpu.pprof and simcore.mem.pprof are left behind for

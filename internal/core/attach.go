@@ -100,7 +100,8 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	// deal with what is left: in-flight activations are adopted as-is,
 	// everything that cannot make progress on its own is respawned.
 	if len(futures) > 0 {
-		if _, err := sweepStatuses(e, futures); err != nil {
+		pend, _ := newPendingSet(e, futures)
+		if _, err := pend.sweep(); err != nil {
 			return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
 		}
 		if err := e.respawnOrphans(futures); err != nil {

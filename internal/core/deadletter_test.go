@@ -108,7 +108,7 @@ func TestReplayDeadLettersRestagesAsNewJob(t *testing.T) {
 		if n := len(exec.Futures()); n != 3 {
 			t.Errorf("tracked futures after replay = %d, want 3", n)
 		}
-		results, err := collectResults(exec, replayed, GetResultOptions{})
+		results, err := collectResults(exec, replayed, GetResultOptions{}, nil)
 		if err != nil {
 			t.Error(err)
 			return

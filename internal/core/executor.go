@@ -537,7 +537,7 @@ func (e *Executor) GetResult(opts GetResultOptions) ([]json.RawMessage, error) {
 	if len(futures) == 0 {
 		return nil, ErrNoFutures
 	}
-	return collectResults(e, futures, opts)
+	return collectResults(e, futures, opts, nil)
 }
 
 // pollInterval is the executor's status polling granularity.

@@ -61,28 +61,18 @@ func (e *Executor) WaitThreshold(frac float64, deadline time.Time) (done, pendin
 	if need < 1 {
 		need = 1
 	}
-	partition := func() (d, p []*Future) {
-		for _, f := range futures {
-			if f.knownDone() {
-				d = append(d, f)
-			} else {
-				p = append(p, f)
-			}
-		}
-		return d, p
-	}
+	pend, _ := newPendingSet(e, futures)
 	// A non-transient sweep failure aborts the wait; swallowing it here
 	// would spin until the deadline and misreport it as ErrWaitTimeout.
 	var sweepErr error
 	ok := pollClock(e, func() bool {
-		if _, err := sweepStatuses(e, futures); err != nil {
+		if _, err := pend.sweep(); err != nil {
 			sweepErr = err
 			return true
 		}
-		d, _ := partition()
-		return len(d) >= need
+		return len(futures)-pend.n >= need
 	}, deadline)
-	done, pending = partition()
+	done, pending = splitDone(futures)
 	if sweepErr != nil {
 		return done, pending, fmt.Errorf("core: wait threshold: %w", sweepErr)
 	}
@@ -97,20 +87,15 @@ func (e *Executor) WaitThreshold(frac float64, deadline time.Time) (done, pendin
 // It sweeps first so the answer reflects current platform state.
 func (e *Executor) FailedFutures() ([]*Future, error) {
 	futures := e.Futures()
-	if _, err := sweepStatuses(e, futures); err != nil {
+	pend, _ := newPendingSet(e, futures)
+	if _, err := pend.sweep(); err != nil {
 		return nil, err
 	}
+	done, _ := splitDone(futures)
+	errs := e.fetchStatuses(done)
 	var failed []*Future
-	for _, f := range futures {
-		if f.failure() != nil {
-			failed = append(failed, f)
-			continue
-		}
-		if !f.knownDone() {
-			continue
-		}
-		rec, err := f.Status()
-		if err != nil || !rec.OK {
+	for i, f := range done {
+		if (errs != nil && errs[i] != nil) || f.outcome() != nil {
 			failed = append(failed, f)
 		}
 	}

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -121,112 +121,250 @@ func (f *Future) Status() (wire.StatusRecord, error) {
 	if err := f.failure(); err != nil {
 		return wire.StatusRecord{}, err
 	}
+	if errs := f.exec.fetchStatuses([]*Future{f}); errs != nil {
+		return wire.StatusRecord{}, errs[0]
+	}
+	return *f.cachedStatus(), nil
+}
+
+// cachedStatus returns the status record in hand, or nil.
+func (f *Future) cachedStatus() *wire.StatusRecord {
 	f.mu.Lock()
-	cached := f.status
-	f.mu.Unlock()
-	if cached != nil {
-		return *cached, nil
-	}
-	meta := f.exec.cfg.Platform.MetaBucket()
-	data, err := f.exec.getWithRetry(meta, statusKey(f.executorID, f.callID))
-	if err != nil {
-		return wire.StatusRecord{}, fmt.Errorf("core: fetch status %s/%s: %w", f.executorID, f.callID, err)
-	}
-	var rec wire.StatusRecord
-	if err := wire.Unmarshal(data, &rec); err != nil {
-		return wire.StatusRecord{}, err
-	}
+	defer f.mu.Unlock()
+	return f.status
+}
+
+// outcome judges a done call from what is already in hand — nil for a
+// committed OK status, otherwise the failure: an activation that died
+// without committing a status (crash) or a status with OK=false (user or
+// runner error).
+func (f *Future) outcome() error {
 	f.mu.Lock()
-	f.status = &rec
+	failed, rec := f.failed, f.status
 	f.mu.Unlock()
-	f.complete(nil)
-	return rec, nil
+	switch {
+	case failed != nil:
+		return failed
+	case !rec.OK:
+		return fmt.Errorf("core: call %s/%s: %s: %w", f.executorID, f.callID, rec.Error, ErrCallFailed)
+	}
+	return nil
+}
+
+// fetchStatuses loads and caches the status records of done calls that have
+// neither a record nor a platform failure in hand: one GET each, at most
+// StageConcurrency in flight (see fetchStatusRecords). The result is aligned
+// with fs and nil when every record is now in hand.
+func (e *Executor) fetchStatuses(fs []*Future) []error {
+	var (
+		idx  []int
+		keys []string
+	)
+	for i, f := range fs {
+		f.mu.Lock()
+		need := f.failed == nil && f.status == nil
+		f.mu.Unlock()
+		if need {
+			idx = append(idx, i)
+			keys = append(keys, statusKey(f.executorID, f.callID))
+		}
+	}
+	recs, fetchErrs := e.fetchStatusRecords(e.cfg.Platform.MetaBucket(), keys)
+	var errs []error
+	for k, i := range idx {
+		f := fs[i]
+		if recs[k] == nil {
+			if errs == nil {
+				errs = make([]error, len(fs))
+			}
+			errs[i] = fmt.Errorf("core: fetch status %s/%s: %w", f.executorID, f.callID, fetchErrs[k])
+			continue
+		}
+		f.mu.Lock()
+		f.status = recs[k]
+		f.mu.Unlock()
+		f.complete(nil)
+	}
+	return errs
+}
+
+// fetchStatusRecords GETs and decodes the status objects at keys with at
+// most StageConcurrency requests in flight, the caller being one of the
+// workers. The workers only move bytes: every record is decoded here, on the
+// calling task, whose stack has already grown to fit the decoder — on a
+// worker's fresh stack each decode would pay for growing it again.
+// recs[i] is nil exactly where errs[i] is set; errs is nil when all succeed.
+func (e *Executor) fetchStatusRecords(bucket string, keys []string) (recs []*wire.StatusRecord, errs []error) {
+	bodies := make([][]byte, len(keys))
+	errs = fetchFor(e.clock, e.cfg.StageConcurrency, len(keys), func(i int) error {
+		var err error
+		bodies[i], err = e.getWithRetry(bucket, keys[i])
+		return err
+	})
+	recs = make([]*wire.StatusRecord, len(keys))
+	for i, body := range bodies {
+		if errs != nil && errs[i] != nil {
+			continue
+		}
+		rec := new(wire.StatusRecord)
+		if err := wire.Unmarshal(body, rec); err != nil {
+			if errs == nil {
+				errs = make([]error, len(keys))
+			}
+			errs[i] = err
+			continue
+		}
+		recs[i] = rec
+	}
+	return recs, errs
 }
 
 // sweepConsultThreshold is the number of consecutive failed status LISTs
-// (per executor namespace) after which sweepStatuses stops waiting for
-// the listing to recover and consults activation records directly. Low
-// enough that a permanently partitioned status prefix surfaces dead calls
-// within a few poll intervals, high enough that one lost request does not
-// trigger a consult storm.
+// (per executor namespace) after which a sweep stops waiting for the
+// listing to recover and consults activation records directly. Low enough
+// that a permanently partitioned status prefix surfaces dead calls within
+// a few poll intervals, high enough that one lost request does not trigger
+// a consult storm.
 const sweepConsultThreshold = 3
 
-// sweepStatuses advances completion state for the given futures through
-// the executor's shared sweep coordinator: one incremental LIST per
-// executor namespace (grouped in sorted order so the simulated network
-// sees an identical request sequence every run), marking the matching
-// futures done. It also consults platform activation records to surface
-// calls that died without committing a status (crash, platform timeout):
-// on every trustworthy sweep, and — when the LIST itself keeps failing —
-// after sweepConsultThreshold consecutive failures, because a status
-// prefix pinned to a partitioned region can stay unlistable for a whole
-// outage and skipping forever would keep platform-dead calls invisible.
-// It returns how many futures transitioned to done this sweep.
-func sweepStatuses(e *Executor, futures []*Future) (int, error) {
-	byExec := make(map[string][]*Future)
-	for _, f := range futures {
-		if !f.knownDone() {
-			byExec[f.executorID] = append(byExec[f.executorID], f)
+// pendingSet is the shrinking half of a wait: the futures not yet known
+// done, grouped by status namespace. Each sweep hands back the calls that
+// newly finished and drops them from the set, so a poll tick costs what
+// finished since the last one, not one probe per future.
+type pendingSet struct {
+	e *Executor
+	// groups are in executor-ID order, so the simulated network sees an
+	// identical request sequence every run.
+	groups []*pendingGroup
+	n      int
+	// probe is set once any pending call has an activation ID (direct
+	// invocation, or a respawn): a call that dies without committing a
+	// status shows up in no listing, so each sweep must then ask the
+	// controller about every such call. Jobs fanned out by remote invokers
+	// have no IDs to ask about and skip that walk.
+	probe bool
+}
+
+type pendingGroup struct {
+	ns nsKey
+	fs []*Future
+	// seen is the done-set version fs was last pruned against (see harvest).
+	seen uint64
+}
+
+// newPendingSet splits futures into the pending set and the calls already
+// known done.
+func newPendingSet(e *Executor, futures []*Future) (p *pendingSet, done []*Future) {
+	p = &pendingSet{e: e}
+	done, pending := splitDone(futures)
+	p.add(pending...)
+	return p, done
+}
+
+// add puts futures (back) into the set: respawned calls are pending again.
+func (p *pendingSet) add(fs ...*Future) {
+	for _, f := range fs {
+		i, found := slices.BinarySearchFunc(p.groups, f.executorID, func(g *pendingGroup, id string) int {
+			return strings.Compare(g.ns.execID, id)
+		})
+		if !found {
+			g := &pendingGroup{ns: nsKey{bucket: p.e.cfg.Platform.MetaBucket(), execID: f.executorID}}
+			p.groups = slices.Insert(p.groups, i, g)
 		}
+		p.groups[i].fs = append(p.groups[i].fs, f)
+		p.n++
+		p.probe = p.probe || f.activationID != ""
 	}
-	meta := e.cfg.Platform.MetaBucket()
-	asOf := e.clock.Now()
-	newlyDone := 0
-	for _, execID := range slices.Sorted(maps.Keys(byExec)) {
-		ns := nsKey{bucket: meta, execID: execID}
-		out := e.sweeps.sweep(ns, asOf)
+}
+
+// futures returns the calls still pending.
+func (p *pendingSet) futures() []*Future {
+	out := make([]*Future, 0, p.n)
+	for _, g := range p.groups {
+		out = append(out, g.fs...)
+	}
+	return out
+}
+
+// sweep advances completion state through the executor's shared sweep
+// coordinator — one incremental LIST per namespace that still has pending
+// calls — and returns the futures that finished since the last sweep, marked
+// done. It also consults platform activation records to surface calls that
+// died without committing a status (crash, platform timeout): on every
+// trustworthy sweep, and — when the LIST itself keeps failing — after
+// sweepConsultThreshold consecutive failures, because a status prefix
+// pinned to a partitioned region can stay unlistable for a whole outage and
+// skipping forever would keep platform-dead calls invisible.
+func (p *pendingSet) sweep() ([]*Future, error) {
+	asOf := p.e.clock.Now()
+	var newly []*Future
+	for _, g := range p.groups {
+		if len(g.fs) == 0 {
+			continue
+		}
+		out := p.e.sweeps.sweep(g.ns, asOf)
 		if out.err != nil {
-			return newlyDone, fmt.Errorf("core: status sweep: %w", out.err)
+			return newly, fmt.Errorf("core: status sweep: %w", out.err)
 		}
-		for _, f := range byExec[execID] {
-			switch {
-			case e.sweeps.completed(ns, f.callID):
-				f.markDone()
-				newlyDone++
-			case out.consult() && f.activationID != "":
-				rec, err := e.cfg.Platform.Controller().Activation(f.activationID)
-				if err == nil && rec.Done() && !rec.OK {
-					f.markFailed(fmt.Errorf("core: call %s/%s activation %s: %s: %w",
-						f.executorID, f.callID, f.activationID, rec.Error, ErrCallFailed))
-					newlyDone++
+		var done []*Future
+		done, g.fs = harvest(p.e.sweeps, g.ns, &g.seen, g.fs, (*Future).CallID)
+		for _, f := range done {
+			f.markDone()
+		}
+		if p.probe && out.consult() {
+			kept := g.fs[:0]
+			for _, f := range g.fs {
+				if f.activationID != "" {
+					rec, err := p.e.cfg.Platform.Controller().Activation(f.activationID)
+					if err == nil && rec.Done() && !rec.OK {
+						f.markFailed(fmt.Errorf("core: call %s/%s activation %s: %s: %w",
+							f.executorID, f.callID, f.activationID, rec.Error, ErrCallFailed))
+						done = append(done, f)
+						continue
+					}
 				}
+				kept = append(kept, f)
 			}
+			g.fs = kept
+		}
+		p.n -= len(done)
+		newly = append(newly, done...)
+	}
+	return newly, nil
+}
+
+// splitDone splits futures, in order, by whether they are known done.
+func splitDone(futures []*Future) (done, pending []*Future) {
+	for _, f := range futures {
+		if f.knownDone() {
+			done = append(done, f)
+		} else {
+			pending = append(pending, f)
 		}
 	}
-	return newlyDone, nil
+	return done, pending
 }
 
 // waitFutures implements the three §4.2 strategies over an explicit future
 // set.
 func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline time.Time) (done, pending []*Future, err error) {
-	partition := func() (d, p []*Future) {
-		for _, f := range futures {
-			if f.knownDone() {
-				d = append(d, f)
-			} else {
-				p = append(p, f)
-			}
-		}
-		return d, p
-	}
-
+	pend, _ := newPendingSet(e, futures)
 	satisfied := func() bool {
-		d, p := partition()
 		switch strategy {
 		case WaitAnyCompleted:
-			return len(d) > 0
+			return pend.n < len(futures)
 		case WaitAllCompleted:
-			return len(p) == 0
+			return pend.n == 0
 		default:
 			return true
 		}
 	}
 
-	if _, err := sweepStatuses(e, futures); err != nil {
+	if _, err := pend.sweep(); err != nil {
 		return nil, nil, err
 	}
 	if strategy == WaitAlways {
-		done, pending = partition()
+		done, pending = splitDone(futures)
 		return done, pending, nil
 	}
 	// A non-transient sweep failure must abort the wait, not silently spin
@@ -236,13 +374,13 @@ func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline
 		if satisfied() {
 			return true
 		}
-		if _, err := sweepStatuses(e, futures); err != nil {
+		if _, err := pend.sweep(); err != nil {
 			sweepErr = err
 			return true
 		}
 		return satisfied()
 	}, e.pollInterval(), deadline)
-	done, pending = partition()
+	done, pending = splitDone(futures)
 	if sweepErr != nil {
 		return done, pending, sweepErr
 	}
@@ -252,14 +390,19 @@ func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline
 	return done, pending, nil
 }
 
-// collectResults waits for all futures, downloads their results with the
-// staging pool, and resolves composition continuations. While waiting it
-// drives automatic failure recovery (see recover.go): failed calls are
+// collectResults waits for all futures and returns their results, resolving
+// composition continuations. The wait is driven by completions: each poll
+// tick's sweep yields the calls that newly finished, their status records
+// are fetched in parallel right then — overlapping the rest of the wait —
+// and the recoverer judges them (see recover.go): failed calls are
 // re-invoked from their staged payloads until they succeed or run out of
-// attempts and land on the executor's dead-letter list.
-func collectResults(e *Executor, futures []*Future, opts GetResultOptions) ([]json.RawMessage, error) {
+// attempts and land on the executor's dead-letter list. eachTick, when set,
+// runs at the end of every tick that left the job unsettled (speculation).
+func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachTick func(pend *pendingSet, rec *recoverer)) ([]json.RawMessage, error) {
 	deadline := e.deadlineFrom(opts.Timeout)
 	rec := newRecoverer(e, futures, opts.Recovery)
+	pend, already := newPendingSet(e, futures)
+	rec.observe(already)
 
 	total := len(futures)
 	last := -1
@@ -284,13 +427,21 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions) ([]js
 	ok := vclock.Poll(e.clock, func() bool {
 		e.respawns.advance()
 		e.maybeRenewLease()
-		if _, err := sweepStatuses(e, futures); err != nil {
+		newly, err := pend.sweep()
+		if err != nil {
 			sweepErr = err
 			return true
 		}
-		rec.step()
+		rec.observe(newly)
+		pend.add(rec.step()...)
 		report()
-		return rec.settled()
+		if rec.settled() {
+			return true
+		}
+		if eachTick != nil {
+			eachTick(pend, rec)
+		}
+		return false
 	}, e.pollInterval(), deadline)
 	if sweepErr != nil {
 		return nil, fmt.Errorf("core: get_result: %w", sweepErr)
@@ -303,25 +454,17 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions) ([]js
 	if len(failedFs) > 0 && !opts.PartialResults {
 		return nil, fmt.Errorf("core: get_result: %w", errors.Join(failErrs...))
 	}
-	failedSet := make(map[*Future]bool, len(failedFs))
-	for _, f := range failedFs {
-		failedSet[f] = true
+	// Failed calls stay nil here and in the output; they are reported via
+	// PartialError.
+	recs := make([]*wire.StatusRecord, len(futures))
+	for i, f := range futures {
+		if _, failed := rec.failed[f]; !failed {
+			recs[i] = f.cachedStatus()
+		}
 	}
-
 	r := &resolver{exec: e, deadline: deadline}
-	out := make([]json.RawMessage, len(futures))
-	errs := parallelFor(e.clock, e.cfg.StageConcurrency, len(futures), func(i int) error {
-		if failedSet[futures[i]] {
-			return nil // left nil in the output; reported via PartialError
-		}
-		val, err := r.resolveFuture(futures[i], 0)
-		if err != nil {
-			return err
-		}
-		out[i] = val
-		return nil
-	})
-	if err := firstErr(errs); err != nil {
+	out, err := r.resolveAll(recs, 0)
+	if err != nil {
 		return nil, err
 	}
 	if len(failedFs) > 0 {
@@ -339,19 +482,39 @@ type resolver struct {
 	deadline time.Time
 }
 
-// resolveFuture returns the final JSON value of a completed future.
-func (r *resolver) resolveFuture(f *Future, depth int) (json.RawMessage, error) {
-	if err := f.failure(); err != nil {
+// resolveAll turns successful status records into their final values, in
+// order; nil records are skipped. A value inlined in its record needs no
+// I/O and is decoded right here, on the calling task; only spilled results
+// and continuations go through the fetch pool.
+func (r *resolver) resolveAll(recs []*wire.StatusRecord, depth int) ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, len(recs))
+	var slow []int
+	for i, rec := range recs {
+		switch {
+		case rec == nil:
+		case len(rec.Inline) == 0:
+			slow = append(slow, i)
+		default:
+			var env wire.ResultEnvelope
+			if err := wire.Unmarshal(rec.Inline, &env); err != nil {
+				return nil, err
+			}
+			if env.Kind != wire.ResultValue {
+				slow = append(slow, i)
+				continue
+			}
+			out[i] = env.Value
+		}
+	}
+	errs := fetchFor(r.exec.clock, r.exec.cfg.StageConcurrency, len(slow), func(k int) error {
+		var err error
+		out[slow[k]], err = r.resolveStatus(recs[slow[k]], depth)
+		return err
+	})
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
-	rec, err := f.Status()
-	if err != nil {
-		return nil, err
-	}
-	if !rec.OK {
-		return nil, fmt.Errorf("core: call %s/%s: %s: %w", f.executorID, f.callID, rec.Error, ErrCallFailed)
-	}
-	return r.resolveStatus(&rec, depth)
+	return out, nil
 }
 
 // resolveStatus resolves a successful status record's result: from the
@@ -404,16 +567,9 @@ func (r *resolver) resolveFuturesRef(ref *wire.FuturesRef, depth int) (json.RawM
 	if len(ref.CallIDs) == 0 {
 		return nil, errors.New("core: empty futures reference")
 	}
-	if err := r.awaitCalls(ref); err != nil {
+	values, err := r.resolveCalls(ref, depth)
+	if err != nil {
 		return nil, err
-	}
-	values := make([]json.RawMessage, len(ref.CallIDs))
-	for i, callID := range ref.CallIDs {
-		val, err := r.resolveCall(ref.MetaBucket, ref.ExecutorID, callID, depth)
-		if err != nil {
-			return nil, err
-		}
-		values[i] = val
 	}
 	switch ref.Combine {
 	case wire.CombineSingle:
@@ -458,18 +614,25 @@ func (r *resolver) awaitCalls(ref *wire.FuturesRef) error {
 	}
 }
 
-// resolveCall fetches a child call's status and resolves its result.
-func (r *resolver) resolveCall(metaBucket, execID, callID string, depth int) (json.RawMessage, error) {
-	data, err := r.exec.getWithRetry(metaBucket, statusKey(execID, callID))
-	if err != nil {
-		return nil, fmt.Errorf("core: fetch composed status %s/%s: %w", execID, callID, err)
-	}
-	var rec wire.StatusRecord
-	if err := wire.Unmarshal(data, &rec); err != nil {
+// resolveCalls waits for the referenced calls, fetches their statuses in
+// parallel and resolves their results in order: N children cost
+// ⌈N/StageConcurrency⌉ round trips, not N.
+func (r *resolver) resolveCalls(ref *wire.FuturesRef, depth int) ([]json.RawMessage, error) {
+	if err := r.awaitCalls(ref); err != nil {
 		return nil, err
 	}
-	if !rec.OK {
-		return nil, fmt.Errorf("core: composed call %s/%s: %s: %w", execID, callID, rec.Error, ErrCallFailed)
+	keys := make([]string, len(ref.CallIDs))
+	for i, callID := range ref.CallIDs {
+		keys[i] = statusKey(ref.ExecutorID, callID)
 	}
-	return r.resolveStatus(&rec, depth)
+	recs, errs := r.exec.fetchStatusRecords(ref.MetaBucket, keys)
+	for i, callID := range ref.CallIDs {
+		if recs[i] == nil {
+			return nil, fmt.Errorf("core: fetch composed status %s/%s: %w", ref.ExecutorID, callID, errs[i])
+		}
+		if !recs[i].OK {
+			return nil, fmt.Errorf("core: composed call %s/%s: %s: %w", ref.ExecutorID, callID, recs[i].Error, ErrCallFailed)
+		}
+	}
+	return r.resolveAll(recs, depth)
 }

@@ -12,6 +12,18 @@ import (
 // collected per index; the returned slice is nil when all calls succeed.
 // fn must follow the virtual-clock rules: block only via clock primitives.
 func parallelFor(clk vclock.Clock, workers, n int, fn func(i int) error) []error {
+	return runPool(clk, workers, n, false, fn)
+}
+
+// fetchFor is parallelFor for the wait path's round trips, where the caller
+// has nothing else to do: the calling task is one of the workers, so a batch
+// of one — or a pool of one — runs inline, in index order, with no task and
+// no barrier, and a larger batch costs workers-1 tasks.
+func fetchFor(clk vclock.Clock, workers, n int, fn func(i int) error) []error {
+	return runPool(clk, workers, n, true, fn)
+}
+
+func runPool(clk vclock.Clock, workers, n int, callerRuns bool, fn func(i int) error) []error {
 	if n == 0 {
 		return nil
 	}
@@ -22,43 +34,63 @@ func parallelFor(clk vclock.Clock, workers, n int, fn func(i int) error) []error
 		workers = n
 	}
 
+	var errs []error
+	setErr := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, n)
+		}
+		errs[i] = err
+	}
+	if callerRuns && workers == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				setErr(i, err)
+			}
+		}
+		return errs
+	}
+
 	var (
-		mu      sync.Mutex
-		next    int
-		done    int
-		errs    []error
-		errsSet bool
+		mu   sync.Mutex
+		next int
+		done int
 	)
-	// Workers signal each completion; the caller blocks until the count
-	// reaches n instead of polling the clock every simulated millisecond.
+	// The barrier is signalled once, by whichever worker finishes the last
+	// index, so the caller wakes once rather than after every call.
 	evt := vclock.NewEvent(clk)
-	for w := 0; w < workers; w++ {
-		clk.Go(func() {
-			for {
-				mu.Lock()
-				if next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
+	work := func() {
+		for {
+			mu.Lock()
+			if next >= n {
 				mu.Unlock()
+				return
+			}
+			i := next
+			next++
+			mu.Unlock()
 
-				err := fn(i)
+			err := fn(i)
 
-				mu.Lock()
-				if err != nil {
-					if !errsSet {
-						errs = make([]error, n)
-						errsSet = true
-					}
-					errs[i] = err
-				}
-				done++
-				mu.Unlock()
+			mu.Lock()
+			if err != nil {
+				setErr(i, err)
+			}
+			done++
+			last := done == n
+			mu.Unlock()
+			if last {
 				evt.Signal()
 			}
-		})
+		}
+	}
+	if callerRuns {
+		workers--
+	}
+	for w := 0; w < workers; w++ {
+		clk.Go(work)
+	}
+	if callerRuns {
+		work()
 	}
 	evt.WaitFor(func() bool {
 		mu.Lock()

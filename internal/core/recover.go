@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -107,15 +110,29 @@ func (p *PartialError) Unwrap() []error { return p.Errs }
 
 // recoverer drives automatic re-execution from inside a wait loop. One
 // recoverer serves one collection call; the executor's dead-letter list is
-// the only state that outlives it.
+// the only state that outlives it. It is fed completions (observe) rather
+// than scanning for them: a call is judged once, when it finishes, and
+// after that only the calls currently failing are looked at again, so a
+// quiet poll tick costs it nothing.
 type recoverer struct {
 	exec    *Executor
 	opts    RecoveryOptions
 	futures []*Future
 
+	ok       int           // calls judged successful
+	failing  []failingCall // observed failures awaiting backoff, respawn or a verdict
 	attempts map[*Future]int
 	nextTry  map[*Future]time.Time
 	failed   map[*Future]error // terminal failures, keyed by future
+}
+
+type failingCall struct {
+	f   *Future
+	err error
+	// unread marks a status that could not be fetched; it is fetched again
+	// on every pass, so a storage hiccup shorter than the backoff heals
+	// without a respawn.
+	unread bool
 }
 
 func newRecoverer(e *Executor, futures []*Future, opts *RecoveryOptions) *recoverer {
@@ -133,57 +150,74 @@ func newRecoverer(e *Executor, futures []*Future, opts *RecoveryOptions) *recove
 	}
 }
 
-// observedFailure returns the failure currently visible on f, or nil. It
-// covers both failure modes: an activation that died without committing a
-// status (crash) and a committed status with OK=false (user or runner
-// error).
-func (r *recoverer) observedFailure(f *Future) error {
-	if err := f.failure(); err != nil {
-		return err
+// observe judges calls that just finished. Their status records are
+// fetched in parallel (one GET per call, see fetchStatuses); a record with
+// OK=true settles the call, anything else — a dead activation, OK=false, an
+// unreadable status — joins the failing list for step to act on.
+func (r *recoverer) observe(done []*Future) {
+	if len(done) == 0 {
+		return
 	}
-	if !f.knownDone() {
-		return nil
+	errs := r.exec.fetchStatuses(done)
+	before := len(r.failing)
+	for i, f := range done {
+		if errs != nil && errs[i] != nil {
+			err := fmt.Errorf("core: call %s/%s status unreadable: %w", f.executorID, f.callID, errs[i])
+			r.failing = append(r.failing, failingCall{f: f, err: err, unread: true})
+		} else if err := f.outcome(); err != nil {
+			r.failing = append(r.failing, failingCall{f: f, err: err})
+		} else {
+			r.ok++
+		}
 	}
-	rec, err := f.Status()
-	if err != nil {
-		return fmt.Errorf("core: call %s/%s status unreadable: %w", f.executorID, f.callID, err)
+	if len(r.failing) > before {
+		// Verdicts and respawns go out in call order, whatever order the
+		// failures were observed in.
+		slices.SortStableFunc(r.failing, func(a, b failingCall) int {
+			return cmp.Or(strings.Compare(a.f.executorID, b.f.executorID), strings.Compare(a.f.callID, b.f.callID))
+		})
 	}
-	if !rec.OK {
-		return fmt.Errorf("core: call %s/%s: %s: %w", f.executorID, f.callID, rec.Error, ErrCallFailed)
-	}
-	return nil
 }
 
-// step runs one recovery pass: newly observed failures are scheduled for
-// re-execution after their backoff, due ones are respawned in a batch, and
-// calls out of attempts are dead-lettered. Respawn failures (for example a
-// controller outage outlasting the invocation retries) are not fatal: the
-// future stays failed and the next pass tries again until the attempt cap
-// dead-letters it.
-func (r *recoverer) step() {
+// step runs one recovery pass over the failing calls: newly observed
+// failures are scheduled for re-execution after their backoff, due ones are
+// respawned in a batch, and calls out of attempts are dead-lettered. It
+// returns the calls it re-invoked, which are pending again. Respawn
+// failures (for example a controller outage outlasting the invocation
+// retries) are not fatal: the call stays failing and the next pass tries
+// again until the attempt cap dead-letters it.
+func (r *recoverer) step() (respawned []*Future) {
+	if len(r.failing) == 0 {
+		return nil
+	}
+	var unread []*Future
+	r.failing = slices.DeleteFunc(r.failing, func(c failingCall) bool {
+		if c.unread {
+			unread = append(unread, c.f)
+		}
+		return c.unread
+	})
+	r.observe(unread)
+
 	now := r.exec.clock.Now()
 	var due []*Future
-	for _, f := range r.futures {
-		if _, terminal := r.failed[f]; terminal {
-			continue
-		}
-		err := r.observedFailure(f)
-		if err == nil {
-			continue
-		}
+	kept := r.failing[:0]
+	for _, c := range r.failing {
+		f := c.f
 		if r.opts.Disabled || r.attempts[f] >= r.opts.MaxAttempts {
-			r.failed[f] = err
+			r.failed[f] = c.err
 			if !r.opts.Disabled {
 				r.exec.addDeadLetter(DeadLetter{
 					ExecutorID: f.executorID,
 					CallID:     f.callID,
 					Attempts:   r.attempts[f],
-					LastError:  err.Error(),
+					LastError:  c.err.Error(),
 					GaveUpAt:   now,
 				})
 			}
 			continue
 		}
+		kept = append(kept, c)
 		when, scheduled := r.nextTry[f]
 		if !scheduled {
 			// First sighting of this failure: wait out the backoff before
@@ -200,13 +234,14 @@ func (r *recoverer) step() {
 		}
 		due = append(due, f)
 	}
+	r.failing = kept
 	// The ledger shared with speculation grants at most one automatic
 	// respawn per call per tick and a joint lifetime budget; denied calls
 	// stay due and come around next tick (or dead-letter at the attempt
 	// cap above).
 	due = r.exec.respawns.reserve(due, respawnLimit(r.opts))
 	if len(due) == 0 {
-		return
+		return nil
 	}
 	for _, f := range due {
 		r.attempts[f]++
@@ -215,26 +250,20 @@ func (r *recoverer) step() {
 	// Respawn resets each successfully re-invoked future; ones it could
 	// not re-invoke keep their failure mark and come around again.
 	_ = r.exec.Respawn(due)
+	r.failing = slices.DeleteFunc(r.failing, func(c failingCall) bool {
+		reset := !c.f.knownDone()
+		if reset {
+			respawned = append(respawned, c.f)
+		}
+		return reset
+	})
+	return respawned
 }
 
 // settled reports whether every future reached a terminal state: succeeded,
 // or failed with no recovery attempts left.
 func (r *recoverer) settled() bool {
-	for _, f := range r.futures {
-		if _, terminal := r.failed[f]; terminal {
-			continue
-		}
-		if !f.knownDone() || f.failure() != nil {
-			return false
-		}
-		// Completed with a status: only a success is terminal here; a
-		// failure status belongs to step() first.
-		rec, err := f.Status()
-		if err != nil || !rec.OK {
-			return false
-		}
-	}
-	return true
+	return r.ok+len(r.failed) == len(r.futures)
 }
 
 // lettersFor summarizes terminal failures as DeadLetter values for a
@@ -258,6 +287,9 @@ func (r *recoverer) lettersFor(fs []*Future, errs []error) []DeadLetter {
 // terminalFailures returns the futures recovery gave up on, with their
 // errors, in future order.
 func (r *recoverer) terminalFailures() ([]*Future, []error) {
+	if len(r.failed) == 0 {
+		return nil, nil
+	}
 	var fs []*Future
 	var errs []error
 	for _, f := range r.futures {

@@ -375,16 +375,5 @@ func (s *spawner) Await(ref *wire.FuturesRef) ([]json.RawMessage, error) {
 		return nil, err
 	}
 	r := &resolver{exec: sub, deadline: s.deadline}
-	if err := r.awaitCalls(ref); err != nil {
-		return nil, err
-	}
-	values := make([]json.RawMessage, len(ref.CallIDs))
-	for i, callID := range ref.CallIDs {
-		val, err := r.resolveCall(ref.MetaBucket, ref.ExecutorID, callID, 0)
-		if err != nil {
-			return nil, err
-		}
-		values[i] = val
-	}
-	return values, nil
+	return r.resolveCalls(ref, 0)
 }

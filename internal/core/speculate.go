@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"time"
 )
 
@@ -48,7 +46,6 @@ func (e *Executor) GetResultSpeculative(opts GetResultOptions, spec SpeculationO
 	if len(futures) == 0 {
 		return nil, ErrNoFutures
 	}
-	deadline := e.deadlineFrom(opts.Timeout)
 	jobStart := e.clock.Now()
 	need := int(spec.Threshold * float64(len(futures)))
 	if need < 1 {
@@ -59,95 +56,34 @@ func (e *Executor) GetResultSpeculative(opts GetResultOptions, spec SpeculationO
 		armAt      time.Time // when the threshold was reached
 		speculated bool
 	)
-	// The executor's done counter tracks completions as they are marked,
-	// so the per-tick progress read is O(1) instead of a walk over every
-	// future.
-	countDone := func() int {
-		done := int(e.doneTracked.Load())
-		if done > len(futures) {
-			done = len(futures)
-		}
-		return done
-	}
-	rec := newRecoverer(e, futures, opts.Recovery)
-	// A non-transient sweep failure aborts the wait instead of spinning
-	// into a misleading ErrWaitTimeout.
-	var sweepErr error
-	ok := pollClock(e, func() bool {
-		e.respawns.advance()
-		if _, err := sweepStatuses(e, futures); err != nil {
-			sweepErr = err
-			return true
-		}
-		rec.step()
-		done := countDone()
-		if opts.Progress != nil {
-			opts.Progress(done, len(futures))
-		}
-		if rec.settled() {
-			return true
-		}
-		if armAt.IsZero() && done >= need {
+	return collectResults(e, futures, opts, func(pend *pendingSet, rec *recoverer) {
+		// The executor's done counter tracks completions as they are
+		// marked, so this per-tick read is O(1).
+		if armAt.IsZero() && int(e.doneTracked.Load()) >= need {
 			armAt = e.clock.Now()
 		}
-		if !armAt.IsZero() && !speculated {
-			stragglerDeadline := jobStart.Add(time.Duration(float64(armAt.Sub(jobStart)) * spec.Factor))
-			if !e.clock.Now().Before(stragglerDeadline) {
-				var pending []*Future
-				for _, f := range futures {
-					if !f.knownDone() {
-						pending = append(pending, f)
-					}
-				}
-				// Stragglers just respawned by recovery this tick (or out
-				// of the shared budget) are filtered by the ledger, so one
-				// flaky call never gets two copies in one tick.
-				pending = e.respawns.reserve(pending, respawnLimit(rec.opts))
-				if len(pending) == 0 {
-					speculated = true
-				} else if err := e.Respawn(pending); err == nil {
-					// A failed respawn leaves the original attempt racing
-					// on; the wait continues either way.
-					speculated = true
-				}
-			}
+		if armAt.IsZero() || speculated {
+			return
 		}
-		return false
-	}, deadline)
-	if sweepErr != nil {
-		return nil, fmt.Errorf("core: speculative get_result: %w", sweepErr)
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: speculative get_result: %w", ErrWaitTimeout)
-	}
-
-	failedFs, failErrs := rec.terminalFailures()
-	if len(failedFs) > 0 && !opts.PartialResults {
-		return nil, fmt.Errorf("core: speculative get_result: %w", errors.Join(failErrs...))
-	}
-	failedSet := make(map[*Future]bool, len(failedFs))
-	for _, f := range failedFs {
-		failedSet[f] = true
-	}
-
-	r := &resolver{exec: e, deadline: deadline}
-	out := make([]json.RawMessage, len(futures))
-	errs := parallelFor(e.clock, e.cfg.StageConcurrency, len(futures), func(i int) error {
-		if failedSet[futures[i]] {
-			return nil // reported via PartialError
+		stragglerDeadline := jobStart.Add(time.Duration(float64(armAt.Sub(jobStart)) * spec.Factor))
+		if e.clock.Now().Before(stragglerDeadline) {
+			return
 		}
-		val, err := r.resolveFuture(futures[i], 0)
-		if err != nil {
-			return err
+		// Stragglers just respawned by recovery this tick (or out of the
+		// shared budget) are filtered by the ledger, so one flaky call
+		// never gets two copies in one tick.
+		stragglers := e.respawns.reserve(pend.futures(), respawnLimit(rec.opts))
+		if len(stragglers) == 0 {
+			speculated = true
+			return
 		}
-		out[i] = val
-		return nil
+		// The copies are invoked directly, so from here on the pending
+		// calls have activation records to consult.
+		pend.probe = true
+		// A failed respawn leaves the original attempt racing on; the wait
+		// continues either way.
+		if err := e.Respawn(stragglers); err == nil {
+			speculated = true
+		}
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	if len(failedFs) > 0 {
-		return out, &PartialError{Failed: rec.lettersFor(failedFs, failErrs), Errs: failErrs}
-	}
-	return out, nil
 }

@@ -29,6 +29,12 @@ import (
 //     sweep in flight, or one that completed at/after its own observation
 //     time, reuses the shared state instead of issuing its own LIST.
 //
+//   - The done-set carries a version that moves only when a call enters or
+//     leaves it. Waiters keep their own shrinking pending list and prune it
+//     with harvest, which walks the list only when the version moved since
+//     the waiter last looked — a tick whose LIST returned nothing new costs
+//     a waiter no per-call work at all.
+//
 // The coordinator also owns the consecutive-LIST-failure counter that
 // arms the dead-call consult (see sweepConsultThreshold in future.go), so
 // composition waits get the same outage behavior as the main sweep.
@@ -55,7 +61,7 @@ type sweepOutcome struct {
 // consult reports whether callers should fall through to the
 // activation-record consult: either the done-set is trustworthy (a LIST
 // succeeded) or the listing has been failing long enough that waiting for
-// it to recover would hide platform-dead calls (see sweepStatuses).
+// it to recover would hide platform-dead calls (see pendingSet.sweep).
 func (o sweepOutcome) consult() bool {
 	return o.listed || o.fails >= sweepConsultThreshold
 }
@@ -72,6 +78,9 @@ type sweepState struct {
 	// (foreign writers); they never advance the frontier but still count
 	// as done.
 	odd map[string]bool
+	// version counts changes to the done-set (harvested completions and
+	// forgets); see harvest.
+	version uint64
 
 	inflight  bool      // a LIST for this namespace is on the wire
 	swept     bool      // at least one LIST has ever succeeded
@@ -177,16 +186,15 @@ func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 	}
 	for _, obj := range listed {
 		id, ok := callIDFromStatusKey(obj.Key)
-		if !ok {
+		if !ok || s.has(id) {
 			continue
 		}
 		if seq, numeric := callSeq(id); numeric {
-			if seq >= s.nextSeq {
-				s.ahead[seq] = true
-			}
+			s.ahead[seq] = true
 		} else {
 			s.odd[id] = true
 		}
+		s.version++
 	}
 	for s.ahead[s.nextSeq] {
 		delete(s.ahead, s.nextSeq)
@@ -198,18 +206,37 @@ func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 	return sweepOutcome{listed: true}
 }
 
-// completed reports whether callID's status has been observed in ns.
-func (c *sweepCoordinator) completed(ns nsKey, callID string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.states[ns]
-	if !ok {
-		return false
-	}
+// has reports whether callID is in the done-set. Callers hold the
+// coordinator's lock.
+func (s *sweepState) has(callID string) bool {
 	if seq, numeric := callSeq(callID); numeric {
 		return seq < s.nextSeq || s.ahead[seq]
 	}
 	return s.odd[callID]
+}
+
+// harvest splits a waiter's pending calls into those whose status has been
+// observed in ns and the rest (kept reuses pending's storage), in one pass
+// under one lock — and in no pass at all while the done-set is still at the
+// version *seen the waiter last harvested at, which is what makes a poll
+// tick cost O(newly completed) rather than O(pending).
+func harvest[T any](c *sweepCoordinator, ns nsKey, seen *uint64, pending []T, callID func(T) string) (done, kept []T) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.states[ns]
+	if !ok || s.version == *seen {
+		return nil, pending
+	}
+	*seen = s.version
+	kept = pending[:0]
+	for _, p := range pending {
+		if s.has(callID(p)) {
+			done = append(done, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	return done, kept
 }
 
 // forget withdraws callID from ns's done-set — called when a respawn
@@ -225,6 +252,7 @@ func (c *sweepCoordinator) forget(ns nsKey, callID string) {
 		return
 	}
 	s.gen++
+	s.version++
 	seq, numeric := callSeq(callID)
 	if !numeric {
 		delete(s.odd, callID)
@@ -282,6 +310,7 @@ func (c *sweepCoordinator) awaitStatuses(ns nsKey, want, activations []string,
 	for i := range want {
 		pending[i] = i
 	}
+	var seen uint64
 	c.mu.Lock()
 	evt := c.stateLocked(ns).evt
 	c.mu.Unlock()
@@ -296,18 +325,12 @@ func (c *sweepCoordinator) awaitStatuses(ns nsKey, want, activations []string,
 		if out.err != nil {
 			return out.err
 		}
-		kept := pending[:0]
-		for _, i := range pending {
-			if !c.completed(ns, want[i]) {
-				kept = append(kept, i)
-			}
-		}
-		pending = kept
+		_, pending = harvest(c, ns, &seen, pending, func(i int) string { return want[i] })
 		if len(pending) == 0 {
 			return nil
 		}
 		if out.consult() && lookup != nil {
-			// Same rationale as sweepStatuses: a call that died without
+			// Same rationale as pendingSet.sweep: a call that died without
 			// committing a status is invisible to the listing forever;
 			// its activation record is the only witness.
 			for _, i := range pending {

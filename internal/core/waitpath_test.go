@@ -19,6 +19,14 @@ import (
 // status sweeps, the shared sweep coordinator, single-key Done probes,
 // and inline small results.
 
+// completed reports whether callID's status has been observed in ns.
+func (c *sweepCoordinator) completed(ns nsKey, callID string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.states[ns]
+	return ok && s.has(callID)
+}
+
 func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	store := cos.NewStore()
 	if err := store.CreateBucket("meta"); err != nil {
@@ -168,7 +176,18 @@ func TestCollectionListingScalesWithCompletions(t *testing.T) {
 	const n = 1000
 	run := func(fullRelist bool) (cos.OpCounts, JobStats) {
 		e := newEnv(t, nil)
-		exec := e.executor(t, func(c *Config) { c.FullRelistSweep = fullRelist })
+		gets := &recordingClient{Client: cos.NewLinked(e.store, e.clk, netsim.Loopback())}
+		exec := e.executor(t, func(c *Config) {
+			c.Storage = gets
+			c.FullRelistSweep = fullRelist
+		})
+		// However the completions are batched into parallel fetches, the
+		// client reads each call's status exactly once.
+		defer func() {
+			if got := gets.gets(statusPrefix); got != n {
+				t.Errorf("status GETs = %d, want %d (one per call)", got, n)
+			}
+		}()
 		var stats JobStats
 		e.clk.Run(func() {
 			// Uniform task duration: completions arrive in near-call order
@@ -382,6 +401,19 @@ func (c *recordingClient) note(op, bucket, key string) {
 	c.mu.Lock()
 	c.ops = append(c.ops, op+" "+bucket+" "+key)
 	c.mu.Unlock()
+}
+
+// gets counts the recorded GETs of one job-key kind (status, result, ...).
+func (c *recordingClient) gets(kind string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, op := range c.ops {
+		if strings.HasPrefix(op, "GET ") && strings.Contains(op, "/"+kind+"/") {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *recordingClient) Put(bucket, key string, data []byte) (cos.ObjectMeta, error) {

@@ -36,6 +36,23 @@ func TestFig2ShapeReducedScale(t *testing.T) {
 	}
 }
 
+// TestFig2ResultsInHandPaperScale: Total stops at "last function finished",
+// which hid a client that then spent 150 sim-s fetching 1,000 statuses one
+// at a time. At paper scale the results must be in the client's hands within
+// a poll tick and a parallel status fetch of the last function's end.
+func TestFig2ResultsInHandPaperScale(t *testing.T) {
+	res, err := RunFig2(Fig2Functions, Fig2TaskSeconds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []Fig2Arm{res.Local, res.Massive} {
+		if lag := arm.InHand - arm.Total; lag < 0 || lag > 3*time.Second {
+			t.Errorf("%s: results in hand at %v, last function ended at %v — lag %v, want within 3 s",
+				arm.Name, arm.InHand, arm.Total, lag)
+		}
+	}
+}
+
 func TestFig3FullConcurrencyReducedScale(t *testing.T) {
 	res, err := RunFig3([]int{100, 200}, 30, 2)
 	if err != nil {
