@@ -35,11 +35,19 @@ race:
 # scripted COS brownouts, controller outages, regional partitions with
 # failover, the recovery/dead-letter machinery, the driver-kill
 # crash-recovery scenario (kill the driver mid-map, Attach a fresh one),
-# and the exchange-tier kills (memory cache node killed mid-shuffle,
+# the exchange-tier kills (memory cache node killed mid-shuffle,
 # lingering direct-transfer peers lost before the pull — both must degrade
-# to the COS baseline with zero dead letters, bit-identically per seed).
+# to the COS baseline with zero dead letters, bit-identically per seed),
+# the completion-triggered reducer launches (the launching map killed
+# between its status commit and the invoke, a regional partition hiding
+# sibling statuses from the last finisher's LIST, the driver killed
+# mid-map-phase with a fresh one attaching — exact results, zero dead
+# letters, no reducer launched twice per marker generation). The second
+# line races 64 maps that commit at the same simulated instant for one
+# fan-in marker, twenty times: exactly 16 reducers must run every time.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestController|TestRecovery|TestRegion|TestAttach|TestDriver' .
+	$(GO) test -race -count=20 -run 'TestFanInSameInstantFinish' ./internal/core
 
 # bench profiles the client wait/collect hot path at 10k futures
 # (cmd/waitbench) and writes BENCH_waitpath.json: client-side storage
@@ -60,15 +68,19 @@ chaos:
 # baseline recorded in the report) and bit-identical same-seed reruns.
 # exchangebench A/Bs the shuffle data plane (COS baseline vs memory-tier
 # cache vs direct peer transfer) and writes BENCH_exchange.json. Gates:
-# both fast tiers cut the p50 shuffle makespan ≥3× (latency scenario) and
+# both fast tiers cut the p50 shuffle makespan ≥1.5× (latency scenario) and
 # COS PUT+GET traffic ≥5× (ops scenario), with bit-identical same-seed
-# reruns.
+# reruns. The makespan gate was ≥3× (8.3× measured) while a two-map warm-up
+# happened to leave enough warm containers for the fast tiers' short maps
+# and too few for the COS arm's longer ones — most of that ratio was the
+# COS arm's cold starts. The warm-up now warms every arm alike; what is
+# left, 1.6–1.9×, is the data plane (see EXPERIMENTS.md).
 bench: build
 	$(GO) run ./cmd/waitbench -n 10000 -out BENCH_waitpath.json -minreduction 10 -minthroughput 3000
 	$(GO) run ./cmd/regionbench -out BENCH_regions.json -minackspeedup 2 -minreadreduction 5
 	$(GO) run ./cmd/tenantbench -out BENCH_tenants.json -minjain 0.9
 	$(GO) run ./cmd/simbench -out BENCH_simcore.json -minsims 200000
-	$(GO) run ./cmd/exchangebench -out BENCH_exchange.json -minspeedup 3 -minops 5
+	$(GO) run ./cmd/exchangebench -out BENCH_exchange.json -minspeedup 1.5 -minops 5
 
 # bench-e2e gates the end-to-end latency of the paper's Fig. 2 job (1,000 ×
 # 50 s calls from the WAN client, see BENCHMARK.json): one short run of the
@@ -76,12 +88,20 @@ bench: build
 # to all results in the client's hands — of at most 70 simulated seconds
 # (the last function ends at ~60; a client that fetches statuses one round
 # trip at a time reports ~215). Simulated time, so the gate does not depend
-# on the runner's speed.
+# on the runner's speed. The second gate counts requests instead: the §6.4
+# MapReduce job (table3_mapreduce, 468 maps + 33 reducers) must spend at most
+# 7 COS requests per call — reducers started by the map that completes their
+# inputs spend ~6.3; reducers that poll the status prefix while they wait
+# spent 24.3.
 bench-e2e:
 	@line=$$(bash bench/run.sh --workload fig2_invoke --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"job_sim_s":{"unit":"sim_s","value":\([0-9.eE+-]*\)}.*/\1/p'); \
 	echo "fig2_invoke job_sim_s = $${v:-missing} (gate: <= 70)"; \
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 70) }'
+	@line=$$(bash bench/run.sh --workload table3_mapreduce --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
+	echo "table3_mapreduce cos_requests_per_call = $${v:-missing} (gate: <= 7)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 7) }'
 
 # profile runs simbench under the Go profiler and prints the hottest CPU
 # frames; simcore.cpu.pprof and simcore.mem.pprof are left behind for

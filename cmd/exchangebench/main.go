@@ -21,7 +21,7 @@
 // count by at least r×. LIST/HEAD coordination traffic is reported
 // separately — it is the same sweep machinery under every transport. Every
 // mode set runs twice and the run digests must be bit-identical, so the
-// published numbers are reproducible by construction. CI runs s=3, r=5.
+// published numbers are reproducible by construction. CI runs s=1.5, r=5.
 package main
 
 import (
@@ -35,6 +35,8 @@ import (
 	"time"
 
 	"gowren"
+	"gowren/internal/billing"
+	"gowren/internal/faas"
 )
 
 func main() {
@@ -66,18 +68,23 @@ var transports = []string{gowren.ExchangeCOS, gowren.ExchangeMemory, gowren.Exch
 
 // runRecord is one measured job under one (scenario, transport, seed).
 type runRecord struct {
-	Seed       int64  `json:"seed"`
-	MakespanNs int64  `json:"makespanNs"`
-	WriteNs    int64  `json:"writeNs"`
-	ReadNs     int64  `json:"readNs"`
-	CosPutOps  int64  `json:"cosPutOps"`
-	CosGetOps  int64  `json:"cosGetOps"`
-	CosListOps int64  `json:"cosListOps"`
-	TierPutOps int64  `json:"tierPutOps"`
-	TierGetOps int64  `json:"tierGetOps"`
-	Fallbacks  int64  `json:"fallbacks"`
-	Spills     int64  `json:"spills"`
-	ResultsSHA string `json:"resultsSha"`
+	Seed       int64 `json:"seed"`
+	MakespanNs int64 `json:"makespanNs"`
+	WriteNs    int64 `json:"writeNs"`
+	ReadNs     int64 `json:"readNs"`
+	CosPutOps  int64 `json:"cosPutOps"`
+	CosGetOps  int64 `json:"cosGetOps"`
+	CosListOps int64 `json:"cosListOps"`
+	TierPutOps int64 `json:"tierPutOps"`
+	TierGetOps int64 `json:"tierGetOps"`
+	Fallbacks  int64 `json:"fallbacks"`
+	Spills     int64 `json:"spills"`
+	// RequestsPerCall is every COS request of the job (PUT, GET, HEAD, LIST,
+	// DELETE; client and functions) per map or reduce call; CostUSD bills the
+	// job's GB-seconds and storage requests at the paper-era price table.
+	RequestsPerCall float64 `json:"requestsPerCall"`
+	CostUSD         float64 `json:"costUsd"`
+	ResultsSHA      string  `json:"resultsSha"`
 }
 
 // modeReport aggregates one transport's runs within a scenario.
@@ -154,10 +161,10 @@ func run(args []string) error {
 				rep.Deterministic = false
 			}
 			sr.Modes[transport] = first
-			fmt.Printf("%-8s %-7s p50 makespan=%9.3fms cos put+get=%-5d lists=%-5d tier put/get=%d/%d digest=%s\n",
+			fmt.Printf("%-8s %-7s p50 makespan=%9.3fms cos put+get=%-5d lists=%-5d req/call=%-5.1f usd=%.6f tier put/get=%d/%d digest=%s\n",
 				sc.Name, transport, first.P50MakespanMs, first.P50CosPutGet,
-				first.Runs[0].CosListOps, first.Runs[0].TierPutOps, first.Runs[0].TierGetOps,
-				first.Digest[:12])
+				first.Runs[0].CosListOps, first.Runs[0].RequestsPerCall, first.Runs[0].CostUSD,
+				first.Runs[0].TierPutOps, first.Runs[0].TierGetOps, first.Digest[:12])
 		}
 		base := sr.Modes[gowren.ExchangeCOS]
 		for _, tier := range []string{gowren.ExchangeMemory, gowren.ExchangeDirect} {
@@ -269,6 +276,12 @@ func benchImage() (*gowren.Image, error) {
 	if err != nil {
 		return nil, err
 	}
+	err = gowren.RegisterFunc(img, "xb/warm", func(ctx *gowren.Ctx, i int) (int, error) {
+		return i, ctx.ChargeCompute(time.Second + time.Duration(i)*50*time.Millisecond)
+	})
+	if err != nil {
+		return nil, err
+	}
 	err = gowren.RegisterKVReduceFunc(img, "xb/len", func(_ *gowren.Ctx, _ string, values []string) (int, error) {
 		total := 0
 		for _, v := range values {
@@ -282,9 +295,32 @@ func benchImage() (*gowren.Image, error) {
 	return img, nil
 }
 
-// runOnce measures one job: fresh cloud, a tiny warm-up shuffle to take
-// container cold starts off the measured path, then the scenario job with
-// the store counters and fabric spans snapshotted around it.
+// warmUp leaves n warm containers behind: n overlapping calls, so each needs
+// a container of its own, finishing 50 ms apart so that no two commit at the
+// same instant. Every call of the measured job — on every transport — then
+// starts warm; before reducers were launched by their stage's last map a
+// two-map warm-up shuffle happened to leave four containers, enough for the
+// fast tiers' short maps to reuse but not for the COS arm's longer ones,
+// and the "makespan speedup" was mostly that arm's cold starts.
+func warmUp(cloud *gowren.Cloud, n int) error {
+	exec, err := cloud.Executor()
+	if err != nil {
+		return err
+	}
+	args := make([]any, n)
+	for i := range args {
+		args[i] = i
+	}
+	if _, err := exec.MapSlice("xb/warm", args); err != nil {
+		return err
+	}
+	_, err = exec.GetResult(gowren.GetResultOptions{Timeout: time.Hour})
+	return err
+}
+
+// runOnce measures one job: fresh cloud, a warm-up that takes container cold
+// starts off the measured path, then the scenario job with the store
+// counters and fabric spans snapshotted around it.
 func runOnce(sc scenario, transport string, seed int64) (runRecord, error) {
 	img, err := benchImage()
 	if err != nil {
@@ -310,9 +346,6 @@ func runOnce(sc scenario, transport string, seed int64) (runRecord, error) {
 		}
 		return nil
 	}
-	if err := seedBucket("warm", 2, 4, 8); err != nil {
-		return runRecord{}, err
-	}
 	if err := seedBucket("input", sc.Maps, sc.Keys, sc.ValueBytes); err != nil {
 		return runRecord{}, err
 	}
@@ -332,9 +365,6 @@ func runOnce(sc scenario, transport string, seed int64) (runRecord, error) {
 		results, err := gowren.ShuffleResults(exec, gowren.GetResultOptions{Timeout: time.Hour})
 		if err != nil {
 			return err
-		}
-		if bucket == "warm" {
-			return nil
 		}
 		if len(results) != sc.Keys {
 			return fmt.Errorf("distinct keys = %d, want %d", len(results), sc.Keys)
@@ -361,12 +391,13 @@ func runOnce(sc scenario, transport string, seed int64) (runRecord, error) {
 	var rec runRecord
 	var runErr error
 	cloud.Run(func() {
-		if err := job("warm", 2); err != nil {
+		if err := warmUp(cloud, sc.Maps+sc.Reducers); err != nil {
 			runErr = fmt.Errorf("warm-up: %w", err)
 			return
 		}
 		fabric := cloud.Platform().Exchange()
 		fabric.ResetSpans()
+		jobStart := cloud.Clock().Now()
 		preStore := store.Stats()
 		preX := cloud.ExchangeOps()
 		if err := job("input", sc.Reducers); err != nil {
@@ -376,6 +407,17 @@ func runOnce(sc scenario, transport string, seed int64) (runRecord, error) {
 		spans := fabric.Spans()
 		postStore := store.Stats()
 		postX := cloud.ExchangeOps()
+		var acts []faas.Activation
+		for _, a := range cloud.Platform().Controller().Activations() {
+			if !a.SubmitAt.Before(jobStart) {
+				acts = append(acts, a)
+			}
+		}
+		usage := billing.MeterActivations(acts, 0)
+		usage.StorageWrites = postStore.PutOps - preStore.PutOps
+		usage.StorageReads = postStore.GetOps + postStore.HeadOps + postStore.ListOps -
+			(preStore.GetOps + preStore.HeadOps + preStore.ListOps)
+		requests := usage.StorageWrites + usage.StorageReads + postStore.DeleteOps - preStore.DeleteOps
 		rec = runRecord{
 			Seed:       seed,
 			MakespanNs: spans.DataPlane().Nanoseconds(),
@@ -388,6 +430,10 @@ func runOnce(sc scenario, transport string, seed int64) (runRecord, error) {
 			TierGetOps: postX.Memory.GetOps + postX.Direct.GetOps - preX.Memory.GetOps - preX.Direct.GetOps,
 			Fallbacks:  postX.Memory.Fallbacks + postX.Direct.Fallbacks - preX.Memory.Fallbacks - preX.Direct.Fallbacks,
 			Spills:     postX.Spills - preX.Spills,
+
+			RequestsPerCall: float64(requests) / float64(sc.Maps+sc.Reducers),
+			CostUSD:         usage.Cost(billing.IBMCloud2018()),
+
 			ResultsSHA: resultsSHA,
 		}
 	})

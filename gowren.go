@@ -103,6 +103,11 @@ const (
 	// the window: partition pulls fail and reducers fall back to
 	// COS/recomputation.
 	ChaosExchangePeerLoss = chaos.ExchangePeerLoss
+	// ChaosLauncherKill kills the container of a call at the moment it
+	// would launch a downstream stage (its status committed, the stage's
+	// fan-in marker claimed, no invocation sent); the driver's backstop
+	// launches the stage instead.
+	ChaosLauncherKill = chaos.LauncherKill
 )
 
 // Shuffle exchange transports for ShuffleOptions.Exchange (see DESIGN.md,

@@ -49,6 +49,11 @@ const (
 	// active: direct partition pulls fail and advertised partitions are
 	// dropped, forcing reducers onto the COS/recompute fallback.
 	ExchangePeerLoss Kind = "exchange-peer-loss"
+	// LauncherKill kills the container of any call that is about to launch
+	// a downstream stage while the window is active: its own status is
+	// committed and it has claimed the stage's fan-in marker, but no
+	// invocation leaves. The driver's backstop must launch the stage.
+	LauncherKill Kind = "launcher-kill"
 )
 
 // Fault is one scripted fault window, relative to the plan epoch.
@@ -69,7 +74,7 @@ type Fault struct {
 func (f Fault) validate() error {
 	switch f.Kind {
 	case COSBrownout, ControllerOutage, SlowContainers,
-		ExchangeCacheDown, ExchangePeerLoss:
+		ExchangeCacheDown, ExchangePeerLoss, LauncherKill:
 	default:
 		return fmt.Errorf("chaos: unknown fault kind %q", f.Kind)
 	}
@@ -166,6 +171,12 @@ func (p *Plan) CacheDown() bool {
 // PeerLost reports whether lingering exchange peers are being killed now.
 func (p *Plan) PeerLost() bool {
 	_, ok := p.active(ExchangePeerLoss)
+	return ok
+}
+
+// LauncherKilled reports whether fan-in launchers are being killed now.
+func (p *Plan) LauncherKilled() bool {
+	_, ok := p.active(LauncherKill)
 	return ok
 }
 

@@ -71,11 +71,19 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 		}
 	}
 	futures := make([]*Future, 0, len(ids))
+	byID := make(map[string]*Future, len(ids))
 	for _, id := range ids {
 		cs := st.calls[id]
 		f := newFuture(e, e.id, id, cs.actID)
 		e.respawns.seed(f, cs.respawns)
 		futures = append(futures, f)
+		byID[id] = f
+	}
+	// Calls the dead driver staged behind a fan-in are launched by their
+	// inputs, not by a driver: rebuild the barriers so this driver's wait
+	// loop backs the launches up exactly as its predecessor's did.
+	if err := e.adoptFanIns(st.fanIns, byID); err != nil {
+		return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
 	}
 	e.track(futures)
 
@@ -178,6 +186,7 @@ type journalCallState struct {
 type journalState struct {
 	calls      map[string]*journalCallState
 	superseded map[string]bool // call IDs replaced by a replay record
+	fanIns     []wire.FanIn    // stage barriers of the staged-not-invoked launches
 }
 
 // replayJournal lists and replays the job's journal records in key order,
@@ -208,6 +217,7 @@ func (e *Executor) replayJournal() (*journalState, error) {
 			for _, c := range rec.Calls {
 				st.calls[c.CallID] = &journalCallState{actID: c.ActivationID, region: c.Region, tracked: rec.Tracked}
 			}
+			st.fanIns = append(st.fanIns, rec.FanIns...)
 		case wire.JournalRespawn:
 			for _, c := range rec.Calls {
 				if cs, ok := st.calls[c.CallID]; ok {
@@ -274,7 +284,10 @@ func (e *Executor) recoverNextID() error {
 // status sweep picks their records up. Calls with no recorded activation ID
 // (spawner fan-out) cannot be probed and are conservatively respawned;
 // respawns are idempotent by construction, so the worst case is a wasted
-// duplicate execution, never a wrong result.
+// duplicate execution, never a wrong result. Calls staged behind a fan-in
+// are the exception: without an activation they are not orphans but not yet
+// launched — their inputs launch them, and the wait loop's backstop
+// (backstopFanIns) steps in if nobody does.
 func (e *Executor) respawnOrphans(futures []*Future) error {
 	ctrl := e.cfg.Platform.Controller()
 	var orphans []*Future
@@ -283,7 +296,9 @@ func (e *Executor) respawnOrphans(futures []*Future) error {
 			continue
 		}
 		if f.activationID == "" {
-			orphans = append(orphans, f)
+			if f.gate == nil {
+				orphans = append(orphans, f)
+			}
 			continue
 		}
 		rec, err := ctrl.Activation(f.activationID)

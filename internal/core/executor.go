@@ -184,6 +184,12 @@ type Executor struct {
 	futures     []*Future
 	nextID      int
 	deadLetters []DeadLetter
+
+	// fanIns are the stage barriers whose targets this driver staged but did
+	// not invoke, until every target is finished or accounted for (fanin.go).
+	// Only the task driving the executor touches them, so mu does not cover
+	// them.
+	fanIns []*fanInGroup
 }
 
 // noteListFailure records one more consecutive status-LIST failure for

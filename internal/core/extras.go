@@ -19,7 +19,7 @@ import (
 // become unusable afterwards.
 func (e *Executor) Clean() error {
 	meta := e.cfg.Platform.MetaBucket()
-	for _, prefix := range []string{payloadPrefix, statusPrefix, resultPrefix, shufflePrefix, deadLetterPrefix, journalPrefix} {
+	for _, prefix := range []string{payloadPrefix, statusPrefix, resultPrefix, shufflePrefix, fanInPrefix, deadLetterPrefix, journalPrefix} {
 		listed, err := cos.ListAll(e.cfg.Storage, meta, fmt.Sprintf("jobs/%s/%s/", e.id, prefix))
 		if err != nil {
 			return fmt.Errorf("core: clean %s: %w", e.id, err)

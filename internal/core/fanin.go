@@ -1,0 +1,508 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
+
+	"gowren/internal/cos"
+	"gowren/internal/runtime"
+	"gowren/internal/trace"
+	"gowren/internal/wire"
+)
+
+// Completion-triggered fan-in: the stage barrier of MapReduce and
+// MapReduceShuffle. The client stages every reducer payload and tracks it,
+// but invokes none; each map payload carries a wire.FanIn naming its group's
+// call-ID range and the reducers that depend on it. After committing its
+// status the runner lists that range once (closeFanIn); whoever sees the
+// whole group committed claims the group's marker with a create-if-absent
+// put and fires the reducers from inside the cloud. The status PUT precedes
+// the LIST, so on a linearizable store the last committer always sees the
+// full group; several near-simultaneous finishers may, and the marker lets
+// exactly one of them launch.
+//
+// Reducers therefore start when their inputs exist — warm, on a finished
+// map's container — and read them without a barrier (inputBarrier is the
+// §4.3 poll-and-wait, entered only by an activation that finds an input
+// missing). The driver's wait loop is the backstop for a launch that never
+// happened (backstopFanIns): it already holds every status of the namespace
+// in its sweep done-set, so it spends no request until a reducer is still
+// unlaunched one grace period after its inputs committed.
+
+// fanInGrace is how long the driver leaves a complete group alone before
+// reading its marker, and how old a claim without a launch must be before
+// the driver takes it over. It is far above the in-cloud launch latency
+// (milliseconds), so on the normal path the backstop costs nothing; a
+// reducer that legitimately runs longer costs one marker GET per group.
+const fanInGrace = 30 * time.Second
+
+// fanInDriver is FanInMarker.By for a claim made by the client-side backstop.
+const fanInDriver = "driver"
+
+// errLauncherKilled is how a chaos.LauncherKill window manifests: the
+// activation dies holding the claim, before any invocation leaves.
+var errLauncherKilled = errors.New("core: container killed before launching the fan-in targets")
+
+// stageGate describes one stage barrier to set up: inputs — calls with
+// consecutive IDs, not yet staged — gate the targets, consecutive too, which
+// are staged but not invoked.
+type stageGate struct {
+	inputs  []*wire.CallPayload
+	targets []*wire.CallPayload
+}
+
+// fanInGate is a wire.FanIn resolved in its executor namespace: both call
+// ranges as sequences, and from them the keys either side needs.
+type fanInGate struct {
+	spec        *wire.FanIn
+	bucket      string
+	execID      string
+	first       int // sequence of spec.FirstCallID
+	firstTarget int // sequence of spec.FirstTarget
+}
+
+func resolveFanIn(bucket, execID string, spec *wire.FanIn) (fanInGate, error) {
+	first, err1 := strconv.Atoi(spec.FirstCallID)
+	firstTarget, err2 := strconv.Atoi(spec.FirstTarget)
+	if err1 != nil || err2 != nil || first < 0 || firstTarget < 0 {
+		return fanInGate{}, fmt.Errorf("core: fan-in ranges %q+%d -> %q+%d are not call sequences",
+			spec.FirstCallID, spec.Count, spec.FirstTarget, spec.Targets)
+	}
+	return fanInGate{spec: spec, bucket: bucket, execID: execID, first: first, firstTarget: firstTarget}, nil
+}
+
+// marker is the key of the group's launch marker (a wire.FanInMarker).
+func (g *fanInGate) marker() string { return fanInKey(g.execID, g.spec.FirstTarget) }
+
+// target is the invocation of the gate's i-th staged call.
+func (g *fanInGate) target(i int) wire.SpawnTarget {
+	return wire.SpawnTarget{
+		Action:  g.spec.Action,
+		Payload: payloadRef(g.bucket, g.execID, callIDForSeq(g.firstTarget+i)),
+		Tenant:  g.spec.Tenant,
+	}
+}
+
+// fanInGroup is the driver's view of one stage barrier it staged (or
+// adopted through Attach).
+type fanInGroup struct {
+	fanInGate
+	// gated is indexed like the target range; nil where Attach found the
+	// call retired (dead-lettered or superseded).
+	gated []*Future
+	// next is the lowest input sequence not yet seen committed.
+	next int
+	// recheck is when the backstop next considers the marker: one grace
+	// period after this driver first saw every input committed, and one
+	// after each look.
+	recheck time.Time
+}
+
+func (e *Executor) newFanInGroup(spec *wire.FanIn) (*fanInGroup, error) {
+	gate, err := resolveFanIn(e.cfg.Platform.MetaBucket(), e.id, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &fanInGroup{fanInGate: gate, next: gate.first, gated: make([]*Future, spec.Targets)}, nil
+}
+
+// inputsCommitted reports whether the driver's sweep has seen a status for
+// every input of the group.
+func (g *fanInGroup) inputsCommitted(e *Executor) bool {
+	end := g.first + g.spec.Count
+	if g.next < end {
+		g.next = e.sweeps.firstUncommitted(nsKey{bucket: g.bucket, execID: g.execID}, g.next, end)
+	}
+	return g.next == end
+}
+
+// unlaunched returns the target indexes whose call has neither finished nor
+// a known activation.
+func (g *fanInGroup) unlaunched() []int {
+	var idx []int
+	for i, f := range g.gated {
+		if f != nil && f.activationID == "" && !f.knownDone() {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// launchBehind runs one stage boundary: it stages the targets of gates
+// without invoking them, puts each gate's fan-in spec on its input payloads
+// and launches those (untracked: the stage's results are the targets'), and
+// only then — nothing is journaled or tracked for a stage whose inputs never
+// left — journals the targets as tracked calls and arms the launch backstop.
+// It returns the targets' futures in gate order.
+func (e *Executor) launchBehind(gates []stageGate) ([]*Future, error) {
+	if err := e.journalStart(); err != nil {
+		return nil, err
+	}
+	action, err := e.cfg.Platform.EnsureRuntime(e.cfg.RuntimeImage)
+	if err != nil {
+		return nil, err
+	}
+	var inputs, targets []*wire.CallPayload
+	for _, g := range gates {
+		inputs = append(inputs, g.inputs...)
+		targets = append(targets, g.targets...)
+	}
+	// The targets must exist before any input can finish.
+	if err := e.stagePayloads(targets); err != nil {
+		return nil, err
+	}
+	specs := make([]wire.FanIn, len(gates))
+	groups := make([]*fanInGroup, len(gates))
+	for i, g := range gates {
+		specs[i] = wire.FanIn{
+			FirstCallID: g.inputs[0].CallID,
+			Count:       len(g.inputs),
+			FirstTarget: g.targets[0].CallID,
+			Targets:     len(g.targets),
+			Action:      action,
+			Tenant:      e.cfg.Tenant,
+		}
+		if groups[i], err = e.newFanInGroup(&specs[i]); err != nil {
+			return nil, err
+		}
+		for _, p := range g.inputs {
+			p.FanIn = &specs[i]
+		}
+	}
+	if _, err := e.launch(inputs, false); err != nil {
+		return nil, err
+	}
+
+	e.appendJournal(wire.JournalLaunch, func(rec *wire.JournalRecord) {
+		rec.Calls = journalCalls(targets, nil)
+		rec.Tracked = true
+		rec.FanIns = specs
+	})
+	futures := make([]*Future, 0, len(targets))
+	for i, g := range gates {
+		for t, p := range g.targets {
+			f := newFuture(e, p.ExecutorID, p.CallID, "")
+			f.gate = groups[i]
+			groups[i].gated[t] = f
+			futures = append(futures, f)
+		}
+	}
+	e.fanIns = append(e.fanIns, groups...)
+	e.track(futures)
+	return futures, nil
+}
+
+// adoptFanIns rebuilds the launch backstop of an attached driver from the
+// fan-in specs its predecessor journaled; byID maps the rebuilt tracked
+// futures by call ID.
+func (e *Executor) adoptFanIns(specs []wire.FanIn, byID map[string]*Future) error {
+	for i := range specs {
+		group, err := e.newFanInGroup(&specs[i])
+		if err != nil {
+			return err
+		}
+		for t := range group.gated {
+			if f := byID[callIDForSeq(group.firstTarget+t)]; f != nil {
+				f.gate = group
+				group.gated[t] = f
+			}
+		}
+		e.fanIns = append(e.fanIns, group)
+	}
+	return nil
+}
+
+// closeFanIn runs in the runner right after a call carrying a fan-in spec
+// committed its status: one bounded LIST over the group's range, and — only
+// if that shows the whole group committed — the claim, the launch and the
+// marker rewrite. Its request budget is 1 LIST per call, at most 2 marker
+// PUTs per group, and one failed conditional put per losing candidate.
+func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error {
+	gate, err := resolveFanIn(payload.MetaBucket, payload.ExecutorID, payload.FanIn)
+	if err != nil {
+		return err
+	}
+	complete, err := p.fanInCommitted(ctx, &gate)
+	if err != nil {
+		return fmt.Errorf("core: fan-in check after %s/%s: %w", payload.ExecutorID, payload.CallID, err)
+	}
+	if !complete {
+		return nil
+	}
+
+	key := gate.marker()
+	marker := wire.FanInMarker{By: ctx.ActivationID(), Generation: 1, AtUnixNs: ctx.Clock().Now().UnixNano()}
+	err = p.fnStorageRetry.Do(func() error {
+		_, err := cos.PutIf(ctx.Storage(), gate.bucket, key, wire.MustMarshal(&marker), "")
+		return err
+	})
+	switch {
+	case errors.Is(err, cos.ErrPreconditionFailed):
+		return nil // a sibling that finished with us holds the claim
+	case errors.Is(err, cos.ErrConditionalUnsupported):
+		// No compare-and-swap on this storage stack: launch anyway. Every
+		// finisher that sees the group complete does, which is safe — a
+		// reducer's commit is idempotent by key — but never silent.
+		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(),
+			"marker=%s no conditional put: launching at-least-once", key)
+	case err != nil:
+		return fmt.Errorf("core: fan-in claim %s: %w", key, err)
+	}
+	if p.chaos.LauncherKilled() {
+		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(), "marker=%s launcher killed after the claim", key)
+		return errLauncherKilled
+	}
+
+	// All targets go out together: R launches cost one in-cloud round trip
+	// (plus the gateway's serialized admission of each).
+	n := gate.spec.Targets
+	marker.ActivationIDs = make([]string, n)
+	errs := fetchFor(ctx.Clock(), n, n, func(i int) error {
+		id, err := p.invokeFromCloud(ctx, gate.target(i), p.fnLaunchRetry)
+		marker.ActivationIDs[i] = id
+		return err
+	})
+	// Record what was launched even if some invocations failed: the driver
+	// probes the IDs that are there and launches the targets that are not.
+	putErr := p.putRetry(ctx, gate.bucket, key, wire.MustMarshal(&marker))
+	if p.trace != nil {
+		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(),
+			"marker=%s generation=1 launched=%s", key, strings.Join(marker.ActivationIDs, ","))
+	}
+	if err := errors.Join(firstErr(errs), putErr); err != nil {
+		return fmt.Errorf("core: fan-in launch %s: %w", key, err)
+	}
+	return nil
+}
+
+// fanInCommitted lists the status keys of the gate's input range — starting
+// just before its first key, at most its size per page — and reports whether
+// every one exists. Call IDs are zero-padded and the range is contiguous, so
+// "count keys, the last no later than the range's last" is the whole test.
+func (p *Platform) fanInCommitted(ctx *runtime.Ctx, g *fanInGate) (bool, error) {
+	prefix := statusListPrefix(g.execID)
+	after := ""
+	if g.first > 0 {
+		after = statusKey(g.execID, callIDForSeq(g.first-1))
+	}
+	last := statusKey(g.execID, callIDForSeq(g.first+g.spec.Count-1))
+	for seen := 0; seen < g.spec.Count; {
+		want := min(g.spec.Count-seen, cos.DefaultMaxKeys)
+		var page cos.ListResult
+		err := p.fnStorageRetry.Do(func() error {
+			var err error
+			page, err = ctx.Storage().List(g.bucket, prefix, after, want)
+			return err
+		})
+		if err != nil {
+			return false, err
+		}
+		if len(page.Objects) < want || page.Objects[want-1].Key > last {
+			return false, nil
+		}
+		seen += want
+		after = page.Objects[want-1].Key
+	}
+	return true, nil
+}
+
+// backstopFanIns is the wait loop's liveness net under fan-in launches. A
+// group whose inputs have all committed (as seen by the driver's own sweep:
+// no extra LIST) but whose targets are still neither finished nor known to
+// be running one grace period later gets its marker read, once per grace
+// period: recorded activations are adopted — from then on the ordinary
+// dead-activation probe and respawn ledger cover them — and targets nobody
+// launched are launched from here under a fresh marker generation.
+func (e *Executor) backstopFanIns(pend *pendingSet) {
+	if len(e.fanIns) == 0 {
+		return
+	}
+	now := e.clock.Now()
+	open := e.fanIns[:0]
+	for _, g := range e.fanIns {
+		switch {
+		case !g.inputsCommitted(e):
+		case g.recheck.IsZero():
+			g.recheck = now.Add(fanInGrace)
+		case now.Before(g.recheck):
+		default:
+			missing := g.unlaunched()
+			if len(missing) == 0 {
+				continue // every target finished or is accounted for: the gate is closed
+			}
+			g.recheck = now.Add(fanInGrace)
+			e.rescueFanIn(g, missing, pend)
+		}
+		open = append(open, g)
+	}
+	clear(e.fanIns[len(open):])
+	e.fanIns = open
+}
+
+// rescueFanIn reads g's marker and acts on it: adopt the activations a
+// launcher recorded, leave a fresh claim alone, and otherwise — no marker,
+// or a claim older than the grace period that still lists no activation for
+// a missing target — take the marker (conditionally, one generation up) and
+// invoke the missing targets directly. It is a job-state mutation, so a
+// fenced driver launches nothing. Failures are left for the next look.
+func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
+	meta, key := g.bucket, g.marker()
+	now := e.clock.Now()
+	var (
+		cur  wire.FanInMarker
+		etag string
+	)
+	err := e.storageRetry.Do(func() error {
+		body, om, err := e.cfg.Storage.Get(meta, key)
+		if err != nil {
+			return err
+		}
+		etag = om.ETag
+		return wire.Unmarshal(body, &cur)
+	})
+	switch {
+	case errors.Is(err, cos.ErrNoSuchKey):
+		cur, etag = wire.FanInMarker{}, ""
+	case err != nil:
+		return
+	default:
+		missing = slices.DeleteFunc(missing, func(i int) bool {
+			if i >= len(cur.ActivationIDs) || cur.ActivationIDs[i] == "" {
+				return false
+			}
+			g.gated[i].adopt(cur.ActivationIDs[i])
+			pend.probe = true
+			return true
+		})
+		if len(missing) == 0 || now.Sub(time.Unix(0, cur.AtUnixNs)) < fanInGrace {
+			return
+		}
+	}
+	if e.renewLease() != nil {
+		return
+	}
+
+	next := wire.FanInMarker{
+		By:            fanInDriver,
+		Generation:    cur.Generation + 1,
+		AtUnixNs:      now.UnixNano(),
+		ActivationIDs: make([]string, g.spec.Targets),
+	}
+	copy(next.ActivationIDs, cur.ActivationIDs)
+	err = e.storageRetry.Do(func() error {
+		_, err := cos.PutIf(e.cfg.Storage, meta, key, wire.MustMarshal(&next), etag)
+		return err
+	})
+	tr := e.cfg.Platform.trace
+	switch {
+	case errors.Is(err, cos.ErrConditionalUnsupported):
+		tr.Emitf(now, trace.KindFanIn, e.id, "marker=%s no conditional put: driver launching at-least-once", key)
+	case err != nil:
+		return // lost the claim to another driver, or storage trouble
+	}
+	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(missing), func(k int) error {
+		i := missing[k]
+		t := g.target(i)
+		id, err := e.invokeOne(t.Action, t.Payload, t.Tenant)
+		if err != nil {
+			return err
+		}
+		next.ActivationIDs[i] = id
+		g.gated[i].adopt(id)
+		return nil
+	})
+	pend.probe = true
+	putErr := e.putWithRetry(meta, key, wire.MustMarshal(&next))
+	if tr != nil {
+		tr.Emitf(e.clock.Now(), trace.KindFanIn, e.id, "marker=%s generation=%d driver launched=%s err=%v",
+			key, next.Generation, strings.Join(next.ActivationIDs, ","), errors.Join(firstErr(errs), putErr))
+	}
+}
+
+// uncommittedInputs explains a wait that gave up on calls still gated behind
+// a fan-in: it names the input calls whose statuses never committed, or
+// returns "" when no pending call is waiting on one.
+func (e *Executor) uncommittedInputs(pending []*Future) string {
+	const show = 8
+	var (
+		ids     []string
+		stalled int
+		seen    = make(map[*fanInGroup]bool)
+	)
+	for _, f := range pending {
+		g := f.gate
+		if g == nil || f.activationID != "" || g.inputsCommitted(e) {
+			continue
+		}
+		stalled++
+		if seen[g] {
+			continue
+		}
+		seen[g] = true
+		ns, end := nsKey{bucket: g.bucket, execID: g.execID}, g.first+g.spec.Count
+		for seq := e.sweeps.firstUncommitted(ns, g.next, end); seq < end; seq = e.sweeps.firstUncommitted(ns, seq+1, end) {
+			ids = append(ids, callIDForSeq(seq))
+		}
+	}
+	if stalled == 0 {
+		return ""
+	}
+	more := ""
+	if len(ids) > show {
+		more = fmt.Sprintf(" (+%d more)", len(ids)-show)
+		ids = ids[:show]
+	}
+	return fmt.Sprintf("%d calls were never launched: input calls %s%s of %s never committed a status",
+		stalled, strings.Join(ids, ", "), more, e.id)
+}
+
+// inputBarrier is the paper's §4.3 wait — "The reduce function will wait
+// for all the partial results before processing them" — taken only when
+// needed. A reducer launched by its stage's fan-in starts after every input
+// committed and reads them straight away; one started early (the driver's
+// backstop, a respawn, a speculative copy) finds an input missing, polls the
+// status prefix here until the whole stage has committed, and carries on.
+type inputBarrier struct {
+	p      *Platform
+	ctx    *runtime.Ctx
+	ns     nsKey
+	inputs []string
+	who    string // names the waiter in errors
+	passed bool
+}
+
+// await blocks (within the function's deadline) until every input has a
+// committed status. A per-activation coordinator keeps the polling
+// incremental: each LIST resumes at the done-frontier.
+func (b *inputBarrier) await() error {
+	if b.passed {
+		return nil
+	}
+	sweeps := newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock(), false)
+	if err := sweeps.awaitStatuses(b.ns, b.inputs, nil, nil, 100*time.Millisecond, b.ctx.Deadline()); err != nil {
+		if errors.Is(err, ErrWaitTimeout) {
+			return fmt.Errorf("core: %s waiting for %d map calls: %w", b.who, len(b.inputs), runtime.ErrDeadlineExceeded)
+		}
+		return fmt.Errorf("core: %s status sweep: %w", b.who, err)
+	}
+	b.passed = true
+	return nil
+}
+
+// get reads an object that exists once its stage committed. A miss before
+// the barrier was taken means this activation started early: wait, then read
+// again.
+func (b *inputBarrier) get(bucket, key string) ([]byte, error) {
+	body, err := b.p.getRetry(b.ctx, bucket, key)
+	if b.passed || !errors.Is(err, cos.ErrNoSuchKey) {
+		return body, err
+	}
+	if err := b.await(); err != nil {
+		return nil, err
+	}
+	return b.p.getRetry(b.ctx, bucket, key)
+}

@@ -26,7 +26,10 @@ type Future struct {
 	exec         *Executor
 	executorID   string
 	callID       string
-	activationID string // empty under massive spawning
+	activationID string // empty under massive spawning, and until a fan-in launch is known
+	// gate is the stage barrier this call waits behind (see fanin.go); nil
+	// for calls the client invokes itself.
+	gate *fanInGroup
 
 	mu      sync.Mutex
 	done    bool
@@ -48,6 +51,15 @@ func (f *Future) ExecutorID() string { return f.executorID }
 // ActivationID returns the platform activation ID when known (direct
 // invocation); it is empty under massive spawning.
 func (f *Future) ActivationID() string { return f.activationID }
+
+// adopt records the activation now driving the call — a fan-in launch the
+// driver learned of from the group's marker, or made itself — so the wait
+// path's dead-activation probe covers it.
+func (f *Future) adopt(activationID string) {
+	f.mu.Lock()
+	f.activationID = activationID
+	f.mu.Unlock()
+}
 
 // markDone records a completed status sighting.
 func (f *Future) markDone() { f.complete(nil) }
@@ -434,6 +446,7 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 		}
 		rec.observe(newly)
 		pend.add(rec.step()...)
+		e.backstopFanIns(pend)
 		report()
 		if rec.settled() {
 			return true
@@ -447,6 +460,9 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 		return nil, fmt.Errorf("core: get_result: %w", sweepErr)
 	}
 	if !ok {
+		if why := e.uncommittedInputs(pend.futures()); why != "" {
+			return nil, fmt.Errorf("core: get_result: %s: %w", why, ErrWaitTimeout)
+		}
 		return nil, fmt.Errorf("core: get_result: %w", ErrWaitTimeout)
 	}
 

@@ -34,6 +34,7 @@ const (
 	resultPrefix     = "result"
 	shufflePrefix    = "shuffle"
 	deadLetterPrefix = "deadletter"
+	fanInPrefix      = "fanin"
 )
 
 func jobKey(kind, execID, callID string) string {
@@ -86,6 +87,10 @@ func callSeq(callID string) (int, bool) {
 	}
 	return n, true
 }
+
+// fanInKey is the launch marker of the stage barrier whose first target is
+// callID: beside the payloads, outside the status prefix the sweeps list.
+func fanInKey(execID, callID string) string { return jobKey(fanInPrefix, execID, callID) }
 
 // deadLetterKey is where a call's DeadLetter record is persisted when
 // automatic recovery gives up on it.

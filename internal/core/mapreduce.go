@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gowren/internal/wire"
 )
@@ -20,9 +21,11 @@ type MapReduceOptions struct {
 }
 
 // MapReduce executes a full MapReduce flow (Table 2: map_reduce): a map
-// phase over the partitioned dataset and one or more reduce executors that
-// wait in-cloud for their partials. It returns the reducer futures; map
-// calls run untracked so GetResult yields the reduced results.
+// phase over the partitioned dataset and one or more reduce executors, each
+// started by the map call that commits the last of its partials (see
+// fanin.go) — a reducer runs when its inputs exist and is never billed for
+// waiting on them. It returns the reducer futures; map calls run untracked
+// so GetResult yields the reduced results.
 func (e *Executor) MapReduce(mapFn string, src DataSource, reduceFn string, opts MapReduceOptions) ([]*Future, error) {
 	meta := e.cfg.Platform.MetaBucket()
 
@@ -55,7 +58,7 @@ func (e *Executor) MapReduce(mapFn string, src DataSource, reduceFn string, opts
 				MetaBucket: meta,
 			}
 		}
-		groups = []reduceGroup{{key: "", callIDs: callIDs}}
+		groups = []reduceGroup{{key: "", n: len(s)}}
 	default:
 		parts, err := PlanPartitions(e.cfg.Storage, src, opts.ChunkBytes)
 		if err != nil {
@@ -64,6 +67,7 @@ func (e *Executor) MapReduce(mapFn string, src DataSource, reduceFn string, opts
 		if len(parts) == 0 {
 			return nil, errors.New("core: partitioner produced no work")
 		}
+		parts, groups = groupForReduce(parts, opts.ReducerOnePerObject)
 		callIDs := e.reserveCallIDs(len(parts))
 		mapPayloads = make([]*wire.CallPayload, len(parts))
 		for i := range parts {
@@ -78,18 +82,22 @@ func (e *Executor) MapReduce(mapFn string, src DataSource, reduceFn string, opts
 				MetaBucket: meta,
 			}
 		}
-		groups = groupForReduce(parts, callIDs, opts.ReducerOnePerObject)
 	}
 
-	// Launch the map phase untracked; reducers observe it through COS.
-	if _, err := e.launch(mapPayloads, false); err != nil {
-		return nil, fmt.Errorf("core: map phase: %w", err)
-	}
-
+	// One stage barrier per group: the reducers are staged, the maps launched
+	// untracked with their group's barrier on board, and each group's last
+	// map to commit starts its reducer.
 	reduceIDs := e.reserveCallIDs(len(groups))
-	reducePayloads := make([]*wire.CallPayload, len(groups))
+	gates := make([]stageGate, len(groups))
+	rest := mapPayloads
 	for g, grp := range groups {
-		reducePayloads[g] = &wire.CallPayload{
+		inputs := rest[:grp.n]
+		rest = rest[grp.n:]
+		callIDs := make([]string, grp.n)
+		for i, p := range inputs {
+			callIDs[i] = p.CallID
+		}
+		gates[g] = stageGate{inputs: inputs, targets: []*wire.CallPayload{{
 			ExecutorID: e.id,
 			CallID:     reduceIDs[g],
 			Runtime:    e.cfg.RuntimeImage,
@@ -98,42 +106,53 @@ func (e *Executor) MapReduce(mapFn string, src DataSource, reduceFn string, opts
 			Reduce: &wire.ReduceSpec{
 				MetaBucket: meta,
 				ExecutorID: e.id,
-				MapCallIDs: grp.callIDs,
+				MapCallIDs: callIDs,
 				GroupKey:   grp.key,
 			},
 			MetaBucket: meta,
-		}
+		}}}
 	}
-	futures, err := e.runJob(reducePayloads)
+	futures, err := e.launchBehind(gates)
 	if err != nil {
-		return nil, fmt.Errorf("core: reduce phase: %w", err)
+		return nil, fmt.Errorf("core: map_reduce: %w", err)
 	}
 	return futures, nil
 }
 
+// reduceGroup is one reducer's share of the map phase: n consecutive map
+// calls.
 type reduceGroup struct {
-	key     string
-	callIDs []string
+	key string
+	n   int
 }
 
-// groupForReduce assigns map calls to reducers: all-to-one by default, or
-// one group per source object key in reducer-per-object mode. Partition
-// order (and therefore call order within each group) is preserved.
-func groupForReduce(parts []wire.Partition, callIDs []string, perObject bool) []reduceGroup {
+// groupForReduce assigns partitions to reducers — all-to-one by default, or
+// one group per source object key in reducer-per-object mode — and returns
+// them ordered group by group, so that every group's map calls get a
+// contiguous call-ID range (what a fan-in barrier lists). Groups appear in
+// order of their first partition and partition order within a group is
+// preserved; discovery already emits an object's chunks together, so the
+// reordering only moves anything when a key is named twice.
+func groupForReduce(parts []wire.Partition, perObject bool) ([]wire.Partition, []reduceGroup) {
 	if !perObject {
-		return []reduceGroup{{key: "", callIDs: callIDs}}
+		return parts, []reduceGroup{{key: "", n: len(parts)}}
 	}
 	index := make(map[string]int)
-	var groups []reduceGroup
-	for i, part := range parts {
+	var (
+		groups  []reduceGroup
+		members [][]wire.Partition
+	)
+	for _, part := range parts {
 		key := part.Bucket + "/" + part.Key
 		gi, ok := index[key]
 		if !ok {
 			gi = len(groups)
 			index[key] = gi
 			groups = append(groups, reduceGroup{key: key})
+			members = append(members, nil)
 		}
-		groups[gi].callIDs = append(groups[gi].callIDs, callIDs[i])
+		groups[gi].n++
+		members[gi] = append(members[gi], part)
 	}
-	return groups
+	return slices.Concat(members...), groups
 }

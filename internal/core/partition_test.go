@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,28 +178,34 @@ func TestDiscoverEmptyBucketRejected(t *testing.T) {
 
 func TestGroupForReduce(t *testing.T) {
 	parts := []wire.Partition{
-		{Bucket: "b", Key: "city-a"},
-		{Bucket: "b", Key: "city-b"},
-		{Bucket: "b", Key: "city-a"},
-		{Bucket: "b", Key: "city-c"},
-		{Bucket: "b", Key: "city-a"},
-	}
-	ids := []string{"0", "1", "2", "3", "4"}
-
-	global := groupForReduce(parts, ids, false)
-	if len(global) != 1 || len(global[0].callIDs) != 5 || global[0].key != "" {
-		t.Fatalf("global grouping = %+v", global)
+		{Bucket: "b", Key: "city-a", Index: 0},
+		{Bucket: "b", Key: "city-b", Index: 1},
+		{Bucket: "b", Key: "city-a", Index: 2},
+		{Bucket: "b", Key: "city-c", Index: 3},
+		{Bucket: "b", Key: "city-a", Index: 4},
 	}
 
-	perObj := groupForReduce(parts, ids, true)
+	same, global := groupForReduce(parts, false)
+	if len(global) != 1 || global[0].n != 5 || global[0].key != "" || len(same) != 5 {
+		t.Fatalf("global grouping = %+v over %d parts", global, len(same))
+	}
+
+	// Per object the partitions come back group by group — every group a
+	// contiguous run, which is what gives its map calls a contiguous call-ID
+	// range — in first-appearance order, partition order kept within a group.
+	ordered, perObj := groupForReduce(parts, true)
 	if len(perObj) != 3 {
 		t.Fatalf("per-object groups = %d, want 3", len(perObj))
 	}
-	if perObj[0].key != "b/city-a" || len(perObj[0].callIDs) != 3 {
-		t.Fatalf("group a = %+v", perObj[0])
+	if perObj[0].key != "b/city-a" || perObj[0].n != 3 || perObj[1].key != "b/city-b" || perObj[2].key != "b/city-c" {
+		t.Fatalf("groups = %+v", perObj)
 	}
-	if got := perObj[0].callIDs; got[0] != "0" || got[1] != "2" || got[2] != "4" {
-		t.Fatalf("group a call order = %v", got)
+	var got []int
+	for _, p := range ordered {
+		got = append(got, p.Index)
+	}
+	if want := []int{0, 2, 4, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("partition order = %v, want %v", got, want)
 	}
 }
 

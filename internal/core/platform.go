@@ -116,6 +116,12 @@ type Platform struct {
 	// invocations suffice.
 	fnStorageRetry *retry.Retrier
 	fnInvokeRetry  *retry.Retrier
+	// fnLaunchRetry backs fan-in launches (closeFanIn). A launcher holds a
+	// concurrency slot while it asks for more; waiting out a full platform
+	// from there can wedge a small cloud with every slot held by a function
+	// waiting for a slot. So it retries only briefly and leaves what it
+	// could not start to the driver, which waits without holding anything.
+	fnLaunchRetry *retry.Retrier
 
 	// execSeq numbers executors per platform so their derived PRNG seeds
 	// are reproducible run to run (the process-global ID counter is not).
@@ -217,6 +223,12 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		MaxAttempts: runnerRetries + 1,
 		BaseBackoff: 250 * time.Millisecond,
 		MaxBackoff:  5 * time.Second,
+		Multiplier:  2,
+	}, classifyCallErr)
+	p.fnLaunchRetry = retry.New(cfg.Clock, retry.Policy{
+		MaxAttempts: 3,
+		BaseBackoff: 100 * time.Millisecond,
+		MaxBackoff:  200 * time.Millisecond,
 		Multiplier:  2,
 	}, classifyCallErr)
 

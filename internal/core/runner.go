@@ -8,6 +8,7 @@ import (
 
 	"gowren/internal/cos"
 	"gowren/internal/faas"
+	"gowren/internal/retry"
 	"gowren/internal/runtime"
 	"gowren/internal/wire"
 )
@@ -111,6 +112,14 @@ func (p *Platform) runnerHandler() faas.Handler {
 			// surface the failure at the platform level instead.
 			return nil, fmt.Errorf("core: runner commit status: %w", err)
 		}
+		if payload.FanIn != nil {
+			// The call is committed either way; a failure here only shows
+			// in the activation record, and the driver's backstop launches
+			// what this call could not.
+			if err := p.closeFanIn(ctx, &payload); err != nil {
+				return nil, err
+			}
+		}
 		return statusBody, nil
 	}
 }
@@ -165,27 +174,19 @@ func (p *Platform) dispatch(ctx *runtime.Ctx, payload *wire.CallPayload) (any, e
 	}
 }
 
-// awaitMapPartials blocks (within the function's deadline) until every map
-// call feeding this reducer has committed a status, then fetches their
-// values. This is the paper's §4.3 semantics: "The reduce function will
-// wait for all the partial results before processing them."
+// awaitMapPartials fetches the value of every map call feeding this
+// reducer. Launched by its group's fan-in it finds them all committed; an
+// activation started earlier falls into the paper's §4.3 semantics at the
+// first missing status: "The reduce function will wait for all the partial
+// results before processing them."
 func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]json.RawMessage, error) {
-	// A per-activation coordinator keeps the reducer's status polling
-	// incremental too: each poll re-lists only keys past its done-frontier
-	// instead of the whole prefix. (No cross-activation sharing — separate
-	// containers do not share client state.)
-	sweeps := newSweepCoordinator(ctx.Storage(), ctx.Clock(), false)
-	ns := nsKey{bucket: spec.MetaBucket, execID: spec.ExecutorID}
-	if err := sweeps.awaitStatuses(ns, spec.MapCallIDs, nil, nil, 100*time.Millisecond, ctx.Deadline()); err != nil {
-		if errors.Is(err, ErrWaitTimeout) {
-			return nil, fmt.Errorf("core: reduce waiting for %d map results: %w", len(spec.MapCallIDs), runtime.ErrDeadlineExceeded)
-		}
-		return nil, fmt.Errorf("core: reduce status sweep: %w", err)
+	inputs := &inputBarrier{
+		p: p, ctx: ctx, who: "reduce", inputs: spec.MapCallIDs,
+		ns: nsKey{bucket: spec.MetaBucket, execID: spec.ExecutorID},
 	}
-
 	partials := make([]json.RawMessage, len(spec.MapCallIDs))
 	for i, callID := range spec.MapCallIDs {
-		statusBody, err := p.getRetry(ctx, spec.MetaBucket, statusKey(spec.ExecutorID, callID))
+		statusBody, err := inputs.get(spec.MetaBucket, statusKey(spec.ExecutorID, callID))
 		if err != nil {
 			return nil, fmt.Errorf("core: reduce fetch map status %s: %w", callID, err)
 		}
@@ -242,7 +243,7 @@ func (p *Platform) invokerHandler() faas.Handler {
 
 		fired := 0
 		for _, target := range payload.Invoker.Targets {
-			if err := p.invokeFromCloud(ctx, target); err != nil {
+			if _, err := p.invokeFromCloud(ctx, target, p.fnInvokeRetry); err != nil {
 				return nil, fmt.Errorf("core: invoker target %s/%s: %w", target.Payload.Bucket, target.Payload.Key, err)
 			}
 			fired++
@@ -263,23 +264,25 @@ func (p *Platform) invokerHandler() faas.Handler {
 }
 
 // invokeFromCloud fires one invocation over the in-cloud link with
-// throttle/failure retries backed by the shared policy, admitted as the
-// target's tenant.
-func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, target wire.SpawnTarget) error {
+// throttle/failure retries under the given policy, admitted as the target's
+// tenant, and returns its activation ID.
+func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, target wire.SpawnTarget, retries *retry.Retrier) (string, error) {
 	params := wire.MustMarshal(target.Payload)
-	err := p.fnInvokeRetry.Do(func() error {
+	var id string
+	err := retries.Do(func() error {
 		d, failed := p.cloudLink.RequestCost(approxInvokeBytes)
 		ctx.Clock().Sleep(d)
 		if failed {
 			return cos.ErrRequestFailed
 		}
-		_, err := p.controller.InvokeTenant(target.Tenant, target.Action, params)
+		var err error
+		id, err = p.controller.InvokeTenant(target.Tenant, target.Action, params)
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("core: in-cloud invocation failed: %w", err)
+		return "", fmt.Errorf("core: in-cloud invocation failed: %w", err)
 	}
-	return nil
+	return id, nil
 }
 
 // getRetry reads an object through the function's storage view with

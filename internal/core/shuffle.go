@@ -93,10 +93,6 @@ func (e *Executor) MapReduceShuffle(mapFn string, src DataSource, reduceFn strin
 			MetaBucket: meta,
 		}
 	}
-	if _, err := e.launch(mapPayloads, false); err != nil {
-		return nil, fmt.Errorf("core: shuffle map phase: %w", err)
-	}
-
 	reduceIDs := e.reserveCallIDs(r)
 	reducePayloads := make([]*wire.CallPayload, r)
 	for i := 0; i < r; i++ {
@@ -115,9 +111,13 @@ func (e *Executor) MapReduceShuffle(mapFn string, src DataSource, reduceFn strin
 			MetaBucket: meta,
 		}
 	}
-	futures, err := e.runJob(reducePayloads)
+
+	// One barrier over the whole map phase: the reducers are staged, the maps
+	// launched untracked, and the map that commits the phase's last status
+	// starts all R reducers (fanin.go).
+	futures, err := e.launchBehind([]stageGate{{inputs: mapPayloads, targets: reducePayloads}})
 	if err != nil {
-		return nil, fmt.Errorf("core: shuffle reduce phase: %w", err)
+		return nil, fmt.Errorf("core: map_reduce_shuffle: %w", err)
 	}
 	return futures, nil
 }
@@ -250,29 +250,33 @@ const (
 )
 
 // fetchShufflePartition fetches this reducer's partition of one map call
-// over the job's exchange transport. Fast-tier misses fall through to
-// shuffleFallback; the COS baseline reads the shuffle object directly.
-func (p *Platform) fetchShufflePartition(ctx *runtime.Ctx, payload *wire.CallPayload, mapID string) ([]byte, error) {
+// over the job's exchange transport. The COS baseline reads the shuffle
+// object directly; a fast-tier miss falls through to shuffleFallback. Either
+// way a miss before inputs passed may only mean this activation started
+// before the map committed, so it waits out the stage and asks once more.
+func (p *Platform) fetchShufflePartition(ctx *runtime.Ctx, payload *wire.CallPayload, mapID string, inputs *inputBarrier) ([]byte, error) {
 	spec := payload.Shuffle
 	key := wire.ShuffleKey(payload.ExecutorID, mapID, spec.Reducer)
+	var tier func() ([]byte, error)
 	switch spec.Exchange {
 	case wire.ExchangeMemory:
-		body, err := p.tierGet(ctx, func() ([]byte, error) { return p.exchange.Cache.Get(key) })
-		if err == nil {
-			return body, nil
-		}
-		return p.shuffleFallback(ctx, payload, mapID, key, err)
+		tier = func() ([]byte, error) { return p.exchange.Cache.Get(key) }
 	case wire.ExchangeDirect:
-		body, err := p.tierGet(ctx, func() ([]byte, error) {
-			return p.exchange.Peers.Pull(payload.ExecutorID, mapID, spec.Reducer)
-		})
-		if err == nil {
-			return body, nil
-		}
-		return p.shuffleFallback(ctx, payload, mapID, key, err)
+		tier = func() ([]byte, error) { return p.exchange.Peers.Pull(payload.ExecutorID, mapID, spec.Reducer) }
 	default: // wire.ExchangeCOS
-		return p.getRetry(ctx, payload.MetaBucket, key)
+		return inputs.get(payload.MetaBucket, key)
 	}
+	body, err := p.tierGet(ctx, tier)
+	if err != nil && !inputs.passed {
+		if err := inputs.await(); err != nil {
+			return nil, err
+		}
+		body, err = p.tierGet(ctx, tier)
+	}
+	if err != nil {
+		return p.shuffleFallback(ctx, payload, mapID, key, err)
+	}
+	return body, nil
 }
 
 // tierGet runs one fast-tier read, absorbing up to shuffleTierRetries
@@ -370,10 +374,10 @@ func (p *Platform) recomputeShufflePartition(ctx *runtime.Ctx, payload *wire.Cal
 	return wire.Marshal(bucket)
 }
 
-// runShuffleReduce executes the reduce side: wait for every map call,
-// fetch this reducer's shuffle partition from each over the job's exchange
-// transport, group by key, and call the per-key reduce function over
-// sorted keys.
+// runShuffleReduce executes the reduce side: fetch this reducer's shuffle
+// partition of every map call over the job's exchange transport (waiting
+// for the map phase only if it started before the phase committed), group by
+// key, and call the per-key reduce function over sorted keys.
 func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload) (any, error) {
 	fn, err := ctx.Image().KVReduce(payload.Function)
 	if err != nil {
@@ -382,22 +386,17 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 	spec := payload.Shuffle
 
 	// The shuffle partitions are staged before the map status commits, so
-	// awaiting statuses (same mechanism as plain reducers) is sufficient
-	// on every transport. The per-activation coordinator keeps the polling
-	// incremental: each LIST resumes at the reducer's done-frontier.
-	sweeps := newSweepCoordinator(ctx.Storage(), ctx.Clock(), false)
-	ns := nsKey{bucket: payload.MetaBucket, execID: payload.ExecutorID}
-	if err := sweeps.awaitStatuses(ns, spec.MapCallIDs, nil, nil, 100*time.Millisecond, ctx.Deadline()); err != nil {
-		if errors.Is(err, ErrWaitTimeout) {
-			return nil, fmt.Errorf("core: shuffle reduce waiting for %d map calls: %w", len(spec.MapCallIDs), runtime.ErrDeadlineExceeded)
-		}
-		return nil, fmt.Errorf("core: shuffle reduce status sweep: %w", err)
+	// the map statuses (same mechanism as plain reducers) are the barrier on
+	// every transport — taken only if a partition turns out to be missing.
+	inputs := &inputBarrier{
+		p: p, ctx: ctx, who: "shuffle reduce", inputs: spec.MapCallIDs,
+		ns: nsKey{bucket: payload.MetaBucket, execID: payload.ExecutorID},
 	}
 
 	readStart := ctx.Clock().Now()
 	groups := make(map[string][]json.RawMessage)
 	for _, mapID := range spec.MapCallIDs {
-		body, err := p.fetchShufflePartition(ctx, payload, mapID)
+		body, err := p.fetchShufflePartition(ctx, payload, mapID, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("core: shuffle reduce fetch partition of %s: %w", mapID, err)
 		}

@@ -51,11 +51,17 @@ func registerShuffleFunctions(t *testing.T, img *runtime.Image) {
 // and a word corpus in storage.
 func newShuffleEnv(t *testing.T) (*env, map[string]int) {
 	t.Helper()
+	return newShuffleEnvWith(t, nil)
+}
+
+// newShuffleEnvWith is newShuffleEnv plus a platform hook.
+func newShuffleEnvWith(t *testing.T, mutate func(*PlatformConfig)) (*env, map[string]int) {
+	t.Helper()
 	clkEnvBuilt := false
 	var e *env
 	// newEnv publishes the image before we can add functions; rebuild the
 	// registration inside the image constructor instead.
-	e = newEnvWith(t, func(img *runtime.Image) {
+	e = newEnvFull(t, mutate, func(img *runtime.Image) {
 		registerShuffleFunctions(t, img)
 		clkEnvBuilt = true
 	})

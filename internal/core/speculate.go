@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"time"
 )
 
@@ -69,10 +70,15 @@ func (e *Executor) GetResultSpeculative(opts GetResultOptions, spec SpeculationO
 		if e.clock.Now().Before(stragglerDeadline) {
 			return
 		}
-		// Stragglers just respawned by recovery this tick (or out of the
-		// shared budget) are filtered by the ledger, so one flaky call
+		// A call still waiting behind a fan-in whose inputs have not all
+		// committed is not a straggler — a copy of it could only sit and
+		// wait. Stragglers just respawned by recovery this tick (or out of
+		// the shared budget) are filtered by the ledger, so one flaky call
 		// never gets two copies in one tick.
-		stragglers := e.respawns.reserve(pend.futures(), respawnLimit(rec.opts))
+		candidates := slices.DeleteFunc(pend.futures(), func(f *Future) bool {
+			return f.gate != nil && !f.gate.inputsCommitted(e)
+		})
+		stragglers := e.respawns.reserve(candidates, respawnLimit(rec.opts))
 		if len(stragglers) == 0 {
 			speculated = true
 			return

@@ -239,6 +239,30 @@ func harvest[T any](c *sweepCoordinator, ns nsKey, seen *uint64, pending []T, ca
 	return done, kept
 }
 
+// firstUncommitted returns the lowest call sequence in [from, end) whose
+// status the done-set does not hold, or end when it holds them all. A caller
+// that keeps the result as its next from pays O(newly committed) over a whole
+// job rather than O(range) per look.
+func (c *sweepCoordinator) firstUncommitted(ns nsKey, from, end int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.states[ns]
+	if !ok {
+		return from
+	}
+	for from < end {
+		switch {
+		case from < s.nextSeq:
+			from = min(s.nextSeq, end)
+		case s.ahead[from], len(s.odd) > 0 && s.odd[callIDForSeq(from)]:
+			from++
+		default:
+			return from
+		}
+	}
+	return from
+}
+
 // forget withdraws callID from ns's done-set — called when a respawn
 // deletes the stale status object so the next sweep re-observes the call.
 // Forgetting a call below the frontier rolls the frontier back to it; the

@@ -28,6 +28,7 @@ const (
 	KindActEnd    = "act-end"    // handler finished
 	KindCrash     = "crash"      // injected container crash
 	KindExchange  = "exchange"   // shuffle-intermediate exchange op (fast tier or fallback)
+	KindFanIn     = "fan-in"     // a stage barrier fired (or its launch was rescued, or degraded)
 )
 
 // Event is one recorded occurrence.

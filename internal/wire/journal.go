@@ -61,6 +61,11 @@ type JournalRecord struct {
 	// Tracked marks launch records whose futures the driver holds (Map and
 	// friends), as opposed to untracked helper calls (remote invokers).
 	Tracked bool `json:"tracked,omitempty"`
+	// FanIns, on a launch record, marks Calls as staged but not invoked: each
+	// is a target of one of these stage barriers and starts when the
+	// barrier's call range has committed. A resuming driver rebuilds its
+	// launch backstop from them.
+	FanIns []FanIn `json:"fanIns,omitempty"`
 	// OldCallIDs lists the dead-lettered calls a replay record supersedes;
 	// index-aligned with Calls, which carries the replacement IDs.
 	OldCallIDs []string `json:"oldCallIds,omitempty"`

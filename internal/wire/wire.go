@@ -184,6 +184,57 @@ type InvokerSpec struct {
 	Targets []SpawnTarget `json:"targets"`
 }
 
+// FanIn is a completion-triggered stage barrier, carried by every call of
+// the group it closes: once the calls FirstCallID … FirstCallID+Count-1 have
+// all committed a status, whichever of them notices first claims the group's
+// launch marker with a create-if-absent put and invokes the staged calls
+// FirstTarget … FirstTarget+Targets-1. The downstream stage therefore starts
+// when its inputs exist, and nothing is billed for waiting on them. Both
+// ranges are contiguous zero-padded call IDs in the carrying call's own
+// executor namespace, which keeps the spec a few dozen bytes however wide
+// the stage is.
+type FanIn struct {
+	// FirstCallID and Count bound the group whose statuses gate the launch.
+	FirstCallID string `json:"firstCallId"`
+	Count       int    `json:"count"`
+	// FirstTarget and Targets bound the staged calls that depend on the
+	// whole group.
+	FirstTarget string `json:"firstTarget"`
+	Targets     int    `json:"targets"`
+	// Action and Tenant are what every target is invoked as.
+	Action string `json:"action"`
+	Tenant string `json:"tenant,omitempty"`
+}
+
+func (f *FanIn) validate() error {
+	switch {
+	case f.FirstCallID == "" || f.Count < 1:
+		return fmt.Errorf("wire: fan-in spec with an empty call range")
+	case f.FirstTarget == "" || f.Targets < 1:
+		return fmt.Errorf("wire: fan-in spec without targets")
+	case f.Action == "":
+		return fmt.Errorf("wire: fan-in spec without an action to invoke")
+	}
+	return nil
+}
+
+// FanInMarker is the body of a fan-in launch marker. Creating it is the
+// claim (exactly one claimant per generation wins); the winner rewrites it
+// with the activation IDs it launched, so whoever drives the job can probe
+// those activations like any it invoked itself.
+type FanInMarker struct {
+	// By names the claimant: the launching call's activation ID, or
+	// "driver" for the client-side backstop.
+	By string `json:"by"`
+	// Generation counts claims: 1 for the first, +1 for every takeover of a
+	// marker whose launch never happened.
+	Generation int   `json:"generation"`
+	AtUnixNs   int64 `json:"atUnixNs"`
+	// ActivationIDs are indexed like the spec's target range; "" marks a
+	// target this claimant did not (or could not) launch.
+	ActivationIDs []string `json:"activationIds,omitempty"`
+}
+
 // CallPayload is the unit staged in storage per invocation: which function
 // to run, in which runtime, on what input. It corresponds to the
 // "Serialize + Put in COS" step of the paper's Fig. 1.
@@ -198,6 +249,11 @@ type CallPayload struct {
 	Reduce     *ReduceSpec     `json:"reduce,omitempty"`
 	Invoker    *InvokerSpec    `json:"invoker,omitempty"`
 	Shuffle    *ShuffleSpec    `json:"shuffle,omitempty"`
+	// FanIn, when set, makes this call one input of a stage barrier: after
+	// committing its status the runner checks the group and, if it is the
+	// one that completes it, launches the downstream stage. Plain calls
+	// carry none and their payloads are byte-identical to before.
+	FanIn *FanIn `json:"fanIn,omitempty"`
 	// MetaBucket is where the runner writes result and status objects.
 	MetaBucket string `json:"metaBucket"`
 	// Region names the storage region the call is placed in. A runner
@@ -260,6 +316,9 @@ func (p *CallPayload) Validate() error {
 		}
 	default:
 		return fmt.Errorf("wire: unknown call kind %d", int(p.Kind))
+	}
+	if p.FanIn != nil {
+		return p.FanIn.validate()
 	}
 	return nil
 }

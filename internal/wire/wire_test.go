@@ -229,3 +229,73 @@ func TestNewKindStrings(t *testing.T) {
 		t.Fatal("shuffle kind strings wrong")
 	}
 }
+
+func fanInPayload() CallPayload {
+	return CallPayload{
+		ExecutorID: "exec-1", CallID: "00003", Runtime: "default", Function: "tone",
+		Kind:       KindMapPartition,
+		Partition:  &Partition{Bucket: "b", Key: "k", Length: -1},
+		MetaBucket: "gowren-meta",
+		FanIn: &FanIn{
+			FirstCallID: "00000", Count: 14,
+			FirstTarget: "00468", Targets: 1,
+			Action: "gowren-runner--default", Tenant: "acme",
+		},
+	}
+}
+
+func TestFanInRoundTrip(t *testing.T) {
+	in := fanInPayload()
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := Marshal(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out CallPayload
+	if err := Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in.FanIn, out.FanIn)
+	}
+}
+
+func TestFanInValidate(t *testing.T) {
+	tests := []struct {
+		name    string
+		mutate  func(*FanIn)
+		wantErr string
+	}{
+		{"no first call", func(f *FanIn) { f.FirstCallID = "" }, "empty call range"},
+		{"zero count", func(f *FanIn) { f.Count = 0 }, "empty call range"},
+		{"no first target", func(f *FanIn) { f.FirstTarget = "" }, "without targets"},
+		{"zero targets", func(f *FanIn) { f.Targets = 0 }, "without targets"},
+		{"no action", func(f *FanIn) { f.Action = "" }, "without an action"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			p := fanInPayload()
+			tt.mutate(p.FanIn)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("error = %v, want containing %q", err, tt.wantErr)
+			}
+		})
+	}
+}
+
+// TestPlainPayloadBytesUnchanged pins the serialized form of a plain Map
+// payload: calls that close no stage barrier carry no trace of the fan-in
+// field, so their staged objects (and every byte count downstream) are what
+// they were before it existed.
+func TestPlainPayloadBytesUnchanged(t *testing.T) {
+	p := CallPayload{
+		ExecutorID: "exec-000001", CallID: "00000", Runtime: "gowren-default:1", Function: "add7",
+		Kind: KindPlain, Arg: json.RawMessage(`3`), MetaBucket: "gowren-meta",
+	}
+	const want = `{"executorId":"exec-000001","callId":"00000","runtime":"gowren-default:1","function":"add7","kind":1,"arg":3,"metaBucket":"gowren-meta"}`
+	if got := string(MustMarshal(&p)); got != want {
+		t.Fatalf("plain payload =\n%s\nwant\n%s", got, want)
+	}
+}
