@@ -5,6 +5,7 @@ package gowren_test
 // virtual time, and recovery from failure storms.
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -58,8 +59,52 @@ func TestIntegrationHTTPStorageClient(t *testing.T) {
 		if stats.Payloads != 3 || stats.Statuses != 3 {
 			t.Errorf("stats over HTTP = %+v", stats)
 		}
+		// Journaling is on over a socket: the job left a manifest and its
+		// driver holds the epoch-1 lease, taken by a conditional PUT.
+		jobs, err := cloud.ListJobs()
+		if err != nil || len(jobs) != 1 || jobs[0].JobID != exec.JobID() || jobs[0].LeaseEpoch != 1 {
+			t.Errorf("jobs journaled over HTTP = %+v (err %v), want %s at lease epoch 1", jobs, err, exec.JobID())
+		}
 		if err := exec.Clean(); err != nil {
 			t.Errorf("clean over HTTP: %v", err)
+		}
+	})
+}
+
+// TestIntegrationHTTPAttachFencesFirstDriver: fencing works across a socket.
+// A second driver attaching through the HTTP client takes the lease over
+// with a conditional PUT, and the first driver's next mutation — its renewal
+// now answered 412 — is refused.
+func TestIntegrationHTTPAttachFencesFirstDriver(t *testing.T) {
+	cloud := newCloud(t, gowren.SimConfig{RealTime: true})
+	srv := httptest.NewServer(cos.Handler(cloud.Store()))
+	defer srv.Close()
+	overHTTP := []gowren.ExecutorOption{
+		gowren.WithStorage(cos.NewHTTPClient(srv.URL, srv.Client())),
+		gowren.WithPollInterval(2 * time.Millisecond),
+	}
+	cloud.Run(func() {
+		driver1, err := cloud.Executor(overHTTP...)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		futs, err := driver1.Map("my_function", 1, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		driver2, err := cloud.Attach(driver1.JobID(), overHTTP...)
+		if err != nil {
+			t.Errorf("attach over HTTP: %v", err)
+			return
+		}
+		if err := driver1.Respawn(futs[:1]); !errors.Is(err, gowren.ErrFenced) {
+			t.Errorf("first driver's respawn err = %v, want ErrFenced", err)
+		}
+		results, err := gowren.Results[int](driver2)
+		if err != nil || len(results) != 2 || results[0] != 8 || results[1] != 9 {
+			t.Errorf("results through the attached driver = %v (err %v), want [8 9]", results, err)
 		}
 	})
 }

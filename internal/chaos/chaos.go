@@ -9,8 +9,8 @@
 //
 // A Plan is a list of Fault windows anchored at the moment the plan is
 // created (the simulation epoch). The platform consults the plan through
-// narrow probes: storage wrappers ask StorageFailure per request, the FaaS
-// controller asks ControllerDown per invocation and ExecFactor per
+// narrow probes: the storage request path asks StorageFailure per request,
+// the FaaS controller asks ControllerDown per invocation and ExecFactor per
 // activation. A nil *Plan is inert everywhere, so wiring is unconditional.
 package chaos
 
@@ -190,118 +190,14 @@ func (p *Plan) ExecFactor() float64 {
 	return f.Factor
 }
 
-// Storage wraps a cos.Client with the plan's COS-brownout windows: while a
+// WrapStorage returns inner behind the plan's COS-brownout windows: while a
 // window is active, requests fail with cos.ErrRequestFailed at the window's
-// probability before reaching the inner client. Layer it *under* retrying
-// wrappers so retries observe the brownout like real SDKs would.
-type Storage struct {
-	inner cos.Client
-	plan  *Plan
-}
-
-var _ cos.Client = (*Storage)(nil)
-
-// WrapStorage returns inner guarded by plan. A nil plan returns inner
-// unchanged.
+// probability before reaching inner — the fault stage of a cos.Stack, which
+// runs under the retry stage so retries observe the brownout like real SDKs
+// would. A nil plan returns inner unchanged.
 func WrapStorage(inner cos.Client, plan *Plan) cos.Client {
 	if plan == nil {
 		return inner
 	}
-	return &Storage{inner: inner, plan: plan}
-}
-
-func (s *Storage) guard() error {
-	if s.plan.StorageFailure() {
-		return cos.ErrRequestFailed
-	}
-	return nil
-}
-
-// CreateBucket implements cos.Client.
-func (s *Storage) CreateBucket(bucket string) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.inner.CreateBucket(bucket)
-}
-
-// DeleteBucket implements cos.Client.
-func (s *Storage) DeleteBucket(bucket string) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.inner.DeleteBucket(bucket)
-}
-
-// BucketExists implements cos.Client.
-func (s *Storage) BucketExists(bucket string) (bool, error) {
-	if err := s.guard(); err != nil {
-		return false, err
-	}
-	return s.inner.BucketExists(bucket)
-}
-
-// Put implements cos.Client.
-func (s *Storage) Put(bucket, key string, data []byte) (cos.ObjectMeta, error) {
-	if err := s.guard(); err != nil {
-		return cos.ObjectMeta{}, err
-	}
-	return s.inner.Put(bucket, key, data)
-}
-
-// PutIf implements cos.Conditional: the fault guard fires before the inner
-// compare-and-swap, so an injected failure never half-commits a lease write.
-func (s *Storage) PutIf(bucket, key string, data []byte, ifMatch string) (cos.ObjectMeta, error) {
-	if err := s.guard(); err != nil {
-		return cos.ObjectMeta{}, err
-	}
-	return cos.PutIf(s.inner, bucket, key, data, ifMatch)
-}
-
-// Get implements cos.Client.
-func (s *Storage) Get(bucket, key string) ([]byte, cos.ObjectMeta, error) {
-	if err := s.guard(); err != nil {
-		return nil, cos.ObjectMeta{}, err
-	}
-	return s.inner.Get(bucket, key)
-}
-
-// GetRange implements cos.Client.
-func (s *Storage) GetRange(bucket, key string, offset, length int64) ([]byte, cos.ObjectMeta, error) {
-	if err := s.guard(); err != nil {
-		return nil, cos.ObjectMeta{}, err
-	}
-	return s.inner.GetRange(bucket, key, offset, length)
-}
-
-// Head implements cos.Client.
-func (s *Storage) Head(bucket, key string) (cos.ObjectMeta, error) {
-	if err := s.guard(); err != nil {
-		return cos.ObjectMeta{}, err
-	}
-	return s.inner.Head(bucket, key)
-}
-
-// List implements cos.Client.
-func (s *Storage) List(bucket, prefix, marker string, maxKeys int) (cos.ListResult, error) {
-	if err := s.guard(); err != nil {
-		return cos.ListResult{}, err
-	}
-	return s.inner.List(bucket, prefix, marker, maxKeys)
-}
-
-// ListBuckets implements cos.Client.
-func (s *Storage) ListBuckets() ([]string, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.inner.ListBuckets()
-}
-
-// Delete implements cos.Client.
-func (s *Storage) Delete(bucket, key string) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.inner.Delete(bucket, key)
+	return cos.NewFaulty(inner, plan.StorageFailure)
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,4 +133,52 @@ func TestBrownoutEndsWithWindow(t *testing.T) {
 			t.Fatalf("post-window get err = %v", err)
 		}
 	})
+}
+
+// TestBrownoutUnderConcurrentCallers: the plan's failure draw runs inside
+// the storage request path, which every task of a simulation shares. Under
+// -race this is the check that the draw and the path's counters can be; the
+// ledger must close either way — every request counted, and the store
+// reached by exactly those the brownout let through.
+func TestBrownoutUnderConcurrentCallers(t *testing.T) {
+	const tasks, each = 8, 50
+	clk := vclock.NewVirtual()
+	store := cos.NewStore()
+	if err := store.CreateBucket("b"); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		client *cos.Stack
+		failed atomic.Int64
+	)
+	clk.Run(func() {
+		plan, err := NewPlan(clk, 1, []Fault{
+			{Kind: COSBrownout, Start: 0, End: time.Minute, Probability: 0.5},
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		client = cos.NewCounting(WrapStorage(store, plan))
+		for i := 0; i < tasks; i++ {
+			clk.Go(func() {
+				for j := 0; j < each; j++ {
+					if _, err := client.Put("b", "k", []byte("v")); errors.Is(err, cos.ErrRequestFailed) {
+						failed.Add(1)
+					} else if err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+	})
+	if got := client.Counts().PutOps; got != tasks*each {
+		t.Errorf("counted %d puts, want %d", got, tasks*each)
+	}
+	if got, want := store.Stats().PutOps, tasks*each-failed.Load(); got != want {
+		t.Errorf("store served %d puts, want %d (%d failed in the brownout)", got, want, failed.Load())
+	}
+	if f := failed.Load(); f == 0 || f == tasks*each {
+		t.Errorf("%d of %d requests failed under a 0.5 brownout", f, tasks*each)
+	}
 }

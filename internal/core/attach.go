@@ -23,9 +23,7 @@ import (
 
 // AttachExecutor rebuilds the executor for jobID from its durable state.
 // cfg supplies the platform, storage stack, and tuning knobs exactly as for
-// NewExecutor; the runtime image is overridden from the job manifest. The
-// storage stack must support conditional puts (cos.Conditional) — fencing
-// is not optional on the resume path.
+// NewExecutor; the runtime image is overridden from the job manifest.
 func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	e, err := NewExecutor(cfg)
 	if err != nil {
@@ -151,14 +149,12 @@ func (e *Executor) takeOverLease() error {
 	var lm cos.ObjectMeta
 	err = e.storageRetry.Do(func() error {
 		var err error
-		lm, err = cos.PutIf(e.cfg.Storage, meta, leaseKey(e.id), wire.MustMarshal(lease), curETag)
+		lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), curETag)
 		return err
 	})
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		return fmt.Errorf("core: attach %s: another driver took the lease: %w", e.id, ErrFenced)
-	case errors.Is(err, cos.ErrConditionalUnsupported):
-		return fmt.Errorf("core: attach %s: storage cannot fence drivers: %w", e.id, err)
 	case err != nil:
 		return fmt.Errorf("core: attach %s: take over lease: %w", e.id, err)
 	}

@@ -33,8 +33,8 @@ var execCounter atomic.Uint64
 type Config struct {
 	// Platform is the simulated cloud to run on. Required.
 	Platform *Platform
-	// Storage is this executor's view of object storage (typically a
-	// cos.Linked over the client's network profile). Required.
+	// Storage is this executor's view of object storage (typically
+	// cos.NewLinked over the client's network profile). Required.
 	Storage cos.Client
 	// ControlLink models the network path to the invocation API. Nil
 	// means free (used by unit tests).
@@ -170,8 +170,8 @@ type Executor struct {
 	// (see sweep.go).
 	sweeps *sweepCoordinator
 	// ops counts this executor's storage requests on the wire (below the
-	// retry layer), exposed through StorageOps.
-	ops *cos.Counting
+	// retry stage), exposed through StorageOps.
+	ops *cos.Stack
 	// doneTracked counts tracked futures that have transitioned to done,
 	// making progress reporting O(1) per poll.
 	doneTracked atomic.Int64
@@ -239,7 +239,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	// Count requests as they hit the wire, then give every storage access
 	// SDK-style transient-failure retries, so one lost request cannot fail
 	// data discovery or a status sweep. The counter sits below the retry
-	// layer so StorageOps reports attempts, not logical operations.
+	// stage so StorageOps reports attempts, not logical operations.
 	counting := cos.NewCounting(cfg.Storage)
 	cfg.Storage = cos.NewRetrying(counting, clk, 4, 150*time.Millisecond)
 

@@ -32,8 +32,8 @@ func (e *Executor) Clean() error {
 		}
 	}
 	// The lease and the manifest are single keys outside the per-kind
-	// prefixes; jobs that never journaled (disabled, or storage without
-	// conditional put) have neither.
+	// prefixes; jobs that never journaled (Config.DisableJournal) have
+	// neither.
 	for _, key := range []string{leaseKey(e.id), manifestKey(e.id)} {
 		if err := e.cfg.Storage.Delete(meta, key); err != nil && !errors.Is(err, cos.ErrNoSuchKey) {
 			return fmt.Errorf("core: clean %s: %w", e.id, err)

@@ -237,18 +237,12 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error
 	key := gate.marker()
 	marker := wire.FanInMarker{By: ctx.ActivationID(), Generation: 1, AtUnixNs: ctx.Clock().Now().UnixNano()}
 	err = p.fnStorageRetry.Do(func() error {
-		_, err := cos.PutIf(ctx.Storage(), gate.bucket, key, wire.MustMarshal(&marker), "")
+		_, err := ctx.Storage().PutIf(gate.bucket, key, wire.MustMarshal(&marker), "")
 		return err
 	})
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		return nil // a sibling that finished with us holds the claim
-	case errors.Is(err, cos.ErrConditionalUnsupported):
-		// No compare-and-swap on this storage stack: launch anyway. Every
-		// finisher that sees the group complete does, which is safe — a
-		// reducer's commit is idempotent by key — but never silent.
-		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(),
-			"marker=%s no conditional put: launching at-least-once", key)
 	case err != nil:
 		return fmt.Errorf("core: fan-in claim %s: %w", key, err)
 	}
@@ -394,14 +388,10 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 	}
 	copy(next.ActivationIDs, cur.ActivationIDs)
 	err = e.storageRetry.Do(func() error {
-		_, err := cos.PutIf(e.cfg.Storage, meta, key, wire.MustMarshal(&next), etag)
+		_, err := e.cfg.Storage.PutIf(meta, key, wire.MustMarshal(&next), etag)
 		return err
 	})
-	tr := e.cfg.Platform.trace
-	switch {
-	case errors.Is(err, cos.ErrConditionalUnsupported):
-		tr.Emitf(now, trace.KindFanIn, e.id, "marker=%s no conditional put: driver launching at-least-once", key)
-	case err != nil:
+	if err != nil {
 		return // lost the claim to another driver, or storage trouble
 	}
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(missing), func(k int) error {
@@ -417,7 +407,7 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 	})
 	pend.probe = true
 	putErr := e.putWithRetry(meta, key, wire.MustMarshal(&next))
-	if tr != nil {
+	if tr := e.cfg.Platform.trace; tr != nil {
 		tr.Emitf(e.clock.Now(), trace.KindFanIn, e.id, "marker=%s generation=%d driver launched=%s err=%v",
 			key, next.Generation, strings.Join(next.ActivationIDs, ","), errors.Join(firstErr(errs), putErr))
 	}

@@ -24,7 +24,7 @@ import (
 // budget is read off the counter, launches off the activation log.
 type fanInEnv struct {
 	*env
-	fn    *cos.Counting // what runners and reducers asked of storage
+	fn    *cos.Stack // what runners and reducers asked of storage
 	tr    *trace.Recorder
 	epoch time.Time // the clock at construction
 }
@@ -433,35 +433,6 @@ func TestFanInBackstopAfterLauncherKilled(t *testing.T) {
 	}
 	if got := fe.fanInEvents("launcher killed"); got != objects {
 		t.Errorf("killed launchers = %d, want %d", got, objects)
-	}
-}
-
-// noCAS hides the conditional-put capability of the stack it wraps.
-type noCAS struct{ cos.Client }
-
-// TestFanInWithoutConditionalPutLaunchesLoudly: on a function-side storage
-// stack without compare-and-swap the last finisher launches anyway
-// (at-least-once) and says so in the trace.
-func TestFanInWithoutConditionalPutLaunchesLoudly(t *testing.T) {
-	fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.Backend = noCAS{cfg.Backend} })
-	fe.seedObjects(t, "cities", 2, 300)
-	exec := fe.executor(t, nil)
-	fe.clk.Run(func() {
-		if _, err := exec.MapReduce("stagger", Buckets{"cities"}, "sum", MapReduceOptions{ChunkBytes: 100}); err != nil {
-			t.Error(err)
-			return
-		}
-		results, err := exec.GetResult(GetResultOptions{Timeout: time.Hour})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if got := sumTotals(t, results); got != 600 {
-			t.Errorf("reduced total = %d, want 600", got)
-		}
-	})
-	if got := fe.fanInEvents("no conditional put"); got == 0 {
-		t.Error("the degraded launch left no trace event")
 	}
 }
 

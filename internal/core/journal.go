@@ -20,7 +20,7 @@ import (
 // objects alone.
 //
 // The lease is the fencing mechanism: a tiny object written only through
-// conditional puts (cos.Conditional). The driver caches the lease ETag it
+// conditional puts (cos.Client.PutIf). The driver caches the lease ETag it
 // last wrote; every mutation of job state re-asserts ownership by CAS-ing a
 // renewal against that ETag. A resuming driver takes over by CAS-bumping the
 // epoch, which changes the ETag — the old driver's next renewal then fails
@@ -45,8 +45,7 @@ const leaseRenewInterval = 30 * time.Second
 // because executors are driven by a single task at a time.
 type jobJournal struct {
 	mu        sync.Mutex
-	started   bool // manifest written, lease held
-	disabled  bool // Config.DisableJournal, or storage without conditional put
+	started   bool // manifest written, lease held; never with Config.DisableJournal
 	fenced    bool // a conditional renewal failed; a newer driver owns the job
 	epoch     uint64
 	seq       int    // next journal record sequence within this epoch
@@ -56,19 +55,14 @@ type jobJournal struct {
 
 // journalStart lazily writes the job manifest and acquires the epoch-1
 // driver lease, once per executor, before the first launch stages anything.
-// Storage stacks without conditional-put support (e.g. the HTTP transport)
-// switch journaling off permanently instead of failing the job.
 func (e *Executor) journalStart() error {
 	j := &e.journal
 	j.mu.Lock()
-	if e.cfg.DisableJournal {
-		j.disabled = true
-	}
-	if j.started || j.disabled {
-		j.mu.Unlock()
+	started := j.started
+	j.mu.Unlock()
+	if started || e.cfg.DisableJournal {
 		return nil
 	}
-	j.mu.Unlock()
 
 	meta := e.cfg.Platform.MetaBucket()
 	man := wire.JobManifest{
@@ -85,15 +79,10 @@ func (e *Executor) journalStart() error {
 	var lm cos.ObjectMeta
 	err := e.storageRetry.Do(func() error {
 		var err error
-		lm, err = cos.PutIf(e.cfg.Storage, meta, leaseKey(e.id), wire.MustMarshal(lease), "")
+		lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), "")
 		return err
 	})
 	switch {
-	case errors.Is(err, cos.ErrConditionalUnsupported):
-		j.mu.Lock()
-		j.disabled = true
-		j.mu.Unlock()
-		return nil
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		// A lease already exists under this executor's ID — only possible
 		// when an attached driver races the original on a shared ID.
@@ -119,7 +108,7 @@ func (e *Executor) journalStart() error {
 func (e *Executor) renewLease() error {
 	j := &e.journal
 	j.mu.Lock()
-	if !j.started || j.disabled {
+	if !j.started {
 		j.mu.Unlock()
 		return nil
 	}
@@ -136,7 +125,7 @@ func (e *Executor) renewLease() error {
 	var lm cos.ObjectMeta
 	err := e.storageRetry.Do(func() error {
 		var err error
-		lm, err = cos.PutIf(e.cfg.Storage, meta, leaseKey(e.id), wire.MustMarshal(lease), etag)
+		lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), etag)
 		return err
 	})
 	switch {
@@ -165,7 +154,7 @@ func (e *Executor) renewLease() error {
 func (e *Executor) maybeRenewLease() {
 	j := &e.journal
 	j.mu.Lock()
-	due := j.started && !j.disabled && !j.fenced && e.clock.Now().Sub(j.lastRenew) >= leaseRenewInterval
+	due := j.started && !j.fenced && e.clock.Now().Sub(j.lastRenew) >= leaseRenewInterval
 	j.mu.Unlock()
 	if due {
 		_ = e.renewLease() //gowren:allow errsink — advisory on the read path; every mutation re-checks the lease itself
@@ -181,7 +170,7 @@ func (e *Executor) maybeRenewLease() {
 func (e *Executor) appendJournal(kind string, mut func(*wire.JournalRecord)) {
 	j := &e.journal
 	j.mu.Lock()
-	if !j.started || j.disabled || j.fenced {
+	if !j.started || j.fenced {
 		j.mu.Unlock()
 		return
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"gowren/internal/cos"
 	"gowren/internal/runtime"
 	"gowren/internal/wire"
 )
@@ -215,6 +217,16 @@ func TestShuffleCleanRemovesShuffleFiles(t *testing.T) {
 		}
 		if stats.Shuffle != 0 {
 			t.Errorf("shuffle objects after clean = %d", stats.Shuffle)
+		}
+		// The stage's fan-in marker was created by a conditional put from
+		// inside the cloud; it is a key like any other and goes too.
+		marker := fanInKey(exec.ID(), callIDForSeq(3)) // first reducer, behind three maps
+		if _, err := e.store.Head(DefaultMetaBucket, marker); !errors.Is(err, cos.ErrNoSuchKey) {
+			t.Errorf("head %s after clean: err = %v, want ErrNoSuchKey", marker, err)
+		}
+		left, err := cos.ListAll(e.store, DefaultMetaBucket, "jobs/"+exec.ID()+"/")
+		if err != nil || len(left) != 0 {
+			t.Errorf("objects left under the job after clean: %+v (err %v)", left, err)
 		}
 	})
 }

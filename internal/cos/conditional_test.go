@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
-
-	"gowren/internal/vclock"
 )
 
 func TestStorePutIfCreateAndUpdate(t *testing.T) {
@@ -43,81 +40,6 @@ func TestStorePutIfCreateAndUpdate(t *testing.T) {
 	}
 }
 
-func TestPutIfUnsupportedClient(t *testing.T) {
-	// A struct embedding the Client interface promotes only Client's
-	// methods, so the dispatcher must see it as non-conditional even though
-	// the wrapped store supports PutIf.
-	s := NewStore()
-	if err := s.CreateBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	plain := struct{ Client }{s}
-	_, err := PutIf(plain, "b", "k", []byte("v"), "")
-	if !errors.Is(err, ErrConditionalUnsupported) {
-		t.Fatalf("err = %v, want ErrConditionalUnsupported", err)
-	}
-}
-
-func TestCountingPutIfCounts(t *testing.T) {
-	s := NewStore()
-	if err := s.CreateBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCounting(s)
-	if _, err := c.PutIf("b", "k", []byte("abc"), ""); err != nil {
-		t.Fatal(err)
-	}
-	got := c.Counts()
-	if got.PutOps != 1 || got.BytesOut != 3 {
-		t.Fatalf("counts = %+v, want 1 put op, 3 bytes out", got)
-	}
-}
-
-// flakyConditional fails the first failuresLeft PutIf calls with a transient
-// error, then forwards to the store.
-type flakyConditional struct {
-	*flaky
-	store *Store
-}
-
-func (f *flakyConditional) PutIf(bucket, key string, data []byte, ifMatch string) (ObjectMeta, error) {
-	f.calls.Add(1)
-	if f.failuresLeft.Add(-1) >= 0 {
-		return ObjectMeta{}, ErrRequestFailed
-	}
-	return f.store.PutIf(bucket, key, data, ifMatch)
-}
-
-func TestRetryingPutIfRetriesTransientOnly(t *testing.T) {
-	clk := vclock.NewVirtual()
-	store := NewStore()
-	if err := store.CreateBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	fc := &flakyConditional{flaky: &flaky{Client: store}, store: store}
-	fc.failuresLeft.Store(2)
-	r := NewRetrying(fc, clk, 4, 50*time.Millisecond)
-	clk.Run(func() {
-		if _, err := r.PutIf("b", "k", []byte("v"), ""); err != nil {
-			t.Errorf("put-if after retries: %v", err)
-		}
-	})
-	if got := fc.calls.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (two transient failures, then success)", got)
-	}
-	// ErrPreconditionFailed classifies as fatal: exactly one attempt, error
-	// surfaced unchanged.
-	fc.calls.Store(0)
-	clk.Run(func() {
-		if _, err := r.PutIf("b", "k", []byte("v2"), "bogus"); !errors.Is(err, ErrPreconditionFailed) {
-			t.Errorf("err = %v, want ErrPreconditionFailed", err)
-		}
-	})
-	if got := fc.calls.Load(); got != 1 {
-		t.Fatalf("precondition failure retried: %d attempts, want 1", got)
-	}
-}
-
 func TestMultiRegionPutIfFansOutAndFences(t *testing.T) {
 	m, _, _, sa, sb := twoRegions(t)
 	if err := m.CreateBucket("b"); err != nil {
@@ -132,7 +54,7 @@ func TestMultiRegionPutIfFansOutAndFences(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Create through one view: sync mode lands the bytes in both regions.
-	m1, err := PutIf(va, "b", "lease", []byte("epoch1"), "")
+	m1, err := va.PutIf("b", "lease", []byte("epoch1"), "")
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -142,15 +64,15 @@ func TestMultiRegionPutIfFansOutAndFences(t *testing.T) {
 		}
 	}
 	// The losing creator — through the other view — is fenced.
-	if _, err := PutIf(vb, "b", "lease", []byte("rival"), ""); !errors.Is(err, ErrPreconditionFailed) {
+	if _, err := vb.PutIf("b", "lease", []byte("rival"), ""); !errors.Is(err, ErrPreconditionFailed) {
 		t.Fatalf("rival create err = %v, want ErrPreconditionFailed", err)
 	}
 	// A takeover through the other view invalidates the first view's ETag:
 	// exactly the cross-driver fencing sequence the executor lease runs.
-	if _, err := PutIf(vb, "b", "lease", []byte("epoch2"), m1.ETag); err != nil {
+	if _, err := vb.PutIf("b", "lease", []byte("epoch2"), m1.ETag); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
-	if _, err := PutIf(va, "b", "lease", []byte("epoch1-renew"), m1.ETag); !errors.Is(err, ErrPreconditionFailed) {
+	if _, err := va.PutIf("b", "lease", []byte("epoch1-renew"), m1.ETag); !errors.Is(err, ErrPreconditionFailed) {
 		t.Fatalf("stale renewal err = %v, want ErrPreconditionFailed", err)
 	}
 	if got, _, err := m.Get("b", "lease"); err != nil || !bytes.Equal(got, []byte("epoch2")) {

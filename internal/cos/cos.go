@@ -27,6 +27,10 @@ var (
 	ErrBucketNotEmpty = errors.New("cos: bucket not empty")
 	ErrInvalidRange   = errors.New("cos: invalid range")
 	ErrRequestFailed  = errors.New("cos: simulated request failure")
+	// ErrPreconditionFailed reports a conditional put whose expectation did
+	// not hold: the object changed (or appeared) since the caller read it.
+	// It is a terminal outcome, never retried by the SDK-style retry stage.
+	ErrPreconditionFailed = errors.New("cos: precondition failed")
 )
 
 // ObjectMeta describes a stored object.
@@ -60,6 +64,7 @@ type Client interface {
 	BucketExists(bucket string) (bool, error)
 	// Put stores data under bucket/key, overwriting any previous object.
 	Put(bucket, key string, data []byte) (ObjectMeta, error)
+	Conditional
 	// Get returns the full object body.
 	Get(bucket, key string) ([]byte, ObjectMeta, error)
 	// GetRange returns length bytes starting at offset; length < 0 means
@@ -76,6 +81,21 @@ type Client interface {
 	// Delete removes an object; deleting a missing key is not an error,
 	// as in S3/COS.
 	Delete(bucket, key string) error
+}
+
+// Conditional is the compare-and-swap method of Client, named so a wrapper
+// can say it forwards it. Real COS/S3 expose it as If-Match / If-None-Match
+// preconditions on PUT; GoWren uses it for what real systems do — tiny
+// coordination records (the driver lease of the job journal, the fan-in
+// launch markers) where last-writer-wins would let two parties both believe
+// they own a job. Every backend implements it, so journaling and fencing
+// cannot switch off with the transport.
+type Conditional interface {
+	// PutIf stores data under bucket/key only if the current object's ETag
+	// equals ifMatch; an empty ifMatch requires the key to not exist. On a
+	// mismatch it returns ErrPreconditionFailed and leaves the object
+	// untouched.
+	PutIf(bucket, key string, data []byte, ifMatch string) (ObjectMeta, error)
 }
 
 // Generator deterministically produces the content of a synthetic object

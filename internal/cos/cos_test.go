@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-func TestCountingCountsRequestsAndListedObjects(t *testing.T) {
-	store := NewStore()
-	c := NewCounting(store)
-	if err := c.CreateBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := c.Put("b", fmt.Sprintf("k/%05d", i), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := c.Get("b", "k/00000"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Head("b", "k/00001"); err != nil {
-		t.Fatal(err)
-	}
-	listed, err := ListAll(c, "b", "k/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(listed) != 5 {
-		t.Fatalf("listed %d objects, want 5", len(listed))
-	}
-	got := c.Counts()
-	want := OpCounts{PutOps: 5, GetOps: 1, HeadOps: 1, ListOps: 1, BucketOps: 1, ObjectsListed: 5,
-		BytesOut: 5, BytesIn: 1}
-	if got != want {
-		t.Fatalf("counts = %+v, want %+v", got, want)
-	}
-}
-
 func TestListFromResumesAfterMarker(t *testing.T) {
 	store := NewStore()
 	if err := store.CreateBucket("b"); err != nil {

@@ -18,7 +18,10 @@ import (
 //	HEAD   /b/{bucket}              bucket existence
 //	GET    /b/{bucket}?prefix=&marker=&max-keys=   list (JSON ListResult)
 //	DELETE /b/{bucket}              delete bucket
-//	PUT    /b/{bucket}/{key...}     put object (body = content)
+//	PUT    /b/{bucket}/{key...}     put object (body = content); conditional
+//	                                under If-Match: <etag> (replace exactly
+//	                                that version) or If-None-Match: * (create
+//	                                only), 412 when the precondition fails
 //	GET    /b/{bucket}/{key...}     get object; honors Range: bytes=a-b
 //	HEAD   /b/{bucket}/{key...}     object metadata
 //	DELETE /b/{bucket}/{key...}     delete object
@@ -33,12 +36,13 @@ const (
 )
 
 var errToCode = map[string]error{
-	"NoSuchBucket":   ErrNoSuchBucket,
-	"NoSuchKey":      ErrNoSuchKey,
-	"BucketExists":   ErrBucketExists,
-	"BucketNotEmpty": ErrBucketNotEmpty,
-	"InvalidRange":   ErrInvalidRange,
-	"RequestFailed":  ErrRequestFailed,
+	"NoSuchBucket":       ErrNoSuchBucket,
+	"NoSuchKey":          ErrNoSuchKey,
+	"BucketExists":       ErrBucketExists,
+	"BucketNotEmpty":     ErrBucketNotEmpty,
+	"InvalidRange":       ErrInvalidRange,
+	"RequestFailed":      ErrRequestFailed,
+	"PreconditionFailed": ErrPreconditionFailed,
 }
 
 func codeForErr(err error) (string, int) {
@@ -55,6 +59,8 @@ func codeForErr(err error) (string, int) {
 		return "InvalidRange", http.StatusRequestedRangeNotSatisfiable
 	case errors.Is(err, ErrRequestFailed):
 		return "RequestFailed", http.StatusServiceUnavailable
+	case errors.Is(err, ErrPreconditionFailed):
+		return "PreconditionFailed", http.StatusPreconditionFailed
 	default:
 		return "Internal", http.StatusInternalServerError
 	}
@@ -128,7 +134,18 @@ func Handler(store *Store) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		meta, err := store.Put(r.PathValue("bucket"), r.PathValue("key"), body)
+		var meta ObjectMeta
+		switch ifMatch, ifNone := r.Header.Get("If-Match"), r.Header.Get("If-None-Match"); {
+		case ifNone == "*" && ifMatch == "":
+			meta, err = store.PutIf(r.PathValue("bucket"), r.PathValue("key"), body, "")
+		case ifNone != "":
+			http.Error(w, "unsupported precondition: only If-None-Match: * or If-Match", http.StatusBadRequest)
+			return
+		case ifMatch != "":
+			meta, err = store.PutIf(r.PathValue("bucket"), r.PathValue("key"), body, ifMatch)
+		default:
+			meta, err = store.Put(r.PathValue("bucket"), r.PathValue("key"), body)
+		}
 		if err != nil {
 			writeErr(w, err)
 			return

@@ -146,7 +146,21 @@ func (c *HTTPClient) BucketExists(bucket string) (bool, error) {
 
 // Put implements Client.
 func (c *HTTPClient) Put(bucket, key string, data []byte) (ObjectMeta, error) {
-	resp, err := c.do(http.MethodPut, c.objectURL(bucket, key), data, nil)
+	return c.put(bucket, key, data, nil)
+}
+
+// PutIf implements Client: the expectation travels as a PUT precondition and
+// the server's store compares and swaps atomically; a 412 comes back as
+// ErrPreconditionFailed.
+func (c *HTTPClient) PutIf(bucket, key string, data []byte, ifMatch string) (ObjectMeta, error) {
+	if ifMatch == "" {
+		return c.put(bucket, key, data, http.Header{"If-None-Match": []string{"*"}})
+	}
+	return c.put(bucket, key, data, http.Header{"If-Match": []string{ifMatch}})
+}
+
+func (c *HTTPClient) put(bucket, key string, data []byte, precondition http.Header) (ObjectMeta, error) {
+	resp, err := c.do(http.MethodPut, c.objectURL(bucket, key), data, precondition)
 	if err != nil {
 		return ObjectMeta{}, err
 	}

@@ -176,17 +176,22 @@ func TestIndexRandomizedEquivalence(t *testing.T) {
 	}
 	for step := 0; step < 800; step++ {
 		key := universe[rng.Intn(len(universe))]
-		if rng.Intn(3) == 0 {
-			for _, s := range []*Store{indexed, naive} {
-				if err := s.Delete("b", key); err != nil {
-					t.Fatal(err)
-				}
+		op := rng.Intn(4)
+		for _, s := range []*Store{indexed, naive} {
+			var err error
+			switch op {
+			case 0:
+				err = s.Delete("b", key)
+			case 1:
+				// Conditional on the key's current state: a create when it
+				// is absent, a replace of exactly this version otherwise.
+				cur, _ := s.Head("b", key)
+				_, err = s.PutIf("b", key, []byte{byte(step)}, cur.ETag)
+			default:
+				_, err = s.Put("b", key, []byte{byte(step)})
 			}
-		} else {
-			for _, s := range []*Store{indexed, naive} {
-				if _, err := s.Put("b", key, []byte{byte(step)}); err != nil {
-					t.Fatal(err)
-				}
+			if err != nil {
+				t.Fatalf("step %d op %d on %q: %v", step, op, key, err)
 			}
 		}
 		prefix := ""

@@ -29,7 +29,7 @@ import (
 //     preferred one when reachable) durably accepts it; the remaining
 //     regions catch up off the critical path through a bounded in-facade
 //     replication queue drained by per-region workers on the virtual clock
-//     (see putAsync); deletes always replicate synchronously;
+//     (see put); deletes always replicate synchronously;
 //   - reads try the preferred region first and fail over, in region order,
 //     to any region holding the latest version; a read never serves a stale
 //     replica;
@@ -47,13 +47,18 @@ import (
 // facade (e.g. datasets seeded directly into one region's Store) have no
 // version record and are served from the first region that has them.
 type MultiRegion struct {
+	// The facade used directly is its own default view — preferred region
+	// 0, no home region (client-side traffic, never cross-region) — so its
+	// Client methods are the view's and a placement change in the view
+	// logic cannot miss one.
+	regionView
+
 	regions   []RegionBackend
 	failover  bool
 	mode      ReplicationMode
 	clk       vclock.Clock // required in async mode (catch-up workers)
 	qlimit    int          // per-region replication queue bound
 	redeliver int          // attempts per catch-up task before it is dropped
-	root      regionView   // default view: preferred region 0, no home region
 
 	mu       sync.Mutex
 	latest   map[string]objVersion // object key → latest committed version
@@ -266,7 +271,7 @@ func NewMultiRegion(regions []RegionBackend, opts ...MultiRegionOption) (*MultiR
 		m.workers = make([]bool, len(regions))
 		m.redelivering = make([]int, len(regions))
 	}
-	m.root = regionView{m: m, pref: 0, home: -1}
+	m.regionView = regionView{m: m, pref: 0, home: -1}
 	return m, nil
 }
 
@@ -369,19 +374,50 @@ func transientRegionErr(err error) bool {
 // put replicates one write. pref orders the attempts so the preferred
 // region's endpoint is tried first; home attributes cross-region traffic
 // (-1 for client-side views outside any region). In async mode the write
-// acks after the primary region and the rest catch up via the queue.
+// acks after the primary region — the first in failover order that accepts
+// it — and the rest catch up via the queue, so the ack costs one region's
+// round trip instead of all of them; replicas are stale until their catch-up
+// write lands (or, if it is dropped, until read-repair finds them).
 func (m *MultiRegion) put(home, pref int, bucket, key string, data []byte) (ObjectMeta, error) {
-	if m.mode == ReplicationAsync && m.failover {
-		return m.putAsync(home, pref, bucket, key, data)
-	}
+	async := m.mode == ReplicationAsync && m.failover
 	k := objKey(bucket, key)
 	m.mu.Lock()
 	v := m.latest[k].v + 1
 	m.mu.Unlock()
 
+	meta, wrote, err := m.writeRegions("put", home, pref, bucket, key, data, !async)
+	if err != nil {
+		return ObjectMeta{}, err
+	}
+	m.mu.Lock()
+	if v > m.latest[k].v || m.latest[k].deleted {
+		m.latest[k] = objVersion{v: v, etag: meta.ETag}
+	}
+	m.markWrittenLocked(k, v, wrote)
+	m.mu.Unlock()
+	if async {
+		// The task owns the committed bytes, so catch-up succeeds even if
+		// the primary is lost before the queue drains.
+		task := repTask{bucket: bucket, key: key, k: k, v: v, data: data}
+		for i := range m.regions {
+			if i != wrote[0] {
+				m.enqueue(i, task)
+			}
+		}
+	}
+	return meta, nil
+}
+
+// writeRegions is the region fan-out of put and putIf: it writes data to the
+// regions in failover order — every one when all is set, else stopping at
+// the first that accepts — and returns the first acceptor's metadata and the
+// regions written. A region that is unreachable, or that missed the bucket
+// creation (it was down when the facade created it), is a write miss: its
+// replica is simply stale and read-repair or catch-up recreates bucket and
+// object later. Only when no region accepts does the write fail.
+func (m *MultiRegion) writeRegions(op string, home, pref int, bucket, key string, data []byte, all bool) (ObjectMeta, []int, error) {
 	var (
 		meta         ObjectMeta
-		gotMeta      bool
 		lastErr      error
 		sawTransient bool
 		wrote        []int
@@ -393,101 +429,40 @@ func (m *MultiRegion) put(home, pref int, bucket, key string, data []byte) (Obje
 			case transientRegionErr(err):
 				sawTransient = true
 			case errors.Is(err, ErrNoSuchBucket):
-				// This region missed the bucket creation (it was down when
-				// the facade created it); the replica is simply stale and
-				// read-repair recreates bucket and object later.
 			default:
-				return ObjectMeta{}, err
+				return ObjectMeta{}, nil, err
 			}
 			m.stats.WriteMisses.Add(1)
 			lastErr = err
 			continue
 		}
-		if !gotMeta {
-			meta, gotMeta = got, true
+		if len(wrote) == 0 {
+			meta = got
 		}
 		m.countCrossWrite(home, i, len(data))
 		wrote = append(wrote, i)
-	}
-	if !gotMeta {
-		if !sawTransient && lastErr != nil {
-			// Every region agrees the bucket does not exist: a real caller
-			// error, not an outage.
-			return ObjectMeta{}, fmt.Errorf("put %s/%s: %w", bucket, key, lastErr)
+		if !all {
+			break
 		}
-		return ObjectMeta{}, fmt.Errorf("cos: put %s/%s failed in all %d regions: %w", bucket, key, len(m.regions), ErrRequestFailed)
 	}
-	m.mu.Lock()
-	if v > m.latest[k].v || m.latest[k].deleted {
-		m.latest[k] = objVersion{v: v, etag: meta.ETag}
+	switch {
+	case len(wrote) > 0:
+		return meta, wrote, nil
+	case !sawTransient && lastErr != nil:
+		// Every region agrees the bucket does not exist: a real caller
+		// error, not an outage.
+		return ObjectMeta{}, nil, fmt.Errorf("%s %s/%s: %w", op, bucket, key, lastErr)
 	}
+	return ObjectMeta{}, nil, fmt.Errorf("cos: %s %s/%s failed in all %d regions: %w", op, bucket, key, len(m.regions), ErrRequestFailed)
+}
+
+// markWrittenLocked records that the regions in wrote hold version v of k.
+func (m *MultiRegion) markWrittenLocked(k string, v uint64, wrote []int) {
 	for _, i := range wrote {
 		if m.replicas[i][k] < v {
 			m.replicas[i][k] = v
 		}
 	}
-	m.mu.Unlock()
-	return meta, nil
-}
-
-// putAsync writes the primary copy synchronously — the first region in
-// failover order that accepts it — commits the version, and enqueues
-// catch-up tasks carrying the committed bytes for every other region. The
-// ack therefore costs one region's round-trip instead of all of them;
-// replicas are stale until their catch-up write lands (or, if it is
-// dropped, until read-repair finds them).
-func (m *MultiRegion) putAsync(home, pref int, bucket, key string, data []byte) (ObjectMeta, error) {
-	k := objKey(bucket, key)
-	m.mu.Lock()
-	v := m.latest[k].v + 1
-	m.mu.Unlock()
-
-	var (
-		meta         ObjectMeta
-		primary      = -1
-		lastErr      error
-		sawTransient bool
-	)
-	for _, i := range m.order(pref) {
-		got, err := m.regions[i].Client.Put(bucket, key, data)
-		if err != nil {
-			switch {
-			case transientRegionErr(err):
-				sawTransient = true
-			case errors.Is(err, ErrNoSuchBucket):
-				// Missed bucket creation; catch-up recreates it below.
-			default:
-				return ObjectMeta{}, err
-			}
-			m.stats.WriteMisses.Add(1)
-			lastErr = err
-			continue
-		}
-		meta, primary = got, i
-		m.countCrossWrite(home, i, len(data))
-		break
-	}
-	if primary < 0 {
-		if !sawTransient && lastErr != nil {
-			return ObjectMeta{}, fmt.Errorf("put %s/%s: %w", bucket, key, lastErr)
-		}
-		return ObjectMeta{}, fmt.Errorf("cos: put %s/%s failed in all %d regions: %w", bucket, key, len(m.regions), ErrRequestFailed)
-	}
-	m.mu.Lock()
-	if v > m.latest[k].v || m.latest[k].deleted {
-		m.latest[k] = objVersion{v: v, etag: meta.ETag}
-	}
-	if m.replicas[primary][k] < v {
-		m.replicas[primary][k] = v
-	}
-	m.mu.Unlock()
-	task := repTask{bucket: bucket, key: key, k: k, v: v, data: data}
-	for i := range m.regions {
-		if i != primary {
-			m.enqueue(i, task)
-		}
-	}
-	return meta, nil
 }
 
 // enqueue appends a catch-up task to region i's queue, blocking on the
@@ -717,11 +692,7 @@ func (m *MultiRegion) delete_(pref int, bucket, key string) error {
 	if v > m.latest[k].v {
 		m.latest[k] = objVersion{v: v, deleted: true}
 	}
-	for _, i := range wrote {
-		if m.replicas[i][k] < v {
-			m.replicas[i][k] = v
-		}
-	}
+	m.markWrittenLocked(k, v, wrote)
 	m.mu.Unlock()
 	return nil
 }
@@ -754,49 +725,13 @@ func (m *MultiRegion) putIf(home, pref int, bucket, key string, data []byte, ifM
 	m.latest[k] = objVersion{v: v, etag: newTag}
 	m.mu.Unlock()
 
-	var (
-		meta         ObjectMeta
-		gotMeta      bool
-		lastErr      error
-		sawTransient bool
-		wrote        []int
-	)
-	for _, i := range m.order(pref) {
-		got, err := m.regions[i].Client.Put(bucket, key, data)
-		if err != nil {
-			switch {
-			case transientRegionErr(err):
-				sawTransient = true
-			case errors.Is(err, ErrNoSuchBucket):
-				// Missed bucket creation; the replica stays stale and
-				// read-repair recreates bucket and object later.
-			default:
-				m.rollbackClaim(k, lv, v, newTag, tracked)
-				return ObjectMeta{}, err
-			}
-			m.stats.WriteMisses.Add(1)
-			lastErr = err
-			continue
-		}
-		if !gotMeta {
-			meta, gotMeta = got, true
-		}
-		m.countCrossWrite(home, i, len(data))
-		wrote = append(wrote, i)
-	}
-	if !gotMeta {
+	meta, wrote, err := m.writeRegions("put-if", home, pref, bucket, key, data, true)
+	if err != nil {
 		m.rollbackClaim(k, lv, v, newTag, tracked)
-		if !sawTransient && lastErr != nil {
-			return ObjectMeta{}, fmt.Errorf("put-if %s/%s: %w", bucket, key, lastErr)
-		}
-		return ObjectMeta{}, fmt.Errorf("cos: put-if %s/%s failed in all %d regions: %w", bucket, key, len(m.regions), ErrRequestFailed)
+		return ObjectMeta{}, err
 	}
 	m.mu.Lock()
-	for _, i := range wrote {
-		if m.replicas[i][k] < v {
-			m.replicas[i][k] = v
-		}
-	}
+	m.markWrittenLocked(k, v, wrote)
 	m.mu.Unlock()
 	return meta, nil
 }
@@ -814,11 +749,6 @@ func (m *MultiRegion) rollbackClaim(k string, prev objVersion, v uint64, etag st
 			delete(m.latest, k)
 		}
 	}
-}
-
-// PutIf implements Conditional on the facade's default view.
-func (m *MultiRegion) PutIf(bucket, key string, data []byte, ifMatch string) (ObjectMeta, error) {
-	return m.putIf(-1, 0, bucket, key, data, ifMatch)
 }
 
 // --- reads ----------------------------------------------------------------
@@ -1098,6 +1028,9 @@ func (m *MultiRegion) deleteBucket(pref int, name string) error {
 		}
 	}
 	if !okAny {
+		if lastErr == nil {
+			return fmt.Errorf("delete bucket %q: %w", name, ErrNoSuchBucket)
+		}
 		return fmt.Errorf("cos: delete bucket %q failed in all regions: %w", name, lastErr)
 	}
 	m.mu.Lock()
@@ -1106,27 +1039,25 @@ func (m *MultiRegion) deleteBucket(pref int, name string) error {
 	return nil
 }
 
-func (m *MultiRegion) bucketExists(pref int) func(name string) (bool, error) {
-	return func(name string) (bool, error) {
-		var lastErr error
-		for _, i := range m.order(pref) {
-			ok, err := m.regions[i].Client.BucketExists(name)
-			if err != nil {
-				if transientRegionErr(err) {
-					lastErr = err
-					continue
-				}
-				return false, err
+func (m *MultiRegion) bucketExists(pref int, name string) (bool, error) {
+	var lastErr error
+	for _, i := range m.order(pref) {
+		ok, err := m.regions[i].Client.BucketExists(name)
+		if err != nil {
+			if transientRegionErr(err) {
+				lastErr = err
+				continue
 			}
-			if ok {
-				return true, nil
-			}
+			return false, err
 		}
-		if lastErr != nil {
-			return false, fmt.Errorf("cos: bucket-exists %q unreachable: %w", name, ErrRequestFailed)
+		if ok {
+			return true, nil
 		}
-		return false, nil
 	}
+	if lastErr != nil {
+		return false, fmt.Errorf("cos: bucket-exists %q unreachable: %w", name, ErrRequestFailed)
+	}
+	return false, nil
 }
 
 func (m *MultiRegion) listBuckets(pref int) ([]string, error) {
@@ -1160,54 +1091,6 @@ func (m *MultiRegion) listBuckets(pref int) ([]string, error) {
 
 // --- Client implementation ------------------------------------------------
 
-// pref returns the facade's default view: preferred region 0, no home
-// region (the facade used directly is client-side traffic, never
-// cross-region). Every facade Client method delegates through it, so a
-// placement change in the view logic cannot miss a method.
-func (m *MultiRegion) pref() *regionView { return &m.root }
-
-// CreateBucket implements Client.
-func (m *MultiRegion) CreateBucket(bucket string) error { return m.pref().CreateBucket(bucket) }
-
-// DeleteBucket implements Client.
-func (m *MultiRegion) DeleteBucket(bucket string) error { return m.pref().DeleteBucket(bucket) }
-
-// BucketExists implements Client.
-func (m *MultiRegion) BucketExists(bucket string) (bool, error) {
-	return m.pref().BucketExists(bucket)
-}
-
-// Put implements Client.
-func (m *MultiRegion) Put(bucket, key string, data []byte) (ObjectMeta, error) {
-	return m.pref().Put(bucket, key, data)
-}
-
-// Get implements Client.
-func (m *MultiRegion) Get(bucket, key string) ([]byte, ObjectMeta, error) {
-	return m.pref().Get(bucket, key)
-}
-
-// GetRange implements Client.
-func (m *MultiRegion) GetRange(bucket, key string, offset, length int64) ([]byte, ObjectMeta, error) {
-	return m.pref().GetRange(bucket, key, offset, length)
-}
-
-// Head implements Client.
-func (m *MultiRegion) Head(bucket, key string) (ObjectMeta, error) {
-	return m.pref().Head(bucket, key)
-}
-
-// List implements Client.
-func (m *MultiRegion) List(bucket, prefix, marker string, maxKeys int) (ListResult, error) {
-	return m.pref().List(bucket, prefix, marker, maxKeys)
-}
-
-// ListBuckets implements Client.
-func (m *MultiRegion) ListBuckets() ([]string, error) { return m.pref().ListBuckets() }
-
-// Delete implements Client.
-func (m *MultiRegion) Delete(bucket, key string) error { return m.pref().Delete(bucket, key) }
-
 // regionView is a Client whose reads prefer a specific region and whose
 // cross-region traffic is attributed to a home region (-1 for client-side
 // views outside any region).
@@ -1227,7 +1110,7 @@ func (v *regionView) DeleteBucket(bucket string) error { return v.m.deleteBucket
 
 // BucketExists implements Client.
 func (v *regionView) BucketExists(bucket string) (bool, error) {
-	return v.m.bucketExists(v.pref)(bucket)
+	return v.m.bucketExists(v.pref, bucket)
 }
 
 // Put implements Client.
@@ -1235,9 +1118,8 @@ func (v *regionView) Put(bucket, key string, data []byte) (ObjectMeta, error) {
 	return v.m.put(v.home, v.pref, bucket, key, data)
 }
 
-// PutIf implements Conditional through the region's view; the compare still
-// resolves against the facade-wide latest version, so fencing works across
-// regions.
+// PutIf implements Client; the compare resolves against the facade-wide
+// latest version, so fencing works across regions.
 func (v *regionView) PutIf(bucket, key string, data []byte, ifMatch string) (ObjectMeta, error) {
 	return v.m.putIf(v.home, v.pref, bucket, key, data, ifMatch)
 }

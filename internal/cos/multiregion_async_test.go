@@ -25,8 +25,7 @@ func (s *slowClient) Put(bucket, key string, data []byte) (ObjectMeta, error) {
 func asyncTwoRegions(t *testing.T, clk vclock.Clock, qlimit int) (*MultiRegion, *flakyRegion, *flakyRegion, *Store, *Store) {
 	t.Helper()
 	sa, sb := NewStore(), NewStore()
-	ra := &flakyRegion{Client: sa}
-	rb := &flakyRegion{Client: sb}
+	ra, rb := newFlakyRegion(sa), newFlakyRegion(sb)
 	m, err := NewMultiRegion([]RegionBackend{
 		{Name: "us-south", Client: ra},
 		{Name: "eu-gb", Client: rb},

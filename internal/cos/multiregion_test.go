@@ -7,96 +7,24 @@ import (
 	"testing"
 )
 
-// flakyRegion wraps a Client and fails every operation with ErrRequestFailed
-// while down is set — the shape a partitioned region presents through its
-// netsim link.
+// flakyRegion is a region stack that fails every operation with
+// ErrRequestFailed while down is set — the shape a partitioned region
+// presents through its netsim link.
 type flakyRegion struct {
-	Client
+	*Stack
 	down bool
 }
 
-func (f *flakyRegion) check() error {
-	if f.down {
-		return fmt.Errorf("region down: %w", ErrRequestFailed)
-	}
-	return nil
-}
-
-func (f *flakyRegion) CreateBucket(bucket string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.Client.CreateBucket(bucket)
-}
-
-func (f *flakyRegion) DeleteBucket(bucket string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.Client.DeleteBucket(bucket)
-}
-
-func (f *flakyRegion) BucketExists(bucket string) (bool, error) {
-	if err := f.check(); err != nil {
-		return false, err
-	}
-	return f.Client.BucketExists(bucket)
-}
-
-func (f *flakyRegion) Put(bucket, key string, data []byte) (ObjectMeta, error) {
-	if err := f.check(); err != nil {
-		return ObjectMeta{}, err
-	}
-	return f.Client.Put(bucket, key, data)
-}
-
-func (f *flakyRegion) Get(bucket, key string) ([]byte, ObjectMeta, error) {
-	if err := f.check(); err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	return f.Client.Get(bucket, key)
-}
-
-func (f *flakyRegion) GetRange(bucket, key string, offset, length int64) ([]byte, ObjectMeta, error) {
-	if err := f.check(); err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	return f.Client.GetRange(bucket, key, offset, length)
-}
-
-func (f *flakyRegion) Head(bucket, key string) (ObjectMeta, error) {
-	if err := f.check(); err != nil {
-		return ObjectMeta{}, err
-	}
-	return f.Client.Head(bucket, key)
-}
-
-func (f *flakyRegion) List(bucket, prefix, marker string, maxKeys int) (ListResult, error) {
-	if err := f.check(); err != nil {
-		return ListResult{}, err
-	}
-	return f.Client.List(bucket, prefix, marker, maxKeys)
-}
-
-func (f *flakyRegion) ListBuckets() ([]string, error) {
-	if err := f.check(); err != nil {
-		return nil, err
-	}
-	return f.Client.ListBuckets()
-}
-
-func (f *flakyRegion) Delete(bucket, key string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.Client.Delete(bucket, key)
+func newFlakyRegion(inner Client) *flakyRegion {
+	f := new(flakyRegion)
+	f.Stack = NewFaulty(inner, func() bool { return f.down })
+	return f
 }
 
 func twoRegions(t *testing.T, opts ...MultiRegionOption) (*MultiRegion, *flakyRegion, *flakyRegion, *Store, *Store) {
 	t.Helper()
 	sa, sb := NewStore(), NewStore()
-	ra := &flakyRegion{Client: sa}
-	rb := &flakyRegion{Client: sb}
+	ra, rb := newFlakyRegion(sa), newFlakyRegion(sb)
 	m, err := NewMultiRegion([]RegionBackend{
 		{Name: "us-south", Client: ra},
 		{Name: "eu-gb", Client: rb},

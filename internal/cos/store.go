@@ -195,6 +195,21 @@ func (s *Store) BucketExists(name string) (bool, error) {
 
 // Put implements Client. The stored object owns a copy of data.
 func (s *Store) Put(bucketName, key string, data []byte) (ObjectMeta, error) {
+	return s.commit("put", bucketName, key, data, nil)
+}
+
+// PutIf implements Client. The compare and the store are atomic under the
+// store lock.
+func (s *Store) PutIf(bucketName, key string, data []byte, ifMatch string) (ObjectMeta, error) {
+	return s.commit("put-if", bucketName, key, data, &ifMatch)
+}
+
+// commit is the one write path of Put and PutIf: charge, copy, and — under
+// the lock — check ifMatch (nil: unconditional; otherwise the ETag the
+// current object must have, "" meaning no object), index the key and store.
+// The link charge (and any failure it injects) comes before all of it, so a
+// failed request never committed and is safe to retry.
+func (s *Store) commit(op, bucketName, key string, data []byte, ifMatch *string) (ObjectMeta, error) {
 	s.stats.PutOps.Add(1)
 	s.stats.BytesIn.Add(int64(len(data)))
 	if err := s.charge(int64(len(data))); err != nil {
@@ -202,24 +217,42 @@ func (s *Store) Put(bucketName, key string, data []byte) (ObjectMeta, error) {
 	}
 	body := make([]byte, len(data))
 	copy(body, data)
-	sum := md5.Sum(body)
 	meta := ObjectMeta{
 		Key:          key,
 		Size:         int64(len(body)),
-		ETag:         hex.EncodeToString(sum[:]),
+		ETag:         contentETag(body),
 		LastModified: s.now(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
 	if !ok {
-		return ObjectMeta{}, fmt.Errorf("put %s/%s: %w", bucketName, key, ErrNoSuchBucket)
+		return ObjectMeta{}, fmt.Errorf("%s %s/%s: %w", op, bucketName, key, ErrNoSuchBucket)
 	}
-	if _, exists := b.objects[key]; !exists {
+	cur, exists := b.objects[key]
+	if ifMatch != nil {
+		have := ""
+		if exists {
+			have = cur.meta.ETag
+		}
+		if have != *ifMatch {
+			return ObjectMeta{}, fmt.Errorf("%s %s/%s: have %q want %q: %w", op, bucketName, key, have, *ifMatch, ErrPreconditionFailed)
+		}
+	}
+	if !exists {
 		b.insertKey(key)
 	}
 	b.objects[key] = &object{meta: meta, data: body}
 	return meta, nil
+}
+
+// contentETag is the ETag algorithm shared by Store and the multi-region
+// facade: hex MD5 of the body, as S3/COS compute for simple puts. Sharing
+// it means an ETag read through any layer matches the one a conditional
+// put will compare against.
+func contentETag(data []byte) string {
+	sum := md5.Sum(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // PutGenerated stores a synthetic object of the given size whose content is

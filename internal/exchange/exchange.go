@@ -101,8 +101,8 @@ type OpCounts struct {
 
 // Cache is the ephemeral memory-tier exchange node on the virtual clock.
 // Every operation pays one request on the node's netsim link (latency +
-// bandwidth) before touching the store, exactly like cos.Linked charges
-// the COS path. The down probe is consulted per request: while it reports
+// bandwidth) before touching the store, exactly like cos.Stack's link stage
+// charges the COS path. The down probe is consulted per request: while it reports
 // true the node is dead — requests fail with ErrUnavailable and the
 // first such observation drops the node's entire contents, so it comes
 // back empty, never stale.
