@@ -3,21 +3,16 @@
 // listing index — by pushing a full open-loop day of traffic through the
 // platform: one million seeded arrivals from internal/traffic, admitted
 // through per-tenant token buckets and the deficit-weighted round-robin,
-// executed, and drained. The metric is sims per wall second: scheduled
-// arrivals divided by host seconds spent simulating them. Unlike the other
-// benches, which gate simulated outcomes, simbench gates the simulator's
-// real-time throughput, so paper-scale experiments stay a routine CI run.
+// executed, and drained. It reports sims per wall second — scheduled
+// arrivals divided by host seconds spent simulating them — and is what
+// `make profile` runs under the Go profiler.
 //
 //	simbench [-arrivals 1000000] [-seed 1] [-out BENCH_simcore.json]
-//	         [-minsims 0] [-naive-arrivals 100000]
 //	         [-cpuprofile f] [-memprofile f]
 //
-// With -minsims s the command exits non-zero unless the optimized run
-// sustained at least s simulated arrivals per wall second — the CI gate.
 // The run is executed twice with the same seed and the per-tenant outcome
-// digests must match bit for bit. A third, smaller run re-measures with the
-// naive paths (sort-per-call COS listings, poll-based admission waiters)
-// for a before/after comparison against the pre-overhaul simulator.
+// digests must match bit for bit; that is the command's only gate. Host
+// speed is reported, never gated: it is a property of the machine.
 package main
 
 import (
@@ -63,15 +58,6 @@ const (
 	noisyTenant   = "tenant-03"
 )
 
-// prePRBaseline is the sims-per-wall-second the pre-overhaul simulator
-// (per-Sleep channel allocations, one-by-one heap release, 5 ms admission
-// polls, sort-per-call listings, unbounded activation retention) sustained
-// on this scenario at 1M arrivals, measured on the reference container
-// before the hot-path rebuild. The CI floor (-minsims) is set at 5× this
-// number; the recorded value keeps the comparison visible in
-// BENCH_simcore.json.
-const prePRBaseline = 40000.0
-
 // tenantOutcome is one tenant's deterministic counters.
 type tenantOutcome struct {
 	Offered      int `json:"offered"`
@@ -93,28 +79,18 @@ type runReport struct {
 }
 
 type report struct {
-	Seed      int64     `json:"seed"`
-	Optimized runReport `json:"optimized"`
-	// Naive re-measures a smaller arrival count with the pre-overhaul
-	// paths still in the tree (sort-per-call listings, poll-based
-	// admission waiters) so the speedup is visible on every run.
-	Naive             runReport `json:"naive"`
-	NaiveSpeedup      float64   `json:"naiveSpeedup"`
-	PrePRBaseline     float64   `json:"prePRBaselineSimsPerWallSecond"`
-	SpeedupVsPrePR    float64   `json:"speedupVsPrePR"`
-	Deterministic     bool      `json:"deterministic"`
-	MinSimsPerWallSec float64   `json:"minSimsPerWallSecond"`
+	Seed          int64     `json:"seed"`
+	Run           runReport `json:"run"`
+	Deterministic bool      `json:"deterministic"`
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("simbench", flag.ContinueOnError)
-	arrivals := fs.Int("arrivals", 1_000_000, "scheduled arrivals in the optimized run")
-	naiveArrivals := fs.Int("naive-arrivals", 100_000, "scheduled arrivals in the naive-paths comparison run (0 skips it)")
+	arrivals := fs.Int("arrivals", 1_000_000, "scheduled arrivals")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	out := fs.String("out", "BENCH_simcore.json", "output JSON path")
-	minSims := fs.Float64("minsims", 0, "fail below this many simulated arrivals per wall second (0 disables the gate)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the optimized run to this file")
-	memprofile := fs.String("memprofile", "", "write an allocation profile to this file after the optimized run")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of both runs to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file after both runs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,8 +98,6 @@ func run(args []string) error {
 	// The simulation's live heap is small and flat (bounded activation
 	// retention, pooled parkers); a relaxed GC target trades idle memory
 	// for fewer collection cycles over the run's huge allocation volume.
-	// Applied to every run in this process, so the naive A/B comparison
-	// sees the same collector behavior.
 	debug.SetGCPercent(300)
 
 	if *cpuprofile != "" {
@@ -138,21 +112,20 @@ func run(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	rep := report{Seed: *seed, PrePRBaseline: prePRBaseline, MinSimsPerWallSec: *minSims}
-	opt, err := runScenario(*seed, *arrivals, false)
+	first, err := runScenario(*seed, *arrivals)
 	if err != nil {
 		return err
 	}
-	rep.Optimized = opt
-	fmt.Printf("optimized    arrivals=%d sim=%.0fs real=%.2fs sims/wall-s=%.0f\n",
-		opt.Arrivals, opt.SimSeconds, opt.RealSeconds, opt.SimsPerWallSecond)
+	fmt.Printf("arrivals=%d sim=%.0fs real=%.2fs sims/wall-s=%.0f\n",
+		first.Arrivals, first.SimSeconds, first.RealSeconds, first.SimsPerWallSecond)
 
 	// Same-seed rerun: the per-tenant outcome digest must be bit-identical.
-	again, err := runScenario(*seed, *arrivals, false)
+	again, err := runScenario(*seed, *arrivals)
 	if err != nil {
 		return fmt.Errorf("determinism rerun: %w", err)
 	}
-	rep.Deterministic = opt.Digest == again.Digest
+	rep := report{Seed: *seed, Run: first, Deterministic: first.Digest == again.Digest}
+	fmt.Printf("deterministic=%v\n", rep.Deterministic)
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -166,22 +139,6 @@ func run(args []string) error {
 		f.Close()
 	}
 
-	if *naiveArrivals > 0 {
-		naive, err := runScenario(*seed, *naiveArrivals, true)
-		if err != nil {
-			return fmt.Errorf("naive run: %w", err)
-		}
-		rep.Naive = naive
-		if naive.SimsPerWallSecond > 0 {
-			rep.NaiveSpeedup = opt.SimsPerWallSecond / naive.SimsPerWallSecond
-		}
-		fmt.Printf("naive        arrivals=%d sim=%.0fs real=%.2fs sims/wall-s=%.0f (optimized %.1f× faster)\n",
-			naive.Arrivals, naive.SimSeconds, naive.RealSeconds, naive.SimsPerWallSecond, rep.NaiveSpeedup)
-	}
-	rep.SpeedupVsPrePR = opt.SimsPerWallSecond / prePRBaseline
-	fmt.Printf("pre-PR baseline %.0f sims/wall-s → %.1f× speedup; deterministic=%v\n",
-		prePRBaseline, rep.SpeedupVsPrePR, rep.Deterministic)
-
 	body, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
@@ -192,20 +149,14 @@ func run(args []string) error {
 	fmt.Printf("wrote %s\n", *out)
 
 	if !rep.Deterministic {
-		return fmt.Errorf("same-seed reruns diverged: %s vs %s", opt.Digest, again.Digest)
-	}
-	if *minSims > 0 && opt.SimsPerWallSecond < *minSims {
-		return fmt.Errorf("throughput %.0f sims/wall-second below required %.0f",
-			opt.SimsPerWallSecond, *minSims)
+		return fmt.Errorf("same-seed reruns diverged: %s vs %s", first.Digest, again.Digest)
 	}
 	return nil
 }
 
 // runScenario pushes one full schedule through a fresh platform and returns
-// the measurements. naive selects the pre-overhaul paths kept in the tree
-// for A/B comparison: sort-per-call COS listings and poll-based admission
-// waiters.
-func runScenario(seed int64, arrivals int, naive bool) (runReport, error) {
+// the measurements.
+func runScenario(seed int64, arrivals int) (runReport, error) {
 	// Horizon follows from the aggregate rate so the offered load shape is
 	// the same at every scale.
 	horizon := time.Duration(float64(arrivals) / aggregateRate * float64(time.Second))
@@ -237,28 +188,22 @@ func runScenario(seed int64, arrivals int, naive bool) (runReport, error) {
 	if err := reg.Publish(img); err != nil {
 		return runReport{}, err
 	}
-	var storeOpts []cos.StoreOption
-	if naive {
-		storeOpts = append(storeOpts, cos.WithNaiveListing())
-	}
 	ctrl, err := faas.New(faas.Config{
 		Clock:    clk,
 		Registry: reg,
-		Storage:  cos.NewStore(storeOpts...),
+		Storage:  cos.NewStore(),
 		Seed:     seed,
 		// The gateway must sustain the offered kilohertz; the default 5 ms
 		// serialized overhead models a WAN client, not a load generator.
 		AdmitOverhead: 100 * time.Microsecond,
 		MaxConcurrent: maxConcurrent,
 		Admission: &faas.AdmissionConfig{
-			Default:     faas.TenantQuota{Rate: quotaRate, Burst: quotaBurst},
-			PollWaiters: naive,
+			Default: faas.TenantQuota{Rate: quotaRate, Burst: quotaBurst},
 		},
 		// Nothing consults finished records here; cap the activation log so
 		// a million-arrival run's heap stays flat instead of accumulating a
-		// million records for the GC to walk. The naive run keeps the
-		// pre-overhaul unlimited retention.
-		RetainActivations: retention(naive),
+		// million records for the GC to walk.
+		RetainActivations: 4096,
 	})
 	if err != nil {
 		return runReport{}, err
@@ -356,15 +301,6 @@ func runScenario(seed int64, arrivals int, naive bool) (runReport, error) {
 	}
 	out.Digest = digest
 	return out, nil
-}
-
-// retention selects the activation-log bound: the optimized run caps it,
-// the naive run keeps the pre-overhaul keep-everything behavior.
-func retention(naive bool) int {
-	if naive {
-		return 0
-	}
-	return 4096
 }
 
 // digestOf hashes the deterministic slice of a run: arrivals, per-tenant

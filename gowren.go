@@ -254,11 +254,12 @@ type SimConfig struct {
 	// MaxConcurrent is the platform's concurrent-invocation limit
 	// (default 1000, as in the paper; negative = unlimited).
 	MaxConcurrent int
-	// Admission, when non-nil, arms the tenant-aware admission layer on
-	// the controller: per-tenant token buckets (sustained rate + burst)
-	// feed a deficit-weighted round-robin over bounded per-tenant queues,
-	// with deadline-based shedding. MaxConcurrent remains the global
-	// capacity underneath. Nil keeps the paper's single global 429 gate.
+	// Admission configures the gate in front of the controller:
+	// per-tenant token buckets (sustained rate + burst) feed a
+	// deficit-weighted round-robin over bounded per-tenant queues, with
+	// deadline-based shedding. MaxConcurrent remains the global capacity
+	// underneath. Nil is the paper's platform — one tenant, no queue: a
+	// full platform answers ErrThrottled.
 	Admission *AdmissionConfig
 	// Jitter enables per-activation platform noise (the paper's Fig. 3
 	// variability). Off by default for deterministic unit use.

@@ -77,13 +77,6 @@ type Config struct {
 	// PollInterval is the status-polling granularity. Zero uses 50ms.
 	PollInterval time.Duration
 
-	// FullRelistSweep disables incremental status sweeps: every poll
-	// re-LISTs the whole status prefix instead of resuming at the sweep
-	// coordinator's done-frontier. It exists as the A/B baseline for the
-	// wait-path benchmark (cmd/waitbench); production use should leave it
-	// false.
-	FullRelistSweep bool
-
 	// RetryBudget caps the total retry volume this executor may generate
 	// across invocations and storage accesses (a token bucket refilled by
 	// successes; see retry.Budget). Zero uses 1024 tokens; negative
@@ -102,9 +95,7 @@ type Config struct {
 	// DisableJournal switches off the durable job journal (manifest, driver
 	// lease, recovery records — see journal.go). In-cloud helper executors
 	// (remote invokers, composition spawners) set it: their jobs live and
-	// die with a parent call and are not independently resumable. Storage
-	// stacks without conditional-put support disable journaling on their
-	// own.
+	// die with a parent call and are not independently resumable.
 	DisableJournal bool
 	// AntiAffinityRespawn re-places respawned calls in a storage region
 	// different from the one whose failure killed the original run, instead
@@ -263,7 +254,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		clock:    clk,
 		gil:      newSerial(clk),
 		respawns: newRespawnLedger(),
-		sweeps:   newSweepCoordinator(cfg.Storage, clk, cfg.FullRelistSweep),
+		sweeps:   newSweepCoordinator(cfg.Storage, clk),
 		ops:      counting,
 		invokeRetry: retry.New(clk, policy, classifyCallErr,
 			retry.WithBudget(budget), retry.WithBreaker(breaker), retry.WithSeed(seed)),

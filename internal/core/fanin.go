@@ -472,7 +472,7 @@ func (b *inputBarrier) await() error {
 	if b.passed {
 		return nil
 	}
-	sweeps := newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock(), false)
+	sweeps := newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock())
 	if err := sweeps.awaitStatuses(b.ns, b.inputs, nil, nil, 100*time.Millisecond, b.ctx.Deadline()); err != nil {
 		if errors.Is(err, ErrWaitTimeout) {
 			return fmt.Errorf("core: %s waiting for %d map calls: %w", b.who, len(b.inputs), runtime.ErrDeadlineExceeded)

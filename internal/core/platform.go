@@ -69,10 +69,10 @@ type PlatformConfig struct {
 
 	// FaaS platform knobs, forwarded to faas.Config.
 	MaxConcurrent int
-	// Admission, when non-nil, enables the tenant-aware admission layer
-	// on the controller: per-tenant token buckets, deficit-weighted
-	// round-robin over bounded queues, deadline shedding. Nil keeps the
-	// global 429 gate.
+	// Admission configures the gate in front of the controller:
+	// per-tenant token buckets, deficit-weighted round-robin over bounded
+	// queues, deadline shedding. Nil is one tenant, no queue: a full
+	// platform answers ErrThrottled.
 	Admission     *faas.AdmissionConfig
 	AdmitOverhead time.Duration
 	ExecJitter    netsim.LatencyModel

@@ -103,21 +103,16 @@ type sweepState struct {
 type sweepCoordinator struct {
 	storage cos.Client
 	clock   vclock.Clock
-	// fullRelist disables the frontier and re-LISTs the whole prefix on
-	// every sweep — the pre-coordinator behavior, kept as an A/B baseline
-	// for the wait-path benchmark (Config.FullRelistSweep).
-	fullRelist bool
 
 	mu     sync.Mutex
 	states map[nsKey]*sweepState
 }
 
-func newSweepCoordinator(storage cos.Client, clock vclock.Clock, fullRelist bool) *sweepCoordinator {
+func newSweepCoordinator(storage cos.Client, clock vclock.Clock) *sweepCoordinator {
 	return &sweepCoordinator{
-		storage:    storage,
-		clock:      clock,
-		fullRelist: fullRelist,
-		states:     make(map[nsKey]*sweepState),
+		storage: storage,
+		clock:   clock,
+		states:  make(map[nsKey]*sweepState),
 	}
 }
 
@@ -157,7 +152,7 @@ func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 	s.inflight = true
 	gen := s.gen
 	marker := ""
-	if !c.fullRelist && s.nextSeq > 0 {
+	if s.nextSeq > 0 {
 		marker = statusKey(ns.execID, callIDForSeq(s.nextSeq-1))
 	}
 	c.mu.Unlock()

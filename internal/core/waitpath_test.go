@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	}
 	counting := cos.NewCounting(store)
 	clk := vclock.NewVirtual()
-	co := newSweepCoordinator(counting, clk, false)
+	co := newSweepCoordinator(counting, clk)
 	ns := nsKey{bucket: "meta", execID: "ex"}
 
 	put := func(callID string) {
@@ -132,7 +133,7 @@ func TestSweepForgetRacesInflightSweep(t *testing.T) {
 	}
 	clk := vclock.NewVirtual()
 	hooked := &listHookClient{Client: store}
-	co := newSweepCoordinator(hooked, clk, false)
+	co := newSweepCoordinator(hooked, clk)
 	ns := nsKey{bucket: "meta", execID: "ex"}
 
 	for _, id := range []string{"00000", "00001", "00002"} {
@@ -168,80 +169,89 @@ func TestSweepForgetRacesInflightSweep(t *testing.T) {
 }
 
 // TestCollectionListingScalesWithCompletions is the O(newly finished)
-// regression test: collecting a 1000-future job must list each status
-// object a bounded number of times, where the full-relist baseline pays
-// for the whole prefix on every poll. It also checks that small results
+// regression test: collecting a job must list each status object a bounded
+// number of times and poll a bounded number of times, however many futures
+// it has. A sweep that re-lists the whole prefix on every poll pays ~50n
+// objects at 1,000 futures and 2,567,577 objects in 2,717 LISTs at 10,000
+// (EXPERIMENTS.md, "Retired baselines"). It also checks that small results
 // never touch a result object.
 func TestCollectionListingScalesWithCompletions(t *testing.T) {
-	const n = 1000
-	run := func(fullRelist bool) (cos.OpCounts, JobStats) {
-		e := newEnv(t, nil)
-		gets := &recordingClient{Client: cos.NewLinked(e.store, e.clk, netsim.Loopback())}
-		exec := e.executor(t, func(c *Config) {
-			c.Storage = gets
-			c.FullRelistSweep = fullRelist
-		})
-		// However the completions are batched into parallel fetches, the
-		// client reads each call's status exactly once.
-		defer func() {
+	// Polls follow the job's simulated duration, not its size: measured 312
+	// and 308 LISTs.
+	const maxLists = 400
+	for _, tc := range []struct {
+		n         int
+		maxListed int64
+	}{
+		// n statuses plus a re-list margin at the frontier for out-of-order
+		// completions, which weighs most on a short job (measured 2,748).
+		{n: 1000, maxListed: 4 * 1000},
+		// Measured 10,082.
+		{n: 10000, maxListed: 2 * 10000},
+	} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			n := tc.n
+			// Admit the whole job at once: this is the client's wait path,
+			// not the platform's concurrency ceiling.
+			e := newEnv(t, func(c *PlatformConfig) { c.MaxConcurrent = n })
+			gets := &recordingClient{Client: cos.NewLinked(e.store, e.clk, netsim.Loopback())}
+			exec := e.executor(t, func(c *Config) { c.Storage = gets })
+			var ops cos.OpCounts
+			var stats JobStats
+			e.clk.Run(func() {
+				// Uniform task duration: completions arrive in near-call
+				// order (invocation order plus platform jitter), the regime
+				// the done-frontier is designed for. Wildly skewed
+				// completion orders degrade toward the full re-list cost but
+				// never exceed it.
+				args := make([]any, n)
+				for i := range args {
+					args[i] = 15 // busy seconds
+				}
+				if _, err := exec.Map("busy", args); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+					t.Error(err)
+					return
+				}
+				// Counted before Stats, which LISTs every prefix of the job
+				// itself.
+				ops = exec.StorageOps()
+				var err error
+				stats, err = exec.Stats()
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			// However the completions are batched into parallel fetches,
+			// the client reads each call's status exactly once.
 			if got := gets.gets(statusPrefix); got != n {
 				t.Errorf("status GETs = %d, want %d (one per call)", got, n)
 			}
-		}()
-		var stats JobStats
-		e.clk.Run(func() {
-			// Uniform task duration: completions arrive in near-call order
-			// (invocation order plus platform jitter), the regime the
-			// done-frontier is designed for. Wildly skewed completion
-			// orders degrade toward the full re-list cost but never exceed
-			// it.
-			args := make([]any, n)
-			for i := range args {
-				args[i] = 15 // busy seconds
+			if ops.ObjectsListed > tc.maxListed {
+				t.Errorf("listed %d objects for %d futures, want <= %d — not O(new completions)", ops.ObjectsListed, n, tc.maxListed)
 			}
-			if _, err := exec.Map("busy", args); err != nil {
-				t.Error(err)
-				return
+			if ops.ListOps > maxLists {
+				t.Errorf("issued %d LISTs for %d futures, want <= %d", ops.ListOps, n, maxLists)
 			}
-			if _, err := exec.GetResult(GetResultOptions{}); err != nil {
-				t.Error(err)
-				return
+			// Beyond listing, the whole collection stays linear: one status
+			// GET per future plus staging-phase traffic (measured n in both
+			// cases).
+			if ops.GetOps > int64(3*n) {
+				t.Errorf("collection issued %d GETs for %d futures, want <= %d", ops.GetOps, n, 3*n)
 			}
-			var err error
-			stats, err = exec.Stats()
-			if err != nil {
-				t.Error(err)
+			// busy returns an int: every result inlines, so the collection
+			// issues zero result-object GETs — there are no result objects
+			// at all.
+			if stats.Results != 0 {
+				t.Errorf("result objects = %d, want 0 (small results must inline)", stats.Results)
+			}
+			if stats.Statuses != n {
+				t.Errorf("status objects = %d, want %d", stats.Statuses, n)
 			}
 		})
-		return exec.StorageOps(), stats
-	}
-
-	inc, incStats := run(false)
-	full, _ := run(true)
-
-	// The acceptance bar: at least a 10× drop in objects listed per
-	// collection versus the pre-change full-relist sweep.
-	if full.ObjectsListed < 10*inc.ObjectsListed {
-		t.Errorf("objects listed: full relist %d vs incremental %d — want ≥10× reduction",
-			full.ObjectsListed, inc.ObjectsListed)
-	}
-	// Incremental sweeps list each status O(1) times: n statuses plus a
-	// small re-list margin at the frontier for out-of-order completions.
-	if inc.ObjectsListed > 6*n {
-		t.Errorf("incremental sweep listed %d objects for %d futures — not O(new completions)", inc.ObjectsListed, n)
-	}
-	// busy returns an int: every result inlines, so the collection issues
-	// zero result-object GETs — there are no result objects at all.
-	if incStats.Results != 0 {
-		t.Errorf("result objects = %d, want 0 (small results must inline)", incStats.Results)
-	}
-	if incStats.Statuses != n {
-		t.Errorf("status objects = %d, want %d", incStats.Statuses, n)
-	}
-	// Beyond listing, the whole collection stays linear: one status GET per
-	// future plus staging-phase traffic.
-	if inc.GetOps > 3*n {
-		t.Errorf("incremental collection issued %d GETs for %d futures", inc.GetOps, n)
 	}
 }
 
@@ -491,38 +501,27 @@ func TestSameSeedIdenticalRequestSequences(t *testing.T) {
 }
 
 // BenchmarkWaitPathCollect benchmarks the full invoke→poll→collect loop at
-// 10k futures in both sweep modes. Run with -bench to profile the poll
-// loop; cmd/waitbench emits the same comparison as JSON for CI.
+// 10k futures. Run with -bench to profile the poll loop.
 func BenchmarkWaitPathCollect(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		fullRelist bool
-	}{
-		{"incremental", false},
-		{"fullRelist", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := newEnv(b, nil)
-				exec := e.executor(b, func(c *Config) { c.FullRelistSweep = mode.fullRelist })
-				e.clk.Run(func() {
-					const n = 10000
-					args := make([]any, n)
-					for j := range args {
-						args[j] = 15
-					}
-					if _, err := exec.Map("busy", args); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := exec.GetResult(GetResultOptions{}); err != nil {
-						b.Error(err)
-					}
-				})
-				ops := exec.StorageOps()
-				b.ReportMetric(float64(ops.ObjectsListed), "objectsListed/op")
-				b.ReportMetric(float64(ops.ListOps), "lists/op")
+	for i := 0; i < b.N; i++ {
+		e := newEnv(b, nil)
+		exec := e.executor(b, nil)
+		e.clk.Run(func() {
+			const n = 10000
+			args := make([]any, n)
+			for j := range args {
+				args[j] = 15
+			}
+			if _, err := exec.Map("busy", args); err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+				b.Error(err)
 			}
 		})
+		ops := exec.StorageOps()
+		b.ReportMetric(float64(ops.ObjectsListed), "objectsListed/op")
+		b.ReportMetric(float64(ops.ListOps), "lists/op")
 	}
 }

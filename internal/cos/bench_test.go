@@ -7,13 +7,9 @@ import (
 
 // benchStore builds a store with n zero-padded status-style keys, the shape
 // the wait path lists: one namespace prefix, keys arriving in order.
-func benchStore(b *testing.B, n int, naive bool) *Store {
+func benchStore(b *testing.B, n int) *Store {
 	b.Helper()
-	var opts []StoreOption
-	if naive {
-		opts = append(opts, WithNaiveListing())
-	}
-	s := NewStore(opts...)
+	s := NewStore()
 	if err := s.CreateBucket("b"); err != nil {
 		b.Fatal(err)
 	}
@@ -25,23 +21,20 @@ func benchStore(b *testing.B, n int, naive bool) *Store {
 	return s
 }
 
-// BenchmarkList measures one page off a large bucket — the indexed path
-// binary-searches and copies a page; the naive path sorts every key first.
+// BenchmarkList measures one page off a large bucket: a binary search and a
+// page copy, whatever the bucket's size.
 func BenchmarkList(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
-		for _, naive := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/indexed=%v", n, !naive)
-			b.Run(name, func(b *testing.B) {
-				s := benchStore(b, n, naive)
-				marker := fmt.Sprintf("exec/status/%08d", n/2)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.List("b", "exec/status/", marker, 100); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := benchStore(b, n)
+			marker := fmt.Sprintf("exec/status/%08d", n/2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.List("b", "exec/status/", marker, 100); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -49,18 +42,13 @@ func BenchmarkList(b *testing.B) {
 // short tail page from a marker near the end of a large bucket, the
 // steady-state shape of the sweep coordinator's incremental LISTs.
 func BenchmarkListFrom(b *testing.B) {
-	for _, naive := range []bool{false, true} {
-		name := fmt.Sprintf("indexed=%v", !naive)
-		b.Run(name, func(b *testing.B) {
-			const n = 100000
-			s := benchStore(b, n, naive)
-			marker := fmt.Sprintf("exec/status/%08d", n-10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ListFrom(s, "b", "exec/status/", marker); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	const n = 100000
+	s := benchStore(b, n)
+	marker := fmt.Sprintf("exec/status/%08d", n-10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ListFrom(s, "b", "exec/status/", marker); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

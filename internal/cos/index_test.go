@@ -2,21 +2,66 @@ package cos
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// The sorted key index must be observationally identical to the old
-// sort-per-call listing. These tests drive both paths — the indexed Store
-// and one built WithNaiveListing — through the same operation sequences and
-// compare every page.
+// The sorted key index must be observationally identical to a
+// sort-per-call listing of the object map. These tests drive a Store and a
+// second one whose List is the reference below through the same operation
+// sequences and compare every page.
 
-func newIndexPair(t *testing.T, bucketName string) (indexed, naive *Store) {
+// naiveStore is the reference oracle: a Store whose List ignores the key
+// index and materializes, sorts and filters every key of the object map on
+// each call. It sees every object however it was committed, which is how
+// TestIndexRandomizedEquivalence caught a PutIf that forgot the index.
+type naiveStore struct{ *Store }
+
+func (n naiveStore) List(bucketName, prefix, marker string, maxKeys int) (ListResult, error) {
+	if maxKeys <= 0 {
+		maxKeys = DefaultMaxKeys
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	b, ok := n.buckets[bucketName]
+	if !ok {
+		return ListResult{}, fmt.Errorf("list %s: %w", bucketName, ErrNoSuchBucket)
+	}
+	var keys []string
+	for _, k := range slices.Sorted(maps.Keys(b.objects)) {
+		if len(prefix) > 0 && (len(k) < len(prefix) || k[:len(prefix)] != prefix) {
+			continue
+		}
+		if marker != "" && k <= marker {
+			continue
+		}
+		keys = append(keys, k)
+	}
+	var res ListResult
+	for i, k := range keys {
+		if i == maxKeys {
+			res.IsTruncated = true
+			res.NextMarker = res.Objects[len(res.Objects)-1].Key
+			break
+		}
+		res.Objects = append(res.Objects, b.objects[k].meta)
+	}
+	return res, nil
+}
+
+// lister is what the page-draining helper needs of either store.
+type lister interface {
+	List(bucketName, prefix, marker string, maxKeys int) (ListResult, error)
+}
+
+func newIndexPair(t *testing.T, bucketName string) (indexed *Store, naive naiveStore) {
 	t.Helper()
 	indexed = NewStore()
-	naive = NewStore(WithNaiveListing())
-	for _, s := range []*Store{indexed, naive} {
+	naive = naiveStore{NewStore()}
+	for _, s := range []*Store{indexed, naive.Store} {
 		if err := s.CreateBucket(bucketName); err != nil {
 			t.Fatalf("create bucket: %v", err)
 		}
@@ -42,7 +87,7 @@ func shapeOf(res ListResult) pageShape {
 }
 
 // listPages drains a full listing page by page with the given page size.
-func listPages(t *testing.T, s *Store, bucketName, prefix string, pageSize int) []string {
+func listPages(t *testing.T, s lister, bucketName, prefix string, pageSize int) []string {
 	t.Helper()
 	var keys []string
 	marker := ""
@@ -85,7 +130,7 @@ func TestIndexInsertDeleteInterleavings(t *testing.T) {
 		{"put", "b"},
 	}
 	for i, st := range steps {
-		for _, s := range []*Store{indexed, naive} {
+		for _, s := range []*Store{indexed, naive.Store} {
 			var err error
 			switch st.op {
 			case "put":
@@ -111,7 +156,7 @@ func TestIndexListFromResume(t *testing.T) {
 	indexed, naive := newIndexPair(t, "b")
 	for i := 0; i < 10; i += 2 { // even keys only: key-0, key-2, ...
 		key := fmt.Sprintf("key-%d", i)
-		for _, s := range []*Store{indexed, naive} {
+		for _, s := range []*Store{indexed, naive.Store} {
 			if _, err := s.Put("b", key, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +188,7 @@ func TestIndexListFromResume(t *testing.T) {
 // bucket, a foreign-writer pattern the index must track like any other key.
 func TestIndexTombstoneInterleavings(t *testing.T) {
 	indexed, naive := newIndexPair(t, "b")
-	ops := func(s *Store) []string {
+	ops := func(s *Store, l lister) []string {
 		if err := s.Delete("b", "ghost"); err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +200,9 @@ func TestIndexTombstoneInterleavings(t *testing.T) {
 		if err := s.Delete("b", "a.tomb"); err != nil {
 			t.Fatal(err)
 		}
-		return listPages(t, s, "b", "", 3)
+		return listPages(t, l, "b", "", 3)
 	}
-	got, want := ops(indexed), ops(naive)
+	got, want := ops(indexed, indexed), ops(naive.Store, naive)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tombstone interleaving: indexed %v, naive %v", got, want)
 	}
@@ -177,7 +222,7 @@ func TestIndexRandomizedEquivalence(t *testing.T) {
 	for step := 0; step < 800; step++ {
 		key := universe[rng.Intn(len(universe))]
 		op := rng.Intn(4)
-		for _, s := range []*Store{indexed, naive} {
+		for _, s := range []*Store{indexed, naive.Store} {
 			var err error
 			switch op {
 			case 0:

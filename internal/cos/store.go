@@ -4,8 +4,6 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,9 +22,8 @@ type Store struct {
 	clock vclock.Clock
 	link  *netsim.Link // nil disables network modeling
 
-	mu        sync.RWMutex
-	buckets   map[string]*bucket
-	naiveList bool // re-sort the full key set on every List (A/B baseline)
+	mu      sync.RWMutex
+	buckets map[string]*bucket
 
 	stats Stats
 }
@@ -102,14 +99,6 @@ func WithLink(clk vclock.Clock, link *netsim.Link) StoreOption {
 		s.clock = clk
 		s.link = link
 	}
-}
-
-// WithNaiveListing disables the incrementally maintained per-bucket key
-// index and re-sorts the full key set on every List call — the
-// pre-overhaul behavior, kept as an A/B baseline for cmd/simbench and the
-// index equivalence tests. Listing output is byte-identical either way.
-func WithNaiveListing() StoreOption {
-	return func(s *Store) { s.naiveList = true }
 }
 
 // NewStore returns an empty Store. Without options it is a zero-latency
@@ -357,9 +346,6 @@ func (s *Store) List(bucketName, prefix, marker string, maxKeys int) (ListResult
 	if !ok {
 		return ListResult{}, fmt.Errorf("list %s: %w", bucketName, ErrNoSuchBucket)
 	}
-	if s.naiveList {
-		return listNaive(b, prefix, marker, maxKeys), nil
-	}
 	// Range-scan the sorted index: binary-search the first candidate (past
 	// both the prefix's lower bound and the marker), then walk forward until
 	// the prefix is exhausted or the page fills.
@@ -383,32 +369,6 @@ func (s *Store) List(bucketName, prefix, marker string, maxKeys int) (ListResult
 		res.Objects = append(res.Objects, b.objects[k].meta)
 	}
 	return res, nil
-}
-
-// listNaive is the pre-index listing path: materialize and sort every key,
-// then filter. Kept behind WithNaiveListing as the A/B baseline; its output
-// is byte-identical to the indexed path.
-func listNaive(b *bucket, prefix, marker string, maxKeys int) ListResult {
-	keys := make([]string, 0, len(b.objects))
-	for _, k := range slices.Sorted(maps.Keys(b.objects)) {
-		if len(prefix) > 0 && (len(k) < len(prefix) || k[:len(prefix)] != prefix) {
-			continue
-		}
-		if marker != "" && k <= marker {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	var res ListResult
-	for i, k := range keys {
-		if i == maxKeys {
-			res.IsTruncated = true
-			res.NextMarker = res.Objects[len(res.Objects)-1].Key
-			break
-		}
-		res.Objects = append(res.Objects, b.objects[k].meta)
-	}
-	return res
 }
 
 // ListBuckets implements Client.

@@ -549,9 +549,6 @@ func (s ShuffleSpans) Read() time.Duration {
 	return s.ReadEnd.Sub(s.ReadStart)
 }
 
-// DataPlane returns the combined shuffle data-plane makespan.
-func (s ShuffleSpans) DataPlane() time.Duration { return s.Write() + s.Read() }
-
 // NoteWrite folds one map-side partition write window into the envelope.
 // All transports report here, COS included, so A/B comparisons measure the
 // same thing.

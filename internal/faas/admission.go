@@ -21,9 +21,6 @@ const (
 	// DefaultMaxQueueDelay is how long an invocation may sit in admission
 	// (token-bucket wait plus queueing) before it is shed.
 	DefaultMaxQueueDelay = 2 * time.Second
-	// admissionPollInterval is the granularity at which a queued caller
-	// observes its dispatch decision on the virtual clock.
-	admissionPollInterval = 5 * time.Millisecond
 )
 
 // TenantQuota is one tenant's admission contract.
@@ -58,11 +55,13 @@ func (q TenantQuota) weight() float64 {
 	return 1
 }
 
-// AdmissionConfig turns the controller's global 429 gate into a
-// tenant-aware admission layer: per-tenant token buckets (sustained rate +
-// burst) feed a deficit-weighted round-robin over bounded per-tenant
-// queues, and overload degrades to bounded queueing, then deadline-based
-// shedding — never unbounded memory or silent starvation.
+// AdmissionConfig configures the gate in front of the controller:
+// per-tenant token buckets (sustained rate + burst) feed a deficit-weighted
+// round-robin over bounded per-tenant queues, and overload degrades to
+// bounded queueing, then deadline-based shedding — never unbounded memory
+// or silent starvation. The paper's platform — one global concurrency
+// limit, immediate 429s — is the configuration with no quotas and
+// QueueLimit -1, which is what a nil Config.Admission selects.
 type AdmissionConfig struct {
 	// Default is the quota applied to tenants not listed in Tenants —
 	// including DefaultTenant. The zero value means no rate limit and
@@ -74,19 +73,12 @@ type AdmissionConfig struct {
 	// arriving at a full queue is rejected with ErrShed. Zero selects
 	// DefaultAdmissionQueueLimit. Negative disables queueing entirely:
 	// an invocation that cannot start immediately is rejected with
-	// ErrThrottled, exactly like the global gate.
+	// ErrThrottled.
 	QueueLimit int
 	// MaxQueueDelay is the admission deadline: the token-bucket wait plus
 	// queue time an invocation tolerates before it is shed with ErrShed.
 	// Zero selects DefaultMaxQueueDelay.
 	MaxQueueDelay time.Duration
-	// PollWaiters makes queued callers observe their dispatch decision by
-	// polling the virtual clock every admissionPollInterval — the
-	// pre-event-primitive behavior, kept as an A/B baseline for
-	// cmd/simbench. The default (false) parks each waiter on an
-	// event-driven vclock signal the dispatcher fires on state flips, so a
-	// queued invocation costs O(1) scheduler events instead of O(polls).
-	PollWaiters bool
 }
 
 func (cfg AdmissionConfig) queueLimit() int {
@@ -120,9 +112,7 @@ const (
 // admWaiter is one invocation parked in a tenant's admission queue. All
 // fields are guarded by Controller.mu; the queued caller parks on evt and
 // the dispatcher signals it on every state flip (admitted or shed), so a
-// queued invocation costs O(1) scheduler events. With
-// AdmissionConfig.PollWaiters the caller instead observes state by polling
-// the clock — the pre-event baseline kept for A/B benchmarking.
+// queued invocation costs O(1) scheduler events.
 type admWaiter struct {
 	tenant   string
 	act      *action
@@ -131,14 +121,6 @@ type admWaiter struct {
 	state    int
 	id       string // activation ID once admitted
 	evt      *vclock.Event
-}
-
-// wake signals the waiter's event after a state flip. Callers hold
-// Controller.mu; the signal itself only touches clock state.
-func (w *admWaiter) wake() {
-	if w.evt != nil {
-		w.evt.Signal()
-	}
 }
 
 // tenantState is one tenant's token bucket, queue and DWRR credit.
@@ -273,10 +255,10 @@ func (c *Controller) hasSlotLocked() bool {
 	return c.cfg.MaxConcurrent < 0 || c.inflight < c.cfg.MaxConcurrent
 }
 
-// admitTenant is the tenant-aware admission path: token-bucket rate gate,
-// then the concurrency gate with bounded per-tenant queueing and
+// admitTenant is the one gate in front of the controller: token-bucket
+// rate gate, then the concurrency gate with bounded per-tenant queueing and
 // deadline-based shedding. Called after the gateway pipeline and outage
-// checks, which are shared with the legacy path.
+// checks.
 func (c *Controller) admitTenant(tenant string, act *action, params []byte) (string, error) {
 	a := c.adm
 	arrival := c.cfg.Clock.Now()
@@ -310,8 +292,7 @@ func (c *Controller) admitTenant(tenant string, act *action, params []byte) (str
 		return id, nil
 	}
 	if a.cfg.QueueLimit < 0 {
-		// Queueing disabled: reduce exactly to the global gate's
-		// immediate 429.
+		// Queueing disabled: the paper-era immediate 429.
 		limit := c.cfg.MaxConcurrent
 		c.mu.Unlock()
 		c.cfg.Trace.Emitf(c.cfg.Clock.Now(), trace.KindThrottle, act.spec.Name,
@@ -325,10 +306,7 @@ func (c *Controller) admitTenant(tenant string, act *action, params []byte) (str
 			"tenant=%s queued=%d reason=shed: admission queue full", tenant, depth)
 		return "", fmt.Errorf("faas: invoke %q: tenant %q admission queue full: %w", act.spec.Name, tenant, ErrShed)
 	}
-	w := &admWaiter{tenant: tenant, act: act, params: params, deadline: deadline}
-	if !a.cfg.PollWaiters {
-		w.evt = vclock.NewEvent(c.cfg.Clock)
-	}
+	w := &admWaiter{tenant: tenant, act: act, params: params, deadline: deadline, evt: vclock.NewEvent(c.cfg.Clock)}
 	a.enqueue(ts, w)
 	// A slot may have freed since the fast-path check; drain opportunistically.
 	c.dispatchLocked()
@@ -336,16 +314,11 @@ func (c *Controller) admitTenant(tenant string, act *action, params []byte) (str
 	c.mu.Unlock()
 
 	if state == admPending {
-		pending := func() bool {
+		w.evt.WaitFor(func() bool {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return w.state != admPending
-		}
-		if w.evt != nil {
-			w.evt.WaitFor(pending, deadline)
-		} else {
-			vclock.Poll(c.cfg.Clock, pending, admissionPollInterval, deadline)
-		}
+		}, deadline)
 		c.mu.Lock()
 		if w.state == admPending {
 			// Deadline passed while queued: shed ourselves.
@@ -375,9 +348,6 @@ func (c *Controller) admitTenant(tenant string, act *action, params []byte) (str
 // slot frees (activation completion) or a waiter joins.
 func (c *Controller) dispatchLocked() {
 	a := c.adm
-	if a == nil {
-		return
-	}
 	now := c.cfg.Clock.Now()
 	for a.queued > 0 && c.hasSlotLocked() {
 		w := c.nextWaiterLocked(now)
@@ -386,7 +356,7 @@ func (c *Controller) dispatchLocked() {
 		}
 		w.state = admAdmitted
 		w.id = c.startActivationLocked(w.tenant, w.act, w.params)
-		w.wake()
+		w.evt.Signal()
 	}
 }
 
@@ -435,7 +405,7 @@ func (c *Controller) shedExpiredLocked(now time.Time) {
 		for _, w := range ts.queue {
 			if now.After(w.deadline) {
 				w.state = admShed
-				w.wake()
+				w.evt.Signal()
 				a.queued--
 				c.cfg.Trace.Emitf(now, trace.KindShed, w.act.spec.Name,
 					"tenant=%s queued=%d reason=shed: queued past admission deadline", name, len(kept))
@@ -452,16 +422,13 @@ func (c *Controller) shedExpiredLocked(now time.Time) {
 }
 
 // QueueDepth reports how many invocations the named tenant has parked in
-// admission. Zero without an admission layer.
+// admission.
 func (c *Controller) QueueDepth(tenant string) int {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.adm == nil {
-		return 0
-	}
 	ts, ok := c.adm.tenants[tenant]
 	if !ok {
 		return 0
@@ -470,12 +437,9 @@ func (c *Controller) QueueDepth(tenant string) int {
 }
 
 // AdmissionQueued reports the total number of queued invocations across
-// tenants. Zero without an admission layer.
+// tenants.
 func (c *Controller) AdmissionQueued() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.adm == nil {
-		return 0
-	}
 	return c.adm.queued
 }

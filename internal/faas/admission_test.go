@@ -1,8 +1,11 @@
 package faas
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -119,6 +122,90 @@ func TestAdmissionFairShareUnderFlood(t *testing.T) {
 	// slot pair, so all four clear within a few seconds of arriving.
 	if calmLast > 8*time.Second {
 		t.Fatalf("calm tenant's last admission at %v — starved behind the flood backlog", calmLast)
+	}
+}
+
+// TestAdmissionNoisyNeighborFairness is the multi-tenant fairness gate:
+// eight tenants share a controller whose 40 slots cover every tenant's full
+// quota (5/s of one-second calls each, burst 15). Seven offer 4/s on a
+// seeded jittered pattern; "tenant-3" offers 50/s, ten times its quota, for
+// the whole 20 s horizon. Every in-quota tenant must complete all it offered
+// with no rejection, the noisy one must be held to what its bucket can
+// issue — quota·horizon plus the burst plus the debt one admission deadline
+// allows — and Jain's index over per-tenant goodput satisfaction
+// (completed ÷ min(offered, quota·horizon), capped at 1) must reach 0.9.
+func TestAdmissionNoisyNeighborFairness(t *testing.T) {
+	const (
+		tenants = 8
+		noisy   = "tenant-3"
+		horizon = 20 * time.Second
+		rate    = 5.0
+		burst   = 15.0
+	)
+	e, _ := admitEnv(t, func(cfg *Config) {
+		cfg.MaxConcurrent = 40
+		cfg.Admission = &AdmissionConfig{Default: TenantQuota{Rate: rate, Burst: burst}}
+	})
+	rng := rand.New(rand.NewSource(1))
+	type arrival struct {
+		tenant string
+		at     time.Duration
+	}
+	var schedule []arrival
+	offered := make(map[string]int)
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		period := 250 * time.Millisecond
+		if name == noisy {
+			period = 20 * time.Millisecond
+		}
+		// Gaps uniform in [period/2, 3·period/2): mean rate 1/period.
+		for at := time.Duration(0); at < horizon; at += period/2 + time.Duration(rng.Int63n(int64(period))) {
+			schedule = append(schedule, arrival{name, at})
+			offered[name]++
+		}
+	}
+	o := newOutcome()
+	e.clk.Run(func() {
+		start := e.clk.Now()
+		for _, a := range schedule {
+			a := a
+			e.clk.Go(func() {
+				if d := a.at - e.clk.Now().Sub(start); d > 0 {
+					e.clk.Sleep(d)
+				}
+				_, err := e.ctrl.InvokeTenant(a.tenant, "busy", nil)
+				o.record(a.tenant, err)
+			})
+		}
+		e.clk.Sleep(horizon + time.Minute)
+	})
+
+	completed := e.ctrl.CompletedByTenant()
+	entitled := rate * horizon.Seconds()
+	var sum, sumSq float64
+	for name, n := range offered {
+		done := completed[name]
+		if name == noisy {
+			// The bucket issues burst + rate·t tokens by time t and lets a
+			// caller run it into debt by at most one admission deadline.
+			ceiling := burst + rate*(horizon+DefaultMaxQueueDelay).Seconds()
+			if float64(done) < entitled || float64(done) > ceiling {
+				t.Errorf("%s offered %d, completed %d, want within [%.0f, %.0f]", name, n, done, entitled, ceiling)
+			}
+			if o.get(o.quota, name) == 0 {
+				t.Errorf("%s offered %d and met no quota rejection", name, n)
+			}
+		} else if done != n {
+			t.Errorf("%s offered %d in quota, completed %d (quota %d, shed %d, throttled %d)",
+				name, n, done, o.get(o.quota, name), o.get(o.shed, name), o.get(o.throttled, name))
+		}
+		x := math.Min(1, float64(done)/math.Min(float64(n), entitled))
+		sum += x
+		sumSq += x * x
+	}
+	if jain := sum * sum / (tenants * sumSq); jain < 0.9 {
+		t.Errorf("Jain index over satisfaction = %.4f, want >= 0.9", jain)
 	}
 }
 
@@ -280,8 +367,9 @@ func TestAdmissionQuotaReject(t *testing.T) {
 	}
 }
 
-// TestLegacyThrottleTraceDetail checks that the pre-admission global gate
-// now emits the enriched throttle detail (tenant, queue depth, reason).
+// TestLegacyThrottleTraceDetail checks that a nil Admission — the paper's
+// global gate — emits the enriched throttle detail (tenant, queue depth,
+// reason).
 func TestLegacyThrottleTraceDetail(t *testing.T) {
 	e, rec := admitEnv(t, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
@@ -360,27 +448,31 @@ func runSchedule(t *testing.T, s invokeSchedule, mutate func(*Config)) []string 
 	return results
 }
 
-// TestAdmissionBackwardCompat is the reduction property: one tenant with
-// no rate quota and queueing disabled must behave bit-identically to the
-// legacy global gate — same accepts, same rejects, same error text, same
-// virtual timestamps — over a seeded schedule of 300 staggered calls
-// against a small concurrency limit.
+// TestAdmissionBackwardCompat pins the paper-era gate by value: a nil
+// Admission and its spelled-out form, one tenant with no rate quota and
+// queueing disabled, must both reproduce what the global 429 gate did —
+// same accepts, same rejects, same error text, same virtual timestamps —
+// over a seeded schedule of 300 staggered calls against a small concurrency
+// limit. The digests are SHA-256 over the 300 result strings joined by
+// newlines, recorded at commit 63b1b0c, the last one where InvokeTenant
+// carried that gate as a branch of its own.
 func TestAdmissionBackwardCompat(t *testing.T) {
+	recorded := map[int64]string{
+		1:    "3199833a32124cb9bae730adf62009432dc30532164b1c3471fd4d2fc90d6476",
+		7:    "698ef2980da9c00509f160fb456cad5ca8219d67105b68566454cc4fde19b48e",
+		1234: "7f01dd338f368975b710c67333116db160d6b918b116bf99c6cbdb754b195685",
+	}
 	for _, seed := range []int64{1, 7, 1234} {
 		s := makeSchedule(seed, 300)
-		legacy := runSchedule(t, s, func(cfg *Config) {
-			cfg.MaxConcurrent = 8
-			cfg.Seed = seed
-		})
-		admission := runSchedule(t, s, func(cfg *Config) {
-			cfg.MaxConcurrent = 8
-			cfg.Seed = seed
-			cfg.Admission = &AdmissionConfig{QueueLimit: -1}
-		})
-		for i := range legacy {
-			if legacy[i] != admission[i] {
-				t.Fatalf("seed %d call %d diverged:\n  legacy:    %s\n  admission: %s",
-					seed, i, legacy[i], admission[i])
+		for _, adm := range []*AdmissionConfig{nil, {QueueLimit: -1}} {
+			results := runSchedule(t, s, func(cfg *Config) {
+				cfg.MaxConcurrent = 8
+				cfg.Seed = seed
+				cfg.Admission = adm
+			})
+			sum := sha256.Sum256([]byte(strings.Join(results, "\n")))
+			if got := hex.EncodeToString(sum[:]); got != recorded[seed] {
+				t.Errorf("seed %d Admission=%+v: digest %s, want %s", seed, adm, got, recorded[seed])
 			}
 		}
 	}

@@ -79,12 +79,13 @@ type Config struct {
 	// (429). Zero uses DefaultMaxConcurrent; negative means unlimited.
 	MaxConcurrent int
 
-	// Admission, when non-nil, replaces the bare global 429 gate with the
-	// tenant-aware admission layer: per-tenant token buckets feed a
-	// deficit-weighted round-robin over bounded per-tenant queues, with
-	// deadline-based shedding (see AdmissionConfig). MaxConcurrent stays
-	// the global capacity underneath it. Nil keeps the paper's behavior:
-	// one global limit, immediate 429s.
+	// Admission configures the gate in front of the controller: per-tenant
+	// token buckets feed a deficit-weighted round-robin over bounded
+	// per-tenant queues, with deadline-based shedding (see
+	// AdmissionConfig). MaxConcurrent is the global capacity underneath
+	// it. Nil is the paper's platform — one tenant, no queue: a full
+	// platform answers ErrThrottled — and equals
+	// &AdmissionConfig{QueueLimit: -1}.
 	Admission *AdmissionConfig
 
 	// AdmitOverhead is the serialized gateway service time per invocation:
@@ -227,8 +228,7 @@ type Controller struct {
 	lingers map[string]time.Time
 	rng     *rand.Rand
 
-	// adm is the tenant-aware admission state; nil when Config.Admission
-	// is unset (legacy global gate).
+	// adm is the admission state behind admitTenant.
 	adm *admission
 
 	spawnerFor func(ctx *runtime.Ctx) runtime.Spawner
@@ -257,6 +257,10 @@ func New(cfg Config) (*Controller, error) {
 		return nil, errors.New("faas: config missing storage client")
 	}
 	cfg.applyDefaults()
+	adm := AdmissionConfig{QueueLimit: -1}
+	if cfg.Admission != nil {
+		adm = *cfg.Admission
+	}
 	c := &Controller{
 		cfg:         cfg,
 		actions:     make(map[string]*action),
@@ -266,9 +270,7 @@ func New(cfg Config) (*Controller, error) {
 		warm:        make(map[string][]warmContainer),
 		lingers:     make(map[string]time.Time),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.Admission != nil {
-		c.adm = newAdmission(*cfg.Admission)
+		adm:         newAdmission(adm),
 	}
 	return c, nil
 }
@@ -372,12 +374,11 @@ func (c *Controller) Invoke(actionName string, params []byte) (string, error) {
 }
 
 // InvokeTenant is Invoke on behalf of a named tenant (empty resolves to
-// DefaultTenant). With an admission layer configured the tenant selects
-// the token bucket, queue and DWRR share the invocation is admitted
-// under; rejections become ErrQuotaExceeded (over rate quota) or ErrShed
-// (queue full / admission deadline exceeded) instead of a blind
-// ErrThrottled. Without one the tenant is only recorded on the
-// activation, for billing rollups.
+// DefaultTenant). The tenant selects the token bucket, queue and DWRR
+// share the invocation is admitted under and is recorded on the
+// activation for billing rollups; rejections are ErrQuotaExceeded (over
+// rate quota), ErrShed (queue full / admission deadline exceeded) or, with
+// queueing disabled (a nil Config.Admission), ErrThrottled.
 func (c *Controller) InvokeTenant(tenant, actionName string, params []byte) (string, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -407,26 +408,12 @@ func (c *Controller) InvokeTenant(tenant, actionName string, params []byte) (str
 		return "", fmt.Errorf("faas: invoke %q: controller outage: %w", actionName, ErrThrottled)
 	}
 
-	if c.adm != nil {
-		return c.admitTenant(tenant, act, params)
-	}
-
-	c.mu.Lock()
-	if c.cfg.MaxConcurrent >= 0 && c.inflight >= c.cfg.MaxConcurrent {
-		limit := c.cfg.MaxConcurrent
-		c.mu.Unlock()
-		c.cfg.Trace.Emitf(c.cfg.Clock.Now(), trace.KindThrottle, actionName,
-			"tenant=%s queued=0 reason=global: inflight at limit %d", tenant, limit)
-		return "", fmt.Errorf("faas: invoke %q: %w", actionName, ErrThrottled)
-	}
-	id := c.startActivationLocked(tenant, act, params)
-	c.mu.Unlock()
-	return id, nil
+	return c.admitTenant(tenant, act, params)
 }
 
 // startActivationLocked claims a concurrency slot, records the activation
-// and starts its execution task. Called with c.mu held by both admission
-// paths (the legacy gate and the tenant dispatcher).
+// and starts its execution task. Called with c.mu held, by admitTenant's
+// fast path and by the dispatcher.
 func (c *Controller) startActivationLocked(tenant string, act *action, params []byte) string {
 	c.inflight++
 	c.nextActID++

@@ -9,8 +9,9 @@ import (
 )
 
 // Handler HTTP status mapping mirrors OpenWhisk's REST API: 202 for an
-// accepted asynchronous invocation, 429 for the concurrent-invocation
-// throttle, 404 for unknown actions/activations.
+// accepted asynchronous invocation, 429 for every admission rejection
+// (concurrency throttle, tenant over quota, shed under overload), 404 for
+// unknown actions/activations.
 //
 //	POST   /api/v1/actions/{name}/invoke   body = params → {"activationId"}
 //	GET    /api/v1/actions                 registered action names
@@ -34,7 +35,7 @@ func (c *Controller) Handler() http.Handler {
 		case errors.Is(err, ErrNoSuchAction):
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
-		case errors.Is(err, ErrThrottled):
+		case errors.Is(err, ErrThrottled), errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrShed):
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 			return
 		case err != nil:

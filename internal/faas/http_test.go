@@ -3,8 +3,10 @@ package faas
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,55 +109,80 @@ func TestHTTPInvokeUnknownAction(t *testing.T) {
 	}
 }
 
+// TestHTTPThrottleIs429 checks that every admission rejection reaches the
+// socket as 429 with its own error text: the concurrency throttle, a tenant
+// over its rate quota, and an invocation shed after its admission deadline.
+// In each case the first invocation is accepted and holds the platform's
+// only slot; the second is the one rejected.
 func TestHTTPThrottleIs429(t *testing.T) {
-	clk := vclock.NewReal()
-	reg := runtime.NewRegistry()
-	if err := reg.Publish(runtime.NewImage(runtime.DefaultImage, 1)); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		admission *AdmissionConfig
+		want      error
+	}{
+		{"throttled", nil, ErrThrottled},
+		// One token, refilled at 1/s: the second call would owe ~1 s,
+		// past its 50 ms admission deadline.
+		{"over quota", &AdmissionConfig{Default: TenantQuota{Rate: 1, Burst: 1}, MaxQueueDelay: 50 * time.Millisecond}, ErrQuotaExceeded},
+		// Queued behind the blocked first call until the deadline expires.
+		{"shed", &AdmissionConfig{MaxQueueDelay: 20 * time.Millisecond}, ErrShed},
 	}
-	ctrl, err := New(Config{
-		Clock:             clk,
-		Registry:          reg,
-		Storage:           cos.NewStore(),
-		MaxConcurrent:     1,
-		AdmitOverhead:     100 * time.Microsecond,
-		ColdStartBoot:     time.Millisecond,
-		PullBandwidthMBps: 1e6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := make(chan struct{})
-	err = ctrl.CreateAction(ActionSpec{
-		Name:  "slow",
-		Image: runtime.DefaultImage,
-		Handler: func(_ *runtime.Ctx, _ []byte) ([]byte, error) {
-			<-block
-			return nil, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(ctrl.Handler())
-	defer srv.Close()
-	defer close(block)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := runtime.NewRegistry()
+			if err := reg.Publish(runtime.NewImage(runtime.DefaultImage, 1)); err != nil {
+				t.Fatal(err)
+			}
+			ctrl, err := New(Config{
+				Clock:             vclock.NewReal(),
+				Registry:          reg,
+				Storage:           cos.NewStore(),
+				MaxConcurrent:     1,
+				Admission:         tc.admission,
+				AdmitOverhead:     100 * time.Microsecond,
+				ColdStartBoot:     time.Millisecond,
+				PullBandwidthMBps: 1e6,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			block := make(chan struct{})
+			err = ctrl.CreateAction(ActionSpec{
+				Name:  "slow",
+				Image: runtime.DefaultImage,
+				Handler: func(_ *runtime.Ctx, _ []byte) ([]byte, error) {
+					<-block
+					return nil, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(ctrl.Handler())
+			defer srv.Close()
+			defer close(block)
 
-	first, err := http.Post(srv.URL+"/api/v1/actions/slow/invoke", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Body.Close()
-	if first.StatusCode != http.StatusAccepted {
-		t.Fatalf("first invoke status = %d", first.StatusCode)
-	}
-	second, err := http.Post(srv.URL+"/api/v1/actions/slow/invoke", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second.Body.Close()
-	if second.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second invoke status = %d, want 429", second.StatusCode)
+			first, err := http.Post(srv.URL+"/api/v1/actions/slow/invoke", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Body.Close()
+			if first.StatusCode != http.StatusAccepted {
+				t.Fatalf("first invoke status = %d", first.StatusCode)
+			}
+			second, err := http.Post(srv.URL+"/api/v1/actions/slow/invoke", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(second.Body)
+			second.Body.Close()
+			if second.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("second invoke status = %d, want 429 (body %q)", second.StatusCode, body)
+			}
+			if !strings.Contains(string(body), tc.want.Error()) {
+				t.Fatalf("second invoke body = %q, want it to carry %q", body, tc.want)
+			}
+		})
 	}
 }
 
