@@ -246,25 +246,18 @@ func (e *Executor) replayJournal() (*journalState, error) {
 }
 
 // recoverNextID restores the call-ID high-water mark from the staged
-// payloads. The LIST covers windows the journal cannot: helper calls that
-// never journal, and a driver that died between staging and the launch
-// record. Fresh IDs minted by this driver (replays) must never collide with
-// any staged call.
+// payload batches, whose keys name the call range they hold. The LIST covers
+// windows the journal cannot: helper calls that never journal, and a driver
+// that died between staging and the launch record. Fresh IDs minted by this
+// driver (replays) must never collide with any staged call.
 func (e *Executor) recoverNextID() error {
-	meta := e.cfg.Platform.MetaBucket()
-	listed, err := cos.ListAll(e.cfg.Storage, meta, payloadListPrefix(e.id))
+	batches, err := listPayloadBatches(e.cfg.Storage, e.storageRetry, e.cfg.Platform.MetaBucket(), e.id)
 	if err != nil {
 		return fmt.Errorf("core: attach %s: list payloads: %w", e.id, err)
 	}
 	next := 0
-	for _, obj := range listed {
-		id, ok := callIDFromStatusKey(obj.Key) // same trailing-segment shape as status keys
-		if !ok {
-			continue
-		}
-		if seq, ok := callSeq(id); ok && seq+1 > next {
-			next = seq + 1
-		}
+	for _, b := range batches {
+		next = max(next, b.first+b.count)
 	}
 	e.mu.Lock()
 	if next > e.nextID {

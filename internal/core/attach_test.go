@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -112,20 +113,23 @@ func TestAntiAffinityRespawnMovesHomeRegion(t *testing.T) {
 		cfg.AntiAffinityRespawn = true
 	})
 	meta := e.platform.MetaBucket()
+	// The region as a reader without a ref sees it: through the resolver.
 	readRegion := func(callID string) string {
 		t.Helper()
-		data, _, err := multi.Get(meta, payloadKey(exec.ID(), callID))
+		staged, err := resolvePayloads(multi, exec.storageRetry, meta, exec.ID(), []string{callID})
 		if err != nil {
-			t.Fatalf("read payload %s: %v", callID, err)
+			t.Errorf("resolve payload %s: %v", callID, err)
+			return ""
 		}
-		var p wire.CallPayload
-		if err := wire.Unmarshal(data, &p); err != nil {
-			t.Fatal(err)
+		p, err := wire.DecodePayload(staged[0].body)
+		if err != nil {
+			t.Error(err)
+			return ""
 		}
 		return p.Region
 	}
 	e.clk.Run(func() {
-		futs, err := exec.Map("add7", []any{1})
+		futs, err := exec.Map("add7", []any{1, 2, 3})
 		if err != nil {
 			t.Error(err)
 			return
@@ -134,15 +138,37 @@ func TestAntiAffinityRespawnMovesHomeRegion(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		callID := futs[0].callID
+		moved := futs[1]
+		callID := moved.callID
+		launchBatch := moved.payload.Key
+		if want := batchKey(exec.ID(), 0, 3); launchBatch != want {
+			t.Errorf("launch staged call %s in %s, want %s", callID, launchBatch, want)
+		}
+		original, _, err := multi.Get(meta, launchBatch)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		before := readRegion(callID)
 		if before == "" {
 			t.Error("placed call has no home region")
 			return
 		}
-		if err := exec.Respawn(futs); err != nil {
+		if err := exec.Respawn(futs[1:2]); err != nil {
 			t.Errorf("respawn: %v", err)
 			return
+		}
+		// The re-placed copy is a batch of one beside the launch's batch, the
+		// respawned activation was handed exactly that, and the launch's
+		// batch — which the job's other calls still point into — is untouched.
+		if want := batchKey(exec.ID(), 1, 1); moved.payload.Key != want || moved.payload.Offset != 0 {
+			t.Errorf("respawn invoked with payload %+v, want the override %s", moved.payload, want)
+		}
+		if now, _, err := multi.Get(meta, launchBatch); err != nil || !bytes.Equal(now, original) {
+			t.Errorf("launch batch %s changed under an anti-affinity respawn (err %v)", launchBatch, err)
+		}
+		if stats, err := exec.Stats(); err != nil || stats.Payloads != 3 {
+			t.Errorf("staged calls = %d (err %v), want 3: the override is not a new call", stats.Payloads, err)
 		}
 		after := readRegion(callID)
 		if after == before {

@@ -60,9 +60,10 @@ func (e *Executor) PersistedDeadLetters() ([]DeadLetter, error) {
 }
 
 // ReplayDeadLetters re-stages every dead-lettered call as a new job on this
-// executor: the original staged payloads are fetched, re-keyed under fresh
-// call IDs, staged, and invoked like any other job, so the replay gets the
-// full machinery — retries, recovery, speculation — from scratch. On
+// executor: the original staged payloads are fetched (one GET per batch they
+// sit in), re-keyed under fresh call IDs, staged, and invoked like any other
+// job, so the replay gets the full machinery — retries, recovery,
+// speculation — from scratch. On
 // success the executor's dead-letter list is cleared, the persisted records
 // are deleted, and the new futures are returned, tracked in place of the
 // dead originals (which are untracked, so the next GetResult collects each
@@ -83,19 +84,21 @@ func (e *Executor) ReplayDeadLetters() ([]*Future, error) {
 	}
 
 	meta := e.cfg.Platform.MetaBucket()
+	callIDs := make([]string, len(letters))
+	for i, d := range letters {
+		callIDs[i] = d.CallID
+	}
+	staged, err := resolvePayloads(e.cfg.Storage, e.storageRetry, meta, e.id, callIDs)
+	if err != nil {
+		restore()
+		return nil, fmt.Errorf("core: replay: fetch payloads: %w", err)
+	}
 	payloads := make([]*wire.CallPayload, len(letters))
 	for i, d := range letters {
-		data, err := e.getWithRetry(meta, payloadKey(d.ExecutorID, d.CallID))
-		if err != nil {
-			restore()
-			return nil, fmt.Errorf("core: replay: fetch payload %s/%s: %w", d.ExecutorID, d.CallID, err)
-		}
-		var p wire.CallPayload
-		if err := wire.Unmarshal(data, &p); err != nil {
+		if payloads[i], err = wire.DecodePayload(staged[i].body); err != nil {
 			restore()
 			return nil, fmt.Errorf("core: replay: decode payload %s/%s: %w", d.ExecutorID, d.CallID, err)
 		}
-		payloads[i] = &p
 	}
 	ids := e.reserveCallIDs(len(payloads))
 	for i, p := range payloads {

@@ -391,15 +391,16 @@ func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*F
 	if err != nil {
 		return nil, err
 	}
-	if err := e.stagePayloads(payloads); err != nil {
+	refs, err := e.stagePayloads(payloads)
+	if err != nil {
 		return nil, err
 	}
 
 	var actIDs []string
 	if e.cfg.MassiveSpawning {
-		actIDs, err = e.invokeViaSpawners(action, payloads)
+		actIDs, err = e.invokeViaSpawners(action, payloads, refs)
 	} else {
-		actIDs, err = e.invokeDirect(action, payloads)
+		actIDs, err = e.invokeDirect(action, payloads, refs)
 	}
 	if err != nil {
 		return nil, err
@@ -416,38 +417,12 @@ func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*F
 			actID = actIDs[i]
 		}
 		futures[i] = newFuture(e, p.ExecutorID, p.CallID, actID)
+		futures[i].payload = refs[i]
 	}
 	if trackFutures {
 		e.track(futures)
 	}
 	return futures, nil
-}
-
-// stagePayloads uploads the serialized calls with the staging pool,
-// retrying transient storage failures. Every payload passes through here,
-// so this is also where calls get their region placement.
-func (e *Executor) stagePayloads(payloads []*wire.CallPayload) error {
-	meta := e.cfg.Platform.MetaBucket()
-	for _, p := range payloads {
-		if p.Region == "" {
-			p.Region = e.cfg.Platform.PlaceCall(p.CallID)
-		}
-		if p.Tenant == "" {
-			p.Tenant = e.cfg.Tenant
-		}
-	}
-	errs := parallelFor(e.clock, e.cfg.StageConcurrency, len(payloads), func(i int) error {
-		p := payloads[i]
-		if err := p.Validate(); err != nil {
-			return err
-		}
-		body := wire.MustMarshal(p)
-		return e.putWithRetry(meta, payloadKey(p.ExecutorID, p.CallID), body)
-	})
-	if err := firstErr(errs); err != nil {
-		return fmt.Errorf("core: stage payloads: %w", err)
-	}
-	return nil
 }
 
 // putWithRetry retries transient simulated network failures under the

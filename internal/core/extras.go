@@ -144,10 +144,13 @@ func (e *Executor) Respawn(futures []*Future) error {
 	if err != nil {
 		return err
 	}
+	if err := e.locatePayloads(futures); err != nil {
+		return fmt.Errorf("core: respawn: %w", err)
+	}
 	newActs := make([]string, len(futures))
 	errs = parallelFor(e.clock, e.cfg.InvokeConcurrency, len(futures), func(i int) error {
 		f := futures[i]
-		actID, err := e.invokeOne(action, payloadRef(meta, f.executorID, f.callID), e.cfg.Tenant)
+		actID, err := e.invokeOne(action, f.payload, e.cfg.Tenant)
 		if err != nil {
 			return fmt.Errorf("respawn %s/%s: %w", f.executorID, f.callID, err)
 		}
@@ -175,24 +178,29 @@ func (e *Executor) Respawn(futures []*Future) error {
 
 // replaceRegions applies the anti-affinity knob before a respawn invokes:
 // each call whose payload carries a region is re-placed in a region other
-// than the one whose failure killed it, and the payload is re-staged so the
-// runner executes through the new region's view. It returns the (possibly
-// updated) region per future; with the knob off it reports the empty
-// placement without touching storage.
+// than the one whose failure killed it. The rewritten payload is staged as a
+// batch of one beside the launch's batch — which stays untouched — and the
+// future is repointed at it, so the runner executes through the new region's
+// view. It returns the (possibly updated) region per future; with the knob
+// off it reports the empty placement without touching storage.
 func (e *Executor) replaceRegions(futures []*Future) ([]string, error) {
 	regions := make([]string, len(futures))
 	if !e.cfg.AntiAffinityRespawn || len(e.cfg.Platform.Regions()) < 2 {
 		return regions, nil
 	}
-	meta := e.cfg.Platform.MetaBucket()
+	callIDs := make([]string, len(futures))
+	for i, f := range futures {
+		callIDs[i] = f.callID
+	}
+	staged, err := resolvePayloads(e.cfg.Storage, e.storageRetry, e.cfg.Platform.MetaBucket(), e.id, callIDs)
+	if err != nil {
+		return nil, fmt.Errorf("core: respawn re-place: %w", err)
+	}
 	errs := parallelFor(e.clock, e.cfg.StageConcurrency, len(futures), func(i int) error {
 		f := futures[i]
-		data, err := e.getWithRetry(meta, payloadKey(f.executorID, f.callID))
+		f.payload = staged[i].ref
+		p, err := wire.DecodePayload(staged[i].body)
 		if err != nil {
-			return fmt.Errorf("respawn re-place %s/%s: %w", f.executorID, f.callID, err)
-		}
-		var p wire.CallPayload
-		if err := wire.Unmarshal(data, &p); err != nil {
 			return fmt.Errorf("respawn re-place %s/%s: %w", f.executorID, f.callID, err)
 		}
 		regions[i] = p.Region
@@ -201,9 +209,11 @@ func (e *Executor) replaceRegions(futures []*Future) ([]string, error) {
 			return nil
 		}
 		p.Region = moved
-		if err := e.putWithRetry(meta, payloadKey(f.executorID, f.callID), wire.MustMarshal(&p)); err != nil {
+		refs, err := e.stagePayloads([]*wire.CallPayload{p})
+		if err != nil {
 			return fmt.Errorf("respawn re-place %s/%s: %w", f.executorID, f.callID, err)
 		}
+		f.payload = refs[0]
 		regions[i] = moved
 		return nil
 	})
@@ -216,21 +226,33 @@ func (e *Executor) replaceRegions(futures []*Future) ([]string, error) {
 // JobStats summarizes the executor's storage footprint (for tests,
 // tooling, and Clean verification).
 type JobStats struct {
+	// Payloads counts staged calls, not the batch objects holding them.
 	Payloads int
 	Statuses int
 	Results  int
 	Shuffle  int
 }
 
-// Stats counts the executor's objects in the meta bucket.
+// Stats counts the executor's objects in the meta bucket — and, for
+// payloads, the calls its batch keys say they hold (no batch is read).
 func (e *Executor) Stats() (JobStats, error) {
 	var out JobStats
 	meta := e.cfg.Platform.MetaBucket()
+	batches, err := listPayloadBatches(e.cfg.Storage, e.storageRetry, meta, e.id)
+	if err != nil {
+		return JobStats{}, fmt.Errorf("core: stats %s: %w", e.id, err)
+	}
+	// Key order is call order, so a high-water mark counts a call once even
+	// where a respawn's re-placed copy sits beside the batch it came from.
+	staged := 0
+	for _, b := range batches {
+		out.Payloads += max(0, b.first+b.count-max(b.first, staged))
+		staged = max(staged, b.first+b.count)
+	}
 	for _, x := range []struct {
 		prefix string
 		dst    *int
 	}{
-		{payloadPrefix, &out.Payloads},
 		{statusPrefix, &out.Statuses},
 		{resultPrefix, &out.Results},
 		{shufflePrefix, &out.Shuffle},

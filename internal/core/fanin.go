@@ -78,11 +78,12 @@ func resolveFanIn(bucket, execID string, spec *wire.FanIn) (fanInGate, error) {
 // marker is the key of the group's launch marker (a wire.FanInMarker).
 func (g *fanInGate) marker() string { return fanInKey(g.execID, g.spec.FirstTarget) }
 
-// target is the invocation of the gate's i-th staged call.
+// target is the invocation of the gate's i-th staged call, located by the
+// spec itself.
 func (g *fanInGate) target(i int) wire.SpawnTarget {
 	return wire.SpawnTarget{
 		Action:  g.spec.Action,
-		Payload: payloadRef(g.bucket, g.execID, callIDForSeq(g.firstTarget+i)),
+		Payload: g.spec.Target(g.bucket, i),
 		Tenant:  g.spec.Tenant,
 	}
 }
@@ -151,21 +152,26 @@ func (e *Executor) launchBehind(gates []stageGate) ([]*Future, error) {
 		inputs = append(inputs, g.inputs...)
 		targets = append(targets, g.targets...)
 	}
-	// The targets must exist before any input can finish.
-	if err := e.stagePayloads(targets); err != nil {
+	// The targets must exist before any input can finish, and every input
+	// carries where its gate's targets were staged.
+	targetRefs, err := e.stagePayloads(targets)
+	if err != nil {
 		return nil, err
 	}
 	specs := make([]wire.FanIn, len(gates))
 	groups := make([]*fanInGroup, len(gates))
+	located := targetRefs
 	for i, g := range gates {
 		specs[i] = wire.FanIn{
 			FirstCallID: g.inputs[0].CallID,
 			Count:       len(g.inputs),
 			FirstTarget: g.targets[0].CallID,
 			Targets:     len(g.targets),
+			TargetSpans: payloadSpans(located[:len(g.targets)]),
 			Action:      action,
 			Tenant:      e.cfg.Tenant,
 		}
+		located = located[len(g.targets):]
 		if groups[i], err = e.newFanInGroup(&specs[i]); err != nil {
 			return nil, err
 		}
@@ -186,6 +192,7 @@ func (e *Executor) launchBehind(gates []stageGate) ([]*Future, error) {
 	for i, g := range gates {
 		for t, p := range g.targets {
 			f := newFuture(e, p.ExecutorID, p.CallID, "")
+			f.payload = targetRefs[len(futures)]
 			f.gate = groups[i]
 			groups[i].gated[t] = f
 			futures = append(futures, f)

@@ -27,6 +27,10 @@ type Future struct {
 	executorID   string
 	callID       string
 	activationID string // empty under massive spawning, and until a fan-in launch is known
+	// payload is where the call's staged payload lives — what a respawn hands
+	// the runner. The zero ref marks a future adopted by Attach; Respawn
+	// locates those through the resolver (payloads.go).
+	payload wire.ObjectRef
 	// gate is the stage barrier this call waits behind (see fanin.go); nil
 	// for calls the client invokes itself.
 	gate *fanInGroup

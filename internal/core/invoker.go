@@ -15,12 +15,11 @@ const approxInvokeBytes = 256
 // location, using the client thread pool — PyWren's original strategy and
 // the "local invocation" arm of Fig. 2. It returns the activation IDs in
 // payload order.
-func (e *Executor) invokeDirect(action string, payloads []*wire.CallPayload) ([]string, error) {
+func (e *Executor) invokeDirect(action string, payloads []*wire.CallPayload, refs []wire.ObjectRef) ([]string, error) {
 	actIDs := make([]string, len(payloads))
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(payloads), func(i int) error {
 		p := payloads[i]
-		ref := payloadRef(p.MetaBucket, p.ExecutorID, p.CallID)
-		id, err := e.invokeOne(action, ref, p.Tenant)
+		id, err := e.invokeOne(action, refs[i], p.Tenant)
 		if err != nil {
 			return fmt.Errorf("invoke call %s/%s: %w", p.ExecutorID, p.CallID, err)
 		}
@@ -67,9 +66,10 @@ func (e *Executor) invokeOne(action string, ref wire.ObjectRef, tenant string) (
 // references are grouped (100 per group by default) and each group is
 // handed to a remote invoker function that fires the invocations from
 // inside the cloud at datacenter latency. The client pays only
-// ceil(n/group) WAN invocations. Activation IDs of the target calls are not
-// known client-side in this mode.
-func (e *Executor) invokeViaSpawners(action string, payloads []*wire.CallPayload) ([]string, error) {
+// ceil(n/group) WAN invocations and one PUT for all the invoker payloads
+// (refs are the targets' staged locations, aligned with payloads). Activation
+// IDs of the target calls are not known client-side in this mode.
+func (e *Executor) invokeViaSpawners(action string, payloads []*wire.CallPayload, refs []wire.ObjectRef) ([]string, error) {
 	group := e.cfg.SpawnGroupSize
 	meta := e.cfg.Platform.MetaBucket()
 	invokerAction := invokerActionName(e.cfg.RuntimeImage)
@@ -81,10 +81,10 @@ func (e *Executor) invokeViaSpawners(action string, payloads []*wire.CallPayload
 			end = len(payloads)
 		}
 		targets := make([]wire.SpawnTarget, 0, end-start)
-		for _, p := range payloads[start:end] {
+		for i, p := range payloads[start:end] {
 			targets = append(targets, wire.SpawnTarget{
 				Action:  action,
-				Payload: payloadRef(p.MetaBucket, p.ExecutorID, p.CallID),
+				Payload: refs[start+i],
 				Tenant:  p.Tenant,
 			})
 		}
@@ -105,13 +105,13 @@ func (e *Executor) invokeViaSpawners(action string, payloads []*wire.CallPayload
 			MetaBucket: meta,
 		}
 	}
-	if err := e.stagePayloads(invPayloads); err != nil {
+	invRefs, err := e.stagePayloads(invPayloads)
+	if err != nil {
 		return nil, fmt.Errorf("core: stage invoker groups: %w", err)
 	}
 
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(invPayloads), func(g int) error {
-		p := invPayloads[g]
-		if _, err := e.invokeOne(invokerAction, payloadRef(meta, p.ExecutorID, p.CallID), p.Tenant); err != nil {
+		if _, err := e.invokeOne(invokerAction, invRefs[g], invPayloads[g].Tenant); err != nil {
 			return fmt.Errorf("invoke spawner group %d: %w", g, err)
 		}
 		return nil

@@ -20,14 +20,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"gowren/internal/wire"
 )
 
 // Storage layout inside the meta bucket. Statuses share a per-executor
 // prefix so one paginated LIST discovers every finished call — the same
 // trick IBM-PyWren uses so client polling does not need a round trip per
-// future.
+// future. Payloads are the one kind not keyed by call ID: a launch stages
+// them as batches (payloads.go).
 const (
 	payloadPrefix    = "payload"
 	statusPrefix     = "status"
@@ -40,9 +39,6 @@ const (
 func jobKey(kind, execID, callID string) string {
 	return fmt.Sprintf("jobs/%s/%s/%s", execID, kind, callID)
 }
-
-// payloadKey is where a call's serialized CallPayload is staged.
-func payloadKey(execID, callID string) string { return jobKey(payloadPrefix, execID, callID) }
 
 // statusKey is the commit point of a call: its existence means finished.
 func statusKey(execID, callID string) string { return jobKey(statusPrefix, execID, callID) }
@@ -120,15 +116,4 @@ func journalKey(execID string, epoch uint64, seq int) string {
 // journalListPrefix lists a job's journal records in replay order.
 func journalListPrefix(execID string) string {
 	return fmt.Sprintf("jobs/%s/%s/", execID, journalPrefix)
-}
-
-// payloadListPrefix lists every staged payload of an executor; Attach uses
-// it to recover the call-ID high-water mark.
-func payloadListPrefix(execID string) string {
-	return fmt.Sprintf("jobs/%s/%s/", execID, payloadPrefix)
-}
-
-// payloadRef builds the ObjectRef for a staged payload.
-func payloadRef(metaBucket, execID, callID string) wire.ObjectRef {
-	return wire.ObjectRef{Bucket: metaBucket, Key: payloadKey(execID, callID)}
 }

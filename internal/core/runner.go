@@ -37,16 +37,9 @@ func (p *Platform) runnerHandler() faas.Handler {
 		if err := wire.Unmarshal(params, &ref); err != nil {
 			return nil, fmt.Errorf("core: runner params: %w", err)
 		}
-		body, err := p.getRetry(ctx, ref.Bucket, ref.Key)
+		payload, err := p.loadPayload(ctx, ref)
 		if err != nil {
 			return nil, fmt.Errorf("core: runner load payload: %w", err)
-		}
-		var payload wire.CallPayload
-		if err := wire.Unmarshal(body, &payload); err != nil {
-			return nil, err
-		}
-		if err := payload.Validate(); err != nil {
-			return nil, err
 		}
 		// The payload carries the call's region placement and tenant; from
 		// here on the function reads and writes through its own region's
@@ -56,7 +49,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 		ctx = p.placementFor(ctx, payload.Region, payload.Tenant)
 
 		started := ctx.Clock().Now()
-		value, runErr := p.dispatch(ctx, &payload)
+		value, runErr := p.dispatch(ctx, payload)
 		ended := ctx.Clock().Now()
 
 		// A fast-tier shuffle map returns its value wrapped with the
@@ -116,7 +109,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 			// The call is committed either way; a failure here only shows
 			// in the activation record, and the driver's backstop launches
 			// what this call could not.
-			if err := p.closeFanIn(ctx, &payload); err != nil {
+			if err := p.closeFanIn(ctx, payload); err != nil {
 				return nil, err
 			}
 		}
@@ -228,13 +221,9 @@ func (p *Platform) invokerHandler() faas.Handler {
 		if err := wire.Unmarshal(params, &ref); err != nil {
 			return nil, fmt.Errorf("core: invoker params: %w", err)
 		}
-		body, err := p.getRetry(ctx, ref.Bucket, ref.Key)
+		payload, err := p.loadPayload(ctx, ref)
 		if err != nil {
 			return nil, fmt.Errorf("core: invoker load payload: %w", err)
-		}
-		var payload wire.CallPayload
-		if err := wire.Unmarshal(body, &payload); err != nil {
-			return nil, err
 		}
 		if payload.Kind != wire.KindInvoker || payload.Invoker == nil {
 			return nil, errors.New("core: invoker payload of wrong kind")
@@ -283,6 +272,25 @@ func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, target wire.SpawnTarget, re
 		return "", fmt.Errorf("core: in-cloud invocation failed: %w", err)
 	}
 	return id, nil
+}
+
+// loadPayload reads the staged call the invoke parameters name: its byte range
+// of a payload batch, or the whole object for a ref without a range.
+func (p *Platform) loadPayload(ctx *runtime.Ctx, ref wire.ObjectRef) (*wire.CallPayload, error) {
+	var body []byte
+	err := p.fnStorageRetry.Do(func() error {
+		var err error
+		if ref.Length > 0 {
+			body, _, err = ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
+		} else {
+			body, _, err = ctx.Storage().Get(ref.Bucket, ref.Key)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodePayload(body)
 }
 
 // getRetry reads an object through the function's storage view with

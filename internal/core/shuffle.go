@@ -345,12 +345,12 @@ func (p *Platform) shuffleFallback(ctx *runtime.Ctx, payload *wire.CallPayload, 
 // cost of losing a fast-tier node.
 func (p *Platform) recomputeShufflePartition(ctx *runtime.Ctx, payload *wire.CallPayload, mapID string) ([]byte, error) {
 	spec := payload.Shuffle
-	body, err := p.getRetry(ctx, payload.MetaBucket, payloadKey(payload.ExecutorID, mapID))
+	staged, err := resolvePayloads(ctx.Storage(), p.fnStorageRetry, payload.MetaBucket, payload.ExecutorID, []string{mapID})
 	if err != nil {
 		return nil, fmt.Errorf("core: shuffle recompute load payload %s: %w", mapID, err)
 	}
-	var mp wire.CallPayload
-	if err := wire.Unmarshal(body, &mp); err != nil {
+	mp, err := wire.DecodePayload(staged[0].body)
+	if err != nil {
 		return nil, err
 	}
 	if mp.Kind != wire.KindShuffleMap || mp.Partition == nil {

@@ -1,0 +1,98 @@
+package wire
+
+import (
+	"bytes"
+	"fmt"
+)
+
+// Payload batches. A launch stages its calls as one object, not one per
+// call: the marshalled CallPayloads joined by '\n' (NDJSON without a
+// trailing newline, so a batch of one is byte-identical to a lone payload
+// and `jq` opens either). encoding/json never emits a raw newline — strings
+// escape it and embedded RawMessages are compacted — so '\n' is a safe
+// separator. A call is addressed inside its batch by byte range (ObjectRef
+// Offset/Length, the hot path: one range GET) or by line number (PayloadLine,
+// the recovery path, for readers that only know the call ID).
+
+// JoinPayloads frames marshalled payloads as one batch body and returns it
+// with its len(bodies)+1 line boundaries (see PayloadSpan.Bounds).
+func JoinPayloads(bodies [][]byte) (batch []byte, bounds []int64) {
+	size := len(bodies)
+	for _, b := range bodies {
+		size += len(b)
+	}
+	batch = make([]byte, 0, size)
+	bounds = make([]int64, 1, len(bodies)+1)
+	for i, b := range bodies {
+		if i > 0 {
+			batch = append(batch, '\n')
+		}
+		batch = append(batch, b...)
+		bounds = append(bounds, int64(len(batch))+1)
+	}
+	return batch, bounds
+}
+
+// PayloadSpan locates consecutive staged calls inside one batch object.
+type PayloadSpan struct {
+	Key string `json:"key"`
+	// Bounds are the start offsets of the span's lines plus one closing
+	// boundary: call i occupies bytes [Bounds[i], Bounds[i+1]-1), the byte
+	// before each next boundary being the separator (or the object's end).
+	Bounds []int64 `json:"bounds"`
+}
+
+// Calls is the number of calls the span locates.
+func (s PayloadSpan) Calls() int { return len(s.Bounds) - 1 }
+
+// Ref addresses the span's i-th call.
+func (s PayloadSpan) Ref(bucket string, i int) ObjectRef {
+	return ObjectRef{Bucket: bucket, Key: s.Key, Offset: s.Bounds[i], Length: s.Bounds[i+1] - 1 - s.Bounds[i]}
+}
+
+func (s PayloadSpan) validate() error {
+	if s.Key == "" || len(s.Bounds) < 2 || s.Bounds[0] < 0 {
+		return fmt.Errorf("payload span %q with %d boundaries", s.Key, len(s.Bounds))
+	}
+	for i := 1; i < len(s.Bounds); i++ {
+		if s.Bounds[i] < s.Bounds[i-1]+2 { // no payload is empty
+			return fmt.Errorf("payload span %q boundaries %v do not ascend", s.Key, s.Bounds)
+		}
+	}
+	return nil
+}
+
+// PayloadLine returns line i of a batch body and its offset, for readers
+// that hold a call's position in the batch but no byte range. The line
+// aliases batch.
+func PayloadLine(batch []byte, i int) (line []byte, offset int64, err error) {
+	if i < 0 {
+		return nil, 0, fmt.Errorf("wire: payload batch line %d", i)
+	}
+	start := 0
+	for n := 0; ; n++ {
+		end := bytes.IndexByte(batch[start:], '\n')
+		switch {
+		case n == i && end < 0:
+			return batch[start:], int64(start), nil
+		case n == i:
+			return batch[start : start+end], int64(start), nil
+		case end < 0:
+			return nil, 0, fmt.Errorf("wire: payload batch has %d lines, want line %d", n+1, i)
+		}
+		start += end + 1
+	}
+}
+
+// DecodePayload decodes and validates one staged call, whichever way its
+// bytes were cut out of a batch.
+func DecodePayload(body []byte) (*CallPayload, error) {
+	p := new(CallPayload)
+	if err := Unmarshal(body, p); err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}

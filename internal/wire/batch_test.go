@@ -1,0 +1,167 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestObjectRefWholeObjectBytesUnchanged pins the serialized form of a ref
+// without a range: it is what every invoke parameter, spawn target and status
+// record carried before refs could address a byte range, and still means the
+// whole object.
+func TestObjectRefWholeObjectBytesUnchanged(t *testing.T) {
+	ref := ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000001/payload/00000"}
+	const want = `{"bucket":"gowren-meta","key":"jobs/exec-000001/payload/00000"}`
+	if got := string(MustMarshal(ref)); got != want {
+		t.Fatalf("whole-object ref = %s, want %s", got, want)
+	}
+	ranged := ObjectRef{Bucket: "b", Key: "k", Offset: 130, Length: 129}
+	var back ObjectRef
+	if err := Unmarshal(MustMarshal(ranged), &back); err != nil || back != ranged {
+		t.Fatalf("ranged ref round trip = %+v (err %v), want %+v", back, err, ranged)
+	}
+}
+
+// batchFixture is a launch with every awkward byte a payload can carry: an
+// argument that is itself multi-line JSON, newlines inside strings, and a
+// fan-in spec.
+func batchFixture() []*CallPayload {
+	fan := fanInPayload()
+	return []*CallPayload{
+		{ExecutorID: "exec-1", CallID: "00000", Runtime: "default", Function: "add7", Kind: KindPlain,
+			Arg: json.RawMessage("{\n  \"text\": \"line one\\nline two\",\n  \"n\": [1,\n 2]\n}"), MetaBucket: "m"},
+		{ExecutorID: "exec-1", CallID: "00001", Runtime: "default", Function: "fn\nwith newline", Kind: KindPlain,
+			Arg: json.RawMessage(`"\u000a"`), MetaBucket: "m", Tenant: "acme\n"},
+		&fan,
+		{ExecutorID: "exec-1", CallID: "00003", Runtime: "default", Function: "gowren/spawn", Kind: KindInvoker,
+			Invoker:    &InvokerSpec{Targets: []SpawnTarget{{Action: "a", Payload: ObjectRef{Bucket: "m", Key: "k", Offset: 7, Length: 9}}}},
+			MetaBucket: "m"},
+	}
+}
+
+// TestPayloadBatchRoundTrip: every call comes back identical whether it is cut
+// out by byte range (the hot path's ref) or by line number (the resolver), and
+// no marshalled payload contains the separator.
+func TestPayloadBatchRoundTrip(t *testing.T) {
+	in := batchFixture()
+	bodies := make([][]byte, len(in))
+	for i, p := range in {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = MustMarshal(p)
+		if bytes.IndexByte(bodies[i], '\n') >= 0 {
+			t.Fatalf("marshalled payload %d contains a raw newline: %q", i, bodies[i])
+		}
+	}
+	batch, bounds := JoinPayloads(bodies)
+	span := PayloadSpan{Key: "jobs/exec-1/payload/00000+4", Bounds: bounds}
+	if err := span.validate(); err != nil || span.Calls() != len(in) {
+		t.Fatalf("span of %d calls: Calls() = %d, validate = %v", len(in), span.Calls(), err)
+	}
+	if last := bounds[len(bounds)-1]; last != int64(len(batch))+1 {
+		t.Fatalf("closing boundary = %d, want %d (one past the absent final separator)", last, len(batch)+1)
+	}
+	for i, want := range in {
+		ref := span.Ref("m", i)
+		byRange, err := DecodePayload(batch[ref.Offset : ref.Offset+ref.Length])
+		if err != nil {
+			t.Fatalf("call %d by range: %v", i, err)
+		}
+		line, offset, err := PayloadLine(batch, i)
+		if err != nil || offset != ref.Offset || int64(len(line)) != ref.Length {
+			t.Fatalf("call %d by line: offset %d len %d err %v, want the ref's %d+%d", i, offset, len(line), err, ref.Offset, ref.Length)
+		}
+		byLine, err := DecodePayload(line)
+		if err != nil {
+			t.Fatalf("call %d by line: %v", i, err)
+		}
+		// The argument was staged compacted; compare it that way.
+		var arg bytes.Buffer
+		if len(want.Arg) > 0 {
+			if err := json.Compact(&arg, want.Arg); err != nil {
+				t.Fatal(err)
+			}
+			cp := *want
+			cp.Arg = arg.Bytes()
+			want = &cp
+		}
+		if !reflect.DeepEqual(byRange, want) || !reflect.DeepEqual(byLine, want) {
+			t.Fatalf("call %d:\n range=%+v\n  line=%+v\n  want=%+v", i, byRange, byLine, want)
+		}
+	}
+	if _, _, err := PayloadLine(batch, len(in)); err == nil || !strings.Contains(err.Error(), "has 4 lines") {
+		t.Fatalf("line past the end: err = %v", err)
+	}
+	if _, _, err := PayloadLine(batch, -1); err == nil {
+		t.Fatal("negative line accepted")
+	}
+
+	// A batch of one is the lone payload, byte for byte: what a ref without
+	// a range (written before batches existed) points at.
+	one, oneBounds := JoinPayloads(bodies[:1])
+	if !bytes.Equal(one, bodies[0]) || !reflect.DeepEqual(oneBounds, []int64{0, int64(len(bodies[0])) + 1}) {
+		t.Fatalf("batch of one = %q bounds %v", one, oneBounds)
+	}
+}
+
+func TestDecodePayloadValidates(t *testing.T) {
+	if _, err := DecodePayload([]byte(`{"executorId":"e","callId":"c","function":"f","kind":1}`)); err == nil || !strings.Contains(err.Error(), "meta bucket") {
+		t.Fatalf("invalid payload decoded: err = %v", err)
+	}
+	if _, err := DecodePayload([]byte(`{"executorId":"e","callId":`)); err == nil {
+		t.Fatal("truncated payload decoded")
+	}
+}
+
+// FuzzPayloadBatch feeds arbitrary bytes through the resolver's framing and
+// the decoder both read paths share. Neither may panic; a line handed back
+// must be the bytes at its offset and contain no separator; and a payload
+// that decodes must be valid and survive being staged again.
+func FuzzPayloadBatch(f *testing.F) {
+	bodies := make([][]byte, 0, 4)
+	for _, p := range batchFixture() {
+		bodies = append(bodies, MustMarshal(p))
+	}
+	batch, _ := JoinPayloads(bodies)
+	for i := -1; i <= len(bodies); i++ {
+		f.Add(batch, i)
+	}
+	f.Add([]byte(nil), 0)
+	f.Add([]byte("\n\n"), 1)
+	f.Add([]byte(`{"executorId":"e","callId":"c","function":"f","kind":6,"shuffle":{"numReducers":0},"metaBucket":"m"}`), 0)
+	f.Add([]byte(`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m","fanIn":{"firstCallId":"0","count":1,"firstTarget":"1","targets":1,"targetSpans":[{"key":"k","bounds":[5]}],"action":"a"}}`), 0)
+
+	f.Fuzz(func(t *testing.T, data []byte, i int) {
+		line, offset, err := PayloadLine(data, i)
+		if err != nil {
+			return
+		}
+		if end := offset + int64(len(line)); offset < 0 || end > int64(len(data)) || !bytes.Equal(data[offset:end], line) {
+			t.Fatalf("line %d: offset %d len %d does not address the batch (%d bytes)", i, offset, len(line), len(data))
+		}
+		if bytes.IndexByte(line, '\n') >= 0 {
+			t.Fatalf("line %d contains the separator", i)
+		}
+		p, err := DecodePayload(line)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("DecodePayload returned an invalid payload: %v", err)
+		}
+		if p.FanIn != nil {
+			for k := 0; k < p.FanIn.Targets; k++ {
+				p.FanIn.Target("m", k) // a validated spec locates every target
+			}
+		}
+		again, bounds := JoinPayloads([][]byte{MustMarshal(p)})
+		back, err := DecodePayload(again[bounds[0] : bounds[1]-1])
+		if err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("restaged payload = %+v (err %v), want %+v", back, err, p)
+		}
+	})
+}

@@ -47,10 +47,14 @@ func (k CallKind) String() string {
 	}
 }
 
-// ObjectRef addresses one object in storage.
+// ObjectRef addresses one object in storage, or — with Length set — Length
+// bytes of it starting at Offset. A ref without a range marshals to exactly
+// {"bucket":…,"key":…} and means the whole object.
 type ObjectRef struct {
 	Bucket string `json:"bucket"`
 	Key    string `json:"key"`
+	Offset int64  `json:"offset,omitempty"`
+	Length int64  `json:"length,omitempty"`
 }
 
 // Partition describes a byte range of a stored object assigned to one map
@@ -191,8 +195,8 @@ type InvokerSpec struct {
 // FirstTarget … FirstTarget+Targets-1. The downstream stage therefore starts
 // when its inputs exist, and nothing is billed for waiting on them. Both
 // ranges are contiguous zero-padded call IDs in the carrying call's own
-// executor namespace, which keeps the spec a few dozen bytes however wide
-// the stage is.
+// executor namespace; the spec grows by one offset per target, nothing per
+// input.
 type FanIn struct {
 	// FirstCallID and Count bound the group whose statuses gate the launch.
 	FirstCallID string `json:"firstCallId"`
@@ -201,6 +205,10 @@ type FanIn struct {
 	// whole group.
 	FirstTarget string `json:"firstTarget"`
 	Targets     int    `json:"targets"`
+	// TargetSpans locate the targets' staged payloads, in target order: one
+	// span per payload batch the range touches (one, unless the stager's
+	// size cap split it).
+	TargetSpans []PayloadSpan `json:"targetSpans"`
 	// Action and Tenant are what every target is invoked as.
 	Action string `json:"action"`
 	Tenant string `json:"tenant,omitempty"`
@@ -215,7 +223,28 @@ func (f *FanIn) validate() error {
 	case f.Action == "":
 		return fmt.Errorf("wire: fan-in spec without an action to invoke")
 	}
+	located := 0
+	for _, s := range f.TargetSpans {
+		if err := s.validate(); err != nil {
+			return fmt.Errorf("wire: fan-in spec: %w", err)
+		}
+		located += s.Calls()
+	}
+	if located != f.Targets {
+		return fmt.Errorf("wire: fan-in spec locates %d of its %d targets", located, f.Targets)
+	}
 	return nil
+}
+
+// Target returns the staged payload of the spec's i-th target.
+func (f *FanIn) Target(bucket string, i int) ObjectRef {
+	for _, s := range f.TargetSpans {
+		if i < s.Calls() {
+			return s.Ref(bucket, i)
+		}
+		i -= s.Calls()
+	}
+	panic(fmt.Sprintf("wire: fan-in target %d out of range", i)) // a validated spec locates every target
 }
 
 // FanInMarker is the body of a fan-in launch marker. Creating it is the

@@ -239,7 +239,8 @@ func fanInPayload() CallPayload {
 		FanIn: &FanIn{
 			FirstCallID: "00000", Count: 14,
 			FirstTarget: "00468", Targets: 1,
-			Action: "gowren-runner--default", Tenant: "acme",
+			TargetSpans: []PayloadSpan{{Key: "jobs/exec-1/payload/00468+33", Bounds: []int64{0, 301}}},
+			Action:      "gowren-runner--default", Tenant: "acme",
 		},
 	}
 }
@@ -273,6 +274,10 @@ func TestFanInValidate(t *testing.T) {
 		{"no first target", func(f *FanIn) { f.FirstTarget = "" }, "without targets"},
 		{"zero targets", func(f *FanIn) { f.Targets = 0 }, "without targets"},
 		{"no action", func(f *FanIn) { f.Action = "" }, "without an action"},
+		{"targets not located", func(f *FanIn) { f.TargetSpans = nil }, "locates 0 of its 1 targets"},
+		{"span locates too many", func(f *FanIn) { f.TargetSpans[0].Bounds = []int64{0, 301, 640} }, "locates 2 of its 1 targets"},
+		{"span without key", func(f *FanIn) { f.TargetSpans[0].Key = "" }, "payload span"},
+		{"span not ascending", func(f *FanIn) { f.TargetSpans[0].Bounds = []int64{301, 301} }, "do not ascend"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
