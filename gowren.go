@@ -577,24 +577,21 @@ const (
 type ExecutorOption func(*executorSettings)
 
 type executorSettings struct {
-	runtime          string
-	tenant           string
-	profile          ClientProfile
-	massive          bool
-	spawnGroup       int
-	invokeConc       int
-	stageConc        int
-	clientOverhead   time.Duration
-	pollInterval     time.Duration
-	retryBackoff     time.Duration
-	maxRetries       int
-	retryBudget      float64
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	storage          cos.Client
-	preferredRegion  string
-	degrade          []LinkPhase
-	antiAffinity     bool
+	runtime         string
+	tenant          string
+	profile         ClientProfile
+	massive         bool
+	spawnGroup      int
+	invokeConc      int
+	stageConc       int
+	clientOverhead  time.Duration
+	pollInterval    time.Duration
+	retryBackoff    time.Duration
+	maxRetries      int
+	storage         cos.Client
+	preferredRegion string
+	degrade         []LinkPhase
+	antiAffinity    bool
 }
 
 // WithRuntime selects the runtime image, as in
@@ -648,35 +645,15 @@ func WithPollInterval(d time.Duration) ExecutorOption {
 	return func(s *executorSettings) { s.pollInterval = d }
 }
 
-// WithRetryPolicy sets the invocation retry limit and base backoff of the
-// executor's shared retry policy (internal/retry): exponential backoff
-// with decorrelated jitter, applied to invocations and storage accesses
-// alike.
+// WithRetryPolicy sets the retry limit and base backoff of the executor's
+// client-side retry policy (internal/retry): exponential backoff with
+// decorrelated jitter, capped at 30 s between tries, applied to
+// invocations and storage accesses alike. Zero keeps the defaults, 5
+// retries from 1 s.
 func WithRetryPolicy(maxRetries int, backoff time.Duration) ExecutorOption {
 	return func(s *executorSettings) {
 		s.maxRetries = maxRetries
 		s.retryBackoff = backoff
-	}
-}
-
-// WithRetryBudget caps the executor's total retry volume: a token bucket
-// holding tokens retries, refilled one token per successful operation.
-// A sustained outage then degrades into fast failures instead of a retry
-// storm. Zero keeps the generous default (1024); negative disables the
-// budget.
-func WithRetryBudget(tokens float64) ExecutorOption {
-	return func(s *executorSettings) { s.retryBudget = tokens }
-}
-
-// WithCircuitBreaker arms a circuit breaker on the invocation path: after
-// threshold consecutive throttled attempts the executor sheds invocations
-// for cooldown (zero cooldown selects 5s) instead of queueing behind a
-// saturated gateway. Unset, throttled calls retry until the retry limit —
-// the classic PyWren behavior.
-func WithCircuitBreaker(threshold int, cooldown time.Duration) ExecutorOption {
-	return func(s *executorSettings) {
-		s.breakerThreshold = threshold
-		s.breakerCooldown = cooldown
 	}
 }
 
@@ -852,9 +829,6 @@ func (c *Cloud) executorConfig(opts []ExecutorOption) (core.Config, error) {
 		MaxRetries:          s.maxRetries,
 		RetryBackoff:        s.retryBackoff,
 		PollInterval:        s.pollInterval,
-		RetryBudget:         s.retryBudget,
-		BreakerThreshold:    s.breakerThreshold,
-		BreakerCooldown:     s.breakerCooldown,
 		AntiAffinityRespawn: s.antiAffinity,
 	}, nil
 }

@@ -2,11 +2,12 @@
 // retry layers.
 //
 // Calls into internal/cos, internal/faas and internal/retry are exactly
-// the calls that fail under chaos plans — lost requests, throttles, open
-// breakers. An error from one of them that is dropped with `_` or a bare
-// expression statement turns an injected fault into silent corruption
-// (PR 1 fixed a swallowed sweepStatuses error of precisely this shape by
-// hand). This analyzer makes that class of bug a lint failure.
+// the calls that fail under chaos plans — lost requests, throttles,
+// exhausted retries. An error from one of them that is dropped with `_`
+// or a bare expression statement turns an injected fault into silent
+// corruption (a swallowed sweepStatuses error of precisely this shape was
+// once found and fixed by hand). This analyzer makes that class of bug a
+// lint failure.
 //
 // The facts engine extends the reach across package boundaries: a helper
 // that swallows a storage error internally taints every caller, and the

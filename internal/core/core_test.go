@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -776,5 +777,74 @@ func TestCallIDsUniquePerExecutorProperty(t *testing.T) {
 			t.Fatalf("ids not increasing: %q then %q", prev, id)
 		}
 		prev = id
+	}
+}
+
+// TestCloudStorageRetrySchedule pins the one in-cloud storage schedule: a
+// function's own ctx.Storage() request rides out 23 transient failures,
+// cloudStorageBackoff apart, and gives up on the 24th.
+func TestCloudStorageRetrySchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		failures int64
+		wantErr  bool
+	}{
+		{"23 failures", 23, false},
+		{"24 failures", 24, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed atomic.Bool
+			var left, tries atomic.Int64
+			var (
+				readErr error
+				elapsed time.Duration
+			)
+			e := newEnvFull(t, func(cfg *PlatformConfig) {
+				cfg.Backend = cos.NewFaulty(cfg.Store, func() bool {
+					if !armed.Load() {
+						return false
+					}
+					tries.Add(1)
+					return left.Add(-1) >= 0
+				})
+			}, func(img *runtime.Image) {
+				if err := img.RegisterPlain("flakyRead", func(ctx *runtime.Ctx, _ json.RawMessage) (any, error) {
+					left.Store(tc.failures)
+					armed.Store(true)
+					start := ctx.Clock().Now()
+					_, _, readErr = ctx.Storage().Get(DefaultMetaBucket, "probe")
+					elapsed = ctx.Clock().Now().Sub(start)
+					armed.Store(false)
+					return nil, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if _, err := e.store.Put(DefaultMetaBucket, "probe", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			exec := e.executor(t, nil)
+			e.clk.Run(func() {
+				if _, err := exec.Map("flakyRead", []any{0}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+					t.Error(err)
+				}
+			})
+			if got, want := tries.Load(), int64(cloudStorageAttempts); got != want {
+				t.Fatalf("tries = %d, want %d", got, want)
+			}
+			if want := (cloudStorageAttempts - 1) * cloudStorageBackoff; elapsed != want {
+				t.Fatalf("read took %v, want %v", elapsed, want)
+			}
+			switch {
+			case tc.wantErr && !errors.Is(readErr, cos.ErrRequestFailed):
+				t.Fatalf("read error = %v, want one wrapping cos.ErrRequestFailed", readErr)
+			case !tc.wantErr && readErr != nil:
+				t.Fatalf("read failed: %v", readErr)
+			}
+		})
 	}
 }

@@ -67,30 +67,15 @@ type Config struct {
 	// Zero uses 100, the paper's tuned value.
 	SpawnGroupSize int
 
-	// MaxRetries bounds invocation retries on throttling or network
-	// failure. Zero uses 5.
+	// MaxRetries bounds client-side retries: invocations on throttling or
+	// network failure, and storage accesses on network failure. Zero
+	// uses 5.
 	MaxRetries int
-	// RetryBackoff is the base backoff between retries, grown
-	// exponentially with decorrelated jitter by the shared policy in
-	// internal/retry. Zero uses 1s.
+	// RetryBackoff is the base backoff between those retries, grown with
+	// decorrelated jitter up to 30 s. Zero uses 1s.
 	RetryBackoff time.Duration
 	// PollInterval is the status-polling granularity. Zero uses 50ms.
 	PollInterval time.Duration
-
-	// RetryBudget caps the total retry volume this executor may generate
-	// across invocations and storage accesses (a token bucket refilled by
-	// successes; see retry.Budget). Zero uses 1024 tokens; negative
-	// disables the budget entirely.
-	RetryBudget float64
-	// BreakerThreshold arms a circuit breaker on the invocation path:
-	// after this many consecutive throttled attempts the executor sheds
-	// invocations with retry.ErrCircuitOpen for BreakerCooldown. Zero
-	// disables the breaker (throttled calls then retry until MaxRetries,
-	// the classic PyWren behavior).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit sheds load. Zero uses
-	// 5s.
-	BreakerCooldown time.Duration
 
 	// DisableJournal switches off the durable job journal (manifest, driver
 	// lease, recovery records — see journal.go). In-cloud helper executors
@@ -145,9 +130,10 @@ type Executor struct {
 	gil   *serial
 
 	// invokeRetry and storageRetry back every client-side retry loop with
-	// the shared policy: exponential backoff with decorrelated jitter, one
-	// retry budget for the whole executor, and an optional circuit breaker
-	// on the invocation path.
+	// one policy, MaxRetries+1 tries of exponential backoff with
+	// decorrelated jitter from RetryBackoff; each has its own seeded
+	// stream. storageRetry runs around the storage view's own 4 × 150 ms
+	// retry stage.
 	invokeRetry  *retry.Retrier
 	storageRetry *retry.Retrier
 
@@ -196,29 +182,14 @@ func (e *Executor) resetListFailures(execID string) {
 	e.sweeps.resetFailures(nsKey{bucket: e.cfg.Platform.MetaBucket(), execID: execID})
 }
 
-// classifyCallErr maps invocation-path errors onto the shared retry
-// classes: 429s — global throttles and the admission layer's quota and
-// shed rejections alike — feed the breaker, lost requests retry, the rest
-// is fatal.
-func classifyCallErr(err error) retry.Class {
-	switch {
-	case errors.Is(err, faas.ErrThrottled),
-		errors.Is(err, faas.ErrQuotaExceeded),
-		errors.Is(err, faas.ErrShed):
-		return retry.Throttle
-	case errors.Is(err, cos.ErrRequestFailed):
-		return retry.Transient
-	default:
-		return retry.Fatal
-	}
-}
-
-// classifyStorageErr retries only transient simulated request failures.
-func classifyStorageErr(err error) retry.Class {
-	if errors.Is(err, cos.ErrRequestFailed) {
-		return retry.Transient
-	}
-	return retry.Fatal
+// retryableCall reports whether an invocation is worth another try: 429s —
+// global throttles and the admission layer's quota and shed rejections
+// alike — and lost requests are; anything else is final.
+func retryableCall(err error) bool {
+	return errors.Is(err, faas.ErrThrottled) ||
+		errors.Is(err, faas.ErrQuotaExceeded) ||
+		errors.Is(err, faas.ErrShed) ||
+		cos.Retryable(err)
 }
 
 // NewExecutor validates cfg and returns an executor with a fresh ID.
@@ -235,11 +206,6 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	cfg.Storage = cos.NewRetrying(counting, clk, 4, 150*time.Millisecond)
 
 	n := execCounter.Add(1)
-	var budget *retry.Budget
-	if cfg.RetryBudget >= 0 {
-		budget = retry.NewBudget(cfg.RetryBudget, 1)
-	}
-	breaker := retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	seed := cfg.Platform.nextExecutorSeed()
 	policy := retry.Policy{
 		MaxAttempts: cfg.MaxRetries + 1,
@@ -249,17 +215,15 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		Jitter:      true,
 	}
 	return &Executor{
-		cfg:      cfg,
-		id:       fmt.Sprintf("exec-%06d", n),
-		clock:    clk,
-		gil:      newSerial(clk),
-		respawns: newRespawnLedger(),
-		sweeps:   newSweepCoordinator(cfg.Storage, clk),
-		ops:      counting,
-		invokeRetry: retry.New(clk, policy, classifyCallErr,
-			retry.WithBudget(budget), retry.WithBreaker(breaker), retry.WithSeed(seed)),
-		storageRetry: retry.New(clk, policy, classifyStorageErr,
-			retry.WithBudget(budget), retry.WithSeed(seed+1)),
+		cfg:          cfg,
+		id:           fmt.Sprintf("exec-%06d", n),
+		clock:        clk,
+		gil:          newSerial(clk),
+		respawns:     newRespawnLedger(),
+		sweeps:       newSweepCoordinator(cfg.Storage, clk),
+		ops:          counting,
+		invokeRetry:  retry.New(clk, policy, retryableCall, retry.WithSeed(seed)),
+		storageRetry: retry.New(clk, policy, cos.Retryable, retry.WithSeed(seed+1)),
 	}, nil
 }
 

@@ -243,10 +243,7 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error
 
 	key := gate.marker()
 	marker := wire.FanInMarker{By: ctx.ActivationID(), Generation: 1, AtUnixNs: ctx.Clock().Now().UnixNano()}
-	err = p.fnStorageRetry.Do(func() error {
-		_, err := ctx.Storage().PutIf(gate.bucket, key, wire.MustMarshal(&marker), "")
-		return err
-	})
+	_, err = ctx.Storage().PutIf(gate.bucket, key, wire.MustMarshal(&marker), "")
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		return nil // a sibling that finished with us holds the claim
@@ -269,7 +266,7 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error
 	})
 	// Record what was launched even if some invocations failed: the driver
 	// probes the IDs that are there and launches the targets that are not.
-	putErr := p.putRetry(ctx, gate.bucket, key, wire.MustMarshal(&marker))
+	_, putErr := ctx.Storage().Put(gate.bucket, key, wire.MustMarshal(&marker))
 	if p.trace != nil {
 		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(),
 			"marker=%s generation=1 launched=%s", key, strings.Join(marker.ActivationIDs, ","))
@@ -293,12 +290,7 @@ func (p *Platform) fanInCommitted(ctx *runtime.Ctx, g *fanInGate) (bool, error) 
 	last := statusKey(g.execID, callIDForSeq(g.first+g.spec.Count-1))
 	for seen := 0; seen < g.spec.Count; {
 		want := min(g.spec.Count-seen, cos.DefaultMaxKeys)
-		var page cos.ListResult
-		err := p.fnStorageRetry.Do(func() error {
-			var err error
-			page, err = ctx.Storage().List(g.bucket, prefix, after, want)
-			return err
-		})
+		page, err := ctx.Storage().List(g.bucket, prefix, after, want)
 		if err != nil {
 			return false, err
 		}
@@ -464,7 +456,6 @@ func (e *Executor) uncommittedInputs(pending []*Future) string {
 // backstop, a respawn, a speculative copy) finds an input missing, polls the
 // status prefix here until the whole stage has committed, and carries on.
 type inputBarrier struct {
-	p      *Platform
 	ctx    *runtime.Ctx
 	ns     nsKey
 	inputs []string
@@ -494,12 +485,13 @@ func (b *inputBarrier) await() error {
 // the barrier was taken means this activation started early: wait, then read
 // again.
 func (b *inputBarrier) get(bucket, key string) ([]byte, error) {
-	body, err := b.p.getRetry(b.ctx, bucket, key)
+	body, _, err := b.ctx.Storage().Get(bucket, key)
 	if b.passed || !errors.Is(err, cos.ErrNoSuchKey) {
 		return body, err
 	}
 	if err := b.await(); err != nil {
 		return nil, err
 	}
-	return b.p.getRetry(b.ctx, bucket, key)
+	body, _, err = b.ctx.Storage().Get(bucket, key)
+	return body, err
 }

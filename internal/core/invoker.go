@@ -32,11 +32,10 @@ func (e *Executor) invokeDirect(action string, payloads []*wire.CallPayload, ref
 	return actIDs, nil
 }
 
-// invokeOne performs a single invocation as tenant under the shared retry
-// policy: throttles and lost requests back off with decorrelated jitter,
-// drawing on the executor's retry budget and tripping its circuit breaker
-// (when armed). Each attempt pays the serialized client overhead and one
-// control-link round trip.
+// invokeOne performs a single invocation as tenant under the executor's
+// invocation policy: throttles and lost requests back off with decorrelated
+// jitter, up to MaxRetries retries. Each attempt pays the serialized client
+// overhead and one control-link round trip.
 func (e *Executor) invokeOne(action string, ref wire.ObjectRef, tenant string) (string, error) {
 	params := wire.MustMarshal(ref)
 	var id string

@@ -158,7 +158,7 @@ type stagedPayload struct {
 // several batches cover a call the narrowest wins: that is a respawn's
 // re-placed copy, staged as a batch of one beside the launch's batch. It
 // serves the client (executor storage and retrier) and functions (their
-// storage view and the platform's retrier) alike.
+// storage view, which retries on its own, and a nil retrier) alike.
 func resolvePayloads(storage cos.Client, retries *retry.Retrier, bucket, execID string, callIDs []string) ([]stagedPayload, error) {
 	batches, err := listPayloadBatches(storage, retries, bucket, execID)
 	if err != nil {

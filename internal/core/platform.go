@@ -23,6 +23,17 @@ import (
 // platform is configured otherwise.
 const DefaultMetaBucket = "gowren-meta"
 
+// The in-cloud storage schedule: every request a function, runner, invoker
+// or fan-in launcher makes through the platform's storage views is retried
+// on ErrRequestFailed up to cloudStorageAttempts tries in all,
+// cloudStorageBackoff apart. The datacenter link rarely loses a request;
+// what exhausts this is a COS brownout, which the schedule rides out for
+// 2.3 s before the call fails and recovery takes over.
+const (
+	cloudStorageAttempts = 24
+	cloudStorageBackoff  = 100 * time.Millisecond
+)
+
 // PlatformConfig assembles a simulated cloud: object store, FaaS controller
 // and the in-cloud network path connecting them.
 type PlatformConfig struct {
@@ -110,12 +121,11 @@ type Platform struct {
 	viewMu      sync.Mutex
 	regionViews map[string]cos.Client
 
-	// fnStorageRetry and fnInvokeRetry back the in-cloud helpers
-	// (runner/invoker handlers): the cloud link is reliable, so a short
-	// fixed schedule for storage and a capped exponential one for
-	// invocations suffice.
-	fnStorageRetry *retry.Retrier
-	fnInvokeRetry  *retry.Retrier
+	// fnInvokeRetry backs the remote invoker's invocations: the cloud link
+	// is reliable, so a capped exponential schedule of 6 tries suffices.
+	// In-cloud storage needs no retrier of its own: cloudStorage and the
+	// region views retry in their cos.Stack (cloudStorageAttempts).
+	fnInvokeRetry *retry.Retrier
 	// fnLaunchRetry backs fan-in launches (closeFanIn). A launcher holds a
 	// concurrency slot while it asks for more; waiting out a full platform
 	// from there can wedge a small cloud with every slot held by a function
@@ -145,11 +155,11 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cloudLink == nil {
 		cloudLink = netsim.InCloud(cfg.Seed)
 	}
-	// Functions see storage through the in-cloud link with SDK-style
-	// retries on transient request failures. A chaos plan slots in below
-	// the retry layer, so brownout failures look exactly like ordinary
-	// transient request failures to every consumer. A multi-region backend
-	// carries its own per-region links and plans and is used as-is.
+	// Functions see storage through the in-cloud link with the in-cloud
+	// retry schedule. A chaos plan slots in below the retry stage, so
+	// brownout failures look exactly like ordinary transient request
+	// failures to every consumer. A multi-region backend carries its own
+	// per-region links and plans and is used as-is.
 	backend := cos.Client(cfg.Store)
 	if cfg.Backend != nil {
 		backend = cfg.Backend
@@ -158,7 +168,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Backend == nil {
 		inner = cos.NewLinked(cfg.Store, cfg.Clock, cloudLink)
 	}
-	cloudStorage := cos.Client(cos.NewRetrying(chaos.WrapStorage(inner, cfg.Chaos), cfg.Clock, 0, 0))
+	cloudStorage := cos.Client(cos.NewRetrying(chaos.WrapStorage(inner, cfg.Chaos), cfg.Clock, cloudStorageAttempts, cloudStorageBackoff))
 
 	var outage func() bool
 	var slowFactor func() float64
@@ -213,24 +223,18 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 			p.regionNames = multi.RegionNames()
 		}
 	}
-	p.fnStorageRetry = retry.New(cfg.Clock, retry.Policy{
-		MaxAttempts: runnerRetries + 1,
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-		Multiplier:  1,
-	}, classifyStorageErr)
 	p.fnInvokeRetry = retry.New(cfg.Clock, retry.Policy{
-		MaxAttempts: runnerRetries + 1,
+		MaxAttempts: 6,
 		BaseBackoff: 250 * time.Millisecond,
 		MaxBackoff:  5 * time.Second,
 		Multiplier:  2,
-	}, classifyCallErr)
+	}, retryableCall)
 	p.fnLaunchRetry = retry.New(cfg.Clock, retry.Policy{
 		MaxAttempts: 3,
 		BaseBackoff: 100 * time.Millisecond,
 		MaxBackoff:  200 * time.Millisecond,
 		Multiplier:  2,
-	}, classifyCallErr)
+	}, retryableCall)
 
 	// The exchange fabric is always wired (selection is per shuffle stage):
 	// its two links get dedicated seed offsets so adding fast-tier traffic
@@ -318,10 +322,7 @@ func (p *Platform) ExchangeOps() exchange.OpCounts { return p.exchange.Counts() 
 // path. It runs as its own clock task, off the evicting writer's critical
 // path, and retries transient failures like any in-cloud storage consumer.
 func (p *Platform) spillShuffleObject(key string, data []byte) {
-	err := p.fnStorageRetry.Do(func() error {
-		_, perr := p.cloudStorage.Put(p.metaBucket, key, data)
-		return perr
-	})
+	_, err := p.cloudStorage.Put(p.metaBucket, key, data)
 	if p.trace != nil {
 		if err != nil {
 			p.trace.Emitf(p.clock.Now(), trace.KindExchange, "exchange-cache",
@@ -476,7 +477,7 @@ func (p *Platform) regionStorage(region string) cos.Client {
 	if err != nil {
 		return nil
 	}
-	s := cos.Client(cos.NewRetrying(chaos.WrapStorage(view, p.chaos), p.clock, 0, 0))
+	s := cos.Client(cos.NewRetrying(chaos.WrapStorage(view, p.chaos), p.clock, cloudStorageAttempts, cloudStorageBackoff))
 	p.regionViews[region] = s
 	return s
 }

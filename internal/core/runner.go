@@ -13,10 +13,6 @@ import (
 	"gowren/internal/wire"
 )
 
-// runnerRetries bounds storage retries inside functions; the in-cloud link
-// is reliable so a handful suffices.
-const runnerRetries = 5
-
 // inlineResultThreshold is the largest serialized ResultEnvelope the
 // runner embeds directly in the status record instead of spilling it to a
 // result object. Collecting an inlined result costs one status GET where
@@ -92,7 +88,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 					Bucket: payload.MetaBucket,
 					Key:    resultKey(payload.ExecutorID, payload.CallID),
 				}
-				if err := p.putRetry(ctx, resRef.Bucket, resRef.Key, envBody); err != nil {
+				if _, err := ctx.Storage().Put(resRef.Bucket, resRef.Key, envBody); err != nil {
 					return nil, fmt.Errorf("core: runner store result: %w", err)
 				}
 				rec.OK = true
@@ -100,7 +96,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 			}
 		}
 		statusBody := wire.MustMarshal(&rec)
-		if err := p.putRetry(ctx, payload.MetaBucket, statusKey(payload.ExecutorID, payload.CallID), statusBody); err != nil {
+		if _, err := ctx.Storage().Put(payload.MetaBucket, statusKey(payload.ExecutorID, payload.CallID), statusBody); err != nil {
 			// Without a status the client can never observe completion;
 			// surface the failure at the platform level instead.
 			return nil, fmt.Errorf("core: runner commit status: %w", err)
@@ -174,7 +170,7 @@ func (p *Platform) dispatch(ctx *runtime.Ctx, payload *wire.CallPayload) (any, e
 // results before processing them."
 func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]json.RawMessage, error) {
 	inputs := &inputBarrier{
-		p: p, ctx: ctx, who: "reduce", inputs: spec.MapCallIDs,
+		ctx: ctx, who: "reduce", inputs: spec.MapCallIDs,
 		ns: nsKey{bucket: spec.MetaBucket, execID: spec.ExecutorID},
 	}
 	partials := make([]json.RawMessage, len(spec.MapCallIDs))
@@ -196,7 +192,7 @@ func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]
 				return nil, err
 			}
 		} else {
-			resBody, err := p.getRetry(ctx, rec.ResultRef.Bucket, rec.ResultRef.Key)
+			resBody, _, err := ctx.Storage().Get(rec.ResultRef.Bucket, rec.ResultRef.Key)
 			if err != nil {
 				return nil, fmt.Errorf("core: reduce fetch map result %s: %w", callID, err)
 			}
@@ -247,7 +243,7 @@ func (p *Platform) invokerHandler() faas.Handler {
 			EndUnixNs:    ctx.Clock().Now().UnixNano(),
 			ResultRef:    wire.ObjectRef{},
 		}
-		_ = p.putRetry(ctx, payload.MetaBucket, statusKey(payload.ExecutorID, payload.CallID), wire.MustMarshal(&rec))
+		_, _ = ctx.Storage().Put(payload.MetaBucket, statusKey(payload.ExecutorID, payload.CallID), wire.MustMarshal(&rec)) //gowren:allow errsink — nothing waits on an invoker's status; it only annotates the activation
 		return wire.Marshal(map[string]int{"fired": fired})
 	}
 }
@@ -277,44 +273,19 @@ func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, target wire.SpawnTarget, re
 // loadPayload reads the staged call the invoke parameters name: its byte range
 // of a payload batch, or the whole object for a ref without a range.
 func (p *Platform) loadPayload(ctx *runtime.Ctx, ref wire.ObjectRef) (*wire.CallPayload, error) {
-	var body []byte
-	err := p.fnStorageRetry.Do(func() error {
-		var err error
-		if ref.Length > 0 {
-			body, _, err = ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
-		} else {
-			body, _, err = ctx.Storage().Get(ref.Bucket, ref.Key)
-		}
-		return err
-	})
+	var (
+		body []byte
+		err  error
+	)
+	if ref.Length > 0 {
+		body, _, err = ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
+	} else {
+		body, _, err = ctx.Storage().Get(ref.Bucket, ref.Key)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return wire.DecodePayload(body)
-}
-
-// getRetry reads an object through the function's storage view with
-// transient-failure retries backed by the shared policy.
-func (p *Platform) getRetry(ctx *runtime.Ctx, bucket, key string) ([]byte, error) {
-	var data []byte
-	err := p.fnStorageRetry.Do(func() error {
-		var err error
-		data, _, err = ctx.Storage().Get(bucket, key)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// putRetry writes an object through the function's storage view with
-// transient-failure retries backed by the shared policy.
-func (p *Platform) putRetry(ctx *runtime.Ctx, bucket, key string, body []byte) error {
-	return p.fnStorageRetry.Do(func() error {
-		_, err := ctx.Storage().Put(bucket, key, body)
-		return err
-	})
 }
 
 // spawner implements runtime.Spawner over an in-cloud executor, enabling

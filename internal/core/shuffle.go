@@ -188,7 +188,7 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 				p.trace.Emitf(ctx.Clock().Now(), trace.KindExchange, ctx.ActivationID(),
 					"transport=memory op=put key=%s bytes=%d fallback=%v", key, len(body), putErr)
 			}
-			if err := p.putRetry(ctx, payload.MetaBucket, key, body); err != nil {
+			if _, err := ctx.Storage().Put(payload.MetaBucket, key, body); err != nil {
 				return nil, fmt.Errorf("core: shuffle map write partition %d: %w", i, err)
 			}
 		}
@@ -210,7 +210,7 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 			}
 			for i, body := range bodies {
 				key := wire.ShuffleKey(payload.ExecutorID, payload.CallID, i)
-				if err := p.putRetry(ctx, payload.MetaBucket, key, body); err != nil {
+				if _, err := ctx.Storage().Put(payload.MetaBucket, key, body); err != nil {
 					return nil, fmt.Errorf("core: shuffle map write partition %d: %w", i, err)
 				}
 			}
@@ -218,7 +218,7 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 	default: // wire.ExchangeCOS
 		for i, body := range bodies {
 			key := wire.ShuffleKey(payload.ExecutorID, payload.CallID, i)
-			if err := p.putRetry(ctx, payload.MetaBucket, key, body); err != nil {
+			if _, err := ctx.Storage().Put(payload.MetaBucket, key, body); err != nil {
 				return nil, fmt.Errorf("core: shuffle map write partition %d: %w", i, err)
 			}
 		}
@@ -307,7 +307,7 @@ func (p *Platform) shuffleFallback(ctx *runtime.Ctx, payload *wire.CallPayload, 
 		deadline = ctxDeadline
 	}
 	for {
-		body, err := p.getRetry(ctx, payload.MetaBucket, key)
+		body, _, err := ctx.Storage().Get(payload.MetaBucket, key)
 		if err == nil {
 			if p.trace != nil {
 				p.trace.Emitf(ctx.Clock().Now(), trace.KindExchange, ctx.ActivationID(),
@@ -345,7 +345,7 @@ func (p *Platform) shuffleFallback(ctx *runtime.Ctx, payload *wire.CallPayload, 
 // cost of losing a fast-tier node.
 func (p *Platform) recomputeShufflePartition(ctx *runtime.Ctx, payload *wire.CallPayload, mapID string) ([]byte, error) {
 	spec := payload.Shuffle
-	staged, err := resolvePayloads(ctx.Storage(), p.fnStorageRetry, payload.MetaBucket, payload.ExecutorID, []string{mapID})
+	staged, err := resolvePayloads(ctx.Storage(), nil, payload.MetaBucket, payload.ExecutorID, []string{mapID})
 	if err != nil {
 		return nil, fmt.Errorf("core: shuffle recompute load payload %s: %w", mapID, err)
 	}
@@ -389,7 +389,7 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 	// the map statuses (same mechanism as plain reducers) are the barrier on
 	// every transport — taken only if a partition turns out to be missing.
 	inputs := &inputBarrier{
-		p: p, ctx: ctx, who: "shuffle reduce", inputs: spec.MapCallIDs,
+		ctx: ctx, who: "shuffle reduce", inputs: spec.MapCallIDs,
 		ns: nsKey{bucket: payload.MetaBucket, execID: payload.ExecutorID},
 	}
 

@@ -97,32 +97,15 @@ func NewCounting(inner Client) *Stack {
 	return s
 }
 
-// Defaults applied by NewRetrying when the caller passes non-positive
-// values. They mirror common storage-SDK settings: a handful of quick,
-// evenly spaced tries.
-const (
-	// DefaultRetryAttempts is the total number of tries (first call
-	// included) selected when attempts <= 0.
-	DefaultRetryAttempts = 4
-	// DefaultRetryBackoff is the fixed delay between tries selected when
-	// backoff <= 0.
-	DefaultRetryBackoff = 100 * time.Millisecond
-)
-
 // NewRetrying returns a view of inner that retries requests failing with the
 // simulated transient error ErrRequestFailed, up to attempts total tries
 // separated by a fixed backoff; every other error passes through on the
-// first observation. Any attempts >= 1 is honored exactly (attempts == 1
-// disables retries entirely) and any backoff > 0 is honored exactly; only
-// non-positive values select DefaultRetryAttempts and DefaultRetryBackoff.
-// Callers needing exponential or jittered schedules, budgets or breakers
-// should build a retry.Retrier directly.
+// first observation. The caller names the whole schedule: attempts must be
+// at least 1 (1 disables retries) and backoff positive. Callers needing
+// exponential or jittered schedules build a retry.Retrier directly.
 func NewRetrying(inner Client, clk vclock.Clock, attempts int, backoff time.Duration) *Stack {
-	if attempts <= 0 {
-		attempts = DefaultRetryAttempts
-	}
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
+	if attempts < 1 || backoff <= 0 {
+		panic("cos: NewRetrying needs attempts >= 1 and a positive backoff")
 	}
 	s := below(stageRetry, inner)
 	s.retr = retry.New(clk, retry.Policy{
@@ -130,18 +113,13 @@ func NewRetrying(inner Client, clk vclock.Clock, attempts int, backoff time.Dura
 		BaseBackoff: backoff,
 		MaxBackoff:  backoff,
 		Multiplier:  1, // fixed spacing, as storage SDKs default to
-	}, classifyStorage)
+	}, Retryable)
 	return s
 }
 
-// classifyStorage maps storage errors onto the shared retry classes: only
-// the simulated transient request failure is retryable.
-func classifyStorage(err error) retry.Class {
-	if errors.Is(err, ErrRequestFailed) {
-		return retry.Transient
-	}
-	return retry.Fatal
-}
+// Retryable reports whether a storage error is worth another try: only the
+// simulated transient request failure is.
+func Retryable(err error) bool { return errors.Is(err, ErrRequestFailed) }
 
 // opKind is what the stages need to know about a request: which counter it
 // bumps, and whether its bytes move before the backend call or after it.

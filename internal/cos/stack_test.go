@@ -201,22 +201,23 @@ func TestRetryingHonorsSmallExplicitValues(t *testing.T) {
 	}
 }
 
-func TestRetryingZeroValuesSelectDefaults(t *testing.T) {
+func TestRetryingRejectsUnnamedSchedule(t *testing.T) {
+	// There are no defaults: a zero attempt count or backoff is a caller
+	// bug, not a request for some other schedule.
 	clk := vclock.NewVirtual()
-	_, fails, fl := flakyStore(1000)
-	r := NewRetrying(fl, clk, 0, 0)
-	start := clk.Now()
-	clk.Run(func() {
-		if _, _, err := r.Get("b", "k"); !errors.Is(err, ErrRequestFailed) {
-			t.Errorf("err = %v, want ErrRequestFailed", err)
-		}
-	})
-	if got := fails.calls.Load(); got != DefaultRetryAttempts {
-		t.Fatalf("attempts = %d, want DefaultRetryAttempts (%d)", got, DefaultRetryAttempts)
-	}
-	want := time.Duration(DefaultRetryAttempts-1) * DefaultRetryBackoff
-	if got := clk.Now().Sub(start); got != want {
-		t.Fatalf("backoff time = %v, want %v", got, want)
+	_, _, fl := flakyStore(0)
+	for _, s := range []struct {
+		attempts int
+		backoff  time.Duration
+	}{{0, time.Millisecond}, {4, 0}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRetrying(%d, %v) did not panic", s.attempts, s.backoff)
+				}
+			}()
+			NewRetrying(fl, clk, s.attempts, s.backoff)
+		}()
 	}
 }
 

@@ -41,8 +41,8 @@ var (
 	ErrActionExists = errors.New("faas: action already exists")
 	ErrThrottled    = errors.New("faas: too many concurrent invocations (429)")
 	// ErrQuotaExceeded rejects an invocation whose tenant is over its
-	// token-bucket rate quota (admission layer; Throttle-class to retry
-	// policies, but the tenant's own doing rather than platform load).
+	// token-bucket rate quota (admission layer; retried like any 429, but
+	// the tenant's own doing rather than platform load).
 	ErrQuotaExceeded = errors.New("faas: tenant rate quota exceeded (429)")
 	// ErrShed rejects an invocation dropped by overload protection: its
 	// tenant's admission queue was full, or it sat queued past the

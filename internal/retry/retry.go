@@ -1,61 +1,22 @@
 // Package retry is GoWren's single retry policy. Every retry loop in the
 // system — the executor's invocation path, its storage accesses, the
-// in-cloud runner helpers and the cos SDK-style client wrapper — is backed
-// by the same three primitives:
+// in-cloud invoker and fan-in launcher, and the cos.Stack retry stage — is
+// a Retrier running a Policy: bounded exponential backoff, optionally with
+// decorrelated jitter, driven by the simulation clock so virtual-time
+// experiments pay realistic retry delays.
 //
-//   - Policy: bounded exponential backoff, optionally with decorrelated
-//     jitter, driven by the simulation clock so virtual-time experiments
-//     pay realistic retry delays;
-//   - Budget: a per-executor token bucket that caps the *total* retry
-//     volume a client may generate, so a sustained outage degrades into
-//     fast failures instead of a retry storm (the WAN failure-and-retry
-//     effect of the paper's §5.1, kept under control);
-//   - Breaker: a circuit breaker that sheds load after sustained
-//     throttling, for callers that prefer failing fast over queueing
-//     behind a saturated gateway.
-//
-// Callers classify errors with a Classifier; the package itself has no
-// knowledge of faas or cos error values, which keeps it at the bottom of
-// the dependency graph.
+// Callers say which errors are worth another try with a func(error) bool;
+// the package itself has no knowledge of faas or cos error values, which
+// keeps it at the bottom of the dependency graph.
 package retry
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
 	"gowren/internal/vclock"
-)
-
-// Class buckets an operation error for retry purposes.
-type Class int
-
-const (
-	// Fatal errors are returned immediately; retrying cannot help
-	// (user-code errors, missing actions, serialization failures).
-	Fatal Class = iota
-	// Transient errors are retried with backoff (lost requests,
-	// simulated network failures).
-	Transient
-	// Throttle errors are retried with backoff and additionally feed the
-	// circuit breaker (429-style admission rejections).
-	Throttle
-)
-
-// Classifier maps an operation error to its retry class. It is never
-// called with a nil error.
-type Classifier func(error) Class
-
-// Errors produced by the policy layer itself. Both wrap the underlying
-// operation error, so errors.Is works for either.
-var (
-	// ErrBudgetExhausted marks a failure that was *not* retried because
-	// the executor's retry budget ran dry.
-	ErrBudgetExhausted = errors.New("retry: retry budget exhausted")
-	// ErrCircuitOpen marks a call shed by an open circuit breaker.
-	ErrCircuitOpen = errors.New("retry: circuit open")
 )
 
 // Policy describes one bounded-backoff retry schedule.
@@ -93,219 +54,14 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Budget is a token bucket bounding total retry volume across every
-// operation that shares it (typically one Budget per executor). Each retry
-// spends one token; each successful operation deposits Refill tokens up to
-// the cap. A bucket that runs dry converts retryable failures into
-// immediate ErrBudgetExhausted failures until successes replenish it.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	refill float64
-}
-
-// NewBudget returns a full bucket holding max tokens that earns refill
-// tokens back per successful operation. max <= 0 selects 1024, refill <= 0
-// selects 1.
-func NewBudget(max, refill float64) *Budget {
-	if max <= 0 {
-		max = 1024
-	}
-	if refill <= 0 {
-		refill = 1
-	}
-	return &Budget{tokens: max, max: max, refill: refill}
-}
-
-// spend takes one retry token, reporting whether one was available.
-func (b *Budget) spend() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// deposit credits the bucket for a successful operation.
-func (b *Budget) deposit() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens += b.refill
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-}
-
-// Remaining returns the current token count (for tests and metrics).
-func (b *Budget) Remaining() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
-// Breaker sheds load after sustained throttling: Threshold consecutive
-// Throttle-class failures open the circuit for Cooldown, during which every
-// Do fails fast with ErrCircuitOpen. After the cooldown the circuit is
-// half-open: exactly one caller is admitted as the probe while concurrent
-// callers keep failing fast — a saturated platform sees a single feeler,
-// not the whole herd. The probe's success closes the circuit; another
-// throttle reopens it for a fresh cooldown.
-//
-// Reopening is adaptive: a circuit that just closed does not resume at full
-// rate. For a ramp window after the cooldown expires, every call through the
-// breaker is paced — delayed by an interval that starts at the slow-start
-// pace and decays linearly to zero — so a platform that shed load recovers
-// under a gentle ramp instead of the full thundering herd that tripped it.
-type Breaker struct {
-	mu          sync.Mutex
-	threshold   int
-	cooldown    time.Duration
-	paceInitial time.Duration // per-call delay right after the circuit closes
-	ramp        time.Duration // window over which the pace decays to zero
-	consecutive int
-	openUntil   time.Time
-	rampUntil   time.Time
-	// tripped marks a circuit that opened and has not yet seen a
-	// successful probe; probing marks the in-flight half-open probe, so
-	// concurrent callers are shed until it reports back.
-	tripped bool
-	probing bool
-}
-
-// NewBreaker returns a breaker tripping after threshold consecutive
-// throttles for cooldown. cooldown <= 0 selects 5 s. Slow-start defaults to
-// an initial pace of cooldown/10 decaying over one cooldown; tune it with
-// SetSlowStart.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		return nil
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	return &Breaker{
-		threshold:   threshold,
-		cooldown:    cooldown,
-		paceInitial: cooldown / 10,
-		ramp:        cooldown,
-	}
-}
-
-// SetSlowStart configures the post-trip ramp: the first call after the
-// cooldown is delayed by initial, decaying linearly to zero over ramp.
-// initial <= 0 disables slow-start.
-func (b *Breaker) SetSlowStart(initial, ramp time.Duration) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if initial <= 0 {
-		b.paceInitial, b.ramp = 0, 0
-		return
-	}
-	if ramp <= 0 {
-		ramp = b.cooldown
-	}
-	b.paceInitial, b.ramp = initial, ramp
-}
-
-// allow reports whether a call may proceed at now. On a tripped circuit
-// past its cooldown, the first caller claims the single half-open probe;
-// the rest are denied until the probe's outcome is recorded.
-func (b *Breaker) allow(now time.Time) bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if now.Before(b.openUntil) {
-		return false
-	}
-	if b.tripped {
-		if b.probing {
-			return false
-		}
-		b.probing = true
-	}
-	return true
-}
-
-// record feeds one attempt outcome into the breaker state.
-func (b *Breaker) record(throttled bool, now time.Time) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if !throttled {
-		b.consecutive = 0
-		b.tripped = false
-		return
-	}
-	b.consecutive++
-	// A throttled half-open probe reopens immediately: the platform is
-	// still saturated, so one more cooldown, not threshold more throttles.
-	if b.consecutive >= b.threshold || b.tripped {
-		b.openUntil = now.Add(b.cooldown)
-		b.rampUntil = b.openUntil.Add(b.ramp)
-		b.consecutive = 0
-		b.tripped = true
-	}
-}
-
-// Open reports whether the circuit is currently open at now. Unlike
-// allow, it never claims the half-open probe.
-func (b *Breaker) Open(now time.Time) bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return now.Before(b.openUntil)
-}
-
-// Pace returns the slow-start delay a call admitted at now must wait before
-// proceeding. Zero outside a ramp window (and always for a nil breaker).
-func (b *Breaker) Pace(now time.Time) time.Duration {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.paceInitial <= 0 || b.ramp <= 0 {
-		return 0
-	}
-	if now.Before(b.openUntil) || !now.Before(b.rampUntil) {
-		return 0
-	}
-	remaining := b.rampUntil.Sub(now)
-	return time.Duration(float64(b.paceInitial) * float64(remaining) / float64(b.ramp))
-}
-
-// Retrier executes operations under a Policy on a clock, with an optional
-// shared Budget and Breaker. It is safe for concurrent use; jittered
-// backoff draws come from one seeded PRNG so virtual-time runs stay
-// deterministic.
+// Retrier executes operations under a Policy on a clock. It is safe for
+// concurrent use; jittered backoff draws come from one seeded PRNG so
+// virtual-time runs stay deterministic. A nil *Retrier runs each operation
+// once.
 type Retrier struct {
-	policy   Policy
-	clk      vclock.Clock
-	classify Classifier
-	budget   *Budget
-	breaker  *Breaker
+	policy    Policy
+	clk       vclock.Clock
+	retryable func(error) bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -314,30 +70,25 @@ type Retrier struct {
 // Option customizes a Retrier.
 type Option func(*Retrier)
 
-// WithBudget attaches a shared retry budget.
-func WithBudget(b *Budget) Option { return func(r *Retrier) { r.budget = b } }
-
-// WithBreaker attaches a shared circuit breaker.
-func WithBreaker(b *Breaker) Option { return func(r *Retrier) { r.breaker = b } }
-
 // WithSeed seeds the jitter PRNG (default seed 0, still deterministic).
 func WithSeed(seed int64) Option {
 	return func(r *Retrier) { r.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// New builds a Retrier. clk and classify are required.
-func New(clk vclock.Clock, policy Policy, classify Classifier, opts ...Option) *Retrier {
+// New builds a Retrier that retries the errors retryable reports true for.
+// clk and retryable are required; retryable is never called with nil.
+func New(clk vclock.Clock, policy Policy, retryable func(error) bool, opts ...Option) *Retrier {
 	if clk == nil {
 		panic("retry: nil clock")
 	}
-	if classify == nil {
+	if retryable == nil {
 		panic("retry: nil classifier")
 	}
 	r := &Retrier{
-		policy:   policy.withDefaults(),
-		clk:      clk,
-		classify: classify,
-		rng:      rand.New(rand.NewSource(0)),
+		policy:    policy.withDefaults(),
+		clk:       clk,
+		retryable: retryable,
+		rng:       rand.New(rand.NewSource(0)),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -345,27 +96,12 @@ func New(clk vclock.Clock, policy Policy, classify Classifier, opts ...Option) *
 	return r
 }
 
-// Policy returns the retrier's (defaulted) policy.
-func (r *Retrier) Policy() Policy { return r.policy }
-
-// Budget returns the attached budget, if any.
-func (r *Retrier) Budget() *Budget { return r.budget }
-
-// Breaker returns the attached breaker, if any.
-func (r *Retrier) Breaker() *Breaker { return r.breaker }
-
-// backoff computes the delay before retry number n (1-based), updating prev
-// for decorrelated jitter.
+// backoff computes the delay before retry number n (1-based), given the
+// previous delay for decorrelated jitter.
 func (r *Retrier) backoff(n int, prev time.Duration) time.Duration {
 	p := r.policy
 	if p.Jitter {
-		lo, hi := p.BaseBackoff, 3*prev
-		if hi < lo {
-			hi = lo
-		}
-		if hi > p.MaxBackoff {
-			hi = p.MaxBackoff
-		}
+		lo, hi := min(p.BaseBackoff, p.MaxBackoff), min(3*prev, p.MaxBackoff)
 		d := lo
 		if hi > lo {
 			r.mu.Lock()
@@ -380,49 +116,26 @@ func (r *Retrier) backoff(n int, prev time.Duration) time.Duration {
 			d = time.Duration(float64(d) * p.Multiplier)
 		}
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, p.MaxBackoff)
 }
 
-// Do runs op under the policy: retry on Transient/Throttle classes until
-// the attempt cap, the budget, or the breaker stops it. The returned error
-// is the last operation error, wrapped with ErrBudgetExhausted or
-// ErrCircuitOpen when those mechanisms cut the retry short.
+// Do runs op under the policy: an error op's retryable classifier accepts
+// is retried after a backoff until the attempt cap, and then returned
+// wrapped with the attempt count; any other error is returned as it is.
 func (r *Retrier) Do(op func() error) error {
-	var lastErr error
+	if r == nil {
+		return op()
+	}
 	prev := r.policy.BaseBackoff
 	for attempt := 1; ; attempt++ {
-		if !r.breaker.allow(r.clk.Now()) {
-			if lastErr != nil {
-				return fmt.Errorf("%w (last error: %v)", ErrCircuitOpen, lastErr)
-			}
-			return ErrCircuitOpen
-		}
-		if pace := r.breaker.Pace(r.clk.Now()); pace > 0 {
-			r.clk.Sleep(pace) // slow-start: ramp back up after a trip
-		}
 		err := op()
-		if err == nil {
-			r.breaker.record(false, r.clk.Now())
-			r.budget.deposit()
-			return nil
-		}
-		class := r.classify(err)
-		r.breaker.record(class == Throttle, r.clk.Now())
-		if class == Fatal {
+		if err == nil || !r.retryable(err) {
 			return err
 		}
-		lastErr = err
 		if attempt >= r.policy.MaxAttempts {
 			return fmt.Errorf("retry: %d attempts exhausted: %w", attempt, err)
 		}
-		if !r.budget.spend() {
-			return fmt.Errorf("%w: %w", ErrBudgetExhausted, err)
-		}
-		d := r.backoff(attempt, prev)
-		prev = d
-		r.clk.Sleep(d)
+		prev = r.backoff(attempt, prev)
+		r.clk.Sleep(prev)
 	}
 }

@@ -2,7 +2,6 @@ package retry
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,25 +10,15 @@ import (
 
 var (
 	errTransient = errors.New("transient")
-	errThrottle  = errors.New("throttle")
 	errFatal     = errors.New("fatal")
 )
 
-func classify(err error) Class {
-	switch {
-	case errors.Is(err, errTransient):
-		return Transient
-	case errors.Is(err, errThrottle):
-		return Throttle
-	default:
-		return Fatal
-	}
-}
+func retryable(err error) bool { return errors.Is(err, errTransient) }
 
 func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 	clk := vclock.NewVirtual()
 	clk.Run(func() {
-		r := New(clk, Policy{MaxAttempts: 5, BaseBackoff: 100 * time.Millisecond}, classify)
+		r := New(clk, Policy{MaxAttempts: 5, BaseBackoff: 100 * time.Millisecond}, retryable)
 		calls := 0
 		start := clk.Now()
 		err := r.Do(func() error {
@@ -55,7 +44,7 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 func TestDoFatalNotRetried(t *testing.T) {
 	clk := vclock.NewVirtual()
 	clk.Run(func() {
-		r := New(clk, Policy{}, classify)
+		r := New(clk, Policy{}, retryable)
 		calls := 0
 		err := r.Do(func() error {
 			calls++
@@ -73,7 +62,7 @@ func TestDoFatalNotRetried(t *testing.T) {
 func TestDoAttemptCap(t *testing.T) {
 	clk := vclock.NewVirtual()
 	clk.Run(func() {
-		r := New(clk, Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond}, classify)
+		r := New(clk, Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond}, retryable)
 		calls := 0
 		err := r.Do(func() error {
 			calls++
@@ -95,7 +84,7 @@ func TestDoBackoffCapped(t *testing.T) {
 			MaxAttempts: 6,
 			BaseBackoff: time.Second,
 			MaxBackoff:  2 * time.Second,
-		}, classify)
+		}, retryable)
 		start := clk.Now()
 		_ = r.Do(func() error { return errTransient })
 		// Backoffs: 1s, 2s, 2s, 2s, 2s = 9s.
@@ -106,303 +95,60 @@ func TestDoBackoffCapped(t *testing.T) {
 }
 
 func TestDecorrelatedJitterDeterministicAndBounded(t *testing.T) {
-	elapsed := func(seed int64) time.Duration {
-		clk := vclock.NewVirtual()
-		var d time.Duration
-		clk.Run(func() {
-			r := New(clk, Policy{
-				MaxAttempts: 8,
-				BaseBackoff: 50 * time.Millisecond,
-				MaxBackoff:  time.Second,
-				Jitter:      true,
-			}, classify, WithSeed(seed))
-			start := clk.Now()
-			_ = r.Do(func() error { return errTransient })
-			d = clk.Now().Sub(start)
-		})
-		return d
+	cases := []struct {
+		name           string
+		attempts       int
+		base, maxDelay time.Duration
+	}{
+		{"base below cap", 8, 50 * time.Millisecond, time.Second},
+		// A base above the cap is clamped like the non-jittered schedule:
+		// WithRetryPolicy(n, time.Minute) under the executor's 30 s cap.
+		{"base above cap", 3, time.Minute, 30 * time.Second},
 	}
-	a, b := elapsed(7), elapsed(7)
-	if a != b {
-		t.Fatalf("same seed, different schedules: %v vs %v", a, b)
-	}
-	// 7 backoffs, each in [50ms, 1s].
-	if a < 7*50*time.Millisecond || a > 7*time.Second {
-		t.Fatalf("jittered total %v outside bounds", a)
-	}
-	if c := elapsed(8); c == a {
-		t.Fatalf("different seeds produced identical schedule %v", c)
-	}
-}
-
-func TestBudgetStopsRetriesAndRefills(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		budget := NewBudget(2, 1)
-		r := New(clk, Policy{MaxAttempts: 10, BaseBackoff: time.Millisecond}, classify, WithBudget(budget))
-		calls := 0
-		err := r.Do(func() error {
-			calls++
-			return errTransient
-		})
-		if !errors.Is(err, ErrBudgetExhausted) {
-			t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-		}
-		if !errors.Is(err, errTransient) {
-			t.Fatalf("err = %v, should wrap the operation error", err)
-		}
-		// 1 first try + 2 budgeted retries.
-		if calls != 3 {
-			t.Fatalf("calls = %d, want 3", calls)
-		}
-		// Successes replenish the bucket.
-		for i := 0; i < 5; i++ {
-			if err := r.Do(func() error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if budget.Remaining() != 2 {
-			t.Fatalf("budget = %v, want refilled to cap 2", budget.Remaining())
-		}
-	})
-}
-
-func TestBreakerShedsAfterSustainedThrottle(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		br := NewBreaker(3, 10*time.Second)
-		r := New(clk, Policy{MaxAttempts: 4, BaseBackoff: time.Millisecond}, classify, WithBreaker(br))
-		calls := 0
-		// First Do: 4 throttled attempts trip the breaker at the third.
-		err := r.Do(func() error {
-			calls++
-			return errThrottle
-		})
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("err = %v, want ErrCircuitOpen once tripped mid-loop", err)
-		}
-		if calls != 3 {
-			t.Fatalf("calls = %d, want 3 (fourth attempt shed)", calls)
-		}
-		// While open, calls are shed without running the op.
-		err = r.Do(func() error {
-			calls++
-			return nil
-		})
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("err = %v, want ErrCircuitOpen while open", err)
-		}
-		if calls != 3 {
-			t.Fatalf("op ran while circuit open")
-		}
-		// After the cooldown the probe goes through and closes the circuit.
-		clk.Sleep(11 * time.Second)
-		if err := r.Do(func() error { calls++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if calls != 4 {
-			t.Fatalf("calls = %d, want 4", calls)
-		}
-		if br.Open(clk.Now()) {
-			t.Fatal("breaker still open after successful probe")
-		}
-	})
-}
-
-func TestNilBudgetAndBreakerAreInert(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		r := New(clk, Policy{MaxAttempts: 2, BaseBackoff: time.Millisecond}, classify)
-		if r.Budget() != nil || r.Breaker() != nil {
-			t.Fatal("unexpected attached budget/breaker")
-		}
-		if err := r.Do(func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if NewBreaker(0, time.Second) != nil {
-		t.Fatal("threshold 0 should disable the breaker")
-	}
-}
-
-func TestBreakerSlowStartPacesAfterTrip(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		b := NewBreaker(2, 10*time.Second) // pace starts at 1s, decays over 10s
-		now := clk.Now()
-		b.record(true, now)
-		b.record(true, now) // trips: open until t+10s, ramp until t+20s
-
-		if got := b.Pace(now); got != 0 {
-			t.Fatalf("pace while open = %v, want 0 (allow() sheds these)", got)
-		}
-		reopen := now.Add(10 * time.Second)
-		if got := b.Pace(reopen); got != time.Second {
-			t.Fatalf("pace at reopen = %v, want 1s", got)
-		}
-		if got := b.Pace(reopen.Add(5 * time.Second)); got != 500*time.Millisecond {
-			t.Fatalf("pace mid-ramp = %v, want 500ms", got)
-		}
-		if got := b.Pace(reopen.Add(10 * time.Second)); got != 0 {
-			t.Fatalf("pace after ramp = %v, want 0", got)
-		}
-	})
-	clk.Wait()
-}
-
-func TestRetrierSlowStartDelaysPostTripCalls(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		b := NewBreaker(1, 10*time.Second)
-		r := New(clk, Policy{MaxAttempts: 1}, classify, WithBreaker(b))
-
-		if err := r.Do(func() error { return errThrottle }); err == nil {
-			t.Fatal("throttle not surfaced")
-		}
-		if !b.Open(clk.Now()) {
-			t.Fatal("breaker not open after trip")
-		}
-		clk.Sleep(10 * time.Second) // cooldown expires; ramp window begins
-
-		start := clk.Now()
-		if err := r.Do(func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		// The first post-trip call pays the full slow-start pace (1s).
-		if got := clk.Now().Sub(start); got != time.Second {
-			t.Fatalf("post-trip call delayed %v, want 1s", got)
-		}
-		clk.Sleep(9 * time.Second) // past the ramp window
-		start = clk.Now()
-		if err := r.Do(func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if got := clk.Now().Sub(start); got != 0 {
-			t.Fatalf("steady-state call delayed %v, want 0", got)
-		}
-	})
-	clk.Wait()
-}
-
-func TestBreakerSlowStartDisabled(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		b := NewBreaker(1, 10*time.Second)
-		b.SetSlowStart(0, 0)
-		now := clk.Now()
-		b.record(true, now)
-		if got := b.Pace(now.Add(10 * time.Second)); got != 0 {
-			t.Fatalf("disabled slow-start paced %v", got)
-		}
-		var nilB *Breaker
-		nilB.SetSlowStart(time.Second, time.Second)
-		if got := nilB.Pace(now); got != 0 {
-			t.Fatalf("nil breaker paced %v", got)
-		}
-	})
-	clk.Wait()
-}
-
-// TestBreakerHalfOpenSingleProbe drives concurrent Do calls into a tripped
-// breaker whose cooldown has expired: exactly one caller must be admitted
-// as the half-open probe while the rest fail fast with ErrCircuitOpen, and
-// the probe's success must close the circuit for everyone.
-func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		br := NewBreaker(1, 10*time.Second)
-		br.SetSlowStart(0, 0)
-		r := New(clk, Policy{MaxAttempts: 1, BaseBackoff: time.Millisecond}, classify, WithBreaker(br))
-
-		// Trip the circuit.
-		if err := r.Do(func() error { return errThrottle }); err == nil {
-			t.Fatal("expected trip error")
-		}
-		if !br.Open(clk.Now()) {
-			t.Fatal("breaker should be open after trip")
-		}
-		clk.Sleep(11 * time.Second)
-
-		// Five concurrent callers arrive at the same virtual instant. The
-		// probe op holds the half-open window open for a full virtual
-		// second, so every loser observes the in-flight probe.
-		var ran, shed, succeeded atomic.Int32
-		var done atomic.Int32
-		for i := 0; i < 5; i++ {
-			clk.Go(func() {
-				defer done.Add(1)
-				err := r.Do(func() error {
-					ran.Add(1)
-					clk.Sleep(time.Second)
-					return nil
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			elapsed := func(seed int64) time.Duration {
+				clk := vclock.NewVirtual()
+				var d time.Duration
+				clk.Run(func() {
+					r := New(clk, Policy{
+						MaxAttempts: tc.attempts,
+						BaseBackoff: tc.base,
+						MaxBackoff:  tc.maxDelay,
+						Jitter:      true,
+					}, retryable, WithSeed(seed))
+					start := clk.Now()
+					_ = r.Do(func() error { return errTransient })
+					d = clk.Now().Sub(start)
 				})
-				switch {
-				case err == nil:
-					succeeded.Add(1)
-				case errors.Is(err, ErrCircuitOpen):
-					shed.Add(1)
-				default:
-					t.Errorf("unexpected error: %v", err)
+				return d
+			}
+			a, b := elapsed(7), elapsed(7)
+			if a != b {
+				t.Fatalf("same seed, different schedules: %v vs %v", a, b)
+			}
+			// attempts-1 backoffs, each in [min(base, cap), cap].
+			n := time.Duration(tc.attempts - 1)
+			if lo := min(tc.base, tc.maxDelay); a < n*lo || a > n*tc.maxDelay {
+				t.Fatalf("jittered total %v outside [%v, %v]", a, n*lo, n*tc.maxDelay)
+			}
+			if tc.base < tc.maxDelay {
+				if c := elapsed(8); c == a {
+					t.Fatalf("different seeds produced identical schedule %v", c)
 				}
-			})
-		}
-		if !vclock.Poll(clk, func() bool { return done.Load() == 5 }, time.Millisecond, clk.Now().Add(time.Minute)) {
-			t.Fatal("concurrent callers did not finish")
-		}
-		if got := ran.Load(); got != 1 {
-			t.Fatalf("ops run = %d, want exactly 1 probe", got)
-		}
-		if succeeded.Load() != 1 || shed.Load() != 4 {
-			t.Fatalf("succeeded = %d shed = %d, want 1 and 4", succeeded.Load(), shed.Load())
-		}
-		if br.Open(clk.Now()) {
-			t.Fatal("breaker still open after successful probe")
-		}
-		// Closed circuit: everyone flows again.
-		if err := r.Do(func() error { return nil }); err != nil {
-			t.Fatalf("post-close call failed: %v", err)
-		}
-	})
+			}
+		})
+	}
 }
 
-// TestBreakerThrottledProbeReopens checks the other half-open outcome: a
-// probe that is itself throttled reopens the circuit for a fresh cooldown
-// immediately (no need for threshold more throttles).
-func TestBreakerThrottledProbeReopens(t *testing.T) {
-	clk := vclock.NewVirtual()
-	clk.Run(func() {
-		br := NewBreaker(3, 10*time.Second)
-		br.SetSlowStart(0, 0)
-		r := New(clk, Policy{MaxAttempts: 1, BaseBackoff: time.Millisecond}, classify, WithBreaker(br))
-
-		for i := 0; i < 3; i++ {
-			if err := r.Do(func() error { return errThrottle }); err == nil {
-				t.Fatal("expected throttle error")
-			}
-		}
-		if !br.Open(clk.Now()) {
-			t.Fatal("breaker should be open")
-		}
-		clk.Sleep(11 * time.Second)
-
-		// The probe throttles: one attempt, immediate reopen.
-		calls := 0
-		if err := r.Do(func() error { calls++; return errThrottle }); err == nil {
-			t.Fatal("expected probe failure")
-		}
-		if calls != 1 {
-			t.Fatalf("probe calls = %d, want 1", calls)
-		}
-		if !br.Open(clk.Now()) {
-			t.Fatal("breaker should have reopened after throttled probe")
-		}
-		// And while reopened, callers shed without running the op.
-		err := r.Do(func() error { calls++; return nil })
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("err = %v, want ErrCircuitOpen", err)
-		}
-		if calls != 1 {
-			t.Fatal("op ran through a reopened circuit")
-		}
+func TestNilRetrierRunsOnce(t *testing.T) {
+	var r *Retrier
+	calls := 0
+	err := r.Do(func() error {
+		calls++
+		return errTransient
 	})
+	if !errors.Is(err, errTransient) || calls != 1 {
+		t.Fatalf("nil retrier: err = %v after %d calls, want the op's own error after 1", err, calls)
+	}
 }
