@@ -591,7 +591,6 @@ type executorSettings struct {
 	storage         cos.Client
 	preferredRegion string
 	degrade         []LinkPhase
-	antiAffinity    bool
 }
 
 // WithRuntime selects the runtime image, as in
@@ -646,10 +645,10 @@ func WithPollInterval(d time.Duration) ExecutorOption {
 }
 
 // WithRetryPolicy sets the retry limit and base backoff of the executor's
-// client-side retry policy (internal/retry): exponential backoff with
-// decorrelated jitter, capped at 30 s between tries, applied to
-// invocations and storage accesses alike. Zero keeps the defaults, 5
-// retries from 1 s.
+// invocation retries (internal/retry): exponential backoff with
+// decorrelated jitter, capped at 30 s between tries. Zero keeps the
+// defaults, 5 retries from 1 s. Storage requests are not governed by it:
+// they retry in the executor's storage view, 24 tries 150 ms apart.
 func WithRetryPolicy(maxRetries int, backoff time.Duration) ExecutorOption {
 	return func(s *executorSettings) {
 		s.maxRetries = maxRetries
@@ -679,14 +678,6 @@ func WithPreferredRegion(name string) ExecutorOption {
 // affected.
 func WithLinkDegradation(phases ...LinkPhase) ExecutorOption {
 	return func(s *executorSettings) { s.degrade = append(s.degrade, phases...) }
-}
-
-// WithAntiAffinityRespawn re-places respawned calls in a storage region
-// different from the one whose failure killed the original run, instead of
-// rehashing onto the same sick region. Requires a multi-region cloud; on
-// single-region clouds it is a no-op.
-func WithAntiAffinityRespawn() ExecutorOption {
-	return func(s *executorSettings) { s.antiAffinity = true }
 }
 
 // Executor creates an executor against this cloud — the analogue of
@@ -816,20 +807,19 @@ func (c *Cloud) executorConfig(opts []ExecutorOption) (core.Config, error) {
 		return core.Config{}, errors.New("gowren: WithPreferredRegion conflicts with WithStorage")
 	}
 	return core.Config{
-		Platform:            c.platform,
-		Storage:             storage,
-		ControlLink:         controlLink,
-		RuntimeImage:        s.runtime,
-		Tenant:              s.tenant,
-		InvokeConcurrency:   s.invokeConc,
-		StageConcurrency:    s.stageConc,
-		ClientOverhead:      s.clientOverhead,
-		MassiveSpawning:     s.massive,
-		SpawnGroupSize:      s.spawnGroup,
-		MaxRetries:          s.maxRetries,
-		RetryBackoff:        s.retryBackoff,
-		PollInterval:        s.pollInterval,
-		AntiAffinityRespawn: s.antiAffinity,
+		Platform:          c.platform,
+		Storage:           storage,
+		ControlLink:       controlLink,
+		RuntimeImage:      s.runtime,
+		Tenant:            s.tenant,
+		InvokeConcurrency: s.invokeConc,
+		StageConcurrency:  s.stageConc,
+		ClientOverhead:    s.clientOverhead,
+		MassiveSpawning:   s.massive,
+		SpawnGroupSize:    s.spawnGroup,
+		MaxRetries:        s.maxRetries,
+		RetryBackoff:      s.retryBackoff,
+		PollInterval:      s.pollInterval,
 	}, nil
 }
 

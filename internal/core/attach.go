@@ -31,7 +31,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	}
 	meta := e.cfg.Platform.MetaBucket()
 
-	data, err := e.getWithRetry(meta, manifestKey(jobID))
+	data, _, err := e.cfg.Storage.Get(meta, manifestKey(jobID))
 	if errors.Is(err, cos.ErrNoSuchKey) {
 		return nil, fmt.Errorf("core: attach %s: no such job (no manifest): %w", jobID, err)
 	}
@@ -125,18 +125,12 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 // ErrFenced.
 func (e *Executor) takeOverLease() error {
 	meta := e.cfg.Platform.MetaBucket()
-	var (
-		cur     wire.DriverLease
-		curETag string
-	)
-	err := e.storageRetry.Do(func() error {
-		data, lm, err := e.cfg.Storage.Get(meta, leaseKey(e.id))
-		if err != nil {
-			return err
-		}
-		curETag = lm.ETag
-		return wire.Unmarshal(data, &cur)
-	})
+	var cur wire.DriverLease
+	data, lm, err := e.cfg.Storage.Get(meta, leaseKey(e.id))
+	if err == nil {
+		err = wire.Unmarshal(data, &cur)
+	}
+	curETag := lm.ETag
 	switch {
 	case errors.Is(err, cos.ErrNoSuchKey):
 		// Manifest without lease: the original driver died inside the
@@ -146,12 +140,7 @@ func (e *Executor) takeOverLease() error {
 		return fmt.Errorf("core: attach %s: read lease: %w", e.id, err)
 	}
 	lease := wire.DriverLease{JobID: e.id, Epoch: cur.Epoch + 1, RenewedUnixNs: e.clock.Now().UnixNano()}
-	var lm cos.ObjectMeta
-	err = e.storageRetry.Do(func() error {
-		var err error
-		lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), curETag)
-		return err
-	})
+	lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), curETag)
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		return fmt.Errorf("core: attach %s: another driver took the lease: %w", e.id, ErrFenced)
@@ -172,7 +161,6 @@ func (e *Executor) takeOverLease() error {
 // the journal in key — that is, (epoch, seq) — order.
 type journalCallState struct {
 	actID    string
-	region   string
 	tracked  bool
 	dead     bool // dead-lettered and not yet replayed
 	respawns int  // journaled automatic respawns, seeds the new ledger
@@ -200,7 +188,7 @@ func (e *Executor) replayJournal() (*journalState, error) {
 		superseded: make(map[string]bool),
 	}
 	for _, obj := range listed {
-		data, err := e.getWithRetry(meta, obj.Key)
+		data, _, err := e.cfg.Storage.Get(meta, obj.Key)
 		if err != nil {
 			return nil, fmt.Errorf("core: attach %s: read journal record %s: %w", e.id, obj.Key, err)
 		}
@@ -211,16 +199,13 @@ func (e *Executor) replayJournal() (*journalState, error) {
 		switch rec.Kind {
 		case wire.JournalLaunch:
 			for _, c := range rec.Calls {
-				st.calls[c.CallID] = &journalCallState{actID: c.ActivationID, region: c.Region, tracked: rec.Tracked}
+				st.calls[c.CallID] = &journalCallState{actID: c.ActivationID, tracked: rec.Tracked}
 			}
 			st.fanIns = append(st.fanIns, rec.FanIns...)
 		case wire.JournalRespawn:
 			for _, c := range rec.Calls {
 				if cs, ok := st.calls[c.CallID]; ok {
 					cs.actID = c.ActivationID
-					if c.Region != "" {
-						cs.region = c.Region
-					}
 					cs.respawns++
 				}
 			}
@@ -251,7 +236,7 @@ func (e *Executor) replayJournal() (*journalState, error) {
 // that died between staging and the launch record. Fresh IDs minted by this
 // driver (replays) must never collide with any staged call.
 func (e *Executor) recoverNextID() error {
-	batches, err := listPayloadBatches(e.cfg.Storage, e.storageRetry, e.cfg.Platform.MetaBucket(), e.id)
+	batches, err := listPayloadBatches(e.cfg.Storage, e.cfg.Platform.MetaBucket(), e.id)
 	if err != nil {
 		return fmt.Errorf("core: attach %s: list payloads: %w", e.id, err)
 	}

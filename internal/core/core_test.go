@@ -780,41 +780,71 @@ func TestCallIDsUniquePerExecutorProperty(t *testing.T) {
 	}
 }
 
-// TestCloudStorageRetrySchedule pins the one in-cloud storage schedule: a
-// function's own ctx.Storage() request rides out 23 transient failures,
-// cloudStorageBackoff apart, and gives up on the 24th.
+// TestCloudStorageRetrySchedule pins the storage retry schedules, one stage
+// per request on every path, over a faulty backend on zero-latency links: a
+// function's own ctx.Storage() request rides out 23 transient failures
+// cloudStorageBackoff apart and gives up on the 24th; an executor's request
+// does the same executorStorageBackoff apart, whether the executor is a
+// driver or a helper a function built to spawn calls.
 func TestCloudStorageRetrySchedule(t *testing.T) {
+	const (
+		viaFunction = "function" // a GET through the function's ctx.Storage()
+		viaDriver   = "driver"   // a PUT through the driver executor's view
+		viaHelper   = "helper"   // the payload PUT of a call a function spawns
+	)
 	for _, tc := range []struct {
 		name     string
-		failures int64
+		via      string
+		failures int64 // injected failures; -1 fails every try
+		attempts int
+		backoff  time.Duration
 		wantErr  bool
 	}{
-		{"23 failures", 23, false},
-		{"24 failures", 24, true},
+		{"23 failures", viaFunction, 23, cloudStorageAttempts, cloudStorageBackoff, false},
+		{"24 failures", viaFunction, 24, cloudStorageAttempts, cloudStorageBackoff, true},
+		{"driver 23 failures", viaDriver, 23, executorStorageAttempts, executorStorageBackoff, false},
+		{"driver 24 failures", viaDriver, 24, executorStorageAttempts, executorStorageBackoff, true},
+		{"helper always failing", viaHelper, -1, executorStorageAttempts, executorStorageBackoff, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var armed atomic.Bool
 			var left, tries atomic.Int64
 			var (
-				readErr error
+				reqErr  error
 				elapsed time.Duration
 			)
+			// measure issues one request with the failures armed, so that
+			// nothing else the job does is failed or counted.
+			measure := func(clk vclock.Clock, req func() error) {
+				left.Store(tc.failures)
+				armed.Store(true)
+				start := clk.Now()
+				reqErr = req()
+				elapsed = clk.Now().Sub(start)
+				armed.Store(false)
+			}
 			e := newEnvFull(t, func(cfg *PlatformConfig) {
 				cfg.Backend = cos.NewFaulty(cfg.Store, func() bool {
 					if !armed.Load() {
 						return false
 					}
 					tries.Add(1)
-					return left.Add(-1) >= 0
+					return tc.failures < 0 || left.Add(-1) >= 0
 				})
 			}, func(img *runtime.Image) {
-				if err := img.RegisterPlain("flakyRead", func(ctx *runtime.Ctx, _ json.RawMessage) (any, error) {
-					left.Store(tc.failures)
-					armed.Store(true)
-					start := ctx.Clock().Now()
-					_, _, readErr = ctx.Storage().Get(DefaultMetaBucket, "probe")
-					elapsed = ctx.Clock().Now().Sub(start)
-					armed.Store(false)
+				if err := img.RegisterPlain("probe", func(ctx *runtime.Ctx, _ json.RawMessage) (any, error) {
+					measure(ctx.Clock(), func() error {
+						if tc.via == viaFunction {
+							_, _, err := ctx.Storage().Get(DefaultMetaBucket, "probe")
+							return err
+						}
+						sp, err := ctx.Spawner()
+						if err != nil {
+							return err
+						}
+						_, err = sp.Spawn("add7", []any{1})
+						return err
+					})
 					return nil, nil
 				}); err != nil {
 					t.Fatal(err)
@@ -823,9 +853,22 @@ func TestCloudStorageRetrySchedule(t *testing.T) {
 			if _, err := e.store.Put(DefaultMetaBucket, "probe", []byte("x")); err != nil {
 				t.Fatal(err)
 			}
-			exec := e.executor(t, nil)
+			// Only the driver row routes the driver's own traffic through the
+			// faulty backend; elsewhere its polls must not count as tries.
+			exec := e.executor(t, func(c *Config) {
+				if tc.via == viaDriver {
+					c.Storage = cos.NewLinked(e.platform.Backend(), e.clk, netsim.Loopback())
+				}
+			})
 			e.clk.Run(func() {
-				if _, err := exec.Map("flakyRead", []any{0}); err != nil {
+				if tc.via == viaDriver {
+					measure(e.clk, func() error {
+						_, err := exec.cfg.Storage.Put(DefaultMetaBucket, "probe", []byte("y"))
+						return err
+					})
+					return
+				}
+				if _, err := exec.Map("probe", []any{0}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -833,17 +876,17 @@ func TestCloudStorageRetrySchedule(t *testing.T) {
 					t.Error(err)
 				}
 			})
-			if got, want := tries.Load(), int64(cloudStorageAttempts); got != want {
+			if got, want := tries.Load(), int64(tc.attempts); got != want {
 				t.Fatalf("tries = %d, want %d", got, want)
 			}
-			if want := (cloudStorageAttempts - 1) * cloudStorageBackoff; elapsed != want {
-				t.Fatalf("read took %v, want %v", elapsed, want)
+			if want := time.Duration(tc.attempts-1) * tc.backoff; elapsed != want {
+				t.Fatalf("request took %v, want %v", elapsed, want)
 			}
 			switch {
-			case tc.wantErr && !errors.Is(readErr, cos.ErrRequestFailed):
-				t.Fatalf("read error = %v, want one wrapping cos.ErrRequestFailed", readErr)
-			case !tc.wantErr && readErr != nil:
-				t.Fatalf("read failed: %v", readErr)
+			case tc.wantErr && !errors.Is(reqErr, cos.ErrRequestFailed):
+				t.Fatalf("request error = %v, want one wrapping cos.ErrRequestFailed", reqErr)
+			case !tc.wantErr && reqErr != nil:
+				t.Fatalf("request failed: %v", reqErr)
 			}
 		})
 	}

@@ -30,7 +30,7 @@ func (e *Executor) persistDeadLetter(d DeadLetter) {
 	if err != nil {
 		return
 	}
-	_ = e.putWithRetry(e.cfg.Platform.MetaBucket(), deadLetterKey(d.ExecutorID, d.CallID), body)
+	_, _ = e.cfg.Storage.Put(e.cfg.Platform.MetaBucket(), deadLetterKey(d.ExecutorID, d.CallID), body) //gowren:allow errsink — best-effort: the letter is already parked in memory
 	e.appendJournal(wire.JournalDeadLetter, func(rec *wire.JournalRecord) {
 		rec.Calls = []wire.JournalCall{{CallID: d.CallID}}
 	})
@@ -46,7 +46,7 @@ func (e *Executor) PersistedDeadLetters() ([]DeadLetter, error) {
 	}
 	out := make([]DeadLetter, 0, len(listed))
 	for _, obj := range listed {
-		data, err := e.getWithRetry(meta, obj.Key)
+		data, _, err := e.cfg.Storage.Get(meta, obj.Key)
 		if err != nil {
 			return nil, fmt.Errorf("core: load dead letter %s: %w", obj.Key, err)
 		}
@@ -88,7 +88,7 @@ func (e *Executor) ReplayDeadLetters() ([]*Future, error) {
 	for i, d := range letters {
 		callIDs[i] = d.CallID
 	}
-	staged, err := resolvePayloads(e.cfg.Storage, e.storageRetry, meta, e.id, callIDs)
+	staged, err := resolvePayloads(e.cfg.Storage, meta, e.id, callIDs)
 	if err != nil {
 		restore()
 		return nil, fmt.Errorf("core: replay: fetch payloads: %w", err)

@@ -67,9 +67,9 @@ type Config struct {
 	// Zero uses 100, the paper's tuned value.
 	SpawnGroupSize int
 
-	// MaxRetries bounds client-side retries: invocations on throttling or
-	// network failure, and storage accesses on network failure. Zero
-	// uses 5.
+	// MaxRetries bounds client-side invocation retries on throttling or
+	// network failure. Zero uses 5. Storage requests do not use it: they
+	// retry in the storage view's own stage (executorStorageAttempts).
 	MaxRetries int
 	// RetryBackoff is the base backoff between those retries, grown with
 	// decorrelated jitter up to 30 s. Zero uses 1s.
@@ -82,11 +82,6 @@ type Config struct {
 	// (remote invokers, composition spawners) set it: their jobs live and
 	// die with a parent call and are not independently resumable.
 	DisableJournal bool
-	// AntiAffinityRespawn re-places respawned calls in a storage region
-	// different from the one whose failure killed the original run, instead
-	// of rehashing onto the same sick region. Only meaningful on
-	// multi-region platforms; see Platform.PlaceCallAvoiding.
-	AntiAffinityRespawn bool
 }
 
 func (c *Config) applyDefaults() error {
@@ -129,13 +124,10 @@ type Executor struct {
 	clock vclock.Clock
 	gil   *serial
 
-	// invokeRetry and storageRetry back every client-side retry loop with
-	// one policy, MaxRetries+1 tries of exponential backoff with
-	// decorrelated jitter from RetryBackoff; each has its own seeded
-	// stream. storageRetry runs around the storage view's own 4 × 150 ms
-	// retry stage.
-	invokeRetry  *retry.Retrier
-	storageRetry *retry.Retrier
+	// invokeRetry backs the client-side invocation retries: MaxRetries+1
+	// tries of exponential backoff with decorrelated jitter from
+	// RetryBackoff, on a seeded stream.
+	invokeRetry *retry.Retrier
 
 	// respawns is the unified automatic-respawn ledger shared by failure
 	// recovery and straggler speculation (see respawn.go).
@@ -169,19 +161,6 @@ type Executor struct {
 	fanIns []*fanInGroup
 }
 
-// noteListFailure records one more consecutive status-LIST failure for
-// execID and returns the updated count. The counter lives in the sweep
-// coordinator; this is the executor-level view of it.
-func (e *Executor) noteListFailure(execID string) int {
-	return e.sweeps.noteFailure(nsKey{bucket: e.cfg.Platform.MetaBucket(), execID: execID})
-}
-
-// resetListFailures clears execID's consecutive-failure count after a
-// successful LIST.
-func (e *Executor) resetListFailures(execID string) {
-	e.sweeps.resetFailures(nsKey{bucket: e.cfg.Platform.MetaBucket(), execID: execID})
-}
-
 // retryableCall reports whether an invocation is worth another try: 429s —
 // global throttles and the admission layer's quota and shed rejections
 // alike — and lost requests are; anything else is final.
@@ -200,10 +179,11 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	clk := cfg.Platform.Clock()
 	// Count requests as they hit the wire, then give every storage access
 	// SDK-style transient-failure retries, so one lost request cannot fail
-	// data discovery or a status sweep. The counter sits below the retry
-	// stage so StorageOps reports attempts, not logical operations.
+	// data discovery or a status sweep. This is the only retry a storage
+	// request of the executor passes through. The counter sits below the
+	// retry stage so StorageOps reports attempts, not logical operations.
 	counting := cos.NewCounting(cfg.Storage)
-	cfg.Storage = cos.NewRetrying(counting, clk, 4, 150*time.Millisecond)
+	cfg.Storage = cos.NewRetrying(counting, clk, executorStorageAttempts, executorStorageBackoff)
 
 	n := execCounter.Add(1)
 	seed := cfg.Platform.nextExecutorSeed()
@@ -215,15 +195,14 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		Jitter:      true,
 	}
 	return &Executor{
-		cfg:          cfg,
-		id:           fmt.Sprintf("exec-%06d", n),
-		clock:        clk,
-		gil:          newSerial(clk),
-		respawns:     newRespawnLedger(),
-		sweeps:       newSweepCoordinator(cfg.Storage, clk),
-		ops:          counting,
-		invokeRetry:  retry.New(clk, policy, retryableCall, retry.WithSeed(seed)),
-		storageRetry: retry.New(clk, policy, cos.Retryable, retry.WithSeed(seed+1)),
+		cfg:         cfg,
+		id:          fmt.Sprintf("exec-%06d", n),
+		clock:       clk,
+		gil:         newSerial(clk),
+		respawns:    newRespawnLedger(),
+		sweeps:      newSweepCoordinator(cfg.Storage, clk),
+		ops:         counting,
+		invokeRetry: retry.New(clk, policy, retryableCall, retry.WithSeed(seed)),
 	}, nil
 }
 
@@ -387,40 +366,6 @@ func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*F
 		e.track(futures)
 	}
 	return futures, nil
-}
-
-// putWithRetry retries transient simulated network failures under the
-// shared policy.
-func (e *Executor) putWithRetry(bucket, key string, body []byte) error {
-	return e.storageRetry.Do(func() error {
-		_, err := e.cfg.Storage.Put(bucket, key, body)
-		return err
-	})
-}
-
-// headWithRetry probes an object's existence, retrying transient
-// simulated network failures under the shared policy. A missing key
-// surfaces as cos.ErrNoSuchKey without retries.
-func (e *Executor) headWithRetry(bucket, key string) error {
-	return e.storageRetry.Do(func() error {
-		_, err := e.cfg.Storage.Head(bucket, key)
-		return err
-	})
-}
-
-// getWithRetry fetches an object, retrying transient simulated network
-// failures under the shared policy.
-func (e *Executor) getWithRetry(bucket, key string) ([]byte, error) {
-	var data []byte
-	err := e.storageRetry.Do(func() error {
-		var err error
-		data, _, err = e.cfg.Storage.Get(bucket, key)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Wait strategies (Table 2: wait). The names mirror the paper's §4.2.

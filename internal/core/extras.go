@@ -140,10 +140,6 @@ func (e *Executor) Respawn(futures []*Future) error {
 	for _, f := range futures {
 		e.sweeps.forget(nsKey{bucket: meta, execID: f.executorID}, f.callID)
 	}
-	regions, err := e.replaceRegions(futures)
-	if err != nil {
-		return err
-	}
 	if err := e.locatePayloads(futures); err != nil {
 		return fmt.Errorf("core: respawn: %w", err)
 	}
@@ -164,7 +160,7 @@ func (e *Executor) Respawn(futures []*Future) error {
 	var calls []wire.JournalCall
 	for i, f := range futures {
 		if newActs[i] != "" {
-			calls = append(calls, wire.JournalCall{CallID: f.callID, ActivationID: newActs[i], Region: regions[i]})
+			calls = append(calls, wire.JournalCall{CallID: f.callID, ActivationID: newActs[i]})
 		}
 	}
 	if len(calls) > 0 {
@@ -174,53 +170,6 @@ func (e *Executor) Respawn(futures []*Future) error {
 		return fmt.Errorf("core: respawn: %w", invokeErr)
 	}
 	return nil
-}
-
-// replaceRegions applies the anti-affinity knob before a respawn invokes:
-// each call whose payload carries a region is re-placed in a region other
-// than the one whose failure killed it. The rewritten payload is staged as a
-// batch of one beside the launch's batch — which stays untouched — and the
-// future is repointed at it, so the runner executes through the new region's
-// view. It returns the (possibly updated) region per future; with the knob
-// off it reports the empty placement without touching storage.
-func (e *Executor) replaceRegions(futures []*Future) ([]string, error) {
-	regions := make([]string, len(futures))
-	if !e.cfg.AntiAffinityRespawn || len(e.cfg.Platform.Regions()) < 2 {
-		return regions, nil
-	}
-	callIDs := make([]string, len(futures))
-	for i, f := range futures {
-		callIDs[i] = f.callID
-	}
-	staged, err := resolvePayloads(e.cfg.Storage, e.storageRetry, e.cfg.Platform.MetaBucket(), e.id, callIDs)
-	if err != nil {
-		return nil, fmt.Errorf("core: respawn re-place: %w", err)
-	}
-	errs := parallelFor(e.clock, e.cfg.StageConcurrency, len(futures), func(i int) error {
-		f := futures[i]
-		f.payload = staged[i].ref
-		p, err := wire.DecodePayload(staged[i].body)
-		if err != nil {
-			return fmt.Errorf("respawn re-place %s/%s: %w", f.executorID, f.callID, err)
-		}
-		regions[i] = p.Region
-		moved := e.cfg.Platform.PlaceCallAvoiding(p.CallID, p.Region)
-		if moved == "" || moved == p.Region {
-			return nil
-		}
-		p.Region = moved
-		refs, err := e.stagePayloads([]*wire.CallPayload{p})
-		if err != nil {
-			return fmt.Errorf("respawn re-place %s/%s: %w", f.executorID, f.callID, err)
-		}
-		f.payload = refs[0]
-		regions[i] = moved
-		return nil
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return regions, nil
 }
 
 // JobStats summarizes the executor's storage footprint (for tests,
@@ -238,12 +187,12 @@ type JobStats struct {
 func (e *Executor) Stats() (JobStats, error) {
 	var out JobStats
 	meta := e.cfg.Platform.MetaBucket()
-	batches, err := listPayloadBatches(e.cfg.Storage, e.storageRetry, meta, e.id)
+	batches, err := listPayloadBatches(e.cfg.Storage, meta, e.id)
 	if err != nil {
 		return JobStats{}, fmt.Errorf("core: stats %s: %w", e.id, err)
 	}
 	// Key order is call order, so a high-water mark counts a call once even
-	// where a respawn's re-placed copy sits beside the batch it came from.
+	// where two batches cover it.
 	staged := 0
 	for _, b := range batches {
 		out.Payloads += max(0, b.first+b.count-max(b.first, staged))

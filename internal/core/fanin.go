@@ -345,18 +345,12 @@ func (e *Executor) backstopFanIns(pend *pendingSet) {
 func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 	meta, key := g.bucket, g.marker()
 	now := e.clock.Now()
-	var (
-		cur  wire.FanInMarker
-		etag string
-	)
-	err := e.storageRetry.Do(func() error {
-		body, om, err := e.cfg.Storage.Get(meta, key)
-		if err != nil {
-			return err
-		}
-		etag = om.ETag
-		return wire.Unmarshal(body, &cur)
-	})
+	var cur wire.FanInMarker
+	body, om, err := e.cfg.Storage.Get(meta, key)
+	if err == nil {
+		err = wire.Unmarshal(body, &cur)
+	}
+	etag := om.ETag
 	switch {
 	case errors.Is(err, cos.ErrNoSuchKey):
 		cur, etag = wire.FanInMarker{}, ""
@@ -386,11 +380,7 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 		ActivationIDs: make([]string, g.spec.Targets),
 	}
 	copy(next.ActivationIDs, cur.ActivationIDs)
-	err = e.storageRetry.Do(func() error {
-		_, err := e.cfg.Storage.PutIf(meta, key, wire.MustMarshal(&next), etag)
-		return err
-	})
-	if err != nil {
+	if _, err := e.cfg.Storage.PutIf(meta, key, wire.MustMarshal(&next), etag); err != nil {
 		return // lost the claim to another driver, or storage trouble
 	}
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(missing), func(k int) error {
@@ -405,7 +395,7 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 		return nil
 	})
 	pend.probe = true
-	putErr := e.putWithRetry(meta, key, wire.MustMarshal(&next))
+	_, putErr := e.cfg.Storage.Put(meta, key, wire.MustMarshal(&next))
 	if tr := e.cfg.Platform.trace; tr != nil {
 		tr.Emitf(e.clock.Now(), trace.KindFanIn, e.id, "marker=%s generation=%d driver launched=%s err=%v",
 			key, next.Generation, strings.Join(next.ActivationIDs, ","), errors.Join(firstErr(errs), putErr))

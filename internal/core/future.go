@@ -112,7 +112,7 @@ func (f *Future) Done() (bool, error) {
 		return true, nil
 	}
 	meta := f.exec.cfg.Platform.MetaBucket()
-	err := f.exec.headWithRetry(meta, statusKey(f.executorID, f.callID))
+	_, err := f.exec.cfg.Storage.Head(meta, statusKey(f.executorID, f.callID))
 	switch {
 	case err == nil:
 		f.markDone()
@@ -214,7 +214,7 @@ func (e *Executor) fetchStatusRecords(bucket string, keys []string) (recs []*wir
 	bodies := make([][]byte, len(keys))
 	errs = fetchFor(e.clock, e.cfg.StageConcurrency, len(keys), func(i int) error {
 		var err error
-		bodies[i], err = e.getWithRetry(bucket, keys[i])
+		bodies[i], _, err = e.cfg.Storage.Get(bucket, keys[i])
 		return err
 	})
 	recs = make([]*wire.StatusRecord, len(keys))
@@ -553,7 +553,7 @@ func (r *resolver) resolveStatus(rec *wire.StatusRecord, depth int) (json.RawMes
 }
 
 func (r *resolver) resolveResultObject(ref wire.ObjectRef, depth int) (json.RawMessage, error) {
-	data, err := r.exec.getWithRetry(ref.Bucket, ref.Key)
+	data, _, err := r.exec.cfg.Storage.Get(ref.Bucket, ref.Key)
 	if err != nil {
 		return nil, fmt.Errorf("core: fetch result %s/%s: %w", ref.Bucket, ref.Key, err)
 	}

@@ -72,16 +72,11 @@ func (e *Executor) journalStart() error {
 		Seed:          e.cfg.Platform.Seed(),
 		CreatedUnixNs: e.clock.Now().UnixNano(),
 	}
-	if err := e.putWithRetry(meta, manifestKey(e.id), wire.MustMarshal(man)); err != nil {
+	if _, err := e.cfg.Storage.Put(meta, manifestKey(e.id), wire.MustMarshal(man)); err != nil {
 		return fmt.Errorf("core: write job manifest: %w", err)
 	}
 	lease := wire.DriverLease{JobID: e.id, Epoch: 1, RenewedUnixNs: e.clock.Now().UnixNano()}
-	var lm cos.ObjectMeta
-	err := e.storageRetry.Do(func() error {
-		var err error
-		lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), "")
-		return err
-	})
+	lm, err := e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), "")
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		// A lease already exists under this executor's ID — only possible
@@ -122,12 +117,7 @@ func (e *Executor) renewLease() error {
 
 	meta := e.cfg.Platform.MetaBucket()
 	lease := wire.DriverLease{JobID: e.id, Epoch: epoch, RenewedUnixNs: e.clock.Now().UnixNano()}
-	var lm cos.ObjectMeta
-	err := e.storageRetry.Do(func() error {
-		var err error
-		lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), etag)
-		return err
-	})
+	lm, err := e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), etag)
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		j.mu.Lock()
@@ -184,7 +174,7 @@ func (e *Executor) appendJournal(kind string, mut func(*wire.JournalRecord)) {
 		mut(&rec)
 	}
 	meta := e.cfg.Platform.MetaBucket()
-	_ = e.putWithRetry(meta, journalKey(e.id, epoch, seq), wire.MustMarshal(rec)) //gowren:allow errsink — journal records are advisory redundancy over durable call objects
+	_, _ = e.cfg.Storage.Put(meta, journalKey(e.id, epoch, seq), wire.MustMarshal(rec)) //gowren:allow errsink — journal records are advisory redundancy over durable call objects
 }
 
 // journalCalls builds the per-call entries of a launch record. actIDs is

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"gowren/internal/cos"
-	"gowren/internal/retry"
 	"gowren/internal/wire"
 )
 
@@ -20,10 +19,7 @@ import (
 // its slice and nothing on the hot path derives a key from a call ID. Readers
 // that know only (executor, call ID) — respawn re-placement, dead-letter
 // replay, shuffle recompute, futures adopted by Attach — go through
-// resolvePayloads, which reads the key names. An anti-affinity respawn stages
-// its rewritten payload as a batch of one ({callID}+1) beside the original;
-// the narrowest batch covering a call is the current one, which is the whole
-// override rule.
+// resolvePayloads, which reads the key names.
 
 // payloadBatchBytes caps one batch object. A WAN client pays per request, not
 // per byte, so the cap only exists to keep a single PUT — and the whole-batch
@@ -102,7 +98,8 @@ func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef
 		start = end
 	}
 	errs := fetchFor(e.clock, e.cfg.StageConcurrency, len(batches), func(i int) error {
-		return e.putWithRetry(meta, batches[i].key, batches[i].body)
+		_, err := e.cfg.Storage.Put(meta, batches[i].key, batches[i].body)
+		return err
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, fmt.Errorf("core: stage payloads: %w", err)
@@ -126,13 +123,8 @@ func payloadSpans(refs []wire.ObjectRef) []wire.PayloadSpan {
 
 // listPayloadBatches lists the batch objects of an executor namespace, in key
 // order. Keys of any other shape are not batches and are skipped.
-func listPayloadBatches(storage cos.Client, retries *retry.Retrier, bucket, execID string) ([]payloadBatch, error) {
-	var listed []cos.ObjectMeta
-	err := retries.Do(func() error {
-		var err error
-		listed, err = cos.ListAll(storage, bucket, jobKey(payloadPrefix, execID, ""))
-		return err
-	})
+func listPayloadBatches(storage cos.Client, bucket, execID string) ([]payloadBatch, error) {
+	listed, err := cos.ListAll(storage, bucket, jobKey(payloadPrefix, execID, ""))
 	if err != nil {
 		return nil, err
 	}
@@ -154,13 +146,12 @@ type stagedPayload struct {
 // resolvePayloads is the cold path from (executor, call ID) to staged payload
 // bytes, for readers that hold no ref: one LIST of the payload prefix (a
 // handful of keys), then one whole-object GET per distinct batch — however
-// many of its calls are asked for — and the call's line out of it. Where
-// several batches cover a call the narrowest wins: that is a respawn's
-// re-placed copy, staged as a batch of one beside the launch's batch. It
-// serves the client (executor storage and retrier) and functions (their
-// storage view, which retries on its own, and a nil retrier) alike.
-func resolvePayloads(storage cos.Client, retries *retry.Retrier, bucket, execID string, callIDs []string) ([]stagedPayload, error) {
-	batches, err := listPayloadBatches(storage, retries, bucket, execID)
+// many of its calls are asked for — and the call's line out of it. Launches
+// never stage a call twice; should several batches cover one, the narrowest
+// wins. It serves the client (the executor's view) and functions (their
+// ctx.Storage()) alike; both views retry on their own.
+func resolvePayloads(storage cos.Client, bucket, execID string, callIDs []string) ([]stagedPayload, error) {
+	batches, err := listPayloadBatches(storage, bucket, execID)
 	if err != nil {
 		return nil, fmt.Errorf("core: resolve payloads of %s: %w", execID, err)
 	}
@@ -182,12 +173,7 @@ func resolvePayloads(storage cos.Client, retries *retry.Retrier, bucket, execID 
 		}
 		body, fetched := bodies[in.key]
 		if !fetched {
-			err := retries.Do(func() error {
-				var err error
-				body, _, err = storage.Get(bucket, in.key)
-				return err
-			})
-			if err != nil {
+			if body, _, err = storage.Get(bucket, in.key); err != nil {
 				return nil, fmt.Errorf("core: resolve payload %s/%s: %w", execID, callID, err)
 			}
 			bodies[in.key] = body
@@ -220,7 +206,7 @@ func (e *Executor) locatePayloads(futures []*Future) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	staged, err := resolvePayloads(e.cfg.Storage, e.storageRetry, e.cfg.Platform.MetaBucket(), e.id, callIDs)
+	staged, err := resolvePayloads(e.cfg.Storage, e.cfg.Platform.MetaBucket(), e.id, callIDs)
 	if err != nil {
 		return err
 	}

@@ -255,7 +255,7 @@ func TestResolverNarrowestBatchWins(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		staged, err := resolvePayloads(counted, exec.storageRetry, meta, exec.ID(), []string{"00003", "00002", "00000"})
+		staged, err := resolvePayloads(counted, meta, exec.ID(), []string{"00003", "00002", "00000"})
 		if err != nil {
 			t.Error(err)
 			return
@@ -280,7 +280,7 @@ func TestResolverNarrowestBatchWins(t *testing.T) {
 		if ops := counted.Counts(); ops.ListOps != 1 || ops.GetOps != 2 {
 			t.Errorf("resolver requests = %+v, want 1 LIST and 2 GETs (one per distinct batch)", ops)
 		}
-		if _, err := resolvePayloads(counted, exec.storageRetry, meta, exec.ID(), []string{"00004"}); !errors.Is(err, cos.ErrNoSuchKey) {
+		if _, err := resolvePayloads(counted, meta, exec.ID(), []string{"00004"}); !errors.Is(err, cos.ErrNoSuchKey) {
 			t.Errorf("resolving an unstaged call: err = %v, want ErrNoSuchKey", err)
 		}
 	})

@@ -29,9 +29,20 @@ const DefaultMetaBucket = "gowren-meta"
 // cloudStorageBackoff apart. The datacenter link rarely loses a request;
 // what exhausts this is a COS brownout, which the schedule rides out for
 // 2.3 s before the call fails and recovery takes over.
+//
+// The executor storage schedule: every request an executor makes through
+// its own view — a driver over its client link, a helper executor built
+// inside a function over the platform's view below its retry stage — is
+// retried up to executorStorageAttempts tries, executorStorageBackoff apart.
+// A lost request on the client's WAN path is back within one backoff; the
+// schedule rides out 3.45 s of brownout before the operation fails and the
+// caller (a status sweep, recovery, the journal's best effort) takes over.
 const (
 	cloudStorageAttempts = 24
 	cloudStorageBackoff  = 100 * time.Millisecond
+
+	executorStorageAttempts = 24
+	executorStorageBackoff  = 150 * time.Millisecond
 )
 
 // PlatformConfig assembles a simulated cloud: object store, FaaS controller
@@ -102,12 +113,15 @@ type Platform struct {
 	backend      cos.Client
 	controller   *faas.Controller
 	cloudStorage cos.Client
-	cloudLink    *netsim.Link
-	metaBucket   string
-	seed         int64
-	chaos        *chaos.Plan
-	trace        *trace.Recorder
-	exchange     *exchange.Fabric
+	// cloudBase is cloudStorage below its retry stage: the chaos-wrapped
+	// in-cloud view that helper executors put their own retry stage on.
+	cloudBase  cos.Client
+	cloudLink  *netsim.Link
+	metaBucket string
+	seed       int64
+	chaos      *chaos.Plan
+	trace      *trace.Recorder
+	exchange   *exchange.Fabric
 
 	// multi is the Backend downcast to the multi-region facade (nil on
 	// single-region platforms); regionNames caches its region order for
@@ -119,7 +133,7 @@ type Platform struct {
 	// regionViews caches the per-region storage stacks handed to placed
 	// functions, one per region name (built lazily under viewMu).
 	viewMu      sync.Mutex
-	regionViews map[string]cos.Client
+	regionViews map[string]regionView
 
 	// fnInvokeRetry backs the remote invoker's invocations: the cloud link
 	// is reliable, so a capped exponential schedule of 6 tries suffices.
@@ -168,7 +182,8 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Backend == nil {
 		inner = cos.NewLinked(cfg.Store, cfg.Clock, cloudLink)
 	}
-	cloudStorage := cos.Client(cos.NewRetrying(chaos.WrapStorage(inner, cfg.Chaos), cfg.Clock, cloudStorageAttempts, cloudStorageBackoff))
+	cloudBase := chaos.WrapStorage(inner, cfg.Chaos)
+	cloudStorage := cos.Client(cos.NewRetrying(cloudBase, cfg.Clock, cloudStorageAttempts, cloudStorageBackoff))
 
 	var outage func() bool
 	var slowFactor func() float64
@@ -204,13 +219,14 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		backend:      backend,
 		controller:   ctrl,
 		cloudStorage: cloudStorage,
+		cloudBase:    cloudBase,
 		cloudLink:    cloudLink,
 		metaBucket:   cfg.MetaBucket,
 		seed:         cfg.Seed,
 		chaos:        cfg.Chaos,
 		trace:        cfg.Trace,
 		regionZero:   cfg.RegionZeroPlacement,
-		regionViews:  make(map[string]cos.Client),
+		regionViews:  make(map[string]regionView),
 		deployed:     make(map[string]string),
 	}
 	if multi, ok := backend.(*cos.MultiRegion); ok {
@@ -371,28 +387,17 @@ func (p *Platform) EnsureRuntime(image string) (string, error) {
 	return runner, nil
 }
 
-// InCloudExecutor returns an executor that runs inside the datacenter: it
-// talks to storage and the controller over the cloud link. It backs both
-// the remote invoker and the composability spawner.
-func (p *Platform) InCloudExecutor(image string) (*Executor, error) {
-	return p.InCloudExecutorAt(image, "")
-}
-
-// InCloudExecutorAt is InCloudExecutor for a caller executing in a storage
-// region: the executor's own storage traffic (payload staging, status
-// sweeps, result collection) goes through that region's view. An empty
-// region or a single-region platform falls back to the default in-cloud
-// view.
-func (p *Platform) InCloudExecutorAt(image, region string) (*Executor, error) {
-	return p.inCloudExecutor(image, region, "")
-}
-
-// inCloudExecutor is InCloudExecutorAt with a tenant: the sub-executor's
-// spawned calls are admitted under that tenant's fair-share quota.
+// inCloudExecutor returns a helper executor that runs inside the datacenter,
+// for a caller executing in region (empty outside multi-region platforms):
+// it talks to storage through that region's view, or the default in-cloud
+// view, and to the controller over the cloud link. Its spawned calls are
+// admitted under tenant's fair-share quota. The executor puts its own retry
+// stage on the view, so it is handed the view below the platform's: one
+// retry stage per request, as for every other executor.
 func (p *Platform) inCloudExecutor(image, region, tenant string) (*Executor, error) {
-	storage := p.cloudStorage
-	if s := p.regionStorage(region); s != nil {
-		storage = s
+	storage := p.cloudBase
+	if v, ok := p.viewIn(region); ok {
+		storage = v.base
 	}
 	return NewExecutor(Config{
 		Platform:     p,
@@ -430,44 +435,26 @@ func (p *Platform) PlaceCall(callID string) string {
 	return p.regionNames[int(h.Sum64()%uint64(len(p.regionNames)))]
 }
 
-// PlaceCallAvoiding is PlaceCall restricted to the regions other than
-// avoid — the anti-affinity placement respawns use so a re-executed call
-// does not rehash onto the region whose failure killed the original run.
-// Like PlaceCall it hashes only stable inputs (seed, call ID, avoided
-// region), so the replacement region is reproducible run to run. With no
-// other region to choose from (single region, empty or unknown avoid) it
-// falls back to PlaceCall.
-func (p *Platform) PlaceCallAvoiding(callID, avoid string) string {
-	if len(p.regionNames) == 0 {
-		return ""
-	}
-	rest := make([]string, 0, len(p.regionNames)-1)
-	for _, name := range p.regionNames {
-		if name != avoid {
-			rest = append(rest, name)
-		}
-	}
-	if avoid == "" || len(rest) == 0 || len(rest) == len(p.regionNames) {
-		return p.PlaceCall(callID)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/avoid/%s", p.seed, callID, avoid)
-	return rest[int(h.Sum64()%uint64(len(rest)))]
+// regionView is a region's in-cloud storage view at two heights: base is the
+// facade view behind the chaos wrapper, storage the same behind the in-cloud
+// retry stage.
+type regionView struct {
+	base, storage cos.Client
 }
 
-// regionStorage returns the storage stack a function placed in region uses:
+// viewIn returns the storage stacks a function placed in region uses:
 // the region's facade view (home = region; preferred = region, or region 0
 // under legacy placement) behind the same chaos wrapper and retry layer as
-// the default in-cloud view. It returns nil — caller keeps the default
+// the default in-cloud view. It reports false — caller keeps the default
 // view — for an empty or unknown region or a single-region platform.
-func (p *Platform) regionStorage(region string) cos.Client {
+func (p *Platform) viewIn(region string) (regionView, bool) {
 	if region == "" || p.multi == nil {
-		return nil
+		return regionView{}, false
 	}
 	p.viewMu.Lock()
 	defer p.viewMu.Unlock()
-	if s, ok := p.regionViews[region]; ok {
-		return s
+	if v, ok := p.regionViews[region]; ok {
+		return v, true
 	}
 	pref := region
 	if p.regionZero {
@@ -475,11 +462,12 @@ func (p *Platform) regionStorage(region string) cos.Client {
 	}
 	view, err := p.multi.View(region, pref)
 	if err != nil {
-		return nil
+		return regionView{}, false
 	}
-	s := cos.Client(cos.NewRetrying(chaos.WrapStorage(view, p.chaos), p.clock, cloudStorageAttempts, cloudStorageBackoff))
-	p.regionViews[region] = s
-	return s
+	base := chaos.WrapStorage(view, p.chaos)
+	v := regionView{base: base, storage: cos.NewRetrying(base, p.clock, cloudStorageAttempts, cloudStorageBackoff)}
+	p.regionViews[region] = v
+	return v, true
 }
 
 // placementFor derives the execution context and spawner for a call placed
@@ -487,11 +475,9 @@ func (p *Platform) regionStorage(region string) cos.Client {
 // and spawned children inherit both the placement and the tenant. Unplaced
 // default-tenant calls keep their context.
 func (p *Platform) placementFor(ctx *runtime.Ctx, region, tenant string) *runtime.Ctx {
-	var storage cos.Client
-	if region != "" && p.multi != nil {
-		storage = p.regionStorage(region)
-	}
-	if storage == nil {
+	v, ok := p.viewIn(region)
+	storage := v.storage
+	if !ok {
 		// Not (or not successfully) region-placed: the context keeps the
 		// default storage view and stays unplaced; only a tenant still
 		// needs a derived spawner so children inherit its quota.

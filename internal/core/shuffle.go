@@ -345,7 +345,7 @@ func (p *Platform) shuffleFallback(ctx *runtime.Ctx, payload *wire.CallPayload, 
 // cost of losing a fast-tier node.
 func (p *Platform) recomputeShufflePartition(ctx *runtime.Ctx, payload *wire.CallPayload, mapID string) ([]byte, error) {
 	spec := payload.Shuffle
-	staged, err := resolvePayloads(ctx.Storage(), nil, payload.MetaBucket, payload.ExecutorID, []string{mapID})
+	staged, err := resolvePayloads(ctx.Storage(), payload.MetaBucket, payload.ExecutorID, []string{mapID})
 	if err != nil {
 		return nil, fmt.Errorf("core: shuffle recompute load payload %s: %w", mapID, err)
 	}

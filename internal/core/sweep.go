@@ -295,24 +295,6 @@ func (c *sweepCoordinator) forgetNamespace(ns nsKey) {
 	delete(c.states, ns)
 }
 
-// noteFailure and resetFailures expose the consecutive-failure counter for
-// the executor's bookkeeping API (and its tests).
-func (c *sweepCoordinator) noteFailure(ns nsKey) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stateLocked(ns)
-	s.fails++
-	return s.fails
-}
-
-func (c *sweepCoordinator) resetFailures(ns nsKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.states[ns]; ok {
-		s.fails = 0
-	}
-}
-
 // awaitStatuses polls ns through the coordinator until every call ID in
 // want has a committed status, the deadline passes, or a dead activation
 // surfaces. It is the shared engine behind the resolver's composition

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gowren/internal/cos"
 	"gowren/internal/netsim"
+	"gowren/internal/vclock"
 )
 
 // statusListBlackhole delegates to an inner client but permanently fails
@@ -56,23 +58,38 @@ func TestDeadActivationSurfacedDuringListOutage(t *testing.T) {
 	})
 }
 
-// TestListFailureCounterResets checks the consecutive-failure bookkeeping:
-// a successful LIST must clear the counter so isolated transient failures
-// never accumulate to the consult threshold.
+// TestListFailureCounterResets drives the consecutive-failure bookkeeping
+// through real sweeps over a faulty view: a successful LIST must clear the
+// counter, so isolated transient failures never accumulate to the consult
+// threshold, and each status namespace counts on its own.
 func TestListFailureCounterResets(t *testing.T) {
-	e := newEnv(t, nil)
-	exec := e.executor(t, nil)
-	if n := exec.noteListFailure("ex-a"); n != 1 {
-		t.Fatalf("first failure count = %d, want 1", n)
+	store := cos.NewStore()
+	if err := store.CreateBucket("meta"); err != nil {
+		t.Fatal(err)
 	}
-	if n := exec.noteListFailure("ex-a"); n != 2 {
-		t.Fatalf("second failure count = %d, want 2", n)
-	}
-	if n := exec.noteListFailure("ex-b"); n != 1 {
-		t.Fatalf("counts must be per executor namespace, got %d for ex-b", n)
-	}
-	exec.resetListFailures("ex-a")
-	if n := exec.noteListFailure("ex-a"); n != 1 {
-		t.Fatalf("count after reset = %d, want 1", n)
+	var failing atomic.Bool
+	clk := vclock.NewVirtual()
+	co := newSweepCoordinator(cos.NewFaulty(store, failing.Load), clk)
+	a, b := nsKey{bucket: "meta", execID: "ex-a"}, nsKey{bucket: "meta", execID: "ex-b"}
+	asOf := clk.Now()
+	for i, step := range []struct {
+		ns    nsKey
+		fail  bool
+		fails int
+	}{
+		{a, true, 1},
+		{a, true, 2},
+		{b, true, 1},
+		{a, false, 0},
+		{a, true, 1},
+		{b, true, 2},
+	} {
+		failing.Store(step.fail)
+		// Each sweep observes a later instant than the last, so none
+		// coalesces onto a cached LIST.
+		asOf = asOf.Add(time.Second)
+		if out := co.sweep(step.ns, asOf); out.err != nil || out.fails != step.fails {
+			t.Fatalf("step %d (%s, fail=%v): outcome %+v, want fails = %d", i, step.ns.execID, step.fail, out, step.fails)
+		}
 	}
 }

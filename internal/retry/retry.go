@@ -1,9 +1,9 @@
 // Package retry is GoWren's single retry policy. Every retry loop in the
-// system — the executor's invocation path, its storage accesses, the
-// in-cloud invoker and fan-in launcher, and the cos.Stack retry stage — is
-// a Retrier running a Policy: bounded exponential backoff, optionally with
-// decorrelated jitter, driven by the simulation clock so virtual-time
-// experiments pay realistic retry delays.
+// system — the executor's invocation path, the in-cloud invoker and fan-in
+// launcher, and the cos.Stack retry stage every storage request passes
+// through — is a Retrier running a Policy: bounded exponential backoff,
+// optionally with decorrelated jitter, driven by the simulation clock so
+// virtual-time experiments pay realistic retry delays.
 //
 // Callers say which errors are worth another try with a func(error) bool;
 // the package itself has no knowledge of faas or cos error values, which
