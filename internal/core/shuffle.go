@@ -1,10 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"slices"
 	"time"
@@ -122,11 +122,96 @@ func (e *Executor) MapReduceShuffle(mapFn string, src DataSource, reduceFn strin
 	return futures, nil
 }
 
-// reducerForKey assigns a key to a reducer partition by FNV-1a hash.
+// reducerForKey assigns a key to a reducer partition by FNV-1a hash,
+// computed over the string in place.
 func reducerForKey(key string, numReducers int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numReducers))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(numReducers))
+}
+
+// framePartitions hash-partitions kvs into one KV frame per reducer, in
+// emission order, and counts the pairs in each. Pass one hashes every key
+// once and sums each reducer's frame size; pass two appends into bodies
+// allocated at exactly that size. The producer and recomputation both frame
+// through here, so a recomputed partition is the producer's byte for byte.
+func framePartitions(kvs []wire.KV, numReducers int) (bodies [][]byte, counts []int) {
+	dest := make([]int, len(kvs))
+	sizes := make([]int, numReducers)
+	counts = make([]int, numReducers)
+	for j, kv := range kvs {
+		i := reducerForKey(kv.Key, numReducers)
+		dest[j] = i
+		sizes[i] += wire.KVFrameSize(kv)
+		counts[i]++
+	}
+	bodies = make([][]byte, numReducers)
+	for i, size := range sizes {
+		bodies[i] = wire.AppendKVs(make([]byte, 0, 1+size), nil)
+	}
+	for j, i := range dest {
+		bodies[i] = wire.AppendKVs(bodies[i], kvs[j:j+1])
+	}
+	return bodies, counts
+}
+
+// framePartition frames reducer's pairs alone, in emission order: the
+// bytes framePartitions builds for it, without building the other bodies.
+func framePartition(kvs []wire.KV, numReducers, reducer int) []byte {
+	size := 0
+	for _, kv := range kvs {
+		if reducerForKey(kv.Key, numReducers) == reducer {
+			size += wire.KVFrameSize(kv)
+		}
+	}
+	body := wire.AppendKVs(make([]byte, 0, 1+size), nil)
+	for j, kv := range kvs {
+		if reducerForKey(kv.Key, numReducers) == reducer {
+			body = wire.AppendKVs(body, kvs[j:j+1])
+		}
+	}
+	return body
+}
+
+// normalizeShuffleValues gives every value the bytes encoding/json writes
+// for a json.RawMessage, which is what a partition carried when it was a
+// JSON array: a nil value becomes null, invalid JSON fails the map, and a
+// value with whitespace or a character json escapes is compacted through
+// json.Marshal. Values from EmitKV are already in that form and are kept
+// as they are, without an allocation.
+func normalizeShuffleValues(kvs []wire.KV, numReducers int) error {
+	for i, kv := range kvs {
+		switch {
+		case kv.Value == nil:
+			kvs[i].Value = json.RawMessage("null")
+		case !json.Valid(kv.Value):
+			_, err := json.Marshal(kv.Value)
+			return fmt.Errorf("core: shuffle map serialize partition %d: %w", reducerForKey(kv.Key, numReducers), err)
+		case needsCompact(kv.Value):
+			v, err := json.Marshal(kv.Value)
+			if err != nil {
+				return fmt.Errorf("core: shuffle map serialize partition %d: %w", reducerForKey(kv.Key, numReducers), err)
+			}
+			kvs[i].Value = v
+		}
+	}
+	return nil
+}
+
+// needsCompact reports whether json.Marshal would rewrite a valid JSON
+// value: it drops whitespace and escapes '<', '>', '&', U+2028 and U+2029
+// (whose UTF-8 starts with 0xE2).
+func needsCompact(v []byte) bool {
+	for _, c := range v {
+		switch c {
+		case ' ', '\t', '\n', '\r', '<', '>', '&', 0xE2:
+			return true
+		}
+	}
+	return false
 }
 
 // runShuffleMap executes the map side: run the KV function, hash-partition
@@ -146,22 +231,13 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 		return nil, err
 	}
 	r := payload.Shuffle.NumReducers
-	buckets := make([][]wire.KV, r)
-	for _, kv := range kvs {
-		i := reducerForKey(kv.Key, r)
-		buckets[i] = append(buckets[i], kv)
+	if err := normalizeShuffleValues(kvs, r); err != nil {
+		return nil, err
 	}
-	counts := make([]int, r)
-	bodies := make([][]byte, r)
+	bodies, counts := framePartitions(kvs, r)
 	descs := make([]wire.PartitionDescriptor, r)
-	for i, bucket := range buckets {
-		body, err := wire.Marshal(bucket)
-		if err != nil {
-			return nil, fmt.Errorf("core: shuffle map serialize partition %d: %w", i, err)
-		}
-		bodies[i] = body
-		counts[i] = len(bucket)
-		descs[i] = wire.PartitionDescriptor{Reducer: i, Bytes: int64(len(body)), Keys: len(bucket)}
+	for i, body := range bodies {
+		descs[i] = wire.PartitionDescriptor{Reducer: i, Bytes: int64(len(body)), Keys: counts[i]}
 	}
 
 	transport := payload.Shuffle.Exchange
@@ -276,7 +352,9 @@ func (p *Platform) fetchShufflePartition(ctx *runtime.Ctx, payload *wire.CallPay
 	if err != nil {
 		return p.shuffleFallback(ctx, payload, mapID, key, err)
 	}
-	return body, nil
+	// The tier hands back the buffer it stores, which a later reducer, an
+	// eviction spill or a retry reads again: the reducer gets its own copy.
+	return bytes.Clone(body), nil
 }
 
 // tierGet runs one fast-tier read, absorbing up to shuffleTierRetries
@@ -365,13 +443,10 @@ func (p *Platform) recomputeShufflePartition(ctx *runtime.Ctx, payload *wire.Cal
 	if err != nil {
 		return nil, fmt.Errorf("core: shuffle recompute map %s: %w", mapID, err)
 	}
-	var bucket []wire.KV
-	for _, kv := range kvs {
-		if reducerForKey(kv.Key, spec.NumReducers) == spec.Reducer {
-			bucket = append(bucket, kv)
-		}
+	if err := normalizeShuffleValues(kvs, spec.NumReducers); err != nil {
+		return nil, fmt.Errorf("core: shuffle recompute map %s: %w", mapID, err)
 	}
-	return wire.Marshal(bucket)
+	return framePartition(kvs, spec.NumReducers, spec.Reducer), nil
 }
 
 // runShuffleReduce executes the reduce side: fetch this reducer's shuffle
@@ -394,23 +469,19 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 	}
 
 	readStart := ctx.Clock().Now()
-	groups := make(map[string][]json.RawMessage)
+	groups := newKVGroups(len(spec.MapCallIDs))
 	for _, mapID := range spec.MapCallIDs {
 		body, err := p.fetchShufflePartition(ctx, payload, mapID, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("core: shuffle reduce fetch partition of %s: %w", mapID, err)
 		}
-		var kvs []wire.KV
-		if err := wire.Unmarshal(body, &kvs); err != nil {
-			return nil, err
-		}
-		for _, kv := range kvs {
-			groups[kv.Key] = append(groups[kv.Key], kv.Value)
+		if err := wire.EachKV(body, groups.add); err != nil {
+			return nil, fmt.Errorf("core: shuffle reduce partition of %s: %w", mapID, err)
 		}
 	}
 	p.exchange.NoteRead(readStart, ctx.Clock().Now())
 
-	keys := slices.Sorted(maps.Keys(groups))
+	keys := slices.Sorted(maps.Keys(groups.index))
 	for _, k := range keys {
 		// Defensive: a hash mismatch would silently double-count keys.
 		if reducerForKey(k, spec.NumReducers) != spec.Reducer {
@@ -420,7 +491,7 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 
 	out := make([]wire.KeyResult, 0, len(keys))
 	for _, k := range keys {
-		value, err := fn(ctx, k, groups[k])
+		value, err := fn(ctx, k, groups.values[groups.index[k]])
 		if err != nil {
 			return nil, fmt.Errorf("core: reduce key %q: %w", k, err)
 		}
@@ -431,4 +502,30 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 		out = append(out, wire.KeyResult{Key: k, Value: raw})
 	}
 	return out, nil
+}
+
+// kvGroups collects a reducer's values by key. Values alias the partition
+// bodies they came from: COS reads and recomputation hand back fresh
+// buffers and fetchShufflePartition clones fast-tier ones, so a reduce
+// function may scribble on its values without reaching a stored copy.
+type kvGroups struct {
+	// index maps a key to its slot in values. Looking a []byte key up
+	// does not allocate, so a key string is made once, with its group.
+	index  map[string]int
+	values [][]json.RawMessage
+	perKey int // capacity of a new group: one value per map call is typical
+}
+
+func newKVGroups(perKey int) *kvGroups {
+	return &kvGroups{index: make(map[string]int), perKey: perKey}
+}
+
+func (g *kvGroups) add(key, value []byte) {
+	i, ok := g.index[string(key)]
+	if !ok {
+		i = len(g.values)
+		g.index[string(key)] = i
+		g.values = append(g.values, make([]json.RawMessage, 0, g.perKey))
+	}
+	g.values[i] = append(g.values[i], value)
 }

@@ -20,8 +20,18 @@ var allExchanges = []string{wire.ExchangeCOS, wire.ExchangeMemory, wire.Exchange
 // shrink the memory-tier cache or attach a trace recorder.
 func newExchangeEnv(t *testing.T, mutate func(*PlatformConfig)) (*env, map[string]int) {
 	t.Helper()
+	return newExchangeEnvWith(t, mutate, nil)
+}
+
+// newExchangeEnvWith is newExchangeEnv plus an image hook for extra
+// functions.
+func newExchangeEnvWith(t *testing.T, mutate func(*PlatformConfig), mutateImage func(*runtime.Image)) (*env, map[string]int) {
+	t.Helper()
 	e := newEnvFull(t, mutate, func(img *runtime.Image) {
 		registerShuffleFunctions(t, img)
+		if mutateImage != nil {
+			mutateImage(img)
+		}
 	})
 	if err := e.store.CreateBucket("corpus"); err != nil {
 		t.Fatal(err)

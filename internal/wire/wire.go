@@ -1,9 +1,11 @@
 // Package wire defines the serialized envelopes GoWren stages in object
 // storage: call payloads (the analogue of IBM-PyWren pickling user code and
-// data into IBM COS), status records, and result envelopes. Everything is
+// data into IBM COS), status records, and result envelopes. These are
 // JSON: self-describing, diffable in tests, and sufficient because user
 // functions are addressed by registered name rather than by shipped
-// bytecode (see internal/runtime for the substitution rationale).
+// bytecode (see internal/runtime for the substitution rationale). Shuffle
+// partitions, which no human reads and every reducer scans, are a binary
+// KV frame instead (kvframe.go).
 package wire
 
 import (

@@ -89,6 +89,12 @@ type KeyResult = wire.KeyResult
 
 // EmitKV builds a key–value pair, marshaling the value as JSON.
 func EmitKV(key string, value any) (KV, error) {
+	if s, ok := value.(string); ok && plainString(s, true) {
+		raw := make([]byte, len(s)+2)
+		raw[0], raw[len(raw)-1] = '"', '"'
+		copy(raw[1:], s)
+		return KV{Key: key, Value: raw}, nil
+	}
 	raw, err := wire.Marshal(value)
 	if err != nil {
 		return KV{}, fmt.Errorf("gowren: emit %q: %w", key, err)
@@ -117,10 +123,38 @@ func RegisterKVReduceFunc[V, O any](img *Image, name string, fn func(ctx *Ctx, k
 	return img.RegisterKVReduce(name, func(ctx *Ctx, key string, raws []json.RawMessage) (any, error) {
 		values := make([]V, len(raws))
 		for i, raw := range raws {
-			if err := wire.Unmarshal(raw, &values[i]); err != nil {
+			if err := decodeKVValue(raw, &values[i]); err != nil {
 				return nil, fmt.Errorf("gowren: %s: decode value %d of key %q: %w", name, i, key, err)
 			}
 		}
 		return fn(ctx, key, values)
 	})
+}
+
+// decodeKVValue decodes one shuffled value. A plain quoted string bound for
+// a string is sliced out of the quotes; everything else pays encoding/json.
+func decodeKVValue[V any](raw json.RawMessage, v *V) error {
+	if sp, ok := any(v).(*string); ok && len(raw) >= 2 && raw[0] == '"' && raw[len(raw)-1] == '"' &&
+		plainString(raw[1:len(raw)-1], false) {
+		*sp = string(raw[1 : len(raw)-1])
+		return nil
+	}
+	return wire.Unmarshal(raw, v)
+}
+
+// plainString reports whether every byte of s is printable ASCII that JSON
+// carries verbatim inside quotes: no '"' or '\\', and — when html is set, as
+// encoding/json escapes them on marshal — no '<', '>' or '&'. Such a string
+// is its own JSON body between two quotes, so the KV helpers skip the codec
+// for it; anything else takes encoding/json unchanged.
+func plainString[T ~string | ~[]byte](s T, html bool) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e || c == '"' || c == '\\':
+			return false
+		case html && (c == '<' || c == '>' || c == '&'):
+			return false
+		}
+	}
+	return true
 }
