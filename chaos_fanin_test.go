@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gowren"
+	"gowren/internal/cos"
 	"gowren/internal/trace"
 )
 
@@ -76,20 +77,24 @@ func fanInShuffleCloud(t *testing.T, cfg gowren.SimConfig, maps int) (*gowren.Cl
 
 // TestChaosFanInLauncherKilled: the container of the map that completes the
 // stage is killed after it committed its status and claimed the marker,
-// before any invocation leaves. The driver's backstop takes the stale claim
-// over one grace period later and launches every reducer, once.
+// before it wrote the stage index or any invocation left. The driver's
+// backstop takes the stale claim over one grace period later and launches
+// every reducer, once; the reducers find no index, rebuild it from the map
+// statuses, and one copy of it stays behind.
 func TestChaosFanInLauncherKilled(t *testing.T) {
 	const maps, reducers = 12, 4
 	cloud, want := fanInShuffleCloud(t, gowren.SimConfig{
 		Seed:  9,
 		Chaos: []gowren.ChaosFault{{Kind: gowren.ChaosLauncherKill, Start: 0, End: time.Minute}},
 	}, maps)
+	var execID string
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		execID = exec.ID()
 		if _, err := exec.MapReduceShuffle("xc/words", gowren.FromBuckets("corpus"), "xc/sum", gowren.ShuffleOptions{NumReducers: reducers}); err != nil {
 			t.Errorf("shuffle: %v", err)
 			return
@@ -110,6 +115,19 @@ func TestChaosFanInLauncherKilled(t *testing.T) {
 	launches := fanInLaunches(cloud)
 	if len(launches) != 1 || !strings.Contains(launches[0], "generation=2 driver") {
 		t.Errorf("launches = %q, want one, by the driver under generation 2", launches)
+	}
+	rebuilt := 0
+	for _, ev := range cloud.Trace().Events() {
+		if ev.Kind == trace.KindExchange && strings.Contains(ev.Detail, "op=index") && strings.Contains(ev.Detail, "rebuilt") {
+			rebuilt++
+		}
+	}
+	if rebuilt < 1 || rebuilt > reducers {
+		t.Errorf("index rebuilds = %d, want between 1 and %d: the reducers had to build it", rebuilt, reducers)
+	}
+	indexes, err := cos.ListAll(cloud.Store(), cloud.Platform().MetaBucket(), "jobs/"+execID+"/shuffle/index/")
+	if err != nil || len(indexes) != 1 {
+		t.Errorf("stage indexes = %+v (err %v), want exactly one", indexes, err)
 	}
 }
 

@@ -224,11 +224,13 @@ func (e *Executor) adoptFanIns(specs []wire.FanIn, byID map[string]*Future) erro
 }
 
 // closeFanIn runs in the runner right after a call carrying a fan-in spec
-// committed its status: one bounded LIST over the group's range, and — only
-// if that shows the whole group committed — the claim, the launch and the
-// marker rewrite. Its request budget is 1 LIST per call, at most 2 marker
-// PUTs per group, and one failed conditional put per losing candidate.
-func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error {
+// committed its status, own: one bounded LIST over the group's range, and —
+// only if that shows the whole group committed — the claim, a COS shuffle's
+// stage index, the launch and the marker rewrite. Its request budget is 1
+// LIST per call, at most 2 marker PUTs per group, and one failed
+// conditional put per losing candidate; the index adds count−1 status GETs
+// and one PUT per group.
+func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *wire.StatusRecord) error {
 	gate, err := resolveFanIn(payload.MetaBucket, payload.ExecutorID, payload.FanIn)
 	if err != nil {
 		return err
@@ -254,6 +256,9 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error
 		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(), "marker=%s launcher killed after the claim", key)
 		return errLauncherKilled
 	}
+	// The reducers are not running yet; if the index cannot be written
+	// they rebuild it, so its failure only joins the error below.
+	indexErr := p.indexShuffleStage(ctx, &gate, payload, own)
 
 	// All targets go out together: R launches cost one in-cloud round trip
 	// (plus the gateway's serialized admission of each).
@@ -271,7 +276,7 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload) error
 		p.trace.Emitf(ctx.Clock().Now(), trace.KindFanIn, ctx.ActivationID(),
 			"marker=%s generation=1 launched=%s", key, strings.Join(marker.ActivationIDs, ","))
 	}
-	if err := errors.Join(firstErr(errs), putErr); err != nil {
+	if err := errors.Join(indexErr, firstErr(errs), putErr); err != nil {
 		return fmt.Errorf("core: fan-in launch %s: %w", key, err)
 	}
 	return nil

@@ -118,6 +118,18 @@ func (fe *fanInEnv) fanInEvents(containing string) int {
 	return n
 }
 
+// indexRebuilds counts the reducers that found no stage index and built
+// one from the map statuses.
+func (fe *fanInEnv) indexRebuilds() int {
+	n := 0
+	for _, ev := range fe.tr.Events() {
+		if ev.Kind == trace.KindExchange && strings.Contains(ev.Detail, "op=index") && strings.Contains(ev.Detail, "rebuilt") {
+			n++
+		}
+	}
+	return n
+}
+
 func sumTotals(t *testing.T, raws []json.RawMessage) int {
 	t.Helper()
 	total := 0
@@ -198,7 +210,9 @@ func TestFanInRequestBudgetPerObject(t *testing.T) {
 }
 
 // TestFanInRequestBudgetShuffle is the 64×16-shaped job at small scale: one
-// barrier over the whole map phase launches all R reducers.
+// barrier over the whole map phase launches all R reducers, which read
+// their slices of the M map objects through the stage index the launching
+// map wrote.
 func TestFanInRequestBudgetShuffle(t *testing.T) {
 	const reducers = 4
 	fe := newFanInEnv(t, nil)
@@ -226,12 +240,29 @@ func TestFanInRequestBudgetShuffle(t *testing.T) {
 	if fn.ListOps != int64(maps) {
 		t.Errorf("cloud-side LISTs = %d, want %d: one per map", fn.ListOps, maps)
 	}
-	// Per map R partitions + a status, per reducer a status; the rest is the
-	// marker: one claim, one rewrite, one failed claim per losing candidate
-	// (these maps do finish close together).
-	markers := fn.PutOps - int64(maps*(reducers+1)+reducers)
+	// Per map one object and a status, per reducer a status, one stage
+	// index; the rest is the marker: one claim, one rewrite, one failed claim
+	// per losing candidate (these maps do finish close together).
+	markers := fn.PutOps - int64(maps+maps+reducers+1)
 	if markers < 2 || markers > 2+int64(maps-1) {
 		t.Errorf("marker PUTs = %d, want 2 plus at most %d losing candidates", markers, maps-1)
+	}
+	// Per map its payload and its document; the launching map's GETs of the
+	// other statuses; per reducer its payload, the index and one ranged GET
+	// per map object.
+	if want := int64(maps + maps + (maps - 1) + reducers*(1+1+maps)); fn.GetOps != want {
+		t.Errorf("cloud-side GETs = %d, want %d", fn.GetOps, want)
+	}
+	listed, err := cos.ListAll(fe.store, fe.platform.MetaBucket(), "jobs/"+exec.ID()+"/shuffle/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, o := range listed {
+		keys = append(keys, strings.TrimPrefix(o.Key, "jobs/"+exec.ID()+"/shuffle/"))
+	}
+	if want := []string{"index/00000", "map/00000", "map/00001", "map/00002", "map/00003", "map/00004", "map/00005"}; !slices.Equal(keys, want) {
+		t.Errorf("shuffle objects = %v, want %v: one per map and the index, no partition objects", keys, want)
 	}
 	if got := fe.runnerActivations(); got != maps+reducers {
 		t.Errorf("runner activations = %d, want %d", got, maps+reducers)
@@ -295,7 +326,9 @@ func TestFanInSameInstantFinish(t *testing.T) {
 	if fn.ListOps != maps {
 		t.Errorf("cloud-side LISTs = %d, want %d", fn.ListOps, maps)
 	}
-	if losers := fn.PutOps - int64(maps*(reducers+1)+reducers) - 2; losers < 1 || losers > maps-1 {
+	// Per map one object and a status, per reducer a status, the stage index
+	// and the winner's claim and rewrite: the rest are losing claims.
+	if losers := fn.PutOps - int64(maps+maps+reducers+1) - 2; losers < 1 || losers > maps-1 {
 		t.Errorf("losing claims = %d, want between 1 and %d", losers, maps-1)
 	}
 }
@@ -386,6 +419,17 @@ func TestReducerStartedEarlyWaitsForInputs(t *testing.T) {
 			})
 			if fallbacks := fe.platform.ExchangeOps(); transport != wire.ExchangeCOS && fallbacks.Memory.Fallbacks+fallbacks.Direct.Fallbacks != 0 {
 				t.Errorf("early reducers fell back to COS/recompute (%+v) instead of waiting for their inputs", fallbacks)
+			}
+			if transport != wire.ExchangeCOS {
+				return
+			}
+			// On COS the early reducers miss the stage index, wait for the
+			// stage, and then read the index the launching map wrote.
+			if lists := fe.fn.Counts().ListOps; lists <= 3 {
+				t.Errorf("cloud-side LISTs = %d: the early reducers never polled for their inputs", lists)
+			}
+			if n := fe.indexRebuilds(); n != 0 {
+				t.Errorf("%d reducers rebuilt the stage index instead of reading the launching map's", n)
 			}
 		})
 	}

@@ -48,8 +48,8 @@ func (p *Platform) runnerHandler() faas.Handler {
 		value, runErr := p.dispatch(ctx, payload)
 		ended := ctx.Clock().Now()
 
-		// A fast-tier shuffle map returns its value wrapped with the
-		// exchange advertisement; unwrap it so the ad rides the status
+		// A shuffle map returns its value wrapped with the exchange
+		// advertisement; unwrap it so the ad rides the status
 		// record and the envelope sees the plain value (same pattern as
 		// the *wire.FuturesRef unwrap in envelopeFor).
 		var exchangeAd *wire.ExchangeAd
@@ -105,7 +105,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 			// The call is committed either way; a failure here only shows
 			// in the activation record, and the driver's backstop launches
 			// what this call could not.
-			if err := p.closeFanIn(ctx, payload); err != nil {
+			if err := p.closeFanIn(ctx, payload, &rec); err != nil {
 				return nil, err
 			}
 		}

@@ -20,14 +20,14 @@ import (
 // data shuffling as "one of the biggest challenges in running MapReduce
 // jobs over serverless architectures" and lists object storage among the
 // proposed shuffle media; this file implements exactly that — map
-// executors hash-partition their emitted key–value pairs into per-reducer
-// objects in COS, and R reduce executors each merge their partition of
-// every map output, grouping by key — plus the fast tiers the follow-up
-// literature argues for: a per-stage Exchange selector can route the
-// intermediates through the memory-tier cache node or directly between
-// the producing and consuming activations (internal/exchange), with COS
-// remaining the default and the correctness baseline every fast-tier
-// failure degrades back to.
+// executors hash-partition their emitted key–value pairs into one object
+// per map in COS, and R reduce executors each range-read their partition of
+// every map output through the stage's index, grouping by key — plus the
+// fast tiers the follow-up literature argues for: a per-stage Exchange
+// selector can route the intermediates through the memory-tier cache node
+// or directly between the producing and consuming activations
+// (internal/exchange), with COS remaining the default and the correctness
+// baseline every fast-tier failure degrades back to.
 
 // ShuffleOptions tune MapReduceShuffle.
 type ShuffleOptions struct {
@@ -46,10 +46,10 @@ type ShuffleOptions struct {
 }
 
 // shuffleMapResult carries a shuffle-map call's user-visible value
-// together with its fast-tier advertisement; the runner unwraps it and
+// together with its exchange advertisement; the runner unwraps it and
 // embeds the ad in the status record (like the *wire.FuturesRef unwrap in
-// envelopeFor). COS-transport maps return the bare value, keeping the
-// baseline status records unchanged.
+// envelopeFor). Every transport advertises: on COS the ad's partition sizes
+// are the map object's layout, which the stage index is built from.
 type shuffleMapResult struct {
 	value any
 	ad    *wire.ExchangeAd
@@ -135,10 +135,13 @@ func reducerForKey(key string, numReducers int) int {
 
 // framePartitions hash-partitions kvs into one KV frame per reducer, in
 // emission order, and counts the pairs in each. Pass one hashes every key
-// once and sums each reducer's frame size; pass two appends into bodies
-// allocated at exactly that size. The producer and recomputation both frame
-// through here, so a recomputed partition is the producer's byte for byte.
-func framePartitions(kvs []wire.KV, numReducers int) (bodies [][]byte, counts []int) {
+// once and sums each reducer's frame size; pass two appends every pair in
+// place. All frames share one buffer laid out as the COS map object
+// (wire.ShuffleSpan): in reducer order, one '\n' apart, so object is what a
+// COS map writes and bodies[r], capped at its length, is reducer r's frame
+// for the fast tiers. framePartition frames one reducer's body the same
+// way, so a recomputed partition is the producer's byte for byte.
+func framePartitions(kvs []wire.KV, numReducers int) (object []byte, bodies [][]byte, counts []int) {
 	dest := make([]int, len(kvs))
 	sizes := make([]int, numReducers)
 	counts = make([]int, numReducers)
@@ -148,14 +151,25 @@ func framePartitions(kvs []wire.KV, numReducers int) (bodies [][]byte, counts []
 		sizes[i] += wire.KVFrameSize(kv)
 		counts[i]++
 	}
+	total := numReducers - 1 // separators
+	for _, size := range sizes {
+		total += 1 + size
+	}
+	object = make([]byte, total)
 	bodies = make([][]byte, numReducers)
+	start := 0
 	for i, size := range sizes {
-		bodies[i] = wire.AppendKVs(make([]byte, 0, 1+size), nil)
+		end := start + 1 + size
+		bodies[i] = wire.AppendKVs(object[start:start:end], nil)
+		if end < total {
+			object[end] = '\n'
+		}
+		start = end + 1
 	}
 	for j, i := range dest {
 		bodies[i] = wire.AppendKVs(bodies[i], kvs[j:j+1])
 	}
-	return bodies, counts
+	return object, bodies, counts
 }
 
 // framePartition frames reducer's pairs alone, in emission order: the
@@ -217,9 +231,10 @@ func needsCompact(v []byte) bool {
 // runShuffleMap executes the map side: run the KV function, hash-partition
 // its output, and stage one partition per reducer (always, even when
 // empty, so reducers need no existence probes) on the selected exchange
-// transport. Fast-tier refusals — cache down, entry too large, peers being
-// killed — degrade to the baseline COS write per partition, so the shuffle
-// never depends on the fast tier being alive.
+// transport: on COS all of them as one map object, on a fast tier one entry
+// each. Fast-tier refusals — cache down, entry too large, peers being
+// killed — degrade to a COS write per partition, so the shuffle never
+// depends on the fast tier being alive.
 func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (any, error) {
 	fn, err := ctx.Image().KVMap(payload.Function)
 	if err != nil {
@@ -234,7 +249,7 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 	if err := normalizeShuffleValues(kvs, r); err != nil {
 		return nil, err
 	}
-	bodies, counts := framePartitions(kvs, r)
+	object, bodies, counts := framePartitions(kvs, r)
 	descs := make([]wire.PartitionDescriptor, r)
 	for i, body := range bodies {
 		descs[i] = wire.PartitionDescriptor{Reducer: i, Bytes: int64(len(body)), Keys: counts[i]}
@@ -292,28 +307,21 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 			}
 		}
 	default: // wire.ExchangeCOS
-		for i, body := range bodies {
-			key := wire.ShuffleKey(payload.ExecutorID, payload.CallID, i)
-			if _, err := ctx.Storage().Put(payload.MetaBucket, key, body); err != nil {
-				return nil, fmt.Errorf("core: shuffle map write partition %d: %w", i, err)
-			}
+		if _, err := ctx.Storage().Put(payload.MetaBucket, wire.ShuffleMapKey(payload.ExecutorID, payload.CallID), object); err != nil {
+			return nil, fmt.Errorf("core: shuffle map write: %w", err)
 		}
 	}
 	p.exchange.NoteWrite(writeStart, ctx.Clock().Now())
 
 	value := map[string]any{"emitted": len(kvs), "perReducer": counts}
-	if transport == wire.ExchangeCOS {
-		// Baseline path: bare value, status record unchanged from the
-		// pre-exchange wire format.
-		return value, nil
-	}
 	return &shuffleMapResult{value: value, ad: ad}, nil
 }
 
 // Bounds for the COS poll between a fast-tier miss and recomputation: long
 // enough to cover an in-flight eviction spill or a producer's synchronous
 // fallback write landing, short enough that a dead tier costs the reducer
-// a bounded delay, not its deadline.
+// a bounded delay, not its deadline. One poll is also what a COS reducer
+// gives a missing stage index before rebuilding it.
 const (
 	shuffleFallbackWait = 2 * time.Second
 	shuffleFallbackPoll = 100 * time.Millisecond
@@ -323,24 +331,148 @@ const (
 	// genuinely dead node fails all retries in a few milliseconds.
 	shuffleTierRetries  = 2
 	shuffleTierRetryGap = 25 * time.Millisecond
+	// shuffleIndexFetchers bounds the map-status GETs a stage-index build
+	// keeps in flight, as the executor's default StageConcurrency does.
+	shuffleIndexFetchers = 64
 )
 
+// exchangeCOS reports whether a shuffle stage exchanges through COS, the
+// default transport.
+func exchangeCOS(spec *wire.ShuffleSpec) bool {
+	return spec.Exchange == "" || spec.Exchange == wire.ExchangeCOS
+}
+
+// shuffleIndexed reports whether a shuffle stage's reducers read through a
+// stage index: on COS with more than one reducer. With one, a reducer's
+// partition is the whole map object.
+func shuffleIndexed(spec *wire.ShuffleSpec) bool {
+	return exchangeCOS(spec) && spec.NumReducers > 1
+}
+
+// buildShuffleIndex builds a COS shuffle stage's index from its map
+// statuses: the partition sizes each map advertised are its object's
+// layout. own, when set, is the calling map's status, already in hand; the
+// others are fetched in parallel. A failed map fails the build.
+func (p *Platform) buildShuffleIndex(ctx *runtime.Ctx, bucket, execID string, mapIDs []string, reducers int, own *wire.StatusRecord) ([]byte, error) {
+	idx := wire.ShuffleIndex{Maps: make([]wire.PayloadSpan, len(mapIDs))}
+	errs := fetchFor(ctx.Clock(), shuffleIndexFetchers, len(mapIDs), func(i int) error {
+		rec := own
+		if rec == nil || rec.CallID != mapIDs[i] {
+			body, _, err := ctx.Storage().Get(bucket, statusKey(execID, mapIDs[i]))
+			if err != nil {
+				return fmt.Errorf("map status %s: %w", mapIDs[i], err)
+			}
+			rec = new(wire.StatusRecord)
+			if err := wire.Unmarshal(body, rec); err != nil {
+				return err
+			}
+		}
+		switch {
+		case !rec.OK:
+			return fmt.Errorf("map call %s failed: %s: %w", mapIDs[i], rec.Error, ErrCallFailed)
+		case rec.Exchange == nil || len(rec.Exchange.Partitions) != reducers:
+			return fmt.Errorf("map call %s advertises no %d-partition object", mapIDs[i], reducers)
+		}
+		idx.Maps[i] = wire.ShuffleSpan(wire.ShuffleMapKey(execID, mapIDs[i]), rec.Exchange.Partitions)
+		return nil
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, fmt.Errorf("core: shuffle index: %w", err)
+	}
+	return wire.Marshal(&idx)
+}
+
+// indexShuffleStage runs in the fan-in closer of a COS shuffle's map stage,
+// after the claim and before the reducers launch: it builds the stage index
+// and writes it, create-only. Reducers that find no index — this closer
+// died or failed here — rebuild it the same way (loadShuffleIndex).
+func (p *Platform) indexShuffleStage(ctx *runtime.Ctx, gate *fanInGate, payload *wire.CallPayload, own *wire.StatusRecord) error {
+	if payload.Kind != wire.KindShuffleMap || !shuffleIndexed(payload.Shuffle) {
+		return nil
+	}
+	mapIDs := make([]string, gate.spec.Count)
+	for i := range mapIDs {
+		mapIDs[i] = callIDForSeq(gate.first + i)
+	}
+	body, err := p.buildShuffleIndex(ctx, gate.bucket, gate.execID, mapIDs, payload.Shuffle.NumReducers, own)
+	if err != nil {
+		return err
+	}
+	_, err = ctx.Storage().PutIf(gate.bucket, wire.ShuffleIndexKey(gate.execID, gate.spec.FirstCallID), body, "")
+	if errors.Is(err, cos.ErrPreconditionFailed) {
+		return nil // a reducer that started early rebuilt it first
+	}
+	return err
+}
+
+// loadShuffleIndex reads the stage index the fan-in closer wrote. Missing
+// before the stage committed, it takes the input barrier and reads again,
+// once more after one poll; still missing — the closer never wrote it — it
+// rebuilds the index from the map statuses and writes it, create-only, for
+// its siblings.
+func (p *Platform) loadShuffleIndex(ctx *runtime.Ctx, payload *wire.CallPayload, inputs *inputBarrier) (*wire.ShuffleIndex, error) {
+	spec := payload.Shuffle
+	key := wire.ShuffleIndexKey(payload.ExecutorID, spec.MapCallIDs[0])
+	body, err := inputs.get(payload.MetaBucket, key)
+	if errors.Is(err, cos.ErrNoSuchKey) {
+		// The stage has committed, and its closer writes the index a few
+		// round trips after the last commit: give it one poll to land.
+		ctx.Clock().Sleep(shuffleFallbackPoll)
+		body, _, err = ctx.Storage().Get(payload.MetaBucket, key)
+	}
+	if errors.Is(err, cos.ErrNoSuchKey) {
+		body, err = p.buildShuffleIndex(ctx, payload.MetaBucket, payload.ExecutorID, spec.MapCallIDs, spec.NumReducers, nil)
+		if err == nil {
+			_, putErr := ctx.Storage().PutIf(payload.MetaBucket, key, body, "")
+			p.trace.Emitf(ctx.Clock().Now(), trace.KindExchange, ctx.ActivationID(),
+				"transport=cos op=index key=%s rebuilt put=%v", key, putErr)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: shuffle reduce index %s: %w", key, err)
+	}
+	idx, err := wire.DecodeShuffleIndex(body)
+	if err != nil {
+		return nil, err
+	}
+	if len(idx.Maps) != len(spec.MapCallIDs) || idx.Maps[0].Calls() != spec.NumReducers {
+		return nil, fmt.Errorf("core: shuffle index %s locates %d maps × %d partitions, want %d × %d",
+			key, len(idx.Maps), idx.Maps[0].Calls(), len(spec.MapCallIDs), spec.NumReducers)
+	}
+	return idx, nil
+}
+
+// readMapObjects returns how a COS reducer reads its partition of map m:
+// the whole map object when R = 1, else its slice of it, one ranged GET
+// located by the stage index.
+func (p *Platform) readMapObjects(ctx *runtime.Ctx, payload *wire.CallPayload, inputs *inputBarrier) (func(m int) ([]byte, error), error) {
+	spec := payload.Shuffle
+	if !shuffleIndexed(spec) {
+		return func(m int) ([]byte, error) {
+			return inputs.get(payload.MetaBucket, wire.ShuffleMapKey(payload.ExecutorID, spec.MapCallIDs[m]))
+		}, nil
+	}
+	idx, err := p.loadShuffleIndex(ctx, payload, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return func(m int) ([]byte, error) {
+		ref := idx.Maps[m].Ref(payload.MetaBucket, spec.Reducer)
+		body, _, err := ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
+		return body, err
+	}, nil
+}
+
 // fetchShufflePartition fetches this reducer's partition of one map call
-// over the job's exchange transport. The COS baseline reads the shuffle
-// object directly; a fast-tier miss falls through to shuffleFallback. Either
-// way a miss before inputs passed may only mean this activation started
-// before the map committed, so it waits out the stage and asks once more.
+// from the job's fast tier; a miss falls through to shuffleFallback. A miss
+// before inputs passed may only mean this activation started before the map
+// committed, so it first waits out the stage and asks once more.
 func (p *Platform) fetchShufflePartition(ctx *runtime.Ctx, payload *wire.CallPayload, mapID string, inputs *inputBarrier) ([]byte, error) {
 	spec := payload.Shuffle
 	key := wire.ShuffleKey(payload.ExecutorID, mapID, spec.Reducer)
-	var tier func() ([]byte, error)
-	switch spec.Exchange {
-	case wire.ExchangeMemory:
-		tier = func() ([]byte, error) { return p.exchange.Cache.Get(key) }
-	case wire.ExchangeDirect:
+	tier := func() ([]byte, error) { return p.exchange.Cache.Get(key) }
+	if spec.Exchange == wire.ExchangeDirect {
 		tier = func() ([]byte, error) { return p.exchange.Peers.Pull(payload.ExecutorID, mapID, spec.Reducer) }
-	default: // wire.ExchangeCOS
-		return inputs.get(payload.MetaBucket, key)
 	}
 	body, err := p.tierGet(ctx, tier)
 	if err != nil && !inputs.passed {
@@ -462,16 +594,27 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 
 	// The shuffle partitions are staged before the map status commits, so
 	// the map statuses (same mechanism as plain reducers) are the barrier on
-	// every transport — taken only if a partition turns out to be missing.
+	// every transport — taken only if a partition or the index turns out to
+	// be missing.
 	inputs := &inputBarrier{
 		ctx: ctx, who: "shuffle reduce", inputs: spec.MapCallIDs,
 		ns: nsKey{bucket: payload.MetaBucket, execID: payload.ExecutorID},
 	}
 
 	readStart := ctx.Clock().Now()
+	var fetch func(m int) ([]byte, error)
+	if exchangeCOS(spec) {
+		if fetch, err = p.readMapObjects(ctx, payload, inputs); err != nil {
+			return nil, err
+		}
+	} else {
+		fetch = func(m int) ([]byte, error) {
+			return p.fetchShufflePartition(ctx, payload, spec.MapCallIDs[m], inputs)
+		}
+	}
 	groups := newKVGroups(len(spec.MapCallIDs))
-	for _, mapID := range spec.MapCallIDs {
-		body, err := p.fetchShufflePartition(ctx, payload, mapID, inputs)
+	for m, mapID := range spec.MapCallIDs {
+		body, err := fetch(m)
 		if err != nil {
 			return nil, fmt.Errorf("core: shuffle reduce fetch partition of %s: %w", mapID, err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -219,15 +220,36 @@ func TestNormalizeShuffleValuesMatchesMarshal(t *testing.T) {
 }
 
 // TestFramePartitionMatchesFramePartitions: the single-reducer framing
-// recomputation uses builds the producer's body byte for byte.
+// recomputation uses builds the producer's body byte for byte, and the map
+// object is the bodies joined as a payload batch, so the span its
+// advertised sizes give cuts every body back out of it.
 func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 	kvs := make([]wire.KV, 200)
 	for i := range kvs {
 		kvs[i] = wire.KV{Key: fmt.Sprintf("k%d", i%37), Value: json.RawMessage(fmt.Sprint(i))}
 	}
-	for _, r := range []int{1, 3, 8} {
-		bodies, _ := framePartitions(kvs, r)
+	for _, r := range []int{1, 3, 8, 300} { // 300: most frames empty
+		object, bodies, counts := framePartitions(kvs, r)
+		joined, bounds := wire.JoinPayloads(bodies)
+		if !bytes.Equal(object, joined) {
+			t.Errorf("R=%d: map object = %q, joined bodies = %q", r, object, joined)
+		}
+		descs := make([]wire.PartitionDescriptor, r)
+		for i, body := range bodies {
+			descs[i] = wire.PartitionDescriptor{Reducer: i, Bytes: int64(len(body)), Keys: counts[i]}
+			if len(body) != cap(body) {
+				t.Errorf("R=%d reducer %d: body len %d cap %d, want capped", r, i, len(body), cap(body))
+			}
+		}
+		span := wire.ShuffleSpan("k", descs)
+		if fmt.Sprint(span.Bounds) != fmt.Sprint(bounds) {
+			t.Errorf("R=%d: span bounds %v, batch bounds %v", r, span.Bounds, bounds)
+		}
 		for i := range r {
+			ref := span.Ref("b", i)
+			if got := object[ref.Offset : ref.Offset+ref.Length]; !bytes.Equal(got, bodies[i]) {
+				t.Errorf("R=%d reducer %d: slice %q, body %q", r, i, got, bodies[i])
+			}
 			if got := framePartition(kvs, r, i); !bytes.Equal(got, bodies[i]) {
 				t.Errorf("R=%d reducer %d: framePartition = %q, framePartitions = %q", r, i, got, bodies[i])
 			}
@@ -239,8 +261,9 @@ func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 // JSON and HTML characters hands the reducer null, compacted JSON and
 // escaped strings, as the JSON partitions did. A map emitting invalid JSON
 // fails (TestNormalizeShuffleValuesMatchesMarshal pins its error), so it
-// writes no partitions and its reducers fail on the missing object
-// instead of handing the reduce function a value it cannot decode.
+// writes no map object and no stage index can be built: its reducers fail
+// naming the failed map instead of handing the reduce function a value it
+// cannot decode.
 func TestShuffleValuesReachReducerAsJSON(t *testing.T) {
 	emitted := map[string]json.RawMessage{
 		"nil":   nil,
@@ -315,8 +338,8 @@ func TestShuffleValuesReachReducerAsJSON(t *testing.T) {
 			return
 		}
 		_, err = exec.GetResult(GetResultOptions{})
-		if err == nil || !strings.Contains(err.Error(), "no such key") {
-			t.Errorf("invalid map value: GetResult err = %v, want the reducers to miss the map's partitions", err)
+		if err == nil || !errors.Is(err, ErrCallFailed) || !strings.Contains(err.Error(), "serialize partition") {
+			t.Errorf("invalid map value: GetResult err = %v, want the reducers to fail on the failed map", err)
 		}
 	})
 }

@@ -187,49 +187,93 @@ func TestShuffleWithChunkedPartitions(t *testing.T) {
 	}
 }
 
+// TestShuffleCleanRemovesShuffleFiles is the shuffle's leak check: what a
+// shuffle leaves in the meta bucket — the COS transport's map objects and
+// stage index, or an evicting cache's spills — sits under the job's shuffle
+// prefix, and after Clean nothing is left under the job or the manifests.
 func TestShuffleCleanRemovesShuffleFiles(t *testing.T) {
-	e, _ := newShuffleEnv(t)
-	exec := e.executor(t, nil)
-	e.clk.Run(func() {
-		if _, err := exec.MapReduceShuffle("kv/words", Buckets{"corpus"}, "kv/sum", ShuffleOptions{NumReducers: 2}); err != nil {
-			t.Error(err)
-			return
+	for _, tc := range []struct {
+		name       string
+		exchange   string
+		cacheBytes int64
+	}{
+		{name: "cos", exchange: wire.ExchangeCOS},
+		// A few of the ~140 bytes of frames fit: the cache evicts and spills.
+		{name: "memory-evicting", exchange: wire.ExchangeMemory, cacheBytes: 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _ := newShuffleEnvWith(t, func(cfg *PlatformConfig) { cfg.ExchangeCacheBytes = tc.cacheBytes })
+			exec := e.executor(t, nil)
+			e.clk.Run(func() {
+				_, err := exec.MapReduceShuffle("kv/words", Buckets{"corpus"}, "kv/sum", ShuffleOptions{NumReducers: 2, Exchange: tc.exchange})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+					t.Error(err)
+					return
+				}
+				stats, err := exec.Stats()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// 3 map objects and the stage index, or one spill per eviction.
+				want := int64(3 + 1)
+				if ops := e.platform.ExchangeOps(); tc.exchange == wire.ExchangeMemory {
+					if ops.Evictions == 0 || ops.Spills != ops.Evictions {
+						t.Errorf("evictions = %d, spills = %d: want the cache to evict and spill each", ops.Evictions, ops.Spills)
+					}
+					want = ops.Spills
+				}
+				if int64(stats.Shuffle) != want {
+					t.Errorf("shuffle objects = %d, want %d", stats.Shuffle, want)
+				}
+				if err := exec.Clean(); err != nil {
+					t.Error(err)
+					return
+				}
+				// The stage's fan-in marker was created by a conditional put from
+				// inside the cloud; it is a key like any other and goes too.
+				marker := fanInKey(exec.ID(), callIDForSeq(3)) // first reducer, behind three maps
+				if _, err := e.store.Head(DefaultMetaBucket, marker); !errors.Is(err, cos.ErrNoSuchKey) {
+					t.Errorf("head %s after clean: err = %v, want ErrNoSuchKey", marker, err)
+				}
+				for _, prefix := range []string{"jobs/" + exec.ID() + "/", manifestListPrefix} {
+					left, err := cos.ListAll(e.store, DefaultMetaBucket, prefix)
+					if err != nil || len(left) != 0 {
+						t.Errorf("objects left under %s after clean: %+v (err %v)", prefix, left, err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestShuffleOneReducerWritesNoIndex: with R = 1 a reducer's partition is
+// the whole map object, so the COS transport writes the map objects and no
+// stage index, and the reducer reads each object with a plain GET.
+func TestShuffleOneReducerWritesNoIndex(t *testing.T) {
+	e, want := newShuffleEnv(t)
+	got := decodeWordCounts(t, runShuffleJob(t, e, wire.ExchangeCOS, 1))
+	checkWordCounts(t, "one reducer", got, want)
+	listed, err := cos.ListAll(e.store, DefaultMetaBucket, "jobs/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maps int
+	for _, o := range listed {
+		switch {
+		case strings.Contains(o.Key, "/shuffle/map/"):
+			maps++
+		case strings.Contains(o.Key, "/shuffle/"):
+			t.Errorf("R = 1 shuffle wrote %s", o.Key)
 		}
-		if _, err := exec.GetResult(GetResultOptions{}); err != nil {
-			t.Error(err)
-			return
-		}
-		stats, err := exec.Stats()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if stats.Shuffle != 3*2 { // 3 map calls × 2 reducers
-			t.Errorf("shuffle objects = %d, want 6", stats.Shuffle)
-		}
-		if err := exec.Clean(); err != nil {
-			t.Error(err)
-			return
-		}
-		stats, err = exec.Stats()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if stats.Shuffle != 0 {
-			t.Errorf("shuffle objects after clean = %d", stats.Shuffle)
-		}
-		// The stage's fan-in marker was created by a conditional put from
-		// inside the cloud; it is a key like any other and goes too.
-		marker := fanInKey(exec.ID(), callIDForSeq(3)) // first reducer, behind three maps
-		if _, err := e.store.Head(DefaultMetaBucket, marker); !errors.Is(err, cos.ErrNoSuchKey) {
-			t.Errorf("head %s after clean: err = %v, want ErrNoSuchKey", marker, err)
-		}
-		left, err := cos.ListAll(e.store, DefaultMetaBucket, "jobs/"+exec.ID()+"/")
-		if err != nil || len(left) != 0 {
-			t.Errorf("objects left under the job after clean: %+v (err %v)", left, err)
-		}
-	})
+	}
+	if maps != 3 {
+		t.Errorf("map objects = %d, want 3", maps)
+	}
 }
 
 func TestShuffleValidation(t *testing.T) {

@@ -55,7 +55,9 @@ func (s PayloadSpan) validate() error {
 		return fmt.Errorf("payload span %q with %d boundaries", s.Key, len(s.Bounds))
 	}
 	for i := 1; i < len(s.Bounds); i++ {
-		if s.Bounds[i] < s.Bounds[i-1]+2 { // no payload is empty
+		// No payload is empty. Compared as a difference of ascending
+		// non-negative bounds, so no boundary near MaxInt64 can wrap.
+		if s.Bounds[i] <= s.Bounds[i-1] || s.Bounds[i]-s.Bounds[i-1] < 2 {
 			return fmt.Errorf("payload span %q boundaries %v do not ascend", s.Key, s.Bounds)
 		}
 	}

@@ -5,7 +5,8 @@
 // functions are addressed by registered name rather than by shipped
 // bytecode (see internal/runtime for the substitution rationale). Shuffle
 // partitions, which no human reads and every reducer scans, are a binary
-// KV frame instead (kvframe.go).
+// KV frame instead (kvframe.go), and on COS one object per map holds them
+// all, located through a stage index (shuffleindex.go).
 package wire
 
 import (
@@ -97,8 +98,8 @@ type KV struct {
 // the correctness baseline; the fast tiers bypass the object-store round
 // trip and degrade back to it (spill or recompute) when their node dies.
 const (
-	// ExchangeCOS stages every partition as an object in COS (the paper's
-	// only data path).
+	// ExchangeCOS stages every map's partitions as one object in COS (the
+	// paper's only data path).
 	ExchangeCOS = "cos"
 	// ExchangeMemory stages partitions in the ephemeral memory-tier cache
 	// node, spilling to COS on eviction.
@@ -120,8 +121,10 @@ func ValidExchange(name string) bool {
 
 // ShuffleSpec configures the shuffle side-channel of a keyed MapReduce
 // job. Map executors hash-partition their emitted KVs into NumReducers
-// shuffle objects under jobs/{executorId}/shuffle/{reducer}/{mapCallId};
-// reducer r reads partition r of every map call.
+// partitions; reducer r reads partition r of every map call. On COS a map
+// writes them as one object, ShuffleMapKey, and a reducer finds its slice
+// through the stage's ShuffleIndex; the fast tiers hold them per partition,
+// and their COS spills and fallbacks use ShuffleKey.
 type ShuffleSpec struct {
 	// NumReducers is the reduce-side parallelism R.
 	NumReducers int `json:"numReducers"`
@@ -142,12 +145,13 @@ type PartitionDescriptor struct {
 	Keys    int   `json:"keys"`
 }
 
-// ExchangeAd is the fast-tier advertisement a shuffle-map call embeds in
-// its status record: where its partitions live, how big they are, and —
-// for the direct transport — until when the producing activation lingers
-// to serve peer pulls. Reducers locate partitions deterministically from
-// the spec alone; the ad exists for observability and for tests asserting
-// on transport behaviour.
+// ExchangeAd is the advertisement every shuffle-map call embeds in its
+// status record: where its partitions live, how big they are, and — for
+// the direct transport — until when the producing activation lingers to
+// serve peer pulls. On COS the partition sizes are the map object's layout
+// (ShuffleSpan), which is what the stage index is built from; fast-tier
+// reducers locate partitions from the spec alone and read the ad only in
+// tests and traces.
 type ExchangeAd struct {
 	// Transport is the exchange transport the partitions were written to.
 	Transport string `json:"transport"`
@@ -161,7 +165,8 @@ type ExchangeAd struct {
 	Fallbacks int `json:"fallbacks,omitempty"`
 }
 
-// ShuffleKey is where a map call writes its partition for one reducer.
+// ShuffleKey is where a fast-tier partition for one reducer lands in COS:
+// a cache eviction spill or a map's fallback write.
 func ShuffleKey(execID, mapCallID string, reducer int) string {
 	return fmt.Sprintf("jobs/%s/shuffle/%05d/%s", execID, reducer, mapCallID)
 }
@@ -426,8 +431,8 @@ type StatusRecord struct {
 	// the result is inlined (or the call failed).
 	ResultRef ObjectRef `json:"resultRef"`
 
-	// Exchange is the fast-tier partition advertisement of a shuffle-map
-	// call; nil for every other kind and for the COS transport.
+	// Exchange is the partition advertisement of a shuffle-map call on any
+	// transport; nil for every other kind.
 	Exchange *ExchangeAd `json:"exchange,omitempty"`
 }
 
