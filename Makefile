@@ -51,8 +51,8 @@ chaos:
 
 # bench is every benchmark gate the repository has, none of them in host
 # seconds: bench-e2e below (the repository benchmark's fig2_invoke,
-# table3_mapreduce and shuffle_tiers workloads, gated in simulated time,
-# request counts and allocation counts — six gates),
+# table3_mapreduce, shuffle_tiers and server_http workloads, gated in
+# simulated time, request counts and allocation counts — seven gates),
 # then the two measurements bench/ has no workload for yet. regionbench A/Bs
 # the multi-region knobs: sync vs async PUT ack latency at 3 regions under
 # WAN latency (gate: async p50 >= 2x faster) and region-zero vs placed
@@ -91,7 +91,11 @@ bench: build bench-e2e
 # is the benchmark's own map function. The sixth gate reads the same
 # shuffle_tiers line for the COS arm's requests: at most 20 per call. One
 # object per map, range-read through a stage index, reads ~18.7; an object
-# per map and reducer read 29.75.
+# per map and reducer read 29.75. The seventh gate reads the socket workload
+# (server_http: PUT, GET and an 8-call map through gowren-server on its 20x
+# scaled clock): at most 4.0 COS requests per call. A driver that is pushed
+# its completions by a watch on the in-process store lists once per job and
+# reads 3.875; one that LISTs the status prefix every poll tick read 4.3.
 bench-e2e:
 	@line=$$(bash bench/run.sh --workload fig2_invoke --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"job_sim_s":{"unit":"sim_s","value":\([0-9.eE+-]*\)}.*/\1/p'); \
@@ -114,6 +118,10 @@ bench-e2e:
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
 	echo "shuffle_tiers cos_requests_per_call = $${v:-missing} (gate: <= 20)"; \
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 20) }'
+	@line=$$(bash bench/run.sh --workload server_http --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
+	echo "server_http cos_requests_per_call = $${v:-missing} (gate: <= 4.0)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 4.0) }'
 
 # profile runs simbench under the Go profiler and prints the hottest CPU
 # frames; simcore.cpu.pprof and simcore.mem.pprof are left behind for

@@ -65,7 +65,7 @@ func (e *Executor) WaitThreshold(frac float64, deadline time.Time) (done, pendin
 	// A non-transient sweep failure aborts the wait; swallowing it here
 	// would spin until the deadline and misreport it as ErrWaitTimeout.
 	var sweepErr error
-	ok := pollClock(e, func() bool {
+	ok := e.waitTicks(pend, func() bool {
 		if _, err := pend.sweep(); err != nil {
 			sweepErr = err
 			return true
@@ -213,22 +213,6 @@ func (e *Executor) Stats() (JobStats, error) {
 		*x.dst = len(listed)
 	}
 	return out, nil
-}
-
-// pollClock is Poll with the executor's interval.
-func pollClock(e *Executor, pred func() bool, deadline time.Time) bool {
-	if pred() {
-		return true
-	}
-	for {
-		if !deadline.IsZero() && !e.clock.Now().Before(deadline) {
-			return false
-		}
-		e.clock.Sleep(e.pollInterval())
-		if pred() {
-			return true
-		}
-	}
 }
 
 // reset rearms a future for a respawned invocation, giving back its slot

@@ -361,6 +361,37 @@ func splitDone(futures []*Future) (done, pending []*Future) {
 	return done, pending
 }
 
+// waitTicks is the executor's one wait loop, behind Wait, WaitThreshold and
+// GetResult: it runs step once per poll tick until step reports true or the
+// deadline passes, and reports whether step succeeded. Between ticks it
+// sleeps the tick exactly as vclock.Poll does — the paper's polling client,
+// and all there is on the Virtual clock — unless the sweep coordinator can
+// watch the one namespace pend waits on: then the wait holds that watch
+// throughout and waits on the namespace's event, so a committed status ends
+// the tick at once.
+func (e *Executor) waitTicks(pend *pendingSet, step func() bool, deadline time.Time) bool {
+	var evt *vclock.Event
+	if len(pend.groups) == 1 {
+		var release func()
+		evt, release = e.sweeps.watch(pend.groups[0].ns)
+		defer release()
+	}
+	if evt == nil {
+		return vclock.Poll(e.clock, step, e.pollInterval(), deadline)
+	}
+	for {
+		gen := evt.Gen()
+		if step() {
+			return true
+		}
+		now := e.clock.Now()
+		if !deadline.IsZero() && !now.Before(deadline) {
+			return false
+		}
+		evt.Wait(gen, tickEnd(now, e.pollInterval(), deadline))
+	}
+}
+
 // waitFutures implements the three §4.2 strategies over an explicit future
 // set.
 func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline time.Time) (done, pending []*Future, err error) {
@@ -376,17 +407,23 @@ func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline
 		}
 	}
 
-	if _, err := pend.sweep(); err != nil {
-		return nil, nil, err
-	}
-	if strategy == WaitAlways {
-		done, pending = splitDone(futures)
-		return done, pending, nil
-	}
 	// A non-transient sweep failure must abort the wait, not silently spin
 	// until the deadline turns it into a misleading ErrWaitTimeout.
 	var sweepErr error
-	ok := vclock.Poll(e.clock, func() bool {
+	first := true
+	ok := e.waitTicks(pend, func() bool {
+		// The first tick sweeps before it judges, so every strategy reports
+		// storage as it is, and WaitAlways reports nothing more.
+		if first {
+			first = false
+			if _, err := pend.sweep(); err != nil {
+				sweepErr = err
+				return true
+			}
+			if strategy == WaitAlways {
+				return true
+			}
+		}
 		if satisfied() {
 			return true
 		}
@@ -395,7 +432,7 @@ func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline
 			return true
 		}
 		return satisfied()
-	}, e.pollInterval(), deadline)
+	}, deadline)
 	done, pending = splitDone(futures)
 	if sweepErr != nil {
 		return done, pending, sweepErr
@@ -440,7 +477,7 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 	}
 	report()
 	var sweepErr error
-	ok := vclock.Poll(e.clock, func() bool {
+	ok := e.waitTicks(pend, func() bool {
 		e.respawns.advance()
 		e.maybeRenewLease()
 		newly, err := pend.sweep()
@@ -459,7 +496,7 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 			eachTick(pend, rec)
 		}
 		return false
-	}, e.pollInterval(), deadline)
+	}, deadline)
 	if sweepErr != nil {
 		return nil, fmt.Errorf("core: get_result: %w", sweepErr)
 	}

@@ -38,6 +38,16 @@ import (
 // The coordinator also owns the consecutive-LIST-failure counter that
 // arms the dead-call consult (see sweepConsultThreshold in future.go), so
 // composition waits get the same outage behavior as the main sweep.
+//
+// Completion push. On a wall-clock-driven clock over storage that reaches
+// the in-process store (cos.WatcherOf; as under gowren-server), a wait also
+// holds a watch on its status prefix: each committed status key goes into
+// the done-set through the same record step a LIST's keys take, and wakes
+// the namespace's waiters. Once a LIST that began under the watch has
+// landed, the done-set is exact — the LIST holds every status committed
+// before the watch, the watch every one after — so sweeps stop listing
+// until the last wait lets the watch go. The Virtual clock never watches:
+// its client polls COS exactly as the paper's does.
 
 // nsKey identifies one status namespace: a meta bucket plus the executor
 // ID whose calls it holds.
@@ -95,6 +105,16 @@ type sweepState struct {
 	// the status object a concurrent respawn just deleted, and marking
 	// that call done again would hand the waiter a dangling status key.
 	gen int
+
+	// The namespace's commit watch: holds counts the waits holding it,
+	// cancel ends it (nil until it is armed), arms numbers the armings, and
+	// pushed is set once a LIST that began under the current arming has
+	// landed — from then on the watch keeps the done-set exact and sweeps
+	// do not list.
+	holds  int
+	cancel func()
+	arms   uint64
+	pushed bool
 }
 
 // sweepCoordinator shares incremental sweep state between every waiter of
@@ -103,17 +123,25 @@ type sweepState struct {
 type sweepCoordinator struct {
 	storage cos.Client
 	clock   vclock.Clock
+	// watcher is the store waits arm their commit watches on: the one
+	// behind storage, on a wall-clock-driven clock; nil on the Virtual
+	// clock or when storage reaches none (HTTP, multi-region).
+	watcher *cos.Store
 
 	mu     sync.Mutex
 	states map[nsKey]*sweepState
 }
 
 func newSweepCoordinator(storage cos.Client, clock vclock.Clock) *sweepCoordinator {
-	return &sweepCoordinator{
+	c := &sweepCoordinator{
 		storage: storage,
 		clock:   clock,
 		states:  make(map[nsKey]*sweepState),
 	}
+	if _, virtual := clock.(*vclock.Virtual); !virtual {
+		c.watcher = cos.WatcherOf(storage)
+	}
+	return c
 }
 
 // stateLocked returns (creating if needed) the state for ns. Callers hold
@@ -139,7 +167,7 @@ func (c *sweepCoordinator) stateLocked(ns nsKey) *sweepState {
 func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 	c.mu.Lock()
 	s := c.stateLocked(ns)
-	if s.swept && !s.lastSweep.Before(asOf) {
+	if s.pushed || (s.swept && !s.lastSweep.Before(asOf)) {
 		out := sweepOutcome{listed: true, fails: s.fails}
 		c.mu.Unlock()
 		return out
@@ -151,6 +179,10 @@ func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 	}
 	s.inflight = true
 	gen := s.gen
+	// A LIST completes the push only if the watch that is live when it lands
+	// was armed before it began: a status committed between the LIST's
+	// snapshot and a later arming is in neither.
+	arm := s.arms
 	marker := ""
 	if s.nextSeq > 0 {
 		marker = statusKey(ns.execID, callIDForSeq(s.nextSeq-1))
@@ -180,25 +212,87 @@ func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 		return sweepOutcome{listed: s.swept, fails: s.fails}
 	}
 	for _, obj := range listed {
-		id, ok := callIDFromStatusKey(obj.Key)
-		if !ok || s.has(id) {
-			continue
-		}
-		if seq, numeric := callSeq(id); numeric {
-			s.ahead[seq] = true
-		} else {
-			s.odd[id] = true
-		}
-		s.version++
+		s.record(obj.Key)
 	}
+	s.advance()
+	s.swept = true
+	s.lastSweep = now
+	if s.cancel != nil && s.arms == arm {
+		s.pushed = true
+	}
+	s.evt.Signal()
+	return sweepOutcome{listed: true}
+}
+
+// record adds the call a committed status key names to the done-set,
+// reporting whether it is new there. A LIST's keys and a watch's deliveries
+// both come in through here. Callers hold the coordinator's lock.
+func (s *sweepState) record(key string) bool {
+	id, ok := callIDFromStatusKey(key)
+	if !ok || s.has(id) {
+		return false
+	}
+	if seq, numeric := callSeq(id); numeric {
+		s.ahead[seq] = true
+	} else {
+		s.odd[id] = true
+	}
+	s.version++
+	return true
+}
+
+// advance moves the frontier over the contiguous completions cached ahead
+// of it. Callers hold the coordinator's lock.
+func (s *sweepState) advance() {
 	for s.ahead[s.nextSeq] {
 		delete(s.ahead, s.nextSeq)
 		s.nextSeq++
 	}
-	s.swept = true
-	s.lastSweep = now
-	s.evt.Signal()
-	return sweepOutcome{listed: true}
+}
+
+// watch arms ns's commit watch for the length of one wait, when the
+// coordinator has a watcher, and returns ns's event — signalled by every
+// newly recorded commit — with the wait's release. It returns a nil event
+// and a no-op release when nothing can be watched. Waits share one watch
+// per namespace; the last release cancels it, and the next arming must
+// list once more before sweeps stop listing.
+func (c *sweepCoordinator) watch(ns nsKey) (evt *vclock.Event, release func()) {
+	if c.watcher == nil {
+		return nil, func() {}
+	}
+	c.mu.Lock()
+	s := c.stateLocked(ns)
+	s.holds++
+	first := s.holds == 1
+	c.mu.Unlock()
+	if first {
+		// Watch runs outside c.mu: deliveries take c.mu under the store's
+		// lock, so the store's lock is always taken first.
+		cancel := c.watcher.Watch(ns.bucket, statusListPrefix(ns.execID), func(key string) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if s.record(key) {
+				s.advance()
+				s.evt.Signal()
+			}
+		})
+		c.mu.Lock()
+		s.cancel = cancel
+		s.arms++
+		c.mu.Unlock()
+	}
+	return s.evt, func() {
+		c.mu.Lock()
+		s.holds--
+		var cancel func()
+		if s.holds == 0 {
+			cancel, s.cancel, s.pushed = s.cancel, nil, false
+		}
+		c.mu.Unlock()
+		if cancel != nil {
+			cancel()
+		}
+	}
 }
 
 // has reports whether callID is in the done-set. Callers hold the
@@ -312,14 +406,16 @@ func (c *sweepCoordinator) awaitStatuses(ns nsKey, want, activations []string,
 		pending[i] = i
 	}
 	var seen uint64
+	_, release := c.watch(ns)
+	defer release()
 	c.mu.Lock()
 	evt := c.stateLocked(ns).evt
 	c.mu.Unlock()
 	// Event-driven poll loop: each pass sweeps and prunes like the old
 	// Poll-based version, but between passes the waiter parks until either a
-	// sibling's sweep lands (the state's event fires) or its own interval
-	// tick — whichever comes first — rather than waking every tick to find
-	// nothing changed.
+	// sibling's sweep or a watched commit lands (the state's event fires) or
+	// its own interval tick — whichever comes first — rather than waking
+	// every tick to find nothing changed.
 	for {
 		gen := evt.Gen()
 		out := c.sweep(ns, c.clock.Now())
@@ -347,12 +443,19 @@ func (c *sweepCoordinator) awaitStatuses(ns nsKey, want, activations []string,
 		if !deadline.IsZero() && !now.Before(deadline) {
 			return ErrWaitTimeout
 		}
-		wake := now.Add(interval)
-		if !deadline.IsZero() && deadline.Before(wake) {
-			wake = deadline
-		}
-		evt.Wait(gen, wake)
+		evt.Wait(gen, tickEnd(now, interval, deadline))
 	}
+}
+
+// tickEnd is when an event wait that starts a poll tick at now stops
+// waiting for a signal: one interval on, or at the deadline (zero means
+// none) if that comes first.
+func tickEnd(now time.Time, interval time.Duration, deadline time.Time) time.Time {
+	wake := now.Add(interval)
+	if !deadline.IsZero() && deadline.Before(wake) {
+		wake = deadline
+	}
+	return wake
 }
 
 // deadCallError reports a composed call whose activation died without

@@ -46,6 +46,25 @@ type Stack struct {
 
 var _ Client = (*Stack)(nil)
 
+// WatcherOf returns the Store whose Watch sees c's commits: c itself, or
+// the backend behind c's Stack stages, and nil when there is none — an
+// HTTPClient or a MultiRegion facade commits somewhere a process cannot
+// watch. A watch found through a Stack skips its stages: a watched commit
+// is neither a request nor charged on a link, which is why waiters use one
+// only on wall-clock-driven clocks.
+func WatcherOf(c Client) *Store {
+	for {
+		switch v := c.(type) {
+		case *Store:
+			return v
+		case *Stack:
+			c = v.inner
+		default:
+			return nil
+		}
+	}
+}
+
 // stage names a stage by its place in the order, outermost first.
 type stage int
 

@@ -4,7 +4,9 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +26,15 @@ type Store struct {
 
 	mu      sync.RWMutex
 	buckets map[string]*bucket
+	watches []*watch // live Watch subscriptions, guarded by mu
 
 	stats Stats
+}
+
+// watch is one Watch subscription.
+type watch struct {
+	bucket, prefix string
+	fn             func(key string)
 }
 
 var _ Client = (*Store)(nil)
@@ -232,7 +241,32 @@ func (s *Store) commit(op, bucketName, key string, data []byte, ifMatch *string)
 		b.insertKey(key)
 	}
 	b.objects[key] = &object{meta: meta, data: body}
+	for _, w := range s.watches {
+		if w.bucket == bucketName && strings.HasPrefix(key, w.prefix) {
+			w.fn(key)
+		}
+	}
 	return meta, nil
+}
+
+// Watch reports the key of every Put and PutIf that commits under bucket
+// and prefix to fn, from the moment Watch returns until cancel does. fn
+// runs in commit order under the store's write lock, which makes the watch
+// exact: a refused or failed write delivers nothing, and a Delete of the
+// key returns only after every delivery of the writes before it. So fn must
+// be quick, and must not call the store or cancel. A watch is in-process
+// only — it costs no request and no link time — and a commit nobody
+// watches pays nothing for it.
+func (s *Store) Watch(bucket, prefix string, fn func(key string)) (cancel func()) {
+	w := &watch{bucket: bucket, prefix: prefix, fn: fn}
+	s.mu.Lock()
+	s.watches = append(s.watches, w)
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.watches = slices.DeleteFunc(s.watches, func(x *watch) bool { return x == w })
+	}
 }
 
 // contentETag is the ETag algorithm shared by Store and the multi-region

@@ -7,7 +7,7 @@ import (
 
 // Event is the clock's event-driven wait primitive: tasks block in Wait (or
 // the WaitFor convenience loop) until another goroutine calls Signal, with
-// an optional virtual-time deadline. On a Virtual clock a waiter costs O(1)
+// an optional deadline on the clock. On a Virtual clock a waiter costs O(1)
 // scheduler events — park once, wake once — where the Poll helper costs one
 // scheduler event per tick for the whole wait. Code that today spins on the
 // clock waiting for shared state another task flips (admission queues,
@@ -19,26 +19,26 @@ import (
 // returns immediately instead of being missed.
 //
 // Signal may be called from any goroutine. Wait and WaitFor must be called
-// from a registered task (they block on the clock). On non-Virtual clocks
-// the primitive degrades to polling at a small fixed interval, preserving
-// semantics for real-time and scaled runs.
+// from a registered task (they block on the clock). On the wall-clock-driven
+// clocks (Real, Scaled) a waiter blocks on a channel that Signal closes, and
+// a deadline is a wall timer for the time left on the clock, so a wake-up
+// costs no polling and comes as soon as the runtime schedules the waiter.
 type Event struct {
-	v *Virtual // nil selects the polling fallback
+	v *Virtual // nil selects the wall-clock implementation
 
-	// Fallback state; gen is guarded by v.mu when v != nil, by mu below
-	// otherwise.
+	// Wall-clock state, guarded by mu: ch is closed by the next Signal and
+	// made by the first waiter after one, so a Signal nobody waits for
+	// allocates nothing.
 	c  Clock
 	mu sync.Mutex
+	ch chan struct{}
 
-	gen     uint64
+	gen     uint64    // guarded by v.mu when v != nil, by mu otherwise
 	waiters []*parker // native mode, guarded by v.mu
 }
 
-// eventPollInterval is the polling granularity of the non-Virtual fallback.
-const eventPollInterval = time.Millisecond
-
 // NewEvent returns an Event bound to c. Virtual clocks get the native
-// event-driven implementation; any other Clock gets a polling fallback.
+// scheduler-integrated implementation; any other Clock blocks on channels.
 func NewEvent(c Clock) *Event {
 	e := &Event{c: c}
 	if v, ok := c.(*Virtual); ok {
@@ -67,6 +67,10 @@ func (e *Event) Signal() {
 	if e.v == nil {
 		e.mu.Lock()
 		e.gen++
+		if e.ch != nil {
+			close(e.ch)
+			e.ch = nil
+		}
 		e.mu.Unlock()
 		return
 	}
@@ -90,12 +94,13 @@ func (e *Event) Signal() {
 }
 
 // Wait blocks the calling task until the event is signalled past gen or
-// the (virtual-time) deadline passes; a zero deadline means no deadline.
-// It reports whether the wake-up was a signal. A Signal that happened
-// after the Gen() snapshot but before Wait returns true immediately.
+// the deadline (on the event's clock) passes; a zero deadline means no
+// deadline. It reports whether the wake-up was a signal. A Signal that
+// happened after the Gen() snapshot but before Wait returns true
+// immediately.
 func (e *Event) Wait(gen uint64, deadline time.Time) bool {
 	if e.v == nil {
-		return Poll(e.c, func() bool { return e.Gen() != gen }, eventPollInterval, deadline)
+		return e.waitWall(gen, deadline)
 	}
 	v := e.v
 	v.mu.Lock()
@@ -137,6 +142,47 @@ func (e *Event) Wait(gen uint64, deadline time.Time) bool {
 	v.mu.Unlock()
 	<-p.ch
 	return p.signaled
+}
+
+// waitWall is Wait on a wall-clock-driven clock: block on the current
+// generation's channel, racing a wall timer for the time left before the
+// deadline.
+func (e *Event) waitWall(gen uint64, deadline time.Time) bool {
+	timed := !deadline.IsZero()
+	var left time.Duration
+	if timed {
+		left = deadline.Sub(e.c.Now())
+	}
+	e.mu.Lock()
+	if e.gen != gen {
+		e.mu.Unlock()
+		return true
+	}
+	if timed && left <= 0 {
+		e.mu.Unlock()
+		return false
+	}
+	if e.ch == nil {
+		e.ch = make(chan struct{})
+	}
+	ch := e.ch
+	e.mu.Unlock()
+	if !timed {
+		<-ch
+		return true
+	}
+	wall := left // Real runs at wall speed
+	if s, ok := e.c.(*Scaled); ok {
+		wall = s.wall(left)
+	}
+	t := time.NewTimer(wall)
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // WaitFor blocks until pred reports true, rechecking on every signal, or

@@ -161,31 +161,67 @@ func TestEventSignalThenDeadline(t *testing.T) {
 	})
 }
 
-// TestEventPollFallback checks that a non-Virtual clock degrades to polling
-// with the same semantics.
-func TestEventPollFallback(t *testing.T) {
-	clk := NewScaled(1000) // fast real-time clock
-	evt := NewEvent(clk)
-	var mu sync.Mutex
-	ready := false
-	doneCh := make(chan bool, 1)
-	clk.Go(func() {
-		doneCh <- evt.WaitFor(func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return ready
-		}, time.Time{})
-	})
-	clk.Go(func() {
-		clk.Sleep(50 * time.Millisecond)
-		mu.Lock()
-		ready = true
-		mu.Unlock()
-		evt.Signal()
-	})
-	clk.Wait()
-	if ok := <-doneCh; !ok {
-		t.Fatal("fallback WaitFor returned false")
+// TestEventWallClocks checks the Real and Scaled implementation, which
+// blocks instead of polling: a waiter without a deadline returns true only
+// once signalled, a timed wait gives up no earlier than its deadline takes
+// in wall time (the clock's time divided by its factor), and a Signal
+// between Gen and Wait is not lost.
+func TestEventWallClocks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		clk    Clock
+		factor float64
+	}{
+		{"real", NewReal(), 1},
+		{"scaled20", NewScaled(20), 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := tc.clk
+
+			evt := NewEvent(clk)
+			gen := evt.Gen()
+			woke := make(chan bool, 1)
+			clk.Go(func() { woke <- evt.Wait(gen, time.Time{}) })
+			time.Sleep(20 * time.Millisecond)
+			select {
+			case ok := <-woke:
+				t.Fatalf("waiter returned %v before any Signal", ok)
+			default:
+			}
+			evt.Signal()
+			select {
+			case ok := <-woke:
+				if !ok {
+					t.Fatal("signalled waiter reported its deadline")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Signal did not wake the waiter")
+			}
+			clk.Wait()
+
+			const timeout = 200 * time.Millisecond // on the clock
+			want := time.Duration(float64(timeout) / tc.factor)
+			start := time.Now()
+			if evt.Wait(evt.Gen(), clk.Now().Add(timeout)) {
+				t.Fatal("unsignalled timed wait reported a signal")
+			}
+			if got := time.Since(start); got < want {
+				t.Fatalf("timed wait gave up after %v of wall time, want >= %v", got, want)
+			}
+			if evt.Wait(evt.Gen(), clk.Now().Add(-time.Second)) {
+				t.Fatal("Wait(past deadline) reported a signal")
+			}
+
+			gen = evt.Gen()
+			evt.Signal() // lands before the park
+			start = time.Now()
+			if !evt.Wait(gen, time.Time{}) {
+				t.Fatal("Wait missed a Signal that preceded it")
+			}
+			if got := time.Since(start); got > time.Second {
+				t.Fatalf("Wait after a preceding Signal blocked %v", got)
+			}
+		})
 	}
 }
 

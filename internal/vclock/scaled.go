@@ -44,7 +44,12 @@ func (s *Scaled) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	time.Sleep(time.Duration(float64(d) / s.factor))
+	time.Sleep(s.wall(d))
+}
+
+// wall is the wall time d of scaled time takes: d/factor.
+func (s *Scaled) wall(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / s.factor)
 }
 
 // Go runs fn in a goroutine tracked by Wait.
