@@ -201,7 +201,7 @@ func runReplication(puts, regions int, seed int64, async bool) (replicationRepor
 	}
 	var opts []cos.MultiRegionOption
 	if async {
-		opts = append(opts, cos.WithAsyncReplication(clk, 0))
+		opts = append(opts, cos.WithAsyncReplication(clk))
 	}
 	m, err := cos.NewMultiRegion(backends, opts...)
 	if err != nil {

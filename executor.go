@@ -2,6 +2,8 @@ package gowren
 
 import (
 	"encoding/json"
+	"slices"
+	"strings"
 	"time"
 
 	"gowren/internal/core"
@@ -271,16 +273,9 @@ func ShuffleResults(exec *Executor, opts ...GetResultOptions) ([]KeyResult, erro
 	for _, p := range partitions {
 		out = append(out, p...)
 	}
-	sortKeyResults(out)
+	// Keys are unique across reducers, so an unstable sort is exact.
+	slices.SortFunc(out, func(a, b KeyResult) int { return strings.Compare(a.Key, b.Key) })
 	return out, nil
-}
-
-func sortKeyResults(krs []KeyResult) {
-	for i := 1; i < len(krs); i++ {
-		for j := i; j > 0 && krs[j-1].Key > krs[j].Key; j-- {
-			krs[j-1], krs[j] = krs[j], krs[j-1]
-		}
-	}
 }
 
 // SpeculationOptions re-exports straggler re-execution tuning.

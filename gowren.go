@@ -292,16 +292,6 @@ type SimConfig struct {
 	// Replication selects sync (default) or async write propagation across
 	// Regions. Ignored for single-region clouds.
 	Replication ReplicationMode
-	// ReplicationQueueLimit bounds the async catch-up queue per region;
-	// writers block (backpressure) when a queue is full. Zero selects
-	// cos.DefaultReplicationQueueLimit. Ignored under ReplicationSync.
-	ReplicationQueueLimit int
-	// ReplicationRedeliveryBudget is the number of delivery attempts an
-	// async catch-up task gets (with exponential backoff between attempts)
-	// before its replica is declared stale and left to read-repair. Zero
-	// selects cos.DefaultReplicationRedeliveryBudget; 1 restores the old
-	// single-attempt behaviour. Ignored under ReplicationSync.
-	ReplicationRedeliveryBudget int
 	// RegionZeroPlacement restores the legacy placement policy: in-cloud
 	// functions read and write through the first region regardless of
 	// where their call was placed. By default calls are spread across
@@ -315,8 +305,6 @@ type SimConfig struct {
 	// regional partition surfaces as transient errors that exhaust
 	// recovery and park calls in the dead-letter list.
 	DisableRegionFailover bool
-	// MetaBucket overrides the job-metadata bucket name.
-	MetaBucket string
 	// TraceCapacity, when positive, enables the platform flight recorder
 	// with a ring of that many events (see Cloud.Trace).
 	TraceCapacity int
@@ -325,11 +313,6 @@ type SimConfig struct {
 	// Overfilling it evicts least-recently-used partitions, which spill to
 	// COS asynchronously.
 	ExchangeCacheMB int
-	// ExchangeLinger bounds how long a direct-transport map activation
-	// stays resident after completing to serve peer pulls (zero selects
-	// 30s). It must cover the map phase's tail: partitions published
-	// before the window closes but pulled after it are recomputed.
-	ExchangeLinger time.Duration
 }
 
 // Cloud is a wired simulated cloud: object store, FaaS platform and
@@ -398,10 +381,6 @@ func NewSimCloud(cfg SimConfig) (*Cloud, error) {
 	store := cos.NewStore()
 	var multi *cos.MultiRegion
 	if len(cfg.Regions) > 0 {
-		metaBucket := cfg.MetaBucket
-		if metaBucket == "" {
-			metaBucket = core.DefaultMetaBucket
-		}
 		backends := make([]cos.RegionBackend, len(cfg.Regions))
 		for i, r := range cfg.Regions {
 			if r.Name == "" {
@@ -411,7 +390,7 @@ func NewSimCloud(cfg SimConfig) (*Cloud, error) {
 			// The meta bucket must exist in every region before the
 			// platform starts; create it on the raw engine so no link time
 			// is charged outside a simulation task.
-			if err := rs.CreateBucket(metaBucket); err != nil {
+			if err := rs.CreateBucket(core.DefaultMetaBucket); err != nil {
 				return nil, fmt.Errorf("gowren: region %s: %w", r.Name, err)
 			}
 			// Each region gets its own datacenter path with a distinct
@@ -446,10 +425,7 @@ func NewSimCloud(cfg SimConfig) (*Cloud, error) {
 			mopts = append(mopts, cos.WithoutFailover())
 		}
 		if cfg.Replication == ReplicationAsync {
-			mopts = append(mopts, cos.WithAsyncReplication(clk, cfg.ReplicationQueueLimit))
-			if cfg.ReplicationRedeliveryBudget > 0 {
-				mopts = append(mopts, cos.WithReplicationRedelivery(cfg.ReplicationRedeliveryBudget))
-			}
+			mopts = append(mopts, cos.WithAsyncReplication(clk))
 		}
 		var err error
 		multi, err = cos.NewMultiRegion(backends, mopts...)
@@ -466,11 +442,9 @@ func NewSimCloud(cfg SimConfig) (*Cloud, error) {
 		MaxConcurrent:      cfg.MaxConcurrent,
 		Admission:          cfg.Admission,
 		CrashProb:          cfg.CrashProb,
-		MetaBucket:         cfg.MetaBucket,
 		Trace:              recorder,
 		Chaos:              plan,
 		ExchangeCacheBytes: int64(cfg.ExchangeCacheMB) << 20,
-		ExchangeLinger:     cfg.ExchangeLinger,
 	}
 	if multi != nil {
 		pcfg.Backend = multi

@@ -36,7 +36,7 @@ var fixes = map[string]string{
 	"NewTimer":  "schedule through the injected vclock.Clock",
 	"NewTicker": "poll with vclock.Poll on the injected Clock",
 	"Tick":      "poll with vclock.Poll on the injected Clock",
-	"Since":     "use vclock.Since with the injected Clock",
+	"Since":     "use clock.Now().Sub(t) on the injected Clock",
 	"Until":     "compute against Clock.Now instead",
 }
 

@@ -138,9 +138,6 @@ type Taint struct {
 	Chain []string  `json:"chain"`
 }
 
-// ChainString renders the taint chain with the conventional arrow.
-func (t Taint) ChainString() string { return strings.Join(t.Chain, " → ") }
-
 // FuncFacts is the serialized taint summary of one function.
 type FuncFacts struct {
 	Taints []Taint `json:"taints"`
@@ -197,19 +194,6 @@ func (db *FactDB) Add(pf *PackageFacts) error {
 	}
 	db.encoded[pf.Path] = data
 	return nil
-}
-
-// Encoded returns the canonical serialized facts for path, or nil.
-func (db *FactDB) Encoded(path string) []byte { return db.encoded[path] }
-
-// Paths returns every package path with facts, sorted.
-func (db *FactDB) Paths() []string {
-	paths := make([]string, 0, len(db.encoded))
-	for p := range db.encoded {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
 }
 
 // facts decodes (and memoizes) the summary for path, or nil when the

@@ -65,19 +65,6 @@ func ErrorResultIndexes(sig *types.Signature) []int {
 	return out
 }
 
-// ReceiverPkgPath returns the import path of the package defining fn's
-// receiver type, or "" for plain functions.
-func ReceiverPkgPath(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	if fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
 // IsMapType reports whether t's core type is a map.
 func IsMapType(t types.Type) bool {
 	if t == nil {

@@ -13,7 +13,7 @@
 // calls (and packages) away.
 //
 // "vclock-driven" means the enclosing function mentions the vclock package
-// at all — takes a vclock.Clock, calls vclock.Poll, reads vclock.Since.
+// at all — takes a vclock.Clock or calls vclock.Poll.
 // Code that never touches the virtual clock (real-mode main loops, test
 // scaffolding outside the suite's scope) is not this analyzer's business;
 // direct wall-clock use there is still clockcheck's.
@@ -60,7 +60,7 @@ func run(pass *analysis.Pass) {
 
 // usesVClock reports whether the function mentions the vclock package —
 // an object defined there, or the package name itself (covering
-// vclock.Clock parameters and vclock.Poll/Since calls).
+// vclock.Clock parameters and vclock.Poll calls).
 func usesVClock(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	found := false
 	ast.Inspect(fd, func(n ast.Node) bool {

@@ -105,32 +105,6 @@ func meterOne(u *Usage, a faas.Activation, fallbackMemoryMB int) {
 	u.GBSeconds += float64(mem) / 1024 * secs
 }
 
-// ReportByTenant rolls finished activations up per tenant — the billing
-// half of the platform's tenant model. Records that predate the tenant tag
-// (or were invoked without one) land under faas.DefaultTenant, so totals
-// across the returned map always equal MeterActivations over the same
-// records. Storage counters are not attributable per tenant from
-// activation records and stay zero.
-func ReportByTenant(acts []faas.Activation, fallbackMemoryMB int) map[string]Usage {
-	if fallbackMemoryMB <= 0 {
-		fallbackMemoryMB = faas.DefaultMemoryMB
-	}
-	out := make(map[string]Usage)
-	for _, a := range acts {
-		if !a.Done() {
-			continue
-		}
-		tenant := a.Tenant
-		if tenant == "" {
-			tenant = faas.DefaultTenant
-		}
-		u := out[tenant]
-		meterOne(&u, a, fallbackMemoryMB)
-		out[tenant] = u
-	}
-	return out
-}
-
 // VMPriceTable prices a dedicated VM per hour, for the paper's sequential
 // baseline comparison (a 4 vCPU / 16 GB notebook VM).
 type VMPriceTable struct {

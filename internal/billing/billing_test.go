@@ -112,41 +112,3 @@ func TestCostNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReportByTenant(t *testing.T) {
-	tenantAct := func(tenant string, start, end time.Duration, done bool) faas.Activation {
-		a := act(start, end, done)
-		a.Tenant = tenant
-		return a
-	}
-	acts := []faas.Activation{
-		tenantAct("alpha", 0, 10*time.Second, true),
-		tenantAct("alpha", 0, 2*time.Second, true),
-		tenantAct("beta", 0, 4*time.Second, true),
-		tenantAct("beta", 0, 0, false),      // unfinished: not billed
-		tenantAct("", 0, time.Second, true), // untagged: default tenant
-	}
-	rollup := ReportByTenant(acts, 512)
-	if len(rollup) != 3 {
-		t.Fatalf("tenants = %d, want 3 (%v)", len(rollup), rollup)
-	}
-	if u := rollup["alpha"]; u.Invocations != 2 || math.Abs(u.ComputeSeconds-12) > 1e-9 {
-		t.Fatalf("alpha usage = %+v", u)
-	}
-	if u := rollup["beta"]; u.Invocations != 1 || math.Abs(u.ComputeSeconds-4) > 1e-9 {
-		t.Fatalf("beta usage = %+v", u)
-	}
-	if u := rollup[faas.DefaultTenant]; u.Invocations != 1 {
-		t.Fatalf("default-tenant usage = %+v", u)
-	}
-
-	// The rollup partitions exactly what MeterActivations sees in total.
-	var sum Usage
-	for _, u := range rollup {
-		sum.Add(u)
-	}
-	total := MeterActivations(acts, 512)
-	if sum.Invocations != total.Invocations || math.Abs(sum.GBSeconds-total.GBSeconds) > 1e-9 {
-		t.Fatalf("rollup sum %+v != total %+v", sum, total)
-	}
-}

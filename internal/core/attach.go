@@ -361,16 +361,7 @@ func CleanAbandoned(storage cos.Client, clk vclock.Clock, metaBucket string, ttl
 		if now.Sub(anchor) < ttl {
 			continue
 		}
-		listed, err := cos.ListAll(storage, metaBucket, fmt.Sprintf("jobs/%s/", job.JobID))
-		if err != nil {
-			return removed, fmt.Errorf("core: clean abandoned %s: %w", job.JobID, err)
-		}
-		for _, obj := range listed {
-			if err := storage.Delete(metaBucket, obj.Key); err != nil {
-				return removed, fmt.Errorf("core: clean abandoned %s: %w", job.JobID, err)
-			}
-		}
-		if err := storage.Delete(metaBucket, manifestKey(job.JobID)); err != nil {
+		if err := deleteJob(storage, clk, defaultStageConcurrency, metaBucket, job.JobID); err != nil {
 			return removed, fmt.Errorf("core: clean abandoned %s: %w", job.JobID, err)
 		}
 		removed = append(removed, job.JobID)

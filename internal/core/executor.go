@@ -24,6 +24,9 @@ var (
 	ErrCallFailed  = errors.New("core: function call failed")
 )
 
+// defaultStageConcurrency is the stage pool size when Config leaves it zero.
+const defaultStageConcurrency = 64
+
 // execCounter issues process-unique executor IDs. Uniqueness is all that
 // matters: IDs namespace job keys in the meta bucket.
 var execCounter atomic.Uint64
@@ -52,8 +55,8 @@ type Config struct {
 	// InvokeConcurrency is the client thread-pool size for direct
 	// invocation. Zero uses 64.
 	InvokeConcurrency int
-	// StageConcurrency is the pool size for payload uploads and result
-	// downloads. Zero uses 64.
+	// StageConcurrency is the pool size for payload uploads, result
+	// downloads and Clean's deletes. Zero uses 64.
 	StageConcurrency int
 	// ClientOverhead is serialized per-invocation client work (the
 	// Python client's GIL-bound serialize/sign/build cost). Zero means
@@ -98,7 +101,7 @@ func (c *Config) applyDefaults() error {
 		c.InvokeConcurrency = 64
 	}
 	if c.StageConcurrency <= 0 {
-		c.StageConcurrency = 64
+		c.StageConcurrency = defaultStageConcurrency
 	}
 	if c.SpawnGroupSize <= 0 {
 		c.SpawnGroupSize = 100

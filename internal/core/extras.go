@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gowren/internal/cos"
+	"gowren/internal/vclock"
 	"gowren/internal/wire"
 )
 
@@ -19,29 +20,32 @@ import (
 // become unusable afterwards.
 func (e *Executor) Clean() error {
 	meta := e.cfg.Platform.MetaBucket()
-	for _, prefix := range []string{payloadPrefix, statusPrefix, resultPrefix, shufflePrefix, fanInPrefix, deadLetterPrefix, journalPrefix} {
-		listed, err := cos.ListAll(e.cfg.Storage, meta, fmt.Sprintf("jobs/%s/%s/", e.id, prefix))
-		if err != nil {
-			return fmt.Errorf("core: clean %s: %w", e.id, err)
-		}
-		errs := parallelFor(e.clock, e.cfg.StageConcurrency, len(listed), func(i int) error {
-			return e.cfg.Storage.Delete(meta, listed[i].Key)
-		})
-		if err := firstErr(errs); err != nil {
-			return fmt.Errorf("core: clean %s: %w", e.id, err)
-		}
-	}
-	// The lease and the manifest are single keys outside the per-kind
-	// prefixes; jobs that never journaled (Config.DisableJournal) have
-	// neither.
-	for _, key := range []string{leaseKey(e.id), manifestKey(e.id)} {
-		if err := e.cfg.Storage.Delete(meta, key); err != nil && !errors.Is(err, cos.ErrNoSuchKey) {
-			return fmt.Errorf("core: clean %s: %w", e.id, err)
-		}
+	if err := deleteJob(e.cfg.Storage, e.clock, e.cfg.StageConcurrency, meta, e.id); err != nil {
+		return fmt.Errorf("core: clean %s: %w", e.id, err)
 	}
 	// The status objects the sweep state mirrors are gone; drop the state
 	// with them.
 	e.sweeps.forgetNamespace(nsKey{bucket: meta, execID: e.id})
+	return nil
+}
+
+// deleteJob deletes everything a job keeps in the meta bucket: one LIST of
+// jobs/{id}/, whose objects go through a pool of workers, then
+// manifests/{id}, which a job that never journaled does not have.
+func deleteJob(storage cos.Client, clk vclock.Clock, workers int, meta, id string) error {
+	listed, err := cos.ListAll(storage, meta, "jobs/"+id+"/")
+	if err != nil {
+		return err
+	}
+	errs := parallelFor(clk, workers, len(listed), func(i int) error {
+		return storage.Delete(meta, listed[i].Key)
+	})
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+	if err := storage.Delete(meta, manifestKey(id)); err != nil && !errors.Is(err, cos.ErrNoSuchKey) {
+		return err
+	}
 	return nil
 }
 

@@ -63,8 +63,6 @@ type PlatformConfig struct {
 	// CloudLink is the in-datacenter network path (functions ↔ COS,
 	// invoker ↔ controller). Nil uses netsim.InCloud with Seed.
 	CloudLink *netsim.Link
-	// MetaBucket overrides DefaultMetaBucket.
-	MetaBucket string
 	// Seed feeds default link models and the controller PRNG.
 	Seed int64
 	// Trace, when non-nil, records platform events for inspection.
@@ -84,10 +82,6 @@ type PlatformConfig struct {
 	// ExchangeCacheBytes bounds the memory-tier exchange cache node; zero
 	// selects exchange.DefaultCacheCapacity.
 	ExchangeCacheBytes int64
-	// ExchangeLinger bounds how long a direct-transport map activation
-	// stays resident to serve peer pulls; zero selects
-	// exchange.DefaultLinger.
-	ExchangeLinger time.Duration
 
 	// FaaS platform knobs, forwarded to faas.Config.
 	MaxConcurrent int
@@ -101,7 +95,6 @@ type PlatformConfig struct {
 	CrashProb     float64
 	ColdStartBoot time.Duration
 	WarmStart     time.Duration
-	KeepAlive     time.Duration
 }
 
 // Platform is the wired simulated cloud. One Platform hosts any number of
@@ -109,19 +102,17 @@ type PlatformConfig struct {
 type Platform struct {
 	clock        vclock.Clock
 	registry     *runtime.Registry
-	store        *cos.Store
 	backend      cos.Client
 	controller   *faas.Controller
 	cloudStorage cos.Client
 	// cloudBase is cloudStorage below its retry stage: the chaos-wrapped
 	// in-cloud view that helper executors put their own retry stage on.
-	cloudBase  cos.Client
-	cloudLink  *netsim.Link
-	metaBucket string
-	seed       int64
-	chaos      *chaos.Plan
-	trace      *trace.Recorder
-	exchange   *exchange.Fabric
+	cloudBase cos.Client
+	cloudLink *netsim.Link
+	seed      int64
+	chaos     *chaos.Plan
+	trace     *trace.Recorder
+	exchange  *exchange.Fabric
 
 	// multi is the Backend downcast to the multi-region facade (nil on
 	// single-region platforms); regionNames caches its region order for
@@ -162,9 +153,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Clock == nil || cfg.Registry == nil || cfg.Store == nil {
 		return nil, errors.New("core: platform requires clock, registry and store")
 	}
-	if cfg.MetaBucket == "" {
-		cfg.MetaBucket = DefaultMetaBucket
-	}
 	cloudLink := cfg.CloudLink
 	if cloudLink == nil {
 		cloudLink = netsim.InCloud(cfg.Seed)
@@ -203,7 +191,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		CrashProb:     cfg.CrashProb,
 		ColdStartBoot: cfg.ColdStartBoot,
 		WarmStart:     cfg.WarmStart,
-		KeepAlive:     cfg.KeepAlive,
 		Seed:          cfg.Seed,
 		Outage:        outage,
 		SlowFactor:    slowFactor,
@@ -215,13 +202,11 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	p := &Platform{
 		clock:        cfg.Clock,
 		registry:     cfg.Registry,
-		store:        cfg.Store,
 		backend:      backend,
 		controller:   ctrl,
 		cloudStorage: cloudStorage,
 		cloudBase:    cloudBase,
 		cloudLink:    cloudLink,
-		metaBucket:   cfg.MetaBucket,
 		seed:         cfg.Seed,
 		chaos:        cfg.Chaos,
 		trace:        cfg.Trace,
@@ -267,7 +252,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		CacheLink:     netsim.MemoryTier(cfg.Seed + 21),
 		PeerLink:      netsim.PeerToPeer(cfg.Seed + 22),
 		CacheCapacity: cfg.ExchangeCacheBytes,
-		Linger:        cfg.ExchangeLinger,
 		CacheDown:     cacheDown,
 		PeerLost:      peerLost,
 		Spill:         p.spillShuffleObject,
@@ -277,7 +261,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	}
 	p.exchange = fabric
 
-	if err := cfg.Store.CreateBucket(cfg.MetaBucket); err != nil && !errors.Is(err, cos.ErrBucketExists) {
+	if err := cfg.Store.CreateBucket(DefaultMetaBucket); err != nil && !errors.Is(err, cos.ErrBucketExists) {
 		return nil, fmt.Errorf("core: create meta bucket: %w", err)
 	}
 
@@ -297,21 +281,15 @@ func (p *Platform) Clock() vclock.Clock { return p.clock }
 // Controller returns the FaaS controller.
 func (p *Platform) Controller() *faas.Controller { return p.controller }
 
-// Store returns the raw object-store engine (no link charging).
-func (p *Platform) Store() *cos.Store { return p.store }
-
 // Backend returns the storage plane behind every view: the configured
 // multi-region facade when one is wired, otherwise the raw store.
 func (p *Platform) Backend() cos.Client { return p.backend }
-
-// CloudStorage returns the in-cloud view of the store.
-func (p *Platform) CloudStorage() cos.Client { return p.cloudStorage }
 
 // CloudLink returns the in-datacenter link profile.
 func (p *Platform) CloudLink() *netsim.Link { return p.cloudLink }
 
 // MetaBucket returns the job-metadata bucket name.
-func (p *Platform) MetaBucket() string { return p.metaBucket }
+func (p *Platform) MetaBucket() string { return DefaultMetaBucket }
 
 // Seed returns the platform seed, used to derive per-executor PRNG streams.
 func (p *Platform) Seed() int64 { return p.seed }
@@ -321,9 +299,6 @@ func (p *Platform) Seed() int64 { return p.seed }
 func (p *Platform) nextExecutorSeed() int64 {
 	return p.seed + p.execSeq.Add(1)*1000003
 }
-
-// Chaos returns the active fault plan, or nil when fault injection is off.
-func (p *Platform) Chaos() *chaos.Plan { return p.chaos }
 
 // Exchange returns the fast-tier data-exchange fabric.
 func (p *Platform) Exchange() *exchange.Fabric { return p.exchange }
@@ -338,7 +313,7 @@ func (p *Platform) ExchangeOps() exchange.OpCounts { return p.exchange.Counts() 
 // path. It runs as its own clock task, off the evicting writer's critical
 // path, and retries transient failures like any in-cloud storage consumer.
 func (p *Platform) spillShuffleObject(key string, data []byte) {
-	_, err := p.cloudStorage.Put(p.metaBucket, key, data)
+	_, err := p.cloudStorage.Put(DefaultMetaBucket, key, data)
 	if p.trace != nil {
 		if err != nil {
 			p.trace.Emitf(p.clock.Now(), trace.KindExchange, "exchange-cache",
@@ -411,13 +386,6 @@ func (p *Platform) inCloudExecutor(image, region, tenant string) (*Executor, err
 		DisableJournal: true,
 	})
 }
-
-// Regions returns the storage region names in facade order, nil on
-// single-region platforms.
-func (p *Platform) Regions() []string { return p.regionNames }
-
-// MultiRegion returns the multi-region facade behind the platform, or nil.
-func (p *Platform) MultiRegion() *cos.MultiRegion { return p.multi }
 
 // PlaceCall assigns a call to a storage region by hashing its call ID with
 // the platform seed. Executor identity deliberately stays out of the hash:

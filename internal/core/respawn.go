@@ -71,13 +71,6 @@ func (l *respawnLedger) seed(f *Future, n int) {
 	l.mu.Unlock()
 }
 
-// count returns the lifetime automatic respawns recorded for f.
-func (l *respawnLedger) count(f *Future) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n[f]
-}
-
 // respawnLimit is the shared automatic-respawn budget per call for a
 // collection running with opts: the recovery attempt cap plus one
 // speculative copy.

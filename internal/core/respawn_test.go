@@ -17,7 +17,7 @@ func TestRespawnLedgerOnePerTick(t *testing.T) {
 	if got := l.reserve([]*Future{f}, 4); len(got) != 1 {
 		t.Fatalf("next-tick reservation denied")
 	}
-	if got := l.count(f); got != 2 {
+	if got := l.n[f]; got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
 }

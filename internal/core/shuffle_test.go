@@ -48,6 +48,13 @@ func registerShuffleFunctions(t *testing.T, img *runtime.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// fail always errors, so its calls end as dead letters.
+	err = img.RegisterPlain("fail", func(*runtime.Ctx, json.RawMessage) (any, error) {
+		return nil, errors.New("always fails")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // newShuffleEnv builds an env whose default image also has the KV pipeline
@@ -249,6 +256,54 @@ func TestShuffleCleanRemovesShuffleFiles(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestCleanListsOnce: one LIST of jobs/{id}/ finds everything a job left —
+// shuffle objects and stage index, the fan-in marker, journal records, the
+// lease and a dead letter — and after Clean nothing is left under the job
+// or its manifest.
+func TestCleanListsOnce(t *testing.T) {
+	e, _ := newShuffleEnv(t)
+	exec := e.executor(t, nil)
+	e.clk.Run(func() {
+		if _, err := exec.MapReduceShuffle("kv/words", Buckets{"corpus"}, "kv/sum", ShuffleOptions{NumReducers: 2}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := exec.Map("fail", []any{1}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := exec.GetResult(GetResultOptions{
+			Recovery:       &RecoveryOptions{MaxAttempts: 1, Backoff: 100 * time.Millisecond},
+			PartialResults: true,
+		}); err == nil {
+			t.Error("failing call produced no error")
+			return
+		}
+		if letters, err := exec.PersistedDeadLetters(); err != nil || len(letters) != 1 {
+			t.Errorf("persisted dead letters = %d (err %v), want 1", len(letters), err)
+			return
+		}
+		before := exec.StorageOps()
+		if err := exec.Clean(); err != nil {
+			t.Error(err)
+			return
+		}
+		if lists := exec.StorageOps().ListOps - before.ListOps; lists != 1 {
+			t.Errorf("Clean issued %d LISTs, want 1", lists)
+		}
+		for _, prefix := range []string{"jobs/" + exec.ID() + "/", manifestKey(exec.ID())} {
+			left, err := cos.ListAll(e.store, DefaultMetaBucket, prefix)
+			if err != nil || len(left) != 0 {
+				t.Errorf("objects left under %s after clean: %+v (err %v)", prefix, left, err)
+			}
+		}
+	})
 }
 
 // TestShuffleOneReducerWritesNoIndex: with R = 1 a reducer's partition is

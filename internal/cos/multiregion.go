@@ -105,15 +105,16 @@ type repTask struct {
 	attempts    int // delivery attempts already spent (see redeliverOrDrop)
 }
 
-// DefaultReplicationQueueLimit bounds each region's catch-up queue when
-// WithAsyncReplication is given a non-positive limit. A full queue
-// backpressures writers (they block on the virtual clock until the region's
-// worker drains a slot), so the facade can never buffer unbounded bytes.
+// DefaultReplicationQueueLimit bounds each region's catch-up queue. A full
+// queue backpressures writers (they block on the virtual clock until the
+// region's worker drains a slot), so the facade can never buffer unbounded
+// bytes.
 const DefaultReplicationQueueLimit = 1024
 
 // DefaultReplicationRedeliveryBudget is the delivery attempts each catch-up
-// task gets before its replica is declared stale (dropped to read-repair).
-// A budget of 1 restores the old single-attempt behaviour.
+// task gets before its replica is declared stale (dropped to read-repair):
+// a failed attempt is re-enqueued with exponential backoff until the budget
+// is spent.
 const DefaultReplicationRedeliveryBudget = 3
 
 // replicationRedeliveryBackoff is the delay before a failed catch-up task's
@@ -205,29 +206,14 @@ func WithoutFailover() MultiRegionOption {
 // after the primary region accepts them and per-region catch-up workers —
 // scheduled on clk, so they obey the virtual-clock contract — propagate the
 // committed bytes to the remaining regions off the critical path. Each
-// region's queue holds at most queueLimit pending writes
-// (DefaultReplicationQueueLimit if queueLimit <= 0); writers block on the
-// clock while their target queue is full. Deletes and bucket operations
-// still replicate synchronously.
-func WithAsyncReplication(clk vclock.Clock, queueLimit int) MultiRegionOption {
+// region's queue holds at most DefaultReplicationQueueLimit pending writes;
+// writers block on the clock while their target queue is full. Deletes and
+// bucket operations still replicate synchronously.
+func WithAsyncReplication(clk vclock.Clock) MultiRegionOption {
 	return func(m *MultiRegion) {
-		if queueLimit <= 0 {
-			queueLimit = DefaultReplicationQueueLimit
-		}
 		m.mode = ReplicationAsync
 		m.clk = clk
-		m.qlimit = queueLimit
 	}
-}
-
-// WithReplicationRedelivery sets the delivery-attempt budget of each async
-// catch-up task: a failed attempt is re-enqueued with exponential backoff
-// until budget attempts have been spent, and only then is the replica
-// declared stale (dropped to read-repair). A budget of 1 disables
-// redelivery; non-positive selects DefaultReplicationRedeliveryBudget.
-// It only matters under WithAsyncReplication.
-func WithReplicationRedelivery(budget int) MultiRegionOption {
-	return func(m *MultiRegion) { m.redeliver = budget }
 }
 
 // NewMultiRegion builds a facade over the given regions. Region order is
@@ -264,9 +250,8 @@ func NewMultiRegion(regions []RegionBackend, opts ...MultiRegionOption) (*MultiR
 		if m.clk == nil {
 			return nil, errors.New("cos: async replication requires a clock")
 		}
-		if m.redeliver <= 0 {
-			m.redeliver = DefaultReplicationRedeliveryBudget
-		}
+		m.qlimit = DefaultReplicationQueueLimit
+		m.redeliver = DefaultReplicationRedeliveryBudget
 		m.queues = make([][]repTask, len(regions))
 		m.workers = make([]bool, len(regions))
 		m.redelivering = make([]int, len(regions))
@@ -274,9 +259,6 @@ func NewMultiRegion(regions []RegionBackend, opts ...MultiRegionOption) (*MultiR
 	m.regionView = regionView{m: m, pref: 0, home: -1}
 	return m, nil
 }
-
-// Mode returns the facade's replication mode.
-func (m *MultiRegion) Mode() ReplicationMode { return m.mode }
 
 // FailoverEnabled reports whether the facade replicates and fails over at
 // all (false under WithoutFailover).

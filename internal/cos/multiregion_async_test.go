@@ -22,14 +22,14 @@ func (s *slowClient) Put(bucket, key string, data []byte) (ObjectMeta, error) {
 	return s.Client.Put(bucket, key, data)
 }
 
-func asyncTwoRegions(t *testing.T, clk vclock.Clock, qlimit int) (*MultiRegion, *flakyRegion, *flakyRegion, *Store, *Store) {
+func asyncTwoRegions(t *testing.T, clk vclock.Clock) (*MultiRegion, *flakyRegion, *flakyRegion, *Store, *Store) {
 	t.Helper()
 	sa, sb := NewStore(), NewStore()
 	ra, rb := newFlakyRegion(sa), newFlakyRegion(sb)
 	m, err := NewMultiRegion([]RegionBackend{
 		{Name: "us-south", Client: ra},
 		{Name: "eu-gb", Client: rb},
-	}, WithAsyncReplication(clk, qlimit))
+	}, WithAsyncReplication(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func asyncTwoRegions(t *testing.T, clk vclock.Clock, qlimit int) (*MultiRegion, 
 
 func TestAsyncReplicationRequiresClock(t *testing.T) {
 	s := NewStore()
-	_, err := NewMultiRegion([]RegionBackend{{Name: "a", Client: s}}, WithAsyncReplication(nil, 0))
+	_, err := NewMultiRegion([]RegionBackend{{Name: "a", Client: s}}, WithAsyncReplication(nil))
 	if err == nil {
 		t.Fatal("async facade without a clock accepted")
 	}
@@ -46,7 +46,7 @@ func TestAsyncReplicationRequiresClock(t *testing.T) {
 
 func TestAsyncPutAcksAfterPrimaryAndCatchesUp(t *testing.T) {
 	clk := vclock.NewVirtual()
-	m, _, _, sa, sb := asyncTwoRegions(t, clk, 0)
+	m, _, _, sa, sb := asyncTwoRegions(t, clk)
 	clk.Run(func() {
 		if err := m.CreateBucket("b"); err != nil {
 			t.Error(err)
@@ -76,7 +76,7 @@ func TestAsyncPutAcksAfterPrimaryAndCatchesUp(t *testing.T) {
 
 func TestAsyncPrimaryFailoverThenReadRepair(t *testing.T) {
 	clk := vclock.NewVirtual()
-	m, ra, _, sa, sb := asyncTwoRegions(t, clk, 0)
+	m, ra, _, sa, sb := asyncTwoRegions(t, clk)
 	clk.Run(func() {
 		if err := m.CreateBucket("b"); err != nil {
 			t.Error(err)
@@ -118,7 +118,7 @@ func TestAsyncPrimaryFailoverThenReadRepair(t *testing.T) {
 
 func TestAsyncSupersededCatchupSkipped(t *testing.T) {
 	clk := vclock.NewVirtual()
-	m, _, rb, _, sb := asyncTwoRegions(t, clk, 0)
+	m, _, rb, _, sb := asyncTwoRegions(t, clk)
 	var task1, task2 repTask
 	clk.Run(func() {
 		if err := m.CreateBucket("b"); err != nil {
@@ -173,10 +173,11 @@ func TestAsyncBackpressureBoundsQueue(t *testing.T) {
 	m, err := NewMultiRegion([]RegionBackend{
 		{Name: "us-south", Client: sa},
 		{Name: "eu-gb", Client: &slowClient{Client: sb, clk: clk, d: 10 * time.Millisecond}},
-	}, WithAsyncReplication(clk, 1))
+	}, WithAsyncReplication(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.qlimit = 1
 	const n = 4
 	clk.Run(func() {
 		if err := m.CreateBucket("b"); err != nil {

@@ -33,10 +33,11 @@ func redeliveryRegions(t *testing.T, clk vclock.Clock, budget int) (*MultiRegion
 	m, err := NewMultiRegion([]RegionBackend{
 		{Name: "us-south", Client: sa},
 		{Name: "eu-gb", Client: fb},
-	}, WithAsyncReplication(clk, 0), WithReplicationRedelivery(budget))
+	}, WithAsyncReplication(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.redeliver = budget
 	return m, fb, sb
 }
 

@@ -10,20 +10,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"gowren/internal/netsim"
-	"gowren/internal/vclock"
 )
 
 // Store is the in-memory object-store engine. It is safe for concurrent use.
-// When configured with a network link, every operation charges simulated
-// latency (and transfer time proportional to the bytes moved) on the
-// simulation clock before touching state, which is how the experiments see
-// realistic COS round-trip costs.
+// It charges no latency itself: a cos.Stack link stage (NewLinked) puts the
+// simulated network in front of it.
 type Store struct {
-	clock vclock.Clock
-	link  *netsim.Link // nil disables network modeling
-
 	mu      sync.RWMutex
 	buckets map[string]*bucket
 	watches []*watch // live Watch subscriptions, guarded by mu
@@ -98,26 +90,9 @@ type object struct {
 	gen  Generator // synthetic content
 }
 
-// StoreOption configures a Store.
-type StoreOption func(*Store)
-
-// WithLink attaches a network cost model: every operation sleeps the link's
-// latency on clk, and payload bytes are charged at the link's bandwidth.
-func WithLink(clk vclock.Clock, link *netsim.Link) StoreOption {
-	return func(s *Store) {
-		s.clock = clk
-		s.link = link
-	}
-}
-
-// NewStore returns an empty Store. Without options it is a zero-latency
-// in-process store, suitable for unit tests.
-func NewStore(opts ...StoreOption) *Store {
-	s := &Store{buckets: make(map[string]*bucket)}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
+// NewStore returns an empty Store.
+func NewStore() *Store {
+	return &Store{buckets: make(map[string]*bucket)}
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -133,26 +108,8 @@ func (s *Store) Stats() StatsSnapshot {
 	}
 }
 
-// charge sleeps the link's per-request latency plus the transfer time for
-// payloadBytes, and reports a simulated failure if the link injects one.
-// It must be called without s.mu held.
-func (s *Store) charge(payloadBytes int64) error {
-	if s.link == nil {
-		return nil
-	}
-	d := s.link.Latency() + s.link.Transfer(payloadBytes)
-	s.clock.Sleep(d)
-	if s.link.Fail() {
-		return ErrRequestFailed
-	}
-	return nil
-}
-
 // CreateBucket implements Client.
 func (s *Store) CreateBucket(name string) error {
-	if err := s.charge(0); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.buckets[name]; ok {
@@ -164,9 +121,6 @@ func (s *Store) CreateBucket(name string) error {
 
 // DeleteBucket implements Client.
 func (s *Store) DeleteBucket(name string) error {
-	if err := s.charge(0); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[name]
@@ -182,9 +136,6 @@ func (s *Store) DeleteBucket(name string) error {
 
 // BucketExists implements Client.
 func (s *Store) BucketExists(name string) (bool, error) {
-	if err := s.charge(0); err != nil {
-		return false, err
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, ok := s.buckets[name]
@@ -202,17 +153,12 @@ func (s *Store) PutIf(bucketName, key string, data []byte, ifMatch string) (Obje
 	return s.commit("put-if", bucketName, key, data, &ifMatch)
 }
 
-// commit is the one write path of Put and PutIf: charge, copy, and — under
-// the lock — check ifMatch (nil: unconditional; otherwise the ETag the
-// current object must have, "" meaning no object), index the key and store.
-// The link charge (and any failure it injects) comes before all of it, so a
-// failed request never committed and is safe to retry.
+// commit is the one write path of Put and PutIf: copy, and — under the
+// lock — check ifMatch (nil: unconditional; otherwise the ETag the current
+// object must have, "" meaning no object), index the key and store.
 func (s *Store) commit(op, bucketName, key string, data []byte, ifMatch *string) (ObjectMeta, error) {
 	s.stats.PutOps.Add(1)
 	s.stats.BytesIn.Add(int64(len(data)))
-	if err := s.charge(int64(len(data))); err != nil {
-		return ObjectMeta{}, err
-	}
 	body := make([]byte, len(data))
 	copy(body, data)
 	meta := ObjectMeta{
@@ -323,10 +269,6 @@ func (s *Store) GetRange(bucketName, key string, offset, length int64) ([]byte, 
 	obj, err := s.lookupLocked(bucketName, key)
 	s.mu.RUnlock()
 	if err != nil {
-		// Even a miss costs a round trip.
-		if cerr := s.charge(0); cerr != nil {
-			return nil, ObjectMeta{}, cerr
-		}
 		return nil, ObjectMeta{}, fmt.Errorf("get %s/%s: %w", bucketName, key, err)
 	}
 	size := obj.meta.Size
@@ -345,18 +287,12 @@ func (s *Store) GetRange(bucketName, key string, offset, length int64) ([]byte, 
 	meta := obj.meta
 
 	s.stats.BytesOut.Add(length)
-	if err := s.charge(length); err != nil {
-		return nil, ObjectMeta{}, err
-	}
 	return out, meta, nil
 }
 
 // Head implements Client.
 func (s *Store) Head(bucketName, key string) (ObjectMeta, error) {
 	s.stats.HeadOps.Add(1)
-	if err := s.charge(0); err != nil {
-		return ObjectMeta{}, err
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	obj, err := s.lookupLocked(bucketName, key)
@@ -369,9 +305,6 @@ func (s *Store) Head(bucketName, key string) (ObjectMeta, error) {
 // List implements Client.
 func (s *Store) List(bucketName, prefix, marker string, maxKeys int) (ListResult, error) {
 	s.stats.ListOps.Add(1)
-	if err := s.charge(0); err != nil {
-		return ListResult{}, err
-	}
 	if maxKeys <= 0 {
 		maxKeys = DefaultMaxKeys
 	}
@@ -408,9 +341,6 @@ func (s *Store) List(bucketName, prefix, marker string, maxKeys int) (ListResult
 
 // ListBuckets implements Client.
 func (s *Store) ListBuckets() ([]string, error) {
-	if err := s.charge(0); err != nil {
-		return nil, err
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.buckets))
@@ -424,9 +354,6 @@ func (s *Store) ListBuckets() ([]string, error) {
 // Delete implements Client.
 func (s *Store) Delete(bucketName, key string) error {
 	s.stats.DeleteOps.Add(1)
-	if err := s.charge(0); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
@@ -453,13 +380,9 @@ func (s *Store) lookupLocked(bucketName, key string) (*object, error) {
 	return obj, nil
 }
 
+// now stamps LastModified, which only the HTTP dialect reports.
 func (s *Store) now() time.Time {
-	if s.clock != nil {
-		return s.clock.Now()
-	}
-	// Real-mode fallback: a Store constructed without a clock (integration
-	// tests, the HTTP server) stamps objects with wall time.
-	return time.Now() //gowren:allow clockcheck — real-mode fallback when no Clock is injected
+	return time.Now() //gowren:allow clockcheck — LastModified is wall time; nothing simulated reads it
 }
 
 func syntheticETag(bucket, key string, size int64) string {

@@ -350,7 +350,7 @@ func TestStoreChargesSimulatedLatency(t *testing.T) {
 		RTT:          netsim.Constant{D: 10 * time.Millisecond},
 		BandwidthBps: 1 << 20, // 1 MiB/s
 	})
-	s := NewStore(WithLink(clk, link))
+	s := NewLinked(NewStore(), clk, link)
 	start := clk.Now()
 	clk.Run(func() {
 		if err := s.CreateBucket("b"); err != nil {
@@ -376,7 +376,7 @@ func TestStoreChargesSimulatedLatency(t *testing.T) {
 func TestStoreInjectedFailures(t *testing.T) {
 	clk := vclock.NewVirtual()
 	link := netsim.NewLink(netsim.LinkConfig{FailureProb: 1.0, Seed: 1})
-	s := NewStore(WithLink(clk, link))
+	s := NewLinked(NewStore(), clk, link)
 	clk.Run(func() {
 		if err := s.CreateBucket("b"); !errors.Is(err, ErrRequestFailed) {
 			t.Errorf("err = %v, want ErrRequestFailed", err)

@@ -52,7 +52,6 @@ var (
 type TransportCounts struct {
 	PutOps    int64 // writes / publishes accepted by the tier
 	GetOps    int64 // reads / pulls attempted against the tier
-	DeleteOps int64
 	BytesIn   int64 // bytes written into the tier
 	BytesOut  int64 // bytes served by the tier
 	Hits      int64 // reads answered from the tier
@@ -62,16 +61,15 @@ type TransportCounts struct {
 
 // transportCounters is the live, concurrently-updated form.
 type transportCounters struct {
-	putOps, getOps, deleteOps atomic.Int64
-	bytesIn, bytesOut         atomic.Int64
-	hits, misses, fallbacks   atomic.Int64
+	putOps, getOps          atomic.Int64
+	bytesIn, bytesOut       atomic.Int64
+	hits, misses, fallbacks atomic.Int64
 }
 
 func (c *transportCounters) snapshot() TransportCounts {
 	return TransportCounts{
 		PutOps:    c.putOps.Load(),
 		GetOps:    c.getOps.Load(),
-		DeleteOps: c.deleteOps.Load(),
 		BytesIn:   c.bytesIn.Load(),
 		BytesOut:  c.bytesOut.Load(),
 		Hits:      c.hits.Load(),
@@ -252,40 +250,6 @@ func (c *Cache) Get(key string) ([]byte, error) {
 	return data, nil
 }
 
-// Delete removes the entry under key, if present.
-func (c *Cache) Delete(key string) error {
-	if c.charge(0) {
-		return ErrUnavailable
-	}
-	if c.isDown() {
-		return ErrUnavailable
-	}
-	c.counts.deleteOps.Add(1)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.used -= int64(len(e.data))
-		c.lru.Remove(el)
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// Used returns the bytes currently resident.
-func (c *Cache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Peers is the direct-transfer registry: partitions a lingering map
 // activation is serving, keyed by (executor, call). Publish is free — the
 // advertisement rides the producer's status record — while every Pull pays
@@ -330,9 +294,6 @@ func NewPeers(clk vclock.Clock, link *netsim.Link, linger time.Duration, lost fu
 }
 
 func peerKey(execID, callID string) string { return execID + "/" + callID }
-
-// Linger returns the configured linger window.
-func (p *Peers) Linger() time.Duration { return p.linger }
 
 // isLost consults the peer-kill probe and, while it reports true, drops
 // every advertisement: the lingering containers are gone.
@@ -436,13 +397,6 @@ func (p *Peers) charge(payloadBytes int64) bool {
 	return fail
 }
 
-// Len returns the number of live advertisements.
-func (p *Peers) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.entries)
-}
-
 // Config wires a Fabric.
 type Config struct {
 	Clock vclock.Clock
@@ -452,9 +406,6 @@ type Config struct {
 	PeerLink  *netsim.Link
 	// CacheCapacity bounds the memory-tier node; zero selects 256 MiB.
 	CacheCapacity int64
-	// Linger bounds how long a direct-transport producer stays resident
-	// to serve pulls; zero selects 30 s.
-	Linger time.Duration
 	// CacheDown and PeerLost are the chaos probes; nil means never.
 	CacheDown func() bool
 	PeerLost  func() bool
@@ -475,7 +426,8 @@ type Fabric struct {
 // DefaultCacheCapacity is the memory-tier node size when unconfigured.
 const DefaultCacheCapacity int64 = 256 << 20
 
-// DefaultLinger is the direct-transport linger window when unconfigured.
+// DefaultLinger is how long a direct-transport producer stays resident to
+// serve pulls.
 const DefaultLinger = 30 * time.Second
 
 // NewFabric validates cfg, applies defaults and returns the fabric.
@@ -483,14 +435,11 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = DefaultCacheCapacity
 	}
-	if cfg.Linger == 0 {
-		cfg.Linger = DefaultLinger
-	}
 	cache, err := NewCache(cfg.Clock, cfg.CacheLink, cfg.CacheCapacity, cfg.CacheDown, cfg.Spill)
 	if err != nil {
 		return nil, err
 	}
-	peers, err := NewPeers(cfg.Clock, cfg.PeerLink, cfg.Linger, cfg.PeerLost)
+	peers, err := NewPeers(cfg.Clock, cfg.PeerLink, DefaultLinger, cfg.PeerLost)
 	if err != nil {
 		return nil, err
 	}

@@ -54,8 +54,8 @@ func TestCacheLRUEvictionSpillsInOrder(t *testing.T) {
 	if !bytes.Equal(spillData["b"], bytes.Repeat([]byte("b"), 40)) {
 		t.Fatalf("spill handed back wrong bytes for b")
 	}
-	if c.Len() != 2 || c.Used() != 80 {
-		t.Fatalf("len=%d used=%d after eviction, want 2/80", c.Len(), c.Used())
+	if len(c.entries) != 2 || c.used != 80 {
+		t.Fatalf("len=%d used=%d after eviction, want 2/80", len(c.entries), c.used)
 	}
 	clk.Run(func() {
 		if _, err := c.Get("b"); !errors.Is(err, ErrNotFound) {
@@ -85,19 +85,8 @@ func TestCacheUpdateReplacesInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if c.Len() != 1 || c.Used() != 30 {
-		t.Fatalf("len=%d used=%d after in-place update, want 1/30", c.Len(), c.Used())
-	}
-	clk.Run(func() {
-		if err := c.Delete("k"); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Delete("k"); err != nil { // idempotent
-			t.Fatal(err)
-		}
-	})
-	if c.Len() != 0 || c.Used() != 0 {
-		t.Fatalf("len=%d used=%d after delete, want 0/0", c.Len(), c.Used())
+	if len(c.entries) != 1 || c.used != 30 {
+		t.Fatalf("len=%d used=%d after in-place update, want 1/30", len(c.entries), c.used)
 	}
 }
 
@@ -109,7 +98,7 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 			t.Fatalf("Put oversized = %v, want ErrTooLarge", err)
 		}
 	})
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatalf("oversized entry was admitted")
 	}
 }
@@ -139,8 +128,8 @@ func TestCacheKillFlushesContents(t *testing.T) {
 	if c.flushed.Load() != 1 {
 		t.Fatalf("flushed = %d, want 1", c.flushed.Load())
 	}
-	if c.Used() != 0 {
-		t.Fatalf("used = %d after flush", c.Used())
+	if c.used != 0 {
+		t.Fatalf("used = %d after flush", c.used)
 	}
 }
 
@@ -182,8 +171,8 @@ func TestPeersPublishPullAndExpiry(t *testing.T) {
 			t.Fatalf("Pull after linger = %v, want ErrExpired", err)
 		}
 	})
-	if p.Len() != 0 {
-		t.Fatalf("live ads = %d after expiry", p.Len())
+	if len(p.entries) != 0 {
+		t.Fatalf("live ads = %d after expiry", len(p.entries))
 	}
 	if p.expired.Load() != 1 {
 		t.Fatalf("expired = %d, want 1", p.expired.Load())
@@ -204,8 +193,8 @@ func TestPeersPublishSweepsExpiredQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if p.Len() != 1 {
-		t.Fatalf("live ads = %d after sweep, want 1", p.Len())
+	if len(p.entries) != 1 {
+		t.Fatalf("live ads = %d after sweep, want 1", len(p.entries))
 	}
 	if p.expired.Load() != 5 {
 		t.Fatalf("expired = %d, want 5", p.expired.Load())
@@ -233,8 +222,8 @@ func TestPeersLossDropsAllAdvertisements(t *testing.T) {
 			t.Fatalf("Pull after loss = %v, want ErrNotFound", err)
 		}
 	})
-	if p.Len() != 0 {
-		t.Fatalf("live ads = %d after loss", p.Len())
+	if len(p.entries) != 0 {
+		t.Fatalf("live ads = %d after loss", len(p.entries))
 	}
 	if p.dropped.Load() != 3 {
 		t.Fatalf("dropped = %d, want 3", p.dropped.Load())
@@ -254,8 +243,8 @@ func TestFabricCountsAndFallbacks(t *testing.T) {
 	if f.Cache.capacity != DefaultCacheCapacity {
 		t.Fatalf("default capacity = %d", f.Cache.capacity)
 	}
-	if f.Peers.Linger() != DefaultLinger {
-		t.Fatalf("default linger = %v", f.Peers.Linger())
+	if f.Peers.linger != DefaultLinger {
+		t.Fatalf("default linger = %v", f.Peers.linger)
 	}
 	clk.Run(func() {
 		if err := f.Cache.Put("k", []byte("abc")); err != nil {

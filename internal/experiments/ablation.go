@@ -26,6 +26,8 @@ type SpawnGroupResult struct {
 // RunSpawnGroupAblation invokes n short tasks with massive spawning at each
 // group size and reports the time for all of them to be running. The paper
 // §5.1 settled on groups of 100 after finding one big group too slow.
+//
+//gowren:allow reach — an ablation harness: go test -bench=BenchmarkAblation runs it (EXPERIMENTS.md "Ablations")
 func RunSpawnGroupAblation(n int, groupSizes []int, seed int64) ([]SpawnGroupResult, error) {
 	out := make([]SpawnGroupResult, 0, len(groupSizes))
 	for _, g := range groupSizes {
@@ -78,6 +80,8 @@ type WarmColdResult struct {
 }
 
 // RunWarmColdAblation measures container reuse: the §3.1 caching story.
+//
+//gowren:allow reach — an ablation harness: go test -bench=BenchmarkAblation runs it (EXPERIMENTS.md "Ablations")
 func RunWarmColdAblation(n int, seed int64) (WarmColdResult, error) {
 	cloud, err := newWorkloadCloud(seed, n+50)
 	if err != nil {
@@ -129,6 +133,8 @@ type PartitionGranularityResult struct {
 // RunPartitionGranularityAblation contrasts the two §4.3 partitioning
 // modes on the same dataset: user-defined chunk size vs one executor per
 // object. Per-object granularity leaves big cities as stragglers.
+//
+//gowren:allow reach — an ablation harness: go test -bench=BenchmarkAblation runs it (EXPERIMENTS.md "Ablations")
 func RunPartitionGranularityAblation(datasetBytes int64, chunkMiB int, seed int64) (PartitionGranularityResult, error) {
 	var out PartitionGranularityResult
 	run := func(chunkBytes int64) (int, time.Duration, error) {
@@ -201,6 +207,8 @@ type ShuffleAblationRow struct {
 // RunShuffleAblation measures the keyed tone-count job across reduce-side
 // parallelism levels. Beyond the paper: it quantifies the object-storage
 // shuffle its related-work section identifies as the open challenge.
+//
+//gowren:allow reach — an ablation harness: go test -bench=BenchmarkAblation runs it (EXPERIMENTS.md "Ablations")
 func RunShuffleAblation(datasetBytes int64, reducerCounts []int, seed int64) ([]ShuffleAblationRow, error) {
 	out := make([]ShuffleAblationRow, 0, len(reducerCounts))
 	for _, r := range reducerCounts {
@@ -265,6 +273,8 @@ type WANSweepRow struct {
 // between the client and the data center can significantly impact the total
 // invocation time" — by running the local-invocation arm under increasing
 // client RTTs and failure rates.
+//
+//gowren:allow reach — an ablation harness: go test -bench=BenchmarkAblation runs it (EXPERIMENTS.md "Ablations")
 func RunWANLatencySweep(n int, rows []WANSweepRow, seed int64) ([]WANSweepRow, error) {
 	out := make([]WANSweepRow, 0, len(rows))
 	for _, row := range rows {
@@ -334,6 +344,8 @@ type ChaosRecoveryResult struct {
 }
 
 // RecoveryOverhead is the extra job time the fault windows cost.
+//
+//gowren:allow reach — an ablation harness: TestChaosRecoveryAblation and CI's chaos job run it
 func (r ChaosRecoveryResult) RecoveryOverhead() time.Duration {
 	return r.Faulted - r.Clean
 }
@@ -344,6 +356,8 @@ func (r ChaosRecoveryResult) RecoveryOverhead() time.Duration {
 // (recovery in the wait path re-executes lost calls); the delta is the
 // price of riding out the incident rather than failing the job, the
 // fault-tolerance story §5.1's WAN retry observations motivate.
+//
+//gowren:allow reach — an ablation harness: TestChaosRecoveryAblation and CI's chaos job run it
 func RunChaosRecoveryAblation(n int, taskSeconds float64, seed int64) (ChaosRecoveryResult, error) {
 	var out ChaosRecoveryResult
 	run := func(faulted bool) (time.Duration, int, error) {
@@ -419,6 +433,8 @@ type SpeculationResult struct {
 // the first attempts draw identical jitter) with plain GetResult and with
 // speculative re-execution, reporting both job times. It quantifies the
 // straggler effect behind Fig. 3's runtime spread.
+//
+//gowren:allow reach — an ablation harness: go test -bench=BenchmarkAblation runs it (EXPERIMENTS.md "Ablations")
 func RunSpeculationAblation(n int, taskSeconds float64, seed int64) (SpeculationResult, error) {
 	run := func(speculate bool) (time.Duration, error) {
 		img := gowren.NewImage(gowren.DefaultRuntime, 0)

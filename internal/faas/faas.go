@@ -316,40 +316,6 @@ func (c *Controller) CreateAction(spec ActionSpec) error {
 	return nil
 }
 
-// UpdateAction replaces an existing action's spec (new handler, image,
-// limits), keeping its name — OpenWhisk's action update. Warm containers of
-// the old version are discarded so the next invocation cold-starts the new
-// code.
-func (c *Controller) UpdateAction(spec ActionSpec) error {
-	if spec.Name == "" {
-		return errors.New("faas: action name required")
-	}
-	if spec.Handler == nil {
-		return fmt.Errorf("faas: action %q has no handler", spec.Name)
-	}
-	if spec.MemoryMB == 0 {
-		spec.MemoryMB = DefaultMemoryMB
-	}
-	if spec.MemoryMB > MaxMemoryMB {
-		return fmt.Errorf("faas: action %q requests %d MB: %w", spec.Name, spec.MemoryMB, ErrMemoryLimit)
-	}
-	if spec.Timeout <= 0 || spec.Timeout > DefaultTimeout {
-		spec.Timeout = DefaultTimeout
-	}
-	img, err := c.cfg.Registry.Pull(spec.Image)
-	if err != nil {
-		return fmt.Errorf("faas: action %q: %w", spec.Name, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.actions[spec.Name]; !ok {
-		return fmt.Errorf("faas: update action %q: %w", spec.Name, ErrNoSuchAction)
-	}
-	c.actions[spec.Name] = &action{spec: spec, img: img}
-	delete(c.warm, spec.Name)
-	return nil
-}
-
 // DeleteAction unregisters an action. In-flight activations finish;
 // subsequent invocations fail with ErrNoSuchAction.
 func (c *Controller) DeleteAction(name string) error {
@@ -696,12 +662,4 @@ func (c *Controller) Actions() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// WarmContainers reports the current number of idle warm containers for an
-// action (for tests and ablation benchmarks).
-func (c *Controller) WarmContainers(actionName string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.warm[actionName])
 }

@@ -61,6 +61,13 @@ func (e *testEnv) sleepAction(t *testing.T, name string, d time.Duration) {
 	}
 }
 
+// warmContainers counts the idle warm containers of an action.
+func warmContainers(c *Controller, action string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.warm[action])
+}
+
 func TestNewValidation(t *testing.T) {
 	clk := vclock.NewVirtual()
 	reg := runtime.NewRegistry()
@@ -203,7 +210,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 			rec, _ := e.ctrl.Activation(id1)
 			return rec.Done()
 		}, 10*time.Millisecond, time.Time{})
-		if e.ctrl.WarmContainers("work") != 1 {
+		if warmContainers(e.ctrl, "work") != 1 {
 			t.Error("container not kept warm after completion")
 		}
 		e.clk.Sleep(time.Minute) // outlive the keep-alive
@@ -415,7 +422,7 @@ func TestCrashInjection(t *testing.T) {
 	if rec.OK || !strings.Contains(rec.Error, "crashed") {
 		t.Fatalf("activation = %+v, want crash", rec)
 	}
-	if e.ctrl.WarmContainers("doomed") != 0 {
+	if warmContainers(e.ctrl, "doomed") != 0 {
 		t.Fatal("crashed container returned to the warm pool")
 	}
 }
@@ -495,68 +502,6 @@ func TestConcurrencyTimelineFromActivations(t *testing.T) {
 				t.Fatalf("activations %s and %s do not overlap", a.ID, b.ID)
 			}
 		}
-	}
-}
-
-func TestUpdateAction(t *testing.T) {
-	e := newEnv(t, nil)
-	e.sleepAction(t, "work", time.Second)
-	// Warm a container, then update the action: the pool must be dropped
-	// and the new handler must serve the next invocation.
-	e.clk.Run(func() {
-		id, err := e.ctrl.Invoke("work", nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		vclock.Poll(e.clk, func() bool {
-			rec, _ := e.ctrl.Activation(id)
-			return rec.Done()
-		}, 10*time.Millisecond, time.Time{})
-		if e.ctrl.WarmContainers("work") != 1 {
-			t.Error("no warm container before update")
-		}
-		err = e.ctrl.UpdateAction(ActionSpec{
-			Name:  "work",
-			Image: runtime.DefaultImage,
-			Handler: func(*runtime.Ctx, []byte) ([]byte, error) {
-				return []byte(`"v2"`), nil
-			},
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if e.ctrl.WarmContainers("work") != 0 {
-			t.Error("warm pool survived the update")
-		}
-		id2, err := e.ctrl.Invoke("work", nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		vclock.Poll(e.clk, func() bool {
-			rec, _ := e.ctrl.Activation(id2)
-			return rec.Done()
-		}, 10*time.Millisecond, time.Time{})
-		rec, _ := e.ctrl.Activation(id2)
-		if string(rec.Result) != `"v2"` {
-			t.Errorf("updated action result = %s", rec.Result)
-		}
-		if !rec.ColdStart {
-			t.Error("updated action should cold-start")
-		}
-	})
-}
-
-func TestUpdateActionValidation(t *testing.T) {
-	e := newEnv(t, nil)
-	h := func(*runtime.Ctx, []byte) ([]byte, error) { return nil, nil }
-	if err := e.ctrl.UpdateAction(ActionSpec{Name: "ghost", Image: runtime.DefaultImage, Handler: h}); !errors.Is(err, ErrNoSuchAction) {
-		t.Fatalf("update missing err = %v", err)
-	}
-	if err := e.ctrl.UpdateAction(ActionSpec{Image: runtime.DefaultImage, Handler: h}); err == nil {
-		t.Fatal("nameless update accepted")
 	}
 }
 

@@ -27,21 +27,6 @@ type Series struct {
 	Values []int
 }
 
-// At returns the sample index for an offset.
-func (s Series) At(offset time.Duration) int {
-	if s.Step <= 0 || len(s.Values) == 0 {
-		return 0
-	}
-	i := int(offset / s.Step)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.Values) {
-		i = len(s.Values) - 1
-	}
-	return s.Values[i]
-}
-
 // Max returns the series' maximum value.
 func (s Series) Max() int {
 	m := 0

@@ -26,7 +26,7 @@ func TestConcurrencySeriesBasic(t *testing.T) {
 		12 * time.Second: 1,
 	}
 	for off, want := range checks {
-		if got := s.At(off); got != want {
+		if got := s.Values[off/s.Step]; got != want {
 			t.Errorf("concurrency at %v = %d, want %d", off, got, want)
 		}
 	}
@@ -134,20 +134,6 @@ func TestTableRender(t *testing.T) {
 	csv := tb.RenderCSV()
 	if !strings.HasPrefix(csv, "Chunk,Speedup\n64MB,10.95x\n") {
 		t.Fatalf("csv = %q", csv)
-	}
-}
-
-func TestSeriesAtBounds(t *testing.T) {
-	s := Series{Step: time.Second, Values: []int{5, 6}}
-	if s.At(-time.Second) != 5 {
-		t.Fatal("negative offset should clamp to first")
-	}
-	if s.At(time.Hour) != 6 {
-		t.Fatal("overlong offset should clamp to last")
-	}
-	var empty Series
-	if empty.At(0) != 0 {
-		t.Fatal("empty series At should be 0")
 	}
 }
 

@@ -116,13 +116,6 @@ func (l *Link) SetSchedule(s *Schedule) {
 	l.sched = s
 }
 
-// Schedule returns the attached degradation schedule, or nil.
-func (l *Link) Schedule() *Schedule {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sched
-}
-
 // RequestCost returns the simulated duration of one request carrying
 // payloadBytes, and whether the request fails. A failing request still
 // consumes its duration (the caller observed a timeout or error response).

@@ -90,12 +90,6 @@ func (s *Schedule) active() (Phase, bool) {
 	return Phase{}, false
 }
 
-// Partitioned reports whether a full-partition phase is active now.
-func (s *Schedule) Partitioned() bool {
-	p, ok := s.active()
-	return ok && p.Partition
-}
-
 // degradeLatency applies the active phase (if any) to a base latency sample.
 func (s *Schedule) degradeLatency(d time.Duration) time.Duration {
 	p, ok := s.active()

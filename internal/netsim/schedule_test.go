@@ -30,9 +30,15 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
+// partitioned reports whether a full-partition phase is active now.
+func partitioned(s *Schedule) bool {
+	p, ok := s.active()
+	return ok && p.Partition
+}
+
 func TestNilScheduleInert(t *testing.T) {
 	var s *Schedule
-	if s.Partitioned() {
+	if partitioned(s) {
 		t.Fatal("nil schedule partitioned")
 	}
 	if got := s.degradeLatency(7 * time.Millisecond); got != 7*time.Millisecond {
@@ -94,7 +100,7 @@ func TestPartitionWindow(t *testing.T) {
 			t.Fatal("Fail() true before partition window")
 		}
 		clk.Sleep(5 * time.Second) // t=5s: partition starts
-		if !sched.Partitioned() {
+		if !partitioned(sched) {
 			t.Fatal("schedule not partitioned at t=5s")
 		}
 		for i := 0; i < 50; i++ {
@@ -110,7 +116,7 @@ func TestPartitionWindow(t *testing.T) {
 			}
 		}
 		clk.Sleep(10 * time.Second) // t=15s: partition heals
-		if sched.Partitioned() {
+		if partitioned(sched) {
 			t.Fatal("still partitioned after window")
 		}
 		if _, failed := l.RequestCost(0); failed {
@@ -187,11 +193,11 @@ func TestOverlappingPhasesFirstWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk.Sleep(7 * time.Second) // both windows active
-		if sched.Partitioned() {
+		if partitioned(sched) {
 			t.Fatal("second phase won over first")
 		}
 		clk.Sleep(5 * time.Second) // t=12s: only the partition phase
-		if !sched.Partitioned() {
+		if !partitioned(sched) {
 			t.Fatal("partition phase not active at t=12s")
 		}
 	})
@@ -206,11 +212,11 @@ func TestScheduleEpochAnchoredAtCreation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sched.Partitioned() {
+		if !partitioned(sched) {
 			t.Fatal("window [0,1s) not active immediately after creation at t=30s")
 		}
 		clk.Sleep(time.Second)
-		if sched.Partitioned() {
+		if partitioned(sched) {
 			t.Fatal("window still active after 1s")
 		}
 	})

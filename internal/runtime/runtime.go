@@ -301,18 +301,6 @@ func (r *Registry) Pull(name string) (*Image, error) {
 	return img, nil
 }
 
-// Images lists published image names, sorted.
-func (r *Registry) Images() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.images))
-	for n := range r.images {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Spawner is implemented by the executor layer and injected into function
 // contexts to enable dynamic composition: code inside a function spawning
 // further parallel functions (paper §4.4). The returned FuturesRef can be

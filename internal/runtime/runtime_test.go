@@ -81,9 +81,6 @@ func TestRegistryPublishPull(t *testing.T) {
 	if _, err := r.Pull("nope"); !errors.Is(err, ErrImageNotFound) {
 		t.Fatalf("pull missing err = %v", err)
 	}
-	if got := r.Images(); !reflect.DeepEqual(got, []string{"matplotlib:1"}) {
-		t.Fatalf("Images() = %v", got)
-	}
 }
 
 func TestCtxChargeComputeAdvancesClock(t *testing.T) {

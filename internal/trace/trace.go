@@ -111,15 +111,6 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// CountByKind tallies recorded events per kind.
-func (r *Recorder) CountByKind() map[string]int {
-	counts := make(map[string]int)
-	for _, ev := range r.Events() {
-		counts[ev.Kind]++
-	}
-	return counts
-}
-
 // Dump writes the timeline with offsets relative to origin (zero origin
 // uses the first event's time).
 func (r *Recorder) Dump(w io.Writer, origin time.Time) error {

@@ -52,20 +52,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Events() != nil || r.Dropped() != 0 {
 		t.Fatal("nil recorder should be inert")
 	}
-	if counts := r.CountByKind(); len(counts) != 0 {
-		t.Fatalf("nil counts = %v", counts)
-	}
-}
-
-func TestCountByKind(t *testing.T) {
-	r := New(16)
-	r.Emit(t0, KindInvoke, "a", "")
-	r.Emit(t0, KindInvoke, "b", "")
-	r.Emit(t0, KindThrottle, "c", "")
-	counts := r.CountByKind()
-	if counts[KindInvoke] != 2 || counts[KindThrottle] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
 }
 
 func TestDump(t *testing.T) {

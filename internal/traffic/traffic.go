@@ -46,10 +46,8 @@ type Config struct {
 	// shares, 1 gives the classic 1/rank falloff.
 	ZipfS float64
 	// DiurnalAmplitude in [0, 1) modulates the rate as
-	// 1 + A·sin(2πt/Period); 0 disables the sinusoid.
+	// 1 + A·sin(2πt/Horizon); 0 disables the sinusoid.
 	DiurnalAmplitude float64
-	// DiurnalPeriod is the sinusoid period (default: the horizon).
-	DiurnalPeriod time.Duration
 	// Bursts are per-tenant overload windows.
 	Bursts []Burst
 }
@@ -93,10 +91,6 @@ func Generate(cfg Config) ([]Arrival, error) {
 	if cfg.DiurnalAmplitude < 0 || cfg.DiurnalAmplitude >= 1 {
 		return nil, fmt.Errorf("traffic: diurnal amplitude must be in [0,1), got %g", cfg.DiurnalAmplitude)
 	}
-	period := cfg.DiurnalPeriod
-	if period <= 0 {
-		period = cfg.Horizon
-	}
 	shares := cfg.Shares()
 	var out []Arrival
 	for i, tenant := range cfg.Tenants {
@@ -108,7 +102,7 @@ func Generate(cfg Config) ([]Arrival, error) {
 		// seed with a splitmix-style constant so adjacent seeds do not
 		// produce correlated streams.
 		src := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)))
-		out = append(out, thinnedStream(src, tenant, rate, period, cfg)...)
+		out = append(out, thinnedStream(src, tenant, rate, cfg)...)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].At != out[b].At {
@@ -122,7 +116,7 @@ func Generate(cfg Config) ([]Arrival, error) {
 // thinnedStream realizes one tenant's inhomogeneous Poisson process by
 // Lewis-Shedler thinning: candidates arrive at the tenant's peak rate and
 // survive with probability rate(t)/peak.
-func thinnedStream(src *rand.Rand, tenant string, rate float64, period time.Duration, cfg Config) []Arrival {
+func thinnedStream(src *rand.Rand, tenant string, rate float64, cfg Config) []Arrival {
 	peak := rate * (1 + cfg.DiurnalAmplitude) * maxBurstFactor(tenant, cfg.Bursts)
 	var out []Arrival
 	t := time.Duration(0)
@@ -132,7 +126,7 @@ func thinnedStream(src *rand.Rand, tenant string, rate float64, period time.Dura
 		if t >= cfg.Horizon {
 			return out
 		}
-		r := rate * diurnal(t, period, cfg.DiurnalAmplitude) * burstFactor(tenant, t, cfg.Bursts)
+		r := rate * diurnal(t, cfg.Horizon, cfg.DiurnalAmplitude) * burstFactor(tenant, t, cfg.Bursts)
 		if src.Float64()*peak < r {
 			out = append(out, Arrival{At: t, Tenant: tenant})
 		}

@@ -38,11 +38,6 @@ type Clock interface {
 	Wait()
 }
 
-// Since returns the time elapsed on c since t.
-func Since(c Clock, t time.Time) time.Duration {
-	return c.Now().Sub(t)
-}
-
 // Poll calls pred repeatedly, sleeping interval between attempts, until pred
 // returns true or the deadline (zero means none) passes. It reports whether
 // pred succeeded. On a virtual clock polling is essentially free; interval

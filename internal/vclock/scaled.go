@@ -30,9 +30,6 @@ func NewScaled(factor float64) *Scaled {
 	return &Scaled{factor: factor, start: now, epoch: now}
 }
 
-// Factor returns the acceleration factor.
-func (s *Scaled) Factor() float64 { return s.factor }
-
 // Now returns the scaled time: epoch + wallElapsed × factor.
 func (s *Scaled) Now() time.Time {
 	wall := time.Since(s.start)

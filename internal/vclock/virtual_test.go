@@ -236,8 +236,8 @@ func TestRealClockBasics(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
 		t.Fatalf("elapsed %v < sleep duration", elapsed)
 	}
-	if Since(clk, start) < 10*time.Millisecond {
-		t.Fatal("Since helper disagrees")
+	if clk.Now().Sub(start) < 10*time.Millisecond {
+		t.Fatal("clock Now disagrees")
 	}
 }
 
@@ -301,8 +301,8 @@ func TestWatchdogStopIdempotent(t *testing.T) {
 
 func TestScaledClockAccelerates(t *testing.T) {
 	clk := NewScaled(100)
-	if clk.Factor() != 100 {
-		t.Fatalf("factor = %v", clk.Factor())
+	if clk.factor != 100 {
+		t.Fatalf("factor = %v", clk.factor)
 	}
 	wallStart := time.Now()
 	simStart := clk.Now()
@@ -327,10 +327,10 @@ func TestScaledClockAccelerates(t *testing.T) {
 }
 
 func TestScaledClockDegenerateFactor(t *testing.T) {
-	if got := NewScaled(0).Factor(); got != 1 {
+	if got := NewScaled(0).factor; got != 1 {
 		t.Fatalf("factor = %v, want clamp to 1", got)
 	}
-	if got := NewScaled(-3).Factor(); got != 1 {
+	if got := NewScaled(-3).factor; got != 1 {
 		t.Fatalf("factor = %v, want clamp to 1", got)
 	}
 }

@@ -29,6 +29,8 @@ func (r WatchdogReport) String() string {
 // A nil onStuck panics with the report. The returned stop function halts
 // the watchdog (idempotent). Intended for long experiment runs and tests
 // of clock-driven code.
+//
+//gowren:allow reach — fault detection: it turns a task blocked outside the clock into a report instead of a hang
 func (v *Virtual) StartWatchdog(interval time.Duration, onStuck func(WatchdogReport)) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
