@@ -32,8 +32,10 @@ race:
 	$(GO) test -race ./...
 
 # chaos runs the fault-injection acceptance suite under the race detector:
-# scripted COS brownouts, controller outages, regional partitions with
-# failover, the recovery/dead-letter machinery, the driver-kill
+# scripted COS brownouts, controller outages, regional partitions ridden
+# out by failover under sync and async replication (there is no
+# failover-off control run any more), the recovery/dead-letter budget
+# (there is no recovery-off mode either), the driver-kill
 # crash-recovery scenario (kill the driver mid-map, Attach a fresh one),
 # the exchange-tier kills (memory cache node killed mid-shuffle,
 # lingering direct-transfer peers lost before the pull — both must degrade

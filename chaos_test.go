@@ -197,36 +197,6 @@ func TestRecoveryBudgetExhaustionDeadLetters(t *testing.T) {
 	})
 }
 
-func TestRecoveryDisabledFailsFast(t *testing.T) {
-	cloud, err := gowren.NewSimCloud(gowren.SimConfig{
-		Images: []*gowren.Image{chaosImage(t)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud.Run(func() {
-		exec, err := cloud.Executor()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := exec.Map("flaky", -1); err != nil {
-			t.Errorf("map: %v", err)
-			return
-		}
-		_, err = exec.GetResult(gowren.GetResultOptions{
-			Timeout:  time.Hour,
-			Recovery: &gowren.RecoveryOptions{Disabled: true},
-		})
-		if !errors.Is(err, gowren.ErrCallFailed) {
-			t.Errorf("err = %v, want ErrCallFailed", err)
-		}
-		if dead := exec.DeadLetters(); len(dead) != 0 {
-			t.Errorf("disabled recovery still dead-lettered %d calls", len(dead))
-		}
-	})
-}
-
 func TestControllerOutageWindowRecovered(t *testing.T) {
 	// Invocations issued into a controller outage window see 429s and
 	// retry through the shared policy until the window lifts; the job
@@ -246,7 +216,7 @@ func TestControllerOutageWindowRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	cloud.Run(func() {
-		exec, err := cloud.Executor(gowren.WithRetryPolicy(8, 500*time.Millisecond))
+		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
@@ -303,10 +273,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 		var noisyDone atomic.Bool
 		cloud.Go(func() {
 			defer noisyDone.Store(true)
-			noisy, err := cloud.Executor(
-				gowren.WithTenant("noisy"),
-				gowren.WithRetryPolicy(2, 200*time.Millisecond),
-			)
+			noisy, err := cloud.Executor(gowren.WithTenant("noisy"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -326,10 +293,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 			})
 		})
 
-		exec, err := cloud.Executor(
-			gowren.WithTenant("victim"),
-			gowren.WithRetryPolicy(8, 500*time.Millisecond),
-		)
+		exec, err := cloud.Executor(gowren.WithTenant("victim"))
 		if err != nil {
 			t.Error(err)
 			return

@@ -107,8 +107,7 @@ func (e *Executor) FailedFutures() ([]*Future, error) { return e.inner.FailedFut
 func (e *Executor) Respawn(futures []*Future) error { return e.inner.Respawn(futures) }
 
 // RecoveryOptions tune GetResult's automatic re-execution of failed calls
-// (GetResultOptions.Recovery). The zero value means recovery on with
-// defaults; set Disabled for the original fail-fast client behavior.
+// (GetResultOptions.Recovery). The zero value selects the defaults.
 type RecoveryOptions = core.RecoveryOptions
 
 // DeadLetter records one call automatic recovery gave up on.
@@ -278,13 +277,10 @@ func ShuffleResults(exec *Executor, opts ...GetResultOptions) ([]KeyResult, erro
 	return out, nil
 }
 
-// SpeculationOptions re-exports straggler re-execution tuning.
-type SpeculationOptions = core.SpeculationOptions
-
 // GetResultSpeculative is GetResult with straggler mitigation: once most of
 // the job has completed, lingering calls are re-invoked from their staged
 // payloads and the first completion wins. Functions must be idempotent
 // (GoWren jobs are: results are pure functions of the staged payload).
-func (e *Executor) GetResultSpeculative(opts GetResultOptions, spec SpeculationOptions) ([]json.RawMessage, error) {
-	return e.inner.GetResultSpeculative(opts, spec)
+func (e *Executor) GetResultSpeculative(opts GetResultOptions) ([]json.RawMessage, error) {
+	return e.inner.GetResultSpeculative(opts)
 }

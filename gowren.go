@@ -189,7 +189,7 @@ const (
 // LinkPhase is one scripted WAN degradation window on a network link
 // (latency inflation, brownout, or full partition), driven by the
 // simulation clock. Use it in RegionSpec.Degrade to script a region's
-// network weather, or in WithLinkDegradation for a client's own path.
+// network weather.
 type LinkPhase = netsim.Phase
 
 // RegionSpec describes one region of a multi-region COS deployment
@@ -291,6 +291,8 @@ type SimConfig struct {
 	Regions []RegionSpec
 	// Replication selects sync (default) or async write propagation across
 	// Regions. Ignored for single-region clouds.
+	//
+	//gowren:allow reach — TestRegionAsyncPartitionCompletesAndRepairs is async replication's only end-to-end check until bench/ has a regions workload
 	Replication ReplicationMode
 	// RegionZeroPlacement restores the legacy placement policy: in-cloud
 	// functions read and write through the first region regardless of
@@ -299,12 +301,6 @@ type SimConfig struct {
 	// view, which removes almost all cross-region traffic (see
 	// DESIGN.md, "Replication modes").
 	RegionZeroPlacement bool
-	// DisableRegionFailover pins all storage traffic to the preferred
-	// region with no replica failover or read-repair — the control knob
-	// for measuring what the resilience layer buys: with it set, a
-	// regional partition surfaces as transient errors that exhaust
-	// recovery and park calls in the dead-letter list.
-	DisableRegionFailover bool
 	// TraceCapacity, when positive, enables the platform flight recorder
 	// with a ring of that many events (see Cloud.Trace).
 	TraceCapacity int
@@ -421,9 +417,6 @@ func NewSimCloud(cfg SimConfig) (*Cloud, error) {
 			}
 		}
 		var mopts []cos.MultiRegionOption
-		if cfg.DisableRegionFailover {
-			mopts = append(mopts, cos.WithoutFailover())
-		}
 		if cfg.Replication == ReplicationAsync {
 			mopts = append(mopts, cos.WithAsyncReplication(clk))
 		}
@@ -551,20 +544,16 @@ const (
 type ExecutorOption func(*executorSettings)
 
 type executorSettings struct {
-	runtime         string
-	tenant          string
-	profile         ClientProfile
-	massive         bool
-	spawnGroup      int
-	invokeConc      int
-	stageConc       int
-	clientOverhead  time.Duration
-	pollInterval    time.Duration
-	retryBackoff    time.Duration
-	maxRetries      int
-	storage         cos.Client
-	preferredRegion string
-	degrade         []LinkPhase
+	runtime        string
+	tenant         string
+	profile        ClientProfile
+	massive        bool
+	spawnGroup     int
+	invokeConc     int
+	stageConc      int
+	clientOverhead time.Duration
+	pollInterval   time.Duration
+	storage        cos.Client
 }
 
 // WithRuntime selects the runtime image, as in
@@ -618,40 +607,11 @@ func WithPollInterval(d time.Duration) ExecutorOption {
 	return func(s *executorSettings) { s.pollInterval = d }
 }
 
-// WithRetryPolicy sets the retry limit and base backoff of the executor's
-// invocation retries (internal/retry): exponential backoff with
-// decorrelated jitter, capped at 30 s between tries. Zero keeps the
-// defaults, 5 retries from 1 s. Storage requests are not governed by it:
-// they retry in the executor's storage view, 24 tries 150 ms apart.
-func WithRetryPolicy(maxRetries int, backoff time.Duration) ExecutorOption {
-	return func(s *executorSettings) {
-		s.maxRetries = maxRetries
-		s.retryBackoff = backoff
-	}
-}
-
 // WithStorage overrides the executor's object-storage client entirely —
 // e.g. a cos.HTTPClient for a store served over HTTP. The client profile
 // then affects only the invocation-API path.
 func WithStorage(client cos.Client) ExecutorOption {
 	return func(s *executorSettings) { s.storage = client }
-}
-
-// WithPreferredRegion routes this executor's storage traffic to the named
-// region first, failing over to the others only when it is unreachable
-// (or not at all under SimConfig.DisableRegionFailover). Requires a
-// multi-region cloud.
-func WithPreferredRegion(name string) ExecutorOption {
-	return func(s *executorSettings) { s.preferredRegion = name }
-}
-
-// WithLinkDegradation scripts WAN weather on this executor's own network
-// paths (control and storage): latency inflation, failure floors, full
-// partitions. Windows are relative to the Executor call. The executor
-// gets dedicated links so other clients sharing the profile are not
-// affected.
-func WithLinkDegradation(phases ...LinkPhase) ExecutorOption {
-	return func(s *executorSettings) { s.degrade = append(s.degrade, phases...) }
 }
 
 // Executor creates an executor against this cloud — the analogue of
@@ -687,12 +647,6 @@ func (c *Cloud) Attach(jobID string, opts ...ExecutorOption) (*Executor, error) 
 		return nil, err
 	}
 	return &Executor{inner: inner, clock: c.clock}, nil
-}
-
-// Attach is Cloud.Attach as a package-level helper, mirroring the paper's
-// flat client API surface.
-func Attach(c *Cloud, jobID string, opts ...ExecutorOption) (*Executor, error) {
-	return c.Attach(jobID, opts...)
 }
 
 // ListJobs lists the durable job manifests in the meta bucket — every job
@@ -738,47 +692,19 @@ func (c *Cloud) executorConfig(opts []ExecutorOption) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("gowren: unknown client profile %d", int(s.profile))
 	}
 
-	if len(s.degrade) > 0 {
-		sched, err := netsim.NewSchedule(c.clock, s.degrade)
-		if err != nil {
-			return core.Config{}, fmt.Errorf("gowren: link degradation: %w", err)
-		}
-		if s.profile == ClientInCloud {
-			// The in-cloud profile shares the platform's link; degrade a
-			// dedicated pair instead so the rest of the cloud keeps a
-			// clean path.
-			controlLink = netsim.InCloud(c.seed + 3)
-			storageLink = netsim.InCloud(c.seed + 4)
-		}
-		controlLink.SetSchedule(sched)
-		storageLink.SetSchedule(sched)
-	}
-
 	storage := s.storage
 	if storage == nil {
 		// The client's own path to storage: the single store, or the
-		// multi-region facade (optionally pinned to a preferred region).
-		// Each region charges its own link below the facade; storageLink
-		// here is the client-to-frontend hop.
+		// multi-region facade. Each region charges its own link below the
+		// facade; storageLink here is the client-to-frontend hop.
 		backend := cos.Client(c.store)
 		if c.multi != nil {
 			backend = c.multi
-			if s.preferredRegion != "" {
-				view, err := c.multi.Preferred(s.preferredRegion)
-				if err != nil {
-					return core.Config{}, fmt.Errorf("gowren: %w", err)
-				}
-				backend = view
-			}
-		} else if s.preferredRegion != "" {
-			return core.Config{}, errors.New("gowren: WithPreferredRegion requires SimConfig.Regions")
 		}
 		// A COS brownout degrades the service itself, so the client's view
 		// is chaos-wrapped exactly like the in-cloud one (below the
 		// executor's retry layer).
 		storage = chaos.WrapStorage(cos.NewLinked(backend, c.clock, storageLink), c.chaos)
-	} else if s.preferredRegion != "" {
-		return core.Config{}, errors.New("gowren: WithPreferredRegion conflicts with WithStorage")
 	}
 	return core.Config{
 		Platform:          c.platform,
@@ -791,8 +717,6 @@ func (c *Cloud) executorConfig(opts []ExecutorOption) (core.Config, error) {
 		ClientOverhead:    s.clientOverhead,
 		MassiveSpawning:   s.massive,
 		SpawnGroupSize:    s.spawnGroup,
-		MaxRetries:        s.maxRetries,
-		RetryBackoff:      s.retryBackoff,
 		PollInterval:      s.pollInterval,
 	}, nil
 }

@@ -587,7 +587,7 @@ func TestSpeculativeResultsPublicAPI(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		results, err := exec.GetResultSpeculative(gowren.GetResultOptions{}, gowren.SpeculationOptions{})
+		results, err := exec.GetResultSpeculative(gowren.GetResultOptions{})
 		if err != nil {
 			t.Error(err)
 			return

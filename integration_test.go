@@ -202,10 +202,7 @@ func TestIntegrationFailureStormRecovery(t *testing.T) {
 	// network failures instead: every layer retries, so the job must
 	// complete despite an 8% request loss rate.
 	cloud.Run(func() {
-		exec, err := cloud.Executor(
-			gowren.WithClientProfile(gowren.ClientWAN),
-			gowren.WithRetryPolicy(8, 200*time.Millisecond),
-		)
+		exec, err := cloud.Executor(gowren.WithClientProfile(gowren.ClientWAN))
 		if err != nil {
 			t.Error(err)
 			return

@@ -6,8 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -15,10 +13,11 @@ import (
 
 // TestNothingUnreached fails on every function or method in the root
 // package and internal/ that no production path reaches, and on every
-// exported field of a *Config or *Options struct that nothing in the
-// module sets, tests included. It is a test rather than a gowren-vet
-// analyzer because reachability needs the whole program at once, which the
-// per-package Pass never sees. A justified keep carries
+// exported field of a *Config or *Options struct that no production code
+// sets. Tests are not users: a knob only a test turns is reported. It is a
+// test rather than a gowren-vet analyzer because reachability needs the
+// whole program at once, which the per-package Pass never sees. A
+// justified keep carries
 //
 //	//gowren:allow reach — why
 //
@@ -28,42 +27,9 @@ func TestNothingUnreached(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	tests, err := parseTestFiles("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range unreached("gowren", pkgs, tests) {
+	for _, f := range unreached("gowren", pkgs) {
 		t.Errorf("%s: %s", f.pos, f.message())
 	}
-}
-
-// parseTestFiles parses every _test.go file under dir, skipping testdata
-// and hidden directories. Test files only count as setters of config
-// fields, so they are read by syntax alone.
-func parseTestFiles(dir string) ([]*ast.File, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != dir && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		return nil
-	})
-	return files, err
 }
 
 // reachFinding is one unreached function or one never-set config field.
@@ -75,7 +41,7 @@ type reachFinding struct {
 
 func (f reachFinding) message() string {
 	if f.field {
-		return fmt.Sprintf("config field %s is set nowhere, tests included; delete it, or keep it with //gowren:allow reach — why", f.name)
+		return fmt.Sprintf("config field %s is set by no production code; delete it, or keep it with //gowren:allow reach — why", f.name)
 	}
 	return fmt.Sprintf("%s is reached by no production path; delete it, or keep it with //gowren:allow reach — why", f.name)
 }
@@ -112,18 +78,19 @@ type reachGraph struct {
 
 // unreached reports the functions of module's root package and internal/
 // packages that no root reaches, and the exported *Config/*Options fields
-// that neither pkgs nor the syntax-only tests set, minus those kept by
-// //gowren:allow reach.
+// that no code in pkgs sets, minus those kept by //gowren:allow reach.
+// pkgs holds no test files, so a test is never a user.
 //
 // Roots: every main and init, every package-level initializer, the root
-// package's exported functions and the exported methods of its exported
-// types (promoted and aliased ones included), and every function of a
-// package whose name ends in "test". Edges: every function a declaration
+// package's exported functions other than its With* options, the exported
+// methods of the types the root package declares itself (promoted ones
+// included, aliased ones not), and every function of a package whose name
+// ends in "test". Edges: every function a declaration
 // names — a call, a method value, a function value, a generic instance.
 // An interface that reached code names or calls reaches its methods on
 // every module type that implements it, and every method of an interface
 // declared outside the module counts as called.
-func unreached(module string, pkgs []*Package, tests []*ast.File) []reachFinding {
+func unreached(module string, pkgs []*Package) []reachFinding {
 	g := &reachGraph{
 		decls:      map[string][]funcDecl{},
 		reached:    map[string]bool{},
@@ -147,7 +114,7 @@ func unreached(module string, pkgs []*Package, tests []*ast.File) []reachFinding
 		}
 	}
 
-	set := fieldsSet(pkgs, tests)
+	set := fieldsSet(pkgs)
 	var out []reachFinding
 	for _, pkg := range pkgs {
 		if pkg.Path != module && !strings.HasPrefix(pkg.Path, module+"/internal/") {
@@ -177,7 +144,7 @@ func unreached(module string, pkgs []*Package, tests []*ast.File) []reachFinding
 			owner := types.TypeString(tn.Type(), nil)
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if !f.Exported() || f.Embedded() || set.typed[owner+"."+f.Name()] || set.tests[name+"."+f.Name()] || set.tests["."+f.Name()] {
+				if !f.Exported() || f.Embedded() || set[owner+"."+f.Name()] {
 					continue
 				}
 				if pos := pkg.Fset.Position(f.Pos()); !allowed[pkg].allowsAt(pos, "reach") {
@@ -255,9 +222,14 @@ func (g *reachGraph) roots(module string, pkg *Package, allowed allowSet) {
 		}
 		switch obj := obj.(type) {
 		case *types.Func:
-			g.reach(obj)
+			if !strings.HasPrefix(name, "With") {
+				g.reach(obj)
+			}
 		case *types.TypeName:
-			typ := types.Unalias(obj.Type())
+			if obj.IsAlias() {
+				continue
+			}
+			typ := obj.Type()
 			for _, t := range []types.Type{typ, types.NewPointer(typ)} {
 				ms := types.NewMethodSet(t)
 				for i := 0; i < ms.Len(); i++ {
@@ -408,21 +380,12 @@ func sigString(fn *types.Func) string {
 	return b.String()
 }
 
-// setFields holds the config fields some code sets. typed is keyed
-// "path.Type.Field" from type-checked code. tests is keyed "Type.Field"
-// from test files, which are read by syntax alone, and ".Field" where a
-// test sets a field of a type its syntax does not name.
-type setFields struct {
-	typed map[string]bool
-	tests map[string]bool
-}
-
 // fieldsSet collects the struct fields code sets: by a composite literal,
 // an assignment, an increment or an address-of. An assignment guarded by
 // a test of the same field, as in `if c.F == 0 { c.F = d }`, defaults the
 // field and sets nothing.
-func fieldsSet(pkgs []*Package, tests []*ast.File) setFields {
-	set := setFields{typed: map[string]bool{}, tests: map[string]bool{}}
+func fieldsSet(pkgs []*Package) map[string]bool {
+	set := map[string]bool{}
 	for _, pkg := range pkgs {
 		info := pkg.Info
 		defaults := map[*ast.AssignStmt]bool{}
@@ -444,7 +407,7 @@ func fieldsSet(pkgs []*Package, tests []*ast.File) setFields {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							name = kv.Key.(*ast.Ident).Name
 						}
-						set.typed[owner+"."+name] = true
+						set[owner+"."+name] = true
 					}
 				case *ast.IfStmt:
 					tested := map[types.Object]bool{}
@@ -464,58 +427,19 @@ func fieldsSet(pkgs []*Package, tests []*ast.File) setFields {
 				case *ast.AssignStmt:
 					if !defaults[n] {
 						for _, lhs := range n.Lhs {
-							setSelector(info, lhs, set.typed)
+							setSelector(info, lhs, set)
 						}
 					}
 				case *ast.IncDecStmt:
-					setSelector(info, n.X, set.typed)
+					setSelector(info, n.X, set)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						setSelector(info, n.X, set.typed)
+						setSelector(info, n.X, set)
 					}
 				}
 				return true
 			})
 		}
-	}
-	for _, file := range tests {
-		// elided maps a composite literal without a type to the element
-		// type of the literal around it.
-		elided := map[*ast.CompositeLit]ast.Expr{}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := n.Type
-				if typ == nil {
-					typ = elided[n]
-				}
-				var elem ast.Expr
-				switch t := typ.(type) {
-				case *ast.ArrayType:
-					elem = t.Elt
-				case *ast.MapType:
-					elem = t.Value
-				}
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok && elem == nil {
-							set.tests[typeName(typ)+"."+key.Name] = true
-						}
-						elt = kv.Value
-					}
-					if inner, ok := elt.(*ast.CompositeLit); ok && inner.Type == nil {
-						elided[inner] = elem
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set.tests[declaredType(sel.X)+"."+sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
 	}
 	return set
 }
@@ -544,66 +468,14 @@ func setSelector(info *types.Info, e ast.Expr, set map[string]bool) {
 	set[types.TypeString(t, nil)+"."+sel.Sel.Name] = true
 }
 
-// typeName is the name of the named type e spells, or "".
-func typeName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.StarExpr:
-		return typeName(e.X)
-	}
-	return ""
-}
-
-// declaredType is the name of the type x's declaration spells out — a
-// typed parameter or variable, or a composite literal it is assigned —
-// or "" when the syntax does not say.
-func declaredType(x ast.Expr) string {
-	id, ok := x.(*ast.Ident)
-	if !ok || id.Obj == nil {
-		return ""
-	}
-	var names, values []ast.Expr
-	switch d := id.Obj.Decl.(type) {
-	case *ast.Field:
-		return typeName(d.Type)
-	case *ast.ValueSpec:
-		if d.Type != nil {
-			return typeName(d.Type)
-		}
-		for _, n := range d.Names {
-			names = append(names, n)
-		}
-		values = d.Values
-	case *ast.AssignStmt:
-		names, values = d.Lhs, d.Rhs
-	}
-	for i, n := range names {
-		if n.(*ast.Ident).Name != id.Name || len(values) != len(names) {
-			continue
-		}
-		v := values[i]
-		if u, ok := v.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			v = u.X
-		}
-		if lit, ok := v.(*ast.CompositeLit); ok {
-			return typeName(lit.Type)
-		}
-	}
-	return ""
-}
-
 // TestUnreachedCases runs the check over small in-memory modules named m.
 func TestUnreachedCases(t *testing.T) {
 	type src struct{ path, code string }
 	const main = "m/cmd/x"
 	cases := []struct {
-		name  string
-		pkgs  []src // in import order
-		tests string
-		want  []string
+		name string
+		pkgs []src // in import order
+		want []string
 	}{{
 		name: "interface-dispatched method",
 		pkgs: []src{
@@ -719,32 +591,40 @@ func Helper() { a.ForTests() }`},
 type T struct{}
 func (T) M() {}
 func (T) m() {}
+type U struct{}
+func (U) Promoted() {}
 func Helper() {}
 func Dead() {}`},
 			{"m", `package m
 import "m/internal/a"
 type T = a.T
-func Exported() { a.Helper() }
+type R struct{ a.U }
+func (R) Verb() { a.Helper() }
+type Option func()
+func WithUsed() Option { return nil }
+func WithUnused() Option { return nil }
+func Exported() {}
 func unexported() {}`},
+			{main, `package main
+import "m"
+func main() { m.WithUsed() }`},
 		},
-		want: []string{"m/internal/a.T.m", "m/internal/a.Dead", "m.unexported"},
+		want: []string{"m/internal/a.T.M", "m/internal/a.T.m", "m/internal/a.Dead", "m.WithUnused", "m.unexported"},
 	}, {
 		name: "config fields",
 		pkgs: []src{
 			{"m/internal/a", `package a
-type Config struct{ Set, TestOnly, Never, Defaulted int }
+type Config struct{ Set, Never, Defaulted int }
 func New(c Config) int {
 	if c.Defaulted == 0 {
 		c.Defaulted = 1
 	}
-	return c.Set + c.TestOnly + c.Never + c.Defaulted
+	return c.Set + c.Never + c.Defaulted
 }`},
 			{main, `package main
 import "m/internal/a"
 func main() { a.New(a.Config{Set: 1}) }`},
 		},
-		tests: `package a
-func f() { _ = New(Config{TestOnly: 2}) }`,
 		want: []string{"m/internal/a.Config.Never", "m/internal/a.Config.Defaulted"},
 	}}
 	for _, tc := range cases {
@@ -770,16 +650,8 @@ func f() { _ = New(Config{TestOnly: 2}) }`,
 				checked[s.path] = pkg.Types
 				pkgs = append(pkgs, pkg)
 			}
-			var tests []*ast.File
-			if tc.tests != "" {
-				f, err := parser.ParseFile(fset, "x_test.go", tc.tests, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tests = append(tests, f)
-			}
 			var got []string
-			for _, f := range unreached("m", pkgs, tests) {
+			for _, f := range unreached("m", pkgs) {
 				got = append(got, f.name)
 			}
 			sort.Strings(got)

@@ -10,6 +10,7 @@ import (
 
 	"gowren/internal/cos"
 	"gowren/internal/netsim"
+	"gowren/internal/retry"
 	"gowren/internal/runtime"
 	"gowren/internal/vclock"
 	"gowren/internal/wire"
@@ -225,7 +226,7 @@ func TestCallAsyncNonBlockingThenResult(t *testing.T) {
 	exec := e.executor(t, nil)
 	e.clk.Run(func() {
 		before := e.clk.Now()
-		fut, err := exec.CallAsync("busy", 50)
+		_, err := exec.CallAsync("busy", 50)
 		if err != nil {
 			t.Error(err)
 			return
@@ -234,11 +235,11 @@ func TestCallAsyncNonBlockingThenResult(t *testing.T) {
 		if issued := e.clk.Now().Sub(before); issued > 20*time.Second {
 			t.Errorf("call_async blocked for %v", issued)
 		}
-		done, err := fut.Done()
+		done, _, err := exec.Wait(WaitAlways, time.Time{})
 		if err != nil {
 			t.Error(err)
 		}
-		if done {
+		if len(done) != 0 {
 			t.Error("future done immediately after invocation of 50s task")
 		}
 		results, err := exec.GetResult(GetResultOptions{})
@@ -430,10 +431,10 @@ func TestMassiveSpawningEquivalentResults(t *testing.T) {
 
 func TestThrottledInvocationsRetry(t *testing.T) {
 	e := newEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = 4 })
-	exec := e.executor(t, func(c *Config) {
-		c.RetryBackoff = 500 * time.Millisecond
-		c.MaxRetries = 20
-	})
+	exec := e.executor(t, nil)
+	policy := invokeRetryPolicy
+	policy.MaxAttempts, policy.BaseBackoff = 21, 500*time.Millisecond
+	exec.invokeRetry = retry.New(e.clk, policy, retryableCall, retry.WithSeed(1))
 	var results []json.RawMessage
 	e.clk.Run(func() {
 		if _, err := exec.Map("busy", []any{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}); err != nil {
@@ -736,9 +737,9 @@ func TestStatusRecordTimestampsConsistent(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		rec, err := fut.Status()
-		if err != nil {
-			t.Error(err)
+		rec := fut.cachedStatus()
+		if rec == nil {
+			t.Error("GetResult left no status record in hand")
 			return
 		}
 		if !rec.OK {

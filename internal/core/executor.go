@@ -27,6 +27,19 @@ var (
 // defaultStageConcurrency is the stage pool size when Config leaves it zero.
 const defaultStageConcurrency = 64
 
+// invokeRetryPolicy is the client-side invocation retry schedule on
+// throttling or network failure: 5 retries of exponential backoff with
+// decorrelated jitter from 1 s, capped at 30 s between tries. Storage
+// requests do not use it: they retry in the storage view's own stage
+// (executorStorageAttempts).
+var invokeRetryPolicy = retry.Policy{
+	MaxAttempts: 6,
+	BaseBackoff: time.Second,
+	MaxBackoff:  30 * time.Second,
+	Multiplier:  2,
+	Jitter:      true,
+}
+
 // execCounter issues process-unique executor IDs. Uniqueness is all that
 // matters: IDs namespace job keys in the meta bucket.
 var execCounter atomic.Uint64
@@ -70,13 +83,6 @@ type Config struct {
 	// Zero uses 100, the paper's tuned value.
 	SpawnGroupSize int
 
-	// MaxRetries bounds client-side invocation retries on throttling or
-	// network failure. Zero uses 5. Storage requests do not use it: they
-	// retry in the storage view's own stage (executorStorageAttempts).
-	MaxRetries int
-	// RetryBackoff is the base backoff between those retries, grown with
-	// decorrelated jitter up to 30 s. Zero uses 1s.
-	RetryBackoff time.Duration
 	// PollInterval is the status-polling granularity. Zero uses 50ms.
 	PollInterval time.Duration
 
@@ -106,12 +112,6 @@ func (c *Config) applyDefaults() error {
 	if c.SpawnGroupSize <= 0 {
 		c.SpawnGroupSize = 100
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Second
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 50 * time.Millisecond
 	}
@@ -127,9 +127,8 @@ type Executor struct {
 	clock vclock.Clock
 	gil   *serial
 
-	// invokeRetry backs the client-side invocation retries: MaxRetries+1
-	// tries of exponential backoff with decorrelated jitter from
-	// RetryBackoff, on a seeded stream.
+	// invokeRetry backs the client-side invocation retries:
+	// invokeRetryPolicy on a seeded stream.
 	invokeRetry *retry.Retrier
 
 	// respawns is the unified automatic-respawn ledger shared by failure
@@ -190,13 +189,6 @@ func NewExecutor(cfg Config) (*Executor, error) {
 
 	n := execCounter.Add(1)
 	seed := cfg.Platform.nextExecutorSeed()
-	policy := retry.Policy{
-		MaxAttempts: cfg.MaxRetries + 1,
-		BaseBackoff: cfg.RetryBackoff,
-		MaxBackoff:  30 * time.Second,
-		Multiplier:  2,
-		Jitter:      true,
-	}
 	return &Executor{
 		cfg:         cfg,
 		id:          fmt.Sprintf("exec-%06d", n),
@@ -205,7 +197,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		respawns:    newRespawnLedger(),
 		sweeps:      newSweepCoordinator(cfg.Storage, clk),
 		ops:         counting,
-		invokeRetry: retry.New(clk, policy, retryableCall, retry.WithSeed(seed)),
+		invokeRetry: retry.New(clk, invokeRetryPolicy, retryableCall, retry.WithSeed(seed)),
 	}, nil
 }
 
@@ -402,13 +394,15 @@ type GetResultOptions struct {
 	// backing the paper's progress bar.
 	Progress func(done, total int)
 	// Recovery tunes automatic re-execution of failed calls while
-	// waiting. Nil uses the defaults (recovery on, 3 attempts with
-	// doubling backoff); set Recovery.Disabled for the original
-	// fail-on-first-observation client behavior.
+	// waiting. Nil uses the defaults: 3 attempts with doubling backoff.
+	//
+	//gowren:allow reach — TestRegionPartitionTransparentFailover needs recovery that outlasts a 23 s partition
 	Recovery *RecoveryOptions
 	// PartialResults returns the successful subset instead of failing the
 	// whole collection: permanently failed calls leave nil entries in the
 	// result slice and are reported through a *PartialError.
+	//
+	//gowren:allow reach — TestRecoveryBudgetExhaustionDeadLetters and the chaos acceptances read the survivors' exact values through it
 	PartialResults bool
 }
 

@@ -269,10 +269,7 @@ func TestGetResultSpeculativeBeatsStraggler(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		results, err := exec.GetResultSpeculative(GetResultOptions{}, SpeculationOptions{
-			Threshold: 0.75,
-			Factor:    2,
-		})
+		results, err := exec.GetResultSpeculative(GetResultOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -312,7 +309,7 @@ func TestGetResultSpeculativeBeatsStraggler(t *testing.T) {
 func TestGetResultSpeculativeNoFutures(t *testing.T) {
 	e := newEnv(t, nil)
 	exec := e.executor(t, nil)
-	if _, err := exec.GetResultSpeculative(GetResultOptions{}, SpeculationOptions{}); !errors.Is(err, ErrNoFutures) {
+	if _, err := exec.GetResultSpeculative(GetResultOptions{}); !errors.Is(err, ErrNoFutures) {
 		t.Fatalf("err = %v, want ErrNoFutures", err)
 	}
 }
@@ -327,7 +324,7 @@ func TestGetResultSpeculativeFastJobNoSpeculation(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := exec.GetResultSpeculative(GetResultOptions{}, SpeculationOptions{}); err != nil {
+		if _, err := exec.GetResultSpeculative(GetResultOptions{}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -351,7 +348,7 @@ func TestGetResultSpeculativeTimeout(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		_, err := exec.GetResultSpeculative(GetResultOptions{Timeout: 5 * time.Second}, SpeculationOptions{})
+		_, err := exec.GetResultSpeculative(GetResultOptions{Timeout: 5 * time.Second})
 		if !errors.Is(err, ErrWaitTimeout) {
 			t.Errorf("err = %v, want ErrWaitTimeout", err)
 		}

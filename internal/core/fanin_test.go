@@ -11,6 +11,7 @@ import (
 
 	"gowren/internal/chaos"
 	"gowren/internal/cos"
+	"gowren/internal/retry"
 	"gowren/internal/runtime"
 	"gowren/internal/trace"
 	"gowren/internal/wire"
@@ -538,7 +539,7 @@ func TestSpeculationLeavesGatedCallsAlone(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		results, err := exec.GetResultSpeculative(GetResultOptions{Timeout: time.Hour}, SpeculationOptions{})
+		results, err := exec.GetResultSpeculative(GetResultOptions{Timeout: time.Hour})
 		if err != nil {
 			t.Error(err)
 			return
@@ -667,7 +668,10 @@ func TestMapPhaseFailureLeavesNothingTracked(t *testing.T) {
 		}
 		cfg.Chaos = plan
 	})
-	exec := fe.executor(t, func(c *Config) { c.MaxRetries = 1 })
+	exec := fe.executor(t, nil)
+	policy := invokeRetryPolicy
+	policy.MaxAttempts = 2
+	exec.invokeRetry = retry.New(fe.clk, policy, retryableCall, retry.WithSeed(1))
 	fe.clk.Run(func() {
 		if _, err := exec.MapReduce("add7", InlineValues{1, 2}, "sum", MapReduceOptions{}); err == nil {
 			t.Error("map_reduce through a controller outage succeeded")

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"gowren/internal/cos"
 	"gowren/internal/vclock"
 	"gowren/internal/wire"
 )
@@ -48,9 +47,6 @@ func newFuture(e *Executor, executorID, callID, activationID string) *Future {
 
 // CallID returns the future's call identifier.
 func (f *Future) CallID() string { return f.callID }
-
-// ExecutorID returns the executor namespace of the call.
-func (f *Future) ExecutorID() string { return f.executorID }
 
 // ActivationID returns the platform activation ID when known (direct
 // invocation); it is empty under massive spawning.
@@ -95,52 +91,6 @@ func (f *Future) knownDone() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.done
-}
-
-func (f *Future) failure() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.failed
-}
-
-// Done checks whether the call has finished. A single future needs no
-// prefix sweep: one HEAD of its status key answers the question in O(1)
-// regardless of how many siblings share the namespace, and a miss falls
-// back to the activation record so a platform-dead call still surfaces.
-func (f *Future) Done() (bool, error) {
-	if f.knownDone() {
-		return true, nil
-	}
-	meta := f.exec.cfg.Platform.MetaBucket()
-	_, err := f.exec.cfg.Storage.Head(meta, statusKey(f.executorID, f.callID))
-	switch {
-	case err == nil:
-		f.markDone()
-		return true, nil
-	case errors.Is(err, cos.ErrNoSuchKey):
-		if f.activationID != "" {
-			rec, aerr := f.exec.cfg.Platform.Controller().Activation(f.activationID)
-			if aerr == nil && rec.Done() && !rec.OK {
-				f.markFailed(fmt.Errorf("core: call %s/%s activation %s: %s: %w",
-					f.executorID, f.callID, f.activationID, rec.Error, ErrCallFailed))
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("core: probe status %s/%s: %w", f.executorID, f.callID, err)
-	}
-}
-
-// Status fetches the call's status record; it requires the call to be done.
-func (f *Future) Status() (wire.StatusRecord, error) {
-	if err := f.failure(); err != nil {
-		return wire.StatusRecord{}, err
-	}
-	if errs := f.exec.fetchStatuses([]*Future{f}); errs != nil {
-		return wire.StatusRecord{}, errs[0]
-	}
-	return *f.cachedStatus(), nil
 }
 
 // cachedStatus returns the status record in hand, or nil.
@@ -507,8 +457,8 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 		return nil, fmt.Errorf("core: get_result: %w", ErrWaitTimeout)
 	}
 
-	failedFs, failErrs := rec.terminalFailures()
-	if len(failedFs) > 0 && !opts.PartialResults {
+	letters, failErrs := rec.terminalFailures()
+	if len(letters) > 0 && !opts.PartialResults {
 		return nil, fmt.Errorf("core: get_result: %w", errors.Join(failErrs...))
 	}
 	// Failed calls stay nil here and in the output; they are reported via
@@ -524,8 +474,8 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 	if err != nil {
 		return nil, err
 	}
-	if len(failedFs) > 0 {
-		return out, &PartialError{Failed: rec.lettersFor(failedFs, failErrs), Errs: failErrs}
+	if len(letters) > 0 {
+		return out, &PartialError{Failed: letters, Errs: failErrs}
 	}
 	return out, nil
 }

@@ -34,7 +34,7 @@ func (e *Executor) invokeDirect(action string, payloads []*wire.CallPayload, ref
 
 // invokeOne performs a single invocation as tenant under the executor's
 // invocation policy: throttles and lost requests back off with decorrelated
-// jitter, up to MaxRetries retries. Each attempt pays the serialized client
+// jitter, up to invokeRetryPolicy's retries. Each attempt pays the serialized client
 // overhead and one control-link round trip.
 func (e *Executor) invokeOne(action string, ref wire.ObjectRef, tenant string) (string, error) {
 	params := wire.MustMarshal(ref)

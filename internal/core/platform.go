@@ -216,13 +216,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	}
 	if multi, ok := backend.(*cos.MultiRegion); ok {
 		p.multi = multi
-		// Region placement depends on replication and failover to make a
-		// placed call's objects reachable everywhere; a facade running
-		// without them (the outage-cost control) keeps the legacy
-		// everything-through-region-0 behaviour, so placement stays off.
-		if multi.FailoverEnabled() {
-			p.regionNames = multi.RegionNames()
-		}
+		p.regionNames = multi.RegionNames()
 	}
 	p.fnInvokeRetry = retry.New(cfg.Clock, retry.Policy{
 		MaxAttempts: 6,
@@ -459,5 +453,5 @@ func (p *Platform) placementFor(ctx *runtime.Ctx, region, tenant string) *runtim
 		image = img.Name()
 	}
 	sp := &spawner{platform: p, image: image, deadline: ctx.Deadline(), region: region, tenant: tenant}
-	return ctx.WithPlacement(storage, region, sp)
+	return ctx.WithPlacement(storage, sp)
 }

@@ -11,12 +11,11 @@ import (
 // Automatic failure recovery in the wait path. The paper's programming
 // model (§4.2) leaves failure handling to the user: a crashed container or
 // a failed call surfaces from get_result and the caller re-runs the job.
-// GoWren keeps that behavior reachable (RecoveryOptions.Disabled, the
-// manual FailedFutures/Respawn pair) but defaults to the thing every real
-// deployment ends up building anyway: while the client is already polling
-// for statuses, failed calls are re-invoked from their staged payloads —
-// idempotent by construction — up to a bounded number of attempts with
-// backoff. Calls that stay broken are parked on the executor's dead-letter
+// GoWren keeps the manual FailedFutures/Respawn pair but always does the
+// thing every real deployment ends up building anyway: while the client is
+// already polling for statuses, failed calls are re-invoked from their
+// staged payloads — idempotent by construction — up to a bounded number of
+// attempts with backoff. Calls that stay broken are parked on the executor's dead-letter
 // list and reported either as an error or, with PartialResults, alongside
 // the successful subset.
 
@@ -33,15 +32,16 @@ const (
 // RecoveryOptions tune automatic re-execution of failed calls during
 // result collection. The zero value means "recovery on, defaults".
 type RecoveryOptions struct {
-	// Disabled switches automatic recovery off: failures surface on the
-	// first observation, like the original PyWren client.
-	Disabled bool
 	// MaxAttempts caps re-executions per call. Zero selects
 	// DefaultRecoveryAttempts; negative behaves like zero attempts left
 	// (failures dead-letter immediately but are still recorded).
+	//
+	//gowren:allow reach — TestRegionPartitionTransparentFailover needs recovery that outlasts a 23 s partition
 	MaxAttempts int
 	// Backoff delays the first re-execution of a failed call and doubles
 	// per subsequent attempt. Zero selects DefaultRecoveryBackoff.
+	//
+	//gowren:allow reach — TestRegionPartitionTransparentFailover needs recovery that outlasts a 23 s partition
 	Backoff time.Duration
 }
 
@@ -123,7 +123,14 @@ type recoverer struct {
 	failing  []failingCall // observed failures awaiting backoff, respawn or a verdict
 	attempts map[*Future]int
 	nextTry  map[*Future]time.Time
-	failed   map[*Future]error // terminal failures, keyed by future
+	failed   map[*Future]verdict // terminal failures, keyed by future
+}
+
+// verdict is one call recovery gave up on: its dead letter and the failure
+// GetResult reports for it.
+type verdict struct {
+	letter DeadLetter
+	err    error
 }
 
 type failingCall struct {
@@ -146,7 +153,7 @@ func newRecoverer(e *Executor, futures []*Future, opts *RecoveryOptions) *recove
 		futures:  futures,
 		attempts: make(map[*Future]int),
 		nextTry:  make(map[*Future]time.Time),
-		failed:   make(map[*Future]error),
+		failed:   make(map[*Future]verdict),
 	}
 }
 
@@ -204,17 +211,16 @@ func (r *recoverer) step() (respawned []*Future) {
 	kept := r.failing[:0]
 	for _, c := range r.failing {
 		f := c.f
-		if r.opts.Disabled || r.attempts[f] >= r.opts.MaxAttempts {
-			r.failed[f] = c.err
-			if !r.opts.Disabled {
-				r.exec.addDeadLetter(DeadLetter{
-					ExecutorID: f.executorID,
-					CallID:     f.callID,
-					Attempts:   r.attempts[f],
-					LastError:  c.err.Error(),
-					GaveUpAt:   now,
-				})
+		if r.attempts[f] >= r.opts.MaxAttempts {
+			d := DeadLetter{
+				ExecutorID: f.executorID,
+				CallID:     f.callID,
+				Attempts:   r.attempts[f],
+				LastError:  c.err.Error(),
+				GaveUpAt:   now,
 			}
+			r.failed[f] = verdict{letter: d, err: c.err}
+			r.exec.addDeadLetter(d)
 			continue
 		}
 		kept = append(kept, c)
@@ -266,37 +272,19 @@ func (r *recoverer) settled() bool {
 	return r.ok+len(r.failed) == len(r.futures)
 }
 
-// lettersFor summarizes terminal failures as DeadLetter values for a
-// PartialError (also covering Disabled mode, where nothing was added to
-// the executor's dead-letter list).
-func (r *recoverer) lettersFor(fs []*Future, errs []error) []DeadLetter {
-	now := r.exec.clock.Now()
-	out := make([]DeadLetter, len(fs))
-	for i, f := range fs {
-		out[i] = DeadLetter{
-			ExecutorID: f.executorID,
-			CallID:     f.callID,
-			Attempts:   r.attempts[f],
-			LastError:  errs[i].Error(),
-			GaveUpAt:   now,
-		}
-	}
-	return out
-}
-
-// terminalFailures returns the futures recovery gave up on, with their
-// errors, in future order.
-func (r *recoverer) terminalFailures() ([]*Future, []error) {
+// terminalFailures returns the dead letters of the calls recovery gave up
+// on, with their errors, in future order.
+func (r *recoverer) terminalFailures() ([]DeadLetter, []error) {
 	if len(r.failed) == 0 {
 		return nil, nil
 	}
-	var fs []*Future
+	var letters []DeadLetter
 	var errs []error
 	for _, f := range r.futures {
-		if err, ok := r.failed[f]; ok {
-			fs = append(fs, f)
-			errs = append(errs, err)
+		if v, ok := r.failed[f]; ok {
+			letters = append(letters, v.letter)
+			errs = append(errs, v.err)
 		}
 	}
-	return fs, errs
+	return letters, errs
 }

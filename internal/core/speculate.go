@@ -17,38 +17,27 @@ import (
 // which GoWren jobs are by construction: results are pure functions of the
 // staged payload.
 
-// SpeculationOptions tune straggler re-execution.
-type SpeculationOptions struct {
-	// Threshold is the completed fraction at which speculation arms
-	// (default 0.75): once this share of calls finished, the remaining
-	// ones are straggler candidates.
-	Threshold float64
-	// Factor multiplies the arm time to produce the straggler deadline
-	// (default 2): a call still pending at Factor × (time the job needed
-	// to reach Threshold) is re-invoked once.
-	Factor float64
-}
-
-func (o *SpeculationOptions) applyDefaults() {
-	if o.Threshold <= 0 || o.Threshold >= 1 {
-		o.Threshold = 0.75
-	}
-	if o.Factor <= 1 {
-		o.Factor = 2
-	}
-}
+const (
+	// speculationThreshold is the completed fraction at which speculation
+	// arms: once this share of calls finished, the remaining ones are
+	// straggler candidates.
+	speculationThreshold = 0.75
+	// speculationFactor multiplies the arm time to produce the straggler
+	// deadline: a call still pending at speculationFactor × (time the job
+	// needed to reach the threshold) is re-invoked once.
+	speculationFactor = 2
+)
 
 // GetResultSpeculative is GetResult with straggler re-execution: when the
 // job is mostly finished but a tail of calls lingers, the pending calls are
 // respawned once and the first completion wins.
-func (e *Executor) GetResultSpeculative(opts GetResultOptions, spec SpeculationOptions) ([]json.RawMessage, error) {
-	spec.applyDefaults()
+func (e *Executor) GetResultSpeculative(opts GetResultOptions) ([]json.RawMessage, error) {
 	futures := e.Futures()
 	if len(futures) == 0 {
 		return nil, ErrNoFutures
 	}
 	jobStart := e.clock.Now()
-	need := int(spec.Threshold * float64(len(futures)))
+	need := int(speculationThreshold * float64(len(futures)))
 	if need < 1 {
 		need = 1
 	}
@@ -66,7 +55,7 @@ func (e *Executor) GetResultSpeculative(opts GetResultOptions, spec SpeculationO
 		if armAt.IsZero() || speculated {
 			return
 		}
-		stragglerDeadline := jobStart.Add(time.Duration(float64(armAt.Sub(jobStart)) * spec.Factor))
+		stragglerDeadline := jobStart.Add(armAt.Sub(jobStart) * speculationFactor)
 		if e.clock.Now().Before(stragglerDeadline) {
 			return
 		}

@@ -322,50 +322,6 @@ func TestInlineAndSpilledResultsResolveIdentically(t *testing.T) {
 	}
 }
 
-// TestFutureDoneProbesSingleKey checks Future.Done's fast path: one HEAD
-// of the status key, never a namespace LIST.
-func TestFutureDoneProbesSingleKey(t *testing.T) {
-	e := newEnv(t, nil)
-	exec := e.executor(t, nil)
-	e.clk.Run(func() {
-		fut, err := exec.CallAsync("busy", 30)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		before := exec.StorageOps()
-		done, err := fut.Done()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if done {
-			t.Error("30s task done immediately")
-		}
-		after := exec.StorageOps()
-		if after.HeadOps != before.HeadOps+1 {
-			t.Errorf("Done() issued %d HEADs, want 1", after.HeadOps-before.HeadOps)
-		}
-		if after.ListOps != before.ListOps {
-			t.Errorf("Done() issued %d LISTs, want 0", after.ListOps-before.ListOps)
-		}
-		for i := 0; i < 40 && !done; i++ {
-			e.clk.Sleep(2 * time.Second)
-			done, err = fut.Done()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		if !done {
-			t.Error("future never completed")
-		}
-		if got := exec.StorageOps(); got.ListOps != before.ListOps {
-			t.Errorf("Done() polling issued %d LISTs, want 0", got.ListOps-before.ListOps)
-		}
-	})
-}
-
 // TestCompositionWaitSurfacesDeadCalls: a composition wait whose ref
 // carries activation IDs must surface a spawned call that died without
 // committing a status as ErrCallFailed, instead of polling until its
@@ -386,7 +342,7 @@ func TestCompositionWaitSurfacesDeadCalls(t *testing.T) {
 		}
 		ref := &wire.FuturesRef{
 			MetaBucket:    e.platform.MetaBucket(),
-			ExecutorID:    f.ExecutorID(),
+			ExecutorID:    f.executorID,
 			CallIDs:       []string{f.CallID()},
 			ActivationIDs: []string{f.ActivationID()},
 			Combine:       wire.CombineList,

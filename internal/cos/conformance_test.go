@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -118,7 +119,7 @@ func clientConformance(t *testing.T, mk func(t *testing.T) Client) {
 		for _, r := range []struct {
 			off, length int64
 			want        string
-		}{{0, -1, "0123456789"}, {2, 3, "234"}, {5, -1, "56789"}, {8, 100, "89"}} {
+		}{{0, -1, "0123456789"}, {2, 3, "234"}, {5, -1, "56789"}, {8, 100, "89"}, {1, math.MaxInt64, "123456789"}, {2, math.MaxInt64, "23456789"}} {
 			got, _, err := c.GetRange("b", "dir/sub/key.txt", r.off, r.length)
 			if err != nil || string(got) != r.want {
 				t.Fatalf("GetRange(%d,%d) = %q, %v, want %q", r.off, r.length, got, err, r.want)

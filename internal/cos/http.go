@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -248,6 +249,9 @@ func parseRange(h string) (offset, length int64, haveRange bool, err error) {
 	}
 	if end < start {
 		return 0, 0, false, fmt.Errorf("inverted range %q", h)
+	}
+	if end-start == math.MaxInt64 {
+		return 0, 0, false, fmt.Errorf("range length overflows in %q", h)
 	}
 	return start, end - start + 1, true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -180,7 +181,7 @@ func (c *HTTPClient) Get(bucket, key string) ([]byte, ObjectMeta, error) {
 // GetRange implements Client.
 func (c *HTTPClient) GetRange(bucket, key string, offset, length int64) ([]byte, ObjectMeta, error) {
 	var rangeHeader string
-	if length < 0 {
+	if length < 0 || length > math.MaxInt64-offset {
 		rangeHeader = fmt.Sprintf("bytes=%d-", offset)
 	} else {
 		if length == 0 {

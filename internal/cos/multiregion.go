@@ -54,7 +54,6 @@ type MultiRegion struct {
 	regionView
 
 	regions   []RegionBackend
-	failover  bool
 	mode      ReplicationMode
 	clk       vclock.Clock // required in async mode (catch-up workers)
 	qlimit    int          // per-region replication queue bound
@@ -194,14 +193,6 @@ type MultiRegionSnapshot struct {
 // MultiRegionOption configures a MultiRegion.
 type MultiRegionOption func(*MultiRegion)
 
-// WithoutFailover pins every operation to the preferred region alone: no
-// replica writes, no failover reads, no read-repair. It exists to
-// demonstrate (in tests and experiments) what a regional outage costs
-// without the resilience layer.
-func WithoutFailover() MultiRegionOption {
-	return func(m *MultiRegion) { m.failover = false }
-}
-
 // WithAsyncReplication switches the facade to ReplicationAsync: puts ack
 // after the primary region accepts them and per-region catch-up workers —
 // scheduled on clk, so they obey the virtual-clock contract — propagate the
@@ -235,7 +226,6 @@ func NewMultiRegion(regions []RegionBackend, opts ...MultiRegionOption) (*MultiR
 	}
 	m := &MultiRegion{
 		regions:  append([]RegionBackend(nil), regions...),
-		failover: true,
 		latest:   make(map[string]objVersion),
 		replicas: make([]map[string]uint64, len(regions)),
 		buckets:  make(map[string]bool),
@@ -259,10 +249,6 @@ func NewMultiRegion(regions []RegionBackend, opts ...MultiRegionOption) (*MultiR
 	m.regionView = regionView{m: m, pref: 0, home: -1}
 	return m, nil
 }
-
-// FailoverEnabled reports whether the facade replicates and fails over at
-// all (false under WithoutFailover).
-func (m *MultiRegion) FailoverEnabled() bool { return m.failover }
 
 // RegionNames returns the region names in failover order.
 func (m *MultiRegion) RegionNames() []string {
@@ -294,18 +280,11 @@ func (m *MultiRegion) Stats() MultiRegionSnapshot {
 	}
 }
 
-// Preferred returns a Client view of the facade whose reads start at the
-// named region and whose cross-region accounting treats that region as
-// home. All views share one version map, so failover and read-repair behave
-// identically regardless of entry point.
-func (m *MultiRegion) Preferred(name string) (Client, error) {
-	return m.View(name, name)
-}
-
 // View returns a Client view for a consumer located in region home whose
-// reads start at region pref. Requests the facade ends up serving from (or
-// writing to) a region other than home count toward the CrossRegion*
-// counters. Splitting home from pref exists to measure legacy placement —
+// reads start at region pref. All views share one version map, so failover
+// and read-repair behave identically regardless of entry point. Requests
+// the facade ends up serving from (or writing to) a region other than home
+// count toward the CrossRegion* counters. Splitting home from pref exists to measure legacy placement —
 // a runner executing in one region but still reading through region 0.
 func (m *MultiRegion) View(home, pref string) (Client, error) {
 	hi, err := m.regionIndex(home)
@@ -331,11 +310,8 @@ func (m *MultiRegion) regionIndex(name string) (int, error) {
 func objKey(bucket, key string) string { return bucket + "\x00" + key }
 
 // order returns region indices to try: pref first, then the rest in region
-// order. Without failover only pref is returned.
+// order.
 func (m *MultiRegion) order(pref int) []int {
-	if !m.failover {
-		return []int{pref}
-	}
 	out := make([]int, 0, len(m.regions))
 	out = append(out, pref)
 	for i := range m.regions {
@@ -361,7 +337,7 @@ func transientRegionErr(err error) bool {
 // round trip instead of all of them; replicas are stale until their catch-up
 // write lands (or, if it is dropped, until read-repair finds them).
 func (m *MultiRegion) put(home, pref int, bucket, key string, data []byte) (ObjectMeta, error) {
-	async := m.mode == ReplicationAsync && m.failover
+	async := m.mode == ReplicationAsync
 	k := objKey(bucket, key)
 	m.mu.Lock()
 	v := m.latest[k].v + 1
@@ -521,32 +497,44 @@ func (m *MultiRegion) replicate(i int, t repTask) {
 		m.stats.AsyncSkipped.Add(1)
 		return
 	}
-	if _, err := m.regions[i].Client.Put(t.bucket, t.key, t.data); err != nil {
-		if !errors.Is(err, ErrNoSuchBucket) {
-			m.redeliverOrDrop(i, t)
-			return
-		}
-		// The region also missed the bucket creation; repair that first,
-		// then retry the object once.
-		if cerr := m.regions[i].Client.CreateBucket(t.bucket); cerr != nil && !errors.Is(cerr, ErrBucketExists) {
-			m.redeliverOrDrop(i, t)
-			return
-		}
-		if _, err = m.regions[i].Client.Put(t.bucket, t.key, t.data); err != nil {
-			m.redeliverOrDrop(i, t)
-			return
-		}
-	}
-	m.mu.Lock()
-	if cur := m.latest[t.k]; cur.v == t.v && !cur.deleted && m.replicas[i][t.k] < t.v {
-		m.replicas[i][t.k] = t.v
+	landed, err := m.landReplica(i, t.k, t.bucket, t.key, t.data, t.v)
+	switch {
+	case err != nil:
+		m.redeliverOrDrop(i, t)
+	case landed:
 		m.stats.AsyncReplicated.Add(1)
-	} else {
+	default:
 		// Superseded while the write was in flight; the newer version's own
 		// catch-up (or the delete's tombstone) covers this region.
 		m.stats.AsyncSkipped.Add(1)
 	}
-	m.mu.Unlock()
+}
+
+// landReplica writes version v of bucket/key to region i through the
+// region's own stack, so its link and fault plan apply. A region that also
+// missed the bucket creation gets the bucket first and the object once
+// more. It reports whether v was still the latest once the write landed,
+// in which case region i is marked current for k.
+func (m *MultiRegion) landReplica(i int, k, bucket, key string, data []byte, v uint64) (bool, error) {
+	client := m.regions[i].Client
+	if _, err := client.Put(bucket, key, data); err != nil {
+		if !errors.Is(err, ErrNoSuchBucket) {
+			return false, err
+		}
+		if cerr := client.CreateBucket(bucket); cerr != nil && !errors.Is(cerr, ErrBucketExists) {
+			return false, cerr
+		}
+		if _, err := client.Put(bucket, key, data); err != nil {
+			return false, err
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cur := m.latest[k]; cur.v != v || cur.deleted || m.replicas[i][k] >= v {
+		return false, nil
+	}
+	m.replicas[i][k] = v
+	return true, nil
 }
 
 // redeliverOrDrop handles one failed catch-up attempt for region i: while
@@ -807,13 +795,9 @@ func (m *MultiRegion) getRange(home, pref int, bucket, key string, offset, lengt
 	return nil, ObjectMeta{}, fmt.Errorf("cos: get %s/%s unreachable in all regions: %w", bucket, key, ErrRequestFailed)
 }
 
-// repair pushes the latest bytes of k to every stale region, through that
-// region's own stack so its link and fault plan apply. Failures leave the
-// replica stale; a later read retries.
+// repair pushes the latest bytes of k to every stale region. Failures leave
+// the replica stale; a later read retries.
 func (m *MultiRegion) repair(k, bucket, key string, data []byte) {
-	if !m.failover {
-		return
-	}
 	m.mu.Lock()
 	lv, tracked := m.latest[k]
 	var stale []int
@@ -826,26 +810,9 @@ func (m *MultiRegion) repair(k, bucket, key string, data []byte) {
 	}
 	m.mu.Unlock()
 	for _, i := range stale {
-		if _, err := m.regions[i].Client.Put(bucket, key, data); err != nil {
-			if errors.Is(err, ErrNoSuchBucket) {
-				// The region also missed the bucket creation; repair that
-				// first, then retry the object once.
-				if cerr := m.regions[i].Client.CreateBucket(bucket); cerr != nil && !errors.Is(cerr, ErrBucketExists) {
-					continue
-				}
-				if _, err = m.regions[i].Client.Put(bucket, key, data); err != nil {
-					continue
-				}
-			} else {
-				continue
-			}
-		}
-		m.mu.Lock()
-		if cur := m.latest[k]; cur.v == lv.v && !cur.deleted && m.replicas[i][k] < lv.v {
-			m.replicas[i][k] = lv.v
+		if landed, err := m.landReplica(i, k, bucket, key, data, lv.v); err == nil && landed {
 			m.stats.Repairs.Add(1)
 		}
-		m.mu.Unlock()
 	}
 }
 
@@ -897,7 +864,6 @@ func (m *MultiRegion) list(pref int, bucket, prefix, marker string, maxKeys int)
 		reachable  bool
 		sawBucket  bool
 		truncated  bool
-		lastErr    error
 		fatalMiss  error
 		regionList []int
 	)
@@ -907,7 +873,6 @@ func (m *MultiRegion) list(pref int, bucket, prefix, marker string, maxKeys int)
 		if err != nil {
 			switch {
 			case transientRegionErr(err):
-				lastErr = err
 				continue
 			case errors.Is(err, ErrNoSuchBucket):
 				// The region may simply have missed the bucket creation.
@@ -940,7 +905,6 @@ func (m *MultiRegion) list(pref int, bucket, prefix, marker string, maxKeys int)
 	if !sawBucket {
 		return ListResult{}, fmt.Errorf("list %s: %w", bucket, fatalMiss)
 	}
-	_ = lastErr
 	// objKeys of one bucket share the bucket prefix, so sorting them orders
 	// the result by object key — and keeps the merged listing independent
 	// of map iteration order.

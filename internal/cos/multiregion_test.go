@@ -21,14 +21,14 @@ func newFlakyRegion(inner Client) *flakyRegion {
 	return f
 }
 
-func twoRegions(t *testing.T, opts ...MultiRegionOption) (*MultiRegion, *flakyRegion, *flakyRegion, *Store, *Store) {
+func twoRegions(t *testing.T) (*MultiRegion, *flakyRegion, *flakyRegion, *Store, *Store) {
 	t.Helper()
 	sa, sb := NewStore(), NewStore()
 	ra, rb := newFlakyRegion(sa), newFlakyRegion(sb)
 	m, err := NewMultiRegion([]RegionBackend{
 		{Name: "us-south", Client: ra},
 		{Name: "eu-gb", Client: rb},
-	}, opts...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMultiRegionNeverServesStaleReplica(t *testing.T) {
 	}
 	rb.down = false
 	// A read preferring eu-gb must skip its stale replica and serve v2.
-	euView, err := m.Preferred("eu-gb")
+	euView, err := m.View("eu-gb", "eu-gb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestMultiRegionReadRepair(t *testing.T) {
 	}
 	// Once repaired, eu-gb serves reads again without failover.
 	before := m.Stats().Failovers
-	euView, err := m.Preferred("eu-gb")
+	euView, err := m.View("eu-gb", "eu-gb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,32 +371,9 @@ func TestMultiRegionMissingKeyIsNoSuchKey(t *testing.T) {
 	}
 }
 
-func TestMultiRegionWithoutFailoverPinsToPreferred(t *testing.T) {
-	m, ra, _, sa, sb := twoRegions(t, WithoutFailover())
-	if err := m.CreateBucket("b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Put("b", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	// Without failover, writes land only in the preferred region.
-	if _, _, err := sa.Get("b", "k"); err != nil {
-		t.Fatalf("preferred region missing write: %v", err)
-	}
-	if _, _, err := sb.Get("b", "k"); !errors.Is(err, ErrNoSuchBucket) && !errors.Is(err, ErrNoSuchKey) {
-		t.Fatalf("non-preferred region has write without failover: %v", err)
-	}
-	// A preferred-region outage is fatal to reads: no failover, just the
-	// transient error.
-	ra.down = true
-	if _, _, err := m.Get("b", "k"); !errors.Is(err, ErrRequestFailed) {
-		t.Fatalf("pinned read during outage = %v, want ErrRequestFailed", err)
-	}
-}
-
 func TestMultiRegionPreferredUnknownRegion(t *testing.T) {
 	m, _, _, _, _ := twoRegions(t)
-	if _, err := m.Preferred("mars"); err == nil {
+	if _, err := m.View("mars", "mars"); err == nil {
 		t.Fatal("unknown region accepted")
 	}
 	names := m.RegionNames()

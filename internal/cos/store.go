@@ -275,7 +275,7 @@ func (s *Store) GetRange(bucketName, key string, offset, length int64) ([]byte, 
 	if offset < 0 || (offset > 0 && offset >= size) {
 		return nil, ObjectMeta{}, fmt.Errorf("get %s/%s offset=%d size=%d: %w", bucketName, key, offset, size, ErrInvalidRange)
 	}
-	if length < 0 || offset+length > size {
+	if length < 0 || length > size-offset {
 		length = size - offset
 	}
 	out := make([]byte, length)

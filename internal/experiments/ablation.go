@@ -471,7 +471,7 @@ func RunSpeculationAblation(n int, taskSeconds float64, seed int64) (Speculation
 				return
 			}
 			if speculate {
-				_, err = exec.GetResultSpeculative(gowren.GetResultOptions{}, gowren.SpeculationOptions{})
+				_, err = exec.GetResultSpeculative(gowren.GetResultOptions{})
 			} else {
 				_, err = exec.GetResult()
 			}

@@ -62,6 +62,14 @@ const (
 	DefaultTimeout       = 600 * time.Second
 )
 
+const (
+	// pullBandwidthMBps is the registry pull rate for the first cold start
+	// of an image.
+	pullBandwidthMBps = 120
+	// keepAlive is how long an idle container stays warm.
+	keepAlive = 10 * time.Minute
+)
+
 // Handler is the code bound to an action. GoWren registers one generic
 // runner handler per runtime image (internal/exec); params are opaque bytes.
 type Handler func(ctx *runtime.Ctx, params []byte) ([]byte, error)
@@ -97,13 +105,8 @@ type Config struct {
 	// the image pull. Zero uses a sub-second default (paper §5: containers
 	// "fast to boot up ... within a sub-second range").
 	ColdStartBoot time.Duration
-	// PullBandwidthMBps is the registry pull rate for the first cold start
-	// of an image. Zero uses a default.
-	PullBandwidthMBps float64
 	// WarmStart is the reuse cost of a warm container.
 	WarmStart time.Duration
-	// KeepAlive is how long an idle container stays warm.
-	KeepAlive time.Duration
 
 	// ExecJitter adds platform noise to each activation's runtime
 	// (scheduling delays, noisy neighbours). Nil means none.
@@ -148,14 +151,8 @@ func (c *Config) applyDefaults() {
 	if c.ColdStartBoot == 0 {
 		c.ColdStartBoot = 450 * time.Millisecond
 	}
-	if c.PullBandwidthMBps == 0 {
-		c.PullBandwidthMBps = 120
-	}
 	if c.WarmStart == 0 {
 		c.WarmStart = 8 * time.Millisecond
-	}
-	if c.KeepAlive == 0 {
-		c.KeepAlive = 10 * time.Minute
 	}
 }
 
@@ -236,7 +233,7 @@ type Controller struct {
 
 type warmContainer struct {
 	idleSince time.Time
-	// residentUntil, when set, pins the container against KeepAlive
+	// residentUntil, when set, pins the container against keepAlive
 	// eviction: it is a lingering direct-exchange producer whose partition
 	// outputs must stay pullable until the deadline. It remains a normal
 	// warm container otherwise — new activations may reuse it (its staged
@@ -480,7 +477,7 @@ func (c *Controller) execute(act *action, rec *Activation, params []byte) {
 			// The container stays resident serving exchange peer pulls
 			// until the linger deadline: it joins the warm pool like any
 			// other (reuse does not disturb its staged outputs) but is
-			// pinned against KeepAlive eviction until the window closes.
+			// pinned against keepAlive eviction until the window closes.
 			wc.residentUntil = linger
 		}
 		c.warm[act.spec.Name] = append(c.warm[act.spec.Name], wc)
@@ -560,7 +557,6 @@ func (c *Controller) buildCtxConfig(act *action, rec *Activation, cold bool, sta
 		ActivationID: rec.ID,
 		Deadline:     start.Add(act.spec.Timeout),
 		ColdStart:    cold,
-		MemoryMB:     act.spec.MemoryMB,
 	}
 	c.mu.Lock()
 	factory := c.spawnerFor
@@ -584,11 +580,11 @@ func (c *Controller) provision(act *action) (cold bool, setup time.Duration) {
 	// cannot advance while the completing task is runnable — so the expired
 	// containers form a prefix of the pool. Trimming that prefix and reusing
 	// from the back (most recently idle first) is amortized O(1) per
-	// provision, where the old full-pool scan went quadratic once KeepAlive
+	// provision, where the old full-pool scan went quadratic once keepAlive
 	// let hundreds of thousands of containers accumulate.
 	pool := c.warm[act.spec.Name]
 	trimmed := 0
-	for trimmed < len(pool) && now.Sub(pool[trimmed].idleSince) > c.cfg.KeepAlive {
+	for trimmed < len(pool) && now.Sub(pool[trimmed].idleSince) > keepAlive {
 		if pool[trimmed].residentUntil.After(now) {
 			// A lingering direct-exchange producer pins itself (and,
 			// conservatively, everything behind it) until its window
@@ -610,7 +606,7 @@ func (c *Controller) provision(act *action) (cold bool, setup time.Duration) {
 	setup = c.cfg.ColdStartBoot
 	if !c.pulled[act.img.Name()] {
 		c.pulled[act.img.Name()] = true
-		pull := time.Duration(float64(act.img.SizeMB()) / c.cfg.PullBandwidthMBps * float64(time.Second))
+		pull := time.Duration(float64(act.img.SizeMB()) / pullBandwidthMBps * float64(time.Second))
 		setup += pull
 		c.cfg.Trace.Emitf(now, trace.KindImagePull, act.img.Name(), "%d MB in %v", act.img.SizeMB(), pull)
 	}

@@ -198,7 +198,7 @@ func TestWarmReuse(t *testing.T) {
 }
 
 func TestKeepAliveExpiry(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.KeepAlive = 30 * time.Second })
+	e := newEnv(t, nil)
 	e.sleepAction(t, "work", time.Second)
 	e.clk.Run(func() {
 		id1, err := e.ctrl.Invoke("work", nil)
@@ -213,7 +213,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 		if warmContainers(e.ctrl, "work") != 1 {
 			t.Error("container not kept warm after completion")
 		}
-		e.clk.Sleep(time.Minute) // outlive the keep-alive
+		e.clk.Sleep(keepAlive + time.Minute) // outlive the keep-alive
 		id2, err := e.ctrl.Invoke("work", nil)
 		if err != nil {
 			t.Error(err)
@@ -231,10 +231,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 }
 
 func TestFirstColdStartPaysImagePull(t *testing.T) {
-	e := newEnv(t, func(c *Config) {
-		c.PullBandwidthMBps = 100 // 100 MB image → 1s pull
-		c.Seed = 3
-	})
+	e := newEnv(t, func(c *Config) { c.Seed = 3 }) // 100 MB image → 0.83 s pull
 	e.sleepAction(t, "a", time.Second)
 	e.sleepAction(t, "b", time.Second)
 	e.clk.Run(func() {

@@ -25,13 +25,12 @@ func newHTTPEnv(t *testing.T) (*Controller, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ctrl, err := New(Config{
-		Clock:             clk,
-		Registry:          reg,
-		Storage:           cos.NewStore(),
-		AdmitOverhead:     100 * time.Microsecond,
-		ColdStartBoot:     time.Millisecond,
-		WarmStart:         100 * time.Microsecond,
-		PullBandwidthMBps: 1e6,
+		Clock:         clk,
+		Registry:      reg,
+		Storage:       cos.NewStore(),
+		AdmitOverhead: 100 * time.Microsecond,
+		ColdStartBoot: time.Millisecond,
+		WarmStart:     100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +133,13 @@ func TestHTTPThrottleIs429(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctrl, err := New(Config{
-				Clock:             vclock.NewReal(),
-				Registry:          reg,
-				Storage:           cos.NewStore(),
-				MaxConcurrent:     1,
-				Admission:         tc.admission,
-				AdmitOverhead:     100 * time.Microsecond,
-				ColdStartBoot:     time.Millisecond,
-				PullBandwidthMBps: 1e6,
+				Clock:         vclock.NewReal(),
+				Registry:      reg,
+				Storage:       cos.NewStore(),
+				MaxConcurrent: 1,
+				Admission:     tc.admission,
+				AdmitOverhead: 100 * time.Microsecond,
+				ColdStartBoot: time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -103,36 +103,6 @@ func (img *Image) Name() string { return img.name }
 // SizeMB returns the simulated image size in MB.
 func (img *Image) SizeMB() int { return img.sizeMB }
 
-// Extend builds a new image on top of img, the Docker FROM idiom the paper
-// describes for custom runtimes ("a user can build a Docker image with the
-// required packages"). The child starts with every function of the base;
-// extraSizeMB models the added layers. Register additional functions on
-// the returned image before publishing it.
-func (img *Image) Extend(name string, extraSizeMB int) *Image {
-	if extraSizeMB < 0 {
-		extraSizeMB = 0
-	}
-	child := NewImage(name, img.sizeMB+extraSizeMB)
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	for n, fn := range img.plain {
-		child.plain[n] = fn
-	}
-	for n, fn := range img.mappers {
-		child.mappers[n] = fn
-	}
-	for n, fn := range img.reducer {
-		child.reducer[n] = fn
-	}
-	for n, fn := range img.kvMap {
-		child.kvMap[n] = fn
-	}
-	for n, fn := range img.kvReduce {
-		child.kvReduce[n] = fn
-	}
-	return child
-}
-
 // RegisterPlain adds a plain function under name.
 func (img *Image) RegisterPlain(name string, fn PlainFunc) error {
 	img.mu.Lock()
@@ -326,13 +296,7 @@ type CtxConfig struct {
 	ActivationID string
 	Deadline     time.Time
 	ColdStart    bool
-	MemoryMB     int
 	Spawner      Spawner
-	// Region names the storage region the invocation executes in; empty on
-	// single-region platforms. It is set after the runner decodes its call
-	// payload (via WithPlacement), not by the container, because placement
-	// travels in the payload.
-	Region string
 }
 
 // Ctx is the per-invocation execution context passed to user functions. It
@@ -349,8 +313,9 @@ func NewCtx(cfg CtxConfig) *Ctx { return &Ctx{cfg: cfg} }
 // the same activation, clock, image and limits, but reading and writing
 // through storage (the region's view) and spawning through spawner (which
 // propagates the placement to child calls). A nil storage or spawner keeps
-// the parent's.
-func (c *Ctx) WithPlacement(storage cos.Client, region string, spawner Spawner) *Ctx {
+// the parent's. It is applied after the runner decodes its call payload,
+// not by the container, because placement travels in the payload.
+func (c *Ctx) WithPlacement(storage cos.Client, spawner Spawner) *Ctx {
 	cfg := c.cfg
 	if storage != nil {
 		cfg.Storage = storage
@@ -358,7 +323,6 @@ func (c *Ctx) WithPlacement(storage cos.Client, region string, spawner Spawner) 
 	if spawner != nil {
 		cfg.Spawner = spawner
 	}
-	cfg.Region = region
 	return &Ctx{cfg: cfg}
 }
 
@@ -367,10 +331,6 @@ func (c *Ctx) Clock() vclock.Clock { return c.cfg.Clock }
 
 // Storage returns the object-storage client visible to the function.
 func (c *Ctx) Storage() cos.Client { return c.cfg.Storage }
-
-// Region returns the storage region the invocation executes in, or "" on a
-// single-region platform.
-func (c *Ctx) Region() string { return c.cfg.Region }
 
 // Image returns the runtime image the function executes in; handlers use it
 // to resolve registered user functions by name.
@@ -381,9 +341,6 @@ func (c *Ctx) ActivationID() string { return c.cfg.ActivationID }
 
 // ColdStart reports whether this invocation paid a container cold start.
 func (c *Ctx) ColdStart() bool { return c.cfg.ColdStart }
-
-// MemoryMB returns the memory limit of the executing container.
-func (c *Ctx) MemoryMB() int { return c.cfg.MemoryMB }
 
 // Deadline returns the instant at which the platform will consider the
 // invocation timed out.

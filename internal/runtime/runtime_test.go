@@ -260,31 +260,6 @@ func TestPartitionReaderReadBefore(t *testing.T) {
 	}
 }
 
-func TestImageExtend(t *testing.T) {
-	base := NewImage("base:1", 100)
-	if err := base.RegisterPlain("shared", func(*Ctx, json.RawMessage) (any, error) { return "base", nil }); err != nil {
-		t.Fatal(err)
-	}
-	child := base.Extend("child:1", 50)
-	if child.Name() != "child:1" || child.SizeMB() != 150 {
-		t.Fatalf("child identity = %s/%d", child.Name(), child.SizeMB())
-	}
-	if _, err := child.Plain("shared"); err != nil {
-		t.Fatalf("inherited function missing: %v", err)
-	}
-	// Additions to the child do not leak into the base.
-	if err := child.RegisterPlain("extra", func(*Ctx, json.RawMessage) (any, error) { return "child", nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := base.Plain("extra"); !errors.Is(err, ErrFunctionNotFound) {
-		t.Fatalf("base polluted by child registration: %v", err)
-	}
-	// Negative extra size clamps.
-	if got := base.Extend("c2:1", -5).SizeMB(); got != 100 {
-		t.Fatalf("clamped size = %d", got)
-	}
-}
-
 func TestKVFunctionRegistration(t *testing.T) {
 	img := NewImage("kv:1", 0)
 	if err := img.RegisterKVMap("emit", func(*Ctx, *PartitionReader) ([]wire.KV, error) { return nil, nil }); err != nil {
@@ -318,13 +293,5 @@ func TestKVFunctionRegistration(t *testing.T) {
 	}
 	if found != 2 {
 		t.Fatalf("Functions() = %v", got)
-	}
-	// Extend copies KV functions too.
-	child := img.Extend("kv:2", 10)
-	if _, err := child.KVMap("emit"); err != nil {
-		t.Fatalf("extended image missing kv map: %v", err)
-	}
-	if _, err := child.KVReduce("sum"); err != nil {
-		t.Fatalf("extended image missing kv reduce: %v", err)
 	}
 }

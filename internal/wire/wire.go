@@ -71,9 +71,6 @@ type Partition struct {
 	ObjectSize int64  `json:"objectSize"` // total size of the source object
 }
 
-// Whole reports whether the partition spans its entire source object.
-func (p Partition) Whole() bool { return p.Offset == 0 && (p.Length < 0 || p.Length == p.ObjectSize) }
-
 // ReduceSpec tells a reduce executor which map partials to wait for.
 type ReduceSpec struct {
 	// MetaBucket is the bucket holding job metadata (statuses, results).

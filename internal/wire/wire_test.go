@@ -83,24 +83,6 @@ func TestCallPayloadValidate(t *testing.T) {
 	}
 }
 
-func TestPartitionWhole(t *testing.T) {
-	tests := []struct {
-		name string
-		p    Partition
-		want bool
-	}{
-		{"negative length", Partition{Offset: 0, Length: -1, ObjectSize: 100}, true},
-		{"exact length", Partition{Offset: 0, Length: 100, ObjectSize: 100}, true},
-		{"offset nonzero", Partition{Offset: 1, Length: -1, ObjectSize: 100}, false},
-		{"shorter", Partition{Offset: 0, Length: 50, ObjectSize: 100}, false},
-	}
-	for _, tt := range tests {
-		if got := tt.p.Whole(); got != tt.want {
-			t.Errorf("%s: Whole() = %v, want %v", tt.name, got, tt.want)
-		}
-	}
-}
-
 func TestCallKindString(t *testing.T) {
 	if KindPlain.String() != "plain" || KindMapPartition.String() != "map-partition" ||
 		KindReduce.String() != "reduce" || KindInvoker.String() != "invoker" {

@@ -1,6 +1,7 @@
 package gowren_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -14,9 +15,9 @@ import (
 
 // TestExecutorOptionsDocumented keeps README's "Executor options" table and
 // the exported With* executor options of package gowren in step: every
-// option has a row, and every row names an option that exists. Only that
-// table is read; the API-diff tables elsewhere in README name removed
-// options on purpose.
+// option has a row, and every row names an option that exists and a real
+// user of it. Only that table is read; the API-diff tables elsewhere in
+// README name removed options on purpose.
 func TestExecutorOptionsDocumented(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -65,6 +66,10 @@ func TestExecutorOptionsDocumented(t *testing.T) {
 			continue
 		}
 		documented = append(documented, m[1])
+		cells := strings.Split(strings.TrimSuffix(row, "|"), "|")
+		if err := checkUsers(m[1], cells[len(cells)-1]); err != nil {
+			t.Error(err)
+		}
 	}
 	for _, name := range options {
 		if !slices.Contains(documented, name) {
@@ -76,6 +81,49 @@ func TestExecutorOptionsDocumented(t *testing.T) {
 			t.Errorf("README's Executor options table names %s, which package gowren does not export", name)
 		}
 	}
+}
+
+// userDirs are where a production user of an option lives.
+var userDirs = []string{"cmd/", "examples/", "bench/", "internal/experiments/"}
+
+// checkUsers checks the "Used … by" cell of option's row: every path it
+// names under userDirs must exist and contain the option's name in a
+// non-test Go file (a directory counts through its files), and there must
+// be at least one such path. Test names may appear too, but a test is not
+// a user.
+func checkUsers(option, cell string) error {
+	users := 0
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cell, -1) {
+		path := m[1]
+		if !slices.ContainsFunc(userDirs, func(dir string) bool { return strings.HasPrefix(path, dir) }) {
+			continue
+		}
+		files := []string{path}
+		if info, err := os.Stat(path); err != nil {
+			return fmt.Errorf("options table row %s names %s: %v", option, path, err)
+		} else if info.IsDir() {
+			files, _ = filepath.Glob(filepath.Join(path, "*.go"))
+		}
+		found := false
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				return err
+			}
+			found = found || strings.Contains(string(src), option)
+		}
+		if !found {
+			return fmt.Errorf("options table row %s names %s, which does not use it outside tests", option, path)
+		}
+		users++
+	}
+	if users == 0 {
+		return fmt.Errorf("options table row %s names no user under %s", option, strings.Join(userDirs, ", "))
+	}
+	return nil
 }
 
 // optionsTableRows returns the body rows of the first table under the

@@ -1,11 +1,12 @@
 package gowren_test
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"gowren"
+	"gowren/internal/cos"
+	"gowren/internal/netsim"
 )
 
 // regionImage registers the function the multi-region acceptance tests
@@ -28,7 +29,7 @@ func regionImage(t *testing.T) *gowren.Image {
 // twoRegionConfig scripts the acceptance scenario: two regions, with the
 // first fully partitioned from its network between t=2s and t=25s —
 // covering the window where a 5 s job's statuses and results are written.
-func twoRegionConfig(t *testing.T, seed int64, disableFailover bool) gowren.SimConfig {
+func twoRegionConfig(t *testing.T, seed int64) gowren.SimConfig {
 	t.Helper()
 	return gowren.SimConfig{
 		Images: []*gowren.Image{regionImage(t)},
@@ -42,26 +43,38 @@ func twoRegionConfig(t *testing.T, seed int64, disableFailover bool) gowren.SimC
 			},
 			{Name: "eu-gb"},
 		},
-		DisableRegionFailover: disableFailover,
 	}
 }
 
+// degradedClientStorage is the client's own storage path through the
+// facade, on a dedicated in-cloud link whose latency is inflated 8x for the
+// partition window (t=2s to t=25s), so the rest of the cloud keeps a clean
+// path. Call it inside Run: the window is relative to the call.
+func degradedClientStorage(t *testing.T, cloud *gowren.Cloud, seed int64) cos.Client {
+	t.Helper()
+	sched, err := netsim.NewSchedule(cloud.Clock(), []gowren.LinkPhase{
+		{Start: 2 * time.Second, End: 25 * time.Second, LatencyFactor: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netsim.InCloud(seed + 4)
+	link.SetSchedule(sched)
+	return cos.NewLinked(cloud.MultiRegion(), cloud.Clock(), link)
+}
+
 // regionRun executes one 500-call map through the scripted regional
-// partition, with the client's own WAN path suffering a concurrent
+// partition, with the client's own storage path suffering a concurrent
 // latency-inflation window, and returns results, elapsed virtual time,
 // dead letters and the facade's failover count.
 func regionRun(t *testing.T, seed int64) (results []int, elapsed time.Duration, dead []gowren.DeadLetter, failovers int64) {
 	t.Helper()
-	cloud, err := gowren.NewSimCloud(twoRegionConfig(t, seed, false))
+	cloud, err := gowren.NewSimCloud(twoRegionConfig(t, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cloud.Run(func() {
-		exec, err := cloud.Executor(gowren.WithLinkDegradation(gowren.LinkPhase{
-			Start:         2 * time.Second,
-			End:           25 * time.Second,
-			LatencyFactor: 8,
-		}))
+		exec, err := cloud.Executor(gowren.WithStorage(degradedClientStorage(t, cloud, seed)))
 		if err != nil {
 			t.Error(err)
 			return
@@ -143,7 +156,7 @@ func TestRegionRunDeterministicUnderSeed(t *testing.T) {
 // plus versioned failover and read-repair.
 func asyncRegionRun(t *testing.T, seed int64) (results []int, elapsed time.Duration, dead []gowren.DeadLetter, snap gowren.MultiRegionSnapshot) {
 	t.Helper()
-	cfg := twoRegionConfig(t, seed, false)
+	cfg := twoRegionConfig(t, seed)
 	cfg.Replication = gowren.ReplicationAsync
 	// Slow the surviving region's path while the first region is still up:
 	// catch-up writes queued before the partition are in flight when the
@@ -156,11 +169,7 @@ func asyncRegionRun(t *testing.T, seed int64) (results []int, elapsed time.Durat
 		t.Fatal(err)
 	}
 	cloud.Run(func() {
-		exec, err := cloud.Executor(gowren.WithLinkDegradation(gowren.LinkPhase{
-			Start:         2 * time.Second,
-			End:           25 * time.Second,
-			LatencyFactor: 8,
-		}))
+		exec, err := cloud.Executor(gowren.WithStorage(degradedClientStorage(t, cloud, seed)))
 		if err != nil {
 			t.Error(err)
 			return
@@ -242,67 +251,10 @@ func TestRegionAsyncRunDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestRegionPartitionWithoutFailoverDeadLetters(t *testing.T) {
-	// Control run: the same partition with failover disabled pins every
-	// storage request to the dead region, so the runners cannot commit
-	// results, recovery exhausts its budget, and the calls land on the
-	// dead-letter list — exactly what the resilience layer exists to
-	// prevent.
-	cfg := twoRegionConfig(t, 42, true)
-	// The window must cover every runner's result write (compute is 5 s)
-	// and then lift, so the client's status sweep — itself pinned to the
-	// dead region — can come back and observe the carnage.
-	cfg.Regions[0].Degrade = []gowren.LinkPhase{
-		{Start: 1 * time.Second, End: 20 * time.Second, Partition: true},
-	}
-	cloud, err := gowren.NewSimCloud(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud.Run(func() {
-		exec, err := cloud.Executor()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := exec.MapSlice("work", []any{1, 2, 3, 4}); err != nil {
-			t.Errorf("map: %v", err)
-			return
-		}
-		// MaxAttempts -1: record the failures as dead letters without
-		// re-executing — a re-run after the window lifts would succeed and
-		// mask what the outage cost.
-		raws, err := exec.GetResult(gowren.GetResultOptions{
-			Timeout:        30 * time.Minute,
-			PartialResults: true,
-			Recovery:       &gowren.RecoveryOptions{MaxAttempts: -1},
-		})
-		var pe *gowren.PartialError
-		if !errors.As(err, &pe) {
-			t.Errorf("err = %v, want *PartialError", err)
-			return
-		}
-		if len(pe.Failed) != 4 {
-			t.Errorf("partial error reports %d failures, want 4", len(pe.Failed))
-		}
-		for _, raw := range raws {
-			if raw != nil {
-				t.Error("a call committed a result through a partitioned region")
-			}
-		}
-		if dead := exec.DeadLetters(); len(dead) != 4 {
-			t.Errorf("dead letters = %d, want 4", len(dead))
-		}
-		if f := cloud.MultiRegion().Stats().Failovers; f != 0 {
-			t.Errorf("failover-disabled run still failed over %d times", f)
-		}
-	})
-}
-
 func TestRegionReplicationVisibleInBothStores(t *testing.T) {
 	// A small job on a healthy two-region cloud replicates the meta
-	// bucket's objects: results are readable through a view pinned to
-	// either region.
+	// bucket's objects: results are readable through a view that prefers
+	// the second region.
 	cloud, err := gowren.NewSimCloud(gowren.SimConfig{
 		Images: []*gowren.Image{regionImage(t)},
 		Seed:   3,
@@ -315,7 +267,12 @@ func TestRegionReplicationVisibleInBothStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	cloud.Run(func() {
-		exec, err := cloud.Executor(gowren.WithPreferredRegion("eu-gb"))
+		view, err := cloud.MultiRegion().View("eu-gb", "eu-gb")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		exec, err := cloud.Executor(gowren.WithStorage(view))
 		if err != nil {
 			t.Error(err)
 			return
@@ -336,16 +293,4 @@ func TestRegionReplicationVisibleInBothStores(t *testing.T) {
 	if names := cloud.MultiRegion().RegionNames(); len(names) != 2 {
 		t.Fatalf("regions = %v", names)
 	}
-}
-
-func TestPreferredRegionRequiresRegions(t *testing.T) {
-	cloud, err := gowren.NewSimCloud(gowren.SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud.Run(func() {
-		if _, err := cloud.Executor(gowren.WithPreferredRegion("us-south")); err == nil {
-			t.Error("WithPreferredRegion on a single-region cloud did not error")
-		}
-	})
 }

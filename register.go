@@ -8,13 +8,6 @@ import (
 	"gowren/internal/wire"
 )
 
-// ExtendImage builds a custom image on top of a base — the Docker FROM
-// idiom for custom runtimes (paper §3.1). The child inherits every base
-// function; register additions on it before passing it to NewSimCloud.
-func ExtendImage(base *Image, name string, extraSizeMB int) *Image {
-	return base.Extend(name, extraSizeMB)
-}
-
 // RegisterFunc registers a typed plain function on an image. The argument
 // and result cross the wire as JSON, so I and O must be JSON-serializable.
 // This is GoWren's substitute for PyWren pickling arbitrary closures: code
