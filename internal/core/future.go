@@ -168,19 +168,20 @@ func (e *Executor) fetchStatusRecords(bucket string, keys []string) (recs []*wir
 		return err
 	})
 	recs = make([]*wire.StatusRecord, len(keys))
+	decoded := make([]wire.StatusRecord, len(keys))
 	for i, body := range bodies {
 		if errs != nil && errs[i] != nil {
 			continue
 		}
-		rec := new(wire.StatusRecord)
-		if err := wire.Unmarshal(body, rec); err != nil {
+		var err error
+		if decoded[i], err = wire.DecodeStatus(body); err != nil {
 			if errs == nil {
 				errs = make([]error, len(keys))
 			}
 			errs[i] = err
 			continue
 		}
-		recs[i] = rec
+		recs[i] = &decoded[i]
 	}
 	return recs, errs
 }
@@ -502,8 +503,8 @@ func (r *resolver) resolveAll(recs []*wire.StatusRecord, depth int) ([]json.RawM
 		case len(rec.Inline) == 0:
 			slow = append(slow, i)
 		default:
-			var env wire.ResultEnvelope
-			if err := wire.Unmarshal(rec.Inline, &env); err != nil {
+			env, err := wire.DecodeEnvelope(rec.Inline)
+			if err != nil {
 				return nil, err
 			}
 			if env.Kind != wire.ResultValue {
@@ -530,8 +531,8 @@ func (r *resolver) resolveAll(recs []*wire.StatusRecord, depth int) ([]json.RawM
 // result object.
 func (r *resolver) resolveStatus(rec *wire.StatusRecord, depth int) (json.RawMessage, error) {
 	if len(rec.Inline) > 0 {
-		var env wire.ResultEnvelope
-		if err := wire.Unmarshal(rec.Inline, &env); err != nil {
+		env, err := wire.DecodeEnvelope(rec.Inline)
+		if err != nil {
 			return nil, err
 		}
 		return r.resolveEnvelope(&env, depth)
@@ -544,8 +545,8 @@ func (r *resolver) resolveResultObject(ref wire.ObjectRef, depth int) (json.RawM
 	if err != nil {
 		return nil, fmt.Errorf("core: fetch result %s/%s: %w", ref.Bucket, ref.Key, err)
 	}
-	var env wire.ResultEnvelope
-	if err := wire.Unmarshal(data, &env); err != nil {
+	env, err := wire.DecodeEnvelope(data)
+	if err != nil {
 		return nil, err
 	}
 	return r.resolveEnvelope(&env, depth)

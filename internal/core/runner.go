@@ -29,8 +29,8 @@ const inlineResultThreshold = 8 << 10
 // is the commit point clients poll for.
 func (p *Platform) runnerHandler() faas.Handler {
 	return func(ctx *runtime.Ctx, params []byte) ([]byte, error) {
-		var ref wire.ObjectRef
-		if err := wire.Unmarshal(params, &ref); err != nil {
+		ref, err := wire.DecodeRef(params)
+		if err != nil {
 			return nil, fmt.Errorf("core: runner params: %w", err)
 		}
 		payload, err := p.loadPayload(ctx, ref)
@@ -179,26 +179,22 @@ func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]
 		if err != nil {
 			return nil, fmt.Errorf("core: reduce fetch map status %s: %w", callID, err)
 		}
-		var rec wire.StatusRecord
-		if err := wire.Unmarshal(statusBody, &rec); err != nil {
+		rec, err := wire.DecodeStatus(statusBody)
+		if err != nil {
 			return nil, err
 		}
 		if !rec.OK {
 			return nil, fmt.Errorf("core: map call %s failed: %s: %w", callID, rec.Error, ErrCallFailed)
 		}
-		var env wire.ResultEnvelope
-		if len(rec.Inline) > 0 {
-			if err := wire.Unmarshal(rec.Inline, &env); err != nil {
-				return nil, err
-			}
-		} else {
-			resBody, _, err := ctx.Storage().Get(rec.ResultRef.Bucket, rec.ResultRef.Key)
-			if err != nil {
+		envBody := rec.Inline
+		if len(envBody) == 0 {
+			if envBody, _, err = ctx.Storage().Get(rec.ResultRef.Bucket, rec.ResultRef.Key); err != nil {
 				return nil, fmt.Errorf("core: reduce fetch map result %s: %w", callID, err)
 			}
-			if err := wire.Unmarshal(resBody, &env); err != nil {
-				return nil, err
-			}
+		}
+		env, err := wire.DecodeEnvelope(envBody)
+		if err != nil {
+			return nil, err
 		}
 		if env.Kind != wire.ResultValue {
 			return nil, fmt.Errorf("core: map call %s returned a %s envelope; reducers consume plain values", callID, env.Kind)
@@ -213,8 +209,8 @@ func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]
 // against the controller from datacenter latency, retrying throttled calls.
 func (p *Platform) invokerHandler() faas.Handler {
 	return func(ctx *runtime.Ctx, params []byte) ([]byte, error) {
-		var ref wire.ObjectRef
-		if err := wire.Unmarshal(params, &ref); err != nil {
+		ref, err := wire.DecodeRef(params)
+		if err != nil {
 			return nil, fmt.Errorf("core: invoker params: %w", err)
 		}
 		payload, err := p.loadPayload(ctx, ref)

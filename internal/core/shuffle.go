@@ -204,7 +204,7 @@ func normalizeShuffleValues(kvs []wire.KV, numReducers int) error {
 		case !json.Valid(kv.Value):
 			_, err := json.Marshal(kv.Value)
 			return fmt.Errorf("core: shuffle map serialize partition %d: %w", reducerForKey(kv.Key, numReducers), err)
-		case needsCompact(kv.Value):
+		case wire.NeedsCompact(kv.Value):
 			v, err := json.Marshal(kv.Value)
 			if err != nil {
 				return fmt.Errorf("core: shuffle map serialize partition %d: %w", reducerForKey(kv.Key, numReducers), err)
@@ -213,19 +213,6 @@ func normalizeShuffleValues(kvs []wire.KV, numReducers int) error {
 		}
 	}
 	return nil
-}
-
-// needsCompact reports whether json.Marshal would rewrite a valid JSON
-// value: it drops whitespace and escapes '<', '>', '&', U+2028 and U+2029
-// (whose UTF-8 starts with 0xE2).
-func needsCompact(v []byte) bool {
-	for _, c := range v {
-		switch c {
-		case ' ', '\t', '\n', '\r', '<', '>', '&', 0xE2:
-			return true
-		}
-	}
-	return false
 }
 
 // runShuffleMap executes the map side: run the KV function, hash-partition
@@ -362,10 +349,11 @@ func (p *Platform) buildShuffleIndex(ctx *runtime.Ctx, bucket, execID string, ma
 			if err != nil {
 				return fmt.Errorf("map status %s: %w", mapIDs[i], err)
 			}
-			rec = new(wire.StatusRecord)
-			if err := wire.Unmarshal(body, rec); err != nil {
+			decoded, err := wire.DecodeStatus(body)
+			if err != nil {
 				return err
 			}
+			rec = &decoded
 		}
 		switch {
 		case !rec.OK:

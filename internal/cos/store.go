@@ -221,7 +221,9 @@ func (s *Store) Watch(bucket, prefix string, fn func(key string)) (cancel func()
 // put will compare against.
 func contentETag(data []byte) string {
 	sum := md5.Sum(data)
-	return hex.EncodeToString(sum[:])
+	var etag [2 * md5.Size]byte
+	hex.Encode(etag[:], sum[:])
+	return string(etag[:])
 }
 
 // PutGenerated stores a synthetic object of the given size whose content is
@@ -315,26 +317,26 @@ func (s *Store) List(bucketName, prefix, marker string, maxKeys int) (ListResult
 		return ListResult{}, fmt.Errorf("list %s: %w", bucketName, ErrNoSuchBucket)
 	}
 	// Range-scan the sorted index: binary-search the first candidate (past
-	// both the prefix's lower bound and the marker), then walk forward until
-	// the prefix is exhausted or the page fills.
+	// both the prefix's lower bound and the marker) and the end of the
+	// prefix's run of keys, then copy at most a page of what lies between.
 	start := prefix
 	if marker != "" && marker >= start {
 		// First key strictly after the marker.
 		start = marker + "\x00"
 	}
 	i := sort.SearchStrings(b.keys, start)
+	n := sort.Search(len(b.keys)-i, func(j int) bool { return !strings.HasPrefix(b.keys[i+j], prefix) })
 	var res ListResult
-	for ; i < len(b.keys); i++ {
-		k := b.keys[i]
-		if len(prefix) > 0 && (len(k) < len(prefix) || k[:len(prefix)] != prefix) {
-			break
-		}
-		if len(res.Objects) == maxKeys {
-			res.IsTruncated = true
-			res.NextMarker = res.Objects[len(res.Objects)-1].Key
-			break
-		}
-		res.Objects = append(res.Objects, b.objects[k].meta)
+	if n == 0 {
+		return res, nil
+	}
+	res.Objects = make([]ObjectMeta, min(n, maxKeys))
+	for j := range res.Objects {
+		res.Objects[j] = b.objects[b.keys[i+j]].meta
+	}
+	if n > maxKeys {
+		res.IsTruncated = true
+		res.NextMarker = res.Objects[maxKeys-1].Key
 	}
 	return res, nil
 }

@@ -87,11 +87,15 @@ func PayloadLine(batch []byte, i int) (line []byte, offset int64, err error) {
 }
 
 // DecodePayload decodes and validates one staged call, whichever way its
-// bytes were cut out of a batch.
+// bytes were cut out of a batch. Arg aliases body.
 func DecodePayload(body []byte) (*CallPayload, error) {
 	p := new(CallPayload)
-	if err := Unmarshal(body, p); err != nil {
-		return nil, err
+	d := newDecoder(body)
+	if d.payload(p); !d.done() {
+		*p = CallPayload{}
+		if err := Unmarshal(body, p); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

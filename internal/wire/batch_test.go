@@ -158,10 +158,19 @@ func FuzzPayloadBatch(f *testing.F) {
 				p.FanIn.Target("m", k) // a validated spec locates every target
 			}
 		}
-		again, bounds := JoinPayloads([][]byte{MustMarshal(p)})
+		// A line read raw may carry an argument json.Marshal compacts or
+		// HTML-escapes, so restaging may rewrite Arg once; after that the
+		// staged bytes are a fixed point.
+		staged := MustMarshal(p)
+		again, bounds := JoinPayloads([][]byte{staged})
 		back, err := DecodePayload(again[bounds[0] : bounds[1]-1])
-		if err != nil || !reflect.DeepEqual(back, p) {
-			t.Fatalf("restaged payload = %+v (err %v), want %+v", back, err, p)
+		if err != nil {
+			t.Fatalf("restaged payload: %v", err)
+		}
+		same := *back
+		same.Arg = p.Arg
+		if !reflect.DeepEqual(&same, p) || !bytes.Equal(MustMarshal(back), staged) {
+			t.Fatalf("restaged payload = %+v, want %+v staged as %s", back, p, staged)
 		}
 	})
 }

@@ -1,0 +1,300 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+)
+
+// The records of the §6.4 job (table3) as its runners read them: a map call
+// with its partition and the fan-in that launches its city's reducer, the
+// reducer, the invoke parameters naming a payload's byte range, and a map's
+// status with its result inlined.
+const (
+	table3MapPayload    = `{"executorId":"exec-000002","callId":"00000","runtime":"gowren-default:1","function":"tone/analyze-chunk","kind":2,"partition":{"bucket":"airbnb","key":"amsterdam","offset":0,"length":4194304,"index":0,"objectSize":8519936},"fanIn":{"firstCallId":"00000","count":3,"firstTarget":"00062","targets":1,"targetSpans":[{"key":"jobs/exec-000002/payload/00062+33","bounds":[0,275]}],"action":"gowren-runner--gowren-default:1"},"metaBucket":"gowren-meta"}`
+	table3ReducePayload = `{"executorId":"exec-000002","callId":"00074","runtime":"gowren-default:1","function":"tone/render-city","kind":3,"reduce":{"metaBucket":"gowren-meta","executorId":"exec-000002","mapCallIds":["00018"],"groupKey":"airbnb/geneva"},"metaBucket":"gowren-meta"}`
+	table3Params        = `{"bucket":"gowren-meta","key":"jobs/exec-000002/payload/00000+62","offset":902,"length":452}`
+	table3Status        = `{"executorId":"exec-000002","callId":"00002","ok":true,"activationId":"act-5","coldStart":true,"submitUnixNs":1544400004553768697,"startUnixNs":1544400004553768697,"endUnixNs":1544400005433058227,"inline":{"kind":"value","value":{"city":"amsterdam","bytes":131328,"counts":{"good":288,"neutral":150,"bad":75,"records":513},"points":[{"lat":52.3036,"lon":4.9451,"tone":"good"},{"lat":52.4302,"lon":4.9001,"tone":"good"}]}},"resultRef":{"bucket":"","key":""}}`
+)
+
+func shuffleReducePayload() *CallPayload {
+	return &CallPayload{
+		ExecutorID: "exec-000003", CallID: "00008", Runtime: "gowren-default:1", Function: "kvtone/sum",
+		Kind:       KindShuffleReduce,
+		Shuffle:    &ShuffleSpec{NumReducers: 4, Reducer: 2, MapCallIDs: []string{"00000", "00001", "00002"}, Exchange: ExchangeMemory},
+		MetaBucket: "gowren-meta", Region: "us-south", Tenant: "tenant-3",
+	}
+}
+
+func invokerPayload() *CallPayload {
+	return &CallPayload{
+		ExecutorID: "exec-000004", CallID: "00100", Runtime: "gowren-default:1", Function: "gowren/spawn",
+		Kind: KindInvoker,
+		Invoker: &InvokerSpec{Targets: []SpawnTarget{
+			{Action: "gowren-runner--gowren-default:1", Payload: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000004/payload/00000+100"}},
+			{Action: "gowren-runner--gowren-default:1", Payload: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000004/payload/00000+100", Offset: 150, Length: 149}, Tenant: "tenant-3"},
+		}},
+		MetaBucket: "gowren-meta",
+	}
+}
+
+func shuffleStatus() *StatusRecord {
+	return &StatusRecord{
+		ExecutorID: "exec-000003", CallID: "00001", OK: true, ActivationID: "act-17",
+		SubmitUnixNs: 5, StartUnixNs: 6, EndUnixNs: -7,
+		Inline:    json.RawMessage(`{"kind":"value","value":{"emitted":12,"perReducer":[3,3,6]}}`),
+		ResultRef: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000003/result/00001", Offset: 1, Length: 2},
+		Exchange: &ExchangeAd{Transport: ExchangeDirect, LingerUntilNs: 1544400004553768697, Fallbacks: 1,
+			Partitions: []PartitionDescriptor{{0, 40, 3}, {1, 1, 0}, {2, 77, 6}}},
+	}
+}
+
+// codecRecords are records of every type the fast path takes, each one it
+// must take.
+func codecRecords(t testing.TB) []any {
+	var mapCall, reduce CallPayload
+	var status StatusRecord
+	var params ObjectRef
+	for body, v := range map[string]any{table3MapPayload: &mapCall, table3ReducePayload: &reduce, table3Status: &status, table3Params: &params} {
+		if err := json.Unmarshal([]byte(body), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fan := fanInPayload()
+	return []any{
+		&mapCall, &reduce, shuffleReducePayload(), invokerPayload(), &fan,
+		&status, shuffleStatus(), &StatusRecord{ExecutorID: "e", CallID: "c", Error: "core: map call 00003 failed: boom"},
+		&ResultEnvelope{Kind: ResultValue, Value: json.RawMessage(`[1,"two",{"three":3}]`)},
+		params, ObjectRef{},
+		&FanInMarker{By: "driver", Generation: 2, AtUnixNs: 99, ActivationIDs: []string{"act-1", ""}},
+		&FanInMarker{By: "act-3", Generation: 1},
+		indexFixture(),
+	}
+}
+
+// checkEncode holds Marshal to json.Marshal on v.
+func checkEncode(t *testing.T, v any) {
+	t.Helper()
+	got, err := Marshal(v)
+	want, wantErr := json.Marshal(v)
+	if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+		t.Fatalf("Marshal(%T) =\n%s (err %v)\nencoding/json:\n%s (err %v)", v, got, err, want, wantErr)
+	}
+}
+
+// checkDecode holds the fast decoder of T to encoding/json on data: whatever
+// the fast path takes, encoding/json decodes without error to the same value.
+// It then holds the encoder to json.Marshal on that value. ok reports
+// whether encoding/json decoded data.
+func checkDecode[T any](t *testing.T, data []byte, fast func(*decoder, *T)) (want T, ok bool) {
+	t.Helper()
+	jsonErr := json.Unmarshal(data, &want)
+	var got T
+	d := newDecoder(data)
+	if fast(&d, &got); d.done() && (jsonErr != nil || !reflect.DeepEqual(got, want)) {
+		t.Fatalf("fast path decoded %q to\n%+v\nencoding/json to\n%+v (err %v)", data, got, want, jsonErr)
+	}
+	if jsonErr != nil {
+		return want, false
+	}
+	checkEncode(t, want)
+	checkEncode(t, &want)
+	return want, true
+}
+
+// takesFast reports whether the fast decoder of T takes all of data.
+func takesFast[T any](data []byte, fast func(*decoder, *T)) bool {
+	var v T
+	d := newDecoder(data)
+	fast(&d, &v)
+	return d.done()
+}
+
+func TestRecordCodecMatchesJSON(t *testing.T) {
+	for _, v := range codecRecords(t) {
+		if _, ok := marshalFast(v); !ok {
+			t.Errorf("%T %+v: not on the fast path", v, v)
+		}
+		checkEncode(t, v)
+		data := MustMarshal(v)
+		var taken bool
+		switch v.(type) {
+		case *CallPayload:
+			_, _ = checkDecode(t, data, (*decoder).payload)
+			taken = takesFast(data, (*decoder).payload)
+		case *StatusRecord:
+			_, _ = checkDecode(t, data, (*decoder).status)
+			taken = takesFast(data, (*decoder).status)
+		case *ResultEnvelope:
+			_, _ = checkDecode(t, data, (*decoder).envelope)
+			taken = takesFast(data, (*decoder).envelope)
+		case ObjectRef:
+			_, _ = checkDecode(t, data, (*decoder).ref)
+			taken = takesFast(data, (*decoder).ref)
+		case *ShuffleIndex:
+			_, _ = checkDecode(t, data, (*decoder).shuffleIndex)
+			taken = takesFast(data, (*decoder).shuffleIndex)
+		default:
+			taken = true // encoded only
+		}
+		if !taken {
+			t.Errorf("%s: not decoded on the fast path", data)
+		}
+	}
+	// Whitespace between tokens is JSON too.
+	spaced := []byte(" {\n\t\"kind\" : \"value\" ,\r\"value\": [1, 2] } ")
+	if !takesFast(spaced, (*decoder).envelope) {
+		t.Errorf("%q: not decoded on the fast path", spaced)
+	}
+	_, _ = checkDecode(t, spaced, (*decoder).envelope)
+}
+
+// TestRecordCodecFallsBack: whatever the fast path does not take still
+// decodes (or fails) exactly as encoding/json decodes it, and a value that
+// needs escaping or compacting is still written as encoding/json writes it.
+func TestRecordCodecFallsBack(t *testing.T) {
+	for _, body := range []string{
+		`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m","unknown":1}`,
+		`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m","kind":3}`,
+		`{"executorId":"e","callId":"c","function":"f","Kind":1,"metaBucket":"m"}`,
+		`{"executorId":"e","callId":"c\n","function":"f","kind":1,"metaBucket":"m"}`,
+		`{"executorId":"é","callId":"c","function":"<f>","kind":1,"metaBucket":"m"}`,
+		`{"executorId":"e","callId":"c","function":"f","kind":1.0,"metaBucket":"m"}`,
+		`{"executorId":"e","callId":"c","function":"f","kind":99999999999999999999,"metaBucket":"m"}`,
+		`{"executorId":null,"callId":"c","function":"f","kind":1,"metaBucket":"m","partition":null}`,
+		`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m","arg":null}`,
+		`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m","arg":[1, 2]}`,
+		`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m"} x`,
+		`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m",}`,
+		`null`,
+	} {
+		want, ok := checkDecode(t, []byte(body), (*decoder).payload)
+		got, err := DecodePayload([]byte(body))
+		if ok && want.Validate() == nil {
+			if err != nil || !reflect.DeepEqual(*got, want) {
+				t.Errorf("%s: DecodePayload = %+v (err %v), want %+v", body, got, err, want)
+			}
+		} else if err == nil {
+			t.Errorf("%s: DecodePayload accepted what encoding/json or Validate refuse", body)
+		}
+	}
+	for _, body := range []string{
+		`{"kind":"futures","futures":{"metaBucket":"m","executorId":"sub","callIds":["00000"],"combine":"single"}}`,
+		`{"kind":"value","value":"a<b"}`,
+	} {
+		want, _ := checkDecode(t, []byte(body), (*decoder).envelope)
+		if got, err := DecodeEnvelope([]byte(body)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DecodeEnvelope = %+v (err %v), want %+v", body, got, err, want)
+		}
+	}
+	for _, v := range []any{
+		&StatusRecord{Error: `core: call "00001" failed`},
+		&StatusRecord{Error: "core: <nil>"},
+		&StatusRecord{Error: "a & b"},
+		&StatusRecord{Error: "bad\nthing"},
+		&StatusRecord{Error: "café"},
+		&CallPayload{Function: "x>y"},
+		&StatusRecord{Inline: json.RawMessage(`{"kind": "value"}`)},
+		&StatusRecord{Inline: json.RawMessage(`{"kind":"value","value":" "}`)},
+		&ResultEnvelope{Kind: ResultValue, Value: json.RawMessage(`{"broken"`)},
+		&ResultEnvelope{Kind: ResultFutures, Futures: &FuturesRef{CallIDs: []string{"a"}}},
+		(*CallPayload)(nil),
+		&ShuffleIndex{},
+	} {
+		checkEncode(t, v)
+	}
+}
+
+// TestRecordCodecAllocs pins what the platform pays per record on its hot
+// path: the body's one string copy and the pointers the record holds.
+func TestRecordCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	status, params, inline := []byte(table3Status), []byte(table3Params), []byte(`{"kind":"value","value":50}`)
+	mapCall, reduce := []byte(table3MapPayload), []byte(table3ReducePayload)
+	records := codecRecords(t)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"DecodeStatus", 1, func() { _, err := DecodeStatus(status); must(err) }},
+		{"DecodeEnvelope", 0, func() { _, err := DecodeEnvelope(inline); must(err) }},
+		{"DecodeRef", 1, func() { _, err := DecodeRef(params); must(err) }},
+		{"DecodePayload(map with fan-in)", 6, func() { _, err := DecodePayload(mapCall); must(err) }},
+		{"DecodePayload(reduce)", 4, func() { _, err := DecodePayload(reduce); must(err) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n > tc.max {
+			t.Errorf("%s: %v allocs, want <= %v", tc.name, n, tc.max)
+		}
+	}
+	for _, v := range records {
+		want := 1.0
+		if _, ok := v.(ObjectRef); ok {
+			want = 2 // boxing the value into Marshal's argument is one
+		}
+		if n := testing.AllocsPerRun(100, func() { MustMarshal(v) }); n > want {
+			t.Errorf("Marshal(%T): %v allocs, want <= %v", v, n, want)
+		}
+	}
+}
+
+// FuzzCallPayloadCodec holds the payload codec to encoding/json, kept here as
+// the oracle: on arbitrary bytes the fast path decodes only what
+// encoding/json decodes, to the same value; DecodePayload fails exactly when
+// encoding/json or Validate does; and whatever decodes is written back as
+// json.Marshal writes it.
+func FuzzCallPayloadCodec(f *testing.F) {
+	for _, v := range codecRecords(f) {
+		if p, ok := v.(*CallPayload); ok {
+			f.Add(MustMarshal(p))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, ok := checkDecode(t, data, (*decoder).payload)
+		got, err := DecodePayload(data)
+		switch {
+		case ok && want.Validate() == nil:
+			if err != nil || !reflect.DeepEqual(*got, want) {
+				t.Fatalf("DecodePayload = %+v (err %v), want %+v", got, err, want)
+			}
+		case err == nil:
+			t.Fatalf("DecodePayload accepted %q, which encoding/json or Validate refuse", data)
+		}
+	})
+}
+
+// FuzzStatusRecordCodec does the same for status records, and — on the same
+// bytes — for result envelopes, object refs and fan-in markers.
+func FuzzStatusRecordCodec(f *testing.F) {
+	for _, v := range codecRecords(f) {
+		if r, ok := v.(*StatusRecord); ok {
+			f.Add(MustMarshal(r))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, ok := checkDecode(t, data, (*decoder).status)
+		if got, err := DecodeStatus(data); (err == nil) != ok || ok && !reflect.DeepEqual(got, rec) {
+			t.Fatalf("DecodeStatus = %+v (err %v), want %+v", got, err, rec)
+		}
+		env, ok := checkDecode(t, data, (*decoder).envelope)
+		if got, err := DecodeEnvelope(data); (err == nil) != ok || ok && !reflect.DeepEqual(got, env) {
+			t.Fatalf("DecodeEnvelope = %+v (err %v), want %+v", got, err, env)
+		}
+		ref, ok := checkDecode(t, data, (*decoder).ref)
+		if got, err := DecodeRef(data); (err == nil) != ok || ok && got != ref {
+			t.Fatalf("DecodeRef = %+v (err %v), want %+v", got, err, ref)
+		}
+		var marker FanInMarker
+		if json.Unmarshal(data, &marker) == nil {
+			checkEncode(t, &marker)
+		}
+	})
+}

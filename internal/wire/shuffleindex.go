@@ -45,8 +45,12 @@ type ShuffleIndex struct {
 // hands out is non-empty and lies inside the map object the span describes.
 func DecodeShuffleIndex(body []byte) (*ShuffleIndex, error) {
 	idx := new(ShuffleIndex)
-	if err := Unmarshal(body, idx); err != nil {
-		return nil, err
+	d := newDecoder(body)
+	if d.shuffleIndex(idx); !d.done() {
+		*idx = ShuffleIndex{}
+		if err := Unmarshal(body, idx); err != nil {
+			return nil, err
+		}
 	}
 	if len(idx.Maps) == 0 {
 		return nil, fmt.Errorf("wire: shuffle index locates no map")

@@ -66,13 +66,15 @@ func TestDecodeShuffleIndexRejects(t *testing.T) {
 // FuzzShuffleIndex feeds arbitrary bytes to the decoder every COS reducer
 // runs on its stage index. It must decode or fail cleanly, and a decoded
 // index may hand out only non-empty, ascending ranges inside the map object
-// each span describes, and must survive being written again.
+// each span describes, and must survive being written again. Its codec is
+// held to encoding/json as the record codecs are (codec_test.go).
 func FuzzShuffleIndex(f *testing.F) {
 	f.Add(MustMarshal(indexFixture()))
 	f.Add([]byte(`{"maps":[{"key":"k","bounds":[0,9223372036854775807,-5]}]}`))
 	f.Add([]byte(`{"maps":[{"key":"a","bounds":[0,3,6]},{"key":"b","bounds":[0,4]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = checkDecode(t, data, (*decoder).shuffleIndex)
 		idx, err := DecodeShuffleIndex(data)
 		if err != nil {
 			return

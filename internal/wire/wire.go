@@ -3,7 +3,11 @@
 // data into IBM COS), status records, and result envelopes. These are
 // JSON: self-describing, diffable in tests, and sufficient because user
 // functions are addressed by registered name rather than by shipped
-// bytecode (see internal/runtime for the substitution rationale). Shuffle
+// bytecode (see internal/runtime for the substitution rationale). The
+// records the platform writes and reads on every call have hand-written
+// codecs (codec.go) that produce and accept exactly what encoding/json
+// does, checked against it by fuzzing, and fall back to it for anything
+// they do not recognise; user values go through encoding/json. Shuffle
 // partitions, which no human reads and every reducer scans, are a binary
 // KV frame instead (kvframe.go), and on COS one object per map holds them
 // all, located through a stage index (shuffleindex.go).
@@ -433,8 +437,13 @@ type StatusRecord struct {
 	Exchange *ExchangeAd `json:"exchange,omitempty"`
 }
 
-// Marshal encodes v as JSON.
+// Marshal encodes v as JSON. The platform's own records take the hand-written
+// encoders in codec.go, which write the same bytes; anything else, and any
+// record they do not take, goes through encoding/json.
 func Marshal(v any) ([]byte, error) {
+	if data, ok := marshalFast(v); ok {
+		return data, nil
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal %T: %w", v, err)
@@ -442,7 +451,9 @@ func Marshal(v any) ([]byte, error) {
 	return data, nil
 }
 
-// Unmarshal decodes JSON data into v.
+// Unmarshal decodes JSON data into v with encoding/json. Platform records
+// have their own decoders: DecodePayload, DecodeStatus, DecodeEnvelope,
+// DecodeRef and DecodeShuffleIndex.
 func Unmarshal(data []byte, v any) error {
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("wire: unmarshal %T: %w", v, err)
