@@ -332,11 +332,7 @@ func NewSimCloud(cfg SimConfig) (*Cloud, error) {
 		virtual *vclock.Virtual
 	)
 	if cfg.RealTime {
-		if cfg.TimeScale > 1 {
-			clk = vclock.NewScaled(cfg.TimeScale)
-		} else {
-			clk = vclock.NewReal()
-		}
+		clk = vclock.NewScaled(max(cfg.TimeScale, 1))
 	} else {
 		virtual = vclock.NewVirtual()
 		clk = virtual

@@ -1,7 +1,9 @@
 package cos
 
 import (
+	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -48,6 +50,30 @@ func BenchmarkListFrom(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ListFrom(s, "b", "exec/status/", marker); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHTTPPutGet64K measures one PUT and one GET of a 64 KiB object
+// through HTTPClient against an in-process Handler over loopback, client
+// and server allocations together. It is a report, not a gate.
+func BenchmarkHTTPPutGet64K(b *testing.B) {
+	srv := httptest.NewServer(Handler(NewStore()))
+	defer srv.Close()
+	c := NewHTTPClient(srv.URL, srv.Client())
+	if err := c.CreateBucket("b"); err != nil {
+		b.Fatal(err)
+	}
+	obj := bytes.Repeat([]byte("0123456789abcdef"), 4096)
+	b.SetBytes(2 * int64(len(obj)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Put("b", "k", obj); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := c.Get("b", "k"); err != nil {
 			b.Fatal(err)
 		}
 	}

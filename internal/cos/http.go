@@ -130,7 +130,7 @@ func Handler(store *Store) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("PUT /b/{bucket}/{key...}", func(w http.ResponseWriter, r *http.Request) {
-		body, err := readAll(r)
+		body, err := readBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -174,6 +174,9 @@ func Handler(store *Store) http.Handler {
 			return
 		}
 		setMetaHeaders(w, meta)
+		// A declared length keeps the body out of chunked framing and lets
+		// the client read it into one buffer of that size.
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		if haveRange {
 			w.WriteHeader(http.StatusPartialContent)
 		}
@@ -217,9 +220,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-func readAll(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(r.Body)
+// maxSizedBody caps the buffer readBody sizes from a declared length, so a
+// lying header cannot force a huge allocation before any byte arrives.
+const maxSizedBody = 64 << 20
+
+// readBody reads a whole request or response body. A body that declares its
+// length, up to maxSizedBody, is read once into a buffer of exactly that
+// size; net/http bounds the reader to the declaration, so a short body is
+// io.ErrUnexpectedEOF and a long one is cut, as with io.ReadAll. An
+// undeclared (-1) or larger length grows a buffer as it reads.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 || declared > maxSizedBody {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, declared)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // parseRange parses "bytes=start-end" (end inclusive, optional) into an

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
@@ -294,5 +296,121 @@ func TestHTTPListBuckets(t *testing.T) {
 	}
 	if len(names) != 2 || names[0] != "b1" {
 		t.Fatalf("buckets over HTTP = %v", names)
+	}
+}
+
+// TestHTTPBodiesDeclareLength: a whole-object GET and a 206 ranged GET carry
+// Content-Length equal to the body and are not chunked, so the client can
+// read each into one buffer of that size.
+func TestHTTPBodiesDeclareLength(t *testing.T) {
+	store := NewStore()
+	srv := httptest.NewServer(Handler(store))
+	t.Cleanup(srv.Close)
+	if err := store.CreateBucket("b"); err != nil {
+		t.Fatal(err)
+	}
+	obj := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB, far past net/http's pre-chunking buffer
+	if _, err := store.Put("b", "k", obj); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rangeHeader string
+		status      int
+		want        []byte
+	}{
+		{"", http.StatusOK, obj},
+		{"bytes=100-40099", http.StatusPartialContent, obj[100:40100]},
+	} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/b/b/k", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.rangeHeader != "" {
+			req.Header.Set("Range", tc.rangeHeader)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || !bytes.Equal(body, tc.want) {
+			t.Fatalf("Range %q: %d, %d bytes; want %d, %d bytes", tc.rangeHeader, resp.StatusCode, len(body), tc.status, len(tc.want))
+		}
+		if resp.ContentLength != int64(len(tc.want)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("Range %q: Content-Length %d, Transfer-Encoding %v; want %d and none", tc.rangeHeader, resp.ContentLength, resp.TransferEncoding, len(tc.want))
+		}
+	}
+}
+
+// TestReadBody pins readBody's contract: a declared length is read exactly
+// or fails, an undeclared one reads everything, and a declaration above
+// the cap allocates only what actually arrives.
+func TestReadBody(t *testing.T) {
+	data := bytes.Repeat([]byte{'x'}, 1000)
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		wantErr  error
+	}{
+		{"declared", 1000, nil},
+		{"undeclared", -1, nil},
+		{"above the cap", maxSizedBody + 1, nil},
+		{"short of its declaration", 1001, io.ErrUnexpectedEOF},
+	} {
+		got, err := readBody(bytes.NewReader(data), tc.declared)
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if tc.wantErr == nil && !bytes.Equal(got, data) {
+			t.Fatalf("%s: read %d bytes, want the %d sent", tc.name, len(got), len(data))
+		}
+		if tc.wantErr != nil && got != nil {
+			t.Fatalf("%s: returned %d bytes of truncated data alongside the error", tc.name, len(got))
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readBody(bytes.NewReader(data), maxSizedBody+1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxSizedBody/2 {
+		t.Fatalf("a declared length above the cap allocated %d bytes for a %d-byte body", grew, len(data))
+	}
+
+	obj := make([]byte, 64<<10)
+	rd := bytes.NewReader(obj)
+	if n := testing.AllocsPerRun(50, func() {
+		rd.Reset(obj)
+		if _, err := readBody(rd, int64(len(obj))); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("readBody of a declared 64 KiB body made %v allocations, want 1", n)
+	}
+}
+
+// TestHTTPClientRejectsShortBody: a response that ends before its declared
+// Content-Length is an error on the client, never a truncated object.
+func TestHTTPClientRejectsShortBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		_, _ = buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nonly ten b")
+		_ = buf.Flush()
+	}))
+	t.Cleanup(srv.Close)
+	c := NewHTTPClient(srv.URL, srv.Client())
+	if data, _, err := c.Get("b", "k"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Get of a short body = %q, %v; want io.ErrUnexpectedEOF", data, err)
 	}
 }

@@ -214,7 +214,7 @@ func (c *HTTPClient) get(bucket, key, rangeHeader string) ([]byte, ObjectMeta, e
 		return nil, ObjectMeta{}, remoteErr(resp)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, ObjectMeta{}, fmt.Errorf("cos http: read body %s/%s: %w", bucket, key, err)
 	}

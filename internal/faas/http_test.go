@@ -19,7 +19,7 @@ import (
 // virtual time) with one action that sleeps briefly.
 func newHTTPEnv(t *testing.T) (*Controller, *httptest.Server) {
 	t.Helper()
-	clk := vclock.NewReal()
+	clk := vclock.NewScaled(1)
 	reg := runtime.NewRegistry()
 	if err := reg.Publish(runtime.NewImage(runtime.DefaultImage, 1)); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestHTTPThrottleIs429(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctrl, err := New(Config{
-				Clock:         vclock.NewReal(),
+				Clock:         vclock.NewScaled(1),
 				Registry:      reg,
 				Storage:       cos.NewStore(),
 				MaxConcurrent: 1,

@@ -62,9 +62,10 @@ type Retrier struct {
 	policy    Policy
 	clk       vclock.Clock
 	retryable func(error) bool
+	seed      int64
 
 	mu  sync.Mutex
-	rng *rand.Rand
+	rng *rand.Rand // seeded from seed on the first jittered draw
 }
 
 // Option customizes a Retrier.
@@ -72,7 +73,7 @@ type Option func(*Retrier)
 
 // WithSeed seeds the jitter PRNG (default seed 0, still deterministic).
 func WithSeed(seed int64) Option {
-	return func(r *Retrier) { r.rng = rand.New(rand.NewSource(seed)) }
+	return func(r *Retrier) { r.seed = seed }
 }
 
 // New builds a Retrier that retries the errors retryable reports true for.
@@ -88,7 +89,6 @@ func New(clk vclock.Clock, policy Policy, retryable func(error) bool, opts ...Op
 		policy:    policy.withDefaults(),
 		clk:       clk,
 		retryable: retryable,
-		rng:       rand.New(rand.NewSource(0)),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -105,6 +105,9 @@ func (r *Retrier) backoff(n int, prev time.Duration) time.Duration {
 		d := lo
 		if hi > lo {
 			r.mu.Lock()
+			if r.rng == nil {
+				r.rng = rand.New(rand.NewSource(r.seed))
+			}
 			d = lo + time.Duration(r.rng.Int63n(int64(hi-lo)+1))
 			r.mu.Unlock()
 		}

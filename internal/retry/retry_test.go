@@ -2,6 +2,7 @@ package retry
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -150,5 +151,40 @@ func TestNilRetrierRunsOnce(t *testing.T) {
 	})
 	if !errors.Is(err, errTransient) || calls != 1 {
 		t.Fatalf("nil retrier: err = %v after %d calls, want the op's own error after 1", err, calls)
+	}
+}
+
+var sinkRetrier *Retrier
+
+// TestJitterGeneratorBuiltOnFirstDraw: New seeds nothing, so a Retrier that
+// never jitters pays for no rngSource, and the generator built on the first
+// jittered draw yields the schedule an eagerly seeded one would.
+func TestJitterGeneratorBuiltOnFirstDraw(t *testing.T) {
+	clk := vclock.NewVirtual()
+	p := Policy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Jitter: true}.withDefaults()
+	if n := testing.AllocsPerRun(100, func() { sinkRetrier = New(clk, p, retryable) }); n != 1 {
+		t.Fatalf("New allocates %v objects, want 1 (the Retrier, no rngSource)", n)
+	}
+	for _, tc := range []struct {
+		name string
+		seed int64
+		opts []Option
+	}{
+		{"default seed 0", 0, nil},
+		{"WithSeed(42)", 42, []Option{WithSeed(42)}},
+	} {
+		r := New(clk, p, retryable, tc.opts...)
+		if r.rng != nil {
+			t.Fatalf("%s: New built the jitter generator before any draw", tc.name)
+		}
+		eager := rand.New(rand.NewSource(tc.seed))
+		got, want := p.BaseBackoff, p.BaseBackoff
+		for n := 1; n <= 20; n++ {
+			got = r.backoff(n, got)
+			want = p.BaseBackoff + time.Duration(eager.Int63n(int64(min(3*want, p.MaxBackoff)-p.BaseBackoff)+1))
+			if got != want {
+				t.Fatalf("%s: backoff %d = %v, eagerly seeded schedule says %v", tc.name, n, got, want)
+			}
+		}
 	}
 }

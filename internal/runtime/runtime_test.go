@@ -133,7 +133,7 @@ func TestCtxChargeComputeZeroDeadlineUnlimited(t *testing.T) {
 }
 
 func TestCtxSpawnerAbsent(t *testing.T) {
-	ctx := NewCtx(CtxConfig{Clock: vclock.NewReal()})
+	ctx := NewCtx(CtxConfig{Clock: vclock.NewScaled(1)})
 	if _, err := ctx.Spawner(); !errors.Is(err, ErrNoSpawner) {
 		t.Fatalf("err = %v, want ErrNoSpawner", err)
 	}

@@ -2,8 +2,9 @@
 //
 // Two implementations of the Clock interface are provided:
 //
-//   - Real: thin wrapper over the time package. Used by examples and
-//     integration tests that run at small scale in wall-clock time.
+//   - Scaled: the time package run at a constant factor of wall speed;
+//     factor 1 is the wall clock. Used by gowren-server, the examples and
+//     integration tests that run at small scale in real time.
 //   - Virtual: a cooperative discrete-event clock. Time advances only when
 //     every registered task is blocked in a clock primitive, which lets the
 //     experiment harnesses simulate thousands of concurrent multi-minute
