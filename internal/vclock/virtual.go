@@ -11,6 +11,14 @@ import (
 // registered task is blocked in Sleep. CPU work performed by tasks between
 // clock calls consumes no simulated time.
 //
+// Tasks run one at a time (run-to-park): a task keeps the clock until it
+// parks in Sleep or an Event wait, or returns, and only then does the next
+// runnable task start. Runnable tasks wait in a FIFO queue — a new Go child,
+// an Event waiter a Signal released, and, when the queue drains, every
+// sleeper due at the earliest instant in (wake instant, arrival) order. So
+// the interleaving of a simulation is a function of its code and seed
+// alone, never of how the host schedules goroutines.
+//
 // Rules for correctness (enforced by convention across GoWren's internals):
 //
 //   - every goroutine that participates in the simulation is started via Go
@@ -24,22 +32,29 @@ import (
 // Internally the scheduler works in integer nanoseconds since the epoch and
 // keeps sleepers in a hand-rolled min-heap keyed by (wake instant, arrival
 // sequence): when time advances, every parker due at the minimum instant is
-// released in one batch under one lock acquisition, in FIFO sequence order —
-// the deterministic tiebreak for simultaneous wake-ups. Parkers — the
-// one-slot channels a blocked task waits on — are recycled on a free list
-// under the scheduler lock, so steady-state Sleep allocates nothing.
+// moved to the run queue in one batch under one lock acquisition, in FIFO
+// sequence order — the deterministic tiebreak for simultaneous wake-ups.
+// Parkers — the one-slot channels a blocked or queued task waits on — are
+// recycled on a free list under the scheduler lock, so steady-state Sleep
+// and Go allocate no parker.
 type Virtual struct {
 	epoch time.Time
 
-	mu     sync.Mutex
-	offset atomic.Int64 // ns since epoch; written under mu, read lock-free
-	active int          // registered tasks currently runnable
-	tasks  int          // registered tasks alive (runnable, sleeping, or blocked)
-	events uint64       // scheduler progress counter (sleeps, wakes, spawns, exits)
-	parked int          // tasks blocked in Sleep or a timed/untimed Event wait
-	seq    uint64       // next parker arrival sequence (FIFO tiebreak)
+	mu      sync.Mutex
+	offset  atomic.Int64 // ns since epoch; written under mu, read lock-free
+	active  int          // registered tasks currently runnable (running or queued)
+	running bool         // a task holds the clock; it runs until it parks or exits
+	tasks   int          // registered tasks alive (runnable, sleeping, or blocked)
+	events  uint64       // scheduler progress counter (sleeps, wakes, spawns, exits)
+	parked  int          // tasks blocked in Sleep or a timed/untimed Event wait
+	seq     uint64       // next parker arrival sequence (FIFO tiebreak)
 
 	sleepers parkerHeap
+
+	// runq holds the parkers of runnable tasks waiting for the clock, in
+	// the order they became runnable; runq[runqHead:] is the queue.
+	runq     []*parker
+	runqHead int
 
 	freeParkers []*parker
 
@@ -126,7 +141,8 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.events++
 	v.enqueueLocked(v.offset.Load()+int64(d), p)
 	v.active--
-	v.maybeAdvanceLocked()
+	v.running = false
+	v.dispatchLocked()
 	v.mu.Unlock()
 	<-p.ch
 	v.mu.Lock()
@@ -134,21 +150,32 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// Go starts fn as a registered simulation task.
+// Go starts fn as a registered simulation task. Called from a running
+// task, fn is queued and starts once the caller (and every task queued
+// before fn) parks or exits; called from outside the simulation with no
+// task running, fn starts at once.
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.active++
 	v.tasks++
 	v.events++
+	p := v.getParkerLocked()
+	v.pushRunnableLocked(p)
+	v.dispatchLocked()
 	v.mu.Unlock()
 	v.wg.Add(1)
 	go func() {
+		<-p.ch
+		v.mu.Lock()
+		v.putParkerLocked(p)
+		v.mu.Unlock()
 		defer func() {
 			v.mu.Lock()
 			v.active--
 			v.tasks--
 			v.events++
-			v.maybeAdvanceLocked()
+			v.running = false
+			v.dispatchLocked()
 			v.mu.Unlock()
 			v.wg.Done()
 		}()
@@ -170,19 +197,37 @@ func (v *Virtual) Run(fn func()) {
 	v.Wait()
 }
 
-// maybeAdvanceLocked advances simulated time to the earliest wake-up and
-// releases every parker due at that instant in one batch — in FIFO seq
-// order, the heap's tiebreak — but only once no task is runnable. Instants
-// whose entries were all cancelled (event waiters signalled before their
-// deadline) release nobody; the loop skips past them to the next instant.
-// Callers must hold v.mu.
-func (v *Virtual) maybeAdvanceLocked() {
-	for v.active == 0 && v.sleepers.len() > 0 {
+// pushRunnableLocked appends a released parker to the run queue. Callers
+// must hold v.mu.
+func (v *Virtual) pushRunnableLocked(p *parker) {
+	if v.runqHead > 0 && v.runqHead == len(v.runq) {
+		v.runq = v.runq[:0]
+		v.runqHead = 0
+	} else if v.runqHead > 64 && v.runqHead*2 > len(v.runq) {
+		n := copy(v.runq, v.runq[v.runqHead:])
+		clear(v.runq[n:])
+		v.runq = v.runq[:n]
+		v.runqHead = 0
+	}
+	v.runq = append(v.runq, p)
+}
+
+// dispatchLocked hands the clock to the next runnable task if no task
+// holds it. When the run queue is empty it first advances simulated time
+// to the earliest wake-up and queues every parker due at that instant —
+// in FIFO seq order, the heap's tiebreak. Instants whose entries were all
+// cancelled (event waiters signalled before their deadline) release
+// nobody; the loop skips past them to the next instant. Callers must hold
+// v.mu.
+func (v *Virtual) dispatchLocked() {
+	if v.running {
+		return
+	}
+	for v.runqHead == len(v.runq) && v.sleepers.len() > 0 {
 		instant := v.sleepers.ps[0].wakeNS
 		if instant > v.offset.Load() {
 			v.offset.Store(instant)
 		}
-		released := 0
 		for v.sleepers.len() > 0 && v.sleepers.ps[0].wakeNS == instant {
 			p := v.sleepers.pop()
 			if p.woken {
@@ -192,13 +237,17 @@ func (v *Virtual) maybeAdvanceLocked() {
 			v.parked--
 			v.active++
 			v.events++
-			p.ch <- struct{}{}
-			released++
-		}
-		if released > 0 {
-			return
+			v.pushRunnableLocked(p)
 		}
 	}
+	if v.runqHead == len(v.runq) {
+		return
+	}
+	p := v.runq[v.runqHead]
+	v.runq[v.runqHead] = nil
+	v.runqHead++
+	v.running = true
+	p.ch <- struct{}{} //gowren:allow lockhold — cap-1 parker channel with exactly one send per wake; never blocks
 }
 
 // parkerHeap is a binary min-heap of parkers keyed by (wakeNS, seq). It is
