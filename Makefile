@@ -53,8 +53,9 @@ chaos:
 
 # bench is every benchmark gate the repository has, none of them in host
 # seconds: bench-e2e below (the repository benchmark's fig2_invoke,
-# table3_mapreduce, shuffle_tiers and server_http workloads, gated in
-# simulated time, request counts and allocation counts — eight gates),
+# table3_mapreduce, shuffle_tiers, server_http and openloop_tenants
+# workloads, gated in simulated time, request counts and allocation counts —
+# nine gates),
 # then the two measurements bench/ has no workload for yet. regionbench A/Bs
 # the multi-region knobs: sync vs async PUT ack latency at 3 regions under
 # WAN latency (gate: async p50 >= 2x faster) and region-zero vs placed
@@ -104,6 +105,10 @@ bench: build bench-e2e
 # the socket spend: at most 25.5 heap allocations per call. GET bodies that
 # declare their length, read by each end into one buffer of that size,
 # read ~24.5; chunked GETs and bodies grown by io.ReadAll read 26.77.
+# The ninth gate reads the open-loop multi-tenant traffic (openloop_tenants,
+# 4-call jobs with the journal on): at most 6.6 COS requests per call. A
+# driver whose manifest is also its lease writes it with one conditional PUT
+# and reads 6.524; a separate lease object beside the manifest read 6.773.
 bench-e2e:
 	@line=$$(bash bench/run.sh --workload fig2_invoke --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"job_sim_s":{"unit":"sim_s","value":\([0-9.eE+-]*\)}.*/\1/p'); \
@@ -133,6 +138,10 @@ bench-e2e:
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"host_allocs_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
 	echo "server_http host_allocs_per_call = $${v:-missing} (gate: <= 25.5)"; \
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 25.5) }'
+	@line=$$(bash bench/run.sh --workload openloop_tenants --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
+	echo "openloop_tenants cos_requests_per_call = $${v:-missing} (gate: <= 6.6)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 6.6) }'
 
 # profile runs simbench under the Go profiler and prints the hottest CPU
 # frames; simcore.cpu.pprof and simcore.mem.pprof are left behind for

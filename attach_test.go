@@ -2,11 +2,15 @@ package gowren_test
 
 import (
 	"errors"
+	"maps"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gowren"
+	"gowren/internal/cos"
 )
 
 // driverKillRun is the headline crash-recovery scenario: a 500-call map
@@ -221,6 +225,44 @@ func TestAttachReplayDeadLettersIdempotent(t *testing.T) {
 	})
 }
 
+// keyRecorder counts a storage client's GETs and writes per key.
+type keyRecorder struct {
+	cos.Client
+	mu  sync.Mutex
+	ops map[string]int // "GET key" or "PUT key" -> count
+}
+
+func (r *keyRecorder) note(op, key string) {
+	r.mu.Lock()
+	if r.ops == nil {
+		r.ops = make(map[string]int)
+	}
+	r.ops[op+" "+key]++
+	r.mu.Unlock()
+}
+
+// snapshot returns the recorded requests.
+func (r *keyRecorder) snapshot() map[string]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.ops)
+}
+
+func (r *keyRecorder) Get(bucket, key string) ([]byte, cos.ObjectMeta, error) {
+	r.note("GET", key)
+	return r.Client.Get(bucket, key)
+}
+
+func (r *keyRecorder) Put(bucket, key string, data []byte) (cos.ObjectMeta, error) {
+	r.note("PUT", key)
+	return r.Client.Put(bucket, key, data)
+}
+
+func (r *keyRecorder) PutIf(bucket, key string, data []byte, ifMatch string) (cos.ObjectMeta, error) {
+	r.note("PUT", key)
+	return r.Client.PutIf(bucket, key, data, ifMatch)
+}
+
 func TestAttachListJobsAndCleanAbandoned(t *testing.T) {
 	cloud, err := gowren.NewSimCloud(gowren.SimConfig{
 		Images: []*gowren.Image{chaosImage(t)},
@@ -228,6 +270,28 @@ func TestAttachListJobsAndCleanAbandoned(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	meta := cloud.Platform().MetaBucket()
+	// The manifest is the driver lease: no job ever writes a lease object
+	// of its own.
+	noLeaseObject := func(jobID, when string) {
+		listed, err := cos.ListAll(cloud.Store(), meta, "jobs/"+jobID+"/")
+		if err != nil {
+			t.Errorf("list jobs/%s/ %s: %v", jobID, when, err)
+		}
+		for _, obj := range listed {
+			if strings.HasSuffix(obj.Key, "/lease") {
+				t.Errorf("%s: lease object %s exists beside the manifest", when, obj.Key)
+			}
+		}
+	}
+	listJobs := func() ([]gowren.JobInfo, error) {
+		before := cloud.Store().Stats().GetOps
+		jobs, err := cloud.ListJobs()
+		if got := cloud.Store().Stats().GetOps - before; err == nil && got != int64(len(jobs)) {
+			t.Errorf("ListJobs issued %d GETs for %d jobs, want one per job", got, len(jobs))
+		}
+		return jobs, err
 	}
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
@@ -243,7 +307,8 @@ func TestAttachListJobsAndCleanAbandoned(t *testing.T) {
 			t.Errorf("get result: %v", err)
 			return
 		}
-		jobs, err := cloud.ListJobs()
+		noLeaseObject(exec.JobID(), "after the job")
+		jobs, err := listJobs()
 		if err != nil || len(jobs) != 1 {
 			t.Errorf("jobs = %v (%v), want exactly one", jobs, err)
 			return
@@ -251,6 +316,29 @@ func TestAttachListJobsAndCleanAbandoned(t *testing.T) {
 		if jobs[0].JobID != exec.JobID() || jobs[0].LeaseEpoch != 1 {
 			t.Errorf("job = %+v, want id %s at lease epoch 1", jobs[0], exec.JobID())
 		}
+
+		// Attach reads the manifest once and takes its lease over with a
+		// conditional PUT on the manifest itself.
+		rec := &keyRecorder{Client: cloud.Store()}
+		if _, err := cloud.Attach(exec.JobID(), gowren.WithStorage(rec)); err != nil {
+			t.Errorf("attach: %v", err)
+			return
+		}
+		manifest := "manifests/" + exec.JobID()
+		ops := rec.snapshot()
+		if got := ops["GET "+manifest]; got != 1 {
+			t.Errorf("attach issued %d GETs of %s, want 1", got, manifest)
+		}
+		for op := range ops {
+			if key, ok := strings.CutPrefix(op, "PUT "); ok && key != manifest && !strings.HasPrefix(key, "jobs/"+exec.JobID()+"/journal/") {
+				t.Errorf("attach wrote %s, want only the manifest and journal records", key)
+			}
+		}
+		noLeaseObject(exec.JobID(), "after attach")
+		if jobs, err := listJobs(); err != nil || len(jobs) != 1 || jobs[0].LeaseEpoch != 2 {
+			t.Errorf("jobs after attach = %+v (%v), want one at lease epoch 2", jobs, err)
+		}
+
 		// Too fresh to collect: the driver held the lease moments ago.
 		if removed, err := cloud.CleanAbandoned(time.Hour); err != nil || len(removed) != 0 {
 			t.Errorf("premature GC removed %v (%v)", removed, err)
@@ -261,7 +349,7 @@ func TestAttachListJobsAndCleanAbandoned(t *testing.T) {
 			t.Errorf("GC removed %v (%v), want [%s]", removed, err, exec.JobID())
 			return
 		}
-		if jobs, err := cloud.ListJobs(); err != nil || len(jobs) != 0 {
+		if jobs, err := listJobs(); err != nil || len(jobs) != 0 {
 			t.Errorf("jobs after GC = %v (%v), want none", jobs, err)
 		}
 		if _, err := cloud.Attach(exec.JobID()); err == nil {

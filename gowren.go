@@ -216,14 +216,16 @@ var (
 	// ErrWaitTimeout marks a wait that hit its deadline.
 	ErrWaitTimeout = core.ErrWaitTimeout
 	// ErrFenced marks a job-state mutation (Respawn, dead-letter replay)
-	// rejected because a newer driver attached to the job and bumped its
-	// lease epoch. The superseded driver may keep reading results.
+	// rejected because a newer driver attached to the job and bumped the
+	// lease epoch in its manifest, or a first launch on a job ID another
+	// driver already claimed. The superseded driver may keep reading
+	// results.
 	ErrFenced = core.ErrFenced
 )
 
 // JobInfo summarizes one durable job manifest, as returned by
-// Cloud.ListJobs: identity, runtime, and the driver-lease view the orphan
-// GC keys on.
+// Cloud.ListJobs: identity, runtime, and the driver lease the manifest
+// carries, which the orphan GC keys on.
 type JobInfo = core.JobInfo
 
 // DefaultRuntime is the stock runtime image name.
@@ -627,11 +629,11 @@ func (c *Cloud) Executor(opts ...ExecutorOption) (*Executor, error) {
 
 // Attach rebuilds the executor of a crashed or abandoned driver from the
 // job's durable manifest and journal: futures are reconstructed, in-flight
-// activations adopted, orphaned calls respawned, and the driver lease is
-// taken over with a bumped fencing epoch — so if the previous driver is in
-// fact still alive, its next mutation fails with ErrFenced. Wait and
-// GetResult on the returned executor continue where the dead driver left
-// off. Executor options configure the new driver's own client (profile,
+// activations adopted, orphaned calls respawned, and the driver lease in
+// the manifest is taken over with a bumped fencing epoch — so if the
+// previous driver is in fact still alive, its next mutation fails with
+// ErrFenced. Wait and GetResult on the returned executor continue where
+// the dead driver left off. Executor options configure the new driver's own client (profile,
 // concurrency, retries); the runtime comes from the manifest.
 func (c *Cloud) Attach(jobID string, opts ...ExecutorOption) (*Executor, error) {
 	cfg, err := c.executorConfig(opts)
@@ -647,16 +649,16 @@ func (c *Cloud) Attach(jobID string, opts ...ExecutorOption) (*Executor, error) 
 
 // ListJobs lists the durable job manifests in the meta bucket — every job
 // whose driver journaled, whether finished, abandoned, or still driven —
-// joined with their driver leases. Use it to find a job ID to Attach to.
+// with the driver lease each carries. Use it to find a job ID to Attach to.
 func (c *Cloud) ListJobs() ([]JobInfo, error) {
 	return core.ListJobs(c.platform.Backend(), c.platform.MetaBucket())
 }
 
 // CleanAbandoned garbage-collects jobs nobody resumed: every job whose
-// driver lease (or, leaseless, manifest) is at least ttl old is deleted —
-// payloads, statuses, results, journal, lease, and manifest. It returns
-// the removed job IDs. Live drivers renew their leases while waiting, so a
-// generous ttl (minutes and up) never collects a driven job.
+// driver lease was last renewed at least ttl ago is deleted — payloads,
+// statuses, results, journal, and the manifest that held the lease. It
+// returns the removed job IDs. Live drivers renew their leases while
+// waiting, so a generous ttl (minutes and up) never collects a driven job.
 func (c *Cloud) CleanAbandoned(ttl time.Duration) ([]string, error) {
 	return core.CleanAbandoned(c.platform.Backend(), c.clock, c.platform.MetaBucket(), ttl)
 }

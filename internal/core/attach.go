@@ -18,8 +18,8 @@ import (
 // sweep, adopts in-flight activations, and respawns orphans. Wait and
 // GetResult on the attached executor continue exactly where the dead driver
 // left off. Fencing makes the takeover safe against a driver that is
-// actually still alive: Attach CAS-bumps the lease epoch, so the old
-// driver's next mutation fails with ErrFenced.
+// actually still alive: Attach CAS-bumps the manifest's lease epoch, so the
+// old driver's next mutation fails with ErrFenced.
 
 // AttachExecutor rebuilds the executor for jobID from its durable state.
 // cfg supplies the platform, storage stack, and tuning knobs exactly as for
@@ -31,7 +31,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	}
 	meta := e.cfg.Platform.MetaBucket()
 
-	data, _, err := e.cfg.Storage.Get(meta, manifestKey(jobID))
+	data, lm, err := e.cfg.Storage.Get(meta, manifestKey(jobID))
 	if errors.Is(err, cos.ErrNoSuchKey) {
 		return nil, fmt.Errorf("core: attach %s: no such job (no manifest): %w", jobID, err)
 	}
@@ -47,7 +47,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 		e.cfg.RuntimeImage = man.Runtime
 	}
 
-	if err := e.takeOverLease(); err != nil {
+	if err := e.takeOverLease(man, lm.ETag); err != nil {
 		return nil, err
 	}
 	st, err := e.replayJournal()
@@ -117,43 +117,24 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	return e, nil
 }
 
-// takeOverLease fences the previous driver: it reads the current lease and
-// CAS-writes a successor with the epoch bumped, conditional on the ETag it
-// read. The old driver's cached ETag is then stale, so its next conditional
+// takeOverLease fences the previous driver: it CAS-writes the manifest it
+// read, man, with the epoch bumped, conditional on the ETag it read it at.
+// The old driver's cached ETag is then stale, so its next conditional
 // renewal — and with it every subsequent mutation — fails. Two concurrent
 // Attach calls race on the same CAS; exactly one wins, the loser reports
 // ErrFenced.
-func (e *Executor) takeOverLease() error {
-	meta := e.cfg.Platform.MetaBucket()
-	var cur wire.DriverLease
-	data, lm, err := e.cfg.Storage.Get(meta, leaseKey(e.id))
-	if err == nil {
-		err = wire.Unmarshal(data, &cur)
-	}
-	curETag := lm.ETag
-	switch {
-	case errors.Is(err, cos.ErrNoSuchKey):
-		// Manifest without lease: the original driver died inside the
-		// acquire window, or the lease was cleaned. Start at epoch 1.
-		cur, curETag = wire.DriverLease{}, ""
-	case err != nil:
-		return fmt.Errorf("core: attach %s: read lease: %w", e.id, err)
-	}
-	lease := wire.DriverLease{JobID: e.id, Epoch: cur.Epoch + 1, RenewedUnixNs: e.clock.Now().UnixNano()}
-	lm, err = e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), curETag)
+func (e *Executor) takeOverLease(man wire.JobManifest, etag string) error {
+	now := e.clock.Now()
+	man.Epoch++
+	man.RenewedUnixNs = now.UnixNano()
+	m, err := e.cfg.Storage.PutIf(e.cfg.Platform.MetaBucket(), manifestKey(e.id), wire.MustMarshal(man), etag)
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		return fmt.Errorf("core: attach %s: another driver took the lease: %w", e.id, ErrFenced)
 	case err != nil:
 		return fmt.Errorf("core: attach %s: take over lease: %w", e.id, err)
 	}
-	j := &e.journal
-	j.mu.Lock()
-	j.started = true
-	j.epoch = lease.Epoch
-	j.leaseETag = lm.ETag
-	j.lastRenew = e.clock.Now()
-	j.mu.Unlock()
+	e.journal.hold(man, m.ETag, now)
 	return nil
 }
 
@@ -293,16 +274,16 @@ func (e *Executor) respawnOrphans(futures []*Future) error {
 type JobInfo struct {
 	JobID   string
 	Runtime string
-	// Created is the manifest write time on the simulation clock.
+	// Created is the manifest creation time on the simulation clock.
 	Created time.Time
-	// LeaseEpoch and LeaseRenewed reflect the driver lease; zero values
-	// mean the job never acquired one (journaling was cut short).
+	// LeaseEpoch and LeaseRenewed are the manifest's driver lease: 1 and
+	// the creation time until a driver renews it or attaches.
 	LeaseEpoch   uint64
 	LeaseRenewed time.Time
 }
 
 // ListJobs lists the durable job manifests in metaBucket in job-ID order,
-// joining each with its driver lease. It is the discovery half of the
+// with the driver lease each carries. It is the discovery half of the
 // resume workflow: pick a job, AttachExecutor to it.
 func ListJobs(storage cos.Client, metaBucket string) ([]JobInfo, error) {
 	listed, err := cos.ListAll(storage, metaBucket, manifestListPrefix)
@@ -319,26 +300,19 @@ func ListJobs(storage cos.Client, metaBucket string) ([]JobInfo, error) {
 		if err := wire.Unmarshal(data, &man); err != nil {
 			return nil, fmt.Errorf("core: list jobs: decode %s: %w", obj.Key, err)
 		}
-		info := JobInfo{
-			JobID:   man.JobID,
-			Runtime: man.Runtime,
-			Created: time.Unix(0, man.CreatedUnixNs).UTC(),
-		}
-		if ldata, _, err := storage.Get(metaBucket, leaseKey(man.JobID)); err == nil {
-			var lease wire.DriverLease
-			if wire.Unmarshal(ldata, &lease) == nil {
-				info.LeaseEpoch = lease.Epoch
-				info.LeaseRenewed = time.Unix(0, lease.RenewedUnixNs).UTC()
-			}
-		}
-		out = append(out, info)
+		out = append(out, JobInfo{
+			JobID:        man.JobID,
+			Runtime:      man.Runtime,
+			Created:      time.Unix(0, man.CreatedUnixNs).UTC(),
+			LeaseEpoch:   man.Epoch,
+			LeaseRenewed: time.Unix(0, man.RenewedUnixNs).UTC(),
+		})
 	}
 	return out, nil
 }
 
 // CleanAbandoned garbage-collects jobs nobody drives anymore: every job
-// whose lease renewal — or, for a job that never held a lease, whose
-// manifest creation — is at least ttl old has its entire jobs/{id}/
+// whose lease renewal is at least ttl old has its entire jobs/{id}/
 // namespace and its manifest deleted. It returns the removed job IDs in
 // order. Live drivers renew their lease both on every mutation and
 // periodically while waiting (leaseRenewInterval), so a ttl comfortably
@@ -354,11 +328,7 @@ func CleanAbandoned(storage cos.Client, clk vclock.Clock, metaBucket string, ttl
 	now := clk.Now()
 	var removed []string
 	for _, job := range jobs {
-		anchor := job.Created
-		if !job.LeaseRenewed.IsZero() {
-			anchor = job.LeaseRenewed
-		}
-		if now.Sub(anchor) < ttl {
+		if now.Sub(job.LeaseRenewed) < ttl {
 			continue
 		}
 		if err := deleteJob(storage, clk, defaultStageConcurrency, metaBucket, job.JobID); err != nil {

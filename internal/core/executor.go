@@ -86,10 +86,11 @@ type Config struct {
 	// PollInterval is the status-polling granularity. Zero uses 50ms.
 	PollInterval time.Duration
 
-	// DisableJournal switches off the durable job journal (manifest, driver
-	// lease, recovery records — see journal.go). In-cloud helper executors
-	// (remote invokers, composition spawners) set it: their jobs live and
-	// die with a parent call and are not independently resumable.
+	// DisableJournal switches off the durable job journal (the manifest
+	// that is also the driver lease, recovery records — see journal.go).
+	// In-cloud helper executors (remote invokers, composition spawners) set
+	// it: their jobs live and die with a parent call and are not
+	// independently resumable.
 	DisableJournal bool
 }
 
@@ -147,8 +148,8 @@ type Executor struct {
 	// making progress reporting O(1) per poll.
 	doneTracked atomic.Int64
 
-	// journal is the durable job-journal state: manifest, driver lease,
-	// epoch/sequence counters (see journal.go).
+	// journal is the durable job-journal state: the manifest this driver
+	// holds as its lease, the sequence counter (see journal.go).
 	journal jobJournal
 
 	mu          sync.Mutex
@@ -319,9 +320,10 @@ func (e *Executor) runJob(payloads []*wire.CallPayload) ([]*Future, error) {
 // launch is runJob with control over future tracking: map_reduce launches
 // its map phase untracked so GetResult waits only on the reducers.
 func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*Future, error) {
-	// The manifest and driver lease go down before anything else is staged,
-	// so a driver that crashes mid-launch still leaves a resumable job
-	// behind (see journal.go).
+	// The manifest, which claims the job ID and holds the driver lease in
+	// one conditional PUT, goes down before anything else is staged, so a
+	// driver that crashes mid-launch still leaves a resumable job behind
+	// and a second driver on the same ID stages nothing (see journal.go).
 	if err := e.journalStart(); err != nil {
 		return nil, err
 	}

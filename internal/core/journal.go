@@ -13,20 +13,22 @@ import (
 // Durable job journal and driver lease. In the PyWren model the client
 // process is the orchestrator, so a crashed driver used to lose the job even
 // though every payload, status, and result object was already durable. The
-// journal closes that gap: at first launch the executor writes a job
-// manifest plus a driver lease under its COS namespace, and every recovery
-// event (launches, respawns, dead letters, replays) appends a journal
-// record. AttachExecutor (attach.go) rebuilds the whole job from those
+// journal closes that gap: at first launch the executor creates a job
+// manifest in the meta bucket, and every recovery event (launches,
+// respawns, dead letters, replays) appends a journal record under its COS
+// namespace. AttachExecutor (attach.go) rebuilds the whole job from those
 // objects alone.
 //
-// The lease is the fencing mechanism: a tiny object written only through
-// conditional puts (cos.Client.PutIf). The driver caches the lease ETag it
-// last wrote; every mutation of job state re-asserts ownership by CAS-ing a
-// renewal against that ETag. A resuming driver takes over by CAS-bumping the
-// epoch, which changes the ETag — the old driver's next renewal then fails
-// with ErrPreconditionFailed and it fences itself off with ErrFenced. Read
-// paths (status sweeps, result collection) are deliberately unfenced: a
-// superseded driver observing the job complete is harmless.
+// The manifest is also the driver lease, the fencing mechanism: it is
+// written only through conditional puts (cos.Client.PutIf), so one PUT both
+// claims the job ID and takes epoch 1. The driver caches the manifest and
+// the ETag it last wrote; every mutation of job state re-asserts ownership
+// by CAS-ing a renewal against that ETag. A resuming driver takes over by
+// CAS-bumping the epoch, which changes the ETag — the old driver's next
+// renewal then fails with ErrPreconditionFailed and it fences itself off
+// with ErrFenced. Read paths (status sweeps, result collection) are
+// deliberately unfenced: a superseded driver observing the job complete is
+// harmless.
 
 // ErrFenced reports a job-state mutation rejected because a newer driver
 // holds the job's lease (a later epoch). The superseded driver may keep
@@ -45,16 +47,28 @@ const leaseRenewInterval = 30 * time.Second
 // because executors are driven by a single task at a time.
 type jobJournal struct {
 	mu        sync.Mutex
-	started   bool // manifest written, lease held; never with Config.DisableJournal
-	fenced    bool // a conditional renewal failed; a newer driver owns the job
-	epoch     uint64
-	seq       int    // next journal record sequence within this epoch
-	leaseETag string // ETag of the lease body this driver last wrote
+	started   bool             // manifest written, lease held; never with Config.DisableJournal
+	fenced    bool             // a conditional renewal failed; a newer driver owns the job
+	manifest  wire.JobManifest // as this driver last wrote it; Epoch is its lease
+	etag      string           // ETag of that manifest body
+	seq       int              // next journal record sequence within this epoch
 	lastRenew time.Time
 }
 
-// journalStart lazily writes the job manifest and acquires the epoch-1
-// driver lease, once per executor, before the first launch stages anything.
+// hold records a manifest this driver has just written as its lease.
+func (j *jobJournal) hold(man wire.JobManifest, etag string, now time.Time) {
+	j.mu.Lock()
+	j.started = true
+	j.manifest = man
+	j.etag = etag
+	j.lastRenew = now
+	j.mu.Unlock()
+}
+
+// journalStart lazily creates the job manifest at epoch 1, once per
+// executor, before the first launch stages anything. The put is create-only,
+// so it also claims the job ID: a manifest already under it means another
+// driver owns the job, and this one is fenced before it writes anything.
 func (e *Executor) journalStart() error {
 	j := &e.journal
 	j.mu.Lock()
@@ -64,42 +78,33 @@ func (e *Executor) journalStart() error {
 		return nil
 	}
 
-	meta := e.cfg.Platform.MetaBucket()
+	meta, now := e.cfg.Platform.MetaBucket(), e.clock.Now()
 	man := wire.JobManifest{
 		JobID:         e.id,
 		MetaBucket:    meta,
 		Runtime:       e.cfg.RuntimeImage,
 		Seed:          e.cfg.Platform.Seed(),
-		CreatedUnixNs: e.clock.Now().UnixNano(),
+		CreatedUnixNs: now.UnixNano(),
+		Epoch:         1,
+		RenewedUnixNs: now.UnixNano(),
 	}
-	if _, err := e.cfg.Storage.Put(meta, manifestKey(e.id), wire.MustMarshal(man)); err != nil {
-		return fmt.Errorf("core: write job manifest: %w", err)
-	}
-	lease := wire.DriverLease{JobID: e.id, Epoch: 1, RenewedUnixNs: e.clock.Now().UnixNano()}
-	lm, err := e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), "")
+	m, err := e.cfg.Storage.PutIf(meta, manifestKey(e.id), wire.MustMarshal(man), "")
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
-		// A lease already exists under this executor's ID — only possible
-		// when an attached driver races the original on a shared ID.
-		return fmt.Errorf("core: job %s already has a driver lease: %w", e.id, ErrFenced)
+		return fmt.Errorf("core: job %s already has a manifest: %w", e.id, ErrFenced)
 	case err != nil:
-		return fmt.Errorf("core: acquire driver lease: %w", err)
+		return fmt.Errorf("core: write job manifest: %w", err)
 	}
-	j.mu.Lock()
-	j.started = true
-	j.epoch = 1
-	j.leaseETag = lm.ETag
-	j.lastRenew = e.clock.Now()
-	j.mu.Unlock()
+	j.hold(man, m.ETag, now)
 	return nil
 }
 
-// renewLease re-asserts lease ownership with a conditional put against the
-// ETag this driver last wrote. It is the fencing checkpoint every job-state
-// mutation (Respawn, dead-letter persistence, replay) passes through first:
-// a failed precondition means a newer driver bumped the epoch, and this
-// driver permanently fences itself off. With journaling disabled or not yet
-// started it is a no-op.
+// renewLease re-asserts lease ownership with a conditional put of the
+// manifest against the ETag this driver last wrote. It is the fencing
+// checkpoint every job-state mutation (Respawn, dead-letter persistence,
+// replay) passes through first: a failed precondition means a newer driver
+// bumped the epoch, and this driver permanently fences itself off. With
+// journaling disabled or not yet started it is a no-op.
 func (e *Executor) renewLease() error {
 	j := &e.journal
 	j.mu.Lock()
@@ -111,13 +116,13 @@ func (e *Executor) renewLease() error {
 		j.mu.Unlock()
 		return fmt.Errorf("core: job %s: %w", e.id, ErrFenced)
 	}
-	epoch := j.epoch
-	etag := j.leaseETag
+	man := j.manifest
+	etag := j.etag
 	j.mu.Unlock()
 
-	meta := e.cfg.Platform.MetaBucket()
-	lease := wire.DriverLease{JobID: e.id, Epoch: epoch, RenewedUnixNs: e.clock.Now().UnixNano()}
-	lm, err := e.cfg.Storage.PutIf(meta, leaseKey(e.id), wire.MustMarshal(lease), etag)
+	now := e.clock.Now()
+	man.RenewedUnixNs = now.UnixNano()
+	m, err := e.cfg.Storage.PutIf(e.cfg.Platform.MetaBucket(), manifestKey(e.id), wire.MustMarshal(man), etag)
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
 		j.mu.Lock()
@@ -129,10 +134,7 @@ func (e *Executor) renewLease() error {
 		// was about to make would have hit the same trouble.
 		return fmt.Errorf("core: renew driver lease: %w", err)
 	}
-	j.mu.Lock()
-	j.leaseETag = lm.ETag
-	j.lastRenew = e.clock.Now()
-	j.mu.Unlock()
+	j.hold(man, m.ETag, now)
 	return nil
 }
 
@@ -164,7 +166,7 @@ func (e *Executor) appendJournal(kind string, mut func(*wire.JournalRecord)) {
 		j.mu.Unlock()
 		return
 	}
-	epoch := j.epoch
+	epoch := j.manifest.Epoch
 	seq := j.seq
 	j.seq++
 	j.mu.Unlock()

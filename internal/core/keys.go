@@ -113,12 +113,9 @@ const journalPrefix = "journal"
 // the per-job namespaces so ListJobs is a single cheap prefix LIST.
 const manifestListPrefix = "manifests/"
 
-// manifestKey is where a job's JobManifest lives.
+// manifestKey is where a job's JobManifest, its driver lease, lives. It is
+// written only via conditional put, so competing drivers serialize on epochs.
 func manifestKey(execID string) string { return manifestListPrefix + execID }
-
-// leaseKey is the job's driver-lease object, written only via conditional
-// put so competing drivers serialize on epochs.
-func leaseKey(execID string) string { return "jobs/" + execID + "/lease" }
 
 // journalKey names one journal record. Zero-padding epoch and sequence makes
 // lexicographic key order equal (epoch, seq) order, so a resuming driver

@@ -14,7 +14,7 @@ func TestKeyHelpersUnchanged(t *testing.T) {
 		{jobKey(statusPrefix, "exec-000007", "00042"), "jobs/exec-000007/status/00042"},
 		{resultKey("exec-000007", "00042"), "jobs/exec-000007/result/00042"},
 		{statusListPrefix("exec-000007"), "jobs/exec-000007/status/"},
-		{leaseKey("exec-000007"), "jobs/exec-000007/lease"},
+		{manifestKey("exec-000007"), "manifests/exec-000007"},
 		{journalKey("exec-000007", 3, 17), "jobs/exec-000007/journal/000003-000017"},
 		{journalKey("exec-000007", 1234567, 7654321), "jobs/exec-000007/journal/1234567-7654321"},
 		{journalListPrefix("exec-000007"), "jobs/exec-000007/journal/"},

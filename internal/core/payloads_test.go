@@ -50,9 +50,10 @@ func stagedBatches(t *testing.T, store *cos.Store, meta, execID string) (keys []
 }
 
 // TestStagingRequestBudget is Fig. 2's job seen from both ends: 1,000 calls
-// through massive spawning cost the WAN client a handful of PUTs — one batch
-// of calls, one batch of invoker groups, manifest, lease and launch record —
-// where staging a call per object cost a thousand; and in the cloud every
+// through massive spawning cost the WAN client exactly four PUTs — one batch
+// of calls, one batch of invoker groups, the manifest (which is also the
+// driver lease) and the launch record — where staging a call per object cost
+// a thousand; and in the cloud every
 // activation reads exactly its own payload's bytes, in one request.
 func TestStagingRequestBudget(t *testing.T) {
 	const n = 1000
@@ -90,8 +91,8 @@ func TestStagingRequestBudget(t *testing.T) {
 			t.Fatalf("result[%d] = %d, want %d: a call ran on a neighbour's payload", i, v, i+7)
 		}
 	}
-	if staging.PutOps > 8 || staging.GetOps != 0 || staging.ListOps != 0 {
-		t.Errorf("client staging requests = %+v, want at most 8 PUTs and nothing else", staging)
+	if staging.PutOps != 4 || staging.GetOps != 0 || staging.ListOps != 0 {
+		t.Errorf("client staging requests = %+v, want exactly 4 PUTs and nothing else", staging)
 	}
 	if submit > time.Second {
 		t.Errorf("Map returned after %v over the WAN link, want <= 1s", submit)

@@ -259,9 +259,9 @@ func TestShuffleCleanRemovesShuffleFiles(t *testing.T) {
 }
 
 // TestCleanListsOnce: one LIST of jobs/{id}/ finds everything a job left —
-// shuffle objects and stage index, the fan-in marker, journal records, the
-// lease and a dead letter — and after Clean nothing is left under the job
-// or its manifest.
+// shuffle objects and stage index, the fan-in marker, journal records and a
+// dead letter — and after Clean nothing is left under the job or its
+// manifest, which holds the driver lease.
 func TestCleanListsOnce(t *testing.T) {
 	e, _ := newShuffleEnv(t)
 	exec := e.executor(t, nil)

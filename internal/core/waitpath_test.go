@@ -182,12 +182,14 @@ func TestCollectionListingScalesWithCompletions(t *testing.T) {
 	for _, tc := range []struct {
 		n         int
 		maxListed int64
+		puts      int64
 	}{
 		// n statuses plus a re-list margin at the frontier for out-of-order
 		// completions, which weighs most on a short job (measured 2,748).
-		{n: 1000, maxListed: 4 * 1000},
-		// Measured 10,082.
-		{n: 10000, maxListed: 2 * 10000},
+		// One payload batch (1 MiB holds all 1,000 calls).
+		{n: 1000, maxListed: 4 * 1000, puts: 3},
+		// Measured 10,082. Three payload batches.
+		{n: 10000, maxListed: 2 * 10000, puts: 5},
 	} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			n := tc.n
@@ -238,13 +240,14 @@ func TestCollectionListingScalesWithCompletions(t *testing.T) {
 			}
 			// Beyond listing, the client's whole bill is one status GET per
 			// future and a staging phase that does not grow with the job:
-			// manifest, lease, launch record and the payload batches (measured
-			// 4 and 6 PUTs; a payload object per call made it n + 3).
+			// the manifest (which is also the driver lease), the launch
+			// record and the payload batches (a payload object per call made
+			// it n + 2).
 			if ops.GetOps != int64(n) {
 				t.Errorf("client issued %d GETs for %d futures, want %d", ops.GetOps, n, n)
 			}
-			if ops.PutOps > 8 {
-				t.Errorf("client issued %d PUTs for %d futures, want <= 8", ops.PutOps, n)
+			if ops.PutOps != tc.puts {
+				t.Errorf("client issued %d PUTs for %d futures, want %d", ops.PutOps, n, tc.puts)
 			}
 			// busy returns an int: every result inlines, so the collection
 			// issues zero result-object GETs — there are no result objects

@@ -86,8 +86,8 @@ type Client interface {
 // Conditional is the compare-and-swap method of Client, named so a wrapper
 // can say it forwards it. Real COS/S3 expose it as If-Match / If-None-Match
 // preconditions on PUT; GoWren uses it for what real systems do — tiny
-// coordination records (the driver lease of the job journal, the fan-in
-// launch markers) where last-writer-wins would let two parties both believe
+// coordination records (the job manifest that holds the driver lease, the
+// fan-in launch markers) where last-writer-wins would let two parties both believe
 // they own a job. Every backend implements it, so journaling and fencing
 // cannot switch off with the transport.
 type Conditional interface {

@@ -7,18 +7,27 @@ package wire
 // reconstructible from storage alone, and a fresh driver can Attach, replay
 // the journal, and continue where the dead one left off.
 
-// JobManifest is written once at first launch under the platform's meta
-// bucket. It records everything a resuming driver cannot rediscover from the
-// per-call objects: the job's identity, runtime, and the platform seed that
-// makes placement and speculation decisions reproducible.
+// JobManifest is created once at first launch under the platform's meta
+// bucket, and it is the job's driver lease as well. It records everything a
+// resuming driver cannot rediscover from the per-call objects — the job's
+// identity, runtime, and the platform seed that makes placement and
+// speculation decisions reproducible — plus the fencing epoch. It is written
+// only through conditional puts: holding the latest epoch is what authorizes
+// a driver to mutate job state (respawn, dead-letter, replay), and a driver
+// whose conditional renewal fails has been superseded and must stop.
 type JobManifest struct {
 	JobID      string `json:"jobId"`
 	MetaBucket string `json:"metaBucket"`
 	Runtime    string `json:"runtime"`
 	Seed       int64  `json:"seed"`
-	// CreatedUnixNs is the manifest write time on the simulation clock; the
-	// orphan GC falls back to it for jobs whose lease never renewed.
+	// CreatedUnixNs is the manifest creation time on the simulation clock.
 	CreatedUnixNs int64 `json:"createdUnixNs"`
+	// Epoch is the fencing epoch of the driver that last wrote the
+	// manifest: 1 at creation, bumped by every Attach.
+	Epoch uint64 `json:"epoch"`
+	// RenewedUnixNs is the last renewal time on the simulation clock; the
+	// orphan GC treats a long-unrenewed job as abandoned.
+	RenewedUnixNs int64 `json:"renewedUnixNs"`
 }
 
 // Journal record kinds.
@@ -49,9 +58,9 @@ type JournalCall struct {
 // Records are keyed so that lexicographic order equals (epoch, seq) order;
 // replaying them in key order reproduces the driver's recovery decisions.
 type JournalRecord struct {
-	// Epoch is the driver-lease epoch that wrote the record. A resuming
-	// driver bumps the epoch before writing, so records from a fenced-off
-	// predecessor sort strictly earlier.
+	// Epoch is the manifest epoch of the driver that wrote the record. A
+	// resuming driver bumps the epoch before writing, so records from a
+	// fenced-off predecessor sort strictly earlier.
 	Epoch uint64 `json:"epoch"`
 	Seq   int    `json:"seq"`
 	Kind  string `json:"kind"`
@@ -71,16 +80,4 @@ type JournalRecord struct {
 	OldCallIDs []string `json:"oldCallIds,omitempty"`
 	// AtUnixNs is the record's write time on the simulation clock.
 	AtUnixNs int64 `json:"atUnixNs"`
-}
-
-// DriverLease is the fencing record for a job: a tiny object updated only
-// via conditional put. Holding the latest epoch is what authorizes a driver
-// to mutate job state (respawn, dead-letter, replay); any driver whose
-// conditional renewal fails has been superseded and must stop.
-type DriverLease struct {
-	JobID string `json:"jobId"`
-	Epoch uint64 `json:"epoch"`
-	// RenewedUnixNs is the last renewal time on the simulation clock; the
-	// orphan GC treats a long-unrenewed lease as abandoned.
-	RenewedUnixNs int64 `json:"renewedUnixNs"`
 }
