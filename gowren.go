@@ -489,13 +489,7 @@ func (c *Cloud) Run(fn func()) {
 }
 
 // Go starts fn as a simulation task (usable from inside Run).
-func (c *Cloud) Go(fn func()) {
-	if c.virtual != nil {
-		c.virtual.Go(fn)
-		return
-	}
-	c.clock.Go(fn)
-}
+func (c *Cloud) Go(fn func()) { c.clock.Go(fn) }
 
 // Clock returns the cloud's clock.
 func (c *Cloud) Clock() Clock { return c.clock }

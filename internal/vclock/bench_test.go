@@ -69,22 +69,80 @@ func BenchmarkEventSignalWait(b *testing.B) {
 	})
 }
 
-// TestSleepSteadyStateAllocs pins the pooled-parker guarantee: once the
-// free list is warm, Sleep on a Virtual clock performs zero heap
-// allocations per call. A regression here silently reintroduces the
-// per-sleep channel allocation the hot-path overhaul removed.
+// TestSleepSteadyStateAllocs pins that Sleep on a Virtual clock performs
+// zero heap allocations per call once the timer heap is warm, whether it
+// advances the clock in place (the lone sleeper) or parks behind another
+// task.
 func TestSleepSteadyStateAllocs(t *testing.T) {
 	clk := NewVirtual()
 	clk.Run(func() {
-		// Warm the parker free list past any startup growth.
+		clk.Go(func() {
+			for i := 0; i < 400; i++ {
+				clk.Sleep(time.Millisecond)
+			}
+		})
 		for i := 0; i < 64; i++ {
 			clk.Sleep(time.Millisecond)
 		}
-		avg := testing.AllocsPerRun(200, func() {
-			clk.Sleep(time.Millisecond)
-		})
-		if avg != 0 {
-			t.Fatalf("steady-state Sleep allocates %.1f objects per call, want 0", avg)
+		for _, d := range []time.Duration{time.Millisecond, time.Hour} {
+			if avg := testing.AllocsPerRun(100, func() { clk.Sleep(d) }); avg != 0 {
+				t.Errorf("steady-state Sleep(%v) allocates %.1f objects per call, want 0", d, avg)
+			}
 		}
+	})
+}
+
+// TestGoSteadyStateAllocs pins coroutine reuse: once a finished task's
+// coroutine is idle, Go and the task's run to exit allocate nothing.
+func TestGoSteadyStateAllocs(t *testing.T) {
+	clk := NewVirtual()
+	clk.Run(func() {
+		spawn := func() {
+			clk.Go(func() {})
+			clk.Sleep(time.Millisecond) // let the child run and exit
+		}
+		for i := 0; i < 64; i++ {
+			spawn()
+		}
+		if avg := testing.AllocsPerRun(200, spawn); avg != 0 {
+			t.Fatalf("warm Go and exit allocate %.1f objects, want 0", avg)
+		}
+	})
+}
+
+// TestEventWaitSignalAllocs pins the event round trip: a parked waiter
+// released by Signal costs no allocation once the waiter list is warm.
+func TestEventWaitSignalAllocs(t *testing.T) {
+	clk := NewVirtual()
+	evt := NewEvent(clk)
+	clk.Run(func() {
+		var turn, seen int
+		done := false
+		clk.Go(func() {
+			for !done {
+				gen := evt.Gen()
+				if turn > seen {
+					seen = turn
+					continue
+				}
+				evt.Wait(gen, time.Time{})
+			}
+		})
+		roundTrip := func() {
+			turn++
+			evt.Signal()
+			clk.Sleep(time.Microsecond) // the waiter runs and parks again
+		}
+		for i := 0; i < 64; i++ {
+			roundTrip()
+		}
+		if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+			t.Errorf("Event Wait and Signal allocate %.1f objects per round trip, want 0", avg)
+		}
+		if seen != turn {
+			t.Errorf("waiter saw turn %d of %d", seen, turn)
+		}
+		done = true
+		evt.Signal()
 	})
 }
