@@ -63,10 +63,12 @@ func (u *Usage) Add(other Usage) {
 
 // Cost prices the usage under a table.
 func (u Usage) Cost(p PriceTable) float64 {
-	return u.GBSeconds*p.GBSecondUSD +
-		float64(u.Invocations)*p.RequestUSD +
-		float64(u.StorageWrites)*p.StorageWriteUSD +
-		float64(u.StorageReads)*p.StorageReadUSD
+	// Each float64(...) rounds its product, so no architecture fuses a
+	// multiply into the sum and every machine prints the same cost.
+	return float64(u.GBSeconds*p.GBSecondUSD) +
+		float64(float64(u.Invocations)*p.RequestUSD) +
+		float64(float64(u.StorageWrites)*p.StorageWriteUSD) +
+		float64(float64(u.StorageReads)*p.StorageReadUSD)
 }
 
 // String summarizes the usage.
@@ -102,7 +104,7 @@ func meterOne(u *Usage, a faas.Activation, fallbackMemoryMB int) {
 	secs := a.EndAt.Sub(a.StartAt).Seconds()
 	u.Invocations++
 	u.ComputeSeconds += secs
-	u.GBSeconds += float64(mem) / 1024 * secs
+	u.GBSeconds += float64(float64(mem) / 1024 * secs) // rounded: no fused multiply-add
 }
 
 // VMPriceTable prices a dedicated VM per hour, for the paper's sequential

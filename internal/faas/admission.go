@@ -144,7 +144,7 @@ func (ts *tenantState) reserve(now time.Time, maxWait time.Duration) (time.Durat
 	if rate <= 0 {
 		return 0, true
 	}
-	ts.tokens += now.Sub(ts.lastRefill).Seconds() * rate
+	ts.tokens += float64(now.Sub(ts.lastRefill).Seconds() * rate) // rounded: no fused multiply-add
 	if burst := ts.quota.burst(); ts.tokens > burst {
 		ts.tokens = burst
 	}

@@ -55,7 +55,7 @@ type LogNormal struct {
 // Sample implements LatencyModel.
 func (l LogNormal) Sample(r *rand.Rand) time.Duration {
 	mu := math.Log(float64(l.Median))
-	d := time.Duration(math.Exp(mu + l.Sigma*r.NormFloat64()))
+	d := time.Duration(math.Exp(mu + float64(l.Sigma*r.NormFloat64()))) // rounded: no fused multiply-add
 	if l.Cap > 0 && d > l.Cap {
 		d = l.Cap
 	}

@@ -138,7 +138,7 @@ func diurnal(t, period time.Duration, amplitude float64) float64 {
 	if amplitude == 0 {
 		return 1
 	}
-	return 1 + amplitude*math.Sin(2*math.Pi*t.Seconds()/period.Seconds())
+	return 1 + float64(amplitude*math.Sin(2*math.Pi*t.Seconds()/period.Seconds())) // rounded: no fused multiply-add
 }
 
 // burstFactor multiplies the factors of every burst window covering t.

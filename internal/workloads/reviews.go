@@ -195,8 +195,9 @@ func buildRecord(city City, seed uint64, k int64, buf []byte) {
 	}
 	r1 := splitmix64(seed ^ uint64(k)*31 + 7)
 	r2 := splitmix64(seed ^ uint64(k)*131 + 13)
-	lat := city.Lat + (float64(r1%2000)/2000-0.5)*0.2
-	lon := city.Lon + (float64(r2%2000)/2000-0.5)*0.2
+	// Rounding each offset keeps arm64 from fusing it into the sum.
+	lat := city.Lat + float64((float64(r1%2000)/2000-0.5)*0.2)
+	lon := city.Lon + float64((float64(r2%2000)/2000-0.5)*0.2)
 
 	b := append(buf[:0], "R|"...)
 	b = append(b, city.Name...)
