@@ -96,7 +96,7 @@ func run(args []string) error {
 	}
 
 	// The simulation's live heap is small and flat (bounded activation
-	// retention, pooled parkers); a relaxed GC target trades idle memory
+	// retention, reused task coroutines); a relaxed GC target trades idle memory
 	// for fewer collection cycles over the run's huge allocation volume.
 	debug.SetGCPercent(300)
 

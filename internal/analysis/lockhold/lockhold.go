@@ -1,12 +1,15 @@
 // Package lockhold flags mutexes held across blocking calls.
 //
-// On the virtual clock a blocking primitive (Clock.Sleep, vclock.Poll,
-// Clock.Wait, a channel operation) parks the current task until every
-// other task is parked too. A sync.Mutex held across such a call is a
-// deadlock factory: any task that touches the same mutex can no longer
-// reach its own clock primitive, so virtual time never advances and the
-// whole simulation hangs — the failure is silent and global rather than
-// local. The rule: collect state under the lock, release, then block.
+// On the virtual clock one loop runs every task of a simulation, one at a
+// time, and a blocking primitive (Clock.Sleep, vclock.Poll, Event.Wait)
+// parks the current task and hands the loop to the next. A sync.Mutex
+// held across such a call is a certain hang: the next task that locks it
+// blocks the loop itself, so no task runs again and virtual time never
+// advances. The watchdog (vclock.Virtual.StartWatchdog) names the blocked
+// task, but only at run time; this check finds the lock in the source. It
+// also flags a lock held across a channel operation, which blocks the
+// loop the same way. The rule: collect state under the lock, release, then
+// block.
 //
 // The analysis is an intra-function heuristic: it tracks Lock/Unlock
 // pairs through straight-line code and into nested control flow, treats
