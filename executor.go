@@ -279,8 +279,11 @@ func ShuffleResults(exec *Executor, opts ...GetResultOptions) ([]KeyResult, erro
 
 // GetResultSpeculative is GetResult with straggler mitigation: once most of
 // the job has completed, lingering calls are re-invoked from their staged
-// payloads and the first completion wins. Functions must be idempotent
-// (GoWren jobs are: results are pure functions of the staged payload).
+// payloads. The client keeps the first status it fetches, but both attempts
+// write their status and result, so storage ends with the later attempt's
+// (ROADMAP.md, "One commit protocol for every attempt"). Functions must be
+// idempotent (GoWren jobs are: results are pure functions of the staged
+// payload).
 func (e *Executor) GetResultSpeculative(opts GetResultOptions) ([]json.RawMessage, error) {
 	return e.inner.GetResultSpeculative(opts)
 }

@@ -249,7 +249,7 @@ func goldenWarm(cloud *gowren.Cloud) error {
 	if _, err := exec.CallAsync(workloads.FuncComputeBound, 0.0); err != nil {
 		return err
 	}
-	_, err = gowren.Results[float64](exec)
+	_, err = gowren.Results[float64](exec, gowren.GetResultOptions{Timeout: time.Hour})
 	return err
 }
 

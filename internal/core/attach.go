@@ -106,7 +106,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	// deal with what is left: in-flight activations are adopted as-is,
 	// everything that cannot make progress on its own is respawned.
 	if len(futures) > 0 {
-		pend, _ := newPendingSet(e, futures)
+		pend, _ := e.pending(futures)
 		if _, err := pend.sweep(); err != nil {
 			return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
 		}

@@ -369,6 +369,24 @@ func TestGetResultWithoutCalls(t *testing.T) {
 	}
 }
 
+// TestWaitRejectsUnknownStrategy: a value outside the three strategies is an
+// error, not a silent WaitAlways.
+func TestWaitRejectsUnknownStrategy(t *testing.T) {
+	e := newEnv(t, nil)
+	exec := e.executor(t, nil)
+	e.clk.Run(func() {
+		if _, err := exec.Map("busy", []any{1}); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, s := range []WaitStrategy{0, WaitAllCompleted + 1} {
+			if done, pending, err := exec.Wait(s, time.Time{}); err == nil || done != nil || pending != nil {
+				t.Errorf("Wait(%d) = %d done, %d pending, err %v; want an error", s, len(done), len(pending), err)
+			}
+		}
+	})
+}
+
 func TestProgressCallback(t *testing.T) {
 	e := newEnv(t, nil)
 	exec := e.executor(t, nil)

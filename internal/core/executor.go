@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,9 +145,6 @@ type Executor struct {
 	// ops counts this executor's storage requests on the wire (below the
 	// retry stage), exposed through StorageOps.
 	ops *cos.Stack
-	// doneTracked counts tracked futures that have transitioned to done,
-	// making progress reporting O(1) per poll.
-	doneTracked atomic.Int64
 
 	// journal is the durable job-journal state: the manifest this driver
 	// holds as its lease, the sequence counter (see journal.go).
@@ -236,15 +234,6 @@ func (e *Executor) track(fs []*Future) {
 	e.mu.Lock()
 	e.futures = append(e.futures, fs...)
 	e.mu.Unlock()
-	for _, f := range fs {
-		f.mu.Lock()
-		f.tracked = true
-		done := f.done
-		f.mu.Unlock()
-		if done {
-			e.doneTracked.Add(1)
-		}
-	}
 }
 
 // untrack removes the futures matching the given (executorID, callID)
@@ -252,26 +241,10 @@ func (e *Executor) track(fs []*Future) {
 // terminally failed calls with freshly staged ones.
 func (e *Executor) untrack(ids map[[2]string]bool) {
 	e.mu.Lock()
-	kept := e.futures[:0]
-	var removed []*Future
-	for _, f := range e.futures {
-		if ids[[2]string{f.executorID, f.callID}] {
-			removed = append(removed, f)
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	e.futures = kept
-	e.mu.Unlock()
-	for _, f := range removed {
-		f.mu.Lock()
-		wasCounted := f.tracked && f.done
-		f.tracked = false
-		f.mu.Unlock()
-		if wasCounted {
-			e.doneTracked.Add(-1)
-		}
-	}
+	defer e.mu.Unlock()
+	e.futures = slices.DeleteFunc(e.futures, func(f *Future) bool {
+		return ids[[2]string{f.executorID, f.callID}]
+	})
 }
 
 // CallAsync runs one function asynchronously in the cloud (Table 2:
@@ -380,12 +353,23 @@ const (
 // Wait applies strategy to the executor's tracked futures and returns the
 // (done, pending) partition. deadline zero means no deadline; reaching a
 // deadline returns ErrWaitTimeout alongside the partition observed last.
+// A strategy other than the three above is an error.
 func (e *Executor) Wait(strategy WaitStrategy, deadline time.Time) (done, pending []*Future, err error) {
 	futures := e.Futures()
+	need := 0
+	switch strategy {
+	case WaitAlways:
+	case WaitAnyCompleted:
+		need = 1
+	case WaitAllCompleted:
+		need = len(futures)
+	default:
+		return nil, nil, fmt.Errorf("core: unknown wait strategy %d", strategy)
+	}
 	if len(futures) == 0 {
 		return nil, nil, ErrNoFutures
 	}
-	return waitFutures(e, futures, strategy, deadline)
+	return e.waitDone(futures, need, deadline)
 }
 
 // GetResultOptions tune GetResult (Table 2: get_result).
@@ -419,9 +403,6 @@ func (e *Executor) GetResult(opts GetResultOptions) ([]json.RawMessage, error) {
 	}
 	return collectResults(e, futures, opts, nil)
 }
-
-// pollInterval is the executor's status polling granularity.
-func (e *Executor) pollInterval() time.Duration { return e.cfg.PollInterval }
 
 // deadlineFrom converts a timeout into an absolute deadline on the
 // executor's clock.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"gowren/internal/cos"
@@ -61,29 +62,17 @@ func (e *Executor) WaitThreshold(frac float64, deadline time.Time) (done, pendin
 	if len(futures) == 0 {
 		return nil, nil, ErrNoFutures
 	}
-	need := int(frac * float64(len(futures)))
-	if need < 1 {
-		need = 1
+	return e.waitDone(futures, thresholdCount(frac, len(futures)), deadline)
+}
+
+// thresholdCount is the smallest count k of n with k/n >= frac: 0.5 of 3 is
+// 2 and 0.3 of 10 is 3, although 0.3*10 rounds to just above 3.
+func thresholdCount(frac float64, n int) int {
+	k := int(math.Ceil(frac * float64(n)))
+	for k > 1 && float64(k-1)/float64(n) >= frac {
+		k--
 	}
-	pend, _ := newPendingSet(e, futures)
-	// A non-transient sweep failure aborts the wait; swallowing it here
-	// would spin until the deadline and misreport it as ErrWaitTimeout.
-	var sweepErr error
-	ok := e.waitTicks(pend, func() bool {
-		if _, err := pend.sweep(); err != nil {
-			sweepErr = err
-			return true
-		}
-		return len(futures)-pend.n >= need
-	}, deadline)
-	done, pending = splitDone(futures)
-	if sweepErr != nil {
-		return done, pending, fmt.Errorf("core: wait threshold: %w", sweepErr)
-	}
-	if !ok {
-		return done, pending, fmt.Errorf("core: threshold %d/%d not reached: %w", need, len(futures), ErrWaitTimeout)
-	}
-	return done, pending, nil
+	return k
 }
 
 // FailedFutures returns the tracked futures known to have failed — either
@@ -91,7 +80,7 @@ func (e *Executor) WaitThreshold(frac float64, deadline time.Time) (done, pendin
 // It sweeps first so the answer reflects current platform state.
 func (e *Executor) FailedFutures() ([]*Future, error) {
 	futures := e.Futures()
-	pend, _ := newPendingSet(e, futures)
+	pend, _ := e.pending(futures)
 	if _, err := pend.sweep(); err != nil {
 		return nil, err
 	}
@@ -219,17 +208,12 @@ func (e *Executor) Stats() (JobStats, error) {
 	return out, nil
 }
 
-// reset rearms a future for a respawned invocation, giving back its slot
-// in the executor's done counter.
+// reset rearms a future for a respawned invocation.
 func (f *Future) reset(activationID string) {
 	f.mu.Lock()
-	wasCounted := f.tracked && f.done
 	f.done = false
 	f.failed = nil
 	f.status = nil
 	f.activationID = activationID
 	f.mu.Unlock()
-	if wasCounted {
-		f.exec.doneTracked.Add(-1)
-	}
 }

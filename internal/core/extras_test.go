@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -82,37 +83,46 @@ func TestCleanIsPerExecutor(t *testing.T) {
 	})
 }
 
+// TestWaitThreshold: call i runs (i+1)*10 s, so a threshold of k calls is
+// met shortly after k*10 s with exactly k done — at least frac of the calls,
+// rounded up (0.5 of 3 is 2), and no more (0.3 of 10 is 3, not 4).
 func TestWaitThreshold(t *testing.T) {
-	e := newEnv(t, nil)
-	exec := e.executor(t, nil)
-	e.clk.Run(func() {
-		// Durations 10,20,...,100s: the 50% threshold should be met once
-		// the 5th task finishes, well before the last.
-		args := make([]any, 10)
-		for i := range args {
-			args[i] = (i + 1) * 10
-		}
-		start := e.clk.Now()
-		if _, err := exec.Map("busy", args); err != nil {
-			t.Error(err)
-			return
-		}
-		done, pending, err := exec.WaitThreshold(0.5, time.Time{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if len(done) < 5 {
-			t.Errorf("threshold met with only %d done", len(done))
-		}
-		if len(pending) == 0 {
-			t.Error("threshold wait degenerated into all-completed")
-		}
-		elapsed := e.clk.Now().Sub(start)
-		if elapsed < 50*time.Second || elapsed > 70*time.Second {
-			t.Errorf("50%% threshold met at %v, want shortly after 50s", elapsed)
-		}
-	})
+	for _, tc := range []struct {
+		frac    float64
+		n, want int
+	}{
+		{0.5, 10, 5},
+		{0.5, 3, 2},
+		{0.3, 10, 3},
+	} {
+		t.Run(fmt.Sprintf("%v_of_%d", tc.frac, tc.n), func(t *testing.T) {
+			e := newEnv(t, nil)
+			exec := e.executor(t, nil)
+			e.clk.Run(func() {
+				args := make([]any, tc.n)
+				for i := range args {
+					args[i] = (i + 1) * 10
+				}
+				start := e.clk.Now()
+				if _, err := exec.Map("busy", args); err != nil {
+					t.Error(err)
+					return
+				}
+				done, _, err := exec.WaitThreshold(tc.frac, time.Time{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(done) != tc.want {
+					t.Errorf("threshold met with %d done, want %d", len(done), tc.want)
+				}
+				want := time.Duration(tc.want) * 10 * time.Second
+				if elapsed := e.clk.Now().Sub(start); elapsed < want || elapsed > want+20*time.Second {
+					t.Errorf("threshold met at %v, want shortly after %v", elapsed, want)
+				}
+			})
+		})
+	}
 }
 
 func TestWaitThresholdValidation(t *testing.T) {

@@ -465,12 +465,13 @@ func (b *inputBarrier) await() error {
 	if b.passed {
 		return nil
 	}
-	sweeps := newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock())
-	if err := sweeps.awaitStatuses(b.ns, b.inputs, nil, nil, 100*time.Millisecond, b.ctx.Deadline()); err != nil {
+	pend := &pendingSet{sweeps: newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock()), clock: b.ctx.Clock(),
+		meta: b.ns.bucket, interval: 100 * time.Millisecond}
+	if err := pend.awaitAll(b.ns.execID, b.inputs, nil, b.ctx.Deadline()); err != nil {
 		if errors.Is(err, ErrWaitTimeout) {
 			return fmt.Errorf("core: %s waiting for %d map calls: %w", b.who, len(b.inputs), runtime.ErrDeadlineExceeded)
 		}
-		return fmt.Errorf("core: %s status sweep: %w", b.who, err)
+		return fmt.Errorf("core: %s: %w", b.who, err)
 	}
 	b.passed = true
 	return nil

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gowren/internal/faas"
 	"gowren/internal/vclock"
 	"gowren/internal/wire"
 )
@@ -34,11 +35,10 @@ type Future struct {
 	// for calls the client invokes itself.
 	gate *fanInGroup
 
-	mu      sync.Mutex
-	done    bool
-	tracked bool // counted in the executor's doneTracked when done
-	status  *wire.StatusRecord
-	failed  error
+	mu     sync.Mutex
+	done   bool
+	status *wire.StatusRecord
+	failed error
 }
 
 func newFuture(e *Executor, executorID, callID, activationID string) *Future {
@@ -68,21 +68,14 @@ func (f *Future) markDone() { f.complete(nil) }
 // writing a status object).
 func (f *Future) markFailed(err error) { f.complete(err) }
 
-// complete transitions the future to done, keeping the owning executor's
-// doneTracked counter in step so progress reporting stays O(1) per poll
-// instead of recounting every future.
+// complete transitions the future to done.
 func (f *Future) complete(err error) {
 	f.mu.Lock()
-	first := !f.done
 	f.done = true
 	if err != nil {
 		f.failed = err
 	}
-	tracked := f.tracked
 	f.mu.Unlock()
-	if first && tracked {
-		f.exec.doneTracked.Add(1)
-	}
 }
 
 // knownDone reports the cached completion state without any storage round
@@ -197,9 +190,18 @@ const sweepConsultThreshold = 3
 // pendingSet is the shrinking half of a wait: the futures not yet known
 // done, grouped by status namespace. Each sweep hands back the calls that
 // newly finished and drops them from the set, so a poll tick costs what
-// finished since the last one, not one probe per future.
+// finished since the last one, not one probe per future. It is the only
+// status waiter: the executor's Wait, WaitThreshold and GetResult, the
+// composition resolver and the in-cloud reduce barriers all wait through
+// its wait loop.
 type pendingSet struct {
-	e *Executor
+	sweeps *sweepCoordinator
+	clock  vclock.Clock
+	meta   string
+	// ctrl answers the dead-activation probe; nil inside a function, whose
+	// barriers wait on calls without activation IDs.
+	ctrl     *faas.Controller
+	interval time.Duration
 	// groups are in executor-ID order, so the simulated network sees an
 	// identical request sequence every run.
 	groups []*pendingGroup
@@ -219,23 +221,25 @@ type pendingGroup struct {
 	seen uint64
 }
 
-// newPendingSet splits futures into the pending set and the calls already
-// known done.
-func newPendingSet(e *Executor, futures []*Future) (p *pendingSet, done []*Future) {
-	p = &pendingSet{e: e}
+// pending splits futures into a pending set on the executor's sweep
+// coordinator and the calls already known done.
+func (e *Executor) pending(futures []*Future) (p *pendingSet, done []*Future) {
+	p = &pendingSet{sweeps: e.sweeps, clock: e.clock, meta: e.cfg.Platform.MetaBucket(),
+		ctrl: e.cfg.Platform.Controller(), interval: e.cfg.PollInterval}
 	done, pending := splitDone(futures)
 	p.add(pending...)
 	return p, done
 }
 
 // add puts futures (back) into the set: respawned calls are pending again.
+// A new group is sized for the rest of fs.
 func (p *pendingSet) add(fs ...*Future) {
-	for _, f := range fs {
+	for k, f := range fs {
 		i, found := slices.BinarySearchFunc(p.groups, f.executorID, func(g *pendingGroup, id string) int {
 			return strings.Compare(g.ns.execID, id)
 		})
 		if !found {
-			g := &pendingGroup{ns: nsKey{bucket: p.e.cfg.Platform.MetaBucket(), execID: f.executorID}}
+			g := &pendingGroup{ns: nsKey{bucket: p.meta, execID: f.executorID}, fs: make([]*Future, 0, len(fs)-k)}
 			p.groups = slices.Insert(p.groups, i, g)
 		}
 		p.groups[i].fs = append(p.groups[i].fs, f)
@@ -253,28 +257,28 @@ func (p *pendingSet) futures() []*Future {
 	return out
 }
 
-// sweep advances completion state through the executor's shared sweep
-// coordinator — one incremental LIST per namespace that still has pending
-// calls — and returns the futures that finished since the last sweep, marked
-// done. It also consults platform activation records to surface calls that
-// died without committing a status (crash, platform timeout): on every
+// sweep advances completion state through the shared sweep coordinator —
+// one incremental LIST per namespace that still has pending calls — and
+// returns the futures that finished since the last sweep, marked done. It
+// also consults platform activation records to surface calls that died
+// without committing a status (crash, platform timeout): on every
 // trustworthy sweep, and — when the LIST itself keeps failing — after
 // sweepConsultThreshold consecutive failures, because a status prefix
 // pinned to a partitioned region can stay unlistable for a whole outage and
 // skipping forever would keep platform-dead calls invisible.
 func (p *pendingSet) sweep() ([]*Future, error) {
-	asOf := p.e.clock.Now()
+	asOf := p.clock.Now()
 	var newly []*Future
 	for _, g := range p.groups {
 		if len(g.fs) == 0 {
 			continue
 		}
-		out := p.e.sweeps.sweep(g.ns, asOf)
+		out := p.sweeps.sweep(g.ns, asOf)
 		if out.err != nil {
 			return newly, fmt.Errorf("core: status sweep: %w", out.err)
 		}
 		var done []*Future
-		done, g.fs = harvest(p.e.sweeps, g.ns, &g.seen, g.fs, (*Future).CallID)
+		done, g.fs = harvest(p.sweeps, g.ns, &g.seen, g.fs)
 		for _, f := range done {
 			f.markDone()
 		}
@@ -282,7 +286,7 @@ func (p *pendingSet) sweep() ([]*Future, error) {
 			kept := g.fs[:0]
 			for _, f := range g.fs {
 				if f.activationID != "" {
-					rec, err := p.e.cfg.Platform.Controller().Activation(f.activationID)
+					rec, err := p.ctrl.Activation(f.activationID)
 					if err == nil && rec.Done() && !rec.OK {
 						f.markFailed(fmt.Errorf("core: call %s/%s activation %s: %s: %w",
 							f.executorID, f.callID, f.activationID, rec.Error, ErrCallFailed))
@@ -312,84 +316,98 @@ func splitDone(futures []*Future) (done, pending []*Future) {
 	return done, pending
 }
 
-// waitTicks is the executor's one wait loop, behind Wait, WaitThreshold and
-// GetResult: it runs step once per poll tick until step reports true or the
-// deadline passes, and reports whether step succeeded. Between ticks it
-// sleeps the tick exactly as vclock.Poll does — the paper's polling client,
-// and all there is on the Virtual clock — unless the sweep coordinator can
-// watch the one namespace pend waits on: then the wait holds that watch
-// throughout and waits on the namespace's event, so a committed status ends
-// the tick at once.
-func (e *Executor) waitTicks(pend *pendingSet, step func() bool, deadline time.Time) bool {
+// wait is the one wait loop: it runs step once per poll tick until step
+// reports true or the deadline passes, and reports whether step succeeded.
+// A tick ends one interval on, or at the deadline if that comes first.
+// Between ticks it sleeps — the paper's polling client, and all there is on
+// the Virtual clock — unless the sweep coordinator can watch the one
+// namespace p waits on: then the wait holds that watch throughout and waits
+// on the namespace's event, so a committed status ends the tick at once.
+func (p *pendingSet) wait(step func() bool, deadline time.Time) bool {
 	var evt *vclock.Event
-	if len(pend.groups) == 1 {
+	if len(p.groups) == 1 {
 		var release func()
-		evt, release = e.sweeps.watch(pend.groups[0].ns)
+		evt, release = p.sweeps.watch(p.groups[0].ns)
 		defer release()
 	}
-	if evt == nil {
-		return vclock.Poll(e.clock, step, e.pollInterval(), deadline)
-	}
 	for {
-		gen := evt.Gen()
+		var gen uint64
+		if evt != nil {
+			gen = evt.Gen()
+		}
 		if step() {
 			return true
 		}
-		now := e.clock.Now()
+		now := p.clock.Now()
 		if !deadline.IsZero() && !now.Before(deadline) {
 			return false
 		}
-		evt.Wait(gen, tickEnd(now, e.pollInterval(), deadline))
+		wake := now.Add(p.interval)
+		if !deadline.IsZero() && deadline.Before(wake) {
+			wake = deadline
+		}
+		if evt == nil {
+			p.clock.Sleep(wake.Sub(now))
+		} else {
+			evt.Wait(gen, wake)
+		}
 	}
 }
 
-// waitFutures implements the three §4.2 strategies over an explicit future
-// set.
-func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline time.Time) (done, pending []*Future, err error) {
-	pend, _ := newPendingSet(e, futures)
-	satisfied := func() bool {
-		switch strategy {
-		case WaitAnyCompleted:
-			return pend.n < len(futures)
-		case WaitAllCompleted:
-			return pend.n == 0
-		default:
+// awaitAll waits until every one of execID's calls in callIDs has committed
+// a status. activationIDs, index-aligned with callIDs where known ("" for
+// unknown), arm the dead-activation probe: the first call whose activation
+// died without committing a status fails the wait.
+func (p *pendingSet) awaitAll(execID string, callIDs, activationIDs []string, deadline time.Time) error {
+	calls := make([]Future, len(callIDs))
+	fs := make([]*Future, len(callIDs))
+	for i, id := range callIDs {
+		calls[i].executorID, calls[i].callID = execID, id
+		if i < len(activationIDs) {
+			calls[i].activationID = activationIDs[i]
+		}
+		fs[i] = &calls[i]
+	}
+	p.add(fs...)
+	var err error
+	ok := p.wait(func() bool {
+		var newly []*Future
+		if newly, err = p.sweep(); err != nil {
 			return true
 		}
+		for _, f := range newly {
+			if err = f.failed; err != nil {
+				return true
+			}
+		}
+		return p.n == 0
+	}, deadline)
+	if err == nil && !ok {
+		err = ErrWaitTimeout
 	}
+	return err
+}
 
+// waitDone waits until at least need of futures are known done — WaitAlways
+// is need 0, which sweeps once and returns — and returns the (done, pending)
+// partition it observed last.
+func (e *Executor) waitDone(futures []*Future, need int, deadline time.Time) (done, pending []*Future, err error) {
+	pend, _ := e.pending(futures)
 	// A non-transient sweep failure must abort the wait, not silently spin
 	// until the deadline turns it into a misleading ErrWaitTimeout.
 	var sweepErr error
-	first := true
-	ok := e.waitTicks(pend, func() bool {
-		// The first tick sweeps before it judges, so every strategy reports
-		// storage as it is, and WaitAlways reports nothing more.
-		if first {
-			first = false
-			if _, err := pend.sweep(); err != nil {
-				sweepErr = err
-				return true
-			}
-			if strategy == WaitAlways {
-				return true
-			}
-		}
-		if satisfied() {
+	ok := pend.wait(func() bool {
+		if _, sweepErr = pend.sweep(); sweepErr != nil {
 			return true
 		}
-		if _, err := pend.sweep(); err != nil {
-			sweepErr = err
-			return true
-		}
-		return satisfied()
+		return len(futures)-pend.n >= need
 	}, deadline)
 	done, pending = splitDone(futures)
 	if sweepErr != nil {
 		return done, pending, sweepErr
 	}
 	if !ok {
-		return done, pending, fmt.Errorf("core: %d of %d calls still pending: %w", len(pending), len(futures), ErrWaitTimeout)
+		return done, pending, fmt.Errorf("core: %d of %d calls done, %d needed: %w", len(done), len(futures), need, ErrWaitTimeout)
 	}
 	return done, pending, nil
 }
@@ -405,30 +423,26 @@ func waitFutures(e *Executor, futures []*Future, strategy WaitStrategy, deadline
 func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachTick func(pend *pendingSet, rec *recoverer)) ([]json.RawMessage, error) {
 	deadline := e.deadlineFrom(opts.Timeout)
 	rec := newRecoverer(e, futures, opts.Recovery)
-	pend, already := newPendingSet(e, futures)
+	pend, already := e.pending(futures)
 	rec.observe(already)
 
 	total := len(futures)
 	last := -1
-	// Progress reads the executor's O(1) done counter instead of recounting
-	// every future each poll — at Table-3 scale the recount alone was an
-	// O(total) walk per tick.
+	// Progress reads the pending set's count instead of recounting every
+	// future each poll — at Table-3 scale the recount alone was an O(total)
+	// walk per tick.
 	report := func() {
 		if opts.Progress == nil {
 			return
 		}
-		done := int(e.doneTracked.Load())
-		if done > total {
-			done = total
-		}
-		if done != last {
+		if done := total - pend.n; done != last {
 			last = done
 			opts.Progress(done, total)
 		}
 	}
 	report()
 	var sweepErr error
-	ok := e.waitTicks(pend, func() bool {
+	ok := pend.wait(func() bool {
 		e.respawns.advance()
 		e.maybeRenewLease()
 		newly, err := pend.sweep()
@@ -593,23 +607,15 @@ func (r *resolver) resolveFuturesRef(ref *wire.FuturesRef, depth int) (json.RawM
 // awaitCalls waits until every call ID in ref committed a status. It goes
 // through the executor's shared sweep coordinator, so the LISTs are
 // incremental and coalesce with the main collection sweep and with other
-// composition waits over the same child namespace — previously each
-// waiter re-listed the full prefix on every poll. It also consults
+// composition waits over the same child namespace. It also consults
 // activation records (when ref carries them) so a composed call that died
 // without committing a status surfaces as ErrCallFailed instead of
 // hanging the wait until its deadline.
 func (r *resolver) awaitCalls(ref *wire.FuturesRef) error {
-	ns := nsKey{bucket: ref.MetaBucket, execID: ref.ExecutorID}
-	ctrl := r.exec.cfg.Platform.Controller()
-	lookup := func(actID string) (done, ok bool) {
-		rec, err := ctrl.Activation(actID)
-		if err != nil {
-			return false, false
-		}
-		return rec.Done(), rec.OK
-	}
-	err := r.exec.sweeps.awaitStatuses(ns, ref.CallIDs, ref.ActivationIDs, lookup,
-		r.exec.pollInterval(), r.deadline)
+	e := r.exec
+	pend := &pendingSet{sweeps: e.sweeps, clock: e.clock, meta: ref.MetaBucket,
+		ctrl: e.cfg.Platform.Controller(), interval: e.cfg.PollInterval}
+	err := pend.awaitAll(ref.ExecutorID, ref.CallIDs, ref.ActivationIDs, r.deadline)
 	switch {
 	case err == nil:
 		return nil

@@ -116,8 +116,8 @@ func TestScaledClockCollectionListsOnce(t *testing.T) {
 	if exec.sweeps.watchHeld(nsKey{bucket: e.platform.MetaBucket(), execID: exec.ID()}) {
 		t.Error("the status watch outlived GetResult")
 	}
-	// Composition waits arm the same watch: fanout's children are awaited
-	// through the resolver's awaitStatuses.
+	// Composition waits arm the same kind of watch: fanout's children are
+	// awaited through the resolver's pending set, whose wait loop holds it.
 	if _, err := exec.CallAsync("fanout", 3); err != nil {
 		t.Fatal(err)
 	}

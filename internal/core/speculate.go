@@ -30,7 +30,10 @@ const (
 
 // GetResultSpeculative is GetResult with straggler re-execution: when the
 // job is mostly finished but a tail of calls lingers, the pending calls are
-// respawned once and the first completion wins.
+// respawned once. The client keeps the first status it fetches; both
+// attempts still commit theirs with plain PUTs, so storage ends with the
+// later attempt's status and result (ROADMAP.md, "One commit protocol for
+// every attempt").
 func (e *Executor) GetResultSpeculative(opts GetResultOptions) ([]json.RawMessage, error) {
 	futures := e.Futures()
 	if len(futures) == 0 {
@@ -47,9 +50,7 @@ func (e *Executor) GetResultSpeculative(opts GetResultOptions) ([]json.RawMessag
 		speculated bool
 	)
 	return collectResults(e, futures, opts, func(pend *pendingSet, rec *recoverer) {
-		// The executor's done counter tracks completions as they are
-		// marked, so this per-tick read is O(1).
-		if armAt.IsZero() && int(e.doneTracked.Load()) >= need {
+		if armAt.IsZero() && len(futures)-pend.n >= need {
 			armAt = e.clock.Now()
 		}
 		if armAt.IsZero() || speculated {

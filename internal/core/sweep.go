@@ -22,12 +22,14 @@ import (
 //     out-of-order completions above it, and starts each LIST strictly
 //     after the frontier key via cos.ListFrom. Keys behind the frontier
 //     are never listed again.
-//   - All waiters of one executor — Wait, GetResult, WaitThreshold, the
-//     composition resolver's awaitCalls running on many staging workers —
-//     share the coordinator, so concurrent polls of the same namespace
-//     coalesce into (at most) one LIST per tick: a caller that finds a
-//     sweep in flight, or one that completed at/after its own observation
-//     time, reuses the shared state instead of issuing its own LIST.
+//   - Every status waiter is a pendingSet (future.go) waiting through its
+//     one wait loop. All waiters of one executor — Wait, GetResult,
+//     WaitThreshold, the composition resolver's awaitCalls running on many
+//     staging workers — share the coordinator, so concurrent polls of the
+//     same namespace coalesce into (at most) one LIST per tick: a caller
+//     that finds a sweep in flight, or one that completed at/after its own
+//     observation time, reuses the shared state instead of issuing its own
+//     LIST. A reduce barrier builds a coordinator of its own per activation.
 //
 //   - The done-set carries a version that moves only when a call enters or
 //     leaves it. Waiters keep their own shrinking pending list and prune it
@@ -43,11 +45,12 @@ import (
 // the in-process store (cos.WatcherOf; as under gowren-server), a wait also
 // holds a watch on its status prefix: each committed status key goes into
 // the done-set through the same record step a LIST's keys take, and wakes
-// the namespace's waiters. Once a LIST that began under the watch has
-// landed, the done-set is exact — the LIST holds every status committed
-// before the watch, the watch every one after — so sweeps stop listing
-// until the last wait lets the watch go. The Virtual clock never watches:
-// its client polls COS exactly as the paper's does.
+// the namespace's waiters through an event the first watch creates. Once a
+// LIST that began under the watch has landed, the done-set is exact — the
+// LIST holds every status committed before the watch, the watch every one
+// after — so sweeps stop listing until the last wait lets the watch go. The
+// Virtual clock never watches: its client polls COS exactly as the paper's
+// does.
 
 // nsKey identifies one status namespace: a meta bucket plus the executor
 // ID whose calls it holds.
@@ -96,9 +99,9 @@ type sweepState struct {
 	swept     bool      // at least one LIST has ever succeeded
 	lastSweep time.Time // completion time of the last successful LIST
 	fails     int       // consecutive failed LISTs
-	// evt is signalled whenever a successful sweep lands for the namespace,
-	// so waiters sharing it recheck their pending sets immediately instead
-	// of discovering a sibling's harvest on their next poll tick.
+	// evt is signalled whenever a watched commit or a successful sweep
+	// lands for the namespace, so waiters holding the watch recheck their
+	// pending sets immediately. The first watch creates it; nil before.
 	evt *vclock.Event
 	// gen counts forget calls. A sweep whose LIST was on the wire when a
 	// forget landed must discard its harvest: the listing may still show
@@ -152,7 +155,6 @@ func (c *sweepCoordinator) stateLocked(ns nsKey) *sweepState {
 		s = &sweepState{
 			ahead: make(map[int]bool),
 			odd:   make(map[string]bool),
-			evt:   vclock.NewEvent(c.clock),
 		}
 		c.states[ns] = s
 	}
@@ -220,7 +222,9 @@ func (c *sweepCoordinator) sweep(ns nsKey, asOf time.Time) sweepOutcome {
 	if s.cancel != nil && s.arms == arm {
 		s.pushed = true
 	}
-	s.evt.Signal()
+	if s.evt != nil {
+		s.evt.Signal()
+	}
 	return sweepOutcome{listed: true}
 }
 
@@ -262,6 +266,9 @@ func (c *sweepCoordinator) watch(ns nsKey) (evt *vclock.Event, release func()) {
 	}
 	c.mu.Lock()
 	s := c.stateLocked(ns)
+	if s.evt == nil {
+		s.evt = vclock.NewEvent(c.clock)
+	}
 	s.holds++
 	first := s.holds == 1
 	c.mu.Unlock()
@@ -309,7 +316,7 @@ func (s *sweepState) has(callID string) bool {
 // under one lock — and in no pass at all while the done-set is still at the
 // version *seen the waiter last harvested at, which is what makes a poll
 // tick cost O(newly completed) rather than O(pending).
-func harvest[T any](c *sweepCoordinator, ns nsKey, seen *uint64, pending []T, callID func(T) string) (done, kept []T) {
+func harvest(c *sweepCoordinator, ns nsKey, seen *uint64, pending []*Future) (done, kept []*Future) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.states[ns]
@@ -319,7 +326,7 @@ func harvest[T any](c *sweepCoordinator, ns nsKey, seen *uint64, pending []T, ca
 	*seen = s.version
 	kept = pending[:0]
 	for _, p := range pending {
-		if s.has(callID(p)) {
+		if s.has(p.callID) {
 			done = append(done, p)
 		} else {
 			kept = append(kept, p)
@@ -388,85 +395,3 @@ func (c *sweepCoordinator) forgetNamespace(ns nsKey) {
 	defer c.mu.Unlock()
 	delete(c.states, ns)
 }
-
-// awaitStatuses polls ns through the coordinator until every call ID in
-// want has a committed status, the deadline passes, or a dead activation
-// surfaces. It is the shared engine behind the resolver's composition
-// waits and the in-cloud reduce barriers. activations is index-aligned
-// with want when known ("" = unknown); lookup resolves an activation ID to
-// (done, ok) platform state and may be nil when no consult is possible.
-func (c *sweepCoordinator) awaitStatuses(ns nsKey, want, activations []string,
-	lookup func(string) (done, ok bool), interval time.Duration, deadline time.Time) error {
-
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	pending := make([]int, len(want))
-	for i := range want {
-		pending[i] = i
-	}
-	var seen uint64
-	_, release := c.watch(ns)
-	defer release()
-	c.mu.Lock()
-	evt := c.stateLocked(ns).evt
-	c.mu.Unlock()
-	// Event-driven poll loop: each pass sweeps and prunes like the old
-	// Poll-based version, but between passes the waiter parks until either a
-	// sibling's sweep or a watched commit lands (the state's event fires) or
-	// its own interval tick — whichever comes first — rather than waking
-	// every tick to find nothing changed.
-	for {
-		gen := evt.Gen()
-		out := c.sweep(ns, c.clock.Now())
-		if out.err != nil {
-			return out.err
-		}
-		_, pending = harvest(c, ns, &seen, pending, func(i int) string { return want[i] })
-		if len(pending) == 0 {
-			return nil
-		}
-		if out.consult() && lookup != nil {
-			// Same rationale as pendingSet.sweep: a call that died without
-			// committing a status is invisible to the listing forever;
-			// its activation record is the only witness.
-			for _, i := range pending {
-				if i >= len(activations) || activations[i] == "" {
-					continue
-				}
-				if done, okRun := lookup(activations[i]); done && !okRun {
-					return &deadCallError{execID: ns.execID, callID: want[i], activationID: activations[i]}
-				}
-			}
-		}
-		now := c.clock.Now()
-		if !deadline.IsZero() && !now.Before(deadline) {
-			return ErrWaitTimeout
-		}
-		evt.Wait(gen, tickEnd(now, interval, deadline))
-	}
-}
-
-// tickEnd is when an event wait that starts a poll tick at now stops
-// waiting for a signal: one interval on, or at the deadline (zero means
-// none) if that comes first.
-func tickEnd(now time.Time, interval time.Duration, deadline time.Time) time.Time {
-	wake := now.Add(interval)
-	if !deadline.IsZero() && deadline.Before(wake) {
-		wake = deadline
-	}
-	return wake
-}
-
-// deadCallError reports a composed call whose activation died without
-// committing a status; it unwraps to ErrCallFailed.
-type deadCallError struct {
-	execID, callID, activationID string
-}
-
-func (e *deadCallError) Error() string {
-	return "core: call " + e.execID + "/" + e.callID + " activation " + e.activationID +
-		" died without committing a status: " + ErrCallFailed.Error()
-}
-
-func (e *deadCallError) Unwrap() error { return ErrCallFailed }
