@@ -236,24 +236,15 @@ func (e *Executor) recoverNextID() error {
 // respawnOrphans re-invokes adopted calls that cannot make progress: the
 // activation is unknown to the controller, or it died without committing a
 // status. In-flight and completed-OK activations are adopted as-is — the
-// status sweep picks their records up. Calls with no recorded activation ID
-// (spawner fan-out) cannot be probed and are conservatively respawned;
-// respawns are idempotent by construction, so the worst case is a wasted
-// duplicate execution, never a wrong result. Calls staged behind a fan-in
-// are the exception: without an activation they are not orphans but not yet
-// launched — their inputs launch them, and the wait loop's backstop
-// (backstopFanIns) steps in if nobody does.
+// status sweep picks their records up. A call without an activation is
+// staged behind a fan-in (reducers, massive-spawned calls): it is not an
+// orphan but not yet launched — its inputs launch it, and the wait loop's
+// backstop (backstopFanIns) steps in if nobody does.
 func (e *Executor) respawnOrphans(futures []*Future) error {
 	ctrl := e.cfg.Platform.Controller()
 	var orphans []*Future
 	for _, f := range futures {
-		if f.knownDone() {
-			continue
-		}
-		if f.activationID == "" {
-			if f.gate == nil {
-				orphans = append(orphans, f)
-			}
+		if f.knownDone() || f.activationID == "" {
 			continue
 		}
 		rec, err := ctrl.Activation(f.activationID)

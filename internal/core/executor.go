@@ -78,7 +78,8 @@ type Config struct {
 	ClientOverhead time.Duration
 
 	// MassiveSpawning enables the §5.1 mechanism: invocations are fanned
-	// out by remote invoker functions running inside the cloud.
+	// out by remote invoker functions running inside the cloud, each a
+	// fan-in of one in front of its group (spawnGates).
 	MassiveSpawning bool
 	// SpawnGroupSize is the number of invocations per remote invoker.
 	// Zero uses 100, the paper's tuned value.
@@ -89,9 +90,8 @@ type Config struct {
 
 	// DisableJournal switches off the durable job journal (the manifest
 	// that is also the driver lease, recovery records — see journal.go).
-	// In-cloud helper executors (remote invokers, composition spawners) set
-	// it: their jobs live and die with a parent call and are not
-	// independently resumable.
+	// In-cloud helper executors (composition spawners) set it: their jobs
+	// live and die with a parent call and are not independently resumable.
 	DisableJournal bool
 }
 
@@ -291,8 +291,12 @@ func (e *Executor) runJob(payloads []*wire.CallPayload) ([]*Future, error) {
 }
 
 // launch is runJob with control over future tracking: map_reduce launches
-// its map phase untracked so GetResult waits only on the reducers.
+// its map phase untracked so GetResult waits only on the reducers. Under
+// massive spawning the calls go out behind remote invokers (spawnGates).
 func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*Future, error) {
+	if e.cfg.MassiveSpawning {
+		return e.launchBehind(e.spawnGates(payloads), trackFutures)
+	}
 	// The manifest, which claims the job ID and holds the driver lease in
 	// one conditional PUT, goes down before anything else is staged, so a
 	// driver that crashes mid-launch still leaves a resumable job behind
@@ -304,38 +308,43 @@ func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*F
 	if err != nil {
 		return nil, err
 	}
-	refs, err := e.stagePayloads(payloads)
-	if err != nil {
-		return nil, err
-	}
-
-	var actIDs []string
-	if e.cfg.MassiveSpawning {
-		actIDs, err = e.invokeViaSpawners(action, payloads, refs)
-	} else {
-		actIDs, err = e.invokeDirect(action, payloads, refs)
-	}
+	futures, err := e.invokeDirect(action, payloads)
 	if err != nil {
 		return nil, err
 	}
 	e.appendJournal(wire.JournalLaunch, func(rec *wire.JournalRecord) {
-		rec.Calls = journalCalls(payloads, actIDs)
+		rec.Calls = journalCalls(payloads, futures)
 		rec.Tracked = trackFutures
 	})
-
-	futures := make([]*Future, len(payloads))
-	for i, p := range payloads {
-		var actID string
-		if actIDs != nil {
-			actID = actIDs[i]
-		}
-		futures[i] = newFuture(e, p.ExecutorID, p.CallID, actID)
-		futures[i].payload = refs[i]
-	}
 	if trackFutures {
 		e.track(futures)
 	}
 	return futures, nil
+}
+
+// spawnGates implements massive function spawning (§5.1): every
+// SpawnGroupSize calls (100 by default) are staged behind one remote
+// invoker, a call that runs nothing and carries a fan-in of itself alone, so
+// its runner commits it and fires the group from inside the cloud at
+// datacenter latency. The client pays ceil(n/group) WAN invocations.
+func (e *Executor) spawnGates(payloads []*wire.CallPayload) []stageGate {
+	group := e.cfg.SpawnGroupSize
+	ids := e.reserveCallIDs((len(payloads) + group - 1) / group)
+	gates := make([]stageGate, len(ids))
+	for g, id := range ids {
+		gates[g] = stageGate{
+			inputs: []*wire.CallPayload{{
+				ExecutorID: e.id,
+				CallID:     id,
+				Runtime:    e.cfg.RuntimeImage,
+				Function:   "gowren/spawn", // nothing to run: the runner only closes the fan-in
+				Kind:       wire.KindInvoker,
+				MetaBucket: e.cfg.Platform.MetaBucket(),
+			}},
+			targets: payloads[g*group : min((g+1)*group, len(payloads))],
+		}
+	}
+	return gates
 }
 
 // Wait strategies (Table 2: wait). The names mirror the paper's §4.2.

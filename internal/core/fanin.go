@@ -31,7 +31,14 @@ import (
 // missing). The driver's wait loop is the backstop for a launch that never
 // happened (backstopFanIns): it already holds every status of the namespace
 // in its sweep done-set, so it spends no request until a reducer is still
-// unlaunched one grace period after its inputs committed.
+// unlaunched one grace period after its inputs committed. It also respawns
+// an input whose activation ended without a status, which would otherwise
+// hold its group back until the deadline.
+//
+// Massive function spawning (§5.1) is the same step with a group of one: a
+// remote invoker is a staged call that runs nothing, carries a fan-in of
+// itself (spawnGates) and so, once committed, claims its marker and fires
+// its group without a LIST. Its targets are gated futures like any reducer.
 
 // fanInGrace is how long the driver leaves a complete group alone before
 // reading its marker, and how old a claim without a launch must be before
@@ -78,16 +85,6 @@ func resolveFanIn(bucket, execID string, spec *wire.FanIn) (fanInGate, error) {
 // marker is the key of the group's launch marker (a wire.FanInMarker).
 func (g *fanInGate) marker() string { return fanInKey(g.execID, g.spec.FirstTarget) }
 
-// target is the invocation of the gate's i-th staged call, located by the
-// spec itself.
-func (g *fanInGate) target(i int) wire.SpawnTarget {
-	return wire.SpawnTarget{
-		Action:  g.spec.Action,
-		Payload: g.spec.Target(g.bucket, i),
-		Tenant:  g.spec.Tenant,
-	}
-}
-
 // fanInGroup is the driver's view of one stage barrier it staged (or
 // adopted through Attach).
 type fanInGroup struct {
@@ -95,8 +92,14 @@ type fanInGroup struct {
 	// gated is indexed like the target range; nil where Attach found the
 	// call retired (dead-lettered or superseded).
 	gated []*Future
+	// inputs are indexed like the input range, as launchBehind invoked
+	// them; nil in a group rebuilt by Attach.
+	inputs []*Future
 	// next is the lowest input sequence not yet seen committed.
 	next int
+	// probeAt is when the backstop next asks after the inputs' activations,
+	// once per grace period while some input has not committed.
+	probeAt time.Time
 	// recheck is when the backstop next considers the marker: one grace
 	// period after this driver first saw every input committed, and one
 	// after each look.
@@ -137,9 +140,9 @@ func (g *fanInGroup) unlaunched() []int {
 // without invoking them, puts each gate's fan-in spec on its input payloads
 // and launches those (untracked: the stage's results are the targets'), and
 // only then — nothing is journaled or tracked for a stage whose inputs never
-// left — journals the targets as tracked calls and arms the launch backstop.
-// It returns the targets' futures in gate order.
-func (e *Executor) launchBehind(gates []stageGate) ([]*Future, error) {
+// left — journals the targets, tracked or not as asked, and arms the launch
+// backstop. It returns the targets' futures in gate order.
+func (e *Executor) launchBehind(gates []stageGate, trackFutures bool) ([]*Future, error) {
 	if err := e.journalStart(); err != nil {
 		return nil, err
 	}
@@ -179,17 +182,26 @@ func (e *Executor) launchBehind(gates []stageGate) ([]*Future, error) {
 			p.FanIn = &specs[i]
 		}
 	}
-	if _, err := e.launch(inputs, false); err != nil {
+	var launched []*Future
+	if inputs[0].Kind == wire.KindInvoker {
+		// Remote invokers are helpers of this launch: invoked from here and
+		// journaled only as the fan-in specs of their targets.
+		launched, err = e.invokeDirect(invokerActionName(e.cfg.RuntimeImage), inputs)
+	} else {
+		launched, err = e.launch(inputs, false)
+	}
+	if err != nil {
 		return nil, err
 	}
 
 	e.appendJournal(wire.JournalLaunch, func(rec *wire.JournalRecord) {
 		rec.Calls = journalCalls(targets, nil)
-		rec.Tracked = true
+		rec.Tracked = trackFutures
 		rec.FanIns = specs
 	})
 	futures := make([]*Future, 0, len(targets))
 	for i, g := range gates {
+		groups[i].inputs, launched = launched[:len(g.inputs)], launched[len(g.inputs):]
 		for t, p := range g.targets {
 			f := newFuture(e, p.ExecutorID, p.CallID, "")
 			f.payload = targetRefs[len(futures)]
@@ -199,7 +211,9 @@ func (e *Executor) launchBehind(gates []stageGate) ([]*Future, error) {
 		}
 	}
 	e.fanIns = append(e.fanIns, groups...)
-	e.track(futures)
+	if trackFutures {
+		e.track(futures)
+	}
 	return futures, nil
 }
 
@@ -224,23 +238,25 @@ func (e *Executor) adoptFanIns(specs []wire.FanIn, byID map[string]*Future) erro
 }
 
 // closeFanIn runs in the runner right after a call carrying a fan-in spec
-// committed its status, own: one bounded LIST over the group's range, and —
-// only if that shows the whole group committed — the claim, a COS shuffle's
-// stage index, the launch and the marker rewrite. Its request budget is 1
-// LIST per call, at most 2 marker PUTs per group, and one failed
-// conditional put per losing candidate; the index adds count−1 status GETs
-// and one PUT per group.
+// committed its status, own: one bounded LIST over the group's range (none
+// for a group of one, which own completes), and — only if that shows the
+// whole group committed — the claim, a COS shuffle's stage index, the launch
+// and the marker rewrite. Its request budget is 1 LIST per call, at most 2
+// marker PUTs per group, and one failed conditional put per losing
+// candidate; the index adds count−1 status GETs and one PUT per group.
 func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *wire.StatusRecord) error {
 	gate, err := resolveFanIn(payload.MetaBucket, payload.ExecutorID, payload.FanIn)
 	if err != nil {
 		return err
 	}
-	complete, err := p.fanInCommitted(ctx, &gate)
-	if err != nil {
-		return fmt.Errorf("core: fan-in check after %s/%s: %w", payload.ExecutorID, payload.CallID, err)
-	}
-	if !complete {
-		return nil
+	if gate.spec.Count > 1 {
+		complete, err := p.fanInCommitted(ctx, &gate)
+		if err != nil {
+			return fmt.Errorf("core: fan-in check after %s/%s: %w", payload.ExecutorID, payload.CallID, err)
+		}
+		if !complete {
+			return nil
+		}
 	}
 
 	key := gate.marker()
@@ -265,7 +281,7 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *
 	n := gate.spec.Targets
 	marker.ActivationIDs = make([]string, n)
 	errs := fetchFor(ctx.Clock(), n, n, func(i int) error {
-		id, err := p.invokeFromCloud(ctx, gate.target(i), p.fnLaunchRetry)
+		id, err := p.invokeFromCloud(ctx, gate.spec, gate.spec.Target(gate.bucket, i))
 		marker.ActivationIDs[i] = id
 		return err
 	})
@@ -280,6 +296,28 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *
 		return fmt.Errorf("core: fan-in launch %s: %w", key, err)
 	}
 	return nil
+}
+
+// invokeFromCloud fires one target of spec over the in-cloud link, admitted
+// as the spec's tenant, with fnLaunchRetry's brief retries, and returns its
+// activation ID.
+func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, spec *wire.FanIn, target wire.ObjectRef) (string, error) {
+	params := wire.MustMarshal(target)
+	var id string
+	err := p.fnLaunchRetry.Do(func() error {
+		d, failed := p.cloudLink.RequestCost(approxInvokeBytes)
+		ctx.Clock().Sleep(d)
+		if failed {
+			return cos.ErrRequestFailed
+		}
+		var err error
+		id, err = p.controller.InvokeTenant(spec.Tenant, spec.Action, params)
+		return err
+	})
+	if err != nil {
+		return "", fmt.Errorf("core: in-cloud invocation failed: %w", err)
+	}
+	return id, nil
 }
 
 // fanInCommitted lists the status keys of the gate's input range — starting
@@ -314,8 +352,10 @@ func (p *Platform) fanInCommitted(ctx *runtime.Ctx, g *fanInGate) (bool, error) 
 // be running one grace period later gets its marker read, once per grace
 // period: recorded activations are adopted — from then on the ordinary
 // dead-activation probe and respawn ledger cover them — and targets nobody
-// launched are launched from here under a fresh marker generation.
-func (e *Executor) backstopFanIns(pend *pendingSet) {
+// launched are launched from here under a fresh marker generation. A group
+// still waiting on inputs has them probed instead (respawnDeadInputs), with
+// at most limit automatic respawns per input.
+func (e *Executor) backstopFanIns(pend *pendingSet, limit int) {
 	if len(e.fanIns) == 0 {
 		return
 	}
@@ -324,6 +364,7 @@ func (e *Executor) backstopFanIns(pend *pendingSet) {
 	for _, g := range e.fanIns {
 		switch {
 		case !g.inputsCommitted(e):
+			e.respawnDeadInputs(g, now, limit)
 		case g.recheck.IsZero():
 			g.recheck = now.Add(fanInGrace)
 		case now.Before(g.recheck):
@@ -341,6 +382,38 @@ func (e *Executor) backstopFanIns(pend *pendingSet) {
 	e.fanIns = open
 }
 
+// respawnDeadInputs asks the controller, once per grace period, about the
+// group's uncommitted inputs that have an activation, and respawns those
+// whose activation ended without a status: such an input never commits, so
+// its group would never launch. The respawns go through the shared ledger;
+// an input it refuses stays dead, and the wait's timeout names it.
+func (e *Executor) respawnDeadInputs(g *fanInGroup, now time.Time, limit int) {
+	switch {
+	case g.inputs == nil:
+		return
+	case g.probeAt.IsZero():
+		g.probeAt = now.Add(fanInGrace)
+		return
+	case now.Before(g.probeAt):
+		return
+	}
+	g.probeAt = now.Add(fanInGrace)
+	ctrl := e.cfg.Platform.Controller()
+	ns, end := nsKey{bucket: g.bucket, execID: g.execID}, g.first+g.spec.Count
+	var dead []*Future
+	for seq := e.sweeps.firstUncommitted(ns, g.next, end); seq < end; seq = e.sweeps.firstUncommitted(ns, seq+1, end) {
+		f := g.inputs[seq-g.first]
+		if f.activationID == "" {
+			continue
+		}
+		if rec, err := ctrl.Activation(f.activationID); err == nil && rec.Done() && !rec.OK {
+			dead = append(dead, f)
+		}
+	}
+	// A respawn that fails leaves the input dead for the next look.
+	_ = e.Respawn(e.respawns.reserve(dead, limit))
+}
+
 // rescueFanIn reads g's marker and acts on it: adopt the activations a
 // launcher recorded, leave a fresh claim alone, and otherwise — no marker,
 // or a claim older than the grace period that still lists no activation for
@@ -353,7 +426,7 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 	var cur wire.FanInMarker
 	body, om, err := e.cfg.Storage.Get(meta, key)
 	if err == nil {
-		err = wire.Unmarshal(body, &cur)
+		cur, err = wire.DecodeMarker(body)
 	}
 	etag := om.ETag
 	switch {
@@ -390,8 +463,7 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 	}
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(missing), func(k int) error {
 		i := missing[k]
-		t := g.target(i)
-		id, err := e.invokeOne(t.Action, t.Payload, t.Tenant)
+		id, err := e.invokeOne(g.spec.Action, g.spec.Target(g.bucket, i), g.spec.Tenant)
 		if err != nil {
 			return err
 		}

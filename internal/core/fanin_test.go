@@ -549,9 +549,45 @@ func TestSpeculationLeavesGatedCallsAlone(t *testing.T) {
 // TestFanInNoSlotHoggingDeadlock: under massive spawning the reducers' small
 // spawner group used to fire before the maps', so with fewer slots than
 // reducers they held every slot waiting for maps that could never start.
-// Reducers now start after their maps and the job completes.
+// Reducers now start after their maps and the job completes. Remote invokers
+// once held every slot of a small cloud too, retrying launches until they
+// gave up and left their groups unlaunched; now a launcher retries briefly
+// and the driver launches the rest without holding a slot.
 func TestFanInNoSlotHoggingDeadlock(t *testing.T) {
 	const slots = 6
+	t.Run("massive-spawning", func(t *testing.T) {
+		const calls = 30
+		fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = 3 })
+		exec := fe.executor(t, func(c *Config) {
+			c.MassiveSpawning = true
+			c.SpawnGroupSize = 10
+			c.ControlLink = fe.platform.CloudLink()
+		})
+		fe.clk.Run(func() {
+			start := fe.clk.Now()
+			args := make([]any, calls)
+			for i := range args {
+				args[i] = i
+			}
+			if _, err := exec.Map("add7", args); err != nil {
+				t.Error(err)
+				return
+			}
+			results, err := exec.GetResult(GetResultOptions{Timeout: 30 * time.Minute})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, r := range results {
+				if string(r) != fmt.Sprint(i+7) {
+					t.Errorf("result[%d] = %s, want %d", i, r, i+7)
+				}
+			}
+			if took := fe.clk.Now().Sub(start); took > time.Minute {
+				t.Errorf("job took %v: it stalled on slots", took)
+			}
+		})
+	})
 	t.Run("reducer-per-object", func(t *testing.T) {
 		const objects = 8 // > slots
 		fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = slots })

@@ -26,7 +26,7 @@ type Future struct {
 	exec         *Executor
 	executorID   string
 	callID       string
-	activationID string // empty under massive spawning, and until a fan-in launch is known
+	activationID string // empty until a fan-in launch is known
 	// payload is where the call's staged payload lives — what a respawn hands
 	// the runner. The zero ref marks a future adopted by Attach; Respawn
 	// locates those through the resolver (payloads.go).
@@ -48,8 +48,9 @@ func newFuture(e *Executor, executorID, callID, activationID string) *Future {
 // CallID returns the future's call identifier.
 func (f *Future) CallID() string { return f.callID }
 
-// ActivationID returns the platform activation ID when known (direct
-// invocation); it is empty under massive spawning.
+// ActivationID returns the platform activation ID when known: at once for a
+// call invoked directly, and for one launched by a fan-in (a reducer, or a
+// call under massive spawning) once the driver has read the group's marker.
 func (f *Future) ActivationID() string { return f.activationID }
 
 // adopt records the activation now driving the call — a fan-in launch the
@@ -207,10 +208,11 @@ type pendingSet struct {
 	groups []*pendingGroup
 	n      int
 	// probe is set once any pending call has an activation ID (direct
-	// invocation, or a respawn): a call that dies without committing a
-	// status shows up in no listing, so each sweep must then ask the
-	// controller about every such call. Jobs fanned out by remote invokers
-	// have no IDs to ask about and skip that walk.
+	// invocation, a respawn, or a fan-in launch adopted from its marker): a
+	// call that dies without committing a status shows up in no listing, so
+	// each sweep must then ask the controller about every such call. Until
+	// then — calls staged behind a fan-in, barrier waits inside a function —
+	// there is nothing to ask about and the walk is skipped.
 	probe bool
 }
 
@@ -452,7 +454,7 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 		}
 		rec.observe(newly)
 		pend.add(rec.step()...)
-		e.backstopFanIns(pend)
+		e.backstopFanIns(pend, respawnLimit(rec.opts))
 		report()
 		if rec.settled() {
 			return true

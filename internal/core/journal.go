@@ -179,15 +179,15 @@ func (e *Executor) appendJournal(kind string, mut func(*wire.JournalRecord)) {
 	_, _ = e.cfg.Storage.Put(meta, journalKey(e.id, epoch, seq), wire.MustMarshal(rec)) //gowren:allow errsink — journal records are advisory redundancy over durable call objects
 }
 
-// journalCalls builds the per-call entries of a launch record. actIDs is
-// index-aligned with payloads when known (direct invocation) and nil under
-// spawner fan-out, mirroring launch().
-func journalCalls(payloads []*wire.CallPayload, actIDs []string) []wire.JournalCall {
+// journalCalls builds the per-call entries of a launch record. futures is
+// index-aligned with payloads when the calls were invoked directly, and nil
+// for calls staged behind a fan-in, which have no activation yet.
+func journalCalls(payloads []*wire.CallPayload, futures []*Future) []wire.JournalCall {
 	calls := make([]wire.JournalCall, len(payloads))
 	for i, p := range payloads {
 		calls[i] = wire.JournalCall{CallID: p.CallID, Region: p.Region}
-		if actIDs != nil {
-			calls[i].ActivationID = actIDs[i]
+		if futures != nil {
+			calls[i].ActivationID = futures[i].activationID
 		}
 	}
 	return calls

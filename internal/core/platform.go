@@ -126,16 +126,14 @@ type Platform struct {
 	viewMu      sync.Mutex
 	regionViews map[string]regionView
 
-	// fnInvokeRetry backs the remote invoker's invocations: the cloud link
-	// is reliable, so a capped exponential schedule of 6 tries suffices.
-	// In-cloud storage needs no retrier of its own: cloudStorage and the
-	// region views retry in their cos.Stack (cloudStorageAttempts).
-	fnInvokeRetry *retry.Retrier
-	// fnLaunchRetry backs fan-in launches (closeFanIn). A launcher holds a
-	// concurrency slot while it asks for more; waiting out a full platform
-	// from there can wedge a small cloud with every slot held by a function
-	// waiting for a slot. So it retries only briefly and leaves what it
-	// could not start to the driver, which waits without holding anything.
+	// fnLaunchRetry backs fan-in launches (closeFanIn): reducers and the
+	// groups of remote invokers alike. A launcher holds a concurrency slot
+	// while it asks for more; waiting out a full platform from there can
+	// wedge a small cloud with every slot held by a function waiting for a
+	// slot. So it retries only briefly and leaves what it could not start to
+	// the driver, which waits without holding anything. In-cloud storage
+	// needs no retrier of its own: cloudStorage and the region views retry
+	// in their cos.Stack (cloudStorageAttempts).
 	fnLaunchRetry *retry.Retrier
 
 	// execSeq numbers executors per platform so their derived PRNG seeds
@@ -218,12 +216,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		p.multi = multi
 		p.regionNames = multi.RegionNames()
 	}
-	p.fnInvokeRetry = retry.New(cfg.Clock, retry.Policy{
-		MaxAttempts: 6,
-		BaseBackoff: 250 * time.Millisecond,
-		MaxBackoff:  5 * time.Second,
-		Multiplier:  2,
-	}, retryableCall)
 	p.fnLaunchRetry = retry.New(cfg.Clock, retry.Policy{
 		MaxAttempts: 3,
 		BaseBackoff: 100 * time.Millisecond,
@@ -322,12 +314,15 @@ func (p *Platform) spillShuffleObject(key string, data []byte) {
 // runnerActionName is the platform action executing staged calls for image.
 func runnerActionName(image string) string { return "gowren-runner--" + image }
 
-// invokerActionName is the massive-spawning helper action for image.
+// invokerActionName is the massive-spawning helper action for image. The
+// runner serves it; the separate name keeps invokers out of the runner's
+// activation counts.
 func invokerActionName(image string) string { return "gowren-invoker--" + image }
 
 // EnsureRuntime deploys the runner and invoker actions for image if not yet
-// present, returning the runner action name. It corresponds to IBM Cloud
-// Functions pulling a runtime image the first time a function uses it.
+// present — one handler, runnerHandler, serves both — returning the runner
+// action name. It corresponds to IBM Cloud Functions pulling a runtime image
+// the first time a function uses it.
 func (p *Platform) EnsureRuntime(image string) (string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -348,7 +343,7 @@ func (p *Platform) EnsureRuntime(image string) (string, error) {
 	if err := p.controller.CreateAction(faas.ActionSpec{
 		Name:    invokerActionName(image),
 		Image:   image,
-		Handler: p.invokerHandler(),
+		Handler: p.runnerHandler(),
 	}); err != nil {
 		return "", fmt.Errorf("core: deploy invoker for %s: %w", image, err)
 	}
@@ -374,9 +369,9 @@ func (p *Platform) inCloudExecutor(image, region, tenant string) (*Executor, err
 		ControlLink:  p.cloudLink,
 		RuntimeImage: image,
 		Tenant:       tenant,
-		// Helper executors (remote invokers, composition spawners) live and
-		// die with a parent call; their jobs are not independently resumable
-		// and must not write manifests or contend for driver leases.
+		// Helper executors (composition spawners) live and die with a
+		// parent call; their jobs are not independently resumable and must
+		// not write manifests or contend for driver leases.
 		DisableJournal: true,
 	})
 }

@@ -2,13 +2,10 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
-	"gowren/internal/cos"
 	"gowren/internal/faas"
-	"gowren/internal/retry"
 	"gowren/internal/runtime"
 	"gowren/internal/wire"
 )
@@ -158,6 +155,8 @@ func (p *Platform) dispatch(ctx *runtime.Ctx, payload *wire.CallPayload) (any, e
 		return p.runShuffleMap(ctx, payload)
 	case wire.KindShuffleReduce:
 		return p.runShuffleReduce(ctx, payload)
+	case wire.KindInvoker:
+		return nil, nil // a remote invoker's work is its fan-in (closeFanIn)
 	default:
 		return nil, fmt.Errorf("core: runner cannot dispatch kind %s", payload.Kind)
 	}
@@ -202,68 +201,6 @@ func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]
 		partials[i] = env.Value
 	}
 	return partials, nil
-}
-
-// invokerHandler returns the remote-invoker action handler: the in-cloud
-// half of massive function spawning. It fires each target invocation
-// against the controller from datacenter latency, retrying throttled calls.
-func (p *Platform) invokerHandler() faas.Handler {
-	return func(ctx *runtime.Ctx, params []byte) ([]byte, error) {
-		ref, err := wire.DecodeRef(params)
-		if err != nil {
-			return nil, fmt.Errorf("core: invoker params: %w", err)
-		}
-		payload, err := p.loadPayload(ctx, ref)
-		if err != nil {
-			return nil, fmt.Errorf("core: invoker load payload: %w", err)
-		}
-		if payload.Kind != wire.KindInvoker || payload.Invoker == nil {
-			return nil, errors.New("core: invoker payload of wrong kind")
-		}
-		ctx = p.placementFor(ctx, payload.Region, payload.Tenant)
-
-		fired := 0
-		for _, target := range payload.Invoker.Targets {
-			if _, err := p.invokeFromCloud(ctx, target, p.fnInvokeRetry); err != nil {
-				return nil, fmt.Errorf("core: invoker target %s/%s: %w", target.Payload.Bucket, target.Payload.Key, err)
-			}
-			fired++
-		}
-		// The invoker's own status record lets failures surface in
-		// activation logs; clients do not wait on it.
-		rec := wire.StatusRecord{
-			ExecutorID:   payload.ExecutorID,
-			CallID:       payload.CallID,
-			ActivationID: ctx.ActivationID(),
-			OK:           true,
-			EndUnixNs:    ctx.Clock().Now().UnixNano(),
-			ResultRef:    wire.ObjectRef{},
-		}
-		_, _ = ctx.Storage().Put(payload.MetaBucket, statusKey(payload.ExecutorID, payload.CallID), wire.MustMarshal(&rec)) //gowren:allow errsink — nothing waits on an invoker's status; it only annotates the activation
-		return wire.Marshal(map[string]int{"fired": fired})
-	}
-}
-
-// invokeFromCloud fires one invocation over the in-cloud link with
-// throttle/failure retries under the given policy, admitted as the target's
-// tenant, and returns its activation ID.
-func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, target wire.SpawnTarget, retries *retry.Retrier) (string, error) {
-	params := wire.MustMarshal(target.Payload)
-	var id string
-	err := retries.Do(func() error {
-		d, failed := p.cloudLink.RequestCost(approxInvokeBytes)
-		ctx.Clock().Sleep(d)
-		if failed {
-			return cos.ErrRequestFailed
-		}
-		var err error
-		id, err = p.controller.InvokeTenant(target.Tenant, target.Action, params)
-		return err
-	})
-	if err != nil {
-		return "", fmt.Errorf("core: in-cloud invocation failed: %w", err)
-	}
-	return id, nil
 }
 
 // loadPayload reads the staged call the invoke parameters name: its byte range

@@ -36,8 +36,9 @@ func batchFixture() []*CallPayload {
 		{ExecutorID: "exec-1", CallID: "00001", Runtime: "default", Function: "fn\nwith newline", Kind: KindPlain,
 			Arg: json.RawMessage(`"\u000a"`), MetaBucket: "m", Tenant: "acme\n"},
 		&fan,
-		{ExecutorID: "exec-1", CallID: "00003", Runtime: "default", Function: "gowren/spawn", Kind: KindInvoker,
-			Invoker:    &InvokerSpec{Targets: []SpawnTarget{{Action: "a", Payload: ObjectRef{Bucket: "m", Key: "k", Offset: 7, Length: 9}}}},
+		{ExecutorID: "exec-1", CallID: "00004", Runtime: "default", Function: "gowren/spawn", Kind: KindInvoker,
+			FanIn: &FanIn{FirstCallID: "00004", Count: 1, FirstTarget: "00000", Targets: 2,
+				TargetSpans: []PayloadSpan{{Key: "k", Bounds: []int64{7, 17, 30}}}, Action: "a"},
 			MetaBucket: "m"},
 	}
 }

@@ -220,10 +220,6 @@ func (e *encoder) payload(p *CallPayload) {
 		e.optStr(`,"groupKey":`, r.GroupKey)
 		e.lit("}")
 	}
-	if p.Invoker != nil {
-		list(e, `,"invoker":{"targets":`, p.Invoker.Targets, e.target)
-		e.lit("}")
-	}
 	if s := p.Shuffle; s != nil {
 		e.int(`,"shuffle":{"numReducers":`, int64(s.NumReducers))
 		e.int(`,"reducer":`, int64(s.Reducer))
@@ -246,14 +242,6 @@ func (e *encoder) payload(p *CallPayload) {
 	e.str(`,"metaBucket":`, p.MetaBucket)
 	e.optStr(`,"region":`, p.Region)
 	e.optStr(`,"tenant":`, p.Tenant)
-	e.lit("}")
-}
-
-func (e *encoder) target(t SpawnTarget) {
-	e.str(`{"action":`, t.Action)
-	e.lit(`,"payload":`)
-	e.ref(t.Payload)
-	e.optStr(`,"tenant":`, t.Tenant)
 	e.lit("}")
 }
 
@@ -371,6 +359,17 @@ func DecodeRef(body []byte) (ObjectRef, error) {
 		return ref, nil
 	}
 	return unmarshalFresh[ObjectRef](body)
+}
+
+// DecodeMarker decodes a fan-in launch marker; its strings share one copy
+// of body.
+func DecodeMarker(body []byte) (FanInMarker, error) {
+	var m FanInMarker
+	d := newDecoder(body)
+	if d.marker(&m); d.done() {
+		return m, nil
+	}
+	return unmarshalFresh[FanInMarker](body)
 }
 
 func (d *decoder) fail() { d.ok = false }
@@ -634,15 +633,6 @@ func (d *decoder) payload(p *CallPayload) {
 		case "reduce":
 			p.Reduce = new(ReduceSpec)
 			d.reduce(p.Reduce)
-		case "invoker":
-			p.Invoker = new(InvokerSpec)
-			d.object(func(key []byte) bool {
-				if string(key) != "targets" {
-					return false
-				}
-				p.Invoker.Targets = array(d, d.target)
-				return true
-			})
 		case "shuffle":
 			p.Shuffle = new(ShuffleSpec)
 			d.shuffle(p.Shuffle)
@@ -737,22 +727,6 @@ func (d *decoder) fanIn(f *FanIn) {
 			f.Action = d.str()
 		case "tenant":
 			f.Tenant = d.str()
-		default:
-			return false
-		}
-		return true
-	})
-}
-
-func (d *decoder) target(t *SpawnTarget) {
-	d.object(func(key []byte) bool {
-		switch string(key) {
-		case "action":
-			t.Action = d.str()
-		case "payload":
-			d.ref(&t.Payload)
-		case "tenant":
-			t.Tenant = d.str()
 		default:
 			return false
 		}
@@ -869,6 +843,24 @@ func (d *decoder) envelope(env *ResultEnvelope) {
 		case "value":
 			env.Value = d.raw()
 		default: // "futures" included: encoding/json decodes compositions
+			return false
+		}
+		return true
+	})
+}
+
+func (d *decoder) marker(m *FanInMarker) {
+	d.object(func(key []byte) bool {
+		switch string(key) {
+		case "by":
+			m.By = d.str()
+		case "generation":
+			m.Generation = d.intN()
+		case "atUnixNs":
+			m.AtUnixNs = d.int()
+		case "activationIds":
+			m.ActivationIDs = array(d, d.strInto)
+		default:
 			return false
 		}
 		return true

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -27,16 +28,39 @@ func shuffleReducePayload() *CallPayload {
 	}
 }
 
+// invokerPayload is a remote invoker of massive spawning: a fan-in of itself
+// in front of the 100 calls it launches.
 func invokerPayload() *CallPayload {
 	return &CallPayload{
 		ExecutorID: "exec-000004", CallID: "00100", Runtime: "gowren-default:1", Function: "gowren/spawn",
 		Kind: KindInvoker,
-		Invoker: &InvokerSpec{Targets: []SpawnTarget{
-			{Action: "gowren-runner--gowren-default:1", Payload: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000004/payload/00000+100"}},
-			{Action: "gowren-runner--gowren-default:1", Payload: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000004/payload/00000+100", Offset: 150, Length: 149}, Tenant: "tenant-3"},
-		}},
-		MetaBucket: "gowren-meta",
+		FanIn: &FanIn{
+			FirstCallID: "00100", Count: 1, FirstTarget: "00000", Targets: 100,
+			TargetSpans: []PayloadSpan{{Key: "jobs/exec-000004/payload/00000+100", Bounds: append([]int64{0}, spanBounds(100, 150)...)}},
+			Action:      "gowren-runner--gowren-default:1", Tenant: "tenant-3",
+		},
+		MetaBucket: "gowren-meta", Tenant: "tenant-3",
 	}
+}
+
+// spanBounds returns the ends of n framed payloads of size bytes each, as
+// a PayloadSpan's bounds after its first.
+func spanBounds(n int, size int64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i+1) * (size + 1)
+	}
+	return out
+}
+
+// launchMarker is what a remote invoker leaves behind: the claim rewritten
+// with the 100 activations it launched.
+func launchMarker() *FanInMarker {
+	m := &FanInMarker{By: "act-1000", Generation: 1, AtUnixNs: 1544400004553768697, ActivationIDs: make([]string, 100)}
+	for i := range m.ActivationIDs {
+		m.ActivationIDs[i] = fmt.Sprintf("act-%d", 1001+i)
+	}
+	return m
 }
 
 func shuffleStatus() *StatusRecord {
@@ -69,6 +93,7 @@ func codecRecords(t testing.TB) []any {
 		params, ObjectRef{},
 		&FanInMarker{By: "driver", Generation: 2, AtUnixNs: 99, ActivationIDs: []string{"act-1", ""}},
 		&FanInMarker{By: "act-3", Generation: 1},
+		launchMarker(),
 		indexFixture(),
 	}
 }
@@ -135,8 +160,9 @@ func TestRecordCodecMatchesJSON(t *testing.T) {
 		case *ShuffleIndex:
 			_, _ = checkDecode(t, data, (*decoder).shuffleIndex)
 			taken = takesFast(data, (*decoder).shuffleIndex)
-		default:
-			taken = true // encoded only
+		case *FanInMarker:
+			_, _ = checkDecode(t, data, (*decoder).marker)
+			taken = takesFast(data, (*decoder).marker)
 		}
 		if !taken {
 			t.Errorf("%s: not decoded on the fast path", data)
@@ -213,6 +239,7 @@ func TestRecordCodecAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	status, params, inline := []byte(table3Status), []byte(table3Params), []byte(`{"kind":"value","value":50}`)
+	marker := MustMarshal(launchMarker())
 	mapCall, reduce := []byte(table3MapPayload), []byte(table3ReducePayload)
 	records := codecRecords(t)
 	must := func(err error) {
@@ -230,6 +257,7 @@ func TestRecordCodecAllocs(t *testing.T) {
 		{"DecodeRef", 1, func() { _, err := DecodeRef(params); must(err) }},
 		{"DecodePayload(map with fan-in)", 6, func() { _, err := DecodePayload(mapCall); must(err) }},
 		{"DecodePayload(reduce)", 4, func() { _, err := DecodePayload(reduce); must(err) }},
+		{"DecodeMarker(100 launches)", 2, func() { _, err := DecodeMarker(marker); must(err) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n > tc.max {
 			t.Errorf("%s: %v allocs, want <= %v", tc.name, n, tc.max)
@@ -272,7 +300,7 @@ func FuzzCallPayloadCodec(f *testing.F) {
 }
 
 // FuzzStatusRecordCodec does the same for status records, and — on the same
-// bytes — for result envelopes, object refs and fan-in markers.
+// bytes — for result envelopes and object refs.
 func FuzzStatusRecordCodec(f *testing.F) {
 	for _, v := range codecRecords(f) {
 		if r, ok := v.(*StatusRecord); ok {
@@ -292,9 +320,21 @@ func FuzzStatusRecordCodec(f *testing.F) {
 		if got, err := DecodeRef(data); (err == nil) != ok || ok && got != ref {
 			t.Fatalf("DecodeRef = %+v (err %v), want %+v", got, err, ref)
 		}
-		var marker FanInMarker
-		if json.Unmarshal(data, &marker) == nil {
-			checkEncode(t, &marker)
+	})
+}
+
+// FuzzFanInMarkerCodec does the same for fan-in launch markers, which every
+// driver backstop and massive-spawned job reads.
+func FuzzFanInMarkerCodec(f *testing.F) {
+	for _, v := range codecRecords(f) {
+		if m, ok := v.(*FanInMarker); ok {
+			f.Add(MustMarshal(m))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		marker, ok := checkDecode(t, data, (*decoder).marker)
+		if got, err := DecodeMarker(data); (err == nil) != ok || ok && !reflect.DeepEqual(got, marker) {
+			t.Fatalf("DecodeMarker = %+v (err %v), want %+v", got, err, marker)
 		}
 	})
 }

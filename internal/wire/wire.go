@@ -23,9 +23,10 @@ type CallKind int
 
 // Call kinds. Plain calls carry an inline argument; MapPartition calls carry
 // a storage partition to read; Reduce calls aggregate map partials; Invoker
-// calls are the massive-function-spawning helpers that fan out a group of
-// staged invocations from inside the cloud; ShuffleMap/ShuffleReduce are the
-// two sides of the keyed-shuffle MapReduce extension.
+// calls are the massive-function-spawning helpers, which run nothing and
+// only close a fan-in of one (their FanIn) to launch their group from inside
+// the cloud; ShuffleMap/ShuffleReduce are the two sides of the keyed-shuffle
+// MapReduce extension.
 const (
 	KindPlain CallKind = iota + 1
 	KindMapPartition
@@ -179,23 +180,6 @@ type KeyResult struct {
 	Value json.RawMessage `json:"value"`
 }
 
-// SpawnTarget is one invocation a remote invoker must fire: the platform
-// action to call and the staged payload to hand it.
-type SpawnTarget struct {
-	Action  string    `json:"action"`
-	Payload ObjectRef `json:"payload"`
-	// Tenant is the tenant the invoker fires the invocation as, so
-	// fair-share admission applies to in-cloud spawns exactly as to
-	// client-side ones.
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// InvokerSpec is the argument to a remote invoker function: the staged
-// payloads it must fan out to the FaaS controller from inside the cloud.
-type InvokerSpec struct {
-	Targets []SpawnTarget `json:"targets"`
-}
-
 // FanIn is a completion-triggered stage barrier, carried by every call of
 // the group it closes: once the calls FirstCallID … FirstCallID+Count-1 have
 // all committed a status, whichever of them notices first claims the group's
@@ -204,7 +188,8 @@ type InvokerSpec struct {
 // when its inputs exist, and nothing is billed for waiting on them. Both
 // ranges are contiguous zero-padded call IDs in the carrying call's own
 // executor namespace; the spec grows by one offset per target, nothing per
-// input.
+// input. A remote invoker of massive spawning is the group of one: Count 1,
+// its own call ID, and the calls it spawns as targets.
 type FanIn struct {
 	// FirstCallID and Count bound the group whose statuses gate the launch.
 	FirstCallID string `json:"firstCallId"`
@@ -284,7 +269,6 @@ type CallPayload struct {
 	Arg        json.RawMessage `json:"arg,omitempty"`
 	Partition  *Partition      `json:"partition,omitempty"`
 	Reduce     *ReduceSpec     `json:"reduce,omitempty"`
-	Invoker    *InvokerSpec    `json:"invoker,omitempty"`
 	Shuffle    *ShuffleSpec    `json:"shuffle,omitempty"`
 	// FanIn, when set, makes this call one input of a stage barrier: after
 	// committing its status the runner checks the group and, if it is the
@@ -328,8 +312,8 @@ func (p *CallPayload) Validate() error {
 			return fmt.Errorf("wire: reduce payload missing reduce spec")
 		}
 	case KindInvoker:
-		if p.Invoker == nil {
-			return fmt.Errorf("wire: invoker payload missing invoker spec")
+		if p.FanIn == nil || p.FanIn.Count != 1 || p.FanIn.FirstCallID != p.CallID {
+			return fmt.Errorf("wire: invoker payload must carry a fan-in of itself alone")
 		}
 	case KindShuffleMap:
 		if p.Partition == nil {

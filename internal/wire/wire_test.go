@@ -31,6 +31,16 @@ func TestCallPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// selfFanIn is a remote invoker's fan-in: the group of one, callID, gating
+// two staged calls.
+func selfFanIn(callID string) *FanIn {
+	return &FanIn{
+		FirstCallID: callID, Count: 1, FirstTarget: "00000", Targets: 2,
+		TargetSpans: []PayloadSpan{{Key: "jobs/e/payload/00000+2", Bounds: []int64{0, 120, 240}}},
+		Action:      "gowren-runner--r",
+	}
+}
+
 func TestCallPayloadValidate(t *testing.T) {
 	valid := func() CallPayload {
 		return CallPayload{
@@ -51,7 +61,11 @@ func TestCallPayloadValidate(t *testing.T) {
 		{"unknown kind", func(p *CallPayload) { p.Kind = 0 }, "unknown call kind"},
 		{"map without partition", func(p *CallPayload) { p.Kind = KindMapPartition }, "missing partition"},
 		{"reduce without spec", func(p *CallPayload) { p.Kind = KindReduce }, "missing reduce spec"},
-		{"invoker without spec", func(p *CallPayload) { p.Kind = KindInvoker }, "missing invoker spec"},
+		{"invoker without spec", func(p *CallPayload) { p.Kind = KindInvoker }, "fan-in of itself alone"},
+		{"invoker gating another call", func(p *CallPayload) {
+			p.Kind = KindInvoker
+			p.FanIn = selfFanIn("d")
+		}, "fan-in of itself alone"},
 		{"map with partition", func(p *CallPayload) {
 			p.Kind = KindMapPartition
 			p.Partition = &Partition{Bucket: "b", Key: "k", Length: -1}
@@ -62,7 +76,7 @@ func TestCallPayloadValidate(t *testing.T) {
 		}, ""},
 		{"invoker with spec", func(p *CallPayload) {
 			p.Kind = KindInvoker
-			p.Invoker = &InvokerSpec{}
+			p.FanIn = selfFanIn("c")
 		}, ""},
 	}
 	for _, tt := range tests {
