@@ -357,3 +357,82 @@ func TestAttachListJobsAndCleanAbandoned(t *testing.T) {
 		}
 	})
 }
+
+// TestAttachLeaseRenewedThroughEveryWait: a driver renews its lease in every
+// wait, not only in GetResult's, so the orphan GC never collects a job whose
+// driver is blocked in Wait, WaitThreshold or a composition's continuation.
+// Each row waits on work that takes 5 sim-min while a second task runs
+// CleanAbandoned with a 2 min TTL at 4 sim-min.
+func TestAttachLeaseRenewedThroughEveryWait(t *testing.T) {
+	const work = 5 * time.Minute
+	img := gowren.NewImage(gowren.DefaultRuntime, 0)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(gowren.RegisterFunc(img, "slow", func(ctx *gowren.Ctx, x int) (int, error) {
+		return x, ctx.ChargeCompute(work)
+	}))
+	must(gowren.RegisterComposerFunc(img, "then_slow", func(ctx *gowren.Ctx, x int) (*gowren.FuturesRef, error) {
+		return gowren.Chain(ctx, "slow", x)
+	}))
+	for _, row := range []struct {
+		name string
+		fn   string
+		args []any
+		wait func(exec *gowren.Executor) error
+	}{
+		{"wait-all", "slow", []any{1, 2}, func(exec *gowren.Executor) error {
+			_, _, err := exec.Wait(gowren.WaitAllCompleted, time.Hour)
+			return err
+		}},
+		{"wait-threshold", "slow", []any{1, 2}, func(exec *gowren.Executor) error {
+			_, _, err := exec.WaitThreshold(1.0, time.Hour)
+			return err
+		}},
+		// Four continuations wait at once, on several resolver workers:
+		// only one of them may renew the lease at a time, or the second
+		// renewal in flight fences the driver off from itself.
+		{"get-result-chain", "then_slow", []any{1, 2, 3, 4}, func(exec *gowren.Executor) error {
+			_, err := exec.GetResult(gowren.GetResultOptions{Timeout: time.Hour})
+			return err
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cloud, err := gowren.NewSimCloud(gowren.SimConfig{Images: []*gowren.Image{img}, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := cloud.Platform().MetaBucket()
+			cloud.Run(func() {
+				exec, err := cloud.Executor()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := exec.Map(row.fn, row.args...); err != nil {
+					t.Errorf("map: %v", err)
+					return
+				}
+				start := cloud.Clock().Now()
+				cloud.Go(func() {
+					cloud.Clock().Sleep(4*time.Minute - cloud.Clock().Now().Sub(start))
+					if removed, err := cloud.CleanAbandoned(2 * time.Minute); err != nil || len(removed) != 0 {
+						t.Errorf("CleanAbandoned at 4 sim-min removed %v (%v), want nothing", removed, err)
+					}
+				})
+				if err := row.wait(exec); err != nil {
+					t.Errorf("wait: %v", err)
+				}
+				if took := cloud.Clock().Now().Sub(start); took < work {
+					t.Errorf("wait returned after %v, before the %v of work", took, work)
+				}
+				if _, _, err := cloud.Store().Get(meta, "manifests/"+exec.JobID()); err != nil {
+					t.Errorf("manifest after the wait: %v", err)
+				}
+			})
+		})
+	}
+}

@@ -52,7 +52,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	}
 	st, err := e.replayJournal()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
 	}
 	if err := e.recoverNextID(); err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	// replay-superseded ones were dropped during journal replay.
 	ids := make([]string, 0, len(st.calls))
 	for _, id := range slices.Sorted(maps.Keys(st.calls)) {
-		if cs := st.calls[id]; cs.tracked && !cs.dead {
+		if _, dead := st.letters[id]; st.calls[id].tracked && !dead {
 			ids = append(ids, id)
 		}
 	}
@@ -85,29 +85,18 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	}
 	e.track(futures)
 
-	// Reload the durable dead letters, minus any the previous driver
-	// already replayed under fresh IDs — resurrecting those would make the
+	// Park the journaled dead letters, minus any the previous driver already
+	// replayed under fresh IDs — resurrecting those would make the
 	// replacements run twice.
-	letters, err := e.PersistedDeadLetters()
-	if err != nil {
-		return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
-	}
-	kept := letters[:0]
-	for _, d := range letters {
-		if !st.superseded[d.CallID] {
-			kept = append(kept, d)
-		}
-	}
 	e.mu.Lock()
-	e.deadLetters = slices.Clone(kept)
+	e.deadLetters = st.deadLetters()
 	e.mu.Unlock()
 
 	// Catch up through the shared sweep coordinator's done-frontier, then
 	// deal with what is left: in-flight activations are adopted as-is,
 	// everything that cannot make progress on its own is respawned.
 	if len(futures) > 0 {
-		pend, _ := e.pending(futures)
-		if _, err := pend.sweep(); err != nil {
+		if _, _, err := e.waitDone(futures, 0, time.Time{}); err != nil {
 			return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
 		}
 		if err := e.respawnOrphans(futures); err != nil {
@@ -143,39 +132,48 @@ func (e *Executor) takeOverLease(man wire.JobManifest, etag string) error {
 type journalCallState struct {
 	actID    string
 	tracked  bool
-	dead     bool // dead-lettered and not yet replayed
-	respawns int  // journaled automatic respawns, seeds the new ledger
+	respawns int // journaled automatic respawns, seeds the new ledger
 }
 
 // journalState is the aggregate of a full journal replay.
 type journalState struct {
-	calls      map[string]*journalCallState
-	superseded map[string]bool // call IDs replaced by a replay record
-	fanIns     []wire.FanIn    // stage barriers of the staged-not-invoked launches
+	calls map[string]*journalCallState
+	// letters are the dead letters no replay has superseded, by call ID.
+	letters map[string]DeadLetter
+	fanIns  []wire.FanIn // stage barriers of the staged-not-invoked launches
+}
+
+// deadLetters returns the replayed dead letters in call-ID order.
+func (st *journalState) deadLetters() []DeadLetter {
+	out := make([]DeadLetter, 0, len(st.letters))
+	for _, id := range slices.Sorted(maps.Keys(st.letters)) {
+		out = append(out, st.letters[id])
+	}
+	return out
 }
 
 // replayJournal lists and replays the job's journal records in key order,
 // reproducing the dead driver's recovery decisions: which calls exist and
 // whether their futures were tracked, the latest activation driving each,
-// which were dead-lettered, and which were superseded by a replay.
+// and the dead letters no replay has superseded.
 func (e *Executor) replayJournal() (*journalState, error) {
 	meta := e.cfg.Platform.MetaBucket()
 	listed, err := cos.ListAll(e.cfg.Storage, meta, journalListPrefix(e.id))
 	if err != nil {
-		return nil, fmt.Errorf("core: attach %s: list journal: %w", e.id, err)
+		return nil, fmt.Errorf("core: list journal: %w", err)
 	}
 	st := &journalState{
-		calls:      make(map[string]*journalCallState),
-		superseded: make(map[string]bool),
+		calls:   make(map[string]*journalCallState),
+		letters: make(map[string]DeadLetter),
 	}
 	for _, obj := range listed {
 		data, _, err := e.cfg.Storage.Get(meta, obj.Key)
 		if err != nil {
-			return nil, fmt.Errorf("core: attach %s: read journal record %s: %w", e.id, obj.Key, err)
+			return nil, fmt.Errorf("core: read journal record %s: %w", obj.Key, err)
 		}
 		var rec wire.JournalRecord
 		if err := wire.Unmarshal(data, &rec); err != nil {
-			return nil, fmt.Errorf("core: attach %s: decode journal record %s: %w", e.id, obj.Key, err)
+			return nil, fmt.Errorf("core: decode journal record %s: %w", obj.Key, err)
 		}
 		switch rec.Kind {
 		case wire.JournalLaunch:
@@ -192,18 +190,17 @@ func (e *Executor) replayJournal() (*journalState, error) {
 			}
 		case wire.JournalDeadLetter:
 			for _, c := range rec.Calls {
-				if cs, ok := st.calls[c.CallID]; ok {
-					cs.dead = true
-				}
+				st.letters[c.CallID] = DeadLetter{ExecutorID: e.id, CallID: c.CallID, Attempts: c.Attempts,
+					LastError: c.Error, GaveUpAt: time.Unix(0, rec.AtUnixNs).UTC()}
 			}
 		case wire.JournalReplay:
-			// The originals were untracked and their durable letters
-			// deleted by the replaying driver; drop them so nothing below
-			// rebuilds or resurrects them. Their replacements arrive with
-			// the replay's own launch record.
+			// The originals were untracked by the replaying driver; drop
+			// them and their letters so nothing below rebuilds or
+			// resurrects them. Their replacements arrive with the replay's
+			// own launch record.
 			for _, old := range rec.OldCallIDs {
-				st.superseded[old] = true
 				delete(st.calls, old)
+				delete(st.letters, old)
 			}
 		}
 		// Unknown kinds from newer writers are skipped, not fatal.
@@ -306,7 +303,7 @@ func ListJobs(storage cos.Client, metaBucket string) ([]JobInfo, error) {
 // whose lease renewal is at least ttl old has its entire jobs/{id}/
 // namespace and its manifest deleted. It returns the removed job IDs in
 // order. Live drivers renew their lease both on every mutation and
-// periodically while waiting (leaseRenewInterval), so a ttl comfortably
+// periodically in every wait (leaseRenewInterval), so a ttl comfortably
 // above that never collects a driven job.
 func CleanAbandoned(storage cos.Client, clk vclock.Clock, metaBucket string, ttl time.Duration) ([]string, error) {
 	if ttl <= 0 {

@@ -3,22 +3,22 @@ package core
 import (
 	"fmt"
 
-	"gowren/internal/cos"
 	"gowren/internal/wire"
 )
 
 // Dead-letter persistence and replay. The in-memory dead-letter list
 // (recover.go) tells the caller which calls automatic recovery abandoned;
 // this file makes those records durable and actionable. Every dead letter
-// is also written to the meta bucket next to the job's staged payloads, and
-// ReplayDeadLetters re-stages the abandoned calls as a brand-new job — the
-// operational loop a real deployment runs after an outage: wait for the
-// platform to heal, then replay what was parked.
+// is one record in the job's journal, the same record that retires the call
+// for a driver that attaches later, and ReplayDeadLetters re-stages the
+// abandoned calls as a brand-new job — the operational loop a real
+// deployment runs after an outage: wait for the platform to heal, then
+// replay what was parked.
 
-// persistDeadLetter writes d to the meta bucket, best-effort: the call is
-// already parked in memory, and a storage plane unhealthy enough to reject
-// this write is usually the reason the call dead-lettered in the first
-// place. The record is overwritten if the same call dead-letters again.
+// persistDeadLetter journals d, best-effort like every journal record: the
+// call is already parked in memory, and a storage plane unhealthy enough to
+// reject this write is usually the reason the call dead-lettered in the
+// first place. If the same call dead-letters again, the later record wins.
 // Persisting is a job-state mutation, so it passes the lease checkpoint
 // first: a fenced driver must not write durable records the job's new
 // driver may already have replayed or recovered past.
@@ -26,48 +26,31 @@ func (e *Executor) persistDeadLetter(d DeadLetter) {
 	if err := e.renewLease(); err != nil {
 		return
 	}
-	body, err := wire.Marshal(d)
-	if err != nil {
-		return
-	}
-	_, _ = e.cfg.Storage.Put(e.cfg.Platform.MetaBucket(), deadLetterKey(d.ExecutorID, d.CallID), body) //gowren:allow errsink — best-effort: the letter is already parked in memory
 	e.appendJournal(wire.JournalDeadLetter, func(rec *wire.JournalRecord) {
-		rec.Calls = []wire.JournalCall{{CallID: d.CallID}}
+		rec.AtUnixNs = d.GaveUpAt.UnixNano()
+		rec.Calls = []wire.JournalCall{{CallID: d.CallID, Attempts: d.Attempts, Error: d.LastError}}
 	})
 }
 
-// PersistedDeadLetters loads the dead-letter records of this executor from
-// the meta bucket, in key (call ID) order.
+// PersistedDeadLetters replays this executor's journal for its dead
+// letters, in call-ID order, leaving out the calls a replay superseded.
 func (e *Executor) PersistedDeadLetters() ([]DeadLetter, error) {
-	meta := e.cfg.Platform.MetaBucket()
-	listed, err := cos.ListAll(e.cfg.Storage, meta, fmt.Sprintf("jobs/%s/%s/", e.id, deadLetterPrefix))
+	st, err := e.replayJournal()
 	if err != nil {
-		return nil, fmt.Errorf("core: list dead letters: %w", err)
+		return nil, err
 	}
-	out := make([]DeadLetter, 0, len(listed))
-	for _, obj := range listed {
-		data, _, err := e.cfg.Storage.Get(meta, obj.Key)
-		if err != nil {
-			return nil, fmt.Errorf("core: load dead letter %s: %w", obj.Key, err)
-		}
-		var d DeadLetter
-		if err := wire.Unmarshal(data, &d); err != nil {
-			return nil, fmt.Errorf("core: decode dead letter %s: %w", obj.Key, err)
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	return st.deadLetters(), nil
 }
 
 // ReplayDeadLetters re-stages every dead-lettered call as a new job on this
 // executor: the original staged payloads are fetched (one GET per batch they
 // sit in), re-keyed under fresh call IDs, staged, and invoked like any other
 // job, so the replay gets the full machinery — retries, recovery,
-// speculation — from scratch. On
-// success the executor's dead-letter list is cleared, the persisted records
-// are deleted, and the new futures are returned, tracked in place of the
-// dead originals (which are untracked, so the next GetResult collects each
-// replayed call exactly once). With no dead letters it returns (nil, nil).
+// speculation — from scratch. On success the executor's dead-letter list is
+// cleared, the journaled replay record supersedes the persisted letters, and
+// the new futures are returned, tracked in place of the dead originals (which
+// are untracked, so the next GetResult collects each replayed call exactly
+// once). With no dead letters it returns (nil, nil).
 // On error the dead-letter list is left intact for a later retry.
 func (e *Executor) ReplayDeadLetters() ([]*Future, error) {
 	e.mu.Lock()
@@ -134,10 +117,5 @@ func (e *Executor) ReplayDeadLetters() ([]*Future, error) {
 		dead[[2]string{d.ExecutorID, d.CallID}] = true
 	}
 	e.untrack(dead)
-	// The replay owns these calls now; drop the persisted records
-	// best-effort (a leftover record is re-deleted by Clean).
-	for _, d := range letters {
-		_ = e.cfg.Storage.Delete(meta, deadLetterKey(d.ExecutorID, d.CallID)) //gowren:allow errsink — best-effort cleanup, Clean re-deletes leftovers
-	}
 	return futures, nil
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gowren/internal/cos"
 	"gowren/internal/runtime"
 )
 
@@ -175,6 +178,75 @@ func TestCleanRemovesDeadLetterRecords(t *testing.T) {
 		}
 		if len(persisted) != 0 {
 			t.Errorf("persisted dead letters after clean = %d", len(persisted))
+		}
+		// Nothing of the job outlives Clean: no object under jobs/{id}/,
+		// no manifest.
+		left, err := cos.ListAll(e.store, DefaultMetaBucket, "jobs/"+exec.ID()+"/")
+		if err != nil || len(left) != 0 {
+			t.Errorf("objects left under jobs/%s/ after clean: %+v (err %v)", exec.ID(), left, err)
+		}
+		if _, _, err := e.store.Get(DefaultMetaBucket, manifestKey(exec.ID())); !errors.Is(err, cos.ErrNoSuchKey) {
+			t.Errorf("manifest after clean: err = %v, want ErrNoSuchKey", err)
+		}
+	})
+}
+
+// failPutsUnder fails every PUT whose key contains part.
+type failPutsUnder struct {
+	cos.Client
+	part string
+}
+
+func (f *failPutsUnder) Put(bucket, key string, data []byte) (cos.ObjectMeta, error) {
+	if strings.Contains(key, f.part) {
+		return cos.ObjectMeta{}, cos.ErrRequestFailed
+	}
+	return f.Client.Put(bucket, key, data)
+}
+
+// TestDeadLettersSurviveAttach: a dead letter is one durable record, the
+// journal record that retires the call, so a driver that attaches later
+// parks every letter even where a PUT beside the journal would have failed.
+func TestDeadLettersSurviveAttach(t *testing.T) {
+	e, _ := newGateEnv(t)
+	exec := e.executor(t, func(c *Config) {
+		c.Storage = &failPutsUnder{Client: c.Storage, part: "/deadletter/"}
+	})
+	e.clk.Run(func() {
+		if _, err := exec.Map("gated", []any{1, 2}); err != nil {
+			t.Error(err)
+			return
+		}
+		_, err := exec.GetResult(GetResultOptions{
+			Recovery:       &RecoveryOptions{MaxAttempts: 1, Backoff: 100 * time.Millisecond},
+			PartialResults: true,
+		})
+		if len(exec.DeadLetters()) != 2 {
+			t.Errorf("dead letters = %d (%v), want 2", len(exec.DeadLetters()), err)
+			return
+		}
+		attached, err := AttachExecutor(e.attachConfig(), exec.ID())
+		if err != nil {
+			t.Errorf("attach: %v", err)
+			return
+		}
+		// The attached driver parks the letters in call-ID order, the first
+		// in give-up order.
+		want := exec.DeadLetters()
+		slices.SortFunc(want, func(a, b DeadLetter) int { return strings.Compare(a.CallID, b.CallID) })
+		letters := attached.DeadLetters()
+		if len(letters) != len(want) {
+			t.Errorf("attached driver parks %d dead letters, want %d", len(letters), len(want))
+			return
+		}
+		for i, d := range letters {
+			if w := want[i]; d.ExecutorID != w.ExecutorID || d.CallID != w.CallID || d.Attempts != w.Attempts ||
+				d.LastError != w.LastError || !d.GaveUpAt.Equal(w.GaveUpAt) {
+				t.Errorf("letter[%d] = %+v, want %+v", i, d, w)
+			}
+		}
+		if n := len(attached.Futures()); n != 0 {
+			t.Errorf("attached driver tracks %d futures, want 0: both calls are retired", n)
 		}
 	})
 }

@@ -157,9 +157,11 @@ type Executor struct {
 
 	// fanIns are the stage barriers whose targets this driver staged but did
 	// not invoke, until every target is finished or accounted for (fanin.go).
-	// Only the task driving the executor touches them, so mu does not cover
-	// them.
+	// Only the wait inside a chore touches them, so mu does not cover them.
 	fanIns []*fanInGroup
+	// choring is held by the one wait running the driver's chores (see
+	// pendingSet.chore).
+	choring atomic.Bool
 }
 
 // retryableCall reports whether an invocation is worth another try: 429s —

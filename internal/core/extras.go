@@ -79,12 +79,10 @@ func thresholdCount(frac float64, n int) int {
 // with a failure status committed by the runner or a dead activation.
 // It sweeps first so the answer reflects current platform state.
 func (e *Executor) FailedFutures() ([]*Future, error) {
-	futures := e.Futures()
-	pend, _ := e.pending(futures)
-	if _, err := pend.sweep(); err != nil {
+	done, _, err := e.waitDone(e.Futures(), 0, time.Time{})
+	if err != nil {
 		return nil, err
 	}
-	done, _ := splitDone(futures)
 	errs := e.fetchStatuses(done)
 	var failed []*Future
 	for i, f := range done {

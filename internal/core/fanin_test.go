@@ -552,68 +552,94 @@ func TestSpeculationLeavesGatedCallsAlone(t *testing.T) {
 // Reducers now start after their maps and the job completes. Remote invokers
 // once held every slot of a small cloud too, retrying launches until they
 // gave up and left their groups unlaunched; now a launcher retries briefly
-// and the driver launches the rest without holding a slot.
+// and the driver launches the rest without holding a slot — in Wait as in
+// GetResult, since both wait through the loop that runs the backstop.
 func TestFanInNoSlotHoggingDeadlock(t *testing.T) {
 	const slots = 6
+	// collect gathers the results of exec's tracked calls, either straight
+	// through GetResult or after a Wait for all of them.
+	type collect func(exec *Executor, timeout time.Duration) ([]json.RawMessage, error)
+	collects := []struct {
+		name    string
+		collect collect
+	}{
+		{"get-result", func(exec *Executor, timeout time.Duration) ([]json.RawMessage, error) {
+			return exec.GetResult(GetResultOptions{Timeout: timeout})
+		}},
+		{"wait", func(exec *Executor, timeout time.Duration) ([]json.RawMessage, error) {
+			if _, _, err := exec.Wait(WaitAllCompleted, exec.clock.Now().Add(timeout)); err != nil {
+				return nil, err
+			}
+			return exec.GetResult(GetResultOptions{Timeout: timeout})
+		}},
+	}
 	t.Run("massive-spawning", func(t *testing.T) {
-		const calls = 30
-		fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = 3 })
-		exec := fe.executor(t, func(c *Config) {
-			c.MassiveSpawning = true
-			c.SpawnGroupSize = 10
-			c.ControlLink = fe.platform.CloudLink()
-		})
-		fe.clk.Run(func() {
-			start := fe.clk.Now()
-			args := make([]any, calls)
-			for i := range args {
-				args[i] = i
-			}
-			if _, err := exec.Map("add7", args); err != nil {
-				t.Error(err)
-				return
-			}
-			results, err := exec.GetResult(GetResultOptions{Timeout: 30 * time.Minute})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i, r := range results {
-				if string(r) != fmt.Sprint(i+7) {
-					t.Errorf("result[%d] = %s, want %d", i, r, i+7)
-				}
-			}
-			if took := fe.clk.Now().Sub(start); took > time.Minute {
-				t.Errorf("job took %v: it stalled on slots", took)
-			}
-		})
+		for _, c := range collects {
+			t.Run(c.name, func(t *testing.T) {
+				const calls = 30
+				fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = 3 })
+				exec := fe.executor(t, func(c *Config) {
+					c.MassiveSpawning = true
+					c.SpawnGroupSize = 10
+					c.ControlLink = fe.platform.CloudLink()
+				})
+				fe.clk.Run(func() {
+					start := fe.clk.Now()
+					args := make([]any, calls)
+					for i := range args {
+						args[i] = i
+					}
+					if _, err := exec.Map("add7", args); err != nil {
+						t.Error(err)
+						return
+					}
+					results, err := c.collect(exec, 30*time.Minute)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i, r := range results {
+						if string(r) != fmt.Sprint(i+7) {
+							t.Errorf("result[%d] = %s, want %d", i, r, i+7)
+						}
+					}
+					if took := fe.clk.Now().Sub(start); took > time.Minute {
+						t.Errorf("job took %v: it stalled on slots", took)
+					}
+				})
+			})
+		}
 	})
 	t.Run("reducer-per-object", func(t *testing.T) {
-		const objects = 8 // > slots
-		fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = slots })
-		fe.seedObjects(t, "cities", objects, 100)
-		exec := fe.executor(t, func(c *Config) {
-			c.MassiveSpawning = true
-			c.ControlLink = fe.platform.CloudLink()
-		})
-		fe.clk.Run(func() {
-			start := fe.clk.Now()
-			if _, err := exec.MapReduce("partitionLen", Buckets{"cities"}, "sum", MapReduceOptions{ReducerOnePerObject: true}); err != nil {
-				t.Error(err)
-				return
-			}
-			results, err := exec.GetResult(GetResultOptions{Timeout: 10 * time.Minute})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got := sumTotals(t, results); len(results) != objects || got != objects*100 {
-				t.Errorf("%d reducers summed %d, want %d over %d", len(results), got, objects, objects*100)
-			}
-			if took := fe.clk.Now().Sub(start); took > time.Minute {
-				t.Errorf("job took %v: it stalled on slots", took)
-			}
-		})
+		for _, c := range collects {
+			t.Run(c.name, func(t *testing.T) {
+				const objects = 8 // > slots
+				fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = slots })
+				fe.seedObjects(t, "cities", objects, 100)
+				exec := fe.executor(t, func(c *Config) {
+					c.MassiveSpawning = true
+					c.ControlLink = fe.platform.CloudLink()
+				})
+				fe.clk.Run(func() {
+					start := fe.clk.Now()
+					if _, err := exec.MapReduce("partitionLen", Buckets{"cities"}, "sum", MapReduceOptions{ReducerOnePerObject: true}); err != nil {
+						t.Error(err)
+						return
+					}
+					results, err := c.collect(exec, 10*time.Minute)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := sumTotals(t, results); len(results) != objects || got != objects*100 {
+						t.Errorf("%d reducers summed %d, want %d over %d", len(results), got, objects, objects*100)
+					}
+					if took := fe.clk.Now().Sub(start); took > time.Minute {
+						t.Errorf("job took %v: it stalled on slots", took)
+					}
+				})
+			})
+		}
 	})
 	t.Run("shuffle", func(t *testing.T) {
 		e, want := newShuffleEnvWith(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = slots })

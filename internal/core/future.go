@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"gowren/internal/faas"
 	"gowren/internal/vclock"
 	"gowren/internal/wire"
 )
@@ -194,14 +193,18 @@ const sweepConsultThreshold = 3
 // finished since the last one, not one probe per future. It is the only
 // status waiter: the executor's Wait, WaitThreshold and GetResult, the
 // composition resolver and the in-cloud reduce barriers all wait through
-// its wait loop.
+// its wait loop, which also runs the chores of the driver waiting.
 type pendingSet struct {
 	sweeps *sweepCoordinator
 	clock  vclock.Clock
 	meta   string
-	// ctrl answers the dead-activation probe; nil inside a function, whose
-	// barriers wait on calls without activation IDs.
-	ctrl     *faas.Controller
+	// driver is the executor whose job the wait drives: its lease, respawn
+	// ledger and fan-in backstop tick with the loop, and its controller
+	// answers the dead-activation probe. Nil only in a reduce barrier, which
+	// waits inside a function on calls without activation IDs.
+	driver *Executor
+	// limit caps the backstop's automatic respawns per call.
+	limit    int
 	interval time.Duration
 	// groups are in executor-ID order, so the simulated network sees an
 	// identical request sequence every run.
@@ -223,14 +226,11 @@ type pendingGroup struct {
 	seen uint64
 }
 
-// pending splits futures into a pending set on the executor's sweep
-// coordinator and the calls already known done.
-func (e *Executor) pending(futures []*Future) (p *pendingSet, done []*Future) {
-	p = &pendingSet{sweeps: e.sweeps, clock: e.clock, meta: e.cfg.Platform.MetaBucket(),
-		ctrl: e.cfg.Platform.Controller(), interval: e.cfg.PollInterval}
-	done, pending := splitDone(futures)
-	p.add(pending...)
-	return p, done
+// pendingIn returns an empty pending set over the executor's sweep
+// coordinator, waiting on statuses in meta with e as its driver; limit caps
+// the backstop's automatic respawns per call.
+func (e *Executor) pendingIn(meta string, limit int) *pendingSet {
+	return &pendingSet{sweeps: e.sweeps, clock: e.clock, meta: meta, driver: e, limit: limit, interval: e.cfg.PollInterval}
 }
 
 // add puts futures (back) into the set: respawned calls are pending again.
@@ -288,7 +288,7 @@ func (p *pendingSet) sweep() ([]*Future, error) {
 			kept := g.fs[:0]
 			for _, f := range g.fs {
 				if f.activationID != "" {
-					rec, err := p.ctrl.Activation(f.activationID)
+					rec, err := p.driver.cfg.Platform.Controller().Activation(f.activationID)
 					if err == nil && rec.Done() && !rec.OK {
 						f.markFailed(fmt.Errorf("core: call %s/%s activation %s: %s: %w",
 							f.executorID, f.callID, f.activationID, rec.Error, ErrCallFailed))
@@ -318,14 +318,18 @@ func splitDone(futures []*Future) (done, pending []*Future) {
 	return done, pending
 }
 
-// wait is the one wait loop: it runs step once per poll tick until step
-// reports true or the deadline passes, and reports whether step succeeded.
+// wait is the one wait loop. Each poll tick it opens a respawn-ledger tick
+// and renews the lease when due (when the set has a driver), sweeps, hands
+// the calls that newly finished to step, and runs the driver's fan-in
+// backstop, until step reports true or the deadline passes: a non-transient
+// sweep failure ends the wait with its error, the deadline with
+// ErrWaitTimeout, naming the fan-in inputs a stalled call waited on.
 // A tick ends one interval on, or at the deadline if that comes first.
 // Between ticks it sleeps — the paper's polling client, and all there is on
 // the Virtual clock — unless the sweep coordinator can watch the one
 // namespace p waits on: then the wait holds that watch throughout and waits
 // on the namespace's event, so a committed status ends the tick at once.
-func (p *pendingSet) wait(step func() bool, deadline time.Time) bool {
+func (p *pendingSet) wait(deadline time.Time, step func(newly []*Future) bool) error {
 	var evt *vclock.Event
 	if len(p.groups) == 1 {
 		var release func()
@@ -337,12 +341,27 @@ func (p *pendingSet) wait(step func() bool, deadline time.Time) bool {
 		if evt != nil {
 			gen = evt.Gen()
 		}
-		if step() {
-			return true
+		p.chore(func(d *Executor) {
+			d.respawns.advance()
+			d.maybeRenewLease()
+		})
+		newly, err := p.sweep()
+		if err != nil {
+			return err
+		}
+		settled := step(newly)
+		p.chore(func(d *Executor) { d.backstopFanIns(p, p.limit) })
+		if settled {
+			return nil
 		}
 		now := p.clock.Now()
 		if !deadline.IsZero() && !now.Before(deadline) {
-			return false
+			if p.driver != nil {
+				if why := p.driver.uncommittedInputs(p.futures()); why != "" {
+					return fmt.Errorf("%s: %w", why, ErrWaitTimeout)
+				}
+			}
+			return ErrWaitTimeout
 		}
 		wake := now.Add(p.interval)
 		if !deadline.IsZero() && deadline.Before(wake) {
@@ -353,6 +372,17 @@ func (p *pendingSet) wait(step func() bool, deadline time.Time) bool {
 		} else {
 			evt.Wait(gen, wake)
 		}
+	}
+}
+
+// chore runs f on the set's driver, unless it has none or another of its
+// waits is inside a chore: the resolver's composition waits run on several
+// workers at once, and two lease renewals in flight would fence the driver
+// off from itself.
+func (p *pendingSet) chore(f func(d *Executor)) {
+	if d := p.driver; d != nil && d.choring.CompareAndSwap(false, true) {
+		defer d.choring.Store(false)
+		f(d)
 	}
 }
 
@@ -371,47 +401,33 @@ func (p *pendingSet) awaitAll(execID string, callIDs, activationIDs []string, de
 		fs[i] = &calls[i]
 	}
 	p.add(fs...)
-	var err error
-	ok := p.wait(func() bool {
-		var newly []*Future
-		if newly, err = p.sweep(); err != nil {
-			return true
-		}
+	var failed error
+	if err := p.wait(deadline, func(newly []*Future) bool {
 		for _, f := range newly {
-			if err = f.failed; err != nil {
+			if failed = f.failed; failed != nil {
 				return true
 			}
 		}
 		return p.n == 0
-	}, deadline)
-	if err == nil && !ok {
-		err = ErrWaitTimeout
+	}); err != nil {
+		return err
 	}
-	return err
+	return failed
 }
 
 // waitDone waits until at least need of futures are known done — WaitAlways
 // is need 0, which sweeps once and returns — and returns the (done, pending)
 // partition it observed last.
 func (e *Executor) waitDone(futures []*Future, need int, deadline time.Time) (done, pending []*Future, err error) {
-	pend, _ := e.pending(futures)
-	// A non-transient sweep failure must abort the wait, not silently spin
-	// until the deadline turns it into a misleading ErrWaitTimeout.
-	var sweepErr error
-	ok := pend.wait(func() bool {
-		if _, sweepErr = pend.sweep(); sweepErr != nil {
-			return true
-		}
-		return len(futures)-pend.n >= need
-	}, deadline)
+	pend := e.pendingIn(e.cfg.Platform.MetaBucket(), respawnLimit(RecoveryOptions{}.withDefaults()))
+	_, pending = splitDone(futures)
+	pend.add(pending...)
+	err = pend.wait(deadline, func([]*Future) bool { return len(futures)-pend.n >= need })
 	done, pending = splitDone(futures)
-	if sweepErr != nil {
-		return done, pending, sweepErr
+	if errors.Is(err, ErrWaitTimeout) {
+		err = fmt.Errorf("core: %d of %d calls done, %d needed: %w", len(done), len(futures), need, err)
 	}
-	if !ok {
-		return done, pending, fmt.Errorf("core: %d of %d calls done, %d needed: %w", len(done), len(futures), need, ErrWaitTimeout)
-	}
-	return done, pending, nil
+	return done, pending, err
 }
 
 // collectResults waits for all futures and returns their results, resolving
@@ -425,7 +441,10 @@ func (e *Executor) waitDone(futures []*Future, need int, deadline time.Time) (do
 func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachTick func(pend *pendingSet, rec *recoverer)) ([]json.RawMessage, error) {
 	deadline := e.deadlineFrom(opts.Timeout)
 	rec := newRecoverer(e, futures, opts.Recovery)
-	pend, already := e.pending(futures)
+	limit := respawnLimit(rec.opts)
+	pend := e.pendingIn(e.cfg.Platform.MetaBucket(), limit)
+	already, pending := splitDone(futures)
+	pend.add(pending...)
 	rec.observe(already)
 
 	total := len(futures)
@@ -443,18 +462,9 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 		}
 	}
 	report()
-	var sweepErr error
-	ok := pend.wait(func() bool {
-		e.respawns.advance()
-		e.maybeRenewLease()
-		newly, err := pend.sweep()
-		if err != nil {
-			sweepErr = err
-			return true
-		}
+	if err := pend.wait(deadline, func(newly []*Future) bool {
 		rec.observe(newly)
 		pend.add(rec.step()...)
-		e.backstopFanIns(pend, respawnLimit(rec.opts))
 		report()
 		if rec.settled() {
 			return true
@@ -463,15 +473,8 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 			eachTick(pend, rec)
 		}
 		return false
-	}, deadline)
-	if sweepErr != nil {
-		return nil, fmt.Errorf("core: get_result: %w", sweepErr)
-	}
-	if !ok {
-		if why := e.uncommittedInputs(pend.futures()); why != "" {
-			return nil, fmt.Errorf("core: get_result: %s: %w", why, ErrWaitTimeout)
-		}
-		return nil, fmt.Errorf("core: get_result: %w", ErrWaitTimeout)
+	}); err != nil {
+		return nil, fmt.Errorf("core: get_result: %w", err)
 	}
 
 	letters, failErrs := rec.terminalFailures()
@@ -486,7 +489,7 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 			recs[i] = f.cachedStatus()
 		}
 	}
-	r := &resolver{exec: e, deadline: deadline}
+	r := &resolver{exec: e, deadline: deadline, limit: limit}
 	out, err := r.resolveAll(recs, 0)
 	if err != nil {
 		return nil, err
@@ -504,6 +507,7 @@ func collectResults(e *Executor, futures []*Future, opts GetResultOptions, eachT
 type resolver struct {
 	exec     *Executor
 	deadline time.Time
+	limit    int // the collection's automatic-respawn cap, for its waits' backstop
 }
 
 // resolveAll turns successful status records into their final values, in
@@ -614,9 +618,7 @@ func (r *resolver) resolveFuturesRef(ref *wire.FuturesRef, depth int) (json.RawM
 // without committing a status surfaces as ErrCallFailed instead of
 // hanging the wait until its deadline.
 func (r *resolver) awaitCalls(ref *wire.FuturesRef) error {
-	e := r.exec
-	pend := &pendingSet{sweeps: e.sweeps, clock: e.clock, meta: ref.MetaBucket,
-		ctrl: e.cfg.Platform.Controller(), interval: e.cfg.PollInterval}
+	pend := r.exec.pendingIn(ref.MetaBucket, r.limit)
 	err := pend.awaitAll(ref.ExecutorID, ref.CallIDs, ref.ActivationIDs, r.deadline)
 	switch {
 	case err == nil:

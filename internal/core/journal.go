@@ -35,9 +35,10 @@ import (
 // reading results but must not respawn, dead-letter, or replay calls.
 var ErrFenced = errors.New("core: driver lease fenced by a newer driver")
 
-// leaseRenewInterval is how often a driver blocked in result collection
-// refreshes its lease timestamp, keeping the job visibly owned so the
-// orphan GC (CleanAbandoned) does not collect a live job. TTLs passed to
+// leaseRenewInterval is how often a driver blocked in any wait (Wait,
+// WaitThreshold, GetResult and its composition waits) refreshes its lease
+// timestamp, keeping the job visibly owned so the orphan GC
+// (CleanAbandoned) does not collect a live job. TTLs passed to
 // CleanAbandoned should comfortably exceed this.
 const leaseRenewInterval = 30 * time.Second
 
@@ -139,8 +140,8 @@ func (e *Executor) renewLease() error {
 }
 
 // maybeRenewLease renews the lease once leaseRenewInterval has elapsed. The
-// wait path calls it each poll so a driver blocked in a long collection
-// keeps its job visibly owned. Failures are not fatal here: waiting and
+// wait loop calls it each poll tick so a driver blocked in a long wait keeps
+// its job visibly owned. Failures are not fatal here: waiting and
 // reading results is allowed even for a superseded driver, and mutations
 // re-check through renewLease themselves.
 func (e *Executor) maybeRenewLease() {

@@ -27,12 +27,11 @@ import (
 // future. Payloads are the one kind not keyed by call ID: a launch stages
 // them as batches (payloads.go).
 const (
-	payloadPrefix    = "payload"
-	statusPrefix     = "status"
-	resultPrefix     = "result"
-	shufflePrefix    = "shuffle"
-	deadLetterPrefix = "deadletter"
-	fanInPrefix      = "fanin"
+	payloadPrefix = "payload"
+	statusPrefix  = "status"
+	resultPrefix  = "result"
+	shufflePrefix = "shuffle"
+	fanInPrefix   = "fanin"
 )
 
 func jobKey(kind, execID, callID string) string {
@@ -101,10 +100,6 @@ func callSeq(callID string) (int, bool) {
 // fanInKey is the launch marker of the stage barrier whose first target is
 // callID: beside the payloads, outside the status prefix the sweeps list.
 func fanInKey(execID, callID string) string { return jobKey(fanInPrefix, execID, callID) }
-
-// deadLetterKey is where a call's DeadLetter record is persisted when
-// automatic recovery gives up on it.
-func deadLetterKey(execID, callID string) string { return jobKey(deadLetterPrefix, execID, callID) }
 
 // journalPrefix groups a job's recovery journal records.
 const journalPrefix = "journal"

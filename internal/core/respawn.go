@@ -29,7 +29,7 @@ func newRespawnLedger() *respawnLedger {
 	return &respawnLedger{n: make(map[*Future]int), last: make(map[*Future]uint64)}
 }
 
-// advance opens a new poll tick. The wait loops call it once per sweep, so
+// advance opens a new poll tick. The wait loop calls it once per sweep, so
 // "one respawn per tick" matches one recovery step plus one speculation
 // check.
 func (l *respawnLedger) advance() {

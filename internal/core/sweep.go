@@ -23,13 +23,16 @@ import (
 //     after the frontier key via cos.ListFrom. Keys behind the frontier
 //     are never listed again.
 //   - Every status waiter is a pendingSet (future.go) waiting through its
-//     one wait loop. All waiters of one executor — Wait, GetResult,
-//     WaitThreshold, the composition resolver's awaitCalls running on many
-//     staging workers — share the coordinator, so concurrent polls of the
-//     same namespace coalesce into (at most) one LIST per tick: a caller
-//     that finds a sweep in flight, or one that completed at/after its own
-//     observation time, reuses the shared state instead of issuing its own
-//     LIST. A reduce barrier builds a coordinator of its own per activation.
+//     one wait loop, the only caller of pendingSet.sweep, which also runs
+//     the driver's chores around each sweep: the respawn-ledger tick, the
+//     lease renewal and the fan-in backstop. All waiters of one executor —
+//     Wait, GetResult, WaitThreshold, the composition resolver's awaitCalls
+//     running on many staging workers — share the coordinator, so
+//     concurrent polls of the same namespace coalesce into (at most) one
+//     LIST per tick: a caller that finds a sweep in flight, or one that
+//     completed at/after its own observation time, reuses the shared state
+//     instead of issuing its own LIST. A reduce barrier builds a
+//     coordinator of its own per activation.
 //
 //   - The done-set carries a version that moves only when a call enters or
 //     leaves it. Waiters keep their own shrinking pending list and prune it

@@ -36,7 +36,8 @@ const (
 	JournalLaunch = "launch"
 	// JournalRespawn records re-invocations of calls whose activations died.
 	JournalRespawn = "respawn"
-	// JournalDeadLetter records calls retired after exhausting respawns.
+	// JournalDeadLetter records a call retired after exhausting respawns: it
+	// is the durable dead letter.
 	JournalDeadLetter = "deadletter"
 	// JournalReplay records dead letters re-keyed under fresh call IDs; it is
 	// written before the replacements launch so a second driver never
@@ -52,6 +53,11 @@ type JournalCall struct {
 	ActivationID string `json:"activationId,omitempty"`
 	// Region is the call's storage home region, if placed.
 	Region string `json:"region,omitempty"`
+	// Attempts and Error, on a dead-letter record, are the automatic
+	// re-executions spent on the call and the failure recovery gave up on;
+	// the record's AtUnixNs is when it gave up.
+	Attempts int    `json:"attempts,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // JournalRecord is one append-only entry under the job's journal prefix.
