@@ -279,7 +279,7 @@ func ShuffleResults(exec *Executor, opts ...GetResultOptions) ([]KeyResult, erro
 
 // GetResultSpeculative is GetResult with straggler mitigation: once most of
 // the job has completed, lingering calls are re-invoked from their staged
-// payloads. The client keeps the first status it fetches, but both attempts
+// payloads, in rounds one straggler period apart. The client keeps the first status it fetches, but both attempts
 // write their status and result, so storage ends with the later attempt's
 // (ROADMAP.md, "One commit protocol for every attempt"). Functions must be
 // idempotent (GoWren jobs are: results are pure functions of the staged

@@ -675,7 +675,10 @@ func (c *Cloud) executorConfig(opts []ExecutorOption) (core.Config, error) {
 		controlLink = netsim.WAN(c.seed + 1)
 		storageLink = netsim.WANStorage(c.seed + 2)
 	case ClientInCloud:
-		controlLink = c.platform.CloudLink()
+		// The invoke path gets its own stream: sharing the one every
+		// activation's storage requests draw from would let the number of
+		// in-cloud requests reorder client invocations at the controller.
+		controlLink = c.platform.CloudLink().Fork(c.seed + 3)
 		storageLink = c.platform.CloudLink()
 	case ClientLoopback:
 		controlLink = netsim.Loopback()

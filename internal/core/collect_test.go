@@ -103,7 +103,7 @@ func TestCollectOneStatusGetPerCallSpilled(t *testing.T) {
 	e.clk.Run(func() {
 		args := make([]any, n)
 		for i := range args {
-			args[i] = 4 * inlineResultThreshold
+			args[i] = 4 * inlineThreshold
 		}
 		if _, err := exec.Map("blob", args); err != nil {
 			t.Error(err)
@@ -116,7 +116,7 @@ func TestCollectOneStatusGetPerCallSpilled(t *testing.T) {
 		}
 		for i, raw := range results {
 			var s string
-			if err := wire.Unmarshal(raw, &s); err != nil || len(s) != 4*inlineResultThreshold {
+			if err := wire.Unmarshal(raw, &s); err != nil || len(s) != 4*inlineThreshold {
 				t.Errorf("result %d: %d bytes, err %v", i, len(s), err)
 			}
 		}

@@ -137,7 +137,7 @@ func (e *Executor) Respawn(futures []*Future) error {
 	newActs := make([]string, len(futures))
 	errs = parallelFor(e.clock, e.cfg.InvokeConcurrency, len(futures), func(i int) error {
 		f := futures[i]
-		actID, err := e.invokeOne(action, f.payload, e.cfg.Tenant)
+		actID, err := e.invokeOne(action, wire.InvokeParams(f.payload, nil), e.cfg.Tenant)
 		if err != nil {
 			return fmt.Errorf("respawn %s/%s: %w", f.executorID, f.callID, err)
 		}

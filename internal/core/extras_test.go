@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"gowren/internal/netsim"
+	"gowren/internal/runtime"
 	"gowren/internal/wire"
 )
 
@@ -314,6 +317,56 @@ func TestGetResultSpeculativeBeatsStraggler(t *testing.T) {
 			t.Errorf("runner activations = %d; speculation never fired", runnerActs)
 		}
 	})
+}
+
+func TestGetResultSpeculativeDeadLettersFailingStraggler(t *testing.T) {
+	// Speculation and recovery draw on one respawn budget per call. A
+	// straggler whose every copy fails must still reach the recovery
+	// attempt cap and end as a dead letter, not wait out the timeout on a
+	// budget speculation spent.
+	e := newEnvWith(t, func(img *runtime.Image) {
+		if err := img.RegisterPlain("slowFail", func(ctx *runtime.Ctx, arg json.RawMessage) (any, error) {
+			var seconds int
+			if err := wire.Unmarshal(arg, &seconds); err != nil {
+				return nil, err
+			}
+			if err := ctx.ChargeCompute(time.Duration(seconds) * time.Second); err != nil {
+				return nil, err
+			}
+			if seconds > 10 {
+				return nil, errors.New("slow call failed")
+			}
+			return seconds, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	exec := e.executor(t, nil)
+	e.clk.Run(func() {
+		if _, err := exec.Map("slowFail", []any{1, 1, 1, 20}); err != nil {
+			t.Error(err)
+			return
+		}
+		_, err := exec.GetResultSpeculative(GetResultOptions{Timeout: 30 * time.Minute})
+		if !errors.Is(err, ErrCallFailed) || errors.Is(err, ErrWaitTimeout) {
+			t.Errorf("err = %v, want ErrCallFailed for a dead-lettered straggler", err)
+		}
+		letters := exec.DeadLetters()
+		if len(letters) != 1 || letters[0].Attempts != DefaultRecoveryAttempts ||
+			!strings.Contains(letters[0].LastError, "slow call failed") {
+			t.Errorf("dead letters = %+v, want the slow call after the full recovery cap", letters)
+		}
+	})
+	// 4 originals, 1 speculative copy, MaxAttempts recovery respawns.
+	runs := 0
+	for _, a := range e.platform.Controller().Activations() {
+		if strings.HasPrefix(a.Action, "gowren-runner--") {
+			runs++
+		}
+	}
+	if want := 5 + DefaultRecoveryAttempts; runs != want {
+		t.Errorf("runner activations = %d, want %d", runs, want)
+	}
 }
 
 func TestGetResultSpeculativeNoFutures(t *testing.T) {

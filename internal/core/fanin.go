@@ -157,7 +157,7 @@ func (e *Executor) launchBehind(gates []stageGate, trackFutures bool) ([]*Future
 	}
 	// The targets must exist before any input can finish, and every input
 	// carries where its gate's targets were staged.
-	targetRefs, err := e.stagePayloads(targets)
+	targetRefs, _, err := e.stagePayloads(targets)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +242,10 @@ func (e *Executor) adoptFanIns(specs []wire.FanIn, byID map[string]*Future) erro
 // for a group of one, which own completes), and — only if that shows the
 // whole group committed — the claim, a COS shuffle's stage index, the launch
 // and the marker rewrite. Its request budget is 1 LIST per call, at most 2
-// marker PUTs per group, and one failed conditional put per losing
-// candidate; the index adds count−1 status GETs and one PUT per group.
+// marker PUTs per group, one failed conditional put per losing candidate,
+// and one range GET per target span, whose lines the launches carry inline
+// so the targets read no payload; the index adds count−1 status GETs and one
+// PUT per group.
 func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *wire.StatusRecord) error {
 	gate, err := resolveFanIn(payload.MetaBucket, payload.ExecutorID, payload.FanIn)
 	if err != nil {
@@ -279,9 +281,10 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *
 	// All targets go out together: R launches cost one in-cloud round trip
 	// (plus the gateway's serialized admission of each).
 	n := gate.spec.Targets
+	lines := p.targetLines(ctx, &gate)
 	marker.ActivationIDs = make([]string, n)
 	errs := fetchFor(ctx.Clock(), n, n, func(i int) error {
-		id, err := p.invokeFromCloud(ctx, gate.spec, gate.spec.Target(gate.bucket, i))
+		id, err := p.invokeFromCloud(ctx, gate.spec, invokeParams(gate.spec.Target(gate.bucket, i), lines[i]))
 		marker.ActivationIDs[i] = id
 		return err
 	})
@@ -298,14 +301,43 @@ func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *
 	return nil
 }
 
-// invokeFromCloud fires one target of spec over the in-cloud link, admitted
-// as the spec's tenant, with fnLaunchRetry's brief retries, and returns its
-// activation ID.
-func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, spec *wire.FanIn, target wire.ObjectRef) (string, error) {
-	params := wire.MustMarshal(target)
+// targetLines reads the staged lines of g's targets, for their launches to
+// carry inline: one range GET per target span, from its first line to its
+// last. A span whose read fails, or none of whose lines is small enough to
+// ride inline, reads as nil lines, and its targets go out with the ref alone.
+func (p *Platform) targetLines(ctx *runtime.Ctx, g *fanInGate) [][]byte {
+	lines := make([][]byte, 0, g.spec.Targets)
+	for _, s := range g.spec.TargetSpans {
+		n, first := s.Calls(), s.Bounds[0]
+		size, fits := s.Bounds[n]-1-first, false
+		for i := 0; i < n; i++ {
+			fits = fits || s.Bounds[i+1]-1-s.Bounds[i] <= inlineThreshold
+		}
+		var body []byte
+		if fits {
+			var err error
+			if body, _, err = ctx.Storage().GetRange(g.bucket, s.Key, first, size); err != nil || int64(len(body)) != size {
+				body = nil
+			}
+		}
+		for i := 0; i < n; i++ {
+			var line []byte
+			if body != nil {
+				line = body[s.Bounds[i]-first : s.Bounds[i+1]-1-first]
+			}
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// invokeFromCloud fires one target of spec with params over the in-cloud
+// link, admitted as the spec's tenant, with fnLaunchRetry's brief retries,
+// and returns its activation ID.
+func (p *Platform) invokeFromCloud(ctx *runtime.Ctx, spec *wire.FanIn, params []byte) (string, error) {
 	var id string
 	err := p.fnLaunchRetry.Do(func() error {
-		d, failed := p.cloudLink.RequestCost(approxInvokeBytes)
+		d, failed := p.cloudLink.RequestCost(int64(len(params)))
 		ctx.Clock().Sleep(d)
 		if failed {
 			return cos.ErrRequestFailed
@@ -463,7 +495,7 @@ func (e *Executor) rescueFanIn(g *fanInGroup, missing []int, pend *pendingSet) {
 	}
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(missing), func(k int) error {
 		i := missing[k]
-		id, err := e.invokeOne(g.spec.Action, g.spec.Target(g.bucket, i), g.spec.Tenant)
+		id, err := e.invokeOne(g.spec.Action, wire.InvokeParams(g.spec.Target(g.bucket, i), nil), g.spec.Tenant)
 		if err != nil {
 			return err
 		}

@@ -188,9 +188,10 @@ func TestFanInRequestBudgetPerObject(t *testing.T) {
 	if got := fe.fanInEvents("generation=1 launched="); got != reducers {
 		t.Errorf("fan-in launches = %d, want %d: exactly one won claim per group", got, reducers)
 	}
-	// A payload per map (stagger reads no data), a payload and one status
-	// per input per reducer.
-	if want := int64(maps + reducers + maps); fn.GetOps != want {
+	// One status per input per reducer, and one target-span GET per group
+	// at its launcher. Maps (stagger reads no data) and reducers read no
+	// payload: it rode in their invocations.
+	if want := int64(maps + reducers); fn.GetOps != want {
 		t.Errorf("cloud-side GETs = %d, want %d", fn.GetOps, want)
 	}
 	if got := fe.runnerActivations(); got != maps+reducers {
@@ -241,10 +242,10 @@ func TestFanInRequestBudgetShuffle(t *testing.T) {
 	if markers < 2 || markers > 2+int64(maps-1) {
 		t.Errorf("marker PUTs = %d, want 2 plus at most %d losing candidates", markers, maps-1)
 	}
-	// Per map its payload and its document; the launching map's GETs of the
-	// other statuses; per reducer its payload, the index and one ranged GET
-	// per map object.
-	if want := int64(maps + maps + (maps - 1) + reducers*(1+1+maps)); fn.GetOps != want {
+	// Per map its document; the launching map's GETs of the other statuses
+	// and of its one target span; per reducer the index and one ranged GET
+	// per map object. No call reads its payload: each rode its invocation.
+	if want := int64(maps + (maps - 1) + 1 + reducers*(1+maps)); fn.GetOps != want {
 		t.Errorf("cloud-side GETs = %d, want %d", fn.GetOps, want)
 	}
 	listed, err := cos.ListAll(fe.store, fe.platform.MetaBucket(), "jobs/"+exec.ID()+"/shuffle/")
@@ -487,6 +488,12 @@ func TestFanInBackstopAfterLauncherKilled(t *testing.T) {
 	}
 	if got := fe.fanInEvents("launcher killed"); got != objects {
 		t.Errorf("killed launchers = %d, want %d", got, objects)
+	}
+	// The backstop invokes with the ref alone: each reducer reads its
+	// payload, then its one input's status. The killed launchers read no
+	// target span.
+	if got := fe.fn.Counts().GetOps; got != 2*objects {
+		t.Errorf("cloud-side GETs = %d, want %d: a payload and a status per rescued reducer", got, 2*objects)
 	}
 }
 

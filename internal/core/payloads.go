@@ -15,8 +15,11 @@ import (
 //	jobs/{exec}/payload/{firstCallID}+{count}
 //
 // and hands every call a wire.ObjectRef carrying its byte range. That ref
-// travels in the invoke parameters and is authoritative: the runner range-GETs
-// its slice and nothing on the hot path derives a key from a call ID. Readers
+// travels in the invoke parameters, and nothing on the hot path derives a key
+// from a call ID. A line of at most inlineThreshold bytes travels there too
+// (invokeParams), so its runner reads nothing; the batch is still staged for
+// the invocations that carry the ref alone — Respawn, the fan-in backstop,
+// calls above the threshold — whose runner range-GETs its slice. Readers
 // that know only (executor, call ID) — respawn re-placement, dead-letter
 // replay, shuffle recompute, futures adopted by Attach — go through
 // resolvePayloads, which reads the key names.
@@ -51,11 +54,11 @@ func parseBatchKey(key string) (payloadBatch, bool) {
 }
 
 // stagePayloads uploads the serialized calls as payload batches, retrying
-// transient storage failures, and returns each call's location. Every payload
-// passes through here, so this is also where calls get their region placement
-// and tenant. A batch ends where the call IDs stop being consecutive or the
-// next payload would push it over payloadBatchBytes.
-func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef, error) {
+// transient storage failures, and returns each call's location and staged
+// line. Every payload passes through here, so this is also where calls get
+// their region placement and tenant. A batch ends where the call IDs stop
+// being consecutive or the next payload would push it over payloadBatchBytes.
+func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef, [][]byte, error) {
 	meta := e.cfg.Platform.MetaBucket()
 	bodies := make([][]byte, len(payloads))
 	seqs := make([]int, len(payloads))
@@ -67,11 +70,11 @@ func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef
 			p.Tenant = e.cfg.Tenant
 		}
 		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("core: stage payloads: %w", err)
+			return nil, nil, fmt.Errorf("core: stage payloads: %w", err)
 		}
 		seq, err := strconv.Atoi(p.CallID)
 		if err != nil || seq < 0 {
-			return nil, fmt.Errorf("core: stage payloads: call id %q is not a call sequence", p.CallID)
+			return nil, nil, fmt.Errorf("core: stage payloads: call id %q is not a call sequence", p.CallID)
 		}
 		seqs[i] = seq
 		bodies[i] = wire.MustMarshal(p)
@@ -102,9 +105,9 @@ func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef
 		return err
 	})
 	if err := firstErr(errs); err != nil {
-		return nil, fmt.Errorf("core: stage payloads: %w", err)
+		return nil, nil, fmt.Errorf("core: stage payloads: %w", err)
 	}
-	return refs, nil
+	return refs, bodies, nil
 }
 
 // payloadSpans regroups consecutive refs, as stagePayloads returned them, into

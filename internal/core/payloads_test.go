@@ -53,8 +53,8 @@ func stagedBatches(t *testing.T, store *cos.Store, meta, execID string) (keys []
 // through massive spawning cost the WAN client exactly four PUTs — one batch
 // of calls, one batch of invoker groups, the manifest (which is also the
 // driver lease) and the launch record — where staging a call per object cost
-// a thousand; and in the cloud every
-// activation reads exactly its own payload's bytes, in one request.
+// a thousand; and in the cloud each invoker reads its group's payloads in
+// one range GET and hands every call its own line, so no call reads one.
 func TestStagingRequestBudget(t *testing.T) {
 	const n = 1000
 	fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = 2 * n })
@@ -102,17 +102,16 @@ func TestStagingRequestBudget(t *testing.T) {
 	if want := []string{batchKey(exec.ID(), 0, n), batchKey(exec.ID(), n, n/100)}; fmt.Sprint(keys) != fmt.Sprint(want) {
 		t.Errorf("staged batches = %v, want %v", keys, want)
 	}
-	var payloadBytes int64
-	for _, body := range bodies {
-		payloadBytes += int64(len(body) - bytes.Count(body, []byte{'\n'}))
-	}
+	// The groups' spans cover the call batch but for the n/100-1 separators
+	// between groups; the invoker batch rode the client's invocations.
+	spanBytes := int64(len(bodies[0]) - (n/100 - 1))
 	activations := int64(len(fe.platform.Controller().Activations()))
 	fn := fe.fn.Counts()
-	if activations != n+n/100 || fn.GetOps != activations {
-		t.Errorf("cloud-side GETs = %d for %d activations, want %d of each: one payload read per activation", fn.GetOps, activations, n+n/100)
+	if activations != n+n/100 || fn.GetOps != n/100 {
+		t.Errorf("cloud-side GETs = %d for %d activations, want %d for %d: one span read per invoker", fn.GetOps, activations, n/100, n+n/100)
 	}
-	if fn.BytesIn != payloadBytes {
-		t.Errorf("cloud-side bytes read = %d, want %d: the staged payloads, each read once and nothing beside it", fn.BytesIn, payloadBytes)
+	if fn.BytesIn != spanBytes {
+		t.Errorf("cloud-side bytes read = %d, want %d: the staged calls, each read once and nothing beside them", fn.BytesIn, spanBytes)
 	}
 	if fn.ListOps != 0 {
 		t.Errorf("cloud-side LISTs = %d, want 0: the hot path never resolves a call ID", fn.ListOps)
@@ -252,7 +251,7 @@ func TestResolverNarrowestBatchWins(t *testing.T) {
 			ExecutorID: exec.ID(), CallID: "00002", Runtime: runtime.DefaultImage, Function: "add7",
 			Kind: wire.KindPlain, Arg: json.RawMessage(`99`), MetaBucket: meta,
 		}
-		if _, err := exec.stagePayloads([]*wire.CallPayload{&moved}); err != nil {
+		if _, _, err := exec.stagePayloads([]*wire.CallPayload{&moved}); err != nil {
 			t.Error(err)
 			return
 		}

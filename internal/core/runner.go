@@ -10,35 +10,42 @@ import (
 	"gowren/internal/wire"
 )
 
-// inlineResultThreshold is the largest serialized ResultEnvelope the
-// runner embeds directly in the status record instead of spilling it to a
-// result object. Collecting an inlined result costs one status GET where
-// a spilled one costs a status GET plus a result GET — and the result PUT
-// never happens at all. 8 KiB keeps status records comfortably inside one
-// request while covering the paper's aggregate-style workloads, whose
-// per-call outputs are small.
-const inlineResultThreshold = 8 << 10
+// inlineThreshold is the largest record that rides inside another instead
+// of in an object of its own, in both directions of a call. A staged payload
+// line of at most this size travels in the invoke parameters beside its ref,
+// so the runner reads no payload; a serialized ResultEnvelope of at most
+// this size is embedded in the status record, so no result object is PUT or
+// fetched. 8 KiB keeps either record comfortably inside one request while
+// covering the paper's workloads, whose arguments and per-call outputs are
+// small.
+const inlineThreshold = 8 << 10
+
+// invokeParams is what an invocation of the call staged at ref carries: the
+// ref, and the staged line too when it is at most inlineThreshold bytes.
+func invokeParams(ref wire.ObjectRef, line []byte) []byte {
+	if len(line) > inlineThreshold {
+		line = nil
+	}
+	return wire.InvokeParams(ref, line)
+}
 
 // runnerHandler returns the generic action handler that executes staged
-// calls: the server side of the paper's Fig. 1. It loads the CallPayload
-// from COS, dispatches to the user function registered in the runtime
-// image, and commits result + status objects back to COS. The status write
-// is the commit point clients poll for.
+// calls: the server side of the paper's Fig. 1. It takes the CallPayload
+// from the invoke parameters (or, for a call that did not ride inline, from
+// COS), dispatches to the user function registered in the runtime image,
+// and commits result + status objects back to COS. The status write is the
+// commit point clients poll for.
 func (p *Platform) runnerHandler() faas.Handler {
 	return func(ctx *runtime.Ctx, params []byte) ([]byte, error) {
-		ref, err := wire.DecodeRef(params)
-		if err != nil {
-			return nil, fmt.Errorf("core: runner params: %w", err)
-		}
-		payload, err := p.loadPayload(ctx, ref)
+		payload, err := p.loadPayload(ctx, params)
 		if err != nil {
 			return nil, fmt.Errorf("core: runner load payload: %w", err)
 		}
 		// The payload carries the call's region placement and tenant; from
 		// here on the function reads and writes through its own region's
-		// view (the initial payload load above necessarily used the default
-		// view — the region is only known once the payload is decoded) and
-		// anything it spawns is admitted as its tenant.
+		// view (a payload that did not ride inline was read through the
+		// default view — the region is only known once the payload is
+		// decoded) and anything it spawns is admitted as its tenant.
 		ctx = p.placementFor(ctx, payload.Region, payload.Tenant)
 
 		started := ctx.Clock().Now()
@@ -75,7 +82,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 			case err != nil:
 				rec.OK = false
 				rec.Error = fmt.Sprintf("serialize result: %v", err)
-			case len(envBody) <= inlineResultThreshold:
+			case len(envBody) <= inlineThreshold:
 				// Small result: ride along in the status record; no result
 				// object is written or fetched for this call.
 				rec.OK = true
@@ -203,16 +210,18 @@ func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]
 	return partials, nil
 }
 
-// loadPayload reads the staged call the invoke parameters name: its byte range
-// of a payload batch, or the whole object for a ref without a range.
-func (p *Platform) loadPayload(ctx *runtime.Ctx, ref wire.ObjectRef) (*wire.CallPayload, error) {
-	var (
-		body []byte
-		err  error
-	)
-	if ref.Length > 0 {
+// loadPayload decodes the call the invoke parameters name: the staged line
+// they carry inline, or else the ref's byte range of a payload batch (the
+// whole object, for a ref without a range), read with one GET.
+func (p *Platform) loadPayload(ctx *runtime.Ctx, params []byte) (*wire.CallPayload, error) {
+	ref, body, err := wire.DecodeParams(params)
+	switch {
+	case err != nil:
+		return nil, err
+	case body != nil:
+	case ref.Length > 0:
 		body, _, err = ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
-	} else {
+	default:
 		body, _, err = ctx.Storage().Get(ref.Bucket, ref.Key)
 	}
 	if err != nil {

@@ -315,7 +315,7 @@ func TestInlineAndSpilledResultsResolveIdentically(t *testing.T) {
 		t.Errorf("small result wrote %d result objects, want 0 (inlined)", smallStats.Results)
 	}
 
-	bigSize := 4 * inlineResultThreshold
+	bigSize := 4 * inlineThreshold
 	big, bigStats := run(bigSize)
 	if big != strings.Repeat("x", bigSize) {
 		t.Errorf("spilled result corrupted: %d bytes, want %d", len(big), bigSize)

@@ -105,6 +105,22 @@ func NewLink(cfg LinkConfig) *Link {
 	}
 }
 
+// Fork returns a link with l's latency, bandwidth, failure model and
+// schedule but its own random stream drawn from seed, so traffic on one
+// path does not shift the samples of the other.
+func (l *Link) Fork(seed int64) *Link {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &Link{
+		rtt:         l.rtt,
+		perRequest:  l.perRequest,
+		bandwidth:   l.bandwidth,
+		failureProb: l.failureProb,
+		rng:         rand.New(rand.NewSource(seed)),
+		sched:       l.sched,
+	}
+}
+
 // SetSchedule attaches a scripted degradation schedule to the link. All
 // subsequent requests consult it: latency samples are inflated, the failure
 // probability is floored, and partition phases fail every request. A nil

@@ -131,6 +131,24 @@ func TestLinkDeterministicForSeed(t *testing.T) {
 	}
 }
 
+func TestForkKeepsModelNotStream(t *testing.T) {
+	// A fork draws exactly what a fresh link of the same profile and seed
+	// draws, however much traffic its parent carried before or after.
+	parent := InCloud(1)
+	for i := 0; i < 5; i++ {
+		parent.RequestCost(100)
+	}
+	fork, fresh := parent.Fork(4), InCloud(4)
+	for i := 0; i < 20; i++ {
+		parent.RequestCost(100)
+		got, gotFail := fork.RequestCost(4096)
+		want, wantFail := fresh.RequestCost(4096)
+		if got != want || gotFail != wantFail {
+			t.Fatalf("request %d: fork %v/%v, fresh link %v/%v", i, got, gotFail, want, wantFail)
+		}
+	}
+}
+
 func TestProfilesOrdering(t *testing.T) {
 	// The WAN must be meaningfully slower than the in-cloud path; this is
 	// the entire premise of the massive-spawning mechanism (paper §5.1).

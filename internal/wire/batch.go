@@ -11,8 +11,12 @@ import (
 // and `jq` opens either). encoding/json never emits a raw newline — strings
 // escape it and embedded RawMessages are compacted — so '\n' is a safe
 // separator. A call is addressed inside its batch by byte range (ObjectRef
-// Offset/Length, the hot path: one range GET) or by line number (PayloadLine,
-// the recovery path, for readers that only know the call ID).
+// Offset/Length) or by line number (PayloadLine, the recovery path, for
+// readers that only know the call ID).
+//
+// Invoke parameters use the same framing: the call's ref, then — for a call
+// small enough to ride the invocation — '\n' and its staged line
+// (InvokeParams). The ref is compact JSON too, so its first '\n' ends it.
 
 // JoinPayloads frames marshalled payloads as one batch body and returns it
 // with its len(bodies)+1 line boundaries (see PayloadSpan.Bounds).
@@ -84,6 +88,38 @@ func PayloadLine(batch []byte, i int) (line []byte, offset int64, err error) {
 		}
 		start += end + 1
 	}
+}
+
+// InvokeParams frames the invoke parameters of the call staged at ref: the
+// ref alone when line is nil — byte-identical to a marshalled ref — and
+// otherwise the ref, '\n' and the call's staged line, which the runner then
+// decodes instead of reading it back.
+func InvokeParams(ref ObjectRef, line []byte) []byte {
+	head := MustMarshal(ref)
+	if line == nil {
+		return head
+	}
+	params := make([]byte, 0, len(head)+1+len(line))
+	return append(append(append(params, head...), '\n'), line...)
+}
+
+// DecodeParams splits invoke parameters into the call's ref and, when the
+// call rides inline, its staged line (nil otherwise; a lone trailing '\n' is
+// whitespace). An inline line must be exactly the ref's Length and contain no
+// further '\n': a garbled parameter fails rather than run some other call.
+// The line aliases params.
+func DecodeParams(params []byte) (ref ObjectRef, line []byte, err error) {
+	head, line, _ := bytes.Cut(params, []byte{'\n'})
+	if ref, err = DecodeRef(head); err != nil {
+		return ObjectRef{}, nil, err
+	}
+	switch {
+	case len(line) == 0:
+		return ref, nil, nil
+	case int64(len(line)) != ref.Length || bytes.IndexByte(line, '\n') >= 0:
+		return ObjectRef{}, nil, fmt.Errorf("wire: invoke parameters carry %d inline bytes for a ref of %d", len(line), ref.Length)
+	}
+	return ref, line, nil
 }
 
 // DecodePayload decodes and validates one staged call, whichever way its

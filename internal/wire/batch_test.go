@@ -109,6 +109,43 @@ func TestPayloadBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInvokeParamsFraming: a ref-only parameter is the marshalled ref, an
+// inline one decodes to its ref and the exact staged line, and a garbled one
+// fails instead of naming some other call.
+func TestInvokeParamsFraming(t *testing.T) {
+	line := MustMarshal(&batchFixture()[0])
+	ref := ObjectRef{Bucket: "m", Key: "jobs/exec-1/payload/00000+4", Offset: 130, Length: int64(len(line))}
+	if got := InvokeParams(ref, nil); !bytes.Equal(got, MustMarshal(ref)) {
+		t.Fatalf("ref-only params = %s, want the marshalled ref", got)
+	}
+	for name, params := range map[string][]byte{
+		"ref only":         InvokeParams(ref, nil),
+		"trailing newline": append(InvokeParams(ref, nil), '\n'),
+		"inline":           InvokeParams(ref, line),
+	} {
+		back, got, err := DecodeParams(params)
+		if err != nil || back != ref {
+			t.Errorf("%s: ref = %+v (err %v), want %+v", name, back, err, ref)
+		}
+		if inline := name == "inline"; inline != (got != nil) || inline && !bytes.Equal(got, line) {
+			t.Errorf("%s: inline line = %q", name, got)
+		}
+	}
+	inline := InvokeParams(ref, line)
+	for name, params := range map[string][]byte{
+		"truncated line":  inline[:len(inline)-1],
+		"line too long":   append(bytes.Clone(inline), 'x'),
+		"second newline":  append(bytes.Clone(inline), '\n'),
+		"two short lines": append(InvokeParams(ObjectRef{Bucket: "m", Key: "k", Length: 3}, []byte("a")), "\nb"...),
+		"whole-object":    InvokeParams(ObjectRef{Bucket: "m", Key: "k"}, line),
+		"truncated ref":   inline[:10],
+	} {
+		if back, got, err := DecodeParams(params); err == nil {
+			t.Errorf("%s: decoded to %+v with line %q, want an error", name, back, got)
+		}
+	}
+}
+
 func TestDecodePayloadValidates(t *testing.T) {
 	if _, err := DecodePayload([]byte(`{"executorId":"e","callId":"c","function":"f","kind":1}`)); err == nil || !strings.Contains(err.Error(), "meta bucket") {
 		t.Fatalf("invalid payload decoded: err = %v", err)
@@ -133,10 +170,17 @@ func FuzzPayloadBatch(f *testing.F) {
 	}
 	f.Add([]byte(nil), 0)
 	f.Add([]byte("\n\n"), 1)
+	f.Add(InvokeParams(ObjectRef{Bucket: "m", Key: "k", Length: int64(len(bodies[0]))}, bodies[0]), 40)
 	f.Add([]byte(`{"executorId":"e","callId":"c","function":"f","kind":6,"shuffle":{"numReducers":0},"metaBucket":"m"}`), 0)
 	f.Add([]byte(`{"executorId":"e","callId":"c","function":"f","kind":1,"metaBucket":"m","fanIn":{"firstCallId":"0","count":1,"firstTarget":"1","targets":1,"targetSpans":[{"key":"k","bounds":[5]}],"action":"a"}}`), 0)
 
 	f.Fuzz(func(t *testing.T, data []byte, i int) {
+		// The bytes as invoke parameters: whatever decodes carries a line of
+		// exactly its ref's length and no separator.
+		if ref, inline, err := DecodeParams(data); err == nil && inline != nil &&
+			(int64(len(inline)) != ref.Length || bytes.IndexByte(inline, '\n') >= 0) {
+			t.Fatalf("params decoded to a %d-byte line for a ref of %d", len(inline), ref.Length)
+		}
 		line, offset, err := PayloadLine(data, i)
 		if err != nil {
 			return
@@ -146,6 +190,23 @@ func FuzzPayloadBatch(f *testing.F) {
 		}
 		if bytes.IndexByte(line, '\n') >= 0 {
 			t.Fatalf("line %d contains the separator", i)
+		}
+		// The line as its call's invoke parameters, ref-only, inline and cut
+		// short at i: each decodes to the ref and the staged bytes (none, for
+		// the ref alone, whose runner reads them) or fails.
+		ref := ObjectRef{Bucket: "m", Key: "k", Offset: offset, Length: int64(len(line))}
+		inline := InvokeParams(ref, line)
+		for _, params := range [][]byte{InvokeParams(ref, nil), inline, inline[:min(max(i, 0), len(inline))]} {
+			back, got, err := DecodeParams(params)
+			if err != nil {
+				continue
+			}
+			if back != ref || got != nil && !bytes.Equal(got, line) {
+				t.Fatalf("params %q decoded to %+v and %q, want %+v and the staged line", params, back, got, ref)
+			}
+		}
+		if back, got, err := DecodeParams(inline); err != nil || back != ref || len(line) > 0 && !bytes.Equal(got, line) {
+			t.Fatalf("inline params of line %d: %+v, %q, %v", i, back, got, err)
 		}
 		p, err := DecodePayload(line)
 		if err != nil {

@@ -299,4 +299,11 @@ func TestPlainPayloadBytesUnchanged(t *testing.T) {
 	if got := string(MustMarshal(&p)); got != want {
 		t.Fatalf("plain payload =\n%s\nwant\n%s", got, want)
 	}
+	// Riding the invocation, the payload is the staged line byte for byte,
+	// one '\n' after its ref.
+	ref := ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000001/payload/00000+1", Length: int64(len(want))}
+	params := InvokeParams(ref, []byte(want))
+	if got, head := string(params), string(MustMarshal(ref)); got != head+"\n"+want {
+		t.Fatalf("inline invoke params =\n%s\nwant\n%s\n%s", got, head, want)
+	}
 }
