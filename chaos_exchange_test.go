@@ -101,12 +101,14 @@ func exchangeChaosRun(t *testing.T, seed int64, transport string, maps, reducers
 	var results []gowren.KeyResult
 	var elapsed time.Duration
 	var dead int
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		start := cloud.Clock().Now()
 		_, err = exec.MapReduceShuffle("xc/words", gowren.FromBuckets("corpus"), "xc/sum", gowren.ShuffleOptions{
 			NumReducers: reducers,
@@ -130,7 +132,9 @@ func exchangeChaosRun(t *testing.T, seed int64, transport string, maps, reducers
 			fallbacks++
 		}
 	}
-	return results, elapsed, fallbacks, dead, cloud.ExchangeOps()
+	ops := cloud.ExchangeOps()
+	cleanLeavesNothing(t, cloud, driven...)
+	return results, elapsed, fallbacks, dead, ops
 }
 
 func checkExchangeCounts(t *testing.T, results []gowren.KeyResult, want map[string]int) {

@@ -88,12 +88,14 @@ func TestChaosFanInLauncherKilled(t *testing.T) {
 		Chaos: []gowren.ChaosFault{{Kind: gowren.ChaosLauncherKill, Start: 0, End: time.Minute}},
 	}, maps)
 	var execID string
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		execID = exec.ID()
 		if _, err := exec.MapReduceShuffle("xc/words", gowren.FromBuckets("corpus"), "xc/sum", gowren.ShuffleOptions{NumReducers: reducers}); err != nil {
 			t.Errorf("shuffle: %v", err)
@@ -129,6 +131,7 @@ func TestChaosFanInLauncherKilled(t *testing.T) {
 	if err != nil || len(indexes) != 1 {
 		t.Errorf("stage indexes = %+v (err %v), want exactly one", indexes, err)
 	}
+	cleanLeavesNothing(t, cloud, driven...)
 }
 
 // TestRegionFanInPartitionHidesSiblingStatuses: two maps, two regions, two
@@ -167,12 +170,14 @@ func TestRegionFanInPartitionHidesSiblingStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		start := cloud.Clock().Now()
 		if _, err := exec.MapReduce("busy", gowren.FromValues(5, 15), "sum", gowren.MapReduceOptions{}); err != nil {
 			t.Errorf("map_reduce: %v", err)
@@ -202,6 +207,7 @@ func TestRegionFanInPartitionHidesSiblingStatuses(t *testing.T) {
 	if len(launches) != 1 || !strings.Contains(launches[0], "generation=1 driver") {
 		t.Errorf("launches = %q, want one, by the driver under the marker's first generation", launches)
 	}
+	cleanLeavesNothing(t, cloud, driven...)
 }
 
 // TestDriverKillFanInAttachMidMapPhase: the driver dies while the maps are
@@ -212,12 +218,14 @@ func TestRegionFanInPartitionHidesSiblingStatuses(t *testing.T) {
 func TestDriverKillFanInAttachMidMapPhase(t *testing.T) {
 	const maps, reducers = 12, 4
 	cloud, want := fanInShuffleCloud(t, gowren.SimConfig{Seed: 21}, maps)
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		driver1, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, driver1)
 		if _, err := driver1.MapReduceShuffle("xc/words", gowren.FromBuckets("corpus"), "xc/sum", gowren.ShuffleOptions{NumReducers: reducers}); err != nil {
 			t.Errorf("shuffle: %v", err)
 			return
@@ -232,6 +240,7 @@ func TestDriverKillFanInAttachMidMapPhase(t *testing.T) {
 			t.Errorf("attach: %v", err)
 			return
 		}
+		driven = append(driven, driver2)
 		if got := runnerActivations(cloud); got != maps {
 			t.Errorf("attach launched %d activations of its own", got-maps)
 		}
@@ -252,6 +261,7 @@ func TestDriverKillFanInAttachMidMapPhase(t *testing.T) {
 	if len(launches) != 1 || !strings.Contains(launches[0], "generation=1 launched=") {
 		t.Errorf("launches = %q, want one, by the last map", launches)
 	}
+	cleanLeavesNothing(t, cloud, driven...)
 }
 
 // TestDriverKillFanInAttachAfterLauncherKilled combines the two: the
@@ -264,12 +274,14 @@ func TestDriverKillFanInAttachAfterLauncherKilled(t *testing.T) {
 		Seed:  22,
 		Chaos: []gowren.ChaosFault{{Kind: gowren.ChaosLauncherKill, Start: 0, End: time.Minute}},
 	}, maps)
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		driver1, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, driver1)
 		if _, err := driver1.MapReduceShuffle("xc/words", gowren.FromBuckets("corpus"), "xc/sum", gowren.ShuffleOptions{NumReducers: reducers}); err != nil {
 			t.Errorf("shuffle: %v", err)
 			return
@@ -280,6 +292,7 @@ func TestDriverKillFanInAttachAfterLauncherKilled(t *testing.T) {
 			t.Errorf("attach: %v", err)
 			return
 		}
+		driven = append(driven, driver2)
 		got, err := gowren.ShuffleResults(driver2, gowren.GetResultOptions{Timeout: time.Hour})
 		if err != nil {
 			t.Errorf("get result after attach: %v", err)
@@ -293,4 +306,5 @@ func TestDriverKillFanInAttachAfterLauncherKilled(t *testing.T) {
 	if got := runnerActivations(cloud); got != maps+reducers {
 		t.Errorf("runner activations = %d, want %d", got, maps+reducers)
 	}
+	cleanLeavesNothing(t, cloud, driven...)
 }

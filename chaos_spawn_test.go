@@ -38,12 +38,14 @@ func TestChaosMassiveSpawningCrashes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var driven []*gowren.Executor
 			cloud.Run(func() {
 				exec, err := cloud.Executor(gowren.WithMassiveSpawning(50))
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				driven = append(driven, exec)
 				args := make([]any, 200)
 				for i := range args {
 					args[i] = i
@@ -70,6 +72,7 @@ func TestChaosMassiveSpawningCrashes(t *testing.T) {
 			if crashCount(cloud) == 0 {
 				t.Error("no container crashed; fault injection did not engage")
 			}
+			cleanLeavesNothing(t, cloud, driven...)
 		})
 	}
 }
@@ -97,12 +100,14 @@ func TestChaosFanInCrashedMapRespawned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var driven []*gowren.Executor
 			cloud.Run(func() {
 				exec, err := cloud.Executor()
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				driven = append(driven, exec)
 				values := make([]any, 40)
 				want := 0
 				for i := range values {
@@ -128,6 +133,7 @@ func TestChaosFanInCrashedMapRespawned(t *testing.T) {
 			if crashCount(cloud) == 0 {
 				t.Error("no container crashed; fault injection did not engage")
 			}
+			cleanLeavesNothing(t, cloud, driven...)
 		})
 	}
 }

@@ -8,8 +8,39 @@ import (
 	"time"
 
 	"gowren"
+	"gowren/internal/cos"
 	"gowren/internal/trace"
 )
+
+// cleanLeavesNothing is the chaos acceptances' leak oracle. Once a case's
+// run is over, and with it every activation the case started, it runs Clean
+// on every executor the case drove and fails the test for any object of
+// theirs still in the meta bucket: a key under jobs/{id}/, or the manifest
+// manifests/{id}. On a multi-region cloud it reads the first region's
+// engine. Call it last: it runs the cloud once more.
+func cleanLeavesNothing(t *testing.T, cloud *gowren.Cloud, execs ...*gowren.Executor) {
+	t.Helper()
+	cloud.Run(func() {
+		for _, e := range execs {
+			if err := e.Clean(); err != nil {
+				t.Errorf("clean %s: %v", e.ID(), err)
+			}
+		}
+	})
+	meta := cloud.Platform().MetaBucket()
+	for _, e := range execs {
+		left, err := cos.ListAll(cloud.Store(), meta, "jobs/"+e.ID()+"/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range left {
+			t.Errorf("Clean left %s", obj.Key)
+		}
+		if _, err := cloud.Store().Head(meta, "manifests/"+e.ID()); !errors.Is(err, cos.ErrNoSuchKey) {
+			t.Errorf("Clean left manifests/%s (head: %v)", e.ID(), err)
+		}
+	}
+}
 
 // chaosImage registers the functions the fault-injection tests run.
 func chaosImage(t *testing.T) *gowren.Image {
@@ -59,12 +90,14 @@ func chaosRun(t *testing.T, seed int64) (results []int, elapsed time.Duration, c
 	if err != nil {
 		t.Fatal(err)
 	}
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		args := make([]any, 500)
 		for i := range args {
 			args[i] = i
@@ -87,6 +120,7 @@ func chaosRun(t *testing.T, seed int64) (results []int, elapsed time.Duration, c
 			crashes++
 		}
 	}
+	cleanLeavesNothing(t, cloud, driven...)
 	return results, elapsed, crashes, dead
 }
 
@@ -144,12 +178,14 @@ func TestRecoveryBudgetExhaustionDeadLetters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		if _, err := exec.Map("flaky", 1, -1, 3, -2); err != nil {
 			t.Errorf("map: %v", err)
 			return
@@ -195,6 +231,7 @@ func TestRecoveryBudgetExhaustionDeadLetters(t *testing.T) {
 			}
 		}
 	})
+	cleanLeavesNothing(t, cloud, driven...)
 }
 
 func TestControllerOutageWindowRecovered(t *testing.T) {
@@ -215,12 +252,14 @@ func TestControllerOutageWindowRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		start := cloud.Clock().Now()
 		if _, err := exec.Map("work", 1, 2, 3); err != nil {
 			t.Errorf("map during outage: %v", err)
@@ -240,6 +279,7 @@ func TestControllerOutageWindowRecovered(t *testing.T) {
 			t.Errorf("job finished in %v, impossible during a 4s outage", done)
 		}
 	})
+	cleanLeavesNothing(t, cloud, driven...)
 }
 
 // noisyNeighborRun executes the noisy-neighbor scenario: a victim tenant
@@ -269,6 +309,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
+	var driven []*gowren.Executor
 	cloud.Run(func() {
 		var noisyDone atomic.Bool
 		cloud.Go(func() {
@@ -278,6 +319,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 				t.Error(err)
 				return
 			}
+			driven = append(driven, noisy)
 			args := make([]any, 150)
 			for i := range args {
 				args[i] = i
@@ -298,6 +340,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 			t.Error(err)
 			return
 		}
+		driven = append(driven, exec)
 		args := make([]any, 10)
 		for i := range args {
 			args[i] = i
@@ -325,6 +368,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 			quotaRejects++
 		}
 	}
+	cleanLeavesNothing(t, cloud, driven...)
 	return victim, elapsed, quotaRejects, sheds
 }
 

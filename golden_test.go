@@ -334,7 +334,7 @@ func goldenDigest(t *testing.T, c goldenCase) string {
 		t.Fatal(err)
 	}
 	for _, b := range buckets {
-		cancel := cloud.Store().Watch(b, "", func(key string) {
+		cancel := cloud.Store().Watch(b, "", func(key string, _ []byte) {
 			writes = append(writes, fmt.Sprintf("%d PUT %s/%s", clk.Now().Sub(epoch), b, key))
 		})
 		defer cancel()

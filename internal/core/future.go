@@ -111,13 +111,14 @@ func (f *Future) outcome() error {
 }
 
 // fetchStatuses loads and caches the status records of done calls that have
-// neither a record nor a platform failure in hand: one GET each, at most
-// StageConcurrency in flight (see fetchStatusRecords). The result is aligned
-// with fs and nil when every record is now in hand.
+// neither a record nor a platform failure in hand: the body the watch
+// pushed, or else one GET each, at most StageConcurrency in flight (see
+// fetchStatusRecords). The result is aligned with fs and nil when every
+// record is now in hand.
 func (e *Executor) fetchStatuses(fs []*Future) []error {
 	var (
-		idx  []int
-		keys []string
+		idx   []int
+		calls []callRef
 	)
 	for i, f := range fs {
 		f.mu.Lock()
@@ -125,10 +126,10 @@ func (e *Executor) fetchStatuses(fs []*Future) []error {
 		f.mu.Unlock()
 		if need {
 			idx = append(idx, i)
-			keys = append(keys, statusKey(f.executorID, f.callID))
+			calls = append(calls, callRef{execID: f.executorID, callID: f.callID})
 		}
 	}
-	recs, fetchErrs := e.fetchStatusRecords(e.cfg.Platform.MetaBucket(), keys)
+	recs, fetchErrs := e.fetchStatusRecords(e.cfg.Platform.MetaBucket(), calls)
 	var errs []error
 	for k, i := range idx {
 		f := fs[i]
@@ -147,21 +148,45 @@ func (e *Executor) fetchStatuses(fs []*Future) []error {
 	return errs
 }
 
-// fetchStatusRecords GETs and decodes the status objects at keys with at
-// most StageConcurrency requests in flight, the caller being one of the
-// workers. The workers only move bytes: every record is decoded here, on the
-// calling task, whose stack has already grown to fit the decoder — on a
-// worker's fresh stack each decode would pay for growing it again.
-// recs[i] is nil exactly where errs[i] is set; errs is nil when all succeed.
-func (e *Executor) fetchStatusRecords(bucket string, keys []string) (recs []*wire.StatusRecord, errs []error) {
-	bodies := make([][]byte, len(keys))
-	errs = fetchFor(e.clock, e.cfg.StageConcurrency, len(keys), func(i int) error {
+// callRef names one call: the executor namespace its status is under and
+// its call ID.
+type callRef struct{ execID, callID string }
+
+// fetchStatusRecords loads and decodes the status records of calls, all in
+// bucket. A body the watch pushed is taken from the sweep state (see
+// takePushed); the rest are GET, at most StageConcurrency requests in
+// flight, the caller being one of the workers. The workers only move bytes:
+// every record is decoded here, on the calling task, whose stack has already
+// grown to fit the decoder — on a worker's fresh stack each decode would pay
+// for growing it again. Every body decoded is a private copy, so no record
+// aliases store memory. recs[i] is nil exactly where errs[i] is set; errs is
+// nil when all succeed.
+func (e *Executor) fetchStatusRecords(bucket string, calls []callRef) (recs []*wire.StatusRecord, errs []error) {
+	bodies := make([][]byte, len(calls))
+	// gets lists the calls left to GET; nil means all of them.
+	gets := e.sweeps.takePushed(bucket, calls, bodies)
+	n := len(calls)
+	if gets != nil {
+		n = len(gets)
+	}
+	errs = fetchFor(e.clock, e.cfg.StageConcurrency, n, func(k int) error {
+		if gets != nil {
+			k = gets[k]
+		}
 		var err error
-		bodies[i], _, err = e.cfg.Storage.Get(bucket, keys[i])
+		bodies[k], _, err = e.cfg.Storage.Get(bucket, statusKey(calls[k].execID, calls[k].callID))
 		return err
 	})
-	recs = make([]*wire.StatusRecord, len(keys))
-	decoded := make([]wire.StatusRecord, len(keys))
+	if gets != nil && errs != nil {
+		// Align the GETs' errors with calls.
+		byCall := make([]error, len(calls))
+		for k, err := range errs {
+			byCall[gets[k]] = err
+		}
+		errs = byCall
+	}
+	recs = make([]*wire.StatusRecord, len(calls))
+	decoded := make([]wire.StatusRecord, len(calls))
 	for i, body := range bodies {
 		if errs != nil && errs[i] != nil {
 			continue
@@ -169,7 +194,7 @@ func (e *Executor) fetchStatusRecords(bucket string, keys []string) (recs []*wir
 		var err error
 		if decoded[i], err = wire.DecodeStatus(body); err != nil {
 			if errs == nil {
-				errs = make([]error, len(keys))
+				errs = make([]error, len(calls))
 			}
 			errs[i] = err
 			continue
@@ -639,11 +664,11 @@ func (r *resolver) resolveCalls(ref *wire.FuturesRef, depth int) ([]json.RawMess
 	if err := r.awaitCalls(ref); err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(ref.CallIDs))
+	calls := make([]callRef, len(ref.CallIDs))
 	for i, callID := range ref.CallIDs {
-		keys[i] = statusKey(ref.ExecutorID, callID)
+		calls[i] = callRef{execID: ref.ExecutorID, callID: callID}
 	}
-	recs, errs := r.exec.fetchStatusRecords(ref.MetaBucket, keys)
+	recs, errs := r.exec.fetchStatusRecords(ref.MetaBucket, calls)
 	for i, callID := range ref.CallIDs {
 		if recs[i] == nil {
 			return nil, fmt.Errorf("core: fetch composed status %s/%s: %w", ref.ExecutorID, callID, errs[i])

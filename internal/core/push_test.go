@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -69,14 +72,15 @@ func (e *scaledEnv) executor(t *testing.T, storage cos.Client) *Executor {
 	return exec
 }
 
-// mapAdd7 runs add7 over 0..7 and returns the decoded results.
-func mapAdd7(t *testing.T, exec *Executor) []int {
+// mapPlus7 maps fn, add7 or a gated copy of it, over 0..7 and returns the
+// decoded results.
+func mapPlus7(t *testing.T, exec *Executor, fn string) []int {
 	t.Helper()
 	args := make([]any, 8)
 	for i := range args {
 		args[i] = i
 	}
-	if _, err := exec.Map("add7", args); err != nil {
+	if _, err := exec.Map(fn, args); err != nil {
 		t.Fatal(err)
 	}
 	results, err := exec.GetResult(GetResultOptions{Timeout: time.Minute})
@@ -94,31 +98,124 @@ func (c *sweepCoordinator) watchHeld(ns nsKey) bool {
 	return ok && (s.holds > 0 || s.cancel != nil)
 }
 
+// watching reports whether a watch is live on a status namespace of bucket:
+// execID's own when own is set, another executor's otherwise.
+func (c *sweepCoordinator) watching(bucket, execID string, own bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for ns, s := range c.states {
+		if ns.bucket == bucket && s.cancel != nil && (ns.execID == execID) == own {
+			return true
+		}
+	}
+	return false
+}
+
+// watchGate holds a function back until its driver waits under a watch, so
+// the status the call commits is pushed whatever the host's timing. Without
+// it a call that finishes before GetResult arms the watch is found by the
+// wait's first LIST and read with a GET.
+type watchGate struct {
+	mu     sync.Mutex
+	driver *Executor
+}
+
+func (g *watchGate) set(driver *Executor) {
+	g.mu.Lock()
+	g.driver = driver
+	g.mu.Unlock()
+}
+
+// await sleeps on ctx's clock until the driver holds a watch on its own
+// namespace (own: the collection's wait) or on another one (a composition's
+// wait on spawned children).
+func (g *watchGate) await(ctx *runtime.Ctx, own bool) error {
+	g.mu.Lock()
+	d := g.driver
+	g.mu.Unlock()
+	for range 100_000 { // 100 s on the clock
+		if d.sweeps.watching(d.cfg.Platform.MetaBucket(), d.ID(), own) {
+			return nil
+		}
+		ctx.Clock().Sleep(time.Millisecond)
+	}
+	return errors.New("no wait armed a watch")
+}
+
+// registerGated registers pushedAdd7 (add7 once the collection watches) and
+// pushedFanout (once the collection watches, spawn pushedChild over 0..n-1;
+// each child is add7 once the composition's wait watches the children).
+func registerGated(t *testing.T, img *runtime.Image, g *watchGate) {
+	t.Helper()
+	plus7 := func(own bool) runtime.PlainFunc {
+		return func(ctx *runtime.Ctx, arg json.RawMessage) (any, error) {
+			var x int
+			if err := wire.Unmarshal(arg, &x); err != nil {
+				return nil, err
+			}
+			if err := g.await(ctx, own); err != nil {
+				return nil, err
+			}
+			return x + 7, nil
+		}
+	}
+	for name, fn := range map[string]runtime.PlainFunc{
+		"pushedAdd7":  plus7(true),
+		"pushedChild": plus7(false),
+		"pushedFanout": func(ctx *runtime.Ctx, arg json.RawMessage) (any, error) {
+			var n int
+			if err := wire.Unmarshal(arg, &n); err != nil {
+				return nil, err
+			}
+			if err := g.await(ctx, true); err != nil {
+				return nil, err
+			}
+			sp, err := ctx.Spawner()
+			if err != nil {
+				return nil, err
+			}
+			args := make([]any, n)
+			for i := range args {
+				args[i] = i
+			}
+			return sp.Spawn("pushedChild", args)
+		},
+	} {
+		if err := img.RegisterPlain(name, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestScaledClockCollectionListsOnce: over the in-process store, an 8-call
 // map is collected with exactly one client LIST — the one that completes
-// the push — and the watch is let go when GetResult returns.
+// the push — and no GET: every status is committed under the watch, whose
+// deliveries carry the bodies. The watch is let go when GetResult returns.
 func TestScaledClockCollectionListsOnce(t *testing.T) {
-	e := newScaledEnv(t, nil)
+	var gate watchGate
+	e := newScaledEnv(t, func(img *runtime.Image) { registerGated(t, img, &gate) })
 	exec := e.executor(t, nil)
+	gate.set(exec)
 	if exec.sweeps.watcher == nil {
 		t.Fatal("an executor over the in-process store found no watch")
 	}
-	if got, want := mapAdd7(t, exec), []int{7, 8, 9, 10, 11, 12, 13, 14}; !slices.Equal(got, want) {
+	if got, want := mapPlus7(t, exec, "pushedAdd7"), []int{7, 8, 9, 10, 11, 12, 13, 14}; !slices.Equal(got, want) {
 		t.Fatalf("results = %v, want %v", got, want)
 	}
 	ops := exec.StorageOps()
 	if ops.ListOps != 1 {
 		t.Errorf("client LISTs = %d, want exactly 1", ops.ListOps)
 	}
-	if ops.GetOps != 8 {
-		t.Errorf("client GETs = %d, want 8 (one status per call)", ops.GetOps)
+	if ops.GetOps != 0 {
+		t.Errorf("client GETs = %d, want 0: every status body was pushed", ops.GetOps)
 	}
 	if exec.sweeps.watchHeld(nsKey{bucket: e.platform.MetaBucket(), execID: exec.ID()}) {
 		t.Error("the status watch outlived GetResult")
 	}
-	// Composition waits arm the same kind of watch: fanout's children are
-	// awaited through the resolver's pending set, whose wait loop holds it.
-	if _, err := exec.CallAsync("fanout", 3); err != nil {
+	// Composition waits arm the same kind of watch: the fan-out's children
+	// are awaited through the resolver's pending set, whose wait loop holds
+	// it, and their bodies are pushed too.
+	if _, err := exec.CallAsync("pushedFanout", 3); err != nil {
 		t.Fatal(err)
 	}
 	results, err := exec.GetResult(GetResultOptions{Timeout: time.Minute})
@@ -131,6 +228,101 @@ func TestScaledClockCollectionListsOnce(t *testing.T) {
 	}
 	if want := []int{7, 8, 9}; !slices.Equal(children, want) {
 		t.Errorf("composed results = %v, want %v", children, want)
+	}
+	if n := exec.StorageOps().GetOps; n != 0 {
+		t.Errorf("client GETs after the composition = %d, want 0", n)
+	}
+}
+
+// TestScaledClockEarlyStatusesListedAndRead: statuses committed before
+// GetResult arms its watch were pushed to nobody, so the wait's one LIST
+// finds them and each costs one GET — the path every status took before
+// bodies rode the push.
+func TestScaledClockEarlyStatusesListedAndRead(t *testing.T) {
+	e := newScaledEnv(t, nil)
+	exec := e.executor(t, nil)
+	args := make([]any, 8)
+	for i := range args {
+		args[i] = i
+	}
+	if _, err := exec.Map("add7", args); err != nil {
+		t.Fatal(err)
+	}
+	// Wait on the clock, reading the store directly (no client request),
+	// until every call has committed its status.
+	prefix := statusListPrefix(exec.ID())
+	for {
+		listed, err := cos.ListAll(e.store, e.platform.MetaBucket(), prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(listed) == len(args) {
+			break
+		}
+		e.clk.Sleep(time.Millisecond)
+	}
+	before := exec.StorageOps()
+	results, err := exec.GetResult(GetResultOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := decodeInts(t, results), []int{7, 8, 9, 10, 11, 12, 13, 14}; !slices.Equal(got, want) {
+		t.Fatalf("results = %v, want %v", got, want)
+	}
+	after := exec.StorageOps()
+	if n := after.ListOps - before.ListOps; n != 1 {
+		t.Errorf("client LISTs = %d, want 1", n)
+	}
+	if n := after.GetOps - before.GetOps; n != int64(len(args)) {
+		t.Errorf("client GETs = %d, want %d: one per status committed before the watch", n, len(args))
+	}
+}
+
+// TestScaledClockResultsDoNotAliasStore: a result handed to the caller is
+// its own memory, although the status it came from was pushed as the
+// store's copy. Writing into every returned result leaves each stored
+// status as committed, still matching its ETag.
+func TestScaledClockResultsDoNotAliasStore(t *testing.T) {
+	var gate watchGate
+	e := newScaledEnv(t, func(img *runtime.Image) { registerGated(t, img, &gate) })
+	exec := e.executor(t, nil)
+	gate.set(exec)
+	args := []any{0, 1, 2, 3}
+	futures, err := exec.Map("pushedAdd7", args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := exec.GetResult(GetResultOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := exec.StorageOps().GetOps; n != 0 {
+		t.Fatalf("client GETs = %d, want 0: the statuses were not pushed", n)
+	}
+	stored := make([][]byte, len(futures))
+	for i, f := range futures {
+		body, _, err := e.store.Get(e.platform.MetaBucket(), statusKey(exec.ID(), f.CallID()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[i] = body
+	}
+	for _, r := range results {
+		for j := range r {
+			r[j] = 'X'
+		}
+	}
+	for i, f := range futures {
+		body, meta, err := e.store.Get(e.platform.MetaBucket(), statusKey(exec.ID(), f.CallID()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, stored[i]) {
+			t.Errorf("status %s changed under the caller's write: %q, was %q", f.CallID(), body, stored[i])
+		}
+		if sum := md5.Sum(body); hex.EncodeToString(sum[:]) != meta.ETag {
+			t.Errorf("status %s no longer matches its ETag %s", f.CallID(), meta.ETag)
+		}
 	}
 }
 
@@ -145,11 +337,15 @@ func TestScaledClockHTTPStoragePolls(t *testing.T) {
 	if exec.sweeps.watcher != nil {
 		t.Fatal("an executor over HTTP storage found a watch")
 	}
-	if got, want := mapAdd7(t, exec), []int{7, 8, 9, 10, 11, 12, 13, 14}; !slices.Equal(got, want) {
+	if got, want := mapPlus7(t, exec, "add7"), []int{7, 8, 9, 10, 11, 12, 13, 14}; !slices.Equal(got, want) {
 		t.Fatalf("results = %v, want %v", got, want)
 	}
-	if ops := exec.StorageOps(); ops.ListOps < 1 {
+	ops := exec.StorageOps()
+	if ops.ListOps < 1 {
 		t.Errorf("client LISTs = %d, want the polling client's >= 1", ops.ListOps)
+	}
+	if ops.GetOps != 8 {
+		t.Errorf("client GETs = %d, want 8: without a watch every status is read", ops.GetOps)
 	}
 	if exec.sweeps.watchHeld(nsKey{bucket: e.platform.MetaBucket(), execID: exec.ID()}) {
 		t.Error("a watch was armed over HTTP storage")
@@ -231,6 +427,79 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 	}
 }
 
+// TestPushedBodyTakenOnce pins the life of a pushed status body: a fetch
+// takes a private copy of it once; it outlives the watch's release; forget
+// drops the call's body and forgetNamespace every one; a second commit of a
+// call already done pushes nothing, so the first status is the one kept.
+func TestPushedBodyTakenOnce(t *testing.T) {
+	store := cos.NewStore()
+	if err := store.CreateBucket("meta"); err != nil {
+		t.Fatal(err)
+	}
+	clk := vclock.NewScaled(20)
+	co := newSweepCoordinator(store, clk)
+	ns := nsKey{bucket: "meta", execID: "ex"}
+	put := func(callID, body string) {
+		t.Helper()
+		if _, err := store.Put("meta", statusKey("ex", callID), []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// take fetches callIDs' pushed bodies; "" marks one not pushed.
+	take := func(callIDs ...string) []string {
+		t.Helper()
+		calls := make([]callRef, len(callIDs))
+		for i, id := range callIDs {
+			calls[i] = callRef{execID: "ex", callID: id}
+		}
+		bodies := make([][]byte, len(calls))
+		gets := co.takePushed("meta", calls, bodies)
+		out := make([]string, len(calls))
+		for i, b := range bodies {
+			out[i] = string(b)
+			if b == nil && !slices.Contains(gets, i) {
+				t.Errorf("call %s has neither a body nor a GET", callIDs[i])
+			}
+		}
+		return out
+	}
+
+	_, release := co.watch(ns)
+	if out := co.sweep(ns, clk.Now()); out.err != nil {
+		t.Fatal(out.err)
+	}
+	for _, id := range []string{"00000", "00001", "00002", "00003"} {
+		put(id, "first "+id)
+	}
+	put("00000", "second 00000") // a speculative copy's later commit
+	release()
+
+	bodies := make([][]byte, 1)
+	co.takePushed("meta", []callRef{{execID: "ex", callID: "00000"}}, bodies)
+	if string(bodies[0]) != "first 00000" {
+		t.Fatalf("taken body = %q, want the first status", bodies[0])
+	}
+	clear(bodies[0])
+	if stored, _, err := store.Get("meta", statusKey("ex", "00000")); err != nil || string(stored) != "second 00000" {
+		t.Fatalf("stored status = %q (%v) after the taker wrote its copy", stored, err)
+	}
+	if got := take("00000", "00001"); !slices.Equal(got, []string{"", "first 00001"}) {
+		t.Errorf("second take = %q, want the taken body gone and the untaken one kept", got)
+	}
+	co.forget(ns, "00002")
+	if got := take("00002", "00003"); !slices.Equal(got, []string{"", "first 00003"}) {
+		t.Errorf("take after forget = %q, want the forgotten call's body dropped", got)
+	}
+
+	_, release = co.watch(ns)
+	put("00004", "first 00004")
+	release()
+	co.forgetNamespace(ns)
+	if got := take("00004"); got[0] != "" {
+		t.Errorf("take after forgetNamespace = %q, want nothing", got)
+	}
+}
+
 // TestWatchArmedMidListKeepsListing: a LIST that was on the wire when the
 // watch was armed does not complete the push — a status committed after
 // its snapshot but before the arming is in neither — so the next sweep
@@ -269,15 +538,22 @@ func TestWatchArmedMidListKeepsListing(t *testing.T) {
 
 // TestScaledClockRecoveryUnderWatch runs automatic recovery through the
 // watch: every call's first run commits a failed status, the recoverer
-// respawns it (deleting that status), and only the second run's status may
-// settle the call.
+// respawns it (deleting that status and dropping its pushed body), and only
+// the second run's status may settle the call. Both runs commit under the
+// watch, so the client reads no status with a GET.
 func TestScaledClockRecoveryUnderWatch(t *testing.T) {
-	var mu sync.Mutex
+	var (
+		mu   sync.Mutex
+		gate watchGate
+	)
 	runs := map[int]int{}
 	e := newScaledEnv(t, func(img *runtime.Image) {
-		if err := img.RegisterPlain("failOnce", func(_ *runtime.Ctx, arg json.RawMessage) (any, error) {
+		if err := img.RegisterPlain("failOnce", func(ctx *runtime.Ctx, arg json.RawMessage) (any, error) {
 			var x int
 			if err := wire.Unmarshal(arg, &x); err != nil {
+				return nil, err
+			}
+			if err := gate.await(ctx, true); err != nil {
 				return nil, err
 			}
 			mu.Lock()
@@ -293,6 +569,7 @@ func TestScaledClockRecoveryUnderWatch(t *testing.T) {
 		}
 	})
 	exec := e.executor(t, nil)
+	gate.set(exec)
 	if _, err := exec.Map("failOnce", []any{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +582,9 @@ func TestScaledClockRecoveryUnderWatch(t *testing.T) {
 	}
 	if got, want := decodeInts(t, results), []int{10, 20, 30, 40}; !slices.Equal(got, want) {
 		t.Fatalf("results = %v, want %v", got, want)
+	}
+	if n := exec.StorageOps().GetOps; n != 0 {
+		t.Errorf("client GETs = %d, want 0: both runs' statuses were pushed", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -158,7 +158,8 @@ func newRecoverer(e *Executor, futures []*Future, opts *RecoveryOptions) *recove
 }
 
 // observe judges calls that just finished. Their status records are
-// fetched in parallel (one GET per call, see fetchStatuses); a record with
+// fetched in parallel (a pushed body or one GET per call, see
+// fetchStatuses); a record with
 // OK=true settles the call, anything else — a dead activation, OK=false, an
 // unreadable status — joins the failing list for step to act on.
 func (r *recoverer) observe(done []*Future) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"time"
@@ -51,9 +52,11 @@ import (
 // the namespace's waiters through an event the first watch creates. Once a
 // LIST that began under the watch has landed, the done-set is exact — the
 // LIST holds every status committed before the watch, the watch every one
-// after — so sweeps stop listing until the last wait lets the watch go. The
-// Virtual clock never watches: its client polls COS exactly as the paper's
-// does.
+// after — so sweeps stop listing until the last wait lets the watch go.
+// The push also carries each newly recorded status's body, which the
+// namespace's state keeps until a status fetch takes it (takePushed): a
+// status the driver was pushed costs it no GET. The Virtual clock never
+// watches: its client polls and reads COS exactly as the paper's does.
 
 // nsKey identifies one status namespace: a meta bucket plus the executor
 // ID whose calls it holds.
@@ -121,6 +124,13 @@ type sweepState struct {
 	cancel func()
 	arms   uint64
 	pushed bool
+	// bodies holds, by call ID, the status body the watch delivered with
+	// each commit it newly recorded, until a fetch takes it (takePushed).
+	// They are the store's own copies: nothing here writes into one, and a
+	// fetch hands its caller a copy. They outlive the watch's release, so a
+	// fetch after its wait still finds them; forget drops the call's, and
+	// forgetNamespace all of them. Nil until the first push.
+	bodies map[string][]byte
 }
 
 // sweepCoordinator shares incremental sweep state between every waiter of
@@ -278,10 +288,15 @@ func (c *sweepCoordinator) watch(ns nsKey) (evt *vclock.Event, release func()) {
 	if first {
 		// Watch runs outside c.mu: deliveries take c.mu under the store's
 		// lock, so the store's lock is always taken first.
-		cancel := c.watcher.Watch(ns.bucket, statusListPrefix(ns.execID), func(key string) {
+		cancel := c.watcher.Watch(ns.bucket, statusListPrefix(ns.execID), func(key string, body []byte) {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			if s.record(key) {
+				if s.bodies == nil {
+					s.bodies = make(map[string][]byte)
+				}
+				id, _ := callIDFromStatusKey(key)
+				s.bodies[id] = body
 				s.advance()
 				s.evt.Signal()
 			}
@@ -303,6 +318,37 @@ func (c *sweepCoordinator) watch(ns nsKey) (evt *vclock.Event, release func()) {
 			cancel()
 		}
 	}
+}
+
+// takePushed moves the status bodies the watches pushed for calls, all in
+// bucket, into bodies (index-aligned with calls), each a private copy, and
+// returns the indices of the calls it found none for — the ones to GET. A
+// body is taken at most once. Without a watcher it returns nil: GET every
+// call, with no lookup.
+func (c *sweepCoordinator) takePushed(bucket string, calls []callRef, bodies [][]byte) (gets []int) {
+	if c.watcher == nil {
+		return nil
+	}
+	gets = make([]int, 0, len(calls))
+	c.mu.Lock()
+	for i, call := range calls {
+		if s := c.states[nsKey{bucket: bucket, execID: call.execID}]; s != nil {
+			bodies[i] = s.bodies[call.callID]
+			delete(s.bodies, call.callID)
+		}
+		if bodies[i] == nil {
+			gets = append(gets, i)
+		}
+	}
+	c.mu.Unlock()
+	// The copies are made outside the lock: deliveries wait on it under the
+	// store's, and a stored body never changes.
+	for i, body := range bodies {
+		if body != nil {
+			bodies[i] = bytes.Clone(body)
+		}
+	}
+	return gets
 }
 
 // has reports whether callID is in the done-set. Callers hold the
@@ -376,6 +422,7 @@ func (c *sweepCoordinator) forget(ns nsKey, callID string) {
 	}
 	s.gen++
 	s.version++
+	delete(s.bodies, callID)
 	seq, numeric := callSeq(callID)
 	if !numeric {
 		delete(s.odd, callID)
@@ -391,8 +438,9 @@ func (c *sweepCoordinator) forget(ns nsKey, callID string) {
 	s.nextSeq = seq
 }
 
-// forgetNamespace drops all sweep state for ns — called by Clean, which
-// deletes the status objects the state mirrors.
+// forgetNamespace drops all sweep state for ns, its pushed bodies included
+// — called by Clean, which deletes the status objects the state mirrors. A
+// wait still holding the watch fills the dropped state, which nothing reads.
 func (c *sweepCoordinator) forgetNamespace(ns nsKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -49,9 +49,9 @@ var _ Client = (*Stack)(nil)
 // WatcherOf returns the Store whose Watch sees c's commits: c itself, or
 // the backend behind c's Stack stages, and nil when there is none — an
 // HTTPClient or a MultiRegion facade commits somewhere a process cannot
-// watch. A watch found through a Stack skips its stages: a watched commit
-// is neither a request nor charged on a link, which is why waiters use one
-// only on wall-clock-driven clocks.
+// watch. A watch found through a Stack skips its stages: a watched commit,
+// and the body it delivers, are neither a request nor charged on a link,
+// which is why waiters use one only on wall-clock-driven clocks.
 func WatcherOf(c Client) *Store {
 	for {
 		switch v := c.(type) {

@@ -26,7 +26,7 @@ type Store struct {
 // watch is one Watch subscription.
 type watch struct {
 	bucket, prefix string
-	fn             func(key string)
+	fn             func(key string, body []byte)
 }
 
 var _ Client = (*Store)(nil)
@@ -189,21 +189,23 @@ func (s *Store) commit(op, bucketName, key string, data []byte, ifMatch *string)
 	b.objects[key] = &object{meta: meta, data: body}
 	for _, w := range s.watches {
 		if w.bucket == bucketName && strings.HasPrefix(key, w.prefix) {
-			w.fn(key)
+			w.fn(key, body)
 		}
 	}
 	return meta, nil
 }
 
-// Watch reports the key of every Put and PutIf that commits under bucket
-// and prefix to fn, from the moment Watch returns until cancel does. fn
-// runs in commit order under the store's write lock, which makes the watch
-// exact: a refused or failed write delivers nothing, and a Delete of the
-// key returns only after every delivery of the writes before it. So fn must
-// be quick, and must not call the store or cancel. A watch is in-process
-// only — it costs no request and no link time — and a commit nobody
-// watches pays nothing for it.
-func (s *Store) Watch(bucket, prefix string, fn func(key string)) (cancel func()) {
+// Watch reports every Put and PutIf that commits under bucket and prefix to
+// fn — its key and the committed body — from the moment Watch returns until
+// cancel does. body is the store's own copy, the bytes a later Get would
+// copy out: fn may keep it, and neither fn nor anything it hands body to may
+// write into it. fn runs in commit order under the store's write lock,
+// which makes the watch exact: a refused or failed write delivers nothing,
+// and a Delete of the key returns only after every delivery of the writes
+// before it. So fn must be quick, and must not call the store or cancel. A
+// watch is in-process only — it costs no request and no link time — and a
+// commit nobody watches pays nothing for it.
+func (s *Store) Watch(bucket, prefix string, fn func(key string, body []byte)) (cancel func()) {
 	w := &watch{bucket: bucket, prefix: prefix, fn: fn}
 	s.mu.Lock()
 	s.watches = append(s.watches, w)

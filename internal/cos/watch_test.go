@@ -22,7 +22,7 @@ func TestStoreWatchDeliversCommits(t *testing.T) {
 		}
 	}
 	var got []string
-	record := func(key string) { got = append(got, key) }
+	record := func(key string, _ []byte) { got = append(got, key) }
 	cancel := store.Watch("b", "jobs/x/status/", record)
 	// A watch on a bucket that does not exist sees the failed write as
 	// nothing.
@@ -76,7 +76,7 @@ func TestStoreWatchOrdersDeliveryBeforeDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	present := map[string]bool{}
-	cancel := store.Watch("b", "", func(key string) { present[key] = true })
+	cancel := store.Watch("b", "", func(key string, _ []byte) { present[key] = true })
 	defer cancel()
 	if _, err := store.Put("b", "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestStoreWatchConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered atomic.Int64
-	cancel := store.Watch("b", "s/", func(string) { delivered.Add(1) })
+	cancel := store.Watch("b", "s/", func(string, []byte) { delivered.Add(1) })
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -119,7 +119,7 @@ func TestStoreWatchConcurrentWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < puts; i++ {
-			store.Watch("b", "s/", func(string) {})()
+			store.Watch("b", "s/", func(string, []byte) {})()
 		}
 	}()
 	wg.Wait()
@@ -151,6 +151,72 @@ func TestStoreUnwatchedPutAllocs(t *testing.T) {
 		meta = m
 	}); got != want {
 		t.Errorf("unwatched PutIf: %v allocs, want %d", got, want)
+	}
+}
+
+// TestStoreWatchDeliversBody: a delivery carries the committed body — the
+// bytes a Get returns — and that body is the store's own copy, so the
+// writer reusing its buffer after Put or PutIf returns changes neither.
+func TestStoreWatchDeliversBody(t *testing.T) {
+	store := NewStore()
+	if err := store.CreateBucket("b"); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]byte{}
+	cancel := store.Watch("b", "s/", func(key string, body []byte) { got[key] = body })
+	defer cancel()
+	buf := []byte("first status")
+	if _, err := store.Put("b", "s/0", buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXXXXXXXXXX")
+	buf2 := []byte("second status")
+	if _, err := store.PutIf("b", "s/1", buf2, ""); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf2)
+	for key, want := range map[string]string{"s/0": "first status", "s/1": "second status"} {
+		if string(got[key]) != want {
+			t.Errorf("delivered body of %s = %q, want %q", key, got[key], want)
+		}
+		stored, _, err := store.Get("b", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(stored) != string(got[key]) {
+			t.Errorf("delivered body of %s = %q, Get returns %q", key, got[key], stored)
+		}
+	}
+}
+
+// TestStoreWatchedPutAllocs: delivering the body costs a watched commit no
+// allocation — it is the copy the store makes anyway — so a watched Put or
+// PutIf allocates what an unwatched one does.
+func TestStoreWatchedPutAllocs(t *testing.T) {
+	const want = 3
+	store := NewStore()
+	if err := store.CreateBucket("b"); err != nil {
+		t.Fatal(err)
+	}
+	var last []byte
+	cancel := store.Watch("b", "jobs/x/status/", func(_ string, body []byte) { last = body })
+	defer cancel()
+	body := []byte("0123456789abcdef")
+	meta, err := store.Put("b", "jobs/x/status/00000", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() { _, _ = store.Put("b", "jobs/x/status/00000", body) }); got != want {
+		t.Errorf("watched Put: %v allocs, want %d", got, want)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		m, _ := store.PutIf("b", "jobs/x/status/00000", body, meta.ETag)
+		meta = m
+	}); got != want {
+		t.Errorf("watched PutIf: %v allocs, want %d", got, want)
+	}
+	if string(last) != string(body) {
+		t.Errorf("last delivered body = %q, want %q", last, body)
 	}
 }
 
