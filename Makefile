@@ -100,21 +100,27 @@ bench: build bench-e2e
 # with a runner GET per call read 18.71, and an object per map and reducer
 # 29.75. The seventh gate reads the socket workload
 # (server_http: PUT, GET and an 8-call map through gowren-server on its 20x
-# scaled clock): at most 2.0 COS requests per call. A driver that is pushed
+# scaled clock): at most 1.75 COS requests per call. A driver that is pushed
 # its completions, status bodies included, by a watch on the in-process
-# store reads ~1.75 (12 PUT + 1 LIST per 8-call job, and a GET only for a
-# status committed before the wait armed its watch); a GET per pushed status
-# read 2.75, a runner payload GET per call 3.75, and a driver that LISTs the
-# status prefix every poll tick 4.3.
+# store, and whose first launch PUTs its payload batch after invoking with
+# the launch record as the batch's last line, reads ~1.627 (11 PUT + 1 LIST
+# per 8-call job, and a GET only for a status committed before the wait
+# armed its watch); a launch record PUT of its own read 1.752, a GET per
+# pushed status 2.75, a runner payload GET per call 3.75, and a driver that
+# LISTs the status prefix every poll tick 4.3. The gate sits just under the
+# launch record's own PUT, so bringing it back fails.
 # The eighth gate reads the same server_http line for what both ends of
 # the socket spend: at most 25.5 heap allocations per call. GET bodies that
 # declare their length, read by each end into one buffer of that size,
 # read ~24.5; chunked GETs and bodies grown by io.ReadAll read 26.77.
 # The ninth gate reads the open-loop multi-tenant traffic (openloop_tenants,
-# 4-call jobs with the journal on): at most 5.6 COS requests per call. A
-# driver whose manifest is also its lease, with payloads riding the
-# invocations, reads 5.520; a runner GET per call read 6.524, and a separate
-# lease object beside the manifest 6.773.
+# 4-call jobs with the journal on): at most 5.35 COS requests per call. A
+# driver whose manifest is also its lease and reserves the first launch's
+# call IDs, with payloads riding the invocations and the launch record the
+# last line of the batch PUT after them, reads 5.270 (6 PUT + 4 GET + 11
+# LIST per job, 2 of the PUTs the client's); the launch record as a PUT of
+# its own read 5.520, a runner GET per call 6.524, and a separate lease
+# object beside the manifest 6.773. The gate sits between 5.270 and 5.520.
 bench-e2e:
 	@line=$$(bash bench/run.sh --workload fig2_invoke --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"job_sim_s":{"unit":"sim_s","value":\([0-9.eE+-]*\)}.*/\1/p'); \
@@ -139,15 +145,15 @@ bench-e2e:
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 19) }'
 	@line=$$(bash bench/run.sh --workload server_http --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
-	echo "server_http cos_requests_per_call = $${v:-missing} (gate: <= 2.0)"; \
-	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 2.0) }' || exit 1; \
+	echo "server_http cos_requests_per_call = $${v:-missing} (gate: <= 1.75)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 1.75) }' || exit 1; \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"host_allocs_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
 	echo "server_http host_allocs_per_call = $${v:-missing} (gate: <= 25.5)"; \
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 25.5) }'
 	@line=$$(bash bench/run.sh --workload openloop_tenants --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
-	echo "openloop_tenants cos_requests_per_call = $${v:-missing} (gate: <= 5.6)"; \
-	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 5.6) }'
+	echo "openloop_tenants cos_requests_per_call = $${v:-missing} (gate: <= 5.35)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 5.35) }'
 
 # profile runs simbench under the Go profiler and prints the hottest CPU
 # frames; simcore.cpu.pprof and simcore.mem.pprof are left behind for

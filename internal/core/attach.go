@@ -73,6 +73,7 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 	for _, id := range ids {
 		cs := st.calls[id]
 		f := newFuture(e, e.id, id, cs.actID)
+		f.payload = cs.payload
 		e.respawns.seed(f, cs.respawns)
 		futures = append(futures, f)
 		byID[id] = f
@@ -133,6 +134,9 @@ type journalCallState struct {
 	actID    string
 	tracked  bool
 	respawns int // journaled automatic respawns, seeds the new ledger
+	// payload locates the call's staged line when its launch record came in
+	// the reserved batch; zero otherwise, and the resolver finds it.
+	payload wire.ObjectRef
 }
 
 // journalState is the aggregate of a full journal replay.
@@ -152,19 +156,24 @@ func (st *journalState) deadLetters() []DeadLetter {
 	return out
 }
 
-// replayJournal lists and replays the job's journal records in key order,
-// reproducing the dead driver's recovery decisions: which calls exist and
-// whether their futures were tracked, the latest activation driving each,
-// and the dead letters no replay has superseded.
+// replayJournal replays the job's launch records and journal in (epoch, seq)
+// order, reproducing the dead driver's recovery decisions: which calls exist
+// and whether their futures were tracked, the latest activation driving each,
+// and the dead letters no replay has superseded. The first launch's record,
+// when it came as the last line of the batch the manifest reserves, goes
+// first: every other record refers to calls launched before them.
 func (e *Executor) replayJournal() (*journalState, error) {
+	st := &journalState{
+		calls:   make(map[string]*journalCallState),
+		letters: make(map[string]DeadLetter),
+	}
+	if err := e.replayReserved(st); err != nil {
+		return nil, err
+	}
 	meta := e.cfg.Platform.MetaBucket()
 	listed, err := cos.ListAll(e.cfg.Storage, meta, journalListPrefix(e.id))
 	if err != nil {
 		return nil, fmt.Errorf("core: list journal: %w", err)
-	}
-	st := &journalState{
-		calls:   make(map[string]*journalCallState),
-		letters: make(map[string]DeadLetter),
 	}
 	for _, obj := range listed {
 		data, _, err := e.cfg.Storage.Get(meta, obj.Key)
@@ -175,49 +184,102 @@ func (e *Executor) replayJournal() (*journalState, error) {
 		if err := wire.Unmarshal(data, &rec); err != nil {
 			return nil, fmt.Errorf("core: decode journal record %s: %w", obj.Key, err)
 		}
-		switch rec.Kind {
-		case wire.JournalLaunch:
-			for _, c := range rec.Calls {
-				st.calls[c.CallID] = &journalCallState{actID: c.ActivationID, tracked: rec.Tracked}
-			}
-			st.fanIns = append(st.fanIns, rec.FanIns...)
-		case wire.JournalRespawn:
-			for _, c := range rec.Calls {
-				if cs, ok := st.calls[c.CallID]; ok {
-					cs.actID = c.ActivationID
-					cs.respawns++
-				}
-			}
-		case wire.JournalDeadLetter:
-			for _, c := range rec.Calls {
-				st.letters[c.CallID] = DeadLetter{ExecutorID: e.id, CallID: c.CallID, Attempts: c.Attempts,
-					LastError: c.Error, GaveUpAt: time.Unix(0, rec.AtUnixNs).UTC()}
-			}
-		case wire.JournalReplay:
-			// The originals were untracked by the replaying driver; drop
-			// them and their letters so nothing below rebuilds or
-			// resurrects them. Their replacements arrive with the replay's
-			// own launch record.
-			for _, old := range rec.OldCallIDs {
-				delete(st.calls, old)
-				delete(st.letters, old)
-			}
-		}
-		// Unknown kinds from newer writers are skipped, not fatal.
+		st.apply(e.id, &rec)
 	}
 	return st, nil
 }
 
+// replayReserved applies the launch record at the end of the batch the
+// manifest reserves, and hands every call it launched its ref out of the same
+// GET. No batch under the key means the driver died, or its PUT failed,
+// after invoking: those calls run untracked, and recoverNextID keeps their
+// IDs reserved.
+func (e *Executor) replayReserved(st *journalState) error {
+	e.journal.mu.Lock()
+	key := e.journal.manifest.Reserved
+	e.journal.mu.Unlock()
+	if key == "" {
+		return nil
+	}
+	meta := e.cfg.Platform.MetaBucket()
+	b, ok := parseBatchKey(key)
+	if !ok {
+		return fmt.Errorf("core: manifest reserves %q, not a payload batch", key)
+	}
+	body, _, err := e.cfg.Storage.Get(meta, key)
+	switch {
+	case errors.Is(err, cos.ErrNoSuchKey):
+		return nil
+	case err != nil:
+		return fmt.Errorf("core: read reserved batch %s: %w", key, err)
+	}
+	bounds, rec, err := wire.SplitLaunch(body)
+	if err != nil {
+		return fmt.Errorf("core: reserved batch %s: %w", key, err)
+	}
+	if len(bounds)-1 != b.count {
+		return fmt.Errorf("core: reserved batch %s holds %d calls, its key says %d", key, len(bounds)-1, b.count)
+	}
+	st.apply(e.id, &rec)
+	span := wire.PayloadSpan{Key: key, Bounds: bounds}
+	for _, c := range rec.Calls {
+		seq, ok := callSeq(c.CallID)
+		if cs := st.calls[c.CallID]; cs != nil && ok && b.first <= seq && seq < b.first+b.count {
+			cs.payload = span.Ref(meta, seq-b.first)
+		}
+	}
+	return nil
+}
+
+// apply folds one journal record of executor execID into the state.
+func (st *journalState) apply(execID string, rec *wire.JournalRecord) {
+	switch rec.Kind {
+	case wire.JournalLaunch:
+		for _, c := range rec.Calls {
+			st.calls[c.CallID] = &journalCallState{actID: c.ActivationID, tracked: rec.Tracked}
+		}
+		st.fanIns = append(st.fanIns, rec.FanIns...)
+	case wire.JournalRespawn:
+		for _, c := range rec.Calls {
+			if cs, ok := st.calls[c.CallID]; ok {
+				cs.actID = c.ActivationID
+				cs.respawns++
+			}
+		}
+	case wire.JournalDeadLetter:
+		for _, c := range rec.Calls {
+			st.letters[c.CallID] = DeadLetter{ExecutorID: execID, CallID: c.CallID, Attempts: c.Attempts,
+				LastError: c.Error, GaveUpAt: time.Unix(0, rec.AtUnixNs).UTC()}
+		}
+	case wire.JournalReplay:
+		// The originals were untracked by the replaying driver; drop them
+		// and their letters so nothing below rebuilds or resurrects them.
+		// Their replacements arrive with the replay's own launch record.
+		for _, old := range rec.OldCallIDs {
+			delete(st.calls, old)
+			delete(st.letters, old)
+		}
+	}
+	// Unknown kinds from newer writers are skipped, not fatal.
+}
+
 // recoverNextID restores the call-ID high-water mark from the staged
-// payload batches, whose keys name the call range they hold. The LIST covers
+// payload batches, whose keys name the call range they hold, and from the
+// batch the manifest reserves, which may not exist yet. The LIST covers
 // windows the journal cannot: helper calls that never journal, and a driver
-// that died between staging and the launch record. Fresh IDs minted by this
-// driver (replays) must never collide with any staged call.
+// that died between staging and the launch record; the reservation covers a
+// first launch that died between invoking and staging. Fresh IDs minted by
+// this driver (replays, later launches) must never collide with any call.
 func (e *Executor) recoverNextID() error {
 	batches, err := listPayloadBatches(e.cfg.Storage, e.cfg.Platform.MetaBucket(), e.id)
 	if err != nil {
 		return fmt.Errorf("core: attach %s: list payloads: %w", e.id, err)
 	}
+	e.journal.mu.Lock()
+	if b, ok := parseBatchKey(e.journal.manifest.Reserved); ok {
+		batches = append(batches, b)
+	}
+	e.journal.mu.Unlock()
 	next := 0
 	for _, b := range batches {
 		next = max(next, b.first+b.count)

@@ -105,7 +105,7 @@ func (e *Executor) ReplayDeadLetters() ([]*Future, error) {
 		}
 		rec.Calls = journalCalls(payloads, nil)
 	})
-	futures, err := e.launch(payloads, true)
+	futures, err := e.launch(payloads, true, false)
 	if err != nil {
 		restore()
 		return nil, fmt.Errorf("core: replay dead letters: %w", err)

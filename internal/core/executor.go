@@ -289,35 +289,67 @@ func (e *Executor) Map(function string, args []any) ([]*Future, error) {
 // runJob stages the payloads in object storage and fires their
 // invocations, tracking the resulting futures on the executor.
 func (e *Executor) runJob(payloads []*wire.CallPayload) ([]*Future, error) {
-	return e.launch(payloads, true)
+	return e.launch(payloads, true, true)
 }
 
-// launch is runJob with control over future tracking: map_reduce launches
-// its map phase untracked so GetResult waits only on the reducers. Under
-// massive spawning the calls go out behind remote invokers (spawnGates).
-func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures bool) ([]*Future, error) {
+// launch is runJob with control over future tracking — map_reduce launches
+// its map phase untracked so GetResult waits only on the reducers — and over
+// the journal: open says the launch is a top-level one, which opens the job
+// or re-asserts the lease first (journalStart); a launch inside another, or
+// after its caller renewed the lease itself, passes false. Under massive
+// spawning the calls go out behind remote invokers (spawnGates).
+//
+// The launch that creates the job's manifest, when every call rides its
+// invocation, invokes before it stages: the manifest reserves the batch's
+// key, and the batch, PUT once every call is out, carries the launch record
+// as its last line. Should that PUT fail, the calls run untracked under
+// reserved IDs — what a driver that died in the same window leaves.
+func (e *Executor) launch(payloads []*wire.CallPayload, trackFutures, open bool) ([]*Future, error) {
 	if e.cfg.MassiveSpawning {
-		return e.launchBehind(e.spawnGates(payloads), trackFutures)
+		return e.launchBehind(e.spawnGates(payloads), trackFutures, open)
 	}
-	// The manifest, which claims the job ID and holds the driver lease in
-	// one conditional PUT, goes down before anything else is staged, so a
-	// driver that crashes mid-launch still leaves a resumable job behind
-	// and a second driver on the same ID stages nothing (see journal.go).
-	if err := e.journalStart(); err != nil {
+	staged, err := e.framePayloads(payloads)
+	if err != nil {
 		return nil, err
+	}
+	deferred := false
+	if open {
+		reserve := staged.deferrable(payloads)
+		created, err := e.journalStart(reserve)
+		if err != nil {
+			return nil, err
+		}
+		deferred = created && reserve != ""
 	}
 	action, err := e.cfg.Platform.EnsureRuntime(e.cfg.RuntimeImage)
 	if err != nil {
 		return nil, err
 	}
-	futures, err := e.invokeDirect(action, payloads)
+	if !deferred {
+		if err := e.putBatches(staged.batches); err != nil {
+			return nil, err
+		}
+	}
+	futures, err := e.invokeStaged(action, payloads, staged.refs, staged.lines)
 	if err != nil {
 		return nil, err
 	}
-	e.appendJournal(wire.JournalLaunch, func(rec *wire.JournalRecord) {
+	journal := func(rec *wire.JournalRecord) {
 		rec.Calls = journalCalls(payloads, futures)
 		rec.Tracked = trackFutures
-	})
+	}
+	if deferred {
+		// The record goes in even if a newer driver fenced this one
+		// meanwhile: the calls are out, and it is the truth about them.
+		rec, _ := e.journalRecord(wire.JournalLaunch)
+		journal(&rec)
+		batch := staged.batches[0]
+		if _, err := e.cfg.Storage.Put(e.cfg.Platform.MetaBucket(), batch.key, wire.AppendLaunch(batch.body, &rec)); err != nil {
+			return nil, fmt.Errorf("core: stage payloads after invoking: %w", err)
+		}
+	} else {
+		e.appendJournal(wire.JournalLaunch, journal)
+	}
 	if trackFutures {
 		e.track(futures)
 	}

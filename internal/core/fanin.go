@@ -141,10 +141,13 @@ func (g *fanInGroup) unlaunched() []int {
 // and launches those (untracked: the stage's results are the targets'), and
 // only then — nothing is journaled or tracked for a stage whose inputs never
 // left — journals the targets, tracked or not as asked, and arms the launch
-// backstop. It returns the targets' futures in gate order.
-func (e *Executor) launchBehind(gates []stageGate, trackFutures bool) ([]*Future, error) {
-	if err := e.journalStart(); err != nil {
-		return nil, err
+// backstop. It returns the targets' futures in gate order. open is launch's:
+// a top-level stage boundary opens the job or re-asserts the lease first.
+func (e *Executor) launchBehind(gates []stageGate, trackFutures, open bool) ([]*Future, error) {
+	if open {
+		if _, err := e.journalStart(""); err != nil {
+			return nil, err
+		}
 	}
 	action, err := e.cfg.Platform.EnsureRuntime(e.cfg.RuntimeImage)
 	if err != nil {
@@ -188,7 +191,7 @@ func (e *Executor) launchBehind(gates []stageGate, trackFutures bool) ([]*Future
 		// journaled only as the fan-in specs of their targets.
 		launched, err = e.invokeDirect(invokerActionName(e.cfg.RuntimeImage), inputs)
 	} else {
-		launched, err = e.launch(inputs, false)
+		launched, err = e.launch(inputs, false, false)
 	}
 	if err != nil {
 		return nil, err

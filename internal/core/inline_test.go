@@ -48,9 +48,12 @@ func newInlineEnv(t *testing.T) (*env, *cos.Stack) {
 
 // TestInlinePayloadRequestBudget: a call whose staged line fits
 // inlineThreshold costs its runner no GET, one that does not still costs
-// one, and either runs on its own argument.
+// one, and either runs on its own argument. The client's first launch PUTs
+// two objects when every call rides inline — the manifest, then the batch
+// carrying the launch record — and three otherwise.
 func TestInlinePayloadRequestBudget(t *testing.T) {
 	const n = 100
+	var puts []int64
 	run := func(pad int) (gets int64, results []int) {
 		e, fn := newInlineEnv(t)
 		exec := e.executor(t, nil)
@@ -63,6 +66,7 @@ func TestInlinePayloadRequestBudget(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			puts = append(puts, exec.StorageOps().PutOps)
 			raws, err := exec.GetResult(GetResultOptions{Timeout: time.Hour})
 			if err != nil {
 				t.Error(err)
@@ -84,6 +88,9 @@ func TestInlinePayloadRequestBudget(t *testing.T) {
 	}
 	if staged-inline != n {
 		t.Errorf("store GETs = %d inline, %d with every payload over the threshold; want exactly %d fewer inline", inline, staged, n)
+	}
+	if want := []int64{2, 3}; !slices.Equal(puts, want) {
+		t.Errorf("client PUTs of the launch = %v inline and over the threshold, want %v", puts, want)
 	}
 }
 

@@ -7,16 +7,21 @@ import (
 	"gowren/internal/wire"
 )
 
-// invokeDirect stages the payloads and fires one invocation per payload as
-// action from this executor's location, using the client thread pool —
-// PyWren's original strategy and the "local invocation" arm of Fig. 2. Each
-// invocation carries its call's staged line when that is small enough. It
-// returns the calls' futures, untracked, in payload order.
+// invokeDirect stages the payloads and invokes them (invokeStaged).
 func (e *Executor) invokeDirect(action string, payloads []*wire.CallPayload) ([]*Future, error) {
 	refs, lines, err := e.stagePayloads(payloads)
 	if err != nil {
 		return nil, err
 	}
+	return e.invokeStaged(action, payloads, refs, lines)
+}
+
+// invokeStaged fires one invocation per payload as action from this
+// executor's location, using the client thread pool — PyWren's original
+// strategy and the "local invocation" arm of Fig. 2. Each invocation carries
+// its call's ref, and its staged line when that is small enough. It returns
+// the calls' futures, untracked, in payload order.
+func (e *Executor) invokeStaged(action string, payloads []*wire.CallPayload, refs []wire.ObjectRef, lines [][]byte) ([]*Future, error) {
 	futures := make([]*Future, len(payloads))
 	errs := parallelFor(e.clock, e.cfg.InvokeConcurrency, len(payloads), func(i int) error {
 		p := payloads[i]

@@ -22,8 +22,9 @@ import (
 // The manifest is also the driver lease, the fencing mechanism: it is
 // written only through conditional puts (cos.Client.PutIf), so one PUT both
 // claims the job ID and takes epoch 1. The driver caches the manifest and
-// the ETag it last wrote; every mutation of job state re-asserts ownership
-// by CAS-ing a renewal against that ETag. A resuming driver takes over by
+// the ETag it last wrote; every mutation of job state — every launch after
+// the first included — re-asserts ownership by CAS-ing a renewal against
+// that ETag. A resuming driver takes over by
 // CAS-bumping the epoch, which changes the ETag — the old driver's next
 // renewal then fails with ErrPreconditionFailed and it fences itself off
 // with ErrFenced. Read paths (status sweeps, result collection) are
@@ -66,17 +67,26 @@ func (j *jobJournal) hold(man wire.JobManifest, etag string, now time.Time) {
 	j.mu.Unlock()
 }
 
-// journalStart lazily creates the job manifest at epoch 1, once per
-// executor, before the first launch stages anything. The put is create-only,
-// so it also claims the job ID: a manifest already under it means another
-// driver owns the job, and this one is fenced before it writes anything.
-func (e *Executor) journalStart() error {
+// journalStart opens a top-level launch (Map, MapReduce and friends) with
+// the journal. The first, once per executor, creates the job manifest at
+// epoch 1 before anything is staged. The put is create-only, so it also
+// claims the job ID: a manifest already under it means another driver owns
+// the job, and this one is fenced before it writes anything. reserve, when
+// set, is the payload batch the launch writes only after invoking; the
+// manifest records it, and with it the call IDs the batch's key names. Every
+// later launch re-asserts the lease instead (renewLease), so a driver that
+// Attach superseded stages and invokes nothing. created reports whether this
+// call wrote the manifest. With journaling disabled it does nothing.
+func (e *Executor) journalStart(reserve string) (created bool, err error) {
 	j := &e.journal
 	j.mu.Lock()
 	started := j.started
 	j.mu.Unlock()
-	if started || e.cfg.DisableJournal {
-		return nil
+	switch {
+	case e.cfg.DisableJournal:
+		return false, nil
+	case started:
+		return false, e.renewLease()
 	}
 
 	meta, now := e.cfg.Platform.MetaBucket(), e.clock.Now()
@@ -88,16 +98,17 @@ func (e *Executor) journalStart() error {
 		CreatedUnixNs: now.UnixNano(),
 		Epoch:         1,
 		RenewedUnixNs: now.UnixNano(),
+		Reserved:      reserve,
 	}
 	m, err := e.cfg.Storage.PutIf(meta, manifestKey(e.id), wire.MustMarshal(man), "")
 	switch {
 	case errors.Is(err, cos.ErrPreconditionFailed):
-		return fmt.Errorf("core: job %s already has a manifest: %w", e.id, ErrFenced)
+		return false, fmt.Errorf("core: job %s already has a manifest: %w", e.id, ErrFenced)
 	case err != nil:
-		return fmt.Errorf("core: write job manifest: %w", err)
+		return false, fmt.Errorf("core: write job manifest: %w", err)
 	}
 	j.hold(man, m.ETag, now)
-	return nil
+	return true, nil
 }
 
 // renewLease re-asserts lease ownership with a conditional put of the
@@ -154,6 +165,18 @@ func (e *Executor) maybeRenewLease() {
 	}
 }
 
+// journalRecord opens this driver's next journal record of kind; its
+// (epoch, seq) is its place in replay order. live is false when there is no
+// journal to append it to: disabled, not started, or fenced.
+func (e *Executor) journalRecord(kind string) (rec wire.JournalRecord, live bool) {
+	j := &e.journal
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec = wire.JournalRecord{Epoch: j.manifest.Epoch, Seq: j.seq, Kind: kind, AtUnixNs: e.clock.Now().UnixNano()}
+	j.seq++
+	return rec, j.started && !j.fenced
+}
+
 // appendJournal writes one journal record under the job's journal prefix.
 // The record key embeds (epoch, seq) zero-padded, so replay order is plain
 // key order and a stale driver's records sort strictly before the epochs
@@ -161,23 +184,15 @@ func (e *Executor) maybeRenewLease() {
 // over the durable per-call objects — losing a record degrades what a later
 // Attach can reconstruct, never the correctness of the running job.
 func (e *Executor) appendJournal(kind string, mut func(*wire.JournalRecord)) {
-	j := &e.journal
-	j.mu.Lock()
-	if !j.started || j.fenced {
-		j.mu.Unlock()
+	rec, live := e.journalRecord(kind)
+	if !live {
 		return
 	}
-	epoch := j.manifest.Epoch
-	seq := j.seq
-	j.seq++
-	j.mu.Unlock()
-
-	rec := wire.JournalRecord{Epoch: epoch, Seq: seq, Kind: kind, AtUnixNs: e.clock.Now().UnixNano()}
 	if mut != nil {
 		mut(&rec)
 	}
 	meta := e.cfg.Platform.MetaBucket()
-	_, _ = e.cfg.Storage.Put(meta, journalKey(e.id, epoch, seq), wire.MustMarshal(rec)) //gowren:allow errsink — journal records are advisory redundancy over durable call objects
+	_, _ = e.cfg.Storage.Put(meta, journalKey(e.id, rec.Epoch, rec.Seq), wire.MustMarshal(rec)) //gowren:allow errsink — journal records are advisory redundancy over durable call objects
 }
 
 // journalCalls builds the per-call entries of a launch record. futures is

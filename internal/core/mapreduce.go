@@ -112,7 +112,7 @@ func (e *Executor) MapReduce(mapFn string, src DataSource, reduceFn string, opts
 			MetaBucket: meta,
 		}}}
 	}
-	futures, err := e.launchBehind(gates, true)
+	futures, err := e.launchBehind(gates, true, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: map_reduce: %w", err)
 	}

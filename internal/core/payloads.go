@@ -19,10 +19,19 @@ import (
 // from a call ID. A line of at most inlineThreshold bytes travels there too
 // (invokeParams), so its runner reads nothing; the batch is still staged for
 // the invocations that carry the ref alone — Respawn, the fan-in backstop,
-// calls above the threshold — whose runner range-GETs its slice. Readers
-// that know only (executor, call ID) — respawn re-placement, dead-letter
-// replay, shuffle recompute, futures adopted by Attach — go through
-// resolvePayloads, which reads the key names.
+// calls above the threshold — whose runner range-GETs its slice.
+//
+// The batch is staged before the invocations, except in a job's first launch
+// when every call rides inline (stagedCalls.deferrable): nobody can read that
+// batch before the launch returns, so it is PUT after the invocations with
+// the launch record as its last line, and the manifest, created first,
+// reserves its key and so its call IDs (Executor.launch).
+//
+// Readers that know only (executor, call ID) — respawn re-placement,
+// dead-letter replay, shuffle recompute — go through resolvePayloads, which
+// reads the key names. Futures adopted by Attach take their refs from the
+// reserved batch when their launch record came in it (replayJournal), and
+// from the resolver otherwise.
 
 // payloadBatchBytes caps one batch object. A WAN client pays per request, not
 // per byte, so the cap only exists to keep a single PUT — and the whole-batch
@@ -53,12 +62,40 @@ func parseBatchKey(key string) (payloadBatch, bool) {
 	return payloadBatch{key: key, first: first, count: count}, true
 }
 
+// stagedCalls is a launch's calls framed for staging: the batch objects to
+// PUT, and every call's location and staged line, index-aligned with the
+// payloads.
+type stagedCalls struct {
+	batches []stagedBatch
+	refs    []wire.ObjectRef
+	lines   [][]byte
+}
+
+// stagedBatch is one batch object of a launch.
+type stagedBatch struct {
+	key  string
+	body []byte
+}
+
 // stagePayloads uploads the serialized calls as payload batches, retrying
 // transient storage failures, and returns each call's location and staged
-// line. Every payload passes through here, so this is also where calls get
+// line.
+func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef, [][]byte, error) {
+	staged, err := e.framePayloads(payloads)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.putBatches(staged.batches); err != nil {
+		return nil, nil, err
+	}
+	return staged.refs, staged.lines, nil
+}
+
+// framePayloads serializes the calls into payload batches without writing
+// any. Every payload passes through here, so this is also where calls get
 // their region placement and tenant. A batch ends where the call IDs stop
 // being consecutive or the next payload would push it over payloadBatchBytes.
-func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef, [][]byte, error) {
+func (e *Executor) framePayloads(payloads []*wire.CallPayload) (stagedCalls, error) {
 	meta := e.cfg.Platform.MetaBucket()
 	bodies := make([][]byte, len(payloads))
 	seqs := make([]int, len(payloads))
@@ -70,22 +107,17 @@ func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef
 			p.Tenant = e.cfg.Tenant
 		}
 		if err := p.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: stage payloads: %w", err)
+			return stagedCalls{}, fmt.Errorf("core: stage payloads: %w", err)
 		}
 		seq, err := strconv.Atoi(p.CallID)
 		if err != nil || seq < 0 {
-			return nil, nil, fmt.Errorf("core: stage payloads: call id %q is not a call sequence", p.CallID)
+			return stagedCalls{}, fmt.Errorf("core: stage payloads: call id %q is not a call sequence", p.CallID)
 		}
 		seqs[i] = seq
 		bodies[i] = wire.MustMarshal(p)
 	}
 
-	type batch struct {
-		key  string
-		body []byte
-	}
-	var batches []batch
-	refs := make([]wire.ObjectRef, len(payloads))
+	staged := stagedCalls{refs: make([]wire.ObjectRef, len(payloads)), lines: bodies}
 	for start := 0; start < len(payloads); {
 		end, size := start+1, len(bodies[start])
 		for end < len(payloads) && seqs[end] == seqs[end-1]+1 && size+1+len(bodies[end]) <= payloadBatchBytes {
@@ -95,19 +127,43 @@ func (e *Executor) stagePayloads(payloads []*wire.CallPayload) ([]wire.ObjectRef
 		body, bounds := wire.JoinPayloads(bodies[start:end])
 		span := wire.PayloadSpan{Key: batchKey(payloads[start].ExecutorID, seqs[start], end-start), Bounds: bounds}
 		for i := start; i < end; i++ {
-			refs[i] = span.Ref(meta, i-start)
+			staged.refs[i] = span.Ref(meta, i-start)
 		}
-		batches = append(batches, batch{key: span.Key, body: body})
+		staged.batches = append(staged.batches, stagedBatch{key: span.Key, body: body})
 		start = end
 	}
+	return staged, nil
+}
+
+// putBatches PUTs batch objects through the stage pool.
+func (e *Executor) putBatches(batches []stagedBatch) error {
+	meta := e.cfg.Platform.MetaBucket()
 	errs := fetchFor(e.clock, e.cfg.StageConcurrency, len(batches), func(i int) error {
 		_, err := e.cfg.Storage.Put(meta, batches[i].key, batches[i].body)
 		return err
 	})
 	if err := firstErr(errs); err != nil {
-		return nil, nil, fmt.Errorf("core: stage payloads: %w", err)
+		return fmt.Errorf("core: stage payloads: %w", err)
 	}
-	return refs, bodies, nil
+	return nil
+}
+
+// deferrable returns the key of the one batch the calls fit in when every
+// call rides its invocation and none carries a fan-in, and "" otherwise:
+// then nothing in the cloud reads the batch before the launch returns, and a
+// launch that creates the job's manifest may write it after invoking
+// (Executor.launch). A fan-in input is excluded because a shuffle reducer
+// may recompute it from its payload while the launch is still under way.
+func (s stagedCalls) deferrable(payloads []*wire.CallPayload) string {
+	if len(s.batches) != 1 {
+		return ""
+	}
+	for i, p := range payloads {
+		if p.FanIn != nil || len(s.lines[i]) > inlineThreshold {
+			return ""
+		}
+	}
+	return s.batches[0].key
 }
 
 // payloadSpans regroups consecutive refs, as stagePayloads returned them, into

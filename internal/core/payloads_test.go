@@ -55,6 +55,8 @@ func stagedBatches(t *testing.T, store *cos.Store, meta, execID string) (keys []
 // driver lease) and the launch record — where staging a call per object cost
 // a thousand; and in the cloud each invoker reads its group's payloads in
 // one range GET and hands every call its own line, so no call reads one.
+// The local arm's 1,000 calls all ride their invocations, so its batch goes
+// up after them carrying the launch record: two PUTs.
 func TestStagingRequestBudget(t *testing.T) {
 	const n = 1000
 	fe := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = 2 * n })
@@ -115,6 +117,38 @@ func TestStagingRequestBudget(t *testing.T) {
 	}
 	if fn.ListOps != 0 {
 		t.Errorf("cloud-side LISTs = %d, want 0: the hot path never resolves a call ID", fn.ListOps)
+	}
+
+	le := newFanInEnv(t, func(cfg *PlatformConfig) { cfg.MaxConcurrent = n })
+	local := le.executor(t, func(cfg *Config) {
+		cfg.Storage = cos.NewLinked(le.store, le.clk, wanLossFree())
+	})
+	le.clk.Run(func() {
+		args := make([]any, n)
+		for i := range args {
+			args[i] = i
+		}
+		if _, err := local.Map("add7", args); err != nil {
+			t.Error(err)
+			return
+		}
+		if ops := local.StorageOps(); ops.PutOps != 2 || ops.GetOps != 0 || ops.ListOps != 0 {
+			t.Errorf("local arm's staging requests = %+v, want exactly 2 PUTs and nothing else", ops)
+		}
+		raws, err := local.GetResult(GetResultOptions{Timeout: time.Hour})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, v := range decodeInts(t, raws) {
+			if v != i+7 {
+				t.Errorf("local result[%d] = %d, want %d", i, v, i+7)
+				return
+			}
+		}
+	})
+	if got := le.fn.Counts().GetOps; got != 0 {
+		t.Errorf("local arm's cloud-side GETs = %d, want 0: every call rode its invocation", got)
 	}
 }
 

@@ -115,7 +115,7 @@ func (e *Executor) MapReduceShuffle(mapFn string, src DataSource, reduceFn strin
 	// One barrier over the whole map phase: the reducers are staged, the maps
 	// launched untracked, and the map that commits the phase's last status
 	// starts all R reducers (fanin.go).
-	futures, err := e.launchBehind([]stageGate{{inputs: mapPayloads, targets: reducePayloads}}, true)
+	futures, err := e.launchBehind([]stageGate{{inputs: mapPayloads, targets: reducePayloads}}, true, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: map_reduce_shuffle: %w", err)
 	}

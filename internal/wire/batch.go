@@ -14,6 +14,11 @@ import (
 // Offset/Length) or by line number (PayloadLine, the recovery path, for
 // readers that only know the call ID).
 //
+// A job's first launch may end its batch with one more line, the launch
+// record (AppendLaunch): a JournalRecord, whose string "kind" no CallPayload
+// decoder accepts. Readers that take a call's line by its position or byte
+// range never reach it.
+//
 // Invoke parameters use the same framing: the call's ref, then — for a call
 // small enough to ride the invocation — '\n' and its staged line
 // (InvokeParams). The ref is compact JSON too, so its first '\n' ends it.
@@ -35,6 +40,36 @@ func JoinPayloads(bodies [][]byte) (batch []byte, bounds []int64) {
 		bounds = append(bounds, int64(len(batch))+1)
 	}
 	return batch, bounds
+}
+
+// AppendLaunch ends a batch with its launch record: batch, '\n' and rec.
+// The calls' lines and byte ranges are unchanged.
+func AppendLaunch(batch []byte, rec *JournalRecord) []byte {
+	line := MustMarshal(rec)
+	out := make([]byte, 0, len(batch)+1+len(line))
+	return append(append(append(out, batch...), '\n'), line...)
+}
+
+// SplitLaunch cuts a batch that AppendLaunch ended into the line boundaries
+// of its calls (as JoinPayloads returned them) and its launch record.
+func SplitLaunch(batch []byte) (bounds []int64, rec JournalRecord, err error) {
+	cut := bytes.LastIndexByte(batch, '\n')
+	if cut < 0 {
+		return nil, JournalRecord{}, fmt.Errorf("wire: payload batch has no launch record line")
+	}
+	if err := Unmarshal(batch[cut+1:], &rec); err != nil {
+		return nil, JournalRecord{}, fmt.Errorf("wire: payload batch's last line: %w", err)
+	}
+	if rec.Kind != JournalLaunch {
+		return nil, JournalRecord{}, fmt.Errorf("wire: payload batch ends with a %q record, not a launch record", rec.Kind)
+	}
+	bounds = []int64{0}
+	for start := 0; start <= cut; {
+		end := start + bytes.IndexByte(batch[start:cut+1], '\n')
+		bounds = append(bounds, int64(end)+1)
+		start = end + 1
+	}
+	return bounds, rec, nil
 }
 
 // PayloadSpan locates consecutive staged calls inside one batch object.

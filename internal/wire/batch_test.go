@@ -155,6 +155,62 @@ func TestDecodePayloadValidates(t *testing.T) {
 	}
 }
 
+// launchFixture is the launch record a job's first launch ends its batch
+// with.
+func launchFixture() *JournalRecord {
+	return &JournalRecord{Epoch: 1, Kind: JournalLaunch, Tracked: true, AtUnixNs: 42, Calls: []JournalCall{
+		{CallID: "00000", ActivationID: "act-1", Region: "eu\n"},
+		{CallID: "00001", ActivationID: "act-2"},
+	}}
+}
+
+// TestLaunchRecordEndsBatch: a launch record appended to a batch leaves every
+// call's byte range and line where it was, never decodes as a call, and
+// comes back — with the calls' boundaries — from SplitLaunch.
+func TestLaunchRecordEndsBatch(t *testing.T) {
+	in := batchFixture()
+	bodies := make([][]byte, len(in))
+	for i, p := range in {
+		bodies[i] = MustMarshal(p)
+	}
+	batch, bounds := JoinPayloads(bodies)
+	rec := launchFixture()
+	ended := AppendLaunch(batch, rec)
+	if !bytes.HasPrefix(ended, batch) {
+		t.Fatalf("AppendLaunch rewrote the calls' bytes")
+	}
+	for i := range bodies {
+		line, offset, err := PayloadLine(ended, i)
+		if err != nil || offset != bounds[i] || !bytes.Equal(line, bodies[i]) {
+			t.Errorf("line %d = %q at %d (err %v), want call %d at %d", i, line, offset, err, i, bounds[i])
+		}
+	}
+	last, _, err := PayloadLine(ended, len(bodies))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := DecodePayload(last); err == nil {
+		t.Errorf("the launch record decoded as a call: %+v", p)
+	}
+	gotBounds, got, err := SplitLaunch(ended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotBounds, bounds) || !reflect.DeepEqual(&got, rec) {
+		t.Errorf("SplitLaunch = %v, %+v; want %v, %+v", gotBounds, got, bounds, rec)
+	}
+	for name, bad := range map[string][]byte{
+		"no record":        batch,
+		"respawn record":   AppendLaunch(batch, &JournalRecord{Kind: JournalRespawn}),
+		"one line only":    MustMarshal(rec),
+		"truncated record": ended[:len(ended)-3],
+	} {
+		if _, _, err := SplitLaunch(bad); err == nil {
+			t.Errorf("%s: SplitLaunch accepted it", name)
+		}
+	}
+}
+
 // FuzzPayloadBatch feeds arbitrary bytes through the resolver's framing and
 // the decoder both read paths share. Neither may panic; a line handed back
 // must be the bytes at its offset and contain no separator; and a payload
@@ -167,6 +223,10 @@ func FuzzPayloadBatch(f *testing.F) {
 	batch, _ := JoinPayloads(bodies)
 	for i := -1; i <= len(bodies); i++ {
 		f.Add(batch, i)
+	}
+	ended := AppendLaunch(batch, launchFixture())
+	for i := len(bodies) - 1; i <= len(bodies)+1; i++ {
+		f.Add(ended, i)
 	}
 	f.Add([]byte(nil), 0)
 	f.Add([]byte("\n\n"), 1)
@@ -190,6 +250,20 @@ func FuzzPayloadBatch(f *testing.F) {
 		}
 		if bytes.IndexByte(line, '\n') >= 0 {
 			t.Fatalf("line %d contains the separator", i)
+		}
+		// A batch that ends with a launch record keeps it off every call's
+		// line: the boundaries SplitLaunch cuts stop before it, and the
+		// record line itself never decodes as a call.
+		if bounds, rec, err := SplitLaunch(data); err == nil {
+			calls := len(bounds) - 1
+			if i < calls && (offset != bounds[i] || int64(len(line)) != bounds[i+1]-1-bounds[i]) {
+				t.Fatalf("line %d at %d+%d, but SplitLaunch bounds it %v", i, offset, len(line), bounds[i:i+2])
+			}
+			if i == calls {
+				if p, err := DecodePayload(line); err == nil {
+					t.Fatalf("launch record %+v decoded as call %+v", rec, p)
+				}
+			}
 		}
 		// The line as its call's invoke parameters, ref-only, inline and cut
 		// short at i: each decodes to the ref and the staged bytes (none, for

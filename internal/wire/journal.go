@@ -28,11 +28,19 @@ type JobManifest struct {
 	// RenewedUnixNs is the last renewal time on the simulation clock; the
 	// orphan GC treats a long-unrenewed job as abandoned.
 	RenewedUnixNs int64 `json:"renewedUnixNs"`
+	// Reserved is the payload batch key the creating launch writes only
+	// after it has invoked its calls, its launch record as the last line
+	// (AppendLaunch). The key names the call range, so the manifest
+	// reserves those call IDs before any of them runs; empty when the
+	// first launch staged before invoking and journaled apart.
+	Reserved string `json:"reserved,omitempty"`
 }
 
 // Journal record kinds.
 const (
-	// JournalLaunch records a batch of staged-and-invoked calls.
+	// JournalLaunch records a batch of staged-and-invoked calls. A job's
+	// first launch may write it as the last line of the payload batch the
+	// manifest reserves (AppendLaunch) instead of under the journal prefix.
 	JournalLaunch = "launch"
 	// JournalRespawn records re-invocations of calls whose activations died.
 	JournalRespawn = "respawn"
