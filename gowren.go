@@ -713,6 +713,7 @@ func (c *Cloud) executorConfig(opts []ExecutorOption) (core.Config, error) {
 		MassiveSpawning:   s.massive,
 		SpawnGroupSize:    s.spawnGroup,
 		PollInterval:      s.pollInterval,
+		SharePolls:        s.storage == nil,
 	}, nil
 }
 

@@ -572,8 +572,8 @@ func (b *inputBarrier) await() error {
 	if b.passed {
 		return nil
 	}
-	pend := &pendingSet{sweeps: newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock()), clock: b.ctx.Clock(),
-		meta: b.ns.bucket, interval: 100 * time.Millisecond}
+	pend := &pendingSet{sweeps: newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock()), storage: b.ctx.Storage(),
+		clock: b.ctx.Clock(), meta: b.ns.bucket, interval: 100 * time.Millisecond}
 	if err := pend.awaitAll(b.ns.execID, b.inputs, nil, b.ctx.Deadline()); err != nil {
 		if errors.Is(err, ErrWaitTimeout) {
 			return fmt.Errorf("core: %s waiting for %d map calls: %w", b.who, len(b.inputs), runtime.ErrDeadlineExceeded)

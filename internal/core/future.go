@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gowren/internal/cos"
 	"gowren/internal/vclock"
 	"gowren/internal/wire"
 )
@@ -221,8 +222,11 @@ const sweepConsultThreshold = 3
 // its wait loop, which also runs the chores of the driver waiting.
 type pendingSet struct {
 	sweeps *sweepCoordinator
-	clock  vclock.Clock
-	meta   string
+	// storage is what the set's LISTs run through: its driver's view, or
+	// the activation's in a reduce barrier.
+	storage cos.Client
+	clock   vclock.Clock
+	meta    string
 	// driver is the executor whose job the wait drives: its lease, respawn
 	// ledger and fan-in backstop tick with the loop, and its controller
 	// answers the dead-activation probe. Nil only in a reduce barrier, which
@@ -231,6 +235,14 @@ type pendingSet struct {
 	// limit caps the backstop's automatic respawns per call.
 	limit    int
 	interval time.Duration
+	// evt is the wait's event, armed on every namespace the set has calls
+	// pending in (see sweepCoordinator.arm); tick is false on a pass the
+	// event woke between ticks, which harvests without listing; reuse is
+	// how long ago a LIST may have begun for a tick to answer from it:
+	// none on the wait's first tick, half the interval after it.
+	evt   *vclock.Event
+	tick  bool
+	reuse time.Duration
 	// groups are in executor-ID order, so the simulated network sees an
 	// identical request sequence every run.
 	groups []*pendingGroup
@@ -249,13 +261,15 @@ type pendingGroup struct {
 	fs []*Future
 	// seen is the done-set version fs was last pruned against (see harvest).
 	seen uint64
+	// armed says the wait's event is armed on ns.
+	armed bool
 }
 
 // pendingIn returns an empty pending set over the executor's sweep
 // coordinator, waiting on statuses in meta with e as its driver; limit caps
 // the backstop's automatic respawns per call.
 func (e *Executor) pendingIn(meta string, limit int) *pendingSet {
-	return &pendingSet{sweeps: e.sweeps, clock: e.clock, meta: meta, driver: e, limit: limit, interval: e.cfg.PollInterval}
+	return &pendingSet{sweeps: e.sweeps, storage: e.cfg.Storage, clock: e.clock, meta: meta, driver: e, limit: limit, interval: e.cfg.PollInterval}
 }
 
 // add puts futures (back) into the set: respawned calls are pending again.
@@ -284,15 +298,18 @@ func (p *pendingSet) futures() []*Future {
 	return out
 }
 
-// sweep advances completion state through the shared sweep coordinator —
-// one incremental LIST per namespace that still has pending calls — and
-// returns the futures that finished since the last sweep, marked done. It
-// also consults platform activation records to surface calls that died
-// without committing a status (crash, platform timeout): on every
-// trustworthy sweep, and — when the LIST itself keeps failing — after
+// sweep advances completion state through the sweep coordinator and
+// returns the futures that finished since the last sweep, marked done. On a
+// tick it brings every namespace that still has pending calls up to date —
+// one LIST unless a recent one answers (see sweepCoordinator.sweep) — and
+// consults platform activation records to surface calls that died without
+// committing a status (crash, platform timeout): on every trustworthy
+// sweep, and — when the LIST itself keeps failing — after
 // sweepConsultThreshold consecutive failures, because a status prefix
 // pinned to a partitioned region can stay unlistable for a whole outage and
-// skipping forever would keep platform-dead calls invisible.
+// skipping forever would keep platform-dead calls invisible. A pass the
+// wait's event woke between ticks only harvests what others listed. The set
+// keeps its event armed on each namespace while it has calls pending there.
 func (p *pendingSet) sweep() ([]*Future, error) {
 	asOf := p.clock.Now()
 	var newly []*Future
@@ -300,16 +317,22 @@ func (p *pendingSet) sweep() ([]*Future, error) {
 		if len(g.fs) == 0 {
 			continue
 		}
-		out := p.sweeps.sweep(g.ns, asOf)
-		if out.err != nil {
-			return newly, fmt.Errorf("core: status sweep: %w", out.err)
+		if !g.armed {
+			p.sweeps.arm(g.ns, p.evt)
+			g.armed = true
+		}
+		var out sweepOutcome
+		if p.tick {
+			if out = p.sweeps.sweep(p, g.ns, asOf); out.err != nil {
+				return newly, fmt.Errorf("core: status sweep: %w", out.err)
+			}
 		}
 		var done []*Future
 		done, g.fs = harvest(p.sweeps, g.ns, &g.seen, g.fs)
 		for _, f := range done {
 			f.markDone()
 		}
-		if p.probe && out.consult() {
+		if p.tick && p.probe && out.consult() {
 			kept := g.fs[:0]
 			for _, f := range g.fs {
 				if f.activationID != "" {
@@ -327,8 +350,22 @@ func (p *pendingSet) sweep() ([]*Future, error) {
 		}
 		p.n -= len(done)
 		newly = append(newly, done...)
+		if len(g.fs) == 0 {
+			p.sweeps.disarm(g.ns, p.evt)
+			g.armed = false
+		}
 	}
 	return newly, nil
+}
+
+// disarm withdraws the wait's event from every namespace it is armed on.
+func (p *pendingSet) disarm() {
+	for _, g := range p.groups {
+		if g.armed {
+			p.sweeps.disarm(g.ns, p.evt)
+			g.armed = false
+		}
+	}
 }
 
 // splitDone splits futures, in order, by whether they are known done.
@@ -350,32 +387,36 @@ func splitDone(futures []*Future) (done, pending []*Future) {
 // sweep failure ends the wait with its error, the deadline with
 // ErrWaitTimeout, naming the fan-in inputs a stalled call waited on.
 // A tick ends one interval on, or at the deadline if that comes first.
-// Between ticks it sleeps — the paper's polling client, and all there is on
-// the Virtual clock — unless the sweep coordinator can watch the one
-// namespace p waits on: then the wait holds that watch throughout and waits
-// on the namespace's event, so a committed status ends the tick at once.
+// Between ticks the wait parks on its event: a LIST another waiter issued
+// that found news for the set, or a commit the watch delivered, wakes it
+// for a pass that harvests and steps without listing or running the
+// chores, which keep the set's own cadence. When the sweep coordinator can
+// watch the one namespace p waits on, the wait holds that watch
+// throughout. On the Virtual clock, with nobody else polling, the wait
+// behaves as the paper's polling client: one LIST a tick.
 func (p *pendingSet) wait(deadline time.Time, step func(newly []*Future) bool) error {
-	var evt *vclock.Event
+	p.evt, p.tick, p.reuse = vclock.NewEvent(p.clock), true, 0
+	defer p.disarm()
 	if len(p.groups) == 1 {
-		var release func()
-		evt, release = p.sweeps.watch(p.groups[0].ns)
-		defer release()
+		defer p.sweeps.watch(p.groups[0].ns)()
 	}
+	var wake time.Time
 	for {
-		var gen uint64
-		if evt != nil {
-			gen = evt.Gen()
+		gen := p.evt.Gen()
+		if p.tick {
+			p.chore(func(d *Executor) {
+				d.respawns.advance()
+				d.maybeRenewLease()
+			})
 		}
-		p.chore(func(d *Executor) {
-			d.respawns.advance()
-			d.maybeRenewLease()
-		})
 		newly, err := p.sweep()
 		if err != nil {
 			return err
 		}
 		settled := step(newly)
-		p.chore(func(d *Executor) { d.backstopFanIns(p, p.limit) })
+		if p.tick {
+			p.chore(func(d *Executor) { d.backstopFanIns(p, p.limit) })
+		}
 		if settled {
 			return nil
 		}
@@ -388,15 +429,14 @@ func (p *pendingSet) wait(deadline time.Time, step func(newly []*Future) bool) e
 			}
 			return ErrWaitTimeout
 		}
-		wake := now.Add(p.interval)
-		if !deadline.IsZero() && deadline.Before(wake) {
-			wake = deadline
+		if p.tick {
+			wake = now.Add(p.interval)
+			if !deadline.IsZero() && deadline.Before(wake) {
+				wake = deadline
+			}
+			p.reuse = p.interval / 2
 		}
-		if evt == nil {
-			p.clock.Sleep(wake.Sub(now))
-		} else {
-			evt.Wait(gen, wake)
-		}
+		p.tick = !p.evt.Wait(gen, wake)
 	}
 }
 

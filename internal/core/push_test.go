@@ -372,11 +372,13 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 		}
 	}
 
-	evt, release := co.watch(ns)
-	if evt == nil {
+	if co.watcher == nil {
 		t.Fatal("no watch armed over the in-process store")
 	}
-	if out := co.sweep(ns, clk.Now()); out.err != nil || !out.listed {
+	evt := vclock.NewEvent(clk)
+	co.arm(ns, evt)
+	release := co.watch(ns)
+	if out := co.sweep(via(counting), ns, clk.Now()); out.err != nil || !out.listed {
 		t.Fatalf("first sweep outcome = %+v", out)
 	}
 	gen := evt.Gen()
@@ -393,7 +395,7 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 		t.Fatal(err)
 	}
 	co.forget(ns, "00000")
-	if out := co.sweep(ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(via(counting), ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("pushed sweep outcome = %+v", out)
 	}
 	if co.completed(ns, "00000") {
@@ -414,9 +416,9 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 	}
 	// The next wait arms afresh and must list once more: nothing watched
 	// the commit made in between.
-	_, release = co.watch(ns)
+	release = co.watch(ns)
 	defer release()
-	if out := co.sweep(ns, clk.Now().Add(2*time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(via(counting), ns, clk.Now().Add(2*time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("re-armed sweep outcome = %+v", out)
 	}
 	if !co.completed(ns, "00001") {
@@ -464,8 +466,8 @@ func TestPushedBodyTakenOnce(t *testing.T) {
 		return out
 	}
 
-	_, release := co.watch(ns)
-	if out := co.sweep(ns, clk.Now()); out.err != nil {
+	release := co.watch(ns)
+	if out := co.sweep(via(store), ns, clk.Now()); out.err != nil {
 		t.Fatal(out.err)
 	}
 	for _, id := range []string{"00000", "00001", "00002", "00003"} {
@@ -491,7 +493,7 @@ func TestPushedBodyTakenOnce(t *testing.T) {
 		t.Errorf("take after forget = %q, want the forgotten call's body dropped", got)
 	}
 
-	_, release = co.watch(ns)
+	release = co.watch(ns)
 	put("00004", "first 00004")
 	release()
 	co.forgetNamespace(ns)
@@ -519,16 +521,16 @@ func TestWatchArmedMidListKeepsListing(t *testing.T) {
 		if _, err := store.Put("meta", statusKey("ex", "00000"), []byte("{}")); err != nil {
 			t.Fatal(err)
 		}
-		_, release = co.watch(ns)
+		release = co.watch(ns)
 	}
-	if out := co.sweep(ns, clk.Now()); out.err != nil {
+	if out := co.sweep(via(hooked), ns, clk.Now()); out.err != nil {
 		t.Fatal(out.err)
 	}
 	defer release()
 	if co.completed(ns, "00000") {
 		t.Fatal("a status committed after the LIST's snapshot was harvested from it")
 	}
-	if out := co.sweep(ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(via(hooked), ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("follow-up sweep outcome = %+v", out)
 	}
 	if !co.completed(ns, "00000") {

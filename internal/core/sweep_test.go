@@ -69,7 +69,8 @@ func TestListFailureCounterResets(t *testing.T) {
 	}
 	var failing atomic.Bool
 	clk := vclock.NewVirtual()
-	co := newSweepCoordinator(cos.NewFaulty(store, failing.Load), clk)
+	faulty := cos.NewFaulty(store, failing.Load)
+	co := newSweepCoordinator(faulty, clk)
 	a, b := nsKey{bucket: "meta", execID: "ex-a"}, nsKey{bucket: "meta", execID: "ex-b"}
 	asOf := clk.Now()
 	for i, step := range []struct {
@@ -88,8 +89,12 @@ func TestListFailureCounterResets(t *testing.T) {
 		// Each sweep observes a later instant than the last, so none
 		// coalesces onto a cached LIST.
 		asOf = asOf.Add(time.Second)
-		if out := co.sweep(step.ns, asOf); out.err != nil || out.fails != step.fails {
+		if out := co.sweep(via(faulty), step.ns, asOf); out.err != nil || out.fails != step.fails {
 			t.Fatalf("step %d (%s, fail=%v): outcome %+v, want fails = %d", i, step.ns.execID, step.fail, out, step.fails)
 		}
 	}
 }
+
+// via is a wait whose LISTs run through storage, for driving a coordinator's
+// sweeps directly.
+func via(storage cos.Client) *pendingSet { return &pendingSet{storage: storage} }

@@ -15,6 +15,8 @@ package cos
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -116,6 +118,29 @@ func (f GeneratorFunc) FillAt(off int64, p []byte) { f(off, p) }
 // discovery over buckets with more keys than one page.
 func ListAll(c Client, bucket, prefix string) ([]ObjectMeta, error) {
 	return ListFrom(c, bucket, prefix, "")
+}
+
+// ListUntil reads one page of a listing starting strictly after marker and
+// keeps only the keys before end: the page is truncated only when the
+// listing holds more keys before end than the page did. A Stack trims below
+// its counters, so they count only the keys kept; over any other client
+// the whole page crosses the wire.
+func ListUntil(c Client, bucket, prefix, marker, end string) (ListResult, error) {
+	if u, ok := c.(interface {
+		ListUntil(bucket, prefix, marker, end string) (ListResult, error)
+	}); ok {
+		return u.ListUntil(bucket, prefix, marker, end)
+	}
+	page, err := c.List(bucket, prefix, marker, 0)
+	if err != nil {
+		return page, err
+	}
+	if i, _ := slices.BinarySearchFunc(page.Objects, end, func(o ObjectMeta, end string) int {
+		return strings.Compare(o.Key, end)
+	}); i < len(page.Objects) {
+		page.Objects, page.IsTruncated, page.NextMarker = page.Objects[:i], false, ""
+	}
+	return page, nil
 }
 
 // ListFrom drains every page of a listing starting strictly after

@@ -109,3 +109,38 @@ func TestListFromPaginates(t *testing.T) {
 		t.Fatalf("got %d keys, want %d", len(out), n-3)
 	}
 }
+
+// TestListUntilStopsAtEnd: one page, cut before end, truncated only when
+// keys before end were left for a later page; a Stack counts only the keys
+// it kept.
+func TestListUntilStopsAtEnd(t *testing.T) {
+	store := NewStore()
+	if err := store.CreateBucket("b"); err != nil {
+		t.Fatal(err)
+	}
+	n := DefaultMaxKeys + 7
+	for i := 0; i < n; i++ {
+		if _, err := store.Put("b", fmt.Sprintf("k/%06d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewCounting(store)
+	page, err := ListUntil(c, "b", "k/", "k/000002", "k/000010")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Objects) != 7 || page.Objects[0].Key != "k/000003" || page.Objects[6].Key != "k/000009" || page.IsTruncated {
+		t.Fatalf("page = %d keys (truncated %v), want k/000003..k/000009, not truncated", len(page.Objects), page.IsTruncated)
+	}
+	if got := c.Counts(); got.ListOps != 1 || got.ObjectsListed != 7 {
+		t.Fatalf("counted %d LISTs of %d objects, want 1 of 7", got.ListOps, got.ObjectsListed)
+	}
+	// The end lies past the page: the page is cut by its size, not by end.
+	page, err = ListUntil(store, "b", "k/", "", "k/999999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Objects) != DefaultMaxKeys || !page.IsTruncated {
+		t.Fatalf("page = %d keys (truncated %v), want a full page, truncated", len(page.Objects), page.IsTruncated)
+	}
+}

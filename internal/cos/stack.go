@@ -347,6 +347,16 @@ func (s *Stack) List(bucket, prefix, marker string, maxKeys int) (res ListResult
 	return res, err
 }
 
+// ListUntil is the page ListUntil reads, charged and counted as one List of
+// the keys kept.
+func (s *Stack) ListUntil(bucket, prefix, marker, end string) (res ListResult, err error) {
+	err = s.do(opList, 0, func() (int64, error) {
+		res, err = ListUntil(s.inner, bucket, prefix, marker, end)
+		return int64(len(res.Objects)), err
+	})
+	return res, err
+}
+
 // ListBuckets implements Client.
 func (s *Stack) ListBuckets() (names []string, err error) {
 	err = s.do(opBucket, 0, func() (int64, error) {
