@@ -81,10 +81,12 @@ bench: build bench-e2e
 # their invocations read 2.154; a runner that range-GETs its staged payload
 # read 3.155, and a payload object per call 4.14. The third gate counts them
 # on the §6.4 MapReduce job (table3_mapreduce, 468 maps + 33 reducers): at
-# most 5 per call — payloads that ride the invocation and reducers started
-# by the map that completes their inputs spend 4.431; a runner GET per call
-# spent 5.365, a payload object per call 6.3, and reducers that poll the
-# status prefix while they wait 24.3. The fourth gate reads the same table3
+# most 4.4 per call — payloads that ride the invocation, reducers started
+# by the map that completes their inputs, and a spilled result committed in
+# its call's status object, after the record line, spend 4.328; a result
+# object beside the status spent 4.433, a runner GET per call 5.365, a
+# payload object per call 6.3, and reducers that poll the status prefix
+# while they wait 24.3. The fourth gate reads the same table3
 # line for what the simulator spends: at most 150 heap allocations per call
 # (a count, not host time). Hand-written codecs for the platform's payloads,
 # statuses, envelopes and refs read ~125; the same records through
@@ -95,10 +97,11 @@ bench: build bench-e2e
 # before the record codecs); JSON partitions decoded into []wire.KV read
 # 2,155. About half of what is left is the benchmark's own map function.
 # The sixth gate reads the same shuffle_tiers line for the COS arm's
-# requests: at most 19 per call. One object per map, range-read through a
-# stage index, with payloads riding the invocations reads 17.74; the same
-# with a runner GET per call read 18.71, and an object per map and reducer
-# 29.75. The seventh gate reads the socket workload
+# requests: at most 17.2 per call. Each map's frames committed in its status
+# object after the record line, range-read through a stage index, with
+# payloads riding the invocations, read 16.94; a map object beside each
+# status read 17.74, the same with a runner GET per call 18.71, and an
+# object per map and reducer 29.75. The seventh gate reads the socket workload
 # (server_http: PUT, GET and an 8-call map through gowren-server on its 20x
 # scaled clock): at most 1.75 COS requests per call. A driver that is pushed
 # its completions, status bodies included, by a watch on the in-process
@@ -134,8 +137,8 @@ bench-e2e:
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 2.3) }'
 	@line=$$(bash bench/run.sh --workload table3_mapreduce --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
-	echo "table3_mapreduce cos_requests_per_call = $${v:-missing} (gate: <= 5)"; \
-	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 5) }' || exit 1; \
+	echo "table3_mapreduce cos_requests_per_call = $${v:-missing} (gate: <= 4.4)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 4.4) }' || exit 1; \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"host_allocs_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
 	echo "table3_mapreduce host_allocs_per_call = $${v:-missing} (gate: <= 150)"; \
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 150) }'
@@ -144,8 +147,8 @@ bench-e2e:
 	echo "shuffle_tiers host_allocs_per_call = $${v:-missing} (gate: <= 1500)"; \
 	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 1500) }' || exit 1; \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
-	echo "shuffle_tiers cos_requests_per_call = $${v:-missing} (gate: <= 19)"; \
-	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 19) }'
+	echo "shuffle_tiers cos_requests_per_call = $${v:-missing} (gate: <= 17.2)"; \
+	[ -n "$$v" ] && awk -v v="$$v" 'BEGIN { exit !(v <= 17.2) }'
 	@line=$$(bash bench/run.sh --workload server_http --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	v=$$(printf '%s\n' "$$line" | sed -n 's/.*"cos_requests_per_call":{"unit":"count","value":\([0-9.eE+-]*\)}.*/\1/p'); \
 	echo "server_http cos_requests_per_call = $${v:-missing} (gate: <= 1.75)"; \

@@ -88,6 +88,7 @@ func exchangeChaosRun(t *testing.T, seed int64, transport string, maps, reducers
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	docs, _ := exchangeCorpus(maps)
 	store := cloud.Store()
 	if err := store.CreateBucket("corpus"); err != nil {

@@ -63,6 +63,7 @@ func fanInShuffleCloud(t *testing.T, cfg gowren.SimConfig, maps int) (*gowren.Cl
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	docs, want := exchangeCorpus(maps)
 	if err := cloud.Store().CreateBucket("corpus"); err != nil {
 		t.Fatal(err)
@@ -170,6 +171,7 @@ func TestRegionFanInPartitionHidesSiblingStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()

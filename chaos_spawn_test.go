@@ -38,6 +38,7 @@ func TestChaosMassiveSpawningCrashes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			watchJobShape(t, cloud)
 			var driven []*gowren.Executor
 			cloud.Run(func() {
 				exec, err := cloud.Executor(gowren.WithMassiveSpawning(50))
@@ -100,6 +101,7 @@ func TestChaosFanInCrashedMapRespawned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			watchJobShape(t, cloud)
 			var driven []*gowren.Executor
 			cloud.Run(func() {
 				exec, err := cloud.Executor()

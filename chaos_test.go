@@ -3,6 +3,7 @@ package gowren_test
 import (
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,6 +41,43 @@ func cleanLeavesNothing(t *testing.T, cloud *gowren.Cloud, execs ...*gowren.Exec
 			t.Errorf("Clean left manifests/%s (head: %v)", e.ID(), err)
 		}
 	}
+}
+
+// watchJobShape is the chaos acceptances' shape oracle: from the moment it
+// is called until the test ends it watches every write under jobs/ in the
+// meta bucket of cloud's store (the first region's, on a multi-region
+// cloud), and fails the test for any result object, jobs/{id}/result/…, or
+// COS shuffle map object, jobs/{id}/shuffle/map/…, written beside a status:
+// a call commits with its status object alone, whatever faults it ran into.
+// A watch that saw no write at all fails too.
+func watchJobShape(t *testing.T, cloud *gowren.Cloud) {
+	t.Helper()
+	var (
+		mu     sync.Mutex
+		writes int
+		strays []string
+	)
+	cancel := cloud.Store().Watch(cloud.Platform().MetaBucket(), "jobs/", func(key string, _ []byte) {
+		parts := strings.SplitN(key, "/", 4)
+		stray := len(parts) == 4 && (parts[2] == "result" || parts[2] == "shuffle" && strings.HasPrefix(parts[3], "map/"))
+		mu.Lock()
+		writes++
+		if stray {
+			strays = append(strays, key)
+		}
+		mu.Unlock()
+	})
+	t.Cleanup(func() {
+		cancel()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, key := range strays {
+			t.Errorf("a call wrote %s beside its status", key)
+		}
+		if writes == 0 {
+			t.Error("the shape oracle watched no write under jobs/")
+		}
+	})
 }
 
 // chaosImage registers the functions the fault-injection tests run.
@@ -90,6 +128,7 @@ func chaosRun(t *testing.T, seed int64) (results []int, elapsed time.Duration, c
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
@@ -178,6 +217,7 @@ func TestRecoveryBudgetExhaustionDeadLetters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
@@ -252,6 +292,7 @@ func TestControllerOutageWindowRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	var driven []*gowren.Executor
 	cloud.Run(func() {
 		exec, err := cloud.Executor()
@@ -309,6 +350,7 @@ func noisyNeighborRun(t *testing.T, seed int64) (victim []int, elapsed time.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchJobShape(t, cloud)
 	var driven []*gowren.Executor
 	cloud.Run(func() {
 		var noisyDone atomic.Bool

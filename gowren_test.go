@@ -416,9 +416,9 @@ func TestCleanAndStatsPublicAPI(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Results is 0: small outputs are inlined in status records, so no
-		// result objects are written.
-		if stats.Payloads != 2 || stats.Statuses != 2 || stats.Results != 0 {
+		// A call's status is its only object: small outputs ride the record
+		// line.
+		if stats.Payloads != 2 || stats.Statuses != 2 || stats.Shuffle != 0 {
 			t.Errorf("stats = %+v", stats)
 		}
 		if err := exec.Clean(); err != nil {
@@ -430,7 +430,7 @@ func TestCleanAndStatsPublicAPI(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if stats.Payloads+stats.Statuses+stats.Results != 0 {
+		if stats.Payloads+stats.Statuses+stats.Shuffle != 0 {
 			t.Errorf("post-clean stats = %+v", stats)
 		}
 	})

@@ -270,7 +270,7 @@ func TestAttachAfterFailedBatchPut(t *testing.T) {
 			t.Errorf("orphan %d committed no status: %v", i, err)
 			continue
 		}
-		rec, err := wire.DecodeStatus(body)
+		rec, _, err := wire.DecodeStatus(body)
 		if err != nil {
 			t.Error(err)
 			continue

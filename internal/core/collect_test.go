@@ -79,9 +79,11 @@ func TestCollectFetchesStatusesInParallel(t *testing.T) {
 	})
 }
 
-// TestCollectOneStatusGetPerCallSpilled: a result too large to inline costs
-// exactly one status GET and one result GET per call (the inlined case is
-// pinned by TestCollectionListingScalesWithCompletions).
+// TestCollectOneStatusGetPerCallSpilled: a result too large to inline rides
+// its status object after the record line, so it costs exactly one GET per
+// call, as an inlined one does (pinned by
+// TestCollectionListingScalesWithCompletions): no result object is written
+// or read.
 func TestCollectOneStatusGetPerCallSpilled(t *testing.T) {
 	const n = 24
 	e := newEnvWith(t, func(img *runtime.Image) {
@@ -124,8 +126,11 @@ func TestCollectOneStatusGetPerCallSpilled(t *testing.T) {
 	if got := gets.gets(statusPrefix); got != n {
 		t.Errorf("status GETs = %d, want %d (one per call)", got, n)
 	}
-	if got := gets.gets(resultPrefix); got != n {
-		t.Errorf("result GETs = %d, want %d (one per spilled result)", got, n)
+	if got := exec.StorageOps().GetOps; got != n {
+		t.Errorf("client GETs = %d, want %d: the status is the only object a spilled result is read from", got, n)
+	}
+	if got := gets.gets("result"); got != 0 {
+		t.Errorf("result GETs = %d, want 0", got)
 	}
 }
 

@@ -169,7 +169,6 @@ type JobStats struct {
 	// Payloads counts staged calls, not the batch objects holding them.
 	Payloads int
 	Statuses int
-	Results  int
 	Shuffle  int
 }
 
@@ -194,7 +193,6 @@ func (e *Executor) Stats() (JobStats, error) {
 		dst    *int
 	}{
 		{statusPrefix, &out.Statuses},
-		{resultPrefix, &out.Results},
 		{shufflePrefix, &out.Shuffle},
 	} {
 		listed, err := cos.ListAll(e.cfg.Storage, meta, fmt.Sprintf("jobs/%s/%s/", e.id, x.prefix))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gowren/internal/cos"
 	"gowren/internal/netsim"
 	"gowren/internal/runtime"
 	"gowren/internal/wire"
@@ -30,10 +31,22 @@ func TestCleanRemovesJobObjects(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Results stay 0: small outputs ride inline in the status records,
-		// so no result objects are ever written.
-		if stats.Payloads != 3 || stats.Statuses != 3 || stats.Results != 0 {
+		// A call's status is its only object: small outputs ride the
+		// record line, and nothing else is written under the job but its
+		// payload batch and journal.
+		if stats.Payloads != 3 || stats.Statuses != 3 || stats.Shuffle != 0 {
 			t.Errorf("pre-clean stats = %+v", stats)
+		}
+		listed, err := cos.ListAll(e.store, DefaultMetaBucket, "jobs/"+exec.ID()+"/")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, o := range listed {
+			kind := strings.Split(strings.TrimPrefix(o.Key, "jobs/"+exec.ID()+"/"), "/")[0]
+			if kind != payloadPrefix && kind != statusPrefix && kind != journalPrefix {
+				t.Errorf("the job wrote %s", o.Key)
+			}
 		}
 		if err := exec.Clean(); err != nil {
 			t.Error(err)
@@ -44,7 +57,7 @@ func TestCleanRemovesJobObjects(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if stats.Payloads != 0 || stats.Statuses != 0 || stats.Results != 0 {
+		if stats.Payloads != 0 || stats.Statuses != 0 || stats.Shuffle != 0 {
 			t.Errorf("post-clean stats = %+v", stats)
 		}
 	})

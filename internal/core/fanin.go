@@ -247,9 +247,9 @@ func (e *Executor) adoptFanIns(specs []wire.FanIn, byID map[string]*Future) erro
 // and the marker rewrite. Its request budget is 1 LIST per call, at most 2
 // marker PUTs per group, one failed conditional put per losing candidate,
 // and one range GET per target span, whose lines the launches carry inline
-// so the targets read no payload; the index adds count−1 status GETs and one
-// PUT per group.
-func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own *wire.StatusRecord) error {
+// so the targets read no payload; the index adds count−1 head-range status
+// GETs and one PUT per group.
+func (p *Platform) closeFanIn(ctx *runtime.Ctx, payload *wire.CallPayload, own committedStatus) error {
 	gate, err := resolveFanIn(payload.MetaBucket, payload.ExecutorID, payload.FanIn)
 	if err != nil {
 		return err

@@ -206,8 +206,8 @@ func TestFanInRequestBudgetPerObject(t *testing.T) {
 
 // TestFanInRequestBudgetShuffle is the 64×16-shaped job at small scale: one
 // barrier over the whole map phase launches all R reducers, which read
-// their slices of the M map objects through the stage index the launching
-// map wrote.
+// their slices of the M map statuses, whose frames follow the record line,
+// through the stage index the launching map wrote.
 func TestFanInRequestBudgetShuffle(t *testing.T) {
 	const reducers = 4
 	fe := newFanInEnv(t, nil)
@@ -235,16 +235,18 @@ func TestFanInRequestBudgetShuffle(t *testing.T) {
 	if fn.ListOps != int64(maps) {
 		t.Errorf("cloud-side LISTs = %d, want %d: one per map", fn.ListOps, maps)
 	}
-	// Per map one object and a status, per reducer a status, one stage
-	// index; the rest is the marker: one claim, one rewrite, one failed claim
-	// per losing candidate (these maps do finish close together).
-	markers := fn.PutOps - int64(maps+maps+reducers+1)
+	// Per map and per reducer one status, one stage index; the rest is the
+	// marker: one claim, one rewrite, one failed claim per losing candidate
+	// (these maps do finish close together). A map writes no object beside
+	// its status.
+	markers := fn.PutOps - int64(maps+reducers+1)
 	if markers < 2 || markers > 2+int64(maps-1) {
 		t.Errorf("marker PUTs = %d, want 2 plus at most %d losing candidates", markers, maps-1)
 	}
-	// Per map its document; the launching map's GETs of the other statuses
-	// and of its one target span; per reducer the index and one ranged GET
-	// per map object. No call reads its payload: each rode its invocation.
+	// Per map its document; the launching map's head-range GETs of the
+	// other statuses and its GET of its one target span; per reducer the
+	// index and one ranged GET per map status. No call reads its payload:
+	// each rode its invocation.
 	if want := int64(maps + (maps - 1) + 1 + reducers*(1+maps)); fn.GetOps != want {
 		t.Errorf("cloud-side GETs = %d, want %d", fn.GetOps, want)
 	}
@@ -256,8 +258,8 @@ func TestFanInRequestBudgetShuffle(t *testing.T) {
 	for _, o := range listed {
 		keys = append(keys, strings.TrimPrefix(o.Key, "jobs/"+exec.ID()+"/shuffle/"))
 	}
-	if want := []string{"index/00000", "map/00000", "map/00001", "map/00002", "map/00003", "map/00004", "map/00005"}; !slices.Equal(keys, want) {
-		t.Errorf("shuffle objects = %v, want %v: one per map and the index, no partition objects", keys, want)
+	if want := []string{"index/00000"}; !slices.Equal(keys, want) {
+		t.Errorf("shuffle objects = %v, want %v: the index alone, no map or partition objects", keys, want)
 	}
 	if got := fe.runnerActivations(); got != maps+reducers {
 		t.Errorf("runner activations = %d, want %d", got, maps+reducers)
@@ -321,9 +323,10 @@ func TestFanInSameInstantFinish(t *testing.T) {
 	if fn.ListOps != maps {
 		t.Errorf("cloud-side LISTs = %d, want %d", fn.ListOps, maps)
 	}
-	// Per map one object and a status, per reducer a status, the stage index
-	// and the winner's claim and rewrite: the rest are losing claims.
-	if losers := fn.PutOps - int64(maps+maps+reducers+1) - 2; losers < 1 || losers > maps-1 {
+	// Per map and per reducer a status (a map writes no object beside it),
+	// the stage index and the winner's claim and rewrite: the rest are
+	// losing claims.
+	if losers := fn.PutOps - int64(maps+reducers+1) - 2; losers < 1 || losers > maps-1 {
 		t.Errorf("losing claims = %d, want between 1 and %d", losers, maps-1)
 	}
 }

@@ -193,7 +193,7 @@ func (e *Executor) fetchStatusRecords(bucket string, calls []callRef) (recs []*w
 			continue
 		}
 		var err error
-		if decoded[i], err = wire.DecodeStatus(body); err != nil {
+		if decoded[i], err = decodeStatusObject(body); err != nil {
 			if errs == nil {
 				errs = make([]error, len(calls))
 			}
@@ -203,6 +203,18 @@ func (e *Executor) fetchStatusRecords(bucket string, calls []callRef) (recs []*w
 		recs[i] = &decoded[i]
 	}
 	return recs, errs
+}
+
+// decodeStatusObject decodes a whole status object: its record line, with
+// a result spilled after the line moved into Inline, so a record in hand
+// carries its result whichever way it was committed. Inline aliases body.
+func decodeStatusObject(body []byte) (wire.StatusRecord, error) {
+	rec, _, err := wire.DecodeStatus(body)
+	if err != nil || len(rec.Inline) > 0 || rec.ResultRef.Length == 0 {
+		return rec, err
+	}
+	rec.Inline, err = wire.SpilledEnvelope(&rec, body)
+	return rec, err
 }
 
 // sweepConsultThreshold is the number of consecutive failed status LISTs
@@ -576,9 +588,9 @@ type resolver struct {
 }
 
 // resolveAll turns successful status records into their final values, in
-// order; nil records are skipped. A value inlined in its record needs no
-// I/O and is decoded right here, on the calling task; only spilled results
-// and continuations go through the fetch pool.
+// order; nil records are skipped. Every record carries its envelope, so a
+// value needs no I/O and is decoded right here, on the calling task; only
+// continuations, which wait for further calls, go through the fetch pool.
 func (r *resolver) resolveAll(recs []*wire.StatusRecord, depth int) ([]json.RawMessage, error) {
 	out := make([]json.RawMessage, len(recs))
 	var slow []int
@@ -610,27 +622,14 @@ func (r *resolver) resolveAll(recs []*wire.StatusRecord, depth int) ([]json.RawM
 	return out, nil
 }
 
-// resolveStatus resolves a successful status record's result: from the
-// envelope inlined in the record when the runner embedded it (small
-// results — no result object exists at all), otherwise from the spilled
-// result object.
+// resolveStatus resolves a successful status record's result from the
+// envelope it carries: inlined by the runner, or spilled after the line and
+// moved into Inline when the status object was decoded.
 func (r *resolver) resolveStatus(rec *wire.StatusRecord, depth int) (json.RawMessage, error) {
-	if len(rec.Inline) > 0 {
-		env, err := wire.DecodeEnvelope(rec.Inline)
-		if err != nil {
-			return nil, err
-		}
-		return r.resolveEnvelope(&env, depth)
+	if len(rec.Inline) == 0 {
+		return nil, fmt.Errorf("core: status of call %s/%s carries no result", rec.ExecutorID, rec.CallID)
 	}
-	return r.resolveResultObject(rec.ResultRef, depth)
-}
-
-func (r *resolver) resolveResultObject(ref wire.ObjectRef, depth int) (json.RawMessage, error) {
-	data, _, err := r.exec.cfg.Storage.Get(ref.Bucket, ref.Key)
-	if err != nil {
-		return nil, fmt.Errorf("core: fetch result %s/%s: %w", ref.Bucket, ref.Key, err)
-	}
-	env, err := wire.DecodeEnvelope(data)
+	env, err := wire.DecodeEnvelope(rec.Inline)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 
 // Durable job journal and driver lease. In the PyWren model the client
 // process is the orchestrator, so a crashed driver used to lose the job even
-// though every payload, status, and result object was already durable. The
+// though every payload and status object was already durable. The
 // journal closes that gap: at first launch the executor creates a job
 // manifest in the meta bucket, and every recovery event (launches,
 // respawns, dead letters, replays) appends a journal record under its COS

@@ -29,7 +29,6 @@ import (
 const (
 	payloadPrefix = "payload"
 	statusPrefix  = "status"
-	resultPrefix  = "result"
 	shufflePrefix = "shuffle"
 	fanInPrefix   = "fanin"
 )
@@ -40,9 +39,6 @@ func jobKey(kind, execID, callID string) string {
 
 // statusKey is the commit point of a call: its existence means finished.
 func statusKey(execID, callID string) string { return jobKey(statusPrefix, execID, callID) }
-
-// resultKey holds the call's ResultEnvelope.
-func resultKey(execID, callID string) string { return jobKey(resultPrefix, execID, callID) }
 
 // statusListPrefix lists every finished call of an executor.
 func statusListPrefix(execID string) string {

@@ -12,7 +12,6 @@ import (
 func TestKeyHelpersUnchanged(t *testing.T) {
 	for _, c := range []struct{ got, want string }{
 		{jobKey(statusPrefix, "exec-000007", "00042"), "jobs/exec-000007/status/00042"},
-		{resultKey("exec-000007", "00042"), "jobs/exec-000007/result/00042"},
 		{statusListPrefix("exec-000007"), "jobs/exec-000007/status/"},
 		{manifestKey("exec-000007"), "manifests/exec-000007"},
 		{journalKey("exec-000007", 3, 17), "jobs/exec-000007/journal/000003-000017"},

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,9 +143,11 @@ func (g *watchGate) await(ctx *runtime.Ctx, own bool) error {
 	return errors.New("no wait armed a watch")
 }
 
-// registerGated registers pushedAdd7 (add7 once the collection watches) and
-// pushedFanout (once the collection watches, spawn pushedChild over 0..n-1;
-// each child is add7 once the composition's wait watches the children).
+// registerGated registers pushedAdd7 (add7 once the collection watches),
+// pushedBlob (a string of as many x as its argument, once the collection
+// watches) and pushedFanout (once the collection watches, spawn pushedChild
+// over 0..n-1; each child is add7 once the composition's wait watches the
+// children).
 func registerGated(t *testing.T, img *runtime.Image, g *watchGate) {
 	t.Helper()
 	plus7 := func(own bool) runtime.PlainFunc {
@@ -162,6 +165,16 @@ func registerGated(t *testing.T, img *runtime.Image, g *watchGate) {
 	for name, fn := range map[string]runtime.PlainFunc{
 		"pushedAdd7":  plus7(true),
 		"pushedChild": plus7(false),
+		"pushedBlob": func(ctx *runtime.Ctx, arg json.RawMessage) (any, error) {
+			var size int
+			if err := wire.Unmarshal(arg, &size); err != nil {
+				return nil, err
+			}
+			if err := g.await(ctx, true); err != nil {
+				return nil, err
+			}
+			return strings.Repeat("x", size), nil
+		},
 		"pushedFanout": func(ctx *runtime.Ctx, arg json.RawMessage) (any, error) {
 			var n int
 			if err := wire.Unmarshal(arg, &n); err != nil {
@@ -231,6 +244,33 @@ func TestScaledClockCollectionListsOnce(t *testing.T) {
 	}
 	if n := exec.StorageOps().GetOps; n != 0 {
 		t.Errorf("client GETs after the composition = %d, want 0", n)
+	}
+}
+
+// TestScaledClockSpilledResultPushed: a result too large to inline rides its
+// status object after the record line, so a spilled result committed after
+// the watch armed arrives with the pushed body and costs no GET either.
+func TestScaledClockSpilledResultPushed(t *testing.T) {
+	var gate watchGate
+	e := newScaledEnv(t, func(img *runtime.Image) { registerGated(t, img, &gate) })
+	exec := e.executor(t, nil)
+	gate.set(exec)
+	sizes := []any{inlineThreshold + 1, 4 * inlineThreshold, 100}
+	if _, err := exec.Map("pushedBlob", sizes); err != nil {
+		t.Fatal(err)
+	}
+	results, err := exec.GetResult(GetResultOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, raw := range results {
+		var s string
+		if err := wire.Unmarshal(raw, &s); err != nil || s != strings.Repeat("x", sizes[i].(int)) {
+			t.Errorf("result %d: %d bytes (err %v), want %d", i, len(s), err, sizes[i])
+		}
+	}
+	if ops := exec.StorageOps(); ops.GetOps != 0 || ops.ListOps != 1 {
+		t.Errorf("client GETs = %d, LISTs = %d; want 0 and 1: every status, spills included, was pushed", ops.GetOps, ops.ListOps)
 	}
 }
 

@@ -11,13 +11,15 @@ import (
 )
 
 // inlineThreshold is the largest record that rides inside another instead
-// of in an object of its own, in both directions of a call. A staged payload
-// line of at most this size travels in the invoke parameters beside its ref,
-// so the runner reads no payload; a serialized ResultEnvelope of at most
-// this size is embedded in the status record, so no result object is PUT or
-// fetched. 8 KiB keeps either record comfortably inside one request while
-// covering the paper's workloads, whose arguments and per-call outputs are
-// small.
+// of beside it, in both directions of a call. A staged payload line of at
+// most this size travels in the invoke parameters beside its ref, so the
+// runner reads no payload; a serialized ResultEnvelope of at most this size
+// is embedded in the status record, so the record line carries it. A larger
+// envelope spills into the same status object, after the line (see
+// wire.StatusObject): a call commits with one PUT and is collected with one
+// GET either way, and the line stays small enough for a head-range read.
+// 8 KiB keeps either record comfortably inside one request while covering
+// the paper's workloads, whose arguments and per-call outputs are small.
 const inlineThreshold = 8 << 10
 
 // invokeParams is what an invocation of the call staged at ref carries: the
@@ -53,15 +55,19 @@ func (p *Platform) runnerHandler() faas.Handler {
 		ended := ctx.Clock().Now()
 
 		// A shuffle map returns its value wrapped with the exchange
-		// advertisement; unwrap it so the ad rides the status
-		// record and the envelope sees the plain value (same pattern as
-		// the *wire.FuturesRef unwrap in envelopeFor).
-		var exchangeAd *wire.ExchangeAd
+		// advertisement (and, on COS, its frames); unwrap it so the ad and
+		// the frames ride the status object and the envelope sees the plain
+		// value (same pattern as the *wire.FuturesRef unwrap in envelopeFor).
+		var (
+			exchangeAd *wire.ExchangeAd
+			frames     []byte
+		)
 		if sr, ok := value.(*shuffleMapResult); ok {
-			exchangeAd = sr.ad
+			exchangeAd, frames = sr.ad, sr.frames
 			value = sr.value
 		}
 
+		key := statusKey(payload.ExecutorID, payload.CallID)
 		rec := wire.StatusRecord{
 			ExecutorID:   payload.ExecutorID,
 			CallID:       payload.CallID,
@@ -72,6 +78,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 			EndUnixNs:    ended.UnixNano(),
 			Exchange:     exchangeAd,
 		}
+		var spilled []byte
 		if runErr != nil {
 			rec.OK = false
 			rec.Error = runErr.Error()
@@ -83,37 +90,36 @@ func (p *Platform) runnerHandler() faas.Handler {
 				rec.OK = false
 				rec.Error = fmt.Sprintf("serialize result: %v", err)
 			case len(envBody) <= inlineThreshold:
-				// Small result: ride along in the status record; no result
-				// object is written or fetched for this call.
+				// Small result: ride along in the record line.
 				rec.OK = true
 				rec.Inline = envBody
 			default:
-				resRef := wire.ObjectRef{
-					Bucket: payload.MetaBucket,
-					Key:    resultKey(payload.ExecutorID, payload.CallID),
-				}
-				if _, err := ctx.Storage().Put(resRef.Bucket, resRef.Key, envBody); err != nil {
-					return nil, fmt.Errorf("core: runner store result: %w", err)
-				}
 				rec.OK = true
-				rec.ResultRef = resRef
+				rec.ResultRef = wire.ObjectRef{Bucket: payload.MetaBucket, Key: key}
+				spilled = envBody
 			}
 		}
-		statusBody := wire.MustMarshal(&rec)
-		if _, err := ctx.Storage().Put(payload.MetaBucket, statusKey(payload.ExecutorID, payload.CallID), statusBody); err != nil {
+		line, object := wire.StatusObject(&rec, frames, spilled)
+		putStart := ctx.Clock().Now()
+		meta, err := ctx.Storage().Put(payload.MetaBucket, key, object)
+		if err != nil {
 			// Without a status the client can never observe completion;
 			// surface the failure at the platform level instead.
 			return nil, fmt.Errorf("core: runner commit status: %w", err)
+		}
+		if frames != nil {
+			p.exchange.NoteWrite(putStart, ctx.Clock().Now())
 		}
 		if payload.FanIn != nil {
 			// The call is committed either way; a failure here only shows
 			// in the activation record, and the driver's backstop launches
 			// what this call could not.
-			if err := p.closeFanIn(ctx, payload, &rec); err != nil {
+			own := committedStatus{rec: &rec, line: int64(len(line)), etag: meta.ETag}
+			if err := p.closeFanIn(ctx, payload, own); err != nil {
 				return nil, err
 			}
 		}
-		return statusBody, nil
+		return line, nil
 	}
 }
 
@@ -170,7 +176,8 @@ func (p *Platform) dispatch(ctx *runtime.Ctx, payload *wire.CallPayload) (any, e
 }
 
 // awaitMapPartials fetches the value of every map call feeding this
-// reducer. Launched by its group's fan-in it finds them all committed; an
+// reducer, one status GET each: a spilled value rides its status object.
+// Launched by its group's fan-in it finds them all committed; an
 // activation started earlier falls into the paper's §4.3 semantics at the
 // first missing status: "The reduce function will wait for all the partial
 // results before processing them."
@@ -181,24 +188,18 @@ func (p *Platform) awaitMapPartials(ctx *runtime.Ctx, spec *wire.ReduceSpec) ([]
 	}
 	partials := make([]json.RawMessage, len(spec.MapCallIDs))
 	for i, callID := range spec.MapCallIDs {
-		statusBody, err := inputs.get(spec.MetaBucket, statusKey(spec.ExecutorID, callID))
+		body, err := inputs.get(spec.MetaBucket, statusKey(spec.ExecutorID, callID))
 		if err != nil {
 			return nil, fmt.Errorf("core: reduce fetch map status %s: %w", callID, err)
 		}
-		rec, err := wire.DecodeStatus(statusBody)
+		rec, err := decodeStatusObject(body)
 		if err != nil {
 			return nil, err
 		}
 		if !rec.OK {
 			return nil, fmt.Errorf("core: map call %s failed: %s: %w", callID, rec.Error, ErrCallFailed)
 		}
-		envBody := rec.Inline
-		if len(envBody) == 0 {
-			if envBody, _, err = ctx.Storage().Get(rec.ResultRef.Bucket, rec.ResultRef.Key); err != nil {
-				return nil, fmt.Errorf("core: reduce fetch map result %s: %w", callID, err)
-			}
-		}
-		env, err := wire.DecodeEnvelope(envBody)
+		env, err := wire.DecodeEnvelope(rec.Inline)
 		if err != nil {
 			return nil, err
 		}

@@ -346,7 +346,7 @@ func TestDriverSharedPollBound(t *testing.T) {
 	}
 	second := sharedExecutors(t, p, 1, func(string) cos.Client { return mk("1") })[0]
 	for i := range 1200 {
-		if _, err := store.Put(p.MetaBucket(), resultKey(filler.ID(), callIDForSeq(i)), []byte("{}")); err != nil {
+		if _, err := store.Put(p.MetaBucket(), jobKey(payloadPrefix, filler.ID(), callIDForSeq(i)), []byte("{}")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,14 +20,14 @@ import (
 // data shuffling as "one of the biggest challenges in running MapReduce
 // jobs over serverless architectures" and lists object storage among the
 // proposed shuffle media; this file implements exactly that — map
-// executors hash-partition their emitted key–value pairs into one object
-// per map in COS, and R reduce executors each range-read their partition of
-// every map output through the stage's index, grouping by key — plus the
-// fast tiers the follow-up literature argues for: a per-stage Exchange
-// selector can route the intermediates through the memory-tier cache node
-// or directly between the producing and consuming activations
-// (internal/exchange), with COS remaining the default and the correctness
-// baseline every fast-tier failure degrades back to.
+// executors hash-partition their emitted key–value pairs and commit them in
+// their status objects in COS, and R reduce executors each range-read their
+// partition of every map's status through the stage's index, grouping by
+// key — plus the fast tiers the follow-up literature argues for: a
+// per-stage Exchange selector can route the intermediates through the
+// memory-tier cache node or directly between the producing and consuming
+// activations (internal/exchange), with COS remaining the default and the
+// correctness baseline every fast-tier failure degrades back to.
 
 // ShuffleOptions tune MapReduceShuffle.
 type ShuffleOptions struct {
@@ -46,13 +46,16 @@ type ShuffleOptions struct {
 }
 
 // shuffleMapResult carries a shuffle-map call's user-visible value
-// together with its exchange advertisement; the runner unwraps it and
-// embeds the ad in the status record (like the *wire.FuturesRef unwrap in
-// envelopeFor). Every transport advertises: on COS the ad's partition sizes
-// are the map object's layout, which the stage index is built from.
+// together with its exchange advertisement and, on COS, its partition
+// frames; the runner unwraps it, embeds the ad in the status record and
+// commits the frames after the record line (like the *wire.FuturesRef
+// unwrap in envelopeFor). Every transport advertises: on COS the ad's
+// partition sizes are the frames' layout, which the stage index is built
+// from.
 type shuffleMapResult struct {
-	value any
-	ad    *wire.ExchangeAd
+	value  any
+	ad     *wire.ExchangeAd
+	frames []byte // COS only: the R frames, '\n'-joined
 }
 
 // MapReduceShuffle runs a keyed MapReduce: mapFn (a KV map function) over
@@ -136,11 +139,12 @@ func reducerForKey(key string, numReducers int) int {
 // framePartitions hash-partitions kvs into one KV frame per reducer, in
 // emission order, and counts the pairs in each. Pass one hashes every key
 // once and sums each reducer's frame size; pass two appends every pair in
-// place. All frames share one buffer laid out as the COS map object
-// (wire.ShuffleSpan): in reducer order, one '\n' apart, so object is what a
-// COS map writes and bodies[r], capped at its length, is reducer r's frame
-// for the fast tiers. framePartition frames one reducer's body the same
-// way, so a recomputed partition is the producer's byte for byte.
+// place. All frames share one buffer laid out as a COS map commits them
+// after its record line (wire.ShuffleSpan): in reducer order, one '\n'
+// apart, so object is what a COS map's status carries and bodies[r], capped
+// at its length, is reducer r's frame for the fast tiers. framePartition
+// frames one reducer's body the same way, so a recomputed partition is the
+// producer's byte for byte.
 func framePartitions(kvs []wire.KV, numReducers int) (object []byte, bodies [][]byte, counts []int) {
 	dest := make([]int, len(kvs))
 	sizes := make([]int, numReducers)
@@ -195,10 +199,12 @@ func framePartition(kvs []wire.KV, numReducers, reducer int) []byte {
 // JSON array: a nil value becomes null, invalid JSON fails the map, and a
 // value with whitespace or a character json escapes is compacted through
 // json.Marshal. Values from EmitKV are already in that form and are kept
-// as they are, without an allocation.
+// as they are, without an allocation; the strings it writes most are told
+// apart in one pass (wire.PlainString) before the general checks.
 func normalizeShuffleValues(kvs []wire.KV, numReducers int) error {
 	for i, kv := range kvs {
 		switch {
+		case wire.PlainString(kv.Value):
 		case kv.Value == nil:
 			kvs[i].Value = json.RawMessage("null")
 		case !json.Valid(kv.Value):
@@ -218,10 +224,11 @@ func normalizeShuffleValues(kvs []wire.KV, numReducers int) error {
 // runShuffleMap executes the map side: run the KV function, hash-partition
 // its output, and stage one partition per reducer (always, even when
 // empty, so reducers need no existence probes) on the selected exchange
-// transport: on COS all of them as one map object, on a fast tier one entry
-// each. Fast-tier refusals — cache down, entry too large, peers being
-// killed — degrade to a COS write per partition, so the shuffle never
-// depends on the fast tier being alive.
+// transport: on COS all of them in the map's status object, which the
+// runner writes (so the exchange's COS write span is that PUT's), on a fast
+// tier one entry each. Fast-tier refusals — cache down, entry too large,
+// peers being killed — degrade to a COS write per partition, so the shuffle
+// never depends on the fast tier being alive.
 func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (any, error) {
 	fn, err := ctx.Image().KVMap(payload.Function)
 	if err != nil {
@@ -247,6 +254,10 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 		transport = wire.ExchangeCOS
 	}
 	ad := &wire.ExchangeAd{Transport: transport, Partitions: descs}
+	value := map[string]any{"emitted": len(kvs), "perReducer": counts}
+	if transport == wire.ExchangeCOS {
+		return &shuffleMapResult{value: value, ad: ad, frames: object}, nil
+	}
 	writeStart := ctx.Clock().Now()
 
 	switch transport {
@@ -293,14 +304,8 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 				}
 			}
 		}
-	default: // wire.ExchangeCOS
-		if _, err := ctx.Storage().Put(payload.MetaBucket, wire.ShuffleMapKey(payload.ExecutorID, payload.CallID), object); err != nil {
-			return nil, fmt.Errorf("core: shuffle map write: %w", err)
-		}
 	}
 	p.exchange.NoteWrite(writeStart, ctx.Clock().Now())
-
-	value := map[string]any{"emitted": len(kvs), "perReducer": counts}
 	return &shuffleMapResult{value: value, ad: ad}, nil
 }
 
@@ -331,37 +336,74 @@ func exchangeCOS(spec *wire.ShuffleSpec) bool {
 
 // shuffleIndexed reports whether a shuffle stage's reducers read through a
 // stage index: on COS with more than one reducer. With one, a reducer's
-// partition is the whole map object.
+// partition is everything its map's status object carries after the line.
 func shuffleIndexed(spec *wire.ShuffleSpec) bool {
 	return exchangeCOS(spec) && spec.NumReducers > 1
 }
 
+// committedStatus is a status object as far as a stage-index build needs
+// it: the record, the length of its line — the frames start one byte past
+// it — and the object's ETag.
+type committedStatus struct {
+	rec  *wire.StatusRecord
+	line int64
+	etag string
+}
+
+// statusHeadBytes is the head range a stage-index build reads of a map's
+// status object: room for the record line of a map with a few dozen
+// reducers, without the frames after it.
+const statusHeadBytes = 4 << 10
+
+// readStatusHead reads the record line of the status object at key with a
+// ranged GET from its first byte, statusHeadBytes wide and four times wider
+// each time a full range holds no line break.
+func readStatusHead(storage cos.Client, bucket, key string) (committedStatus, error) {
+	for n := int64(statusHeadBytes); ; n *= 4 {
+		body, meta, err := storage.GetRange(bucket, key, 0, n)
+		if err != nil {
+			return committedStatus{}, err
+		}
+		line := bytes.IndexByte(body, '\n')
+		if line < 0 && int64(len(body)) == n {
+			continue
+		}
+		if line < 0 {
+			line = len(body)
+		}
+		rec, _, err := wire.DecodeStatus(body[:line])
+		if err != nil {
+			return committedStatus{}, err
+		}
+		return committedStatus{rec: &rec, line: int64(line), etag: meta.ETag}, nil
+	}
+}
+
 // buildShuffleIndex builds a COS shuffle stage's index from its map
-// statuses: the partition sizes each map advertised are its object's
-// layout. own, when set, is the calling map's status, already in hand; the
-// others are fetched in parallel. A failed map fails the build.
-func (p *Platform) buildShuffleIndex(ctx *runtime.Ctx, bucket, execID string, mapIDs []string, reducers int, own *wire.StatusRecord) ([]byte, error) {
+// statuses: the partition sizes each map advertised are the layout of the
+// frames after its record line, and the ETag its status was read at pins
+// that layout. own, when set, is the calling map's status, already in hand;
+// the others' record lines are read in parallel, head ranges only. A failed
+// map fails the build.
+func (p *Platform) buildShuffleIndex(ctx *runtime.Ctx, bucket, execID string, mapIDs []string, reducers int, own *committedStatus) ([]byte, error) {
 	idx := wire.ShuffleIndex{Maps: make([]wire.PayloadSpan, len(mapIDs))}
 	errs := fetchFor(ctx.Clock(), shuffleIndexFetchers, len(mapIDs), func(i int) error {
-		rec := own
-		if rec == nil || rec.CallID != mapIDs[i] {
-			body, _, err := ctx.Storage().Get(bucket, statusKey(execID, mapIDs[i]))
+		key := statusKey(execID, mapIDs[i])
+		st := own
+		if st == nil || st.rec.CallID != mapIDs[i] {
+			head, err := readStatusHead(ctx.Storage(), bucket, key)
 			if err != nil {
 				return fmt.Errorf("map status %s: %w", mapIDs[i], err)
 			}
-			decoded, err := wire.DecodeStatus(body)
-			if err != nil {
-				return err
-			}
-			rec = &decoded
+			st = &head
 		}
-		switch {
+		switch rec := st.rec; {
 		case !rec.OK:
 			return fmt.Errorf("map call %s failed: %s: %w", mapIDs[i], rec.Error, ErrCallFailed)
 		case rec.Exchange == nil || len(rec.Exchange.Partitions) != reducers:
-			return fmt.Errorf("map call %s advertises no %d-partition object", mapIDs[i], reducers)
+			return fmt.Errorf("map call %s advertises no %d-partition frames", mapIDs[i], reducers)
 		}
-		idx.Maps[i] = wire.ShuffleSpan(wire.ShuffleMapKey(execID, mapIDs[i]), rec.Exchange.Partitions)
+		idx.Maps[i] = wire.ShuffleSpan(key, st.etag, st.line+1, st.rec.Exchange.Partitions)
 		return nil
 	})
 	if err := firstErr(errs); err != nil {
@@ -374,7 +416,7 @@ func (p *Platform) buildShuffleIndex(ctx *runtime.Ctx, bucket, execID string, ma
 // after the claim and before the reducers launch: it builds the stage index
 // and writes it, create-only. Reducers that find no index — this closer
 // died or failed here — rebuild it the same way (loadShuffleIndex).
-func (p *Platform) indexShuffleStage(ctx *runtime.Ctx, gate *fanInGate, payload *wire.CallPayload, own *wire.StatusRecord) error {
+func (p *Platform) indexShuffleStage(ctx *runtime.Ctx, gate *fanInGate, payload *wire.CallPayload, own committedStatus) error {
 	if payload.Kind != wire.KindShuffleMap || !shuffleIndexed(payload.Shuffle) {
 		return nil
 	}
@@ -382,7 +424,7 @@ func (p *Platform) indexShuffleStage(ctx *runtime.Ctx, gate *fanInGate, payload 
 	for i := range mapIDs {
 		mapIDs[i] = callIDForSeq(gate.first + i)
 	}
-	body, err := p.buildShuffleIndex(ctx, gate.bucket, gate.execID, mapIDs, payload.Shuffle.NumReducers, own)
+	body, err := p.buildShuffleIndex(ctx, gate.bucket, gate.execID, mapIDs, payload.Shuffle.NumReducers, &own)
 	if err != nil {
 		return err
 	}
@@ -419,6 +461,12 @@ func (p *Platform) loadShuffleIndex(ctx *runtime.Ctx, payload *wire.CallPayload,
 	if err != nil {
 		return nil, fmt.Errorf("core: shuffle reduce index %s: %w", key, err)
 	}
+	return decodeShuffleIndex(spec, key, body)
+}
+
+// decodeShuffleIndex decodes the index at key and checks that it locates
+// the stage's maps and partitions.
+func decodeShuffleIndex(spec *wire.ShuffleSpec, key string, body []byte) (*wire.ShuffleIndex, error) {
 	idx, err := wire.DecodeShuffleIndex(body)
 	if err != nil {
 		return nil, err
@@ -430,25 +478,80 @@ func (p *Platform) loadShuffleIndex(ctx *runtime.Ctx, payload *wire.CallPayload,
 	return idx, nil
 }
 
-// readMapObjects returns how a COS reducer reads its partition of map m:
-// the whole map object when R = 1, else its slice of it, one ranged GET
-// located by the stage index.
-func (p *Platform) readMapObjects(ctx *runtime.Ctx, payload *wire.CallPayload, inputs *inputBarrier) (func(m int) ([]byte, error), error) {
+// readMapFrames returns how a COS reducer reads its partition of map m out
+// of the map's status object: when R = 1 the frame after the record line of
+// the whole object, else its slice, one ranged GET located by the stage
+// index. A slice read from another version of a status than the one the
+// index pinned — the map ran again after the index was written — makes the
+// reducer rebuild the index in memory from the current statuses, with no
+// PUT, and read again; a second mismatch fails the reducer.
+func (p *Platform) readMapFrames(ctx *runtime.Ctx, payload *wire.CallPayload, inputs *inputBarrier) (func(m int) ([]byte, error), error) {
 	spec := payload.Shuffle
 	if !shuffleIndexed(spec) {
 		return func(m int) ([]byte, error) {
-			return inputs.get(payload.MetaBucket, wire.ShuffleMapKey(payload.ExecutorID, spec.MapCallIDs[m]))
+			body, err := inputs.get(payload.MetaBucket, statusKey(payload.ExecutorID, spec.MapCallIDs[m]))
+			if err != nil {
+				return nil, err
+			}
+			return wholeMapFrame(body)
 		}, nil
 	}
 	idx, err := p.loadShuffleIndex(ctx, payload, inputs)
 	if err != nil {
 		return nil, err
 	}
+	rebuilt := false
 	return func(m int) ([]byte, error) {
-		ref := idx.Maps[m].Ref(payload.MetaBucket, spec.Reducer)
-		body, _, err := ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
-		return body, err
+		for {
+			span := idx.Maps[m]
+			ref := span.Ref(payload.MetaBucket, spec.Reducer)
+			body, meta, err := ctx.Storage().GetRange(ref.Bucket, ref.Key, ref.Offset, ref.Length)
+			switch {
+			case err == nil && meta.ETag == span.ETag:
+				return body, nil
+			case err != nil && !errors.Is(err, cos.ErrInvalidRange):
+				return nil, err
+			case rebuilt:
+				return nil, fmt.Errorf("core: status of map %s changed under a rebuilt stage index (ETag %s, index %s)",
+					spec.MapCallIDs[m], meta.ETag, span.ETag)
+			}
+			p.trace.Emitf(ctx.Clock().Now(), trace.KindExchange, ctx.ActivationID(),
+				"transport=cos op=index map=%s stale etag=%s rebuilt", spec.MapCallIDs[m], span.ETag)
+			if idx, err = p.rebuildShuffleIndex(ctx, payload); err != nil {
+				return nil, err
+			}
+			rebuilt = true
+		}
 	}, nil
+}
+
+// rebuildShuffleIndex builds a stage index from the map statuses as they are
+// now, for this reducer alone: the stored index is left as it is.
+func (p *Platform) rebuildShuffleIndex(ctx *runtime.Ctx, payload *wire.CallPayload) (*wire.ShuffleIndex, error) {
+	spec := payload.Shuffle
+	body, err := p.buildShuffleIndex(ctx, payload.MetaBucket, payload.ExecutorID, spec.MapCallIDs, spec.NumReducers, nil)
+	if err != nil {
+		return nil, err
+	}
+	return decodeShuffleIndex(spec, wire.ShuffleIndexKey(payload.ExecutorID, spec.MapCallIDs[0]), body)
+}
+
+// wholeMapFrame cuts the one frame of an R = 1 COS map out of its whole
+// status object.
+func wholeMapFrame(body []byte) ([]byte, error) {
+	rec, rest, err := wire.DecodeStatus(body)
+	switch {
+	case err != nil:
+		return nil, err
+	case !rec.OK:
+		return nil, fmt.Errorf("map call %s failed: %s: %w", rec.CallID, rec.Error, ErrCallFailed)
+	case rec.Exchange == nil || len(rec.Exchange.Partitions) != 1:
+		return nil, fmt.Errorf("map call %s advertises no 1-partition frame", rec.CallID)
+	}
+	if n := rec.Exchange.Partitions[0].Bytes; n >= 0 && n <= int64(len(rest)) {
+		return rest[:n], nil
+	}
+	return nil, fmt.Errorf("map call %s advertises a %d-byte frame in %d bytes", rec.CallID, rec.Exchange.Partitions[0].Bytes, len(rest))
 }
 
 // fetchShufflePartition fetches this reducer's partition of one map call
@@ -580,10 +683,10 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 	}
 	spec := payload.Shuffle
 
-	// The shuffle partitions are staged before the map status commits, so
-	// the map statuses (same mechanism as plain reducers) are the barrier on
-	// every transport — taken only if a partition or the index turns out to
-	// be missing.
+	// The shuffle partitions are staged no later than the map status
+	// commits (on COS they ride it), so the map statuses (same mechanism as
+	// plain reducers) are the barrier on every transport — taken only if a
+	// partition, a status or the index turns out to be missing.
 	inputs := &inputBarrier{
 		ctx: ctx, who: "shuffle reduce", inputs: spec.MapCallIDs,
 		ns: nsKey{bucket: payload.MetaBucket, execID: payload.ExecutorID},
@@ -592,7 +695,7 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 	readStart := ctx.Clock().Now()
 	var fetch func(m int) ([]byte, error)
 	if exchangeCOS(spec) {
-		if fetch, err = p.readMapObjects(ctx, payload, inputs); err != nil {
+		if fetch, err = p.readMapFrames(ctx, payload, inputs); err != nil {
 			return nil, err
 		}
 	} else {

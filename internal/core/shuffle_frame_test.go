@@ -220,9 +220,9 @@ func TestNormalizeShuffleValuesMatchesMarshal(t *testing.T) {
 }
 
 // TestFramePartitionMatchesFramePartitions: the single-reducer framing
-// recomputation uses builds the producer's body byte for byte, and the map
-// object is the bodies joined as a payload batch, so the span its
-// advertised sizes give cuts every body back out of it.
+// recomputation uses builds the producer's body byte for byte, and the
+// frames a map commits are the bodies joined as a payload batch, so the span
+// its advertised sizes give cuts every body back out of them.
 func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 	kvs := make([]wire.KV, 200)
 	for i := range kvs {
@@ -232,7 +232,7 @@ func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 		object, bodies, counts := framePartitions(kvs, r)
 		joined, bounds := wire.JoinPayloads(bodies)
 		if !bytes.Equal(object, joined) {
-			t.Errorf("R=%d: map object = %q, joined bodies = %q", r, object, joined)
+			t.Errorf("R=%d: map frames = %q, joined bodies = %q", r, object, joined)
 		}
 		descs := make([]wire.PartitionDescriptor, r)
 		for i, body := range bodies {
@@ -241,7 +241,7 @@ func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 				t.Errorf("R=%d reducer %d: body len %d cap %d, want capped", r, i, len(body), cap(body))
 			}
 		}
-		span := wire.ShuffleSpan("k", descs)
+		span := wire.ShuffleSpan("k", "", 0, descs)
 		if fmt.Sprint(span.Bounds) != fmt.Sprint(bounds) {
 			t.Errorf("R=%d: span bounds %v, batch bounds %v", r, span.Bounds, bounds)
 		}
@@ -261,7 +261,7 @@ func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 // JSON and HTML characters hands the reducer null, compacted JSON and
 // escaped strings, as the JSON partitions did. A map emitting invalid JSON
 // fails (TestNormalizeShuffleValuesMatchesMarshal pins its error), so it
-// writes no map object and no stage index can be built: its reducers fail
+// commits no frames and no stage index can be built: its reducers fail
 // naming the failed map instead of handing the reduce function a value it
 // cannot decode.
 func TestShuffleValuesReachReducerAsJSON(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"gowren/internal/cos"
 	"gowren/internal/runtime"
+	"gowren/internal/trace"
 	"gowren/internal/wire"
 )
 
@@ -195,9 +197,10 @@ func TestShuffleWithChunkedPartitions(t *testing.T) {
 }
 
 // TestShuffleCleanRemovesShuffleFiles is the shuffle's leak check: what a
-// shuffle leaves in the meta bucket — the COS transport's map objects and
-// stage index, or an evicting cache's spills — sits under the job's shuffle
-// prefix, and after Clean nothing is left under the job or the manifests.
+// shuffle leaves in the meta bucket besides its statuses — the COS
+// transport's stage index, or an evicting cache's spills — sits under the
+// job's shuffle prefix, and after Clean nothing is left under the job or the
+// manifests.
 func TestShuffleCleanRemovesShuffleFiles(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -226,8 +229,9 @@ func TestShuffleCleanRemovesShuffleFiles(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// 3 map objects and the stage index, or one spill per eviction.
-				want := int64(3 + 1)
+				// The stage index alone (the maps' frames ride their
+				// statuses), or one spill per eviction.
+				want := int64(1)
 				if ops := e.platform.ExchangeOps(); tc.exchange == wire.ExchangeMemory {
 					if ops.Evictions == 0 || ops.Spills != ops.Evictions {
 						t.Errorf("evictions = %d, spills = %d: want the cache to evict and spill each", ops.Evictions, ops.Spills)
@@ -307,8 +311,9 @@ func TestCleanListsOnce(t *testing.T) {
 }
 
 // TestShuffleOneReducerWritesNoIndex: with R = 1 a reducer's partition is
-// the whole map object, so the COS transport writes the map objects and no
-// stage index, and the reducer reads each object with a plain GET.
+// the one frame after its map's record line, so the COS transport writes
+// nothing under shuffle/ — no stage index, no object beside the statuses —
+// and the reducer reads each map's status with a plain GET.
 func TestShuffleOneReducerWritesNoIndex(t *testing.T) {
 	e, want := newShuffleEnv(t)
 	got := decodeWordCounts(t, runShuffleJob(t, e, wire.ExchangeCOS, 1))
@@ -317,17 +322,17 @@ func TestShuffleOneReducerWritesNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maps int
+	var statuses int
 	for _, o := range listed {
 		switch {
-		case strings.Contains(o.Key, "/shuffle/map/"):
-			maps++
+		case strings.Contains(o.Key, "/"+statusPrefix+"/"):
+			statuses++
 		case strings.Contains(o.Key, "/shuffle/"):
 			t.Errorf("R = 1 shuffle wrote %s", o.Key)
 		}
 	}
-	if maps != 3 {
-		t.Errorf("map objects = %d, want 3", maps)
+	if statuses != 3+1 {
+		t.Errorf("statuses = %d, want 4: 3 maps and the reducer", statuses)
 	}
 }
 
@@ -378,5 +383,95 @@ func TestReducerKeySpreadAcrossPartitions(t *testing.T) {
 		if c == 0 {
 			t.Fatalf("reducer %d received no keys: %v", i, counts)
 		}
+	}
+}
+
+// TestShuffleStaleIndexRebuilt: a map's status rewritten between the stage
+// index write and the reducers' reads — the map ran again and its frames
+// moved — no longer has the ETag the index pinned. Each reducer that reads
+// it rebuilds the index in memory from the current statuses, writes nothing,
+// and reads again, so the results are the rewritten map's.
+func TestShuffleStaleIndexRebuilt(t *testing.T) {
+	const reducers = 3
+	fe := newFanInEnv(t, nil)
+	if err := fe.store.CreateBucket("corpus"); err != nil {
+		t.Fatal(err)
+	}
+	docs := []string{"apple banana apple", "cherry date", "banana egg egg"}
+	for i, body := range docs {
+		if _, err := fe.store.Put("corpus", fmt.Sprintf("doc-%d", i), []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Map 00000 is rewritten to have read these words instead of doc-0's.
+	rewritten := []string{"zebra", "apple", "zebra", "fig", "quince", "zebra"}
+	want := map[string]int{}
+	for _, w := range append(strings.Fields(docs[1]+" "+docs[2]), rewritten...) {
+		want[w]++
+	}
+	exec := fe.executor(t, nil)
+	meta := fe.platform.MetaBucket()
+	indexKey := wire.ShuffleIndexKey(exec.ID(), callIDForSeq(0))
+	var results []json.RawMessage
+	var index []byte
+	fe.clk.Run(func() {
+		if _, err := exec.MapReduceShuffle("kv/words", Buckets{"corpus"}, "kv/sum", ShuffleOptions{NumReducers: reducers}); err != nil {
+			t.Error(err)
+			return
+		}
+		// Wait, reading the store directly, for the closer's index; the
+		// reducers it launched are still starting.
+		for {
+			var err error
+			if index, _, err = fe.store.Get(meta, indexKey); err == nil {
+				break
+			}
+			fe.clk.Sleep(time.Millisecond)
+		}
+		key := statusKey(exec.ID(), callIDForSeq(0))
+		body, _, err := fe.store.Get(meta, key)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rec, _, err := wire.DecodeStatus(body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		kvs := make([]wire.KV, len(rewritten))
+		for i, w := range rewritten {
+			kvs[i] = wire.KV{Key: w, Value: json.RawMessage("1")}
+		}
+		frames, bodies, counts := framePartitions(kvs, reducers)
+		for r := range bodies {
+			rec.Exchange.Partitions[r] = wire.PartitionDescriptor{Reducer: r, Bytes: int64(len(bodies[r])), Keys: counts[r]}
+		}
+		_, object := wire.StatusObject(&rec, frames, nil)
+		if _, err := fe.store.Put(meta, key, object); err != nil {
+			t.Error(err)
+			return
+		}
+		if results, err = exec.GetResult(GetResultOptions{Timeout: time.Hour}); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	got := decodeWordCounts(t, results)
+	checkWordCounts(t, "rewritten map", got, want)
+	stale := 0
+	for _, ev := range fe.tr.Events() {
+		if ev.Kind == trace.KindExchange && strings.Contains(ev.Detail, "op=index map=00000 stale") {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Error("no reducer found the index stale: the rewrite landed after the reads")
+	}
+	after, _, err := fe.store.Get(meta, indexKey)
+	if err != nil || !bytes.Equal(after, index) {
+		t.Errorf("stored index changed (err %v): a rebuild for a stale read writes nothing", err)
 	}
 }

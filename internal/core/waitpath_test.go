@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,8 +166,8 @@ func TestSweepForgetRacesInflightSweep(t *testing.T) {
 // number of times and poll a bounded number of times, however many futures
 // it has. A sweep that re-lists the whole prefix on every poll pays ~50n
 // objects at 1,000 futures and 2,567,577 objects in 2,717 LISTs at 10,000
-// (EXPERIMENTS.md, "Retired baselines"). It also checks that small results
-// never touch a result object.
+// (EXPERIMENTS.md, "Retired baselines"). It also checks that the client
+// reads each small result out of its status with that one GET.
 func TestCollectionListingScalesWithCompletions(t *testing.T) {
 	// Polls follow the job's simulated duration, not its size: measured 312
 	// and 308 LISTs.
@@ -242,12 +243,8 @@ func TestCollectionListingScalesWithCompletions(t *testing.T) {
 			if ops.PutOps != tc.puts {
 				t.Errorf("client issued %d PUTs for %d futures, want %d", ops.PutOps, n, tc.puts)
 			}
-			// busy returns an int: every result inlines, so the collection
-			// issues zero result-object GETs — there are no result objects
-			// at all.
-			if stats.Results != 0 {
-				t.Errorf("result objects = %d, want 0 (small results must inline)", stats.Results)
-			}
+			// busy returns an int: every result rides its record line, and
+			// a call's status is its only object.
 			if stats.Statuses != n {
 				t.Errorf("status objects = %d, want %d", stats.Statuses, n)
 			}
@@ -256,30 +253,18 @@ func TestCollectionListingScalesWithCompletions(t *testing.T) {
 }
 
 // TestInlineAndSpilledResultsResolveIdentically pins the inline threshold
-// semantics: a value under the threshold rides in the status record (no
-// result object), one over it spills to a result object, and both resolve
-// to the same bytes through GetResult.
+// semantics: a value under the threshold rides in the record line, and the
+// status object is the line alone; one over it spills into the same status
+// object, after the line; both resolve to the same bytes through GetResult.
 func TestInlineAndSpilledResultsResolveIdentically(t *testing.T) {
-	newBlobEnv := func() *env {
-		return newEnvWith(t, func(img *runtime.Image) {
-			if err := img.RegisterPlain("blob", func(_ *runtime.Ctx, arg json.RawMessage) (any, error) {
-				var size int
-				if err := wire.Unmarshal(arg, &size); err != nil {
-					return nil, err
-				}
-				return strings.Repeat("x", size), nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	run := func(size int) (string, JobStats) {
-		e := newBlobEnv()
+	run := func(size int) (string, []byte) {
+		e := newBlobEnv(t)
 		exec := e.executor(t, nil)
 		var got string
-		var stats JobStats
+		var status []byte
 		e.clk.Run(func() {
-			if _, err := exec.Map("blob", []any{size}); err != nil {
+			fs, err := exec.Map("blob", []any{size})
+			if err != nil {
 				t.Error(err)
 				return
 			}
@@ -292,29 +277,197 @@ func TestInlineAndSpilledResultsResolveIdentically(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			stats, err = exec.Stats()
-			if err != nil {
+			if status, _, err = e.store.Get(e.platform.MetaBucket(), statusKey(exec.ID(), fs[0].CallID())); err != nil {
 				t.Error(err)
+				return
+			}
+			stats, err := exec.Stats()
+			if err != nil || stats.Statuses != 1 || stats.Shuffle != 0 {
+				t.Errorf("stats = %+v (err %v), want the one status", stats, err)
 			}
 		})
-		return got, stats
+		return got, status
 	}
 
-	small, smallStats := run(256)
+	small, smallStatus := run(256)
 	if small != strings.Repeat("x", 256) {
 		t.Errorf("inlined result corrupted: %d bytes", len(small))
 	}
-	if smallStats.Results != 0 {
-		t.Errorf("small result wrote %d result objects, want 0 (inlined)", smallStats.Results)
+	if bytes.IndexByte(smallStatus, '\n') >= 0 {
+		t.Errorf("an inlined result's status object holds more than its record: %q", smallStatus)
 	}
 
 	bigSize := 4 * inlineThreshold
-	big, bigStats := run(bigSize)
+	big, bigStatus := run(bigSize)
 	if big != strings.Repeat("x", bigSize) {
 		t.Errorf("spilled result corrupted: %d bytes, want %d", len(big), bigSize)
 	}
-	if bigStats.Results != 1 {
-		t.Errorf("large result wrote %d result objects, want 1 (spilled)", bigStats.Results)
+	line, env, _ := bytes.Cut(bigStatus, []byte{'\n'})
+	if want := wire.MustMarshal(envelopeFor(big)); !bytes.Equal(env, want) || len(line) > 1024 {
+		t.Errorf("spilled status object = %d-byte line + %d bytes, want a short line + the %d-byte envelope", len(line), len(env), len(want))
+	}
+}
+
+// registerBlob registers "blob", which returns a string of as many x as its
+// argument.
+func registerBlob(t *testing.T, img *runtime.Image) {
+	t.Helper()
+	if err := img.RegisterPlain("blob", func(_ *runtime.Ctx, arg json.RawMessage) (any, error) {
+		var size int
+		if err := wire.Unmarshal(arg, &size); err != nil {
+			return nil, err
+		}
+		return strings.Repeat("x", size), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newBlobEnv is an env with "blob" and a "lens" reducer that sums its
+// partials' lengths.
+func newBlobEnv(t *testing.T) *env {
+	return newEnvWith(t, func(img *runtime.Image) {
+		registerBlob(t, img)
+		if err := img.RegisterReduce("lens", func(_ *runtime.Ctx, _ string, partials []json.RawMessage) (any, error) {
+			total := 0
+			for _, p := range partials {
+				var s string
+				if err := wire.Unmarshal(p, &s); err != nil {
+					return nil, err
+				}
+				total += len(s)
+			}
+			return total, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSmallestSpillRoundTrips: a result whose envelope is inlineThreshold+1
+// bytes, the smallest that spills, comes back whole through GetResult, a
+// plain reducer and a driver that attached to the job; every one of them
+// reads it out of the status object.
+func TestSmallestSpillRoundTrips(t *testing.T) {
+	size := inlineThreshold + 1 - len(wire.MustMarshal(envelopeFor("")))
+	if n := len(wire.MustMarshal(envelopeFor(strings.Repeat("x", size)))); n != inlineThreshold+1 {
+		t.Fatalf("envelope of %d x is %d bytes, want %d", size, n, inlineThreshold+1)
+	}
+	e := newBlobEnv(t)
+	exec := e.executor(t, nil)
+	e.clk.Run(func() {
+		fs, err := exec.Map("blob", []any{size, size})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		results, err := exec.GetResult(GetResultOptions{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, raw := range results {
+			var s string
+			if err := wire.Unmarshal(raw, &s); err != nil || s != strings.Repeat("x", size) {
+				t.Errorf("GetResult %d: %d bytes (err %v), want %d", i, len(s), err, size)
+			}
+		}
+		body, _, err := e.store.Get(e.platform.MetaBucket(), statusKey(exec.ID(), fs[0].CallID()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if rec, _, err := wire.DecodeStatus(body); err != nil || len(rec.Inline) != 0 || rec.ResultRef.Length != inlineThreshold+1 {
+			t.Errorf("status record %+v (err %v), want a %d-byte spill", rec, err, inlineThreshold+1)
+		}
+
+		if _, err := exec.MapReduce("blob", InlineValues{size, size, size}, "lens", MapReduceOptions{}); err != nil {
+			t.Error(err)
+			return
+		}
+		results, err = exec.GetResult(GetResultOptions{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var total int
+		if err := wire.Unmarshal(results[len(results)-1], &total); err != nil || total != 3*size {
+			t.Errorf("reducer summed %d (err %v), want %d", total, err, 3*size)
+		}
+
+		// A driver that dies right after launching leaves the spills to the
+		// one that attaches.
+		if _, err := exec.Map("blob", []any{size}); err != nil {
+			t.Error(err)
+			return
+		}
+		attached, err := AttachExecutor(e.attachConfig(), exec.ID())
+		if err != nil {
+			t.Errorf("attach: %v", err)
+			return
+		}
+		results, err = attached.GetResult(GetResultOptions{})
+		if err != nil {
+			t.Errorf("get result after attach: %v", err)
+			return
+		}
+		var s string
+		if err := wire.Unmarshal(results[len(results)-1], &s); err != nil || s != strings.Repeat("x", size) {
+			t.Errorf("attached driver's result: %d bytes (err %v), want %d", len(s), err, size)
+		}
+	})
+}
+
+// TestActivationResultIsRecordLine: whatever a call commits after its record
+// line — a spilled result, a COS shuffle map's frames — stays in its status
+// object: the activation's own result is the record line alone.
+func TestActivationResultIsRecordLine(t *testing.T) {
+	e := newEnvFull(t, nil, func(img *runtime.Image) {
+		registerShuffleFunctions(t, img)
+		registerBlob(t, img)
+	})
+	if err := e.store.CreateBucket("corpus"); err != nil {
+		t.Fatal(err)
+	}
+	for i, doc := range []string{"apple banana", "cherry apple", "date"} {
+		if _, err := e.store.Put("corpus", fmt.Sprintf("doc-%d", i), []byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec := e.executor(t, nil)
+	e.clk.Run(func() {
+		if _, err := exec.Map("blob", []any{4 * inlineThreshold}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := exec.MapReduceShuffle("kv/words", Buckets{"corpus"}, "kv/sum", ShuffleOptions{NumReducers: 2}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+			t.Error(err)
+		}
+	})
+	bulky := 0
+	for _, a := range e.platform.Controller().Activations() {
+		var rec wire.StatusRecord
+		if err := wire.Unmarshal(a.Result, &rec); err != nil {
+			t.Fatalf("activation %s result %q: %v", a.ID, a.Result, err)
+		}
+		status, _, err := e.store.Get(e.platform.MetaBucket(), statusKey(rec.ExecutorID, rec.CallID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, rest, _ := bytes.Cut(status, []byte{'\n'})
+		if !bytes.Equal(a.Result, line) {
+			t.Errorf("call %s: activation result %q, want its record line %q", rec.CallID, a.Result, line)
+		}
+		if len(rest) > 0 {
+			bulky++
+		}
+	}
+	if bulky != 1+3 { // the spilled result and the three maps' frames
+		t.Errorf("%d status objects carry bulk after the line, want 4", bulky)
 	}
 }
 

@@ -79,6 +79,9 @@ type PayloadSpan struct {
 	// boundary: call i occupies bytes [Bounds[i], Bounds[i+1]-1), the byte
 	// before each next boundary being the separator (or the object's end).
 	Bounds []int64 `json:"bounds"`
+	// ETag, when set, is the version of the object the bounds describe: a
+	// shuffle stage index pins each map's status object with it.
+	ETag string `json:"etag,omitempty"`
 }
 
 // Calls is the number of calls the span locates.

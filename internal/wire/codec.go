@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 )
 
@@ -29,6 +30,30 @@ import (
 func plain(c byte) bool {
 	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
+
+// PlainString reports whether v is a JSON string of plain bytes: '"', bytes
+// encoding/json writes as themselves, '"'. Such a value is valid JSON that
+// json.Marshal writes back unchanged, which this one loop tells without
+// json.Valid and NeedsCompact.
+func PlainString(v []byte) bool {
+	if len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
+		return false
+	}
+	for _, c := range v[1 : len(v)-1] {
+		if !plainByte[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// plainByte is plain as a table: one load per byte of a long string.
+var plainByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = plain(byte(c))
+	}
+	return t
+}()
 
 // NeedsCompact reports whether json.Marshal would rewrite a valid JSON value:
 // it drops whitespace and escapes '<', '>', '&', U+2028 and U+2029 (whose
@@ -248,6 +273,7 @@ func (e *encoder) payload(p *CallPayload) {
 func (e *encoder) span(s PayloadSpan) {
 	e.str(`{"key":`, s.Key)
 	list(e, `,"bounds":`, s.Bounds, e.num)
+	e.optStr(`,"etag":`, s.ETag)
 	e.lit("}")
 }
 
@@ -330,14 +356,71 @@ func unmarshalFresh[T any](body []byte) (T, error) {
 	return *v, nil
 }
 
-// DecodeStatus decodes a status record. Inline aliases body.
-func DecodeStatus(body []byte) (StatusRecord, error) {
-	var rec StatusRecord
-	d := newDecoder(body)
-	if d.status(&rec); d.done() {
-		return rec, nil
+// StatusObject lays out the one object that commits a call: rec's record
+// line and, when the call has bulk, '\n' and a COS shuffle map's partition
+// frames, then '\n' and a spilled result envelope. rec.ResultRef, whose
+// bucket and key the caller set to the status object's, is pointed at the
+// envelope's range; that offset is written in the line it follows, so the
+// line is encoded until its length agrees with it (its digits move it at
+// most twice). line is the record alone; a record with no bulk is also the
+// whole object.
+func StatusObject(rec *StatusRecord, frames, env []byte) (line, object []byte) {
+	bulk := 0
+	if len(frames) > 0 {
+		bulk = 1 + len(frames)
 	}
-	return unmarshalFresh[StatusRecord](body)
+	if len(env) == 0 {
+		line = MustMarshal(rec)
+	} else {
+		rec.ResultRef.Offset, rec.ResultRef.Length = 0, int64(len(env))
+		for {
+			line = MustMarshal(rec)
+			off := int64(len(line) + bulk + 1)
+			if off == rec.ResultRef.Offset {
+				break
+			}
+			rec.ResultRef.Offset = off
+		}
+		bulk += 1 + len(env)
+	}
+	if bulk == 0 {
+		return line, line
+	}
+	object = append(make([]byte, 0, len(line)+bulk), line...)
+	if len(frames) > 0 {
+		object = append(append(object, '\n'), frames...)
+	}
+	if len(env) > 0 {
+		object = append(append(object, '\n'), env...)
+	}
+	return line, object
+}
+
+// DecodeStatus decodes a status object's record, its first line, and returns
+// the bytes after the line's '\n' (nil when the object is the record alone).
+// body may be a head range of the object: only the line must be whole.
+// Inline and rest alias body.
+func DecodeStatus(body []byte) (rec StatusRecord, rest []byte, err error) {
+	line, rest, _ := bytes.Cut(body, []byte{'\n'})
+	d := newDecoder(line)
+	if d.status(&rec); d.done() {
+		return rec, rest, nil
+	}
+	rec, err = unmarshalFresh[StatusRecord](line)
+	return rec, rest, err
+}
+
+// SpilledEnvelope returns the envelope a whole status object body carries
+// after rec, its decoded line, as rec.ResultRef locates it. It fails when
+// the range does not lie after the line inside body.
+func SpilledEnvelope(rec *StatusRecord, body []byte) ([]byte, error) {
+	ref := rec.ResultRef
+	line := bytes.IndexByte(body, '\n')
+	if line < 0 || ref.Length <= 0 || ref.Offset <= int64(line) || ref.Offset > int64(len(body)) || ref.Length > int64(len(body))-ref.Offset {
+		return nil, fmt.Errorf("wire: status of call %s locates its %d-byte result at %d, outside its %d-byte object",
+			rec.CallID, ref.Length, ref.Offset, len(body))
+	}
+	return body[ref.Offset : ref.Offset+ref.Length], nil
 }
 
 // DecodeEnvelope decodes a result envelope. Value aliases body.
@@ -741,6 +824,8 @@ func (d *decoder) span(s *PayloadSpan) {
 			s.Key = d.str()
 		case "bounds":
 			s.Bounds = array(d, d.intInto)
+		case "etag":
+			s.ETag = d.str()
 		default:
 			return false
 		}

@@ -68,7 +68,7 @@ func shuffleStatus() *StatusRecord {
 		ExecutorID: "exec-000003", CallID: "00001", OK: true, ActivationID: "act-17",
 		SubmitUnixNs: 5, StartUnixNs: 6, EndUnixNs: -7,
 		Inline:    json.RawMessage(`{"kind":"value","value":{"emitted":12,"perReducer":[3,3,6]}}`),
-		ResultRef: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000003/result/00001", Offset: 1, Length: 2},
+		ResultRef: ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000003/status/00001", Offset: 1, Length: 2},
 		Exchange: &ExchangeAd{Transport: ExchangeDirect, LingerUntilNs: 1544400004553768697, Fallbacks: 1,
 			Partitions: []PartitionDescriptor{{0, 40, 3}, {1, 1, 0}, {2, 77, 6}}},
 	}
@@ -252,7 +252,7 @@ func TestRecordCodecAllocs(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		{"DecodeStatus", 1, func() { _, err := DecodeStatus(status); must(err) }},
+		{"DecodeStatus", 1, func() { _, _, err := DecodeStatus(status); must(err) }},
 		{"DecodeEnvelope", 0, func() { _, err := DecodeEnvelope(inline); must(err) }},
 		{"DecodeRef", 1, func() { _, err := DecodeRef(params); must(err) }},
 		{"DecodePayload(map with fan-in)", 6, func() { _, err := DecodePayload(mapCall); must(err) }},
@@ -300,17 +300,37 @@ func FuzzCallPayloadCodec(f *testing.F) {
 }
 
 // FuzzStatusRecordCodec does the same for status records, and — on the same
-// bytes — for result envelopes and object refs.
+// bytes — for result envelopes and object refs. It also holds PlainString,
+// the shuffle map's one-pass check, to json.Valid and NeedsCompact: a value
+// it takes is valid and json.Marshal writes it back unchanged.
 func FuzzStatusRecordCodec(f *testing.F) {
 	for _, v := range codecRecords(f) {
 		if r, ok := v.(*StatusRecord); ok {
 			f.Add(MustMarshal(r))
 		}
 	}
+	for _, s := range []string{`"plain"`, `""`, `"a b"`, `"<&>"`, `"\u00e9"`, `"é"`, `"\""`, `"`, `"x"y"`} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, ok := checkDecode(t, data, (*decoder).status)
-		if got, err := DecodeStatus(data); (err == nil) != ok || ok && !reflect.DeepEqual(got, rec) {
+		if PlainString(data) {
+			if !json.Valid(data) {
+				t.Fatalf("PlainString took %q, which is not valid JSON", data)
+			}
+			if NeedsCompact(data) {
+				if back, err := json.Marshal(json.RawMessage(data)); err != nil || !bytes.Equal(back, data) {
+					t.Fatalf("PlainString took %q, which json.Marshal writes as %q (err %v)", data, back, err)
+				}
+			}
+		}
+		line, after, cut := bytes.Cut(data, []byte{'\n'})
+		rec, ok := checkDecode(t, line, (*decoder).status)
+		got, rest, err := DecodeStatus(data)
+		if (err == nil) != ok || ok && !reflect.DeepEqual(got, rec) {
 			t.Fatalf("DecodeStatus = %+v (err %v), want %+v", got, err, rec)
+		}
+		if ok && (!bytes.Equal(rest, after) || cut != (rest != nil)) {
+			t.Fatalf("DecodeStatus rest = %q, want %q", rest, after)
 		}
 		env, ok := checkDecode(t, data, (*decoder).envelope)
 		if got, err := DecodeEnvelope(data); (err == nil) != ok || ok && !reflect.DeepEqual(got, env) {
@@ -337,4 +357,43 @@ func FuzzFanInMarkerCodec(f *testing.F) {
 			t.Fatalf("DecodeMarker = %+v (err %v), want %+v", got, err, marker)
 		}
 	})
+}
+
+// TestStatusObjectLayout: a status object is its record line and, after it,
+// a shuffle map's frames and a spilled envelope; the record locates the
+// envelope inside its own object, and the line is the record alone. Frame
+// sizes up to 1,200 bytes carry the envelope's offset across digit
+// boundaries, where its own digits lengthen the line it is written in.
+func TestStatusObjectLayout(t *testing.T) {
+	env := []byte(`{"kind":"value","value":"` + string(bytes.Repeat([]byte{'x'}, 100)) + `"}`)
+	for n := 0; n <= 1200; n++ {
+		frames := bytes.Repeat([]byte{'f'}, n)
+		rec := &StatusRecord{ExecutorID: "e", CallID: "00001", OK: true, ResultRef: ObjectRef{Bucket: "b", Key: "jobs/e/status/00001"}}
+		line, object := StatusObject(rec, frames, env)
+		if !bytes.Equal(line, MustMarshal(rec)) || !bytes.HasPrefix(object, append(line, '\n')) {
+			t.Fatalf("%d frame bytes: line %q does not open object %q", n, line, object)
+		}
+		got, rest, err := DecodeStatus(object)
+		if err != nil || !reflect.DeepEqual(got, *rec) {
+			t.Fatalf("%d frame bytes: DecodeStatus = %+v (err %v), want %+v", n, got, err, *rec)
+		}
+		if n > 0 && !bytes.Equal(rest[:n], frames) {
+			t.Fatalf("%d frame bytes: the frames do not follow the line", n)
+		}
+		spilled, err := SpilledEnvelope(&got, object)
+		if err != nil || !bytes.Equal(spilled, env) {
+			t.Fatalf("%d frame bytes: spilled envelope = %q (err %v), want %q", n, spilled, err, env)
+		}
+		if _, err := SpilledEnvelope(&got, object[:len(object)-1]); err == nil {
+			t.Fatalf("%d frame bytes: a truncated object's envelope was accepted", n)
+		}
+	}
+	rec := &StatusRecord{ExecutorID: "e", CallID: "00002", OK: true, Inline: json.RawMessage(`{"kind":"value","value":1}`)}
+	line, object := StatusObject(rec, nil, nil)
+	if !bytes.Equal(line, object) || bytes.IndexByte(object, '\n') >= 0 {
+		t.Fatalf("a record without bulk: line %q, object %q; want the record alone", line, object)
+	}
+	if _, rest, err := DecodeStatus(object); err != nil || rest != nil {
+		t.Fatalf("a record without bulk decodes with rest %q (err %v)", rest, err)
+	}
 }

@@ -2,20 +2,16 @@ package wire
 
 import "fmt"
 
-// One shuffle object per map. On the COS transport a map call writes its R
-// partition frames as one object, in reducer order and joined the way
-// JoinPayloads joins payloads: one separator byte between frames, none after
+// One shuffle object per map, and it is the map's status. On the COS
+// transport a map call commits its R partition frames in its status object,
+// after the record line (StatusObject): in reducer order and joined the way
+// JoinPayloads joins payloads, one separator byte between frames, none after
 // the last. Frame r of a map therefore sits at a PayloadSpan's r-th range,
-// and with R = 1 the object is the frame itself. The span follows from the
-// frame sizes the map advertises in its status record (ShuffleSpan); the
-// stage's fan-in closer gathers every map's span into one ShuffleIndex, and
-// each reducer reads its slice of every map object with one ranged GET.
-
-// ShuffleMapKey is the object a COS-transport map call writes its partitions
-// to.
-func ShuffleMapKey(execID, mapCallID string) string {
-	return "jobs/" + execID + "/shuffle/map/" + mapCallID
-}
+// which starts one byte past the line. The span follows from the line's
+// length and the frame sizes the map advertises in its record (ShuffleSpan);
+// the stage's fan-in closer gathers every map's span into one ShuffleIndex,
+// and each reducer reads its slice of every map's status with one ranged
+// GET.
 
 // ShuffleIndexKey is where the index of the shuffle stage whose first map
 // call is firstMapCallID lives. It is written once, create-only.
@@ -23,26 +19,30 @@ func ShuffleIndexKey(execID, firstMapCallID string) string {
 	return "jobs/" + execID + "/shuffle/index/" + firstMapCallID
 }
 
-// ShuffleSpan locates a map call's partitions inside its map object key from
-// the partition descriptors it advertised, which are indexed by reducer.
-func ShuffleSpan(key string, parts []PartitionDescriptor) PayloadSpan {
+// ShuffleSpan locates a map call's partitions inside its status object key,
+// whose frames start at byte start, from the partition descriptors it
+// advertised, which are indexed by reducer. etag pins the object version the
+// span describes.
+func ShuffleSpan(key, etag string, start int64, parts []PartitionDescriptor) PayloadSpan {
 	bounds := make([]int64, 1, len(parts)+1)
+	bounds[0] = start
 	for _, p := range parts {
 		bounds = append(bounds, bounds[len(bounds)-1]+p.Bytes+1)
 	}
-	return PayloadSpan{Key: key, Bounds: bounds}
+	return PayloadSpan{Key: key, Bounds: bounds, ETag: etag}
 }
 
 // ShuffleIndex is the stage index of a COS shuffle: one span per map call,
-// in map order. Reducer r reads Maps[m].Ref(bucket, r) of every map m.
+// in map order, each pinned to the ETag of the status object it was read
+// from. Reducer r reads Maps[m].Ref(bucket, r) of every map m.
 type ShuffleIndex struct {
 	Maps []PayloadSpan `json:"maps"`
 }
 
 // DecodeShuffleIndex decodes and validates a stage index. Every span must
-// start at its object's first byte, ascend with no empty frame, and locate
-// as many partitions as every other span, so each range a decoded index
-// hands out is non-empty and lies inside the map object the span describes.
+// ascend with no empty frame and locate as many partitions as every other
+// span, so each range a decoded index hands out is non-empty and lies inside
+// the status object the span describes, after its record line.
 func DecodeShuffleIndex(body []byte) (*ShuffleIndex, error) {
 	idx := new(ShuffleIndex)
 	d := newDecoder(body)
@@ -59,9 +59,9 @@ func DecodeShuffleIndex(body []byte) (*ShuffleIndex, error) {
 		if err := s.validate(); err != nil {
 			return nil, fmt.Errorf("wire: shuffle index map %d: %w", i, err)
 		}
-		if s.Bounds[0] != 0 || s.Calls() != idx.Maps[0].Calls() {
-			return nil, fmt.Errorf("wire: shuffle index map %d: %d partitions from byte %d, want %d from byte 0",
-				i, s.Calls(), s.Bounds[0], idx.Maps[0].Calls())
+		if s.Calls() != idx.Maps[0].Calls() {
+			return nil, fmt.Errorf("wire: shuffle index map %d: %d partitions, want %d",
+				i, s.Calls(), idx.Maps[0].Calls())
 		}
 	}
 	return idx, nil

@@ -8,27 +8,33 @@ import (
 
 // indexFixture is the index of a two-map, three-reducer COS shuffle whose
 // second map emitted nothing for reducer 1: that frame is the magic byte
-// alone.
+// alone. Each map's frames start after its status record's line.
 func indexFixture() *ShuffleIndex {
 	return &ShuffleIndex{Maps: []PayloadSpan{
-		ShuffleSpan(ShuffleMapKey("exec-1", "00000"), []PartitionDescriptor{{0, 10, 1}, {1, 4, 1}, {2, 7, 1}}),
-		ShuffleSpan(ShuffleMapKey("exec-1", "00001"), []PartitionDescriptor{{0, 5, 1}, {1, 1, 0}, {2, 9, 2}}),
+		ShuffleSpan("jobs/exec-1/status/00000", "etag-0", 312, []PartitionDescriptor{{0, 10, 1}, {1, 4, 1}, {2, 7, 1}}),
+		ShuffleSpan("jobs/exec-1/status/00001", "etag-1", 298, []PartitionDescriptor{{0, 5, 1}, {1, 1, 0}, {2, 9, 2}}),
 	}}
 }
 
-// TestShuffleIndexLocatesFrames: the span a map's descriptors give cuts
-// every frame back out of the frames joined as a payload batch, and the
-// index survives the round trip through its encoding.
+// TestShuffleIndexLocatesFrames: the span a map's line length and
+// descriptors give cuts every frame back out of the status object that
+// carries them after its record line, and the index survives the round trip
+// through its encoding.
 func TestShuffleIndexLocatesFrames(t *testing.T) {
 	frames := [][]byte{AppendKVs(nil, []KV{{Key: "a", Value: []byte("1")}}), AppendKVs(nil, nil), AppendKVs(nil, kvFixture())}
 	descs := make([]PartitionDescriptor, len(frames))
 	for i, f := range frames {
 		descs[i] = PartitionDescriptor{Reducer: i, Bytes: int64(len(f))}
 	}
-	object, bounds := JoinPayloads(frames)
-	span := ShuffleSpan(ShuffleMapKey("exec-1", "00007"), descs)
-	if span.Key != "jobs/exec-1/shuffle/map/00007" || !reflect.DeepEqual(span.Bounds, bounds) {
-		t.Fatalf("span = %+v, want key jobs/exec-1/shuffle/map/00007 and the batch bounds %v", span, bounds)
+	joined, bounds := JoinPayloads(frames)
+	rec := &StatusRecord{ExecutorID: "exec-1", CallID: "00007", OK: true, Exchange: &ExchangeAd{Transport: ExchangeCOS, Partitions: descs}}
+	line, object := StatusObject(rec, joined, nil)
+	span := ShuffleSpan("jobs/exec-1/status/00007", "e", int64(len(line))+1, descs)
+	for i := range bounds {
+		bounds[i] += int64(len(line)) + 1
+	}
+	if !reflect.DeepEqual(span.Bounds, bounds) {
+		t.Fatalf("span bounds = %v, want the batch bounds after the line %v", span.Bounds, bounds)
 	}
 	for i, f := range frames {
 		ref := span.Ref("meta", i)
@@ -52,7 +58,6 @@ func TestDecodeShuffleIndexRejects(t *testing.T) {
 		{`{"maps":[{"key":"k","bounds":[0,2,1]}]}`, "do not ascend"},
 		{`{"maps":[{"key":"k","bounds":[0,1]}]}`, "do not ascend"}, // an empty frame
 		{`{"maps":[{"key":"k","bounds":[0,9223372036854775807,-9223372036854775807]}]}`, "do not ascend"},
-		{`{"maps":[{"key":"k","bounds":[3,6]}]}`, "from byte 3"},
 		{`{"maps":[{"key":"a","bounds":[0,3,6]},{"key":"b","bounds":[0,4]}]}`, "1 partitions"},
 		{`{"maps":[{"key":"","bounds":[0,3]}]}`, "boundaries"},
 		{`{"maps":`, "unmarshal"},
@@ -65,13 +70,15 @@ func TestDecodeShuffleIndexRejects(t *testing.T) {
 
 // FuzzShuffleIndex feeds arbitrary bytes to the decoder every COS reducer
 // runs on its stage index. It must decode or fail cleanly, and a decoded
-// index may hand out only non-empty, ascending ranges inside the map object
-// each span describes, and must survive being written again. Its codec is
+// index may hand out only non-empty, ascending ranges inside the status
+// object each span describes, after the first bound, and must survive being
+// written again. Its codec is
 // held to encoding/json as the record codecs are (codec_test.go).
 func FuzzShuffleIndex(f *testing.F) {
 	f.Add(MustMarshal(indexFixture()))
 	f.Add([]byte(`{"maps":[{"key":"k","bounds":[0,9223372036854775807,-5]}]}`))
 	f.Add([]byte(`{"maps":[{"key":"a","bounds":[0,3,6]},{"key":"b","bounds":[0,4]}]}`))
+	f.Add([]byte(`{"maps":[{"key":"a","bounds":[300,303,306],"etag":"x"},{"key":"b","bounds":[2,4,9]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = checkDecode(t, data, (*decoder).shuffleIndex)
@@ -85,7 +92,7 @@ func FuzzShuffleIndex(f *testing.F) {
 				t.Fatalf("map %d locates %d partitions, map 0 %d", m, s.Calls(), parts)
 			}
 			size := s.Bounds[parts] - 1 // no separator after the last frame
-			next := int64(0)
+			next := s.Bounds[0]
 			for r := range parts {
 				ref := s.Ref("b", r)
 				if ref.Length < 1 || ref.Offset < next || ref.Offset+ref.Length > size {

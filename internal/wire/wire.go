@@ -100,8 +100,8 @@ type KV struct {
 // the correctness baseline; the fast tiers bypass the object-store round
 // trip and degrade back to it (spill or recompute) when their node dies.
 const (
-	// ExchangeCOS stages every map's partitions as one object in COS (the
-	// paper's only data path).
+	// ExchangeCOS stages every map's partitions in COS (the paper's only
+	// data path), after the record line of the map's own status object.
 	ExchangeCOS = "cos"
 	// ExchangeMemory stages partitions in the ephemeral memory-tier cache
 	// node, spilling to COS on eviction.
@@ -124,9 +124,9 @@ func ValidExchange(name string) bool {
 // ShuffleSpec configures the shuffle side-channel of a keyed MapReduce
 // job. Map executors hash-partition their emitted KVs into NumReducers
 // partitions; reducer r reads partition r of every map call. On COS a map
-// writes them as one object, ShuffleMapKey, and a reducer finds its slice
-// through the stage's ShuffleIndex; the fast tiers hold them per partition,
-// and their COS spills and fallbacks use ShuffleKey.
+// commits them in its status object, after the record line, and a reducer
+// finds its slice through the stage's ShuffleIndex; the fast tiers hold
+// them per partition, and their COS spills and fallbacks use ShuffleKey.
 type ShuffleSpec struct {
 	// NumReducers is the reduce-side parallelism R.
 	NumReducers int `json:"numReducers"`
@@ -150,8 +150,9 @@ type PartitionDescriptor struct {
 // ExchangeAd is the advertisement every shuffle-map call embeds in its
 // status record: where its partitions live, how big they are, and — for
 // the direct transport — until when the producing activation lingers to
-// serve peer pulls. On COS the partition sizes are the map object's layout
-// (ShuffleSpan), which is what the stage index is built from; fast-tier
+// serve peer pulls. On COS the partition sizes are the layout of the frames
+// that follow the record line in the map's status object (ShuffleSpan),
+// which is what the stage index is built from; fast-tier
 // reducers locate partitions from the spec alone and read the ad only in
 // tests and traces.
 type ExchangeAd struct {
@@ -387,9 +388,11 @@ type ResultEnvelope struct {
 	Futures *FuturesRef     `json:"futures,omitempty"`
 }
 
-// StatusRecord is the small object the runner writes when an invocation
-// finishes; clients poll these instead of holding connections open, exactly
-// as IBM-PyWren polls COS.
+// StatusRecord is the record the runner commits when an invocation finishes;
+// clients poll for it instead of holding connections open, exactly as
+// IBM-PyWren polls COS. It is the first line of the call's status object,
+// which is the call's only object (StatusObject): whatever else the call
+// commits rides the same PUT after the line.
 type StatusRecord struct {
 	ExecutorID string `json:"executorId"`
 	CallID     string `json:"callId"`
@@ -405,15 +408,14 @@ type StatusRecord struct {
 	EndUnixNs    int64 `json:"endUnixNs"`
 
 	// Inline, when non-empty, is the call's serialized ResultEnvelope
-	// embedded directly in the status record. The runner inlines results
-	// whose envelope serializes under its threshold, so collecting a small
-	// result costs one status GET instead of a status GET plus a result
-	// GET (and the result object is never written at all). Large results
-	// spill to the object named by ResultRef, which is then authoritative.
+	// embedded directly in the record. The runner inlines results whose
+	// envelope serializes under its threshold; larger ones spill to the
+	// status object's bytes after the line, located by ResultRef.
 	Inline json.RawMessage `json:"inline,omitempty"`
 
-	// ResultRef names the spilled result object; it is the zero value when
-	// the result is inlined (or the call failed).
+	// ResultRef locates a spilled envelope: the status object's own bucket
+	// and key, and the byte range after the record line that holds it. It
+	// is the zero value when the result is inlined (or the call failed).
 	ResultRef ObjectRef `json:"resultRef"`
 
 	// Exchange is the partition advertisement of a shuffle-map call on any
