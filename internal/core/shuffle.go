@@ -198,13 +198,13 @@ func framePartition(kvs []wire.KV, numReducers, reducer int) []byte {
 // for a json.RawMessage, which is what a partition carried when it was a
 // JSON array: a nil value becomes null, invalid JSON fails the map, and a
 // value with whitespace or a character json escapes is compacted through
-// json.Marshal. Values from EmitKV are already in that form and are kept
-// as they are, without an allocation; the strings it writes most are told
-// apart in one pass (wire.PlainString) before the general checks.
+// json.Marshal. Values from EmitKV are already in that form (wire.NormalKV)
+// and are kept as they are without a scan; of the rest, a plain string is
+// told apart in one pass (wire.PlainString) before the general checks.
 func normalizeShuffleValues(kvs []wire.KV, numReducers int) error {
 	for i, kv := range kvs {
 		switch {
-		case wire.PlainString(kv.Value):
+		case kv.Normal(), wire.PlainString(kv.Value):
 		case kv.Value == nil:
 			kvs[i].Value = json.RawMessage("null")
 		case !json.Valid(kv.Value):
@@ -739,9 +739,11 @@ func (p *Platform) runShuffleReduce(ctx *runtime.Ctx, payload *wire.CallPayload)
 }
 
 // kvGroups collects a reducer's values by key. Values alias the partition
-// bodies they came from: COS reads and recomputation hand back fresh
-// buffers and fetchShufflePartition clones fast-tier ones, so a reduce
-// function may scribble on its values without reaching a stored copy.
+// bodies they came from, and so do the strings a typed reducer decodes from
+// them: COS reads and recomputation hand back fresh buffers,
+// fetchShufflePartition clones fast-tier ones, and nothing writes a body
+// once it is grouped. So a reduce function may scribble on its values, and
+// keep its strings after the job (TestReducedStringsOutliveTheirJob).
 type kvGroups struct {
 	// index maps a key to its slot in values. Looking a []byte key up
 	// does not allocate, so a key string is made once, with its group.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"unsafe"
 )
 
 // Hand-written codecs for the records the platform itself writes and reads on
@@ -13,7 +14,7 @@ import (
 // encoding/json does — the tests use it as their oracle — without its
 // reflection, and they only take the records they fully understand: an
 // unknown, duplicate or differently cased key, a string with a byte that
-// needs escaping (see plain), null where a string, number or object belongs,
+// needs escaping (see plainByte), null where a string, number or object belongs,
 // a number that is not a plain in-range integer, or a composition envelope
 // (FuturesRef) sends the whole record through encoding/json instead.
 // Correctness never depends on the fast path.
@@ -24,36 +25,51 @@ import (
 // private buffer it does not reuse: cos.Store and the HTTP client hand out a
 // fresh copy on every Get and GetRange.
 
-// plain reports whether encoding/json writes byte c of a string as itself:
-// printable ASCII other than the quote, the backslash and the three bytes it
-// HTML-escapes.
-func plain(c byte) bool {
-	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
+// plainByte[c] reports whether encoding/json writes byte c of a string as
+// itself: printable ASCII other than the quote, the backslash and the three
+// bytes it HTML-escapes.
+var plainByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // PlainString reports whether v is a JSON string of plain bytes: '"', bytes
 // encoding/json writes as themselves, '"'. Such a value is valid JSON that
-// json.Marshal writes back unchanged, which this one loop tells without
+// json.Marshal writes back unchanged, which this one scan tells without
 // json.Valid and NeedsCompact.
 func PlainString(v []byte) bool {
-	if len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
+	return len(v) >= 2 && v[0] == '"' && v[len(v)-1] == '"' && PlainText(unsafe.String(&v[1], len(v)-2))
+}
+
+// PlainText reports whether every byte of s is plain (plainByte), eight at a
+// time: for an ASCII word w, byte by byte w+0x60 has its top bit set from
+// 0x20 up, w+0x01 from 0x7f up, and x+0x7f unless x is 0, where x is
+// w^'\\', (w|4)^'&' (zero for '"' and '&') or (w|2)^'>' (for '<' and '>'),
+// with no carry between bytes. A non-ASCII byte fails s through high.
+func PlainText(s string) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	ok, high := uint64(tops), uint64(0)
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		high |= w
+		ok &= (w + 0x60*ones) &^ (w + ones) & (w ^ '\\'*ones + 0x7f*ones) &
+			((w | 4*ones) ^ '&'*ones + 0x7f*ones) & ((w | 2*ones) ^ '>'*ones + 0x7f*ones)
+	}
+	if ok&tops != tops || high&tops != 0 {
 		return false
 	}
-	for _, c := range v[1 : len(v)-1] {
-		if !plainByte[c] {
+	for ; i < len(s); i++ {
+		if !plainByte[s[i]] {
 			return false
 		}
 	}
 	return true
 }
-
-// plainByte is plain as a table: one load per byte of a long string.
-var plainByte = func() (t [256]bool) {
-	for c := range t {
-		t[c] = plain(byte(c))
-	}
-	return t
-}()
 
 // NeedsCompact reports whether json.Marshal would rewrite a valid JSON value:
 // it drops whitespace and escapes '<', '>', '&', U+2028 and U+2029 (whose
@@ -135,9 +151,7 @@ func (e *encoder) lit(s string) {
 
 func (e *encoder) quote(s string) {
 	if e.buf == nil {
-		for i := 0; i < len(s); i++ {
-			e.ok = e.ok && plain(s[i])
-		}
+		e.ok = e.ok && PlainText(s)
 	}
 	e.lit(`"`)
 	e.lit(s)
@@ -492,7 +506,7 @@ func (d *decoder) expect(c byte) {
 func (d *decoder) quoted() (start, end int) {
 	d.expect('"')
 	start = d.i
-	for d.ok && d.i < len(d.b) && plain(d.b[d.i]) {
+	for d.ok && d.i < len(d.b) && plainByte[d.b[d.i]] {
 		d.i++
 	}
 	end = d.i

@@ -299,10 +299,51 @@ func FuzzCallPayloadCodec(f *testing.F) {
 	})
 }
 
+// TestPlainTextMatchesTable holds the word-at-a-time PlainText to the
+// plainByte table: every byte value at every position of strings up to 24
+// bytes long, and every pair of byte values side by side inside a word and
+// across two, where a carry between bytes would show.
+func TestPlainTextMatchesTable(t *testing.T) {
+	check := func(s []byte) {
+		if want := tablePlain(s); PlainText(string(s)) != want {
+			t.Fatalf("PlainText(%q) = %v, the table says %v", s, !want, want)
+		}
+	}
+	for n := 1; n <= 24; n++ {
+		for pos := 0; pos < n; pos++ {
+			for c := 0; c < 256; c++ {
+				s := bytes.Repeat([]byte{'x'}, n)
+				s[pos] = byte(c)
+				check(s)
+			}
+		}
+	}
+	for _, pos := range []int{3, 7} {
+		for c := 0; c < 256; c++ {
+			for d := 0; d < 256; d++ {
+				s := []byte("0123456789abcdef")
+				s[pos], s[pos+1] = byte(c), byte(d)
+				check(s)
+			}
+		}
+	}
+}
+
+// tablePlain is PlainText one table load per byte.
+func tablePlain(s []byte) bool {
+	for _, c := range s {
+		if !plainByte[c] {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzStatusRecordCodec does the same for status records, and — on the same
 // bytes — for result envelopes and object refs. It also holds PlainString,
 // the shuffle map's one-pass check, to json.Valid and NeedsCompact: a value
-// it takes is valid and json.Marshal writes it back unchanged.
+// it takes is valid and json.Marshal writes it back unchanged; and it holds
+// PlainText to the plainByte table.
 func FuzzStatusRecordCodec(f *testing.F) {
 	for _, v := range codecRecords(f) {
 		if r, ok := v.(*StatusRecord); ok {
@@ -313,6 +354,9 @@ func FuzzStatusRecordCodec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if plain := tablePlain(data); PlainText(string(data)) != plain {
+			t.Fatalf("PlainText(%q) = %v, the table says %v", data, !plain, plain)
+		}
 		if PlainString(data) {
 			if !json.Valid(data) {
 				t.Fatalf("PlainString took %q, which is not valid JSON", data)

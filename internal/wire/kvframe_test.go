@@ -113,7 +113,7 @@ func FuzzKVFrame(f *testing.F) {
 			t.Fatalf("frame of %d pairs does not read: %v", len(kvs), err)
 		}
 		if len(got) != len(kvs) || (len(kvs) > 0 && !reflect.DeepEqual(normalize(got), normalize(kvs))) {
-			t.Fatalf("round trip = %q, want %q", got, kvs)
+			t.Fatalf("round trip = %v, want %v", got, kvs)
 		}
 	})
 }

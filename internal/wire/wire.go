@@ -16,6 +16,7 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // CallKind discriminates the runner behaviour for a staged call.
@@ -94,7 +95,17 @@ type ReduceSpec struct {
 type KV struct {
 	Key   string          `json:"k"`
 	Value json.RawMessage `json:"v"`
+	// normal marks a Value NormalKV built. A Value replaced later keeps the
+	// mark unchecked: frames are length-prefixed, reducers refuse bad JSON.
+	normal bool
 }
+
+// NormalKV returns the pair key, value, where value is the bytes
+// encoding/json writes for the emitted value, as EmitKV builds them.
+func NormalKV(key string, value []byte) KV { return KV{Key: key, Value: value, normal: true} }
+
+// Normal reports whether kv came from NormalKV, so its value needs no check.
+func (kv KV) Normal() bool { return kv.normal }
 
 // Exchange transports for shuffle intermediates. COS is the default and
 // the correctness baseline; the fast tiers bypass the object-store round
@@ -171,7 +182,9 @@ type ExchangeAd struct {
 // ShuffleKey is where a fast-tier partition for one reducer lands in COS:
 // a cache eviction spill or a map's fallback write.
 func ShuffleKey(execID, mapCallID string, reducer int) string {
-	return fmt.Sprintf("jobs/%s/shuffle/%05d/%s", execID, reducer, mapCallID)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(reducer), 10)
+	return "jobs/" + execID + "/shuffle/" + "00000"[min(len(d), 5):] + string(d) + "/" + mapCallID
 }
 
 // KeyResult is one reduced key with its value, the output unit of a

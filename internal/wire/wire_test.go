@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,10 +194,28 @@ func TestShufflePayloadValidation(t *testing.T) {
 	}
 }
 
+// TestShuffleKeyLayout holds ShuffleKey to the fmt layout it replaced, at
+// reducers inside and beyond the five-digit pad and with empty IDs, and to
+// one allocation.
 func TestShuffleKeyLayout(t *testing.T) {
-	key := ShuffleKey("exec-7", "00042", 3)
-	if key != "jobs/exec-7/shuffle/00003/00042" {
+	if key := ShuffleKey("exec-7", "00042", 3); key != "jobs/exec-7/shuffle/00003/00042" {
 		t.Fatalf("shuffle key = %q", key)
+	}
+	for _, tc := range []struct {
+		exec, mapCall string
+		reducer       int
+	}{
+		{"exec-7", "00042", 0}, {"exec-7", "00042", 9}, {"e", "m", 12345}, {"e", "m", 99999},
+		{"e", "m", 100000}, {"e", "m", 1234567}, {"", "00001", 5}, {"exec", "", 5}, {"", "", 0},
+		{"exec-with-a-long-identifier-0123456789", "call-0123456789", math.MaxInt},
+	} {
+		want := fmt.Sprintf("jobs/%s/shuffle/%05d/%s", tc.exec, tc.reducer, tc.mapCall)
+		if got := ShuffleKey(tc.exec, tc.mapCall, tc.reducer); got != want {
+			t.Errorf("ShuffleKey(%q, %q, %d) = %q, want %q", tc.exec, tc.mapCall, tc.reducer, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { ShuffleKey(tc.exec, tc.mapCall, tc.reducer) }); n > 1 {
+			t.Errorf("ShuffleKey(%q, %q, %d): %v allocs, want <= 1", tc.exec, tc.mapCall, tc.reducer, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package gowren
 import (
 	"encoding/json"
 	"fmt"
+	"unsafe"
 
 	"gowren/internal/runtime"
 	"gowren/internal/wire"
@@ -30,18 +31,7 @@ func RegisterFunc[I, O any](img *Image, name string, fn func(ctx *Ctx, arg I) (O
 // RegisterComposerFunc registers a plain function that returns a dynamic
 // composition (a *FuturesRef from Spawn or Chain) instead of a value.
 func RegisterComposerFunc[I any](img *Image, name string, fn func(ctx *Ctx, arg I) (*wire.FuturesRef, error)) error {
-	if fn == nil {
-		return fmt.Errorf("gowren: register %q: nil function", name)
-	}
-	return img.RegisterPlain(name, func(ctx *Ctx, raw json.RawMessage) (any, error) {
-		var arg I
-		if len(raw) > 0 {
-			if err := wire.Unmarshal(raw, &arg); err != nil {
-				return nil, fmt.Errorf("gowren: %s: decode argument: %w", name, err)
-			}
-		}
-		return fn(ctx, arg)
-	})
+	return RegisterFunc(img, name, fn)
 }
 
 // RegisterMapFunc registers a typed map function over storage partitions,
@@ -80,19 +70,21 @@ type KV = wire.KV
 // KeyResult is one reduced key produced by a shuffle reducer.
 type KeyResult = wire.KeyResult
 
-// EmitKV builds a key–value pair, marshaling the value as JSON.
-func EmitKV(key string, value any) (KV, error) {
-	if s, ok := value.(string); ok && plainString(s, true) {
+// EmitKV builds a key–value pair, marshaling the value as JSON. A string
+// value arrives unboxed, and one whose bytes JSON carries verbatim is quoted
+// without encoding/json, in one allocation; anything else is boxed once.
+func EmitKV[V any](key string, value V) (KV, error) {
+	if s, ok := any(value).(string); ok && wire.PlainText(s) {
 		raw := make([]byte, len(s)+2)
 		raw[0], raw[len(raw)-1] = '"', '"'
 		copy(raw[1:], s)
-		return KV{Key: key, Value: raw}, nil
+		return wire.NormalKV(key, raw), nil
 	}
 	raw, err := wire.Marshal(value)
 	if err != nil {
 		return KV{}, fmt.Errorf("gowren: emit %q: %w", key, err)
 	}
-	return KV{Key: key, Value: raw}, nil
+	return wire.NormalKV(key, raw), nil
 }
 
 // RegisterKVMapFunc registers a shuffle map function: it emits key–value
@@ -116,38 +108,16 @@ func RegisterKVReduceFunc[V, O any](img *Image, name string, fn func(ctx *Ctx, k
 	return img.RegisterKVReduce(name, func(ctx *Ctx, key string, raws []json.RawMessage) (any, error) {
 		values := make([]V, len(raws))
 		for i, raw := range raws {
-			if err := decodeKVValue(raw, &values[i]); err != nil {
+			// A plain quoted string bound for a string aliases the bytes
+			// between the quotes: nothing writes a partition body once its
+			// reducer has read it (see core's kvGroups), and a typed reducer
+			// never sees the bytes. Everything else pays encoding/json.
+			if sp, ok := any(&values[i]).(*string); ok && wire.PlainString(raw) {
+				*sp = unsafe.String(&raw[1], len(raw)-2)
+			} else if err := wire.Unmarshal(raw, &values[i]); err != nil {
 				return nil, fmt.Errorf("gowren: %s: decode value %d of key %q: %w", name, i, key, err)
 			}
 		}
 		return fn(ctx, key, values)
 	})
-}
-
-// decodeKVValue decodes one shuffled value. A plain quoted string bound for
-// a string is sliced out of the quotes; everything else pays encoding/json.
-func decodeKVValue[V any](raw json.RawMessage, v *V) error {
-	if sp, ok := any(v).(*string); ok && len(raw) >= 2 && raw[0] == '"' && raw[len(raw)-1] == '"' &&
-		plainString(raw[1:len(raw)-1], false) {
-		*sp = string(raw[1 : len(raw)-1])
-		return nil
-	}
-	return wire.Unmarshal(raw, v)
-}
-
-// plainString reports whether every byte of s is printable ASCII that JSON
-// carries verbatim inside quotes: no '"' or '\\', and — when html is set, as
-// encoding/json escapes them on marshal — no '<', '>' or '&'. Such a string
-// is its own JSON body between two quotes, so the KV helpers skip the codec
-// for it; anything else takes encoding/json unchanged.
-func plainString[T ~string | ~[]byte](s T, html bool) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20 || c > 0x7e || c == '"' || c == '\\':
-			return false
-		case html && (c == '<' || c == '>' || c == '&'):
-			return false
-		}
-	}
-	return true
 }
