@@ -12,11 +12,13 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gowren"
 	"gowren/internal/billing"
+	"gowren/internal/cos"
 	"gowren/internal/experiments"
 	"gowren/internal/traffic"
 	"gowren/internal/workloads"
@@ -339,6 +341,7 @@ func goldenDigest(t *testing.T, c goldenCase) string {
 		})
 		defer cancel()
 	}
+	checkBodies := guardBodies(cloud.Store(), cloud.Platform().MetaBucket())
 	var (
 		result any
 		execs  []*gowren.Executor
@@ -347,6 +350,9 @@ func goldenDigest(t *testing.T, c goldenCase) string {
 	cloud.Run(func() { result, execs, runErr = c.run(cloud) })
 	if runErr != nil {
 		t.Fatal(runErr)
+	}
+	if err := checkBodies(); err != nil {
+		t.Fatal(err)
 	}
 	end := clk.Now().Sub(epoch)
 
@@ -407,6 +413,43 @@ func goldenDigest(t *testing.T, c goldenCase) string {
 	line("write_log", fmt.Sprintf("n=%d sha256=%s", len(writes), sha(strings.Join(writes, "\n"))))
 	line("trace_log", fmt.Sprintf("n=%d sha256=%s", len(trace), sha(strings.Join(trace, "\n"))))
 	return sb.String()
+}
+
+// guardBodies is the alias guard of a run: the platform's decoded records
+// alias the bodies they were read from, so nothing may write into a body a
+// GET handed out. Every body of bucket the store hands out from now on is
+// hashed; check stops the guard and fails, naming the key, if a body no
+// longer has its hash.
+func guardBodies(store *cos.Store, bucket string) (check func() error) {
+	type lent struct {
+		key  string
+		body []byte
+		sum  [sha256.Size]byte
+	}
+	var (
+		mu    sync.Mutex
+		lents []lent
+	)
+	stop := store.WatchGets(bucket, "", func(key string, body []byte) {
+		sum := sha256.Sum256(body)
+		mu.Lock()
+		lents = append(lents, lent{key, body, sum})
+		mu.Unlock()
+	})
+	return func() error {
+		stop()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range lents {
+			if sha256.Sum256(l.body) != l.sum {
+				return fmt.Errorf("the body a GET of %s/%s handed out was written after: a path wrote into a body it decoded", bucket, l.key)
+			}
+		}
+		if len(lents) == 0 {
+			return fmt.Errorf("the alias guard saw no GET of bucket %s", bucket)
+		}
+		return nil
+	}
 }
 
 func sha(s string) string {

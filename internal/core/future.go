@@ -159,9 +159,10 @@ type callRef struct{ execID, callID string }
 // flight, the caller being one of the workers. The workers only move bytes:
 // every record is decoded here, on the calling task, whose stack has already
 // grown to fit the decoder — on a worker's fresh stack each decode would pay
-// for growing it again. Every body decoded is a private copy, so no record
-// aliases store memory. recs[i] is nil exactly where errs[i] is set; errs is
-// nil when all succeed.
+// for growing it again. A record's strings and Inline alias the body it was
+// decoded from — a GET's copy, or the copy takePushed makes of the store's —
+// which nothing writes into afterwards, and keep that whole body alive.
+// recs[i] is nil exactly where errs[i] is set; errs is nil when all succeed.
 func (e *Executor) fetchStatusRecords(bucket string, calls []callRef) (recs []*wire.StatusRecord, errs []error) {
 	bodies := make([][]byte, len(calls))
 	// gets lists the calls left to GET; nil means all of them.
@@ -207,7 +208,7 @@ func (e *Executor) fetchStatusRecords(bucket string, calls []callRef) (recs []*w
 
 // decodeStatusObject decodes a whole status object: its record line, with
 // a result spilled after the line moved into Inline, so a record in hand
-// carries its result whichever way it was committed. Inline aliases body.
+// carries its result whichever way it was committed. The record aliases body.
 func decodeStatusObject(body []byte) (wire.StatusRecord, error) {
 	rec, _, err := wire.DecodeStatus(body)
 	if err != nil || len(rec.Inline) > 0 || rec.ResultRef.Length == 0 {

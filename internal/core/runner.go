@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -35,8 +36,9 @@ func invokeParams(ref wire.ObjectRef, line []byte) []byte {
 // calls: the server side of the paper's Fig. 1. It takes the CallPayload
 // from the invoke parameters (or, for a call that did not ride inline, from
 // COS), dispatches to the user function registered in the runtime image,
-// and commits result + status objects back to COS. The status write is the
-// commit point clients poll for.
+// and commits the call's status object, its result inside, back to COS with
+// one PUT of one buffer (commitObject). The status write is the commit point
+// clients poll for.
 func (p *Platform) runnerHandler() faas.Handler {
 	return func(ctx *runtime.Ctx, params []byte) ([]byte, error) {
 		payload, err := p.loadPayload(ctx, params)
@@ -60,7 +62,7 @@ func (p *Platform) runnerHandler() faas.Handler {
 		// value (same pattern as the *wire.FuturesRef unwrap in envelopeFor).
 		var (
 			exchangeAd *wire.ExchangeAd
-			frames     []byte
+			frames     *framePlan
 		)
 		if sr, ok := value.(*shuffleMapResult); ok {
 			exchangeAd, frames = sr.ad, sr.frames
@@ -76,30 +78,10 @@ func (p *Platform) runnerHandler() faas.Handler {
 			SubmitUnixNs: started.UnixNano(),
 			StartUnixNs:  started.UnixNano(),
 			EndUnixNs:    ended.UnixNano(),
+			ResultRef:    wire.ObjectRef{Bucket: payload.MetaBucket, Key: key},
 			Exchange:     exchangeAd,
 		}
-		var spilled []byte
-		if runErr != nil {
-			rec.OK = false
-			rec.Error = runErr.Error()
-		} else {
-			env := envelopeFor(value)
-			envBody, err := wire.Marshal(env)
-			switch {
-			case err != nil:
-				rec.OK = false
-				rec.Error = fmt.Sprintf("serialize result: %v", err)
-			case len(envBody) <= inlineThreshold:
-				// Small result: ride along in the record line.
-				rec.OK = true
-				rec.Inline = envBody
-			default:
-				rec.OK = true
-				rec.ResultRef = wire.ObjectRef{Bucket: payload.MetaBucket, Key: key}
-				spilled = envBody
-			}
-		}
-		line, object := wire.StatusObject(&rec, frames, spilled)
+		line, object := commitObject(&rec, value, runErr, frames)
 		putStart := ctx.Clock().Now()
 		meta, err := ctx.Storage().Put(payload.MetaBucket, key, object)
 		if err != nil {
@@ -110,11 +92,17 @@ func (p *Platform) runnerHandler() faas.Handler {
 		if frames != nil {
 			p.exchange.NoteWrite(putStart, ctx.Clock().Now())
 		}
+		if len(object) > len(line) {
+			// The activation record keeps its result: the line alone, not
+			// the buffer of frames or spilled envelope behind it.
+			line = bytes.Clone(line)
+		}
 		if payload.FanIn != nil {
 			// The call is committed either way; a failure here only shows
 			// in the activation record, and the driver's backstop launches
 			// what this call could not.
-			own := committedStatus{rec: &rec, line: int64(len(line)), etag: meta.ETag}
+			committed := rec // a copy: only a fan-in moves a record to the heap
+			own := committedStatus{rec: &committed, line: int64(len(line)), etag: meta.ETag}
 			if err := p.closeFanIn(ctx, payload, own); err != nil {
 				return nil, err
 			}
@@ -123,11 +111,36 @@ func (p *Platform) runnerHandler() faas.Handler {
 	}
 }
 
+// commitObject completes rec — which names the status object in ResultRef —
+// with the call's outcome and lays out the object that commits it, in one
+// buffer (wire.StatusObject): value's envelope rides the record line, or
+// spills after it when its encoding is larger than inlineThreshold, and a
+// COS shuffle map's frames are written in place behind the line.
+func commitObject(rec *wire.StatusRecord, value any, runErr error, frames *framePlan) (line, object []byte) {
+	var env *wire.ResultEnvelope
+	if runErr != nil {
+		rec.Error = runErr.Error()
+	} else {
+		rec.OK = true
+		e := envelopeFor(value)
+		env = &e
+	}
+	n := 0
+	if frames != nil {
+		n = frames.size
+	}
+	line, object = wire.StatusObject(rec, env, inlineThreshold, n)
+	if frames != nil {
+		frames.write(object[len(line)+1:][:n])
+	}
+	return line, object
+}
+
 // envelopeFor wraps a user function's return value. Returning a
 // *wire.FuturesRef turns the result into a composition continuation.
-func envelopeFor(value any) *wire.ResultEnvelope {
+func envelopeFor(value any) wire.ResultEnvelope {
 	if ref, ok := value.(*wire.FuturesRef); ok && ref != nil {
-		return &wire.ResultEnvelope{Kind: wire.ResultFutures, Futures: ref}
+		return wire.ResultEnvelope{Kind: wire.ResultFutures, Futures: ref}
 	}
 	raw, err := wire.Marshal(value)
 	if err != nil {
@@ -135,7 +148,7 @@ func envelopeFor(value any) *wire.ResultEnvelope {
 		// invariant that envelopeFor always produces an envelope.
 		raw = json.RawMessage("null")
 	}
-	return &wire.ResultEnvelope{Kind: wire.ResultValue, Value: raw}
+	return wire.ResultEnvelope{Kind: wire.ResultValue, Value: raw}
 }
 
 // dispatch runs the user (or helper) function named by the payload.

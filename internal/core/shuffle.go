@@ -55,7 +55,7 @@ type ShuffleOptions struct {
 type shuffleMapResult struct {
 	value  any
 	ad     *wire.ExchangeAd
-	frames []byte // COS only: the R frames, '\n'-joined
+	frames *framePlan // COS only: written into the status object's buffer
 }
 
 // MapReduceShuffle runs a keyed MapReduce: mapFn (a KV map function) over
@@ -136,48 +136,66 @@ func reducerForKey(key string, numReducers int) int {
 	return int(h % uint32(numReducers))
 }
 
-// framePartitions hash-partitions kvs into one KV frame per reducer, in
-// emission order, and counts the pairs in each. Pass one hashes every key
-// once and sums each reducer's frame size; pass two appends every pair in
-// place. All frames share one buffer laid out as a COS map commits them
-// after its record line (wire.ShuffleSpan): in reducer order, one '\n'
-// apart, so object is what a COS map's status carries and bodies[r], capped
-// at its length, is reducer r's frame for the fast tiers. framePartition
-// frames one reducer's body the same way, so a recomputed partition is the
-// producer's byte for byte.
-func framePartitions(kvs []wire.KV, numReducers int) (object []byte, bodies [][]byte, counts []int) {
-	dest := make([]int, len(kvs))
-	sizes := make([]int, numReducers)
-	counts = make([]int, numReducers)
+// framePlan is pass one of framing a shuffle map's output: it hashes every
+// key once and sums each reducer's frame size, so the frames' layout — and
+// the descriptors a status advertises — are known before any byte is
+// written, and a COS map can frame straight into its status object's buffer
+// behind the record line (write).
+type framePlan struct {
+	kvs    []wire.KV
+	dest   []int // dest[j] is the reducer of kvs[j]
+	sizes  []int // each reducer's frame, magic byte included
+	counts []int // each reducer's pairs
+	size   int   // the frames in reducer order, one '\n' apart
+}
+
+// planFrames hash-partitions kvs into numReducers frames.
+func planFrames(kvs []wire.KV, numReducers int) *framePlan {
+	p := &framePlan{
+		kvs:    kvs,
+		dest:   make([]int, len(kvs)),
+		sizes:  make([]int, numReducers),
+		counts: make([]int, numReducers),
+		size:   numReducers - 1, // separators
+	}
 	for j, kv := range kvs {
 		i := reducerForKey(kv.Key, numReducers)
-		dest[j] = i
-		sizes[i] += wire.KVFrameSize(kv)
-		counts[i]++
+		p.dest[j] = i
+		p.sizes[i] += wire.KVFrameSize(kv)
+		p.counts[i]++
 	}
-	total := numReducers - 1 // separators
-	for _, size := range sizes {
-		total += 1 + size
+	for i := range p.sizes {
+		p.sizes[i]++ // the magic byte
+		p.size += p.sizes[i]
 	}
-	object = make([]byte, total)
-	bodies = make([][]byte, numReducers)
+	return p
+}
+
+// write appends every pair, in emission order, to its reducer's frame in
+// dst, which is p.size bytes: the frames in reducer order, one '\n' apart,
+// as a COS map commits them after its record line (wire.ShuffleSpan) and a
+// fast tier holds them in a buffer of their own. bodies[r], capped at its
+// length, is reducer r's frame.
+func (p *framePlan) write(dst []byte) (bodies [][]byte) {
+	bodies = make([][]byte, len(p.sizes))
 	start := 0
-	for i, size := range sizes {
-		end := start + 1 + size
-		bodies[i] = wire.AppendKVs(object[start:start:end], nil)
-		if end < total {
-			object[end] = '\n'
+	for i, size := range p.sizes {
+		end := start + size
+		bodies[i] = wire.AppendKVs(dst[start:start:end], nil)
+		if end < len(dst) {
+			dst[end] = '\n'
 		}
 		start = end + 1
 	}
-	for j, i := range dest {
-		bodies[i] = wire.AppendKVs(bodies[i], kvs[j:j+1])
+	for j, i := range p.dest {
+		bodies[i] = wire.AppendKVs(bodies[i], p.kvs[j:j+1])
 	}
-	return object, bodies, counts
+	return bodies
 }
 
 // framePartition frames reducer's pairs alone, in emission order: the
-// bytes framePartitions builds for it, without building the other bodies.
+// bytes framePlan.write builds for it, without building the other bodies,
+// so a recomputed partition is the producer's byte for byte.
 func framePartition(kvs []wire.KV, numReducers, reducer int) []byte {
 	size := 0
 	for _, kv := range kvs {
@@ -243,10 +261,10 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 	if err := normalizeShuffleValues(kvs, r); err != nil {
 		return nil, err
 	}
-	object, bodies, counts := framePartitions(kvs, r)
+	plan := planFrames(kvs, r)
 	descs := make([]wire.PartitionDescriptor, r)
-	for i, body := range bodies {
-		descs[i] = wire.PartitionDescriptor{Reducer: i, Bytes: int64(len(body)), Keys: counts[i]}
+	for i, size := range plan.sizes {
+		descs[i] = wire.PartitionDescriptor{Reducer: i, Bytes: int64(size), Keys: plan.counts[i]}
 	}
 
 	transport := payload.Shuffle.Exchange
@@ -254,10 +272,11 @@ func (p *Platform) runShuffleMap(ctx *runtime.Ctx, payload *wire.CallPayload) (a
 		transport = wire.ExchangeCOS
 	}
 	ad := &wire.ExchangeAd{Transport: transport, Partitions: descs}
-	value := map[string]any{"emitted": len(kvs), "perReducer": counts}
+	value := map[string]any{"emitted": len(kvs), "perReducer": plan.counts}
 	if transport == wire.ExchangeCOS {
-		return &shuffleMapResult{value: value, ad: ad, frames: object}, nil
+		return &shuffleMapResult{value: value, ad: ad, frames: plan}, nil
 	}
+	bodies := plan.write(make([]byte, plan.size))
 	writeStart := ctx.Clock().Now()
 
 	switch transport {

@@ -229,7 +229,9 @@ func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 		kvs[i] = wire.KV{Key: fmt.Sprintf("k%d", i%37), Value: json.RawMessage(fmt.Sprint(i))}
 	}
 	for _, r := range []int{1, 3, 8, 300} { // 300: most frames empty
-		object, bodies, counts := framePartitions(kvs, r)
+		plan := planFrames(kvs, r)
+		object := make([]byte, plan.size)
+		bodies, counts := plan.write(object), plan.counts
 		joined, bounds := wire.JoinPayloads(bodies)
 		if !bytes.Equal(object, joined) {
 			t.Errorf("R=%d: map frames = %q, joined bodies = %q", r, object, joined)
@@ -251,7 +253,7 @@ func TestFramePartitionMatchesFramePartitions(t *testing.T) {
 				t.Errorf("R=%d reducer %d: slice %q, body %q", r, i, got, bodies[i])
 			}
 			if got := framePartition(kvs, r, i); !bytes.Equal(got, bodies[i]) {
-				t.Errorf("R=%d reducer %d: framePartition = %q, framePartitions = %q", r, i, got, bodies[i])
+				t.Errorf("R=%d reducer %d: framePartition = %q, framePlan.write = %q", r, i, got, bodies[i])
 			}
 		}
 	}

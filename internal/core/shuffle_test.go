@@ -443,11 +443,12 @@ func TestShuffleStaleIndexRebuilt(t *testing.T) {
 		for i, w := range rewritten {
 			kvs[i] = wire.KV{Key: w, Value: json.RawMessage("1")}
 		}
-		frames, bodies, counts := framePartitions(kvs, reducers)
-		for r := range bodies {
-			rec.Exchange.Partitions[r] = wire.PartitionDescriptor{Reducer: r, Bytes: int64(len(bodies[r])), Keys: counts[r]}
+		plan := planFrames(kvs, reducers)
+		for r, size := range plan.sizes {
+			rec.Exchange.Partitions[r] = wire.PartitionDescriptor{Reducer: r, Bytes: int64(size), Keys: plan.counts[r]}
 		}
-		_, object := wire.StatusObject(&rec, frames, nil)
+		line, object := wire.StatusObject(&rec, nil, 0, plan.size)
+		plan.write(object[len(line)+1:][:plan.size])
 		if _, err := fe.store.Put(meta, key, object); err != nil {
 			t.Error(err)
 			return

@@ -308,6 +308,33 @@ func TestInlineAndSpilledResultsResolveIdentically(t *testing.T) {
 	}
 }
 
+// TestRunnerCommitAllocs pins what the runner spends committing a plain
+// call: the user value's JSON and one buffer of exactly the status object's
+// size, which holds the record line with the envelope encoded in its inline
+// field. No envelope, record or object is allocated beside it.
+func TestRunnerCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	at := wire.ObjectRef{Bucket: DefaultMetaBucket, Key: statusKey("exec-000001", "00042")}
+	var line, object []byte
+	n := testing.AllocsPerRun(100, func() {
+		rec := wire.StatusRecord{ExecutorID: "exec-000001", CallID: "00042", ActivationID: "act-7",
+			StartUnixNs: 1544400004553768697, EndUnixNs: 1544400005433058227, ResultRef: at}
+		line, object = commitObject(&rec, 50.0, nil, nil)
+	})
+	if n > 2 {
+		t.Errorf("committing a plain call allocates %v times, want <= 2: the value's JSON and the status", n)
+	}
+	if len(line) != len(object) || &line[0] != &object[0] || cap(object) != len(object) {
+		t.Errorf("line %d bytes, object %d bytes in a %d-byte buffer; want the line as the whole object, one buffer", len(line), len(object), cap(object))
+	}
+	rec, rest, err := wire.DecodeStatus(object)
+	if err != nil || rest != nil || !rec.OK || string(rec.Inline) != `{"kind":"value","value":50}` || rec.ResultRef != (wire.ObjectRef{}) {
+		t.Errorf("committed %+v with rest %q (err %v), want the value inline", rec, rest, err)
+	}
+}
+
 // registerBlob registers "blob", which returns a string of as many x as its
 // argument.
 func registerBlob(t *testing.T, img *runtime.Image) {

@@ -19,6 +19,10 @@ type Store struct {
 	mu      sync.RWMutex
 	buckets map[string]*bucket
 	watches []*watch // live Watch subscriptions, guarded by mu
+	// gets are the live WatchGets subscriptions, guarded by mu. The slice
+	// is replaced, never edited, so a Get may call what it saw under the
+	// lock after releasing it.
+	gets []*watch
 
 	stats Stats
 }
@@ -56,8 +60,8 @@ type StatsSnapshot struct {
 // status sweeps) cheap. The index is exact: insert on first Put of a key,
 // remove on Delete, no tombstones.
 type bucket struct {
-	objects map[string]*object
-	keys    []string // sorted; in sync with objects
+	objects map[string]object // by value: a PUT allocates no object beside its body
+	keys    []string          // sorted; in sync with objects
 }
 
 // insertKey adds key to the sorted index if absent. Appends (keys arriving
@@ -115,7 +119,7 @@ func (s *Store) CreateBucket(name string) error {
 	if _, ok := s.buckets[name]; ok {
 		return fmt.Errorf("create bucket %q: %w", name, ErrBucketExists)
 	}
-	s.buckets[name] = &bucket{objects: make(map[string]*object)}
+	s.buckets[name] = &bucket{objects: make(map[string]object)}
 	return nil
 }
 
@@ -155,7 +159,10 @@ func (s *Store) PutIf(bucketName, key string, data []byte, ifMatch string) (Obje
 
 // commit is the one write path of Put and PutIf: copy, and — under the
 // lock — check ifMatch (nil: unconditional; otherwise the ETag the current
-// object must have, "" meaning no object), index the key and store.
+// object must have, "" meaning no object), index the key and store. The
+// body copy and its ETag are all a commit allocates: the object is held by
+// value in its bucket's map. The copy is the store's own, never written
+// again; a watch is handed it, a Get copies out of it.
 func (s *Store) commit(op, bucketName, key string, data []byte, ifMatch *string) (ObjectMeta, error) {
 	s.stats.PutOps.Add(1)
 	s.stats.BytesIn.Add(int64(len(data)))
@@ -186,7 +193,7 @@ func (s *Store) commit(op, bucketName, key string, data []byte, ifMatch *string)
 	if !exists {
 		b.insertKey(key)
 	}
-	b.objects[key] = &object{meta: meta, data: body}
+	b.objects[key] = object{meta: meta, data: body}
 	for _, w := range s.watches {
 		if w.bucket == bucketName && strings.HasPrefix(key, w.prefix) {
 			w.fn(key, body)
@@ -214,6 +221,26 @@ func (s *Store) Watch(bucket, prefix string, fn func(key string, body []byte)) (
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.watches = slices.DeleteFunc(s.watches, func(x *watch) bool { return x == w })
+	}
+}
+
+// WatchGets reports every body Get and GetRange hand out under bucket and
+// prefix to fn — its key and the caller's copy — from the moment WatchGets
+// returns until cancel does. fn runs on the reading goroutine, outside the
+// store's lock, and must be safe for concurrent use; it must not write into
+// body, which belongs to the caller. A read nobody watches pays one slice
+// load for it.
+//
+//gowren:allow reach — the alias guard of TestGoldenRuns (golden_test.go) hashes every meta-bucket body a run reads and fails if any is written after
+func (s *Store) WatchGets(bucket, prefix string, fn func(key string, body []byte)) (cancel func()) {
+	w := &watch{bucket: bucket, prefix: prefix, fn: fn}
+	s.mu.Lock()
+	s.gets = append(slices.Clip(s.gets), w)
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.gets = slices.DeleteFunc(slices.Clone(s.gets), func(x *watch) bool { return x == w })
 	}
 }
 
@@ -254,7 +281,7 @@ func (s *Store) PutGenerated(bucketName, key string, size int64, gen Generator) 
 	if _, exists := b.objects[key]; !exists {
 		b.insertKey(key)
 	}
-	b.objects[key] = &object{meta: meta, gen: gen}
+	b.objects[key] = object{meta: meta, gen: gen}
 	return meta, nil
 }
 
@@ -271,6 +298,7 @@ func (s *Store) GetRange(bucketName, key string, offset, length int64) ([]byte, 
 	// use, so the copy or the synthesis below does not hold up writers.
 	s.mu.RLock()
 	obj, err := s.lookupLocked(bucketName, key)
+	gets := s.gets
 	s.mu.RUnlock()
 	if err != nil {
 		return nil, ObjectMeta{}, fmt.Errorf("get %s/%s: %w", bucketName, key, err)
@@ -288,10 +316,13 @@ func (s *Store) GetRange(bucketName, key string, offset, length int64) ([]byte, 
 	} else {
 		copy(out, obj.data[offset:offset+length])
 	}
-	meta := obj.meta
-
+	for _, w := range gets {
+		if w.bucket == bucketName && strings.HasPrefix(key, w.prefix) {
+			w.fn(key, out)
+		}
+	}
 	s.stats.BytesOut.Add(length)
-	return out, meta, nil
+	return out, obj.meta, nil
 }
 
 // Head implements Client.
@@ -372,14 +403,14 @@ func (s *Store) Delete(bucketName, key string) error {
 }
 
 // lookupLocked finds an object; callers hold s.mu (read or write).
-func (s *Store) lookupLocked(bucketName, key string) (*object, error) {
+func (s *Store) lookupLocked(bucketName, key string) (object, error) {
 	b, ok := s.buckets[bucketName]
 	if !ok {
-		return nil, ErrNoSuchBucket
+		return object{}, ErrNoSuchBucket
 	}
 	obj, ok := b.objects[key]
 	if !ok {
-		return nil, ErrNoSuchKey
+		return object{}, ErrNoSuchKey
 	}
 	return obj, nil
 }

@@ -130,10 +130,10 @@ func TestStoreWatchConcurrentWriters(t *testing.T) {
 }
 
 // TestStoreUnwatchedPutAllocs gates the cost of watching on writes nobody
-// watches: Put and PutIf allocate the body copy, its ETag and the object,
-// and nothing for the watch.
+// watches: Put and PutIf allocate the body copy and its ETag — the object
+// is held by value — and nothing for the watch.
 func TestStoreUnwatchedPutAllocs(t *testing.T) {
-	const want = 3
+	const want = 2
 	store := NewStore()
 	if err := store.CreateBucket("b"); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestStoreWatchDeliversBody(t *testing.T) {
 // allocation — it is the copy the store makes anyway — so a watched Put or
 // PutIf allocates what an unwatched one does.
 func TestStoreWatchedPutAllocs(t *testing.T) {
-	const want = 3
+	const want = 2
 	store := NewStore()
 	if err := store.CreateBucket("b"); err != nil {
 		t.Fatal(err)
@@ -217,6 +217,51 @@ func TestStoreWatchedPutAllocs(t *testing.T) {
 	}
 	if string(last) != string(body) {
 		t.Errorf("last delivered body = %q, want %q", last, body)
+	}
+}
+
+// TestStoreWatchGets: a GET watch sees the very body each Get and GetRange
+// under its bucket and prefix hands out, and nothing once cancelled.
+func TestStoreWatchGets(t *testing.T) {
+	store := NewStore()
+	for _, b := range []string{"a", "b"} {
+		if err := store.CreateBucket(b); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"s/0", "x/0"} {
+			if _, err := store.Put(b, key, []byte(b+"/"+key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var seen []string
+	var last []byte
+	cancel := store.WatchGets("a", "s/", func(key string, body []byte) {
+		seen = append(seen, key+"="+string(body))
+		last = body
+	})
+	got, _, err := store.Get("a", "s/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &last[0] {
+		t.Error("the watch was handed another buffer than the caller")
+	}
+	for _, read := range []func() ([]byte, ObjectMeta, error){
+		func() ([]byte, ObjectMeta, error) { return store.GetRange("a", "s/0", 2, 2) },
+		func() ([]byte, ObjectMeta, error) { return store.Get("a", "x/0") },
+		func() ([]byte, ObjectMeta, error) { return store.Get("b", "s/0") },
+	} {
+		if _, _, err := read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	if _, _, err := store.Get("a", "s/0"); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[s/0=a/s/0 s/0=s/]"; fmt.Sprint(seen) != want {
+		t.Errorf("watched GETs = %v, want %s", seen, want)
 	}
 }
 

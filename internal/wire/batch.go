@@ -161,7 +161,7 @@ func DecodeParams(params []byte) (ref ObjectRef, line []byte, err error) {
 }
 
 // DecodePayload decodes and validates one staged call, whichever way its
-// bytes were cut out of a batch. Arg aliases body.
+// bytes were cut out of a batch. Its strings and Arg alias body.
 func DecodePayload(body []byte) (*CallPayload, error) {
 	p := new(CallPayload)
 	d := newDecoder(body)

@@ -19,11 +19,13 @@ import (
 // (FuturesRef) sends the whole record through encoding/json instead.
 // Correctness never depends on the fast path.
 //
-// Decoded strings are substrings of one string copy of the body, and the
-// RawMessage fields (CallPayload.Arg, StatusRecord.Inline,
-// ResultEnvelope.Value) alias the body itself, so the caller's body must be a
-// private buffer it does not reuse: cos.Store and the HTTP client hand out a
-// fresh copy on every Get and GetRange.
+// Decoded strings and the RawMessage fields (CallPayload.Arg,
+// StatusRecord.Inline, ResultEnvelope.Value) alias the body: the strings
+// through unsafe.String, so decoding copies nothing. The body is a GET's copy
+// (cos.Store and the HTTP client hand out a fresh one on every Get and
+// GetRange), an HTTP request body, invoke parameters or a copy of a body the
+// store pushed, and nobody writes to any of these once it is decoded. A
+// decoded string keeps its whole body alive, as a RawMessage already did.
 
 // plainByte[c] reports whether encoding/json writes byte c of a string as
 // itself: printable ASCII other than the quote, the backslash and the three
@@ -116,7 +118,7 @@ func (e *encoder) record(v any) {
 		}
 	case *StatusRecord:
 		if v != nil {
-			e.status(v)
+			e.status(v, nil)
 			return
 		}
 	case *ResultEnvelope:
@@ -299,7 +301,9 @@ func (e *encoder) ref(r ObjectRef) {
 	e.lit("}")
 }
 
-func (e *encoder) status(r *StatusRecord) {
+// status writes r, with env — when set — encoded as its inline field in
+// place of r.Inline, as StatusObject writes a call's result.
+func (e *encoder) status(r *StatusRecord, env *ResultEnvelope) {
 	e.str(`{"executorId":`, r.ExecutorID)
 	e.str(`,"callId":`, r.CallID)
 	e.bool(`,"ok":`, r.OK)
@@ -309,7 +313,12 @@ func (e *encoder) status(r *StatusRecord) {
 	e.int(`,"submitUnixNs":`, r.SubmitUnixNs)
 	e.int(`,"startUnixNs":`, r.StartUnixNs)
 	e.int(`,"endUnixNs":`, r.EndUnixNs)
-	e.raw(`,"inline":`, r.Inline)
+	if env != nil {
+		e.lit(`,"inline":`)
+		e.envelope(env)
+	} else {
+		e.raw(`,"inline":`, r.Inline)
+	}
 	e.lit(`,"resultRef":`)
 	e.ref(r.ResultRef)
 	if x := r.Exchange; x != nil {
@@ -352,7 +361,6 @@ func (e *encoder) marker(m *FanInMarker) {
 // does not take, and the caller then hands the whole body to encoding/json.
 type decoder struct {
 	b  []byte
-	s  string // string(b), made at the first string decoded
 	i  int
 	ok bool
 }
@@ -370,50 +378,100 @@ func unmarshalFresh[T any](body []byte) (T, error) {
 	return *v, nil
 }
 
-// StatusObject lays out the one object that commits a call: rec's record
-// line and, when the call has bulk, '\n' and a COS shuffle map's partition
-// frames, then '\n' and a spilled result envelope. rec.ResultRef, whose
-// bucket and key the caller set to the status object's, is pointed at the
-// envelope's range; that offset is written in the line it follows, so the
-// line is encoded until its length agrees with it (its digits move it at
-// most twice). line is the record alone; a record with no bulk is also the
-// whole object.
-func StatusObject(rec *StatusRecord, frames, env []byte) (line, object []byte) {
-	bulk := 0
-	if len(frames) > 0 {
-		bulk = 1 + len(frames)
-	}
-	if len(env) == 0 {
-		line = MustMarshal(rec)
-	} else {
-		rec.ResultRef.Offset, rec.ResultRef.Length = 0, int64(len(env))
-		for {
-			line = MustMarshal(rec)
-			off := int64(len(line) + bulk + 1)
-			if off == rec.ResultRef.Offset {
-				break
-			}
-			rec.ResultRef.Offset = off
+// StatusObject lays out the one object that commits a call, in one buffer of
+// exactly its size: rec's record line; when the call has frames, '\n' and
+// frames bytes left for the caller to fill with a COS shuffle map's partition
+// frames (object[len(line)+1:][:frames]); and, when env — the call's result
+// envelope, nil for a failed call — encodes to more than inlineMax bytes,
+// '\n' and env. A smaller env rides the line's inline field instead, encoded
+// there directly. On entry rec.ResultRef names the status object itself; a
+// spilled env keeps that name and gains its byte range, an offset written in
+// the line it follows, so the line is measured until its length agrees with
+// it (its digits move it at most twice); otherwise it is cleared. One pass
+// measures and one writes. An env or a record the fast encoder does not take
+// (a composition, a string that needs escaping) goes through encoding/json,
+// which writes the same bytes in the same place. line is the record alone,
+// the head of object.
+func StatusObject(rec *StatusRecord, env *ResultEnvelope, inlineMax, frames int) (line, object []byte) {
+	var slowEnv []byte // env as encoding/json writes it, when the fast encoder does not take it
+	size := 0
+	if env != nil {
+		m := encoder{ok: true}
+		if m.envelope(env); m.ok {
+			size = m.n
+		} else {
+			v := *env // a copy, so that only this path moves an envelope to the heap
+			slowEnv = MustMarshal(&v)
+			size = len(slowEnv)
 		}
-		bulk += 1 + len(env)
 	}
-	if bulk == 0 {
-		return line, line
+	spill := size > inlineMax
+	inline := env // what the line encodes as its inline field
+	switch {
+	case spill:
+		rec.ResultRef.Offset, rec.ResultRef.Length = 0, int64(size)
+		inline = nil
+	case slowEnv != nil:
+		rec.ResultRef, rec.Inline, inline = ObjectRef{}, slowEnv, nil
+	default:
+		rec.ResultRef = ObjectRef{}
 	}
-	object = append(make([]byte, 0, len(line)+bulk), line...)
-	if len(frames) > 0 {
-		object = append(append(object, '\n'), frames...)
+	var slowLine []byte // the line as encoding/json writes it, when the fast encoder does not take rec
+	measure := func() int {
+		m := encoder{ok: true}
+		if m.status(rec, inline); m.ok {
+			return m.n
+		}
+		if inline != nil {
+			e := *env
+			rec.Inline, inline = MustMarshal(&e), nil
+		}
+		v := *rec
+		slowLine = MustMarshal(&v)
+		return len(slowLine)
 	}
-	if len(env) > 0 {
-		object = append(append(object, '\n'), env...)
+	bulk := 0
+	if frames > 0 {
+		bulk = 1 + frames
 	}
-	return line, object
+	n := measure()
+	for spill {
+		off := int64(n + bulk + 1)
+		if off == rec.ResultRef.Offset {
+			break
+		}
+		rec.ResultRef.Offset = off
+		n = measure()
+	}
+	total := n + bulk
+	if spill {
+		total += 1 + size
+	}
+	w := encoder{buf: make([]byte, 0, total), ok: true}
+	if slowLine != nil {
+		w.buf = append(w.buf, slowLine...)
+	} else {
+		w.status(rec, inline)
+	}
+	if frames > 0 {
+		w.lit("\n")
+		w.buf = w.buf[:len(w.buf)+frames]
+	}
+	if spill {
+		w.lit("\n")
+		if slowEnv != nil {
+			w.buf = append(w.buf, slowEnv...)
+		} else {
+			w.envelope(env)
+		}
+	}
+	return w.buf[:n:n], w.buf
 }
 
 // DecodeStatus decodes a status object's record, its first line, and returns
 // the bytes after the line's '\n' (nil when the object is the record alone).
-// body may be a head range of the object: only the line must be whole.
-// Inline and rest alias body.
+// body may be a head range of the object: only the line must be whole. The
+// record and rest alias body.
 func DecodeStatus(body []byte) (rec StatusRecord, rest []byte, err error) {
 	line, rest, _ := bytes.Cut(body, []byte{'\n'})
 	d := newDecoder(line)
@@ -437,7 +495,7 @@ func SpilledEnvelope(rec *StatusRecord, body []byte) ([]byte, error) {
 	return body[ref.Offset : ref.Offset+ref.Length], nil
 }
 
-// DecodeEnvelope decodes a result envelope. Value aliases body.
+// DecodeEnvelope decodes a result envelope. Kind and Value alias body.
 func DecodeEnvelope(body []byte) (ResultEnvelope, error) {
 	var env ResultEnvelope
 	d := newDecoder(body)
@@ -458,8 +516,7 @@ func DecodeRef(body []byte) (ObjectRef, error) {
 	return unmarshalFresh[ObjectRef](body)
 }
 
-// DecodeMarker decodes a fan-in launch marker; its strings share one copy
-// of body.
+// DecodeMarker decodes a fan-in launch marker; its strings alias body.
 func DecodeMarker(body []byte) (FanInMarker, error) {
 	var m FanInMarker
 	d := newDecoder(body)
@@ -520,25 +577,12 @@ func (d *decoder) quoted() (start, end int) {
 
 func (d *decoder) str() string { return d.text(d.quoted()) }
 
+// text returns bytes [start, end) of the body as a string that aliases them.
 func (d *decoder) text(start, end int) string {
-	if !d.ok {
+	if !d.ok || start == end {
 		return ""
 	}
-	if d.s == "" {
-		d.s = string(d.b)
-	}
-	return d.s[start:end]
-}
-
-// enum is str for a field with a few known values, which cost no copy.
-func (d *decoder) enum(known ...string) string {
-	start, end := d.quoted()
-	for _, k := range known {
-		if d.ok && string(d.b[start:end]) == k {
-			return k
-		}
-	}
-	return d.text(start, end)
+	return unsafe.String(&d.b[start], end-start)
 }
 
 func (d *decoder) int() int64 {
@@ -799,7 +843,7 @@ func (d *decoder) shuffle(s *ShuffleSpec) {
 		case "mapCallIds":
 			s.MapCallIDs = array(d, d.strInto)
 		case "exchange":
-			s.Exchange = d.enum(ExchangeCOS, ExchangeMemory, ExchangeDirect)
+			s.Exchange = d.str()
 		default:
 			return false
 		}
@@ -904,7 +948,7 @@ func (d *decoder) exchange(x *ExchangeAd) {
 	d.object(func(key []byte) bool {
 		switch string(key) {
 		case "transport":
-			x.Transport = d.enum(ExchangeCOS, ExchangeMemory, ExchangeDirect)
+			x.Transport = d.str()
 		case "lingerUntilNs":
 			x.LingerUntilNs = d.int()
 		case "partitions":
@@ -938,7 +982,7 @@ func (d *decoder) envelope(env *ResultEnvelope) {
 	d.object(func(key []byte) bool {
 		switch string(key) {
 		case "kind":
-			env.Kind = d.enum(ResultValue, ResultFutures)
+			env.Kind = d.str()
 		case "value":
 			env.Value = d.raw()
 		default: // "futures" included: encoding/json decodes compositions

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The records of the §6.4 job (table3) as its runners read them: a map call
@@ -233,7 +235,7 @@ func TestRecordCodecFallsBack(t *testing.T) {
 }
 
 // TestRecordCodecAllocs pins what the platform pays per record on its hot
-// path: the body's one string copy and the pointers the record holds.
+// path: the pointers and slices the record holds, and no copy of the body.
 func TestRecordCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -252,12 +254,12 @@ func TestRecordCodecAllocs(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		{"DecodeStatus", 1, func() { _, _, err := DecodeStatus(status); must(err) }},
+		{"DecodeStatus", 0, func() { _, _, err := DecodeStatus(status); must(err) }},
 		{"DecodeEnvelope", 0, func() { _, err := DecodeEnvelope(inline); must(err) }},
-		{"DecodeRef", 1, func() { _, err := DecodeRef(params); must(err) }},
-		{"DecodePayload(map with fan-in)", 6, func() { _, err := DecodePayload(mapCall); must(err) }},
-		{"DecodePayload(reduce)", 4, func() { _, err := DecodePayload(reduce); must(err) }},
-		{"DecodeMarker(100 launches)", 2, func() { _, err := DecodeMarker(marker); must(err) }},
+		{"DecodeRef", 0, func() { _, err := DecodeRef(params); must(err) }},
+		{"DecodePayload(map with fan-in)", 5, func() { _, err := DecodePayload(mapCall); must(err) }},
+		{"DecodePayload(reduce)", 3, func() { _, err := DecodePayload(reduce); must(err) }},
+		{"DecodeMarker(100 launches)", 1, func() { _, err := DecodeMarker(marker); must(err) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n > tc.max {
 			t.Errorf("%s: %v allocs, want <= %v", tc.name, n, tc.max)
@@ -353,6 +355,15 @@ func FuzzStatusRecordCodec(f *testing.F) {
 	for _, s := range []string{`"plain"`, `""`, `"a b"`, `"<&>"`, `"\u00e9"`, `"é"`, `"\""`, `"`, `"x"y"`} {
 		f.Add([]byte(s))
 	}
+	cases, inlineMax := statusObjectCases()
+	for _, c := range cases {
+		rec := c.rec
+		line, object := StatusObject(&rec, c.env, inlineMax, len(c.frames))
+		if len(c.frames) > 0 {
+			copy(object[len(line)+1:], c.frames)
+		}
+		f.Add(object)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if plain := tablePlain(data); PlainText(string(data)) != plain {
 			t.Fatalf("PlainText(%q) = %v, the table says %v", data, !plain, plain)
@@ -405,17 +416,23 @@ func FuzzFanInMarkerCodec(f *testing.F) {
 
 // TestStatusObjectLayout: a status object is its record line and, after it,
 // a shuffle map's frames and a spilled envelope; the record locates the
-// envelope inside its own object, and the line is the record alone. Frame
-// sizes up to 1,200 bytes carry the envelope's offset across digit
-// boundaries, where its own digits lengthen the line it is written in.
+// envelope inside its own object, and the line is the record alone, at the
+// head of the one buffer the object is. Frame sizes up to 1,200 bytes carry
+// the envelope's offset across digit boundaries, where its own digits
+// lengthen the line it is written in.
 func TestStatusObjectLayout(t *testing.T) {
-	env := []byte(`{"kind":"value","value":"` + string(bytes.Repeat([]byte{'x'}, 100)) + `"}`)
+	env := &ResultEnvelope{Kind: ResultValue, Value: json.RawMessage(`"` + strings.Repeat("x", 100) + `"`)}
+	envBody := MustMarshal(env)
 	for n := 0; n <= 1200; n++ {
 		frames := bytes.Repeat([]byte{'f'}, n)
 		rec := &StatusRecord{ExecutorID: "e", CallID: "00001", OK: true, ResultRef: ObjectRef{Bucket: "b", Key: "jobs/e/status/00001"}}
-		line, object := StatusObject(rec, frames, env)
-		if !bytes.Equal(line, MustMarshal(rec)) || !bytes.HasPrefix(object, append(line, '\n')) {
+		line, object := StatusObject(rec, env, len(envBody)-1, n)
+		copy(object[len(line)+1:][:n], frames)
+		if !bytes.Equal(line, MustMarshal(rec)) || !bytes.HasPrefix(object, append(bytes.Clone(line), '\n')) {
 			t.Fatalf("%d frame bytes: line %q does not open object %q", n, line, object)
+		}
+		if &line[0] != &object[0] || cap(object) != len(object) {
+			t.Fatalf("%d frame bytes: line and object are not one buffer of the object's size", n)
 		}
 		got, rest, err := DecodeStatus(object)
 		if err != nil || !reflect.DeepEqual(got, *rec) {
@@ -425,19 +442,218 @@ func TestStatusObjectLayout(t *testing.T) {
 			t.Fatalf("%d frame bytes: the frames do not follow the line", n)
 		}
 		spilled, err := SpilledEnvelope(&got, object)
-		if err != nil || !bytes.Equal(spilled, env) {
-			t.Fatalf("%d frame bytes: spilled envelope = %q (err %v), want %q", n, spilled, err, env)
+		if err != nil || !bytes.Equal(spilled, envBody) {
+			t.Fatalf("%d frame bytes: spilled envelope = %q (err %v), want %q", n, spilled, err, envBody)
 		}
 		if _, err := SpilledEnvelope(&got, object[:len(object)-1]); err == nil {
 			t.Fatalf("%d frame bytes: a truncated object's envelope was accepted", n)
 		}
 	}
-	rec := &StatusRecord{ExecutorID: "e", CallID: "00002", OK: true, Inline: json.RawMessage(`{"kind":"value","value":1}`)}
-	line, object := StatusObject(rec, nil, nil)
+	rec := &StatusRecord{ExecutorID: "e", CallID: "00002", OK: true, ResultRef: ObjectRef{Bucket: "b", Key: "jobs/e/status/00002"}}
+	line, object := StatusObject(rec, &ResultEnvelope{Kind: ResultValue, Value: json.RawMessage("1")}, 8<<10, 0)
 	if !bytes.Equal(line, object) || bytes.IndexByte(object, '\n') >= 0 {
 		t.Fatalf("a record without bulk: line %q, object %q; want the record alone", line, object)
 	}
-	if _, rest, err := DecodeStatus(object); err != nil || rest != nil {
-		t.Fatalf("a record without bulk decodes with rest %q (err %v)", rest, err)
+	if got, rest, err := DecodeStatus(object); err != nil || rest != nil || string(got.Inline) != `{"kind":"value","value":1}` || got.ResultRef != (ObjectRef{}) {
+		t.Fatalf("a record without bulk decodes to %+v with rest %q (err %v)", got, rest, err)
+	}
+}
+
+// twoStepStatusObject is the commit StatusObject replaced, kept as its
+// oracle: the runner marshalled the envelope, put it in rec.Inline when it
+// was at most inlineMax bytes and otherwise named the status object in
+// rec.ResultRef, and the writer marshalled the record until the spill's
+// offset agreed with it, then copied the line, the frames and the spilled
+// envelope into a new buffer.
+func twoStepStatusObject(rec *StatusRecord, env *ResultEnvelope, inlineMax int, at ObjectRef, frames []byte) (line, object []byte) {
+	var spilled []byte
+	if env != nil {
+		body := MustMarshal(env)
+		if len(body) <= inlineMax {
+			rec.Inline = body
+		} else {
+			rec.ResultRef, spilled = at, body
+		}
+	}
+	bulk := 0
+	if len(frames) > 0 {
+		bulk = 1 + len(frames)
+	}
+	if len(spilled) == 0 {
+		line = MustMarshal(rec)
+	} else {
+		rec.ResultRef.Offset, rec.ResultRef.Length = 0, int64(len(spilled))
+		for {
+			line = MustMarshal(rec)
+			off := int64(len(line) + bulk + 1)
+			if off == rec.ResultRef.Offset {
+				break
+			}
+			rec.ResultRef.Offset = off
+		}
+		bulk += 1 + len(spilled)
+	}
+	if bulk == 0 {
+		return line, line
+	}
+	object = append(make([]byte, 0, len(line)+bulk), line...)
+	if len(frames) > 0 {
+		object = append(append(object, '\n'), frames...)
+	}
+	if len(spilled) > 0 {
+		object = append(append(object, '\n'), spilled...)
+	}
+	return line, object
+}
+
+// statusObjectCase is one commit the writer must lay out as the two-step
+// path did.
+type statusObjectCase struct {
+	name   string
+	rec    StatusRecord // ResultRef is filled in from the case's key
+	env    *ResultEnvelope
+	frames []byte
+}
+
+// statusObjectCases are the commits the oracle test and the status fuzz
+// seeds share: inline values, one exactly at the threshold and one byte
+// over it, frames beside either, a failed call, a composition, values that
+// need compacting or escaping, and a record only encoding/json writes.
+func statusObjectCases() (cases []statusObjectCase, inlineMax int) {
+	const limit = 8 << 10 // the runner's inlineThreshold
+	value := func(v string) *ResultEnvelope { return &ResultEnvelope{Kind: ResultValue, Value: json.RawMessage(v)} }
+	// sized is a string value whose envelope is n bytes.
+	sized := func(n int) *ResultEnvelope {
+		return value(`"` + strings.Repeat("x", n-len(MustMarshal(value(`""`)))) + `"`)
+	}
+	rec := StatusRecord{ExecutorID: "exec-000001", CallID: "00042", ActivationID: "act-7", ColdStart: true,
+		SubmitUnixNs: 1544400004553768697, StartUnixNs: 1544400004553768697, EndUnixNs: 1544400005433058227}
+	ok := rec
+	ok.OK = true
+	shuffled := ok
+	shuffled.Exchange = &ExchangeAd{Transport: ExchangeCOS, Partitions: []PartitionDescriptor{{0, 12, 2}, {1, 1, 0}}}
+	frames := []byte("\xf5\x01a\x011\x01b\x012\n\xf5")
+	failed := rec
+	failed.Error = `core: call "00042" failed: <nil> & more`
+	odd := ok
+	odd.ActivationID = "act<7>"
+	return []statusObjectCase{
+		{"small int", ok, value("42"), nil},
+		{"small object", ok, value(`{"a":[1,"two"],"b":null}`), nil},
+		{"null", ok, value("null"), nil},
+		{"at the threshold", ok, sized(limit), nil},
+		{"one byte over", ok, sized(limit + 1), nil},
+		{"far over", ok, sized(2 * limit), nil},
+		{"frames, inline", shuffled, value(`{"emitted":2,"perReducer":[2,0]}`), frames},
+		{"frames, spilled", shuffled, sized(3 * limit), frames},
+		{"failed", failed, nil, nil},
+		{"failed with frames", failed, nil, frames},
+		{"composition", ok, &ResultEnvelope{Kind: ResultFutures, Futures: &FuturesRef{MetaBucket: "m", ExecutorID: "sub", CallIDs: []string{"00000", "00001"}, Combine: CombineList}}, nil},
+		{"value with <", ok, value(`"a<b"`), nil},
+		{"value with spaces", ok, value(`{"a": [1, 2]}`), nil},
+		{"spilled value with spaces", ok, value(`[` + strings.Repeat(`1, `, limit) + `1]`), nil},
+		{"encoding/json-only value", ok, value("\"\u2028\""), nil},
+		{"encoding/json-only record, inline", odd, value("42"), nil},
+		{"encoding/json-only record, spilled", odd, sized(limit + 1), frames},
+	}, limit
+}
+
+// TestStatusObjectMatchesTwoStep holds the one-pass writer to the two-step
+// commit it replaced: the same line and the same object, byte for byte.
+func TestStatusObjectMatchesTwoStep(t *testing.T) {
+	cases, inlineMax := statusObjectCases()
+	at := ObjectRef{Bucket: "gowren-meta", Key: "jobs/exec-000001/status/00042"}
+	for _, c := range cases {
+		old := c.rec
+		wantLine, wantObject := twoStepStatusObject(&old, c.env, inlineMax, at, c.frames)
+		rec := c.rec
+		rec.ResultRef = at
+		line, object := StatusObject(&rec, c.env, inlineMax, len(c.frames))
+		if len(c.frames) > 0 {
+			copy(object[len(line)+1:], c.frames)
+		}
+		if !bytes.Equal(line, wantLine) || !bytes.Equal(object, wantObject) {
+			t.Errorf("%s: StatusObject wrote\n%q\n%q\nthe two-step path\n%q\n%q", c.name, line, object, wantLine, wantObject)
+		}
+		if cap(object) != len(object) {
+			t.Errorf("%s: a %d-byte object in a %d-byte buffer", c.name, len(object), cap(object))
+		}
+	}
+}
+
+// TestDecodedStringsAliasBody: every string and RawMessage a decoder returns
+// lies inside the body it decoded — nothing is copied out of it.
+func TestDecodedStringsAliasBody(t *testing.T) {
+	check := func(name string, body []byte, v any) {
+		t.Helper()
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(body)))
+		hi := lo + uintptr(len(body))
+		inside := func(p unsafe.Pointer, n int) bool {
+			return n == 0 || uintptr(p) >= lo && uintptr(p)+uintptr(n) <= hi
+		}
+		strs := 0
+		var walk func(reflect.Value)
+		walk = func(v reflect.Value) {
+			switch v.Kind() {
+			case reflect.String:
+				strs++
+				if s := v.String(); !inside(unsafe.Pointer(unsafe.StringData(s)), len(s)) {
+					t.Errorf("%s: string %q lies outside the body", name, s)
+				}
+			case reflect.Slice:
+				if v.Type().Elem().Kind() == reflect.Uint8 {
+					if !inside(v.UnsafePointer(), v.Len()) {
+						t.Errorf("%s: %s %q lies outside the body", name, v.Type(), v.Bytes())
+					}
+					return
+				}
+				for i := range v.Len() {
+					walk(v.Index(i))
+				}
+			case reflect.Pointer:
+				if !v.IsNil() {
+					walk(v.Elem())
+				}
+			case reflect.Struct:
+				for i := range v.NumField() {
+					if v.Type().Field(i).IsExported() {
+						walk(v.Field(i))
+					}
+				}
+			}
+		}
+		walk(reflect.ValueOf(v))
+		if strs == 0 {
+			t.Errorf("%s: no string decoded", name)
+		}
+	}
+	for _, v := range codecRecords(t) {
+		body := MustMarshal(v)
+		var (
+			got any
+			err error
+		)
+		switch v.(type) {
+		case *CallPayload:
+			got, err = DecodePayload(body)
+		case *StatusRecord:
+			var rec StatusRecord
+			rec, _, err = DecodeStatus(body)
+			got = rec
+		case *ResultEnvelope:
+			got, err = DecodeEnvelope(body)
+		case ObjectRef:
+			got, err = DecodeRef(body)
+		case *FanInMarker:
+			got, err = DecodeMarker(body)
+		case *ShuffleIndex:
+			got, err = DecodeShuffleIndex(body)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if v != (ObjectRef{}) {
+			check(fmt.Sprintf("%T", v), body, got)
+		}
 	}
 }

@@ -28,7 +28,8 @@ func TestShuffleIndexLocatesFrames(t *testing.T) {
 	}
 	joined, bounds := JoinPayloads(frames)
 	rec := &StatusRecord{ExecutorID: "exec-1", CallID: "00007", OK: true, Exchange: &ExchangeAd{Transport: ExchangeCOS, Partitions: descs}}
-	line, object := StatusObject(rec, joined, nil)
+	line, object := StatusObject(rec, nil, 0, len(joined))
+	copy(object[len(line)+1:], joined)
 	span := ShuffleSpan("jobs/exec-1/status/00007", "e", int64(len(line))+1, descs)
 	for i := range bounds {
 		bounds[i] += int64(len(line)) + 1
