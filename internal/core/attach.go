@@ -324,7 +324,8 @@ func (e *Executor) respawnOrphans(futures []*Future) error {
 		if !dead {
 			continue
 		}
-		committed := e.sweeps.completed(nsKey{bucket: meta, execID: f.executorID}, f.callID)
+		var committed bool
+		e.sweeps.withDone(nsKey{bucket: meta, execID: f.executorID}, func(d *doneSet) { committed = d.has(f.callID) })
 		if !committed {
 			_, err := e.cfg.Storage.Head(meta, statusKey(f.executorID, f.callID))
 			if err != nil && !errors.Is(err, cos.ErrNoSuchKey) {

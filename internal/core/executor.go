@@ -195,9 +195,12 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	counting := cos.NewCounting(cfg.Storage)
 	cfg.Storage = cos.NewRetrying(counting, clk, executorStorageAttempts, executorStorageBackoff)
 
-	sweeps := newSweepCoordinator
-	if cfg.SharePolls {
-		sweeps = cfg.Platform.sharedSweeps
+	var hub *sweepHub
+	if p := cfg.Platform; cfg.SharePolls {
+		p.sweepsOnce.Do(func() { p.sweeps = newSweepHub(cfg.Storage, clk) })
+		hub = p.sweeps
+	} else {
+		hub = newSweepHub(cfg.Storage, clk)
 	}
 	n := execCounter.Add(1)
 	seed := cfg.Platform.nextExecutorSeed()
@@ -207,7 +210,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		clock:       clk,
 		gil:         newSerial(clk),
 		respawns:    newRespawnLedger(),
-		sweeps:      sweeps(cfg.Storage, clk),
+		sweeps:      newSweepCoordinator(hub, cfg.Storage),
 		ops:         counting,
 		invokeRetry: retry.New(clk, invokeRetryPolicy, retryableCall, retry.WithSeed(seed)),
 	}, nil

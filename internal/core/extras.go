@@ -17,8 +17,8 @@ import (
 // system reaches for once jobs grow to thousands of functions.
 
 // Clean deletes every object this executor staged or produced in the meta
-// bucket (payloads, statuses, results). Call it after GetResult; futures
-// become unusable afterwards.
+// bucket (payload batches, statuses, fan-in markers, journal records and the
+// manifest). Call it after GetResult; futures become unusable afterwards.
 func (e *Executor) Clean() error {
 	meta := e.cfg.Platform.MetaBucket()
 	if err := deleteJob(e.cfg.Storage, e.clock, e.cfg.StageConcurrency, meta, e.id); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"strconv"
 	"strings"
@@ -114,14 +115,29 @@ func (e *Executor) newFanInGroup(spec *wire.FanIn) (*fanInGroup, error) {
 	return &fanInGroup{fanInGate: gate, next: gate.first, gated: make([]*Future, spec.Targets)}, nil
 }
 
+// uncommitted yields, in order, the group's input sequences the driver's
+// done-set does not hold, after moving g.next up to the first. The hub's
+// lock is held for each look, never while the caller's loop body runs.
+func (g *fanInGroup) uncommitted(e *Executor) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		ns, end := nsKey{bucket: g.bucket, execID: g.execID}, g.first+g.spec.Count
+		from := func(seq int) int {
+			e.sweeps.withDone(ns, func(d *doneSet) { seq = d.firstUncommitted(seq, end) })
+			return seq
+		}
+		g.next = from(g.next)
+		for seq := g.next; seq < end && yield(seq); seq = from(seq + 1) {
+		}
+	}
+}
+
 // inputsCommitted reports whether the driver's sweep has seen a status for
 // every input of the group.
 func (g *fanInGroup) inputsCommitted(e *Executor) bool {
-	end := g.first + g.spec.Count
-	if g.next < end {
-		g.next = e.sweeps.firstUncommitted(nsKey{bucket: g.bucket, execID: g.execID}, g.next, end)
+	for range g.uncommitted(e) {
+		return false
 	}
-	return g.next == end
+	return true
 }
 
 // unlaunched returns the target indexes whose call has neither finished nor
@@ -434,9 +450,8 @@ func (e *Executor) respawnDeadInputs(g *fanInGroup, now time.Time, limit int) {
 	}
 	g.probeAt = now.Add(fanInGrace)
 	ctrl := e.cfg.Platform.Controller()
-	ns, end := nsKey{bucket: g.bucket, execID: g.execID}, g.first+g.spec.Count
 	var dead []*Future
-	for seq := e.sweeps.firstUncommitted(ns, g.next, end); seq < end; seq = e.sweeps.firstUncommitted(ns, seq+1, end) {
+	for seq := range g.uncommitted(e) {
 		f := g.inputs[seq-g.first]
 		if f.activationID == "" {
 			continue
@@ -534,8 +549,7 @@ func (e *Executor) uncommittedInputs(pending []*Future) string {
 			continue
 		}
 		seen[g] = true
-		ns, end := nsKey{bucket: g.bucket, execID: g.execID}, g.first+g.spec.Count
-		for seq := e.sweeps.firstUncommitted(ns, g.next, end); seq < end; seq = e.sweeps.firstUncommitted(ns, seq+1, end) {
+		for seq := range g.uncommitted(e) {
 			ids = append(ids, callIDForSeq(seq))
 		}
 	}
@@ -572,8 +586,8 @@ func (b *inputBarrier) await() error {
 	if b.passed {
 		return nil
 	}
-	pend := &pendingSet{sweeps: newSweepCoordinator(b.ctx.Storage(), b.ctx.Clock()), storage: b.ctx.Storage(),
-		clock: b.ctx.Clock(), meta: b.ns.bucket, interval: 100 * time.Millisecond}
+	storage := b.ctx.Storage()
+	pend := &pendingSet{sweeps: newSweepCoordinator(newSweepHub(storage, b.ctx.Clock()), storage), meta: b.ns.bucket, interval: 100 * time.Millisecond}
 	if err := pend.awaitAll(b.ns.execID, b.inputs, nil, b.ctx.Deadline()); err != nil {
 		if errors.Is(err, ErrWaitTimeout) {
 			return fmt.Errorf("core: %s waiting for %d map calls: %w", b.who, len(b.inputs), runtime.ErrDeadlineExceeded)

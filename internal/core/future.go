@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"gowren/internal/cos"
 	"gowren/internal/vclock"
 	"gowren/internal/wire"
 )
@@ -234,12 +233,10 @@ const sweepConsultThreshold = 3
 // composition resolver and the in-cloud reduce barriers all wait through
 // its wait loop, which also runs the chores of the driver waiting.
 type pendingSet struct {
+	// sweeps is the coordinator the set sweeps through, whose storage its
+	// LISTs run through and whose clock it waits on.
 	sweeps *sweepCoordinator
-	// storage is what the set's LISTs run through: its driver's view, or
-	// the activation's in a reduce barrier.
-	storage cos.Client
-	clock   vclock.Clock
-	meta    string
+	meta   string
 	// driver is the executor whose job the wait drives: its lease, respawn
 	// ledger and fan-in backstop tick with the loop, and its controller
 	// answers the dead-activation probe. Nil only in a reduce barrier, which
@@ -282,7 +279,7 @@ type pendingGroup struct {
 // coordinator, waiting on statuses in meta with e as its driver; limit caps
 // the backstop's automatic respawns per call.
 func (e *Executor) pendingIn(meta string, limit int) *pendingSet {
-	return &pendingSet{sweeps: e.sweeps, storage: e.cfg.Storage, clock: e.clock, meta: meta, driver: e, limit: limit, interval: e.cfg.PollInterval}
+	return &pendingSet{sweeps: e.sweeps, meta: meta, driver: e, limit: limit, interval: e.cfg.PollInterval}
 }
 
 // add puts futures (back) into the set: respawned calls are pending again.
@@ -324,7 +321,7 @@ func (p *pendingSet) futures() []*Future {
 // wait's event woke between ticks only harvests what others listed. The set
 // keeps its event armed on each namespace while it has calls pending there.
 func (p *pendingSet) sweep() ([]*Future, error) {
-	asOf := p.clock.Now()
+	asOf := p.sweeps.clock.Now()
 	var newly []*Future
 	for _, g := range p.groups {
 		if len(g.fs) == 0 {
@@ -341,7 +338,7 @@ func (p *pendingSet) sweep() ([]*Future, error) {
 			}
 		}
 		var done []*Future
-		done, g.fs = harvest(p.sweeps, g.ns, &g.seen, g.fs)
+		p.sweeps.withDone(g.ns, func(d *doneSet) { done, g.fs = d.harvest(&g.seen, g.fs) })
 		for _, f := range done {
 			f.markDone()
 		}
@@ -408,7 +405,7 @@ func splitDone(futures []*Future) (done, pending []*Future) {
 // throughout. On the Virtual clock, with nobody else polling, the wait
 // behaves as the paper's polling client: one LIST a tick.
 func (p *pendingSet) wait(deadline time.Time, step func(newly []*Future) bool) error {
-	p.evt, p.tick, p.reuse = vclock.NewEvent(p.clock), true, 0
+	p.evt, p.tick, p.reuse = vclock.NewEvent(p.sweeps.clock), true, 0
 	defer p.disarm()
 	if len(p.groups) == 1 {
 		defer p.sweeps.watch(p.groups[0].ns)()
@@ -433,7 +430,7 @@ func (p *pendingSet) wait(deadline time.Time, step func(newly []*Future) bool) e
 		if settled {
 			return nil
 		}
-		now := p.clock.Now()
+		now := p.sweeps.clock.Now()
 		if !deadline.IsZero() && !now.Before(deadline) {
 			if p.driver != nil {
 				if why := p.driver.uncommittedInputs(p.futures()); why != "" {

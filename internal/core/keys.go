@@ -81,16 +81,13 @@ func appendZeroPadded(b, digits []byte, width int) []byte {
 }
 
 // callSeq parses a call ID back into its numeric sequence. IDs not minted
-// by reserveCallIDs (wrong width or non-digits) report ok=false.
+// by reserveCallIDs (wrong width, a sign or other non-digits) report false.
 func callSeq(callID string) (int, bool) {
-	if len(callID) != callIDWidth {
+	if len(callID) != callIDWidth || callID[0] == '+' || callID[0] == '-' {
 		return 0, false
 	}
 	n, err := strconv.Atoi(callID)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
+	return n, err == nil
 }
 
 // fanInKey is the launch marker of the stage barrier whose first target is

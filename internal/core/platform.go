@@ -137,7 +137,7 @@ type Platform struct {
 	fnLaunchRetry *retry.Retrier
 
 	// sweeps is the sweep hub of the executors over the platform's own
-	// client storage (Config.SharePolls), built by the first of them.
+	// client storage (Config.SharePolls), built over the first one's view.
 	sweepsOnce sync.Once
 	sweeps     *sweepHub
 
@@ -284,15 +284,6 @@ func (p *Platform) MetaBucket() string { return DefaultMetaBucket }
 
 // Seed returns the platform seed, used to derive per-executor PRNG streams.
 func (p *Platform) Seed() int64 { return p.seed }
-
-// sharedSweeps returns a sweep coordinator for one more executor over the
-// platform's own client storage, sharing its LISTs through the platform's
-// hub; storage, the first one's view, says which store the hub may watch,
-// which is the same for all of them.
-func (p *Platform) sharedSweeps(storage cos.Client, clock vclock.Clock) *sweepCoordinator {
-	p.sweepsOnce.Do(func() { p.sweeps = newSweepHub(storage, clock) })
-	return newHubCoordinator(p.sweeps)
-}
 
 // nextExecutorSeed derives a fresh deterministic PRNG seed for the next
 // executor created against this platform.

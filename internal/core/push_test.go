@@ -96,7 +96,7 @@ func (c *sweepCoordinator) watchHeld(ns nsKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.states[ns]
-	return ok && (s.holds > 0 || s.cancel != nil)
+	return ok && s.push != nil && (s.push.holds > 0 || s.push.cancel != nil)
 }
 
 // watching reports whether a watch is live on a status namespace of bucket:
@@ -105,11 +105,74 @@ func (c *sweepCoordinator) watching(bucket, execID string, own bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for ns, s := range c.states {
-		if ns.bucket == bucket && s.cancel != nil && (ns.execID == execID) == own {
+		if ns.bucket == bucket && s.push != nil && s.push.cancel != nil && (ns.execID == execID) == own {
 			return true
 		}
 	}
 	return false
+}
+
+// pushes counts c's sweep states that point to a push.
+func (c *sweepCoordinator) pushes() (n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.states {
+		if s.push != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// listProbe runs probe before every List it passes on.
+type listProbe struct {
+	cos.Client
+	probe func()
+}
+
+func (c *listProbe) List(bucket, prefix, marker string, maxKeys int) (cos.ListResult, error) {
+	c.probe()
+	return c.Client.List(bucket, prefix, marker, maxKeys)
+}
+
+// TestVirtualClockNeverPushes: a whole MapReduce job on the Virtual clock —
+// its reducer launched by a fan-in, its wait driving the backstop — leaves
+// every sweep state of its driver without a push, at each of its LISTs and
+// after GetResult, though its storage reaches the in-process store: the
+// polling path reads without one.
+func TestVirtualClockNeverPushes(t *testing.T) {
+	e := newEnv(t, nil)
+	var exec *Executor
+	lists := 0
+	exec = e.executor(t, func(c *Config) {
+		c.Storage = &listProbe{Client: c.Storage, probe: func() {
+			lists++
+			if n := exec.sweeps.pushes(); n != 0 {
+				t.Errorf("LIST %d: %d sweep states point to a push on the Virtual clock", lists, n)
+			}
+		}}
+	})
+	if cos.WatcherOf(e.store) == nil {
+		t.Fatal("the store offers no watch: the test shows nothing")
+	}
+	e.clk.Run(func() {
+		if _, err := exec.MapReduce("add7", InlineValues{1, 2, 3}, "sum", MapReduceOptions{}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := exec.GetResult(GetResultOptions{}); err != nil {
+			t.Error(err)
+		}
+	})
+	if lists == 0 {
+		t.Fatal("the job issued no LIST")
+	}
+	if len(exec.sweeps.states) == 0 {
+		t.Fatal("the job left no sweep state to look at")
+	}
+	if n := exec.sweeps.pushes(); n != 0 {
+		t.Errorf("%d sweep states point to a push after the job", n)
+	}
 }
 
 // watchGate holds a function back until its driver waits under a watch, so
@@ -403,7 +466,7 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 	}
 	counting := cos.NewCounting(store)
 	clk := vclock.NewScaled(20)
-	co := newSweepCoordinator(counting, clk)
+	co := soloCoordinator(counting, clk)
 	ns := nsKey{bucket: "meta", execID: "ex"}
 	put := func(callID string) {
 		t.Helper()
@@ -418,12 +481,12 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 	evt := vclock.NewEvent(clk)
 	co.arm(ns, evt)
 	release := co.watch(ns)
-	if out := co.sweep(via(counting), ns, clk.Now()); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now()); out.err != nil || !out.listed {
 		t.Fatalf("first sweep outcome = %+v", out)
 	}
 	gen := evt.Gen()
 	put("00000")
-	if !co.completed(ns, "00000") {
+	if !co.committed(ns, "00000") {
 		t.Fatal("a watched commit did not reach the done-set")
 	}
 	if evt.Gen() == gen {
@@ -435,14 +498,14 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 		t.Fatal(err)
 	}
 	co.forget(ns, "00000")
-	if out := co.sweep(via(counting), ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("pushed sweep outcome = %+v", out)
 	}
-	if co.completed(ns, "00000") {
+	if co.committed(ns, "00000") {
 		t.Fatal("a deleted status was served as done")
 	}
 	put("00000") // the respawned run commits
-	if !co.completed(ns, "00000") {
+	if !co.committed(ns, "00000") {
 		t.Fatal("the respawned run's status was not re-observed")
 	}
 	if n := counting.Counts().ListOps; n != 1 {
@@ -451,17 +514,17 @@ func TestWatchedStatusForgottenOnRespawn(t *testing.T) {
 
 	release()
 	put("00001")
-	if co.completed(ns, "00001") {
+	if co.committed(ns, "00001") {
 		t.Error("a commit after the last release was delivered")
 	}
 	// The next wait arms afresh and must list once more: nothing watched
 	// the commit made in between.
 	release = co.watch(ns)
 	defer release()
-	if out := co.sweep(via(counting), ns, clk.Now().Add(2*time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now().Add(2*time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("re-armed sweep outcome = %+v", out)
 	}
-	if !co.completed(ns, "00001") {
+	if !co.committed(ns, "00001") {
 		t.Error("a commit between two watches was never observed")
 	}
 	if n := counting.Counts().ListOps; n != 2 {
@@ -479,7 +542,7 @@ func TestPushedBodyTakenOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := vclock.NewScaled(20)
-	co := newSweepCoordinator(store, clk)
+	co := soloCoordinator(store, clk)
 	ns := nsKey{bucket: "meta", execID: "ex"}
 	put := func(callID, body string) {
 		t.Helper()
@@ -507,7 +570,7 @@ func TestPushedBodyTakenOnce(t *testing.T) {
 	}
 
 	release := co.watch(ns)
-	if out := co.sweep(via(store), ns, clk.Now()); out.err != nil {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now()); out.err != nil {
 		t.Fatal(out.err)
 	}
 	for _, id := range []string{"00000", "00001", "00002", "00003"} {
@@ -553,7 +616,7 @@ func TestWatchArmedMidListKeepsListing(t *testing.T) {
 	}
 	clk := vclock.NewScaled(20)
 	hooked := &listHookClient{Client: store}
-	co := newSweepCoordinator(hooked, clk)
+	co := soloCoordinator(hooked, clk)
 	co.watcher = store // the hook hides the store from WatcherOf
 	ns := nsKey{bucket: "meta", execID: "ex"}
 	var release func()
@@ -563,17 +626,17 @@ func TestWatchArmedMidListKeepsListing(t *testing.T) {
 		}
 		release = co.watch(ns)
 	}
-	if out := co.sweep(via(hooked), ns, clk.Now()); out.err != nil {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now()); out.err != nil {
 		t.Fatal(out.err)
 	}
 	defer release()
-	if co.completed(ns, "00000") {
+	if co.committed(ns, "00000") {
 		t.Fatal("a status committed after the LIST's snapshot was harvested from it")
 	}
-	if out := co.sweep(via(hooked), ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("follow-up sweep outcome = %+v", out)
 	}
-	if !co.completed(ns, "00000") {
+	if !co.committed(ns, "00000") {
 		t.Fatal("the follow-up sweep did not list: the status committed before the arming is lost")
 	}
 }

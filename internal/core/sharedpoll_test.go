@@ -391,7 +391,7 @@ func TestDriverSharedPollRespawnDuringUnion(t *testing.T) {
 	clk := vclock.NewVirtual()
 	log := &listLog{clk: clk}
 	hooked := &listHookClient{Client: &loggedClient{Client: store, log: log}}
-	co := newSweepCoordinator(hooked, clk)
+	co := soloCoordinator(hooked, clk)
 	a, b := nsKey{bucket: "meta", execID: "ex-a"}, nsKey{bucket: "meta", execID: "ex-b"}
 	for _, ns := range []nsKey{a, b} {
 		for _, id := range []string{"00000", "00001", "00002"} {
@@ -407,25 +407,25 @@ func TestDriverSharedPollRespawnDuringUnion(t *testing.T) {
 		}
 		co.forget(b, "00001")
 	}
-	if out := co.sweep(via(hooked), a, clk.Now()); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, a, clk.Now()); out.err != nil || !out.listed {
 		t.Fatalf("union sweep outcome = %+v", out)
 	}
 	if l := log.entries(); len(l) != 1 || strings.HasSuffix(l[0].prefix, "/"+statusPrefix+"/") {
 		t.Fatalf("LISTs = %+v, want one union pass", l)
 	}
 	for _, id := range []string{"00000", "00001", "00002"} {
-		if !co.completed(a, id) {
+		if !co.committed(a, id) {
 			t.Errorf("%s/%s lost to the other namespace's respawn", a.execID, id)
 		}
-		if co.completed(b, id) {
+		if co.committed(b, id) {
 			t.Errorf("%s/%s harvested from a pass a respawn raced", b.execID, id)
 		}
 	}
-	if out := co.sweep(via(hooked), b, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, b, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("follow-up sweep outcome = %+v", out)
 	}
 	for id, want := range map[string]bool{"00000": true, "00001": false, "00002": true} {
-		if got := co.completed(b, id); got != want {
+		if got := co.committed(b, id); got != want {
 			t.Errorf("completed(%s/%s) = %v, want %v", b.execID, id, got, want)
 		}
 	}

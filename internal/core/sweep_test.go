@@ -70,7 +70,7 @@ func TestListFailureCounterResets(t *testing.T) {
 	var failing atomic.Bool
 	clk := vclock.NewVirtual()
 	faulty := cos.NewFaulty(store, failing.Load)
-	co := newSweepCoordinator(faulty, clk)
+	co := soloCoordinator(faulty, clk)
 	a, b := nsKey{bucket: "meta", execID: "ex-a"}, nsKey{bucket: "meta", execID: "ex-b"}
 	asOf := clk.Now()
 	for i, step := range []struct {
@@ -89,12 +89,20 @@ func TestListFailureCounterResets(t *testing.T) {
 		// Each sweep observes a later instant than the last, so none
 		// coalesces onto a cached LIST.
 		asOf = asOf.Add(time.Second)
-		if out := co.sweep(via(faulty), step.ns, asOf); out.err != nil || out.fails != step.fails {
+		if out := co.sweep(&pendingSet{}, step.ns, asOf); out.err != nil || out.fails != step.fails {
 			t.Fatalf("step %d (%s, fail=%v): outcome %+v, want fails = %d", i, step.ns.execID, step.fail, out, step.fails)
 		}
 	}
 }
 
-// via is a wait whose LISTs run through storage, for driving a coordinator's
-// sweeps directly.
-func via(storage cos.Client) *pendingSet { return &pendingSet{storage: storage} }
+// soloCoordinator is a coordinator listing through storage with a hub of its
+// own, for driving its sweeps directly.
+func soloCoordinator(storage cos.Client, clk vclock.Clock) *sweepCoordinator {
+	return newSweepCoordinator(newSweepHub(storage, clk), storage)
+}
+
+// committed reports whether ns's done-set holds callID.
+func (c *sweepCoordinator) committed(ns nsKey, callID string) (ok bool) {
+	c.withDone(ns, func(d *doneSet) { ok = d.has(callID) })
+	return ok
+}

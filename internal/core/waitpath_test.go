@@ -28,7 +28,7 @@ func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	}
 	counting := cos.NewCounting(store)
 	clk := vclock.NewVirtual()
-	co := newSweepCoordinator(counting, clk)
+	co := soloCoordinator(counting, clk)
 	ns := nsKey{bucket: "meta", execID: "ex"}
 
 	put := func(callID string) {
@@ -43,11 +43,11 @@ func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	put("00003")
 
 	asOf := clk.Now()
-	if out := co.sweep(via(counting), ns, asOf); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, asOf); out.err != nil || !out.listed {
 		t.Fatalf("sweep outcome = %+v", out)
 	}
 	for id, want := range map[string]bool{"00000": true, "00001": true, "00002": false, "00003": true} {
-		if got := co.completed(ns, id); got != want {
+		if got := co.committed(ns, id); got != want {
 			t.Errorf("completed(%s) = %v, want %v", id, got, want)
 		}
 	}
@@ -56,7 +56,7 @@ func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	}
 
 	// Same observation time: the cached sweep answers, no second LIST.
-	if out := co.sweep(via(counting), ns, asOf); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, asOf); out.err != nil || !out.listed {
 		t.Fatalf("cached sweep outcome = %+v", out)
 	}
 	if n := counting.Counts().ListOps; n != 1 {
@@ -66,10 +66,10 @@ func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	// A later sweep resumes at the frontier (after 00001): only the keys
 	// past it are listed again, not the whole prefix.
 	put("00002")
-	if out := co.sweep(via(counting), ns, asOf.Add(time.Second)); out.err != nil {
+	if out := co.sweep(&pendingSet{}, ns, asOf.Add(time.Second)); out.err != nil {
 		t.Fatal(out.err)
 	}
-	if !co.completed(ns, "00002") {
+	if !co.committed(ns, "00002") {
 		t.Error("00002 not completed after gap filled")
 	}
 	if n := counting.Counts().ObjectsListed; n != 5 { // 3 + {00002, 00003}
@@ -79,20 +79,20 @@ func TestSweepCoordinatorFrontierAndForget(t *testing.T) {
 	// Forgetting a call below the frontier rolls back to it but keeps the
 	// completions in between cached.
 	co.forget(ns, "00001")
-	if co.completed(ns, "00001") {
+	if co.committed(ns, "00001") {
 		t.Error("00001 still completed after forget")
 	}
 	for _, id := range []string{"00000", "00002", "00003"} {
-		if !co.completed(ns, id) {
+		if !co.committed(ns, id) {
 			t.Errorf("%s lost by forget of 00001", id)
 		}
 	}
 	// The re-sweep re-observes 00001 (still in storage here) and the
 	// frontier re-advances past the cached completions.
-	if out := co.sweep(via(counting), ns, asOf.Add(2*time.Second)); out.err != nil {
+	if out := co.sweep(&pendingSet{}, ns, asOf.Add(2*time.Second)); out.err != nil {
 		t.Fatal(out.err)
 	}
-	if !co.completed(ns, "00001") {
+	if !co.committed(ns, "00001") {
 		t.Error("00001 not re-observed after forget + sweep")
 	}
 }
@@ -126,7 +126,7 @@ func TestSweepForgetRacesInflightSweep(t *testing.T) {
 	}
 	clk := vclock.NewVirtual()
 	hooked := &listHookClient{Client: store}
-	co := newSweepCoordinator(hooked, clk)
+	co := soloCoordinator(hooked, clk)
 	ns := nsKey{bucket: "meta", execID: "ex"}
 
 	for _, id := range []string{"00000", "00001", "00002"} {
@@ -143,19 +143,19 @@ func TestSweepForgetRacesInflightSweep(t *testing.T) {
 		}
 		co.forget(ns, "00001")
 	}
-	if out := co.sweep(via(hooked), ns, clk.Now()); out.err != nil {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now()); out.err != nil {
 		t.Fatal(out.err)
 	}
-	if co.completed(ns, "00001") {
+	if co.committed(ns, "00001") {
 		t.Fatal("raced sweep re-marked a forgotten call as done from its stale snapshot")
 	}
 	// The follow-up sweep sees the post-respawn truth: everything but the
 	// deleted status is done.
-	if out := co.sweep(via(hooked), ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
+	if out := co.sweep(&pendingSet{}, ns, clk.Now().Add(time.Second)); out.err != nil || !out.listed {
 		t.Fatalf("follow-up sweep outcome = %+v", out)
 	}
 	for id, want := range map[string]bool{"00000": true, "00001": false, "00002": true} {
-		if got := co.completed(ns, id); got != want {
+		if got := co.committed(ns, id); got != want {
 			t.Errorf("completed(%s) = %v, want %v", id, got, want)
 		}
 	}

@@ -131,14 +131,16 @@ func PayloadLine(batch []byte, i int) (line []byte, offset int64, err error) {
 // InvokeParams frames the invoke parameters of the call staged at ref: the
 // ref alone when line is nil — byte-identical to a marshalled ref — and
 // otherwise the ref, '\n' and the call's staged line, which the runner then
-// decodes instead of reading it back.
+// decodes instead of reading it back, in one buffer of exactly their size.
 func InvokeParams(ref ObjectRef, line []byte) []byte {
-	head := MustMarshal(ref)
 	if line == nil {
-		return head
+		return MustMarshal(ref)
 	}
-	params := make([]byte, 0, len(head)+1+len(line))
-	return append(append(append(params, head...), '\n'), line...)
+	head, ok := marshalFast(ref, 1+len(line))
+	if !ok {
+		head = MustMarshal(ref)
+	}
+	return append(append(head, '\n'), line...)
 }
 
 // DecodeParams splits invoke parameters into the call's ref and, when the

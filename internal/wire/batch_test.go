@@ -146,6 +146,47 @@ func TestInvokeParamsFraming(t *testing.T) {
 	}
 }
 
+// TestInvokeParamsMatchesTwoStep holds InvokeParams to the path it replaced,
+// kept here as the oracle: marshal the ref, then copy it, '\n' and the line
+// into a second buffer. A plain ref with a line costs one allocation, the
+// params buffer, which is exactly the params' size.
+func TestInvokeParamsMatchesTwoStep(t *testing.T) {
+	twoStep := func(ref ObjectRef, line []byte) []byte {
+		head := MustMarshal(ref)
+		if line == nil {
+			return head
+		}
+		params := make([]byte, 0, len(head)+1+len(line))
+		return append(append(append(params, head...), '\n'), line...)
+	}
+	line := MustMarshal(&batchFixture()[0])
+	plain := ObjectRef{Bucket: "m", Key: "jobs/exec-1/payload/00000+4", Offset: 130, Length: int64(len(line))}
+	for _, ref := range []ObjectRef{
+		plain,
+		{Bucket: "m", Key: "k"},
+		{Bucket: "gowren-meta", Key: "jobs/exec-000001/payload/99999+100", Offset: 1 << 40, Length: 8192},
+		{Bucket: "m", Key: "a<b>&c", Length: 3},            // escaped by encoding/json
+		{Bucket: "m", Key: "quote\"and\\slash", Offset: 7}, // likewise
+		{Bucket: "m", Key: "é\u2028", Length: -1},
+	} {
+		for _, l := range [][]byte{nil, {}, []byte("x"), line} {
+			got, want := InvokeParams(ref, l), twoStep(ref, l)
+			if !bytes.Equal(got, want) {
+				t.Errorf("InvokeParams(%+v, %q) = %q, want %q", ref, l, got, want)
+			}
+			if l != nil && PlainText(ref.Bucket) && PlainText(ref.Key) && cap(got) != len(got) {
+				t.Errorf("InvokeParams(%+v, %q): cap %d, want the length %d", ref, l, cap(got), len(got))
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { InvokeParams(plain, line) }); n > 1 {
+		t.Errorf("InvokeParams(plain ref, line): %v allocs, want <= 1", n)
+	}
+}
+
 func TestDecodePayloadValidates(t *testing.T) {
 	if _, err := DecodePayload([]byte(`{"executorId":"e","callId":"c","function":"f","kind":1}`)); err == nil || !strings.Contains(err.Error(), "meta bucket") {
 		t.Fatalf("invalid payload decoded: err = %v", err)

@@ -89,14 +89,14 @@ func NeedsCompact(v []byte) bool {
 // marshalFast encodes v if it is a platform record the fast path takes, in
 // two passes over the same code: the first measures (and checks every
 // string and RawMessage), the second writes into a buffer of exactly that
-// size.
-func marshalFast(v any) ([]byte, bool) {
+// size, with room for spare more bytes the caller appends.
+func marshalFast(v any, spare int) ([]byte, bool) {
 	e := encoder{ok: true}
 	e.record(v)
 	if !e.ok {
 		return nil, false
 	}
-	e = encoder{buf: make([]byte, 0, e.n), ok: true}
+	e = encoder{buf: make([]byte, 0, e.n+spare), ok: true}
 	e.record(v)
 	return e.buf, true
 }

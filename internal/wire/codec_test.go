@@ -140,7 +140,7 @@ func takesFast[T any](data []byte, fast func(*decoder, *T)) bool {
 
 func TestRecordCodecMatchesJSON(t *testing.T) {
 	for _, v := range codecRecords(t) {
-		if _, ok := marshalFast(v); !ok {
+		if _, ok := marshalFast(v, 0); !ok {
 			t.Errorf("%T %+v: not on the fast path", v, v)
 		}
 		checkEncode(t, v)

@@ -79,7 +79,7 @@ type Partition struct {
 
 // ReduceSpec tells a reduce executor which map partials to wait for.
 type ReduceSpec struct {
-	// MetaBucket is the bucket holding job metadata (statuses, results).
+	// MetaBucket is the bucket holding job metadata (payloads, statuses).
 	MetaBucket string `json:"metaBucket"`
 	// ExecutorID identifies the job whose map phase feeds this reducer.
 	ExecutorID string `json:"executorId"`
@@ -289,7 +289,7 @@ type CallPayload struct {
 	// one that completes it, launches the downstream stage. Plain calls
 	// carry none and their payloads are byte-identical to before.
 	FanIn *FanIn `json:"fanIn,omitempty"`
-	// MetaBucket is where the runner writes result and status objects.
+	// MetaBucket is where the runner writes the call's status object.
 	MetaBucket string `json:"metaBucket"`
 	// Region names the storage region the call is placed in. A runner
 	// executing a placed call reads and writes through that region's view
@@ -440,7 +440,7 @@ type StatusRecord struct {
 // encoders in codec.go, which write the same bytes; anything else, and any
 // record they do not take, goes through encoding/json.
 func Marshal(v any) ([]byte, error) {
-	if data, ok := marshalFast(v); ok {
+	if data, ok := marshalFast(v, 0); ok {
 		return data, nil
 	}
 	data, err := json.Marshal(v)
