@@ -457,9 +457,11 @@ func sha(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// idNormalizer renames executor IDs, which come from a process-wide
-// counter, to their order of first appearance in the run, and blanks
-// ETags, which hash bodies that carry those IDs.
+// idNormalizer renames executor IDs to their order of first appearance in
+// the run, and blanks ETags, which hash bodies that carry those IDs. Each
+// platform numbers its own executors, so a run's IDs are the same whatever
+// ran before it in the process; the renaming is kept only because dropping
+// it rewrites every golden digest, which is a change of its own.
 type idNormalizer struct {
 	re, etag *regexp.Regexp
 	names    map[string]string

@@ -58,29 +58,31 @@ func AttachExecutor(cfg Config, jobID string) (*Executor, error) {
 		return nil, err
 	}
 
-	// Rebuild futures for the tracked calls in call order, skipping calls
-	// the previous driver already retired: dead-lettered ones are parked on
-	// the dead-letter list below (ReplayDeadLetters picks them up), and
-	// replay-superseded ones were dropped during journal replay.
-	ids := make([]string, 0, len(st.calls))
+	// Rebuild one future for every call the journal names, in call order,
+	// skipping calls the previous driver already retired: dead-lettered ones
+	// are parked on the dead-letter list below (ReplayDeadLetters picks them
+	// up), and replay-superseded ones were dropped during journal replay.
+	// The tracked ones are what the dead driver was waiting on; the rest
+	// matter as the inputs and targets of stage barriers.
+	var futures []*Future
+	byID := make(map[string]*Future, len(st.calls))
 	for _, id := range slices.Sorted(maps.Keys(st.calls)) {
-		if _, dead := st.letters[id]; st.calls[id].tracked && !dead {
-			ids = append(ids, id)
+		if _, dead := st.letters[id]; dead {
+			continue
 		}
-	}
-	futures := make([]*Future, 0, len(ids))
-	byID := make(map[string]*Future, len(ids))
-	for _, id := range ids {
 		cs := st.calls[id]
 		f := newFuture(e, e.id, id, cs.actID)
 		f.payload = cs.payload
 		e.respawns.seed(f, cs.respawns)
-		futures = append(futures, f)
 		byID[id] = f
+		if cs.tracked {
+			futures = append(futures, f)
+		}
 	}
 	// Calls the dead driver staged behind a fan-in are launched by their
 	// inputs, not by a driver: rebuild the barriers so this driver's wait
-	// loop backs the launches up exactly as its predecessor's did.
+	// loop backs the launches up, and respawns a dead input, exactly as its
+	// predecessor's did.
 	if err := e.adoptFanIns(st.fanIns, byID); err != nil {
 		return nil, fmt.Errorf("core: attach %s: %w", jobID, err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -169,12 +170,18 @@ type statusKill struct {
 	cos.Client
 	callID string
 	killed atomic.Bool
+	// commits counts the call's status PUTs, the killed one included.
+	commits atomic.Int64
 	// afterCommit lets the status commit before the container dies.
 	afterCommit bool
 }
 
 func (c *statusKill) Put(bucket, key string, data []byte) (cos.ObjectMeta, error) {
-	if strings.HasSuffix(key, "/"+statusPrefix+"/"+c.callID) && c.killed.CompareAndSwap(false, true) {
+	mine := strings.HasSuffix(key, "/"+statusPrefix+"/"+c.callID)
+	if mine {
+		c.commits.Add(1)
+	}
+	if mine && c.killed.CompareAndSwap(false, true) {
 		if !c.afterCommit {
 			return cos.ObjectMeta{}, errors.New("injected: container killed before its status commit")
 		}
@@ -471,4 +478,50 @@ func TestAttachFencesOldDriverLaunch(t *testing.T) {
 			t.Errorf("superseded driver's Map invoked %d calls, want none", got-acts)
 		}
 	})
+}
+
+// TestAttachRespawnsDeadFanInInput: a map of a MapReduce whose activation
+// died without committing a status holds its reducer back. The driver that
+// attaches rebuilds the stage barrier with the maps as its inputs, so its
+// wait loop respawns the dead map, once, and the reducer launches behind it.
+func TestAttachRespawnsDeadFanInInput(t *testing.T) {
+	kill := &statusKill{callID: "00001"}
+	e := newEnv(t, func(cfg *PlatformConfig) {
+		kill.Client = cfg.Store
+		cfg.Backend = kill
+	})
+	exec1 := e.executor(t, nil)
+	var raws []json.RawMessage
+	e.clk.Run(func() {
+		if _, err := exec1.MapReduce("add7", InlineValues{1, 2, 3}, "sum", MapReduceOptions{}); err != nil {
+			t.Error(err)
+			return
+		}
+		e.clk.Sleep(10 * time.Second) // the driver is gone; map 00001 dies
+		exec2, err := AttachExecutor(e.attachConfig(), exec1.ID())
+		if err != nil {
+			t.Errorf("attach: %v", err)
+			return
+		}
+		if raws, err = exec2.GetResult(GetResultOptions{Timeout: time.Hour}); err != nil {
+			t.Errorf("get result after attach: %v", err)
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	var red struct{ Total, Parts int }
+	if len(raws) != 1 {
+		t.Fatalf("results = %s, want one reducer's", raws)
+	}
+	if err := wire.Unmarshal(raws[0], &red); err != nil || red.Total != 27 || red.Parts != 3 {
+		t.Errorf("reducer result = %s (err %v), want total 27 over 3 parts", raws[0], err)
+	}
+	if got := kill.commits.Load(); got != 2 {
+		t.Errorf("status PUTs of map %s = %d, want 2: the killed one and one respawn", kill.callID, got)
+	}
+	// Three maps, the respawn and the reducer.
+	if got := len(e.platform.Controller().Activations()); got != 5 {
+		t.Errorf("activations = %d, want 5", got)
+	}
 }

@@ -186,6 +186,20 @@ func (e *env) executor(t testing.TB, mutate func(*Config)) *Executor {
 	return exec
 }
 
+// TestExecutorIDsArePerPlatform: a platform numbers its own executors, so
+// a run's IDs do not depend on what else ran in the process.
+func TestExecutorIDsArePerPlatform(t *testing.T) {
+	first, second := newEnv(t, nil), newEnv(t, nil)
+	for _, want := range []string{"exec-000001", "exec-000002", "exec-000003"} {
+		if got := first.executor(t, nil).ID(); got != want {
+			t.Errorf("first platform's executor ID = %s, want %s", got, want)
+		}
+	}
+	if got := second.executor(t, nil).ID(); got != "exec-000001" {
+		t.Errorf("second platform's first executor ID = %s, want exec-000001", got)
+	}
+}
+
 func decodeInts(t *testing.T, raws []json.RawMessage) []int {
 	t.Helper()
 	out := make([]int, len(raws))

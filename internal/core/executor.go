@@ -41,10 +41,6 @@ var invokeRetryPolicy = retry.Policy{
 	Jitter:      true,
 }
 
-// execCounter issues process-unique executor IDs. Uniqueness is all that
-// matters: IDs namespace job keys in the meta bucket.
-var execCounter atomic.Uint64
-
 // Config configures an Executor: which platform it submits to, through
 // which network paths, and how aggressively it stages and invokes.
 type Config struct {
@@ -202,11 +198,10 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	} else {
 		hub = newSweepHub(cfg.Storage, clk)
 	}
-	n := execCounter.Add(1)
-	seed := cfg.Platform.nextExecutorSeed()
+	id, seed := cfg.Platform.nextExecutor()
 	return &Executor{
 		cfg:         cfg,
-		id:          fmt.Sprintf("exec-%06d", n),
+		id:          id,
 		clock:       clk,
 		gil:         newSerial(clk),
 		respawns:    newRespawnLedger(),
@@ -240,7 +235,7 @@ func (e *Executor) reserveCallIDs(n int) []string {
 	defer e.mu.Unlock()
 	ids := make([]string, n)
 	for i := range ids {
-		ids[i] = fmt.Sprintf("%05d", e.nextID)
+		ids[i] = callIDForSeq(e.nextID)
 		e.nextID++
 	}
 	return ids

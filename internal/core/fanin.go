@@ -94,7 +94,8 @@ type fanInGroup struct {
 	// call retired (dead-lettered or superseded).
 	gated []*Future
 	// inputs are indexed like the input range, as launchBehind invoked
-	// them; nil in a group rebuilt by Attach.
+	// them; nil where Attach found no call in the journal (a remote
+	// invoker, which is never journaled) or found it retired.
 	inputs []*Future
 	// next is the lowest input sequence not yet seen committed.
 	next int
@@ -237,13 +238,17 @@ func (e *Executor) launchBehind(gates []stageGate, trackFutures, open bool) ([]*
 }
 
 // adoptFanIns rebuilds the launch backstop of an attached driver from the
-// fan-in specs its predecessor journaled; byID maps the rebuilt tracked
-// futures by call ID.
+// fan-in specs its predecessor journaled; byID maps the rebuilt futures of
+// every journaled call by call ID.
 func (e *Executor) adoptFanIns(specs []wire.FanIn, byID map[string]*Future) error {
 	for i := range specs {
 		group, err := e.newFanInGroup(&specs[i])
 		if err != nil {
 			return err
+		}
+		group.inputs = make([]*Future, group.spec.Count)
+		for in := range group.inputs {
+			group.inputs[in] = byID[callIDForSeq(group.first+in)]
 		}
 		for t := range group.gated {
 			if f := byID[callIDForSeq(group.firstTarget+t)]; f != nil {
@@ -440,8 +445,6 @@ func (e *Executor) backstopFanIns(pend *pendingSet, limit int) {
 // an input it refuses stays dead, and the wait's timeout names it.
 func (e *Executor) respawnDeadInputs(g *fanInGroup, now time.Time, limit int) {
 	switch {
-	case g.inputs == nil:
-		return
 	case g.probeAt.IsZero():
 		g.probeAt = now.Add(fanInGrace)
 		return
@@ -453,7 +456,7 @@ func (e *Executor) respawnDeadInputs(g *fanInGroup, now time.Time, limit int) {
 	var dead []*Future
 	for seq := range g.uncommitted(e) {
 		f := g.inputs[seq-g.first]
-		if f.activationID == "" {
+		if f == nil || f.activationID == "" {
 			continue
 		}
 		if rec, err := ctrl.Activation(f.activationID); err == nil && rec.Done() && !rec.OK {

@@ -41,3 +41,26 @@ func TestKeyHelpersUnchanged(t *testing.T) {
 		t.Errorf("journalKey(max epoch) = %q, want %q", got, want)
 	}
 }
+
+// sprintfCallID is the oracle reserveCallIDs must match byte for byte.
+func sprintfCallID(seq int) string { return fmt.Sprintf("%05d", seq) }
+
+// TestReserveCallIDs holds reserveCallIDs to the fmt oracle across the
+// width's growth, and pins its cost: the slice and one string per ID. A
+// boxed int above 255 would add one allocation per ID.
+func TestReserveCallIDs(t *testing.T) {
+	exec := newEnv(t, nil).executor(t, nil)
+	for _, start := range []int{0, 99_999, 100_000} {
+		exec.nextID = start
+		for i, got := range exec.reserveCallIDs(2) {
+			if want := sprintfCallID(start + i); got != want {
+				t.Errorf("call ID %d = %q, want %q", start+i, got, want)
+			}
+		}
+	}
+	exec.nextID = 256
+	const n = 8
+	if got := testing.AllocsPerRun(100, func() { exec.reserveCallIDs(n) }); got != n+1 {
+		t.Errorf("reserveCallIDs(%d) allocates %v times, want %d", n, got, n+1)
+	}
+}

@@ -141,8 +141,9 @@ type Platform struct {
 	sweepsOnce sync.Once
 	sweeps     *sweepHub
 
-	// execSeq numbers executors per platform so their derived PRNG seeds
-	// are reproducible run to run (the process-global ID counter is not).
+	// execSeq numbers the executors created against this platform: each
+	// one's ID and PRNG seed come from its number (nextExecutor), so both
+	// are reproducible run to run, whatever else ran in the process.
 	execSeq atomic.Int64
 
 	mu       sync.Mutex
@@ -285,10 +286,12 @@ func (p *Platform) MetaBucket() string { return DefaultMetaBucket }
 // Seed returns the platform seed, used to derive per-executor PRNG streams.
 func (p *Platform) Seed() int64 { return p.seed }
 
-// nextExecutorSeed derives a fresh deterministic PRNG seed for the next
-// executor created against this platform.
-func (p *Platform) nextExecutorSeed() int64 {
-	return p.seed + p.execSeq.Add(1)*1000003
+// nextExecutor numbers the next executor created against this platform and
+// returns its ID, which namespaces its jobs in the meta bucket, and the seed
+// of its PRNG streams.
+func (p *Platform) nextExecutor() (id string, seed int64) {
+	n := p.execSeq.Add(1)
+	return fmt.Sprintf("exec-%06d", n), p.seed + n*1000003
 }
 
 // Exchange returns the fast-tier data-exchange fabric.
@@ -382,10 +385,10 @@ func (p *Platform) inCloudExecutor(image, region, tenant string) (*Executor, err
 }
 
 // PlaceCall assigns a call to a storage region by hashing its call ID with
-// the platform seed. Executor identity deliberately stays out of the hash:
-// executor IDs come from a process-global counter, so including them would
-// make placement — and therefore the whole simulation — depend on how many
-// executors earlier tests created. Hashing only stable inputs keeps a
+// the platform seed. Executor identity stays out of the hash: executor IDs
+// are numbered per platform (nextExecutor), so including them would make a
+// job's placement depend on how many executors, helpers included, the
+// platform created before it. Hashing only the call ID and the seed keeps a
 // job's placement reproducible run to run and across respawns of the same
 // call. Single-region platforms place nothing (empty string).
 func (p *Platform) PlaceCall(callID string) string {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -72,12 +71,11 @@ type Image struct {
 	name   string
 	sizeMB int
 
-	mu       sync.RWMutex
-	plain    map[string]PlainFunc
-	mappers  map[string]MapPartitionFunc
-	reducer  map[string]ReduceFunc
-	kvMap    map[string]KVMapFunc
-	kvReduce map[string]KVReduceFunc
+	mu sync.RWMutex
+	// funcs is the image's one function namespace: each value is a
+	// PlainFunc, MapPartitionFunc, ReduceFunc, KVMapFunc or KVReduceFunc,
+	// so a name registered under one kind is taken for every kind.
+	funcs map[string]any
 }
 
 // NewImage creates an empty image. sizeMB models the compressed image size
@@ -86,15 +84,7 @@ func NewImage(name string, sizeMB int) *Image {
 	if sizeMB <= 0 {
 		sizeMB = 180 // python-jessie:3 scale
 	}
-	return &Image{
-		name:     name,
-		sizeMB:   sizeMB,
-		plain:    make(map[string]PlainFunc),
-		mappers:  make(map[string]MapPartitionFunc),
-		reducer:  make(map[string]ReduceFunc),
-		kvMap:    make(map[string]KVMapFunc),
-		kvReduce: make(map[string]KVReduceFunc),
-	}
+	return &Image{name: name, sizeMB: sizeMB, funcs: make(map[string]any)}
 }
 
 // Name returns the image name.
@@ -103,136 +93,76 @@ func (img *Image) Name() string { return img.name }
 // SizeMB returns the simulated image size in MB.
 func (img *Image) SizeMB() int { return img.sizeMB }
 
-// RegisterPlain adds a plain function under name.
-func (img *Image) RegisterPlain(name string, fn PlainFunc) error {
+// register adds fn under name unless any kind already holds the name.
+func register[F any](img *Image, name string, fn F) error {
 	img.mu.Lock()
 	defer img.mu.Unlock()
-	if img.existsLocked(name) {
+	if _, ok := img.funcs[name]; ok {
 		return fmt.Errorf("register %q in %s: %w", name, img.name, ErrFunctionExists)
 	}
-	img.plain[name] = fn
+	img.funcs[name] = fn
 	return nil
 }
+
+// lookup resolves name as a function of type F; kind names F in the error.
+func lookup[F any](img *Image, kind, name string) (F, error) {
+	img.mu.RLock()
+	fn, ok := img.funcs[name].(F)
+	img.mu.RUnlock()
+	if !ok {
+		return fn, fmt.Errorf("%s function %q in image %s: %w", kind, name, img.name, ErrFunctionNotFound)
+	}
+	return fn, nil
+}
+
+// RegisterPlain adds a plain function under name.
+func (img *Image) RegisterPlain(name string, fn PlainFunc) error { return register(img, name, fn) }
 
 // RegisterMapPartition adds a partition map function under name.
 func (img *Image) RegisterMapPartition(name string, fn MapPartitionFunc) error {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if img.existsLocked(name) {
-		return fmt.Errorf("register %q in %s: %w", name, img.name, ErrFunctionExists)
-	}
-	img.mappers[name] = fn
-	return nil
+	return register(img, name, fn)
 }
 
 // RegisterReduce adds a reduce function under name.
-func (img *Image) RegisterReduce(name string, fn ReduceFunc) error {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if img.existsLocked(name) {
-		return fmt.Errorf("register %q in %s: %w", name, img.name, ErrFunctionExists)
-	}
-	img.reducer[name] = fn
-	return nil
-}
+func (img *Image) RegisterReduce(name string, fn ReduceFunc) error { return register(img, name, fn) }
 
 // RegisterKVMap adds a shuffle map function under name.
-func (img *Image) RegisterKVMap(name string, fn KVMapFunc) error {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if img.existsLocked(name) {
-		return fmt.Errorf("register %q in %s: %w", name, img.name, ErrFunctionExists)
-	}
-	img.kvMap[name] = fn
-	return nil
-}
+func (img *Image) RegisterKVMap(name string, fn KVMapFunc) error { return register(img, name, fn) }
 
 // RegisterKVReduce adds a per-key reduce function under name.
 func (img *Image) RegisterKVReduce(name string, fn KVReduceFunc) error {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if img.existsLocked(name) {
-		return fmt.Errorf("register %q in %s: %w", name, img.name, ErrFunctionExists)
-	}
-	img.kvReduce[name] = fn
-	return nil
-}
-
-func (img *Image) existsLocked(name string) bool {
-	_, p := img.plain[name]
-	_, m := img.mappers[name]
-	_, r := img.reducer[name]
-	_, km := img.kvMap[name]
-	_, kr := img.kvReduce[name]
-	return p || m || r || km || kr
+	return register(img, name, fn)
 }
 
 // Plain resolves a plain function.
-func (img *Image) Plain(name string) (PlainFunc, error) {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	fn, ok := img.plain[name]
-	if !ok {
-		return nil, fmt.Errorf("plain function %q in image %s: %w", name, img.name, ErrFunctionNotFound)
-	}
-	return fn, nil
-}
+func (img *Image) Plain(name string) (PlainFunc, error) { return lookup[PlainFunc](img, "plain", name) }
 
 // MapPartition resolves a partition map function.
 func (img *Image) MapPartition(name string) (MapPartitionFunc, error) {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	fn, ok := img.mappers[name]
-	if !ok {
-		return nil, fmt.Errorf("map function %q in image %s: %w", name, img.name, ErrFunctionNotFound)
-	}
-	return fn, nil
+	return lookup[MapPartitionFunc](img, "map", name)
 }
 
 // Reduce resolves a reduce function.
 func (img *Image) Reduce(name string) (ReduceFunc, error) {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	fn, ok := img.reducer[name]
-	if !ok {
-		return nil, fmt.Errorf("reduce function %q in image %s: %w", name, img.name, ErrFunctionNotFound)
-	}
-	return fn, nil
+	return lookup[ReduceFunc](img, "reduce", name)
 }
 
 // KVMap resolves a shuffle map function.
 func (img *Image) KVMap(name string) (KVMapFunc, error) {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	fn, ok := img.kvMap[name]
-	if !ok {
-		return nil, fmt.Errorf("kv-map function %q in image %s: %w", name, img.name, ErrFunctionNotFound)
-	}
-	return fn, nil
+	return lookup[KVMapFunc](img, "kv-map", name)
 }
 
 // KVReduce resolves a per-key reduce function.
 func (img *Image) KVReduce(name string) (KVReduceFunc, error) {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	fn, ok := img.kvReduce[name]
-	if !ok {
-		return nil, fmt.Errorf("kv-reduce function %q in image %s: %w", name, img.name, ErrFunctionNotFound)
-	}
-	return fn, nil
+	return lookup[KVReduceFunc](img, "kv-reduce", name)
 }
 
 // Functions lists every registered function name, sorted.
 func (img *Image) Functions() []string {
 	img.mu.RLock()
 	defer img.mu.RUnlock()
-	names := make([]string, 0, len(img.plain)+len(img.mappers)+len(img.reducer)+len(img.kvMap)+len(img.kvReduce))
-	names = append(names, slices.Sorted(maps.Keys(img.plain))...)
-	names = append(names, slices.Sorted(maps.Keys(img.mappers))...)
-	names = append(names, slices.Sorted(maps.Keys(img.reducer))...)
-	names = append(names, slices.Sorted(maps.Keys(img.kvMap))...)
-	names = append(names, slices.Sorted(maps.Keys(img.kvReduce))...)
-	sort.Strings(names)
+	names := slices.AppendSeq(make([]string, 0, len(img.funcs)), maps.Keys(img.funcs))
+	slices.Sort(names)
 	return names
 }
 
